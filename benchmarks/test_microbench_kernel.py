@@ -1,10 +1,10 @@
 """Kernel dispatch-loop microbenchmarks (real wall-clock, time-budgeted).
 
-A smoke guard for the calendar-queue scheduler's three regimes — the
-same-instant ready deque, the bucketed near-timer path, and the
-cancelled-timer tombstone drain — plus a calendar-vs-heap dispatch
-comparison.  Budgets are deliberately loose (CI containers vary wildly);
-the tests catch order-of-magnitude dispatch-loop regressions, not noise.
+A smoke guard for the event queue's regimes — a steady sleep-heavy mix,
+a deep timer heap (six-figure queue depth), the same-instant ready deque,
+and the cancelled-timer tombstone drain.  Budgets are deliberately loose
+(CI containers vary wildly); the tests catch order-of-magnitude
+dispatch-loop regressions, not noise.
 """
 
 from time import perf_counter
@@ -20,18 +20,38 @@ BUDGET_SECONDS = 60.0
 EVENTS_PER_SEC_FLOOR = 10_000
 
 
-def test_dispatch_rate_both_schedulers():
+def test_dispatch_rate():
     started = perf_counter()
-    results = {
-        scheduler: bench_kernel(num_processes=20, sleeps_per_process=500,
-                                repeats=2, scheduler=scheduler)
-        for scheduler in ("calendar", "heap")
-    }
+    result = bench_kernel(num_processes=20, sleeps_per_process=500,
+                          repeats=2)
     assert perf_counter() - started < BUDGET_SECONDS
-    for scheduler, result in results.items():
-        assert result["events_per_sec"] > EVENTS_PER_SEC_FLOOR, scheduler
-    # Identical event streams: the microbench is deterministic.
-    assert results["calendar"]["events"] == results["heap"]["events"]
+    assert result["events_per_sec"] > EVENTS_PER_SEC_FLOOR
+    # The microbench is deterministic: spawns plus sleeps, exactly.
+    assert result["events"] == 20 + 20 * 500
+
+
+def test_deep_timer_heap_dispatch_rate():
+    # The regime a bucketed queue would be for: every process holds a
+    # pending timer, so the heap starts 100 000 entries deep and drains
+    # over 1 000 virtual seconds.
+    kernel = Kernel()
+    processes, sleeps, span = 100_000, 4, 1000.0
+
+    def sleeper(rank: int):
+        delay = span * (rank + 1) / (processes * sleeps)
+        for _ in range(sleeps):
+            yield kernel.sleep(delay)
+
+    for rank in range(processes):
+        kernel.spawn(sleeper(rank))
+    started = perf_counter()
+    kernel.run()
+    elapsed = perf_counter() - started
+    assert elapsed < BUDGET_SECONDS
+    counters = kernel.counters()
+    assert counters["events_dispatched"] == processes * (1 + sleeps)
+    assert counters["peak_queue_depth"] >= processes
+    assert counters["events_dispatched"] / elapsed > EVENTS_PER_SEC_FLOOR
 
 
 def test_same_instant_storm_stays_in_ready_deque():

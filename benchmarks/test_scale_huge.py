@@ -1,10 +1,10 @@
 """The ``huge`` workload preset: a >=100k-concurrent-session run.
 
-The scale-up acceptance for the calendar-queue kernel: the scalable
-session driver must push one hundred thousand concurrent bookstore
-sessions (flash-crowd arrivals, zipfian-hot keys) through the functional
-replicated system inside the CI time budget, and the recorded history
-must still satisfy all three formal checkers.
+The scale-up acceptance for the session driver and the kernel event
+queue under it: the driver must push one hundred thousand concurrent
+bookstore sessions (flash-crowd arrivals, zipfian-hot keys) through the
+functional replicated system inside the CI time budget, and the recorded
+history must still satisfy all three formal checkers.
 """
 
 from time import perf_counter

@@ -110,9 +110,8 @@ class SystemStatus:
     admission_brownouts: int = 0
     admission_min_brownout_factor: float = 1.0
     admission_degraded_reads: int = 0
-    # -- kernel scheduler counters (properties of the dispatched event
-    # stream, so identical under the calendar and heap schedulers) --------
-    kernel_scheduler: str = ""
+    # -- kernel event-queue counters (properties of the dispatched event
+    # stream, so they repeat exactly for the same seed) --------------------
     kernel_events_dispatched: int = 0
     kernel_peak_queue_depth: int = 0
     kernel_timer_cancellations: int = 0
@@ -227,12 +226,9 @@ class SystemStatus:
                          f"(min-rate="
                          f"{self.admission_min_brownout_factor:.0%})")
             lines.append(line)
-        # Kernel scheduler line: the counters are mode-identical, so the
-        # line diffs clean between calendar and heap runs of one seed.
         if self.kernel_events_dispatched:
             lines.append(
-                f"  kernel: scheduler={self.kernel_scheduler}  "
-                f"dispatched={self.kernel_events_dispatched}  "
+                f"  kernel: dispatched={self.kernel_events_dispatched}  "
                 f"peak-depth={self.kernel_peak_queue_depth}  "
                 f"timer-cancels={self.kernel_timer_cancellations}  "
                 f"same-instant={self.kernel_same_instant_ratio:.1%}")
@@ -378,7 +374,6 @@ def system_status(system: "ReplicatedSystem") -> SystemStatus:
                             admission, "min_brownout_factor", 1.0),
                         admission_degraded_reads=getattr(
                             admission, "degraded_reads", 0),
-                        kernel_scheduler=kernel_counters["scheduler"],
                         kernel_events_dispatched=kernel_counters[
                             "events_dispatched"],
                         kernel_peak_queue_depth=kernel_counters[

@@ -23,11 +23,6 @@ tolerance):
   FIFO applicator pool at 1/2/4/8 workers under the 80/20 and 95/5
   transaction mixes.  These legs run in *virtual* time, so the numbers
   are deterministic per seed (they measure scheduling, not the host);
-* **kernel scheduler** (schema 5) — dispatch microbench under the
-  calendar-queue and binary-heap schedulers, plus wall-clock and
-  events/sec of one ``scaleup-95-5`` figure leg under each, and the
-  paired speedup vs the pre-calendar-queue kernel recorded at
-  re-baseline time;
 * **overload** (schema 7) — a flash-crowd burst driven open-loop
   through per-session runner processes, admission control on vs off on
   the same seed: sustained burst goodput and bounded read p99 under
@@ -58,18 +53,16 @@ from repro.evaluation.runner import figure_series, run_sweep, write_csv
 #: meaningless single-CPU figure-2 speedup with ``jobs_effective`` and a
 #: ``null`` speedup.  Schema 4 adds ``parallel_refresh``: secondary
 #: apply throughput and replication lag, FIFO pool vs dependency-tracked
-#: parallel scheduler, per worker count and transaction mix.  Schema 5
-#: extends the ``kernel`` block with per-scheduler dispatch microbench
-#: numbers (calendar-queue vs binary heap) and a ``scaleup_95_5`` leg
-#: (wall-clock, events dispatched, events/sec per scheduler, and the
-#: paired speedup vs the pre-calendar-queue kernel).  Schema 6 adds
-#: ``partial_replication``: per-secondary apply volume, link volume
+#: parallel scheduler, per worker count and transaction mix.  Schema 6
+#: adds ``partial_replication``: per-secondary apply volume, link volume
 #: fraction and drain speedup of keyspace sharding at subscription
 #: fraction 1/2 vs full replication on the 95/5 mix.  Schema 7 adds
 #: ``overload``: flash-crowd goodput and read p99 with admission
 #: control on vs off, peak refresh backlog, and exact shed/degraded
-#: accounting (virtual time, deterministic per seed).
-BENCH_SCHEMA = 7
+#: accounting (virtual time, deterministic per seed).  Schema 8 removes
+#: the ``kernel`` block's ``dispatch``, ``scaleup_95_5`` and
+#: ``scheduler`` keys: the kernel has one event queue.
+BENCH_SCHEMA = 8
 
 #: Representative Figure 2 point timed per algorithm (100 clients on the
 #: 5-secondary 80/20 clients sweep — mid-load, past the warm-up knee).
@@ -90,12 +83,11 @@ BENCH_REPEATS = 3
 
 def bench_kernel(num_processes: int = 50,
                  sleeps_per_process: int = 2000,
-                 repeats: int = BENCH_REPEATS,
-                 scheduler: str = "calendar") -> dict:
+                 repeats: int = BENCH_REPEATS) -> dict:
     """Measure raw kernel event throughput on a sleep-heavy mix."""
 
     def one_run() -> tuple[int, float]:
-        kernel = Kernel(scheduler=scheduler)
+        kernel = Kernel()
 
         def ticker(rank: int):
             delay = 0.5 + rank * 0.01  # staggered so the heap stays mixed
@@ -116,54 +108,6 @@ def bench_kernel(num_processes: int = 50,
         "seconds": round(elapsed, 6),
         "events_per_sec": round(events / elapsed, 1),
     }
-
-
-#: Paired wall-clock speedup of the ``scaleup-95-5`` figure leg vs the
-#: pre-calendar-queue kernel (interleaved A/B trials against the pre-PR
-#: tree in one process, min of 8, same seed).  Recorded as a constant
-#: because the pre-PR tree is not available to re-measure in CI; the
-#: acceptance bar (>= 1.5x) is asserted on this recorded value by
-#: ``benchmarks/test_perf_regression.py``.
-SCALEUP_PREPR_PAIRED_SPEEDUP = 1.62
-
-
-def bench_scaleup_leg(seed: int = 42, repeats: int = BENCH_REPEATS) -> dict:
-    """Wall-clock one ``scaleup-95-5`` leg under each scheduler (schema 5).
-
-    Runs the sweep's middle point (the same leg the perf acceptance bar
-    is defined over) with the calendar-queue and binary-heap kernels,
-    recording wall seconds, events dispatched (identical between the
-    two by the bit-identity invariant) and events/sec.
-    """
-    from repro.evaluation.figures import SCALEUP_SWEEP_95_5
-    from repro.simmodel.model import LazyReplicationModel
-
-    sweep = SCALEUP_SWEEP_95_5
-    x = sweep.x_values[len(sweep.x_values) // 2]
-    result: dict = {"x": x, "algorithm": ALGORITHMS[0].value,
-                    "paired_speedup_vs_prepr": SCALEUP_PREPR_PAIRED_SPEEDUP}
-    dispatched: dict[str, int] = {}
-    for scheduler in ("calendar", "heap"):
-        params = sweep.params_for(x, ALGORITHMS[0], RUN_ONCE_SCALE,
-                                  seed=seed).with_(scheduler=scheduler)
-        best = None
-        for _ in range(max(1, repeats)):
-            model = LazyReplicationModel(params, seed=seed)
-            started = perf_counter()
-            model.run()
-            elapsed = perf_counter() - started
-            if best is None or elapsed < best:
-                best = elapsed
-            dispatched[scheduler] = \
-                model.kernel.counters()["events_dispatched"]
-        result[scheduler] = {
-            "seconds": round(best, 4),
-            "events_dispatched": dispatched[scheduler],
-            "events_per_sec": round(dispatched[scheduler] / best, 1),
-        }
-    assert dispatched["calendar"] == dispatched["heap"], \
-        "schedulers dispatched different event counts on the same seed"
-    return result
 
 
 def bench_run_once(seed: int = 42, repeats: int = BENCH_REPEATS) -> dict:
@@ -927,29 +871,7 @@ def run_bench(jobs: Optional[int] = None, out: Optional[Path] = None,
     print("Benchmarking kernel event dispatch ...")
     kernel = bench_kernel()
     print(f"  {kernel['events']} events in {kernel['seconds']:.3f}s "
-          f"-> {kernel['events_per_sec']:,.0f} events/sec (calendar)")
-    heap_kernel = bench_kernel(scheduler="heap")
-    print(f"  {heap_kernel['events']} events in "
-          f"{heap_kernel['seconds']:.3f}s "
-          f"-> {heap_kernel['events_per_sec']:,.0f} events/sec (heap)")
-    kernel["scheduler"] = "calendar"
-    kernel["dispatch"] = {
-        "calendar": {"seconds": kernel["seconds"],
-                     "events_per_sec": kernel["events_per_sec"]},
-        "heap": {"seconds": heap_kernel["seconds"],
-                 "events_per_sec": heap_kernel["events_per_sec"]},
-    }
-
-    print("Benchmarking the scaleup-95-5 leg per scheduler ...")
-    scaleup = bench_scaleup_leg(seed=seed)
-    for scheduler in ("calendar", "heap"):
-        leg = scaleup[scheduler]
-        print(f"  {scheduler:<10} {leg['seconds']:.3f}s, "
-              f"{leg['events_dispatched']} events "
-              f"-> {leg['events_per_sec']:,.0f} events/sec")
-    print(f"  paired speedup vs pre-calendar kernel: "
-          f"{scaleup['paired_speedup_vs_prepr']:.2f}x (recorded)")
-    kernel["scaleup_95_5"] = scaleup
+          f"-> {kernel['events_per_sec']:,.0f} events/sec")
 
     print("Benchmarking run_once per algorithm "
           f"(figure 2, x={RUN_ONCE_X}) ...")

@@ -83,10 +83,6 @@ class SweepSpec:
     num_sec: Optional[int] = None          # fixed, for clients sweeps
     clients_per_secondary: int = 20        # fixed, for scale-up sweeps
     description: str = ""
-    #: Kernel scheduler for every point of the sweep; same-seed results
-    #: are bit-identical between "calendar" and "heap" (the equivalence
-    #: tests sweep both and diff the CSVs).
-    scheduler: str = "calendar"
 
     def params_for(self, x: int, algorithm: Guarantee, scale: Scale,
                    seed: int = 42) -> SimulationParameters:
@@ -97,7 +93,6 @@ class SweepSpec:
             warmup=scale.warmup,
             replications=scale.replications,
             algorithm=algorithm,
-            scheduler=self.scheduler,
             seed=seed,
         )
         if self.mode == "clients":

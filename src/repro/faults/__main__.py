@@ -109,11 +109,6 @@ def main(argv: list[str] | None = None) -> int:
                         default="reject-newest",
                         help="which waiter a full admission queue sheds "
                              "(default: %(default)s)")
-    parser.add_argument("--scheduler", choices=("calendar", "heap"),
-                        default="calendar",
-                        help="kernel event scheduler (same-seed runs are "
-                             "bit-identical between the two; default: "
-                             "%(default)s)")
     parser.add_argument("--quiet", action="store_true",
                         help="only print failing runs and the final tally")
     args = parser.parse_args(argv)
@@ -166,7 +161,6 @@ def main(argv: list[str] | None = None) -> int:
                              parallel_refresh=args.parallel_refresh,
                              refresh_apply_cost=apply_cost,
                              shards=args.shards,
-                             scheduler=args.scheduler,
                              arrival_pattern=arrival,
                              admission=admission)
         result = run_chaos(config)

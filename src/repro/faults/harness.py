@@ -47,7 +47,6 @@ from repro.errors import (
 )
 from repro.faults.channel import ChannelFaults
 from repro.faults.plan import FaultInjector, FaultPlan
-from repro.kernel import Kernel
 from repro.kernel.sync import Condition
 from repro.sim.rng import RandomStreams
 from repro.workload.generator import arrival_times
@@ -119,10 +118,6 @@ class ChaosConfig:
     #: skipped, leaving just the convergence check).
     checker_method: str = "incremental"
     history_detail: str = "ops"
-    #: Kernel event scheduler ("calendar" or "heap").  Same-seed chaos
-    #: runs are bit-identical between the two (the equivalence CI leg
-    #: diffs their summaries); the knob exists for that differential.
-    scheduler: str = "calendar"
     #: Client arrival shaping ("uniform", "flash-crowd" or "diurnal").
     #: "uniform" keeps the classic sorted-uniform op times (bit-identical
     #: replay); the shaped patterns draw op instants from a dedicated
@@ -231,8 +226,8 @@ class ChaosResult:
     #: Parallel-refresh activity, summed over all secondaries (zero
     #: unless ``parallel_refresh`` is set).
     out_of_order_commits: int = 0
-    #: Kernel scheduler activity (identical between the calendar and
-    #: heap schedulers on the same seed — part of the equivalence diff).
+    #: Kernel event-queue activity (properties of the dispatched event
+    #: stream, so they repeat exactly for the same seed).
     events_dispatched: int = 0
     peak_queue_depth: int = 0
     timer_cancellations: int = 0
@@ -482,7 +477,6 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         lease_duration=config.lease_duration)
         if config.auto_failover else None)
     system = ReplicatedSystem(
-        kernel=Kernel(scheduler=config.scheduler),
         num_secondaries=config.num_secondaries,
         propagation_delay=config.propagation_delay,
         batch_interval=config.batch_interval,

@@ -2,28 +2,18 @@
 
 The kernel dispatches timed events in strict ``(when, seq)`` order: ``when``
 is virtual time and ``seq`` is a monotonically increasing sequence number
-that breaks ties, so execution order is fully deterministic.  Two queueing
-structures implement that total order:
+that breaks ties, so execution order is fully deterministic.
 
-``scheduler="calendar"`` (default)
-    A calendar queue.  Same-instant events — wakeups, resumes, coalesced
-    notifies, which dominate every workload in this repository — go to an
-    array-backed *ready* deque (O(1) append/pop, no comparisons).  Timed
-    events land in width-``1/64`` slotted buckets keyed by quantum number,
-    with a small heap of occupied bucket keys; the bucket being drained is
-    heapified once into a *current* heap.  Events further than 4096 quanta
-    ahead go to a sorted *overflow* heap and migrate into buckets as the
-    clock approaches.  When the ready deque drains, the kernel advances the
-    clock to the earliest timed event and moves **every** event at that
-    exact instant into the ready deque before dispatching — this is the
-    tie-break invariant that keeps same-instant events scheduled *during*
-    dispatch (which always carry larger ``seq``) behind earlier-``seq``
-    timed events at the same instant.
-
-``scheduler="heap"``
-    The original single binary min-heap, kept as the reference
-    implementation for differential testing.  Same seed, either scheduler:
-    bit-identical runs.
+One event queue implements that total order.  Same-instant events —
+wakeups, resumes, coalesced notifies, which dominate every workload in
+this repository — go to an array-backed *ready* deque (O(1) append/pop,
+no comparisons).  Every other event is pushed onto a single binary heap
+keyed by ``(when, seq)``.  When the ready deque drains, the kernel
+advances the clock to the heap's earliest instant and moves **every**
+entry at that exact instant into the ready deque before dispatching —
+this is the tie-break invariant that keeps same-instant events scheduled
+*during* dispatch (which always carry larger ``seq``) behind
+earlier-``seq`` timed events at the same instant.
 
 Awaitable protocol
 ------------------
@@ -50,14 +40,6 @@ ProcessBody = Generator[Any, Any, Any]
 # module-level lookups beat attribute traversal there.
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-_heapify = heapq.heapify
-
-# Calendar-queue geometry.  The width is a power of two so ``when * 64.0``
-# is exact float arithmetic; the span (4096 quanta = 64 time units) keeps
-# think times, propagation delays, heartbeats and leases in buckets while
-# far-future deadlines wait in the overflow heap.
-_BUCKET_INV_WIDTH = 64.0
-_OVERFLOW_SPAN = 4096
 
 
 class Process:
@@ -274,55 +256,31 @@ class Join:
 
 
 class Kernel:
-    """A deterministic virtual-time scheduler for cooperative processes.
+    """A deterministic virtual-time scheduler for cooperative processes."""
 
-    ``scheduler`` selects the queueing structure: ``"calendar"`` (default,
-    fast path) or ``"heap"`` (the original binary heap, kept for
-    differential testing).  Both dispatch in identical ``(when, seq)``
-    order, so same-seed runs are bit-identical across schedulers.
-    """
-
-    def __init__(self, scheduler: str = "calendar") -> None:
-        if scheduler not in ("calendar", "heap"):
-            raise KernelError(
-                f"unknown scheduler {scheduler!r}; use 'calendar' or 'heap'")
-        self.scheduler = scheduler
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
         self._next_pid: int = 0
         self._live_nondaemon: int = 0
         self._trace: Optional[Callable[[str], None]] = None
-        # Observability counters (identical across schedulers: they count
-        # properties of the event stream, not of the structure).
+        # Observability counters: properties of the dispatched event
+        # stream, exact whenever read (from inside a callback too).
         self._dispatched: int = 0
         self._peak_depth: int = 0
         self._same_instant: int = 0
         self._timer_cancels: int = 0
         self._cancelled_pending: int = 0
-        # Heap structure.
-        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
-        # Calendar structure.
+        # The event queue: events at the current instant, in ``seq``
+        # order, and a ``(when, seq)`` heap of everything later.
         self._ready: deque = deque()
-        self._current: list[tuple[float, int, Callable[..., None], tuple]] = []
-        self._current_key: int = 0
-        self._buckets: dict[int, list] = {}
-        self._bucket_keys: list[int] = []
-        self._overflow: list[tuple[float, int, Callable[..., None], tuple]] = []
-        self._overflow_key_limit: int = _OVERFLOW_SPAN
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         # Cache the bound resume/throw callbacks in the instance dict:
         # every scheduled event closes over one of them, and looking the
         # method up on the class would allocate a fresh bound method per
         # event (tens of thousands per simulated minute).
         self._resume = self._resume        # type: ignore[method-assign]
         self._throw = self._throw          # type: ignore[method-assign]
-        if scheduler == "calendar":
-            self._calendar = True
-            self._schedule = self._schedule_calendar  # type: ignore[method-assign]
-            self._post = self._post_calendar          # type: ignore[method-assign]
-        else:
-            self._calendar = False
-            self._schedule = self._schedule_heap      # type: ignore[method-assign]
-            self._post = self._post_heap              # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Public interface
@@ -388,37 +346,20 @@ class Kernel:
         return timer
 
     def run(self, until: Optional[float] = None) -> None:
-        """Process events until the queues drain or ``until`` is reached.
+        """Process events until the queue drains or ``until`` is reached.
 
         When ``until`` is given, the clock is advanced exactly to ``until``
         even if the last event fires earlier.
         """
-        if self._calendar:
-            self._run_calendar(until)
-        else:
-            self._run_heap(until)
+        if until is not None and self._ready and self._now > until:
+            return
+        self._drive(until, None, -1)
+        if until is not None and self._now < until:
+            self._now = until
 
     def step(self) -> bool:
         """Process exactly one event; False if nothing is pending."""
-        if self._calendar:
-            ready = self._ready
-            if not ready and not self._advance_calendar(None):
-                return False
-            fn, args = ready.popleft()
-        else:
-            heap = self._heap
-            if not heap:
-                return False
-            when = heap[0][0]
-            if when != self._now:
-                depth = self._seq - self._dispatched
-                if depth > self._peak_depth:
-                    self._peak_depth = depth
-                self._now = when
-            _w, _seq, fn, args = _heappop(heap)
-        self._dispatched += 1
-        fn(*args)
-        return True
+        return self._drive(None, None, 1) == 0
 
     def run_until_complete(self, process: Process) -> Any:
         """Drive the system until ``process`` finishes; return its result.
@@ -426,39 +367,12 @@ class Kernel:
         Raises
         ------
         DeadlockError
-            If the event queues drain while ``process`` is still blocked.
+            If the event queue drains while ``process`` is still blocked.
         """
-        if self._calendar:
-            ready = self._ready
-            popleft = ready.popleft
-            while process.alive:
-                while ready and process.alive:
-                    fn, args = popleft()
-                    self._dispatched += 1
-                    fn(*args)
-                if not process.alive:
-                    break
-                if not self._advance_calendar(None):
-                    raise DeadlockError(
-                        f"no runnable work left but {process!r} has not "
-                        "finished")
-        else:
-            heap = self._heap
-            pop = _heappop
-            while process.alive:
-                if not heap:
-                    raise DeadlockError(
-                        f"no runnable work left but {process!r} has not "
-                        "finished")
-                when = heap[0][0]
-                if when != self._now:
-                    depth = self._seq - self._dispatched
-                    if depth > self._peak_depth:
-                        self._peak_depth = depth
-                    self._now = when
-                _w, _seq, fn, args = pop(heap)
-                self._dispatched += 1
-                fn(*args)
+        self._drive(None, process, -1)
+        if process.alive:
+            raise DeadlockError(
+                f"no runnable work left but {process!r} has not finished")
         if process.exception is not None:
             raise process.exception
         return process.result
@@ -487,14 +401,13 @@ class Kernel:
         return self._seq - self._dispatched - self._cancelled_pending
 
     def counters(self) -> dict:
-        """Scheduler observability counters (schema: monitoring/bench).
+        """Event-queue observability counters (schema: monitoring/bench).
 
         All values are properties of the dispatched event stream, so they
-        are identical under either scheduler for the same seed.
+        repeat exactly for the same seed.
         """
         scheduled = self._seq
         return {
-            "scheduler": self.scheduler,
             "events_scheduled": scheduled,
             "events_dispatched": self._dispatched,
             "peak_queue_depth": self._peak_depth,
@@ -505,38 +418,19 @@ class Kernel:
         }
 
     # ------------------------------------------------------------------
-    # Internals — scheduling (one implementation per scheduler; __init__
-    # binds the active pair as ``self._schedule`` / ``self._post``)
+    # Internals — the event queue
     # ------------------------------------------------------------------
-    def _schedule_calendar(self, when: float, fn: Callable[..., None],
-                           *args: Any) -> None:
+    def _schedule(self, when: float, fn: Callable[..., None],
+                  *args: Any) -> None:
         seq = self._seq + 1
         self._seq = seq
         if when == self._now:
             self._same_instant += 1
             self._ready.append((fn, args))
-            return
-        key = int(when * _BUCKET_INV_WIDTH)
-        if key <= self._current_key:
-            # ``<=`` (not ``==``): a horizon-bounded ``run(until=...)`` can
-            # select the next occupied bucket as ``_current`` and then break
-            # with its head beyond the horizon; events scheduled afterwards
-            # may land in an *earlier* quantum.  ``_current`` is a
-            # ``(when, seq)`` heap, so folding them in keeps exact dispatch
-            # order — routing them to ``_buckets`` would let the already
-            # selected quantum overtake them.
-            _heappush(self._current, (when, seq, fn, args))
-        elif key >= self._overflow_key_limit:
-            _heappush(self._overflow, (when, seq, fn, args))
         else:
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                self._buckets[key] = [(when, seq, fn, args)]
-                _heappush(self._bucket_keys, key)
-            else:
-                bucket.append((when, seq, fn, args))
+            _heappush(self._heap, (when, seq, fn, args))
 
-    def _post_calendar(self, process: Process, value: Any) -> None:
+    def _post(self, process: Process, value: Any) -> None:
         # Fast path for the dominant case: resume ``process`` at the
         # current instant.  Equivalent to
         # ``_schedule(now, _resume, process, value)``.
@@ -544,177 +438,48 @@ class Kernel:
         self._same_instant += 1
         self._ready.append((self._resume, (process, value)))
 
-    def _schedule_heap(self, when: float, fn: Callable[..., None],
-                       *args: Any) -> None:
-        seq = self._seq + 1
-        self._seq = seq
-        if when == self._now:
-            self._same_instant += 1
-        _heappush(self._heap, (when, seq, fn, args))
+    def _drive(self, until: Optional[float], process: Optional[Process],
+               budget: int) -> int:
+        """The dispatch loop, the hottest code in the repository.
 
-    def _post_heap(self, process: Process, value: Any) -> None:
-        seq = self._seq + 1
-        self._seq = seq
-        self._same_instant += 1
-        _heappush(self._heap, (self._now, seq, self._resume, (process, value)))
+        Runs events in ``(when, seq)`` order until ``budget`` of them have
+        run (a negative budget never runs out), ``process`` (if given) has
+        finished, or no event at or before ``until`` is left; returns the
+        unspent budget.
 
-    # These two names always point at the active implementations; the
-    # assignments in __init__ shadow them per instance.
-    _schedule = _schedule_calendar
-    _post = _post_calendar
-
-    # ------------------------------------------------------------------
-    # Internals — calendar-queue clock advance
-    # ------------------------------------------------------------------
-    def _advance_calendar(self, limit: Optional[float]) -> bool:
-        """Move the clock to the next timed instant and stage its events.
-
-        Called only with an empty ready deque.  Pops the globally earliest
-        timed event, then *every* further event at that exact instant, into
-        the ready deque in ``(when, seq)`` order — the tie-break invariant:
-        any event scheduled at the new ``now`` during the upcoming dispatch
-        carries a larger ``seq`` than everything staged here, and events at
-        the same instant still in buckets would otherwise be overtaken.
-        Returns False (clock untouched) when nothing is pending or the next
-        instant lies beyond ``limit``.
+        When the ready deque is empty the clock moves to the earliest
+        timed instant and *every* heap entry at that exact instant is
+        staged into the deque before anything dispatches — the tie-break
+        invariant: any event scheduled at the new ``now`` during the
+        upcoming dispatch carries a larger ``seq`` than everything staged
+        here, and events at the same instant left in the heap would
+        otherwise be overtaken.  Nothing is staged, and the clock stays
+        put, while the earliest instant lies beyond ``until``.
         """
-        cur = self._current
-        if not cur:
-            if not self._refill_current():
-                return False
-            cur = self._current
-        when = cur[0][0]
-        if limit is not None and when > limit:
-            return False
-        # Sample queue depth once per instant (identically placed in the
-        # heap loops), keeping the per-event dispatch path branch-free.
-        depth = self._seq - self._dispatched
-        if depth > self._peak_depth:
-            self._peak_depth = depth
-        self._now = when
-        append = self._ready.append
-        while cur and cur[0][0] == when:
-            entry = _heappop(cur)
-            append((entry[2], entry[3]))
-        return True
-
-    def _refill_current(self) -> bool:
-        """Select the next occupied bucket as the current quantum.
-
-        Overflow entries whose quantum is due migrate into buckets first,
-        so the chosen quantum always holds the globally earliest event.
-        """
-        keys = self._bucket_keys
-        buckets = self._buckets
-        overflow = self._overflow
-        while True:
-            if keys:
-                key = keys[0]
-                if overflow and int(overflow[0][0] * _BUCKET_INV_WIDTH) <= key:
-                    when, seq, fn, args = _heappop(overflow)
-                    self._insert_bucket(when, seq, fn, args)
-                    continue
-                _heappop(keys)
-                cur = buckets.pop(key)
-                _heapify(cur)
-                self._current = cur
-                self._current_key = key
-                self._overflow_key_limit = key + _OVERFLOW_SPAN
-                return True
-            if overflow:
-                # Buckets are empty: seed them from the overflow's head
-                # window, then loop back to pick the earliest quantum.
-                base_key = int(overflow[0][0] * _BUCKET_INV_WIDTH)
-                limit_key = base_key + _OVERFLOW_SPAN
-                self._overflow_key_limit = limit_key
-                while overflow and (int(overflow[0][0] * _BUCKET_INV_WIDTH)
-                                    < limit_key):
-                    when, seq, fn, args = _heappop(overflow)
-                    self._insert_bucket(when, seq, fn, args)
-                continue
-            return False
-
-    def _insert_bucket(self, when: float, seq: int, fn: Callable[..., None],
-                       args: tuple) -> None:
-        key = int(when * _BUCKET_INV_WIDTH)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = [(when, seq, fn, args)]
-            _heappush(self._bucket_keys, key)
-        else:
-            bucket.append((when, seq, fn, args))
-
-    # ------------------------------------------------------------------
-    # Internals — run loops
-    # ------------------------------------------------------------------
-    def _run_calendar(self, until: Optional[float]) -> None:
-        # The hottest loop in the repository.  The dispatch counter is
-        # batched in a local and flushed at instant boundaries (and on
-        # exit, exceptions included), so the per-event cost is one deque
-        # pop, one local increment, and the call itself.
         ready = self._ready
+        heap = self._heap
         popleft = ready.popleft
         append = ready.append
-        pop = _heappop
-        dispatched = 0
-        if until is not None and ready and self._now > until:
-            return
-        try:
-            while True:
-                while ready:
-                    fn, args = popleft()
-                    dispatched += 1
-                    fn(*args)
-                # Ready deque drained: advance the clock (inlined
-                # _advance_calendar — this runs once per instant).
-                cur = self._current
-                if not cur:
-                    if not self._refill_current():
-                        break
-                    cur = self._current
-                when = cur[0][0]
+        while budget and (process is None or process.alive):
+            if not ready:
+                if not heap:
+                    break
+                when = heap[0][0]
                 if until is not None and when > until:
                     break
-                self._dispatched += dispatched
-                dispatched = 0
+                # Queue depth is sampled once per instant, not per event.
                 depth = self._seq - self._dispatched
                 if depth > self._peak_depth:
                     self._peak_depth = depth
                 self._now = when
-                entry = pop(cur)
-                while cur and cur[0][0] == when:
-                    extra = pop(cur)
-                    append((extra[2], extra[3]))
-                dispatched += 1
-                entry[2](*entry[3])
-        finally:
-            self._dispatched += dispatched
-        if until is not None and self._now < until:
-            self._now = until
-
-    def _run_heap(self, until: Optional[float]) -> None:
-        heap = self._heap
-        pop = _heappop
-        dispatched = 0
-        try:
-            while heap:
-                when = heap[0][0]
-                if until is not None and when > until:
-                    break
-                if when != self._now:
-                    self._dispatched += dispatched
-                    dispatched = 0
-                    depth = self._seq - self._dispatched
-                    if depth > self._peak_depth:
-                        self._peak_depth = depth
-                    self._now = when
-                _w, _seq, fn, args = pop(heap)
-                dispatched += 1
-                fn(*args)
-        finally:
-            self._dispatched += dispatched
-        if until is not None and self._now < until:
-            self._now = until
+                while heap and heap[0][0] == when:
+                    entry = _heappop(heap)
+                    append((entry[2], entry[3]))
+            fn, args = popleft()
+            self._dispatched += 1
+            budget -= 1
+            fn(*args)
+        return budget
 
     # ------------------------------------------------------------------
     # Internals — process stepping

@@ -140,7 +140,7 @@ class LazyReplicationModel:
 
     def __init__(self, params: SimulationParameters, seed: int | None = None):
         self.params = params
-        self.kernel = Kernel(scheduler=params.scheduler)
+        self.kernel = Kernel()
         self.streams = RandomStreams(seed if seed is not None
                                      else params.seed)
         self.metrics = MetricsCollector(params.warmup,

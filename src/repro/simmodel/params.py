@@ -116,11 +116,6 @@ class SimulationParameters:
     #: sequences match the unthrottled model's.  ``None`` (default)
     #: disables the bucket, bit-identical to earlier versions.
     admission_rate: float | None = None
-    #: Kernel event scheduler: "calendar" (calendar-queue/timing-wheel,
-    #: default) or "heap" (single binary heap).  Same-seed runs are
-    #: bit-identical between the two; the knob exists for differential
-    #: testing and benchmarking.
-    scheduler: str = "calendar"
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -169,10 +164,6 @@ class SimulationParameters:
             raise ConfigurationError("heartbeat_cost must be >= 0")
         if self.admission_rate is not None and self.admission_rate <= 0:
             raise ConfigurationError("admission_rate must be > 0 when set")
-        if self.scheduler not in ("calendar", "heap"):
-            raise ConfigurationError(
-                f"unknown scheduler {self.scheduler!r} "
-                "(expected 'calendar' or 'heap')")
 
     @property
     def num_clients(self) -> int:

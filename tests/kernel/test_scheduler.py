@@ -1,51 +1,44 @@
-"""Calendar-queue vs binary-heap scheduler: equivalence and observability.
+"""The kernel event queue: recorded dispatch order and observability.
 
-The calendar-queue scheduler must dispatch the exact ``(when, seq)``
-total order of the original heap — every same-seed run bit-identical —
-so the differential tests here drive both kernels with identical seeded
-event programs (sleeps, same-instant ties, timer cancellations,
-timeouts, kill-during-timeout) and assert identical traces and
-counters.  The ``Timeout`` proxy-leak regression rides along: a
-satisfied timeout must retire its deadline event eagerly instead of
-leaving it pending until it fires.
+The event queue must dispatch in exact ``(when, seq)`` order, every
+same-seed run bit-identical.  The differential test drives it with
+seeded event programs (sleeps, same-instant ties, timer cancellations,
+timeouts, kill-during-timeout) and compares trace and counters with a
+recording made while the kernel still had two schedulers — a binary heap
+and a calendar queue — that agreed on every byte.  The ``Timeout``
+proxy-leak regression rides along: a satisfied timeout must retire its
+deadline event eagerly instead of leaving it pending until it fires.
 """
 
+import hashlib
 import random
 
 import pytest
 
-from repro.errors import KernelError, ProcessKilled
+from repro.errors import ProcessKilled
 from repro.kernel import Kernel, Queue, Timeout, TimeoutExpired
 
 
-def test_scheduler_name_validated():
-    with pytest.raises(KernelError):
-        Kernel(scheduler="fibonacci")
-    assert Kernel().scheduler == "calendar"
-    assert Kernel(scheduler="heap").scheduler == "heap"
-
-
 # ---------------------------------------------------------------------------
-# Randomized differential driver
+# Seeded event programs, replayed against a recording
 # ---------------------------------------------------------------------------
 
-def _run_program(scheduler: str, seed: int):
+def _run_program(seed: int):
     """One seeded random event program; returns (trace, counters).
 
     Every stochastic choice is drawn from a ``random.Random(seed)``
-    *before* the kernel runs, so both schedulers execute the identical
-    program and any trace divergence is a scheduler-ordering bug.
+    *before* the kernel runs, so the program is a function of the seed
+    and any trace divergence is an event-ordering bug.
     """
     rng = random.Random(seed)
-    kernel = Kernel(scheduler=scheduler)
+    kernel = Kernel()
     trace: list[tuple] = []
     queue = Queue(kernel)
 
     def mark(tag: str, what: str) -> None:
         trace.append((round(kernel.now, 9), tag, what))
 
-    # Sleepers: mixed zero (same-instant ties), short (bucketed) and
-    # long (overflow-bound under a narrow bucket span) delays.
+    # Sleepers: mixed zero (same-instant ties), short and long delays.
     sleep_specs = [
         [rng.choice([0.0, 0.0, 0.01, 0.25, 1.0, 7.5, rng.random() * 90.0])
          for _ in range(rng.randint(1, 5))]
@@ -127,17 +120,33 @@ def _run_program(scheduler: str, seed: int):
     return trace, kernel.counters()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
+#: Per seed: SHA-256 of ``repr(trace)``, trace length, and the integer
+#: counters (events scheduled, dispatched, peak queue depth, timer
+#: cancellations, same-instant events), recorded from the binary-heap
+#: scheduler at the last commit that had it (the calendar queue matched).
+RECORDED_PROGRAMS = {
+    0: ("8c625bb845d72960d94f6afbbcec0d9e71555a26e99f0664f894bf6e0c66216c",
+        117, (179, 179, 60, 16, 77)),
+    1: ("fcc30faaaa01370f52ac07acfc943c845590f7b1602fb6ad619503577f071d5a",
+        103, (151, 151, 62, 7, 59)),
+    2: ("5fb0855c9fb8a0460568b59a1b3d01ff4731c9dc07472587b5b1d2b30c5b56fb",
+        93, (150, 150, 58, 15, 66)),
+    3: ("a65a6316fb9bf9cb36e24f8ad5816072cb182accb01178887d38dc9c6701e3d9",
+        118, (163, 163, 62, 6, 65)),
+    17: ("27526ae5a09ccc432792902f7787c5ab1d939b7ba305c694e0329159ce5325c5",
+         111, (175, 175, 60, 15, 68)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RECORDED_PROGRAMS))
 def test_differential_dispatch_order(seed):
-    calendar_trace, calendar_counters = _run_program("calendar", seed)
-    heap_trace, heap_counters = _run_program("heap", seed)
-    assert calendar_trace == heap_trace
-    assert len(calendar_trace) > 40      # the program actually ran
-    # Counters are properties of the event stream, so they must agree
-    # on everything but the scheduler name.
-    calendar_counters.pop("scheduler")
-    heap_counters.pop("scheduler")
-    assert calendar_counters == heap_counters
+    """The kernel reproduces the recorded heap trace."""
+    trace, counters = _run_program(seed)
+    digest = hashlib.sha256(repr(trace).encode()).hexdigest()
+    integers = tuple(counters[name] for name in (
+        "events_scheduled", "events_dispatched", "peak_queue_depth",
+        "timer_cancellations", "same_instant_events"))
+    assert (digest, len(trace), integers) == RECORDED_PROGRAMS[seed]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +216,6 @@ def test_counters_shape_and_growth():
     timer.cancel()
     kernel.run()
     counters = kernel.counters()
-    assert counters["scheduler"] == "calendar"
     assert counters["events_scheduled"] >= counters["events_dispatched"] > 0
     assert counters["peak_queue_depth"] >= 1
     assert counters["timer_cancellations"] == 1
@@ -215,16 +223,40 @@ def test_counters_shape_and_growth():
     assert 0.0 <= counters["same_instant_ratio"] <= 1.0
 
 
+@pytest.mark.parametrize("driver", ["run", "run_until_complete", "step"])
+def test_counters_are_exact_inside_callbacks(driver):
+    # Regression: run() used to batch the dispatch count in a local, so
+    # a callback saw pending_events 2, 3, 4 and events_dispatched 0.
+    kernel = Kernel()
+    seen = []
+
+    def worker():
+        for _ in range(3):
+            yield kernel.checkpoint()
+            seen.append((kernel.pending_events,
+                         kernel.counters()["events_dispatched"]))
+
+    process = kernel.spawn(worker())
+    if driver == "run":
+        kernel.run()
+    elif driver == "run_until_complete":
+        kernel.run_until_complete(process)
+    else:
+        while kernel.step():
+            pass
+    assert seen == [(0, 2), (0, 3), (0, 4)]
+
+
 def test_earlier_event_scheduled_after_horizon_break_dispatches_first():
-    # Regression: a horizon-bounded run() selects the next occupied
-    # bucket as the current quantum before noticing its head lies past
-    # the horizon.  An event scheduled afterwards into an *earlier*
-    # quantum must still dispatch first — it folds into the current
-    # (when, seq) heap rather than landing in an overtaken bucket.
+    # A horizon-bounded run() looks at the earliest timed event, finds
+    # it past the horizon and stops without staging it.  An event
+    # scheduled afterwards at an *earlier* time must still dispatch
+    # first: nothing may be committed to dispatch before the clock
+    # actually reaches its instant.
     order = []
-    kernel = Kernel(scheduler="calendar")
+    kernel = Kernel()
     kernel.call_at(10.0, order.append, "late")
-    kernel.run(until=1.0)                 # primes _current with the t=10 bucket
+    kernel.run(until=1.0)                 # peeks at t=10, stops at t=1
     assert kernel.now == 1.0
     kernel.call_at(5.0, order.append, "early")
     kernel.run()

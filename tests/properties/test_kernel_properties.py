@@ -26,6 +26,66 @@ def test_queue_preserves_fifo_order(items):
     assert received == items
 
 
+#: Delays on a quarter-unit grid: exact float arithmetic, frequent
+#: collisions, zero included.
+_TICKS = st.integers(min_value=0, max_value=12).map(lambda n: n * 0.25)
+#: (how to schedule, delay, delay of a child scheduled on firing | None)
+_EVENT = st.tuples(st.sampled_from(["at", "later"]), _TICKS,
+                   st.none() | _TICKS)
+_CANCEL = st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=99))
+#: Ops issued between runs, then how far ``run(until=...)`` goes.
+_SEGMENT = st.tuples(st.lists(_EVENT | _CANCEL, max_size=12), _TICKS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SEGMENT, min_size=1, max_size=6))
+def test_dispatch_order_is_stable_sort_by_time(segments):
+    """The ordering contract: live events fire in ``(when, schedule
+    index)`` order, whatever mix of ``call_at``/``call_later``/``cancel``
+    scheduled them and however ``run(until=...)`` slices the timeline.
+    Python's stable sort is the reference."""
+    kernel = Kernel()
+    whens = []                   # per event, in scheduling order
+    timers = []                  # (event index, Timer) of call_later events
+    cancelled = set()
+    fired = []
+
+    def schedule(kind, delay, child):
+        index = len(whens)
+        whens.append(kernel.now + delay)
+        if kind == "at":
+            kernel.call_at(kernel.now + delay, fire, index, child)
+        else:
+            timers.append((index, kernel.call_later(delay, fire, index,
+                                                    child)))
+
+    def fire(index, child):
+        fired.append(index)
+        if child is not None:
+            schedule("at", child, None)
+
+    def expected(horizon):
+        live = [index for index, when in enumerate(whens)
+                if index not in cancelled and when <= horizon]
+        return sorted(live, key=whens.__getitem__)
+
+    for ops, span in segments:
+        for op in ops:
+            if op[0] != "cancel":
+                schedule(*op)
+            elif timers:
+                index, timer = timers[op[1] % len(timers)]
+                if timer.cancel():       # False once it has fired
+                    cancelled.add(index)
+        until = kernel.now + span
+        kernel.run(until=until)
+        assert kernel.now == until
+        assert fired == expected(until)
+    kernel.run()
+    assert fired == expected(float("inf"))
+    assert kernel.pending_events == 0
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.01, max_value=100.0,
                           allow_nan=False), min_size=1, max_size=20))
