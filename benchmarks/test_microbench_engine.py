@@ -2,10 +2,16 @@
 
 These measure the raw speed of the MVCC engine — useful for sizing how
 large a functional-system experiment is practical, and for catching
-performance regressions in the version-chain and FCW paths.
+performance regressions in the version-chain and FCW paths.  They are
+for looking, not for citing: CI runs them with ``--benchmark-disable``
+(each body once, its assertions checked, nothing timed) so they cannot
+rot; a performance claim cites ``benchmarks/layered/`` only.
 """
 
+import pytest
+
 from repro.storage.engine import SIDatabase
+from repro.txn.history import HistoryRecorder
 
 
 def test_engine_update_commit_throughput(benchmark):
@@ -67,6 +73,79 @@ def test_engine_scan_throughput(benchmark):
         assert len(rows) == 100
 
     benchmark(scan_cycle)
+
+
+def test_engine_scan_inside_update_txn(benchmark):
+    """The own-write overlay: overwritten, deleted and one brand-new
+    in-range key (the only case that pays the final sort)."""
+    db = SIDatabase()
+    txn = db.begin(update=True)
+    for i in range(500):
+        txn.write(f"item:{i:04d}", i)
+    txn.commit()
+
+    def scan_cycle():
+        txn = db.begin(update=True)
+        for i in range(100, 110):
+            txn.write(f"item:{i:04d}", -i)
+        txn.delete("item:0150")
+        txn.write("item:0120x", "new")          # in range, not indexed
+        txn.write("item:0300", "outside")
+        rows = txn.scan("item:0100", "item:0199")
+        txn.abort()
+        assert len(rows) == 100
+        assert rows[0] == ("item:0100", -100)
+        assert rows[21] == ("item:0120x", "new")
+
+    benchmark(scan_cycle)
+
+
+def test_engine_scan_old_snapshot_multiversion(benchmark):
+    """Every key's newest version postdates the snapshot, so every key
+    takes the bisect path instead of the newest-version fast path."""
+    db = SIDatabase()
+    for generation in range(6):
+        txn = db.begin(update=True)
+        for i in range(500):
+            txn.write(f"item:{i:04d}", (generation, i))
+        txn.commit()
+    old_snapshot = 3
+
+    def scan_cycle():
+        txn = db.begin(snapshot_ts=old_snapshot)
+        rows = txn.scan("item:0100", "item:0199")
+        txn.commit()
+        assert len(rows) == 100
+        assert rows[0] == ("item:0100", (old_snapshot - 1, 100))
+
+    benchmark(scan_cycle)
+
+
+@pytest.mark.parametrize("detail,events", [("ops", 14), ("commits", 2)])
+def test_history_record_throughput(benchmark, detail, events):
+    """``HistoryRecorder.record`` through the engine seam: a 12-operation
+    transaction records 14 events at ``"ops"`` and, at ``"commits"``,
+    two — the twelve dropped ones should cost next to nothing."""
+    recorder = HistoryRecorder(detail=detail)
+    db = SIDatabase(name="primary", recorder=recorder)
+    seed = db.begin(update=True)
+    for i in range(50):
+        seed.write(f"k{i:02d}", i)
+    seed.commit()
+    metadata = {"logical_id": "txn-1", "session": "session-1"}
+
+    def txn_cycle():
+        del recorder.events[:]
+        txn = db.begin(update=True, metadata=metadata)
+        for i in range(5):
+            txn.read(f"k{i:02d}")
+            txn.write(f"k{i:02d}", i)
+        txn.read("missing", default=None)
+        txn.scan("k10", "k19")
+        txn.commit()
+        assert len(recorder) == events
+
+    benchmark(txn_cycle)
 
 
 def test_engine_fcw_validation_cost(benchmark):

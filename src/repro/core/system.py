@@ -60,7 +60,7 @@ from repro.errors import (
     TransactionStateError,
 )
 from repro.faults.channel import ChannelFaults
-from repro.kernel import Kernel
+from repro.kernel import Kernel, Timeout, TimeoutExpired
 from repro.sim.rng import RandomStreams
 from repro.storage.engine import Transaction
 from repro.txn.history import HistoryRecorder
@@ -556,7 +556,6 @@ class ClientSession:
     def _read_process(self, work: TransactionBody, required: int,
                       max_wait: Optional[float], on_timeout: str,
                       degrade: bool = False):
-        from repro.kernel import Timeout, TimeoutExpired
         while True:
             secondary = self.secondary
             degrade_bound: Optional[int] = None
@@ -673,7 +672,6 @@ class ClientSession:
         """Sharded read: route to a replica holding every touched shard
         and block on those shards' frontiers instead of the scalar
         ``seq(DBsec)`` (which a partial subscriber may never reach)."""
-        from repro.kernel import Timeout, TimeoutExpired
         while True:
             secondary = self.secondary
             degrade_worst: Optional[tuple[int, int, int]] = None

@@ -26,6 +26,8 @@ update transaction, matching the state-numbering of Theorem 3.1.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import (
@@ -45,7 +47,12 @@ from repro.storage.wal import (
     UpdateRecord,
 )
 
+#: ``read`` defaults: raise on a missing key / report it to ``exists``.
+#: Neither is ever recorded — an absent read is recorded as ``None``.
 _RAISE = object()
+_ABSENT = object()
+
+_key_of = itemgetter(0)
 
 
 class TxnStatus(enum.Enum):
@@ -54,6 +61,9 @@ class TxnStatus(enum.Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
     ABORTED = "aborted"
+
+
+_ACTIVE = TxnStatus.ACTIVE
 
 
 class Transaction:
@@ -73,9 +83,7 @@ class Transaction:
         "status",
         "commit_ts",
         "_writes",
-        "_read_keys",
-        "_read_seen",
-        "_scans",
+        "_reads",
     )
 
     def __init__(self, db: "SIDatabase", txn_id: int, start_ts: int,
@@ -85,21 +93,25 @@ class Transaction:
         self.start_ts = start_ts
         self.is_update = is_update
         self.metadata = metadata or {}
-        self.status = TxnStatus.ACTIVE
+        self.status = _ACTIVE
         self.commit_ts: Optional[int] = None
         # key -> (value, deleted); insertion order preserved for replay.
         self._writes: dict[Any, tuple[Any, bool]] = {}
-        # First-read order, deduplicated: long read-heavy transactions
-        # re-read hot keys, so the list is bounded by distinct keys.
-        self._read_keys: list[Any] = []
-        self._read_seen: set[Any] = set()
-        self._scans: list[tuple[Any, Any]] = []
+        # Point-read keys in first-read order (a dict as an ordered set):
+        # long read-heavy transactions re-read hot keys, so it is bounded
+        # by distinct keys.
+        self._reads: dict[Any, None] = {}
 
     # -- queries ---------------------------------------------------------
     @property
     def read_set(self) -> set[Any]:
         """Keys this transaction has read (point reads)."""
-        return set(self._read_keys)
+        return set(self._reads)
+
+    @property
+    def _read_keys(self) -> list[Any]:
+        """Point-read keys in first-read order, without duplicates."""
+        return list(self._reads)
 
     @property
     def write_set(self) -> set[Any]:
@@ -112,23 +124,29 @@ class Transaction:
         return [(k, v, d) for k, (v, d) in self._writes.items()]
 
     def _check_active(self) -> None:
-        if self.status is not TxnStatus.ACTIVE:
+        if self.status is not _ACTIVE:
             raise TransactionStateError(
                 f"transaction {self.txn_id} is {self.status.value}")
+
+    def _check_usable(self) -> None:
+        """Raise the typed error for an ended transaction or a crashed
+        site.  The operations below test the two flags inline and come
+        here only to raise, so a healthy call pays no extra frame."""
+        self._check_active()
+        self.db._check_up()
 
     def read(self, key: Any, default: Any = _RAISE) -> Any:
         """Read ``key`` from the snapshot (own writes win).
 
         Raises :class:`~repro.errors.KeyNotFound` for a missing key unless
-        ``default`` is given.
+        ``default`` is given.  The history records what the snapshot held
+        — an absent key as ``value=None, producer=None`` — never the
+        caller's ``default``.
         """
-        self._check_active()
         db = self.db
-        db._check_up()
-        if key not in self._read_seen:
-            self._read_seen.add(key)
-            self._read_keys.append(key)
-        recording = db.recorder is not None
+        if self.status is not _ACTIVE or db._crashed:
+            self._check_usable()
+        self._reads[key] = None
         own = self._writes.get(key)
         if own is not None:
             value, deleted = own
@@ -136,84 +154,105 @@ class Transaction:
                 if default is _RAISE:
                     raise KeyNotFound(key)
                 return default
-            if recording:
-                db._record("read", self, key=key, value=value,
-                           producer=self.txn_id)
+            if db._records_ops:
+                db._record("read", self, key, value, False, self.txn_id)
             return value
         chain = db._chains.get(key)
         version = None if chain is None else chain.visible_at(self.start_ts)
         if version is None or version.deleted:
             if default is _RAISE:
                 raise KeyNotFound(key)
-            if recording:
-                db._record("read", self, key=key, value=default,
-                           producer=None)
+            if db._records_ops:
+                db._record("read", self, key)
             return default
-        if recording:
-            db._record("read", self, key=key, value=version.value,
-                       producer=version.txn_id)
+        if db._records_ops:
+            db._record("read", self, key, version.value, False,
+                       version.txn_id)
         return version.value
 
     def exists(self, key: Any) -> bool:
         """True if ``key`` is visible to this transaction."""
-        return self.read(key, default=_RAISE_SENTINEL) is not _RAISE_SENTINEL
+        return self.read(key, default=_ABSENT) is not _ABSENT
 
     def scan(self, lo: Optional[Any] = None, hi: Optional[Any] = None,
              *, prefix: Optional[str] = None) -> list[tuple[Any, Any]]:
-        """Range/prefix scan over the snapshot, own writes merged in."""
-        self._check_active()
-        self.db._check_up()
-        if prefix is not None:
-            candidates = self.db._index.prefix(prefix)
-        else:
-            candidates = self.db._index.range(lo, hi)
-        self._scans.append((lo if prefix is None else prefix, hi))
+        """Range/prefix scan over the snapshot, own writes merged in.
+
+        One pass over the ordered index slice.  Per key: the newest
+        version wins when it is inside the snapshot (the common case —
+        strong-SI locals and refreshed secondaries read the latest
+        state), otherwise a bisect finds the newest version at or below
+        ``start_ts``; tombstones are skipped.  The own-write overlay is a
+        single truthiness test per key until this transaction writes.
+        """
+        db = self.db
+        if self.status is not _ACTIVE or db._crashed:
+            self._check_usable()
+        index = db._index
+        candidates = (index.range(lo, hi) if prefix is None
+                      else index.prefix(prefix))
+        chains = db._chains
+        start_ts = self.start_ts
+        writes = self._writes
         out: list[tuple[Any, Any]] = []
-        emitted: set[Any] = set()
+        emit = out.append
         for key in candidates:
-            if key in self._writes:
-                value, deleted = self._writes[key]
+            if writes and key in writes:
+                value, deleted = writes[key]
                 if not deleted:
-                    out.append((key, value))
-                    emitted.add(key)
+                    emit((key, value))
                 continue
-            chain = self.db._chains.get(key)
-            if chain is None:
-                continue
-            exists, value = chain.value_at(self.start_ts)
-            if exists:
-                out.append((key, value))
-                emitted.add(key)
-        # Own-written brand-new keys may not be in the index slice when the
-        # index is updated only at commit; merge them here.
-        for key, (value, deleted) in self._writes.items():
-            if deleted or key in emitted:
-                continue
-            if self.db._in_range(key, lo, hi, prefix):
-                out.append((key, value))
-        out.sort(key=lambda kv: kv[0])
-        self.db._record("scan", self, key=(lo, hi, prefix),
-                        value=tuple(k for k, _ in out))
+            # Every indexed key has a non-empty chain (vacuum and
+            # truncation drop the key with its last version).
+            chain = chains[key]
+            commit_tss = chain._commit_tss
+            if commit_tss[-1] <= start_ts:
+                version = chain._versions[-1]
+            else:
+                at = bisect_right(commit_tss, start_ts)
+                if not at:
+                    continue            # created after this snapshot
+                version = chain._versions[at - 1]
+            if not version.deleted:
+                emit((key, version.value))
+        if writes:
+            # Own-written keys with no committed version are not in the
+            # index slice; append them, and only then is a sort needed.
+            appended = False
+            for key, (value, deleted) in writes.items():
+                if (not deleted and key not in index
+                        and db._in_range(key, lo, hi, prefix)):
+                    emit((key, value))
+                    appended = True
+            if appended:
+                out.sort(key=_key_of)
+        if db._records_ops:
+            db._record("scan", self, (lo, hi, prefix),
+                       tuple(map(_key_of, out)))
         return out
 
     # -- mutations --------------------------------------------------------
     def write(self, key: Any, value: Any) -> None:
         """Buffer a write of ``key``; visible to own reads immediately."""
-        self._check_active()
-        self.db._check_up()
+        db = self.db
+        if self.status is not _ACTIVE or db._crashed:
+            self._check_usable()
         self._writes[key] = (value, False)
-        self.db._record("write", self, key=key, value=value)
-        if self.is_update and self.db.log is not None:
-            self.db.log.append_update(self.txn_id, key, value, deleted=False)
+        if db._records_ops:
+            db._record("write", self, key, value)
+        if self.is_update and db.log is not None:
+            db.log.append_update(self.txn_id, key, value, False)
 
     def delete(self, key: Any) -> None:
         """Buffer a delete (tombstone) of ``key``."""
-        self._check_active()
-        self.db._check_up()
+        db = self.db
+        if self.status is not _ACTIVE or db._crashed:
+            self._check_usable()
         self._writes[key] = (None, True)
-        self.db._record("write", self, key=key, value=None, deleted=True)
-        if self.is_update and self.db.log is not None:
-            self.db.log.append_update(self.txn_id, key, None, deleted=True)
+        if db._records_ops:
+            db._record("write", self, key, None, True)
+        if self.is_update and db.log is not None:
+            db.log.append_update(self.txn_id, key, None, True)
 
     def apply_update_records(
             self, updates: Iterable[tuple[Any, Any, bool]]) -> None:
@@ -241,9 +280,10 @@ class Transaction:
             On a write-write conflict with a concurrently committed
             transaction.  The transaction is aborted before raising.
         """
-        self._check_active()
-        self.db._check_up()
-        return self.db._commit(self)
+        db = self.db
+        if self.status is not _ACTIVE or db._crashed:
+            self._check_usable()
+        return db._commit(self)
 
     def abort(self, reason: str = "explicit abort") -> None:
         """Abort, discarding buffered writes."""
@@ -253,9 +293,6 @@ class Transaction:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Txn {self.txn_id} start={self.start_ts} "
                 f"{self.status.value} on {self.db.name!r}>")
-
-
-_RAISE_SENTINEL = object()
 
 
 class SIDatabase:
@@ -272,6 +309,7 @@ class SIDatabase:
     recorder:
         Optional history recorder (see :mod:`repro.txn.history`) receiving
         begin/read/write/commit/abort events for correctness checking.
+        Fixed at construction, together with its ``detail``.
     clock:
         Callable returning the current (virtual) time, recorded in
         histories; defaults to a constant 0.
@@ -283,6 +321,10 @@ class SIDatabase:
         self.name = name
         self.log = log
         self.recorder = recorder
+        # The ``detail="commits"`` drop decision, taken once here: the
+        # per-operation paths test this flag before they build an
+        # argument or read the clock, so a dropped event costs nothing.
+        self._records_ops = recorder is not None and recorder.detail == "ops"
         self.clock = clock or (lambda: 0.0)
         self._chains: dict[Any, VersionChain] = {}
         self._index = OrderedKeyIndex()
@@ -348,13 +390,16 @@ class SIDatabase:
     def _commit(self, txn: Transaction) -> Optional[int]:
         # First-committer-wins: any written key whose newest committed
         # version postdates our snapshot means a concurrent committed writer.
-        for key in txn._writes:
-            chain = self._chains.get(key)
-            if chain is not None and chain.latest_commit_ts > txn.start_ts:
+        writes = txn._writes
+        chains = self._chains
+        start_ts = txn.start_ts
+        for key in writes:
+            chain = chains.get(key)
+            if chain is not None and chain._commit_tss[-1] > start_ts:
                 winner = chain.latest.txn_id
                 self._abort(txn, f"FCW conflict on {key!r}")
                 raise FirstCommitterWinsError(txn.txn_id, key, winner)
-        if not txn._writes and not txn.is_update:
+        if not writes and not txn.is_update:
             # Read-only: no state transition, no timestamp consumed.
             txn.status = TxnStatus.COMMITTED
             del self._active[txn.txn_id]
@@ -363,14 +408,7 @@ class SIDatabase:
             return None
         self._commit_counter += 1
         commit_ts = self._commit_counter
-        for key, (value, deleted) in txn._writes.items():
-            chain = self._chains.get(key)
-            if chain is None:
-                chain = VersionChain(key)
-                self._chains[key] = chain
-                self._index.add(key)
-            chain.install(Version(commit_ts=commit_ts, value=value,
-                                  txn_id=txn.txn_id, deleted=deleted))
+        self._install(writes, commit_ts, txn.txn_id)
         txn.status = TxnStatus.COMMITTED
         txn.commit_ts = commit_ts
         del self._active[txn.txn_id]
@@ -379,6 +417,17 @@ class SIDatabase:
             self.log.append_commit(txn.txn_id, commit_ts)
         self._record("commit", txn)
         return commit_ts
+
+    def _install(self, writes: dict[Any, tuple[Any, bool]], commit_ts: int,
+                 txn_id: int) -> None:
+        """Install one committed transaction's writes as versions."""
+        chains = self._chains
+        for key, (value, deleted) in writes.items():
+            chain = chains.get(key)
+            if chain is None:
+                chain = chains[key] = VersionChain(key)
+                self._index.add(key)
+            chain.install(Version(commit_ts, value, txn_id, deleted))
 
     def commit_refresh_at(self, txn: Transaction, commit_ts: int) -> int:
         """Commit a refresh transaction at an explicit primary timestamp.
@@ -409,14 +458,7 @@ class SIDatabase:
             raise TransactionStateError(
                 f"refresh commit ts {commit_ts} predates the vacuum "
                 f"horizon {self._vacuum_horizon}")
-        for key, (value, deleted) in txn._writes.items():
-            chain = self._chains.get(key)
-            if chain is None:
-                chain = VersionChain(key)
-                self._chains[key] = chain
-                self._index.add(key)
-            chain.install(Version(commit_ts=commit_ts, value=value,
-                                  txn_id=txn.txn_id, deleted=deleted))
+        self._install(txn._writes, commit_ts, txn.txn_id)
         txn.status = TxnStatus.COMMITTED
         txn.commit_ts = commit_ts
         del self._active[txn.txn_id]
@@ -494,8 +536,7 @@ class SIDatabase:
             reclaimed += chain.prune_before(horizon)
             if len(chain) == 0:
                 empty_keys.append(key)
-        for key in empty_keys:
-            del self._chains[key]
+        self._drop_chains(empty_keys)
         return reclaimed
 
     def truncate_after(self, commit_ts: int) -> int:
@@ -513,11 +554,17 @@ class SIDatabase:
             removed += chain.truncate_after(commit_ts)
             if len(chain) == 0:
                 empty_keys.append(key)
-        for key in empty_keys:
-            del self._chains[key]
+        self._drop_chains(empty_keys)
         if self._commit_counter > commit_ts:
             self._commit_counter = commit_ts
         return removed
+
+    def _drop_chains(self, keys: list[Any]) -> None:
+        """Forget keys whose last version is gone — chain *and* index
+        entry, so no later scan walks a dead key."""
+        for key in keys:
+            del self._chains[key]
+            self._index.discard(key)
 
     @property
     def version_count(self) -> int:
@@ -572,17 +619,8 @@ class SIDatabase:
                 if writes is not None:
                     writes[record.key] = (record.value, record.deleted)
             elif isinstance(record, CommitRecord):
-                writes = open_writes.pop(record.txn_id, {})
-                for key, (value, deleted) in writes.items():
-                    chain = self._chains.get(key)
-                    if chain is None:
-                        chain = VersionChain(key)
-                        self._chains[key] = chain
-                        self._index.add(key)
-                    chain.install(Version(commit_ts=record.commit_ts,
-                                          value=value,
-                                          txn_id=record.txn_id,
-                                          deleted=deleted))
+                self._install(open_writes.pop(record.txn_id, {}),
+                              record.commit_ts, record.txn_id)
                 last_commit_ts = record.commit_ts
             elif isinstance(record, AbortRecord):
                 open_writes.pop(record.txn_id, None)
@@ -603,8 +641,7 @@ class SIDatabase:
         self._index = OrderedKeyIndex()
         for key, value in source_state.items():
             chain = VersionChain(key)
-            chain.install(Version(commit_ts=source_commit_ts, value=value,
-                                  txn_id=0))
+            chain.install(Version(source_commit_ts, value, 0))
             self._chains[key] = chain
             self._index.add(key)
         self._commit_counter = source_commit_ts
@@ -622,10 +659,19 @@ class SIDatabase:
             return False
         return True
 
-    def _record(self, kind: str, txn: Transaction, **fields: Any) -> None:
-        if self.recorder is not None:
-            self.recorder.record(kind, site=self.name, txn=txn,
-                                 time=self.clock(), **fields)
+    def _record(self, kind: str, txn: Transaction, key: Any = None,
+                value: Any = None, deleted: bool = False,
+                producer: Optional[int] = None,
+                reason: Optional[str] = None) -> None:
+        """Hand one event to the recorder, stamped with site and time.
+
+        Transaction boundaries come here unconditionally; read/write/scan
+        come only when ``_records_ops`` says the recorder keeps them.
+        """
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record(kind, self.name, txn, self.clock(), key, value,
+                            deleted, producer, reason)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SIDatabase {self.name!r} ts={self._commit_counter} "

@@ -1,7 +1,8 @@
 """Ordered key index and range predicates.
 
 SI is defined over *predicate* reads as well as point reads (phantoms, P3).
-The engine keeps every key that has ever had a version in a sorted index so
+The engine keeps every key that still has a version in a sorted index (a
+key leaves it when vacuum or truncation reclaims its last version) so
 transactions can run range scans against their snapshot; the phantom tests
 in ``tests/storage/test_phenomena.py`` exercise this path.
 """
@@ -40,6 +41,12 @@ class OrderedKeyIndex:
             return
         self._present.add(key)
         insort(self._keys, key)
+
+    def discard(self, key: Any) -> None:
+        """Remove ``key`` if present (its last version was reclaimed)."""
+        if key in self._present:
+            self._present.remove(key)
+            del self._keys[bisect_left(self._keys, key)]
 
     def range(self, lo: Optional[Any] = None, hi: Optional[Any] = None,
               *, inclusive_hi: bool = True) -> list[Any]:

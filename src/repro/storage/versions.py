@@ -13,12 +13,18 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Version:
     """One committed version of a key.
 
     ``deleted`` marks a tombstone: the key was visible before this commit
     timestamp and invisible from it onward.
+
+    One is built per written key per site, so it is slot-backed (no
+    ``__dict__``) and built with plain attribute stores; it is immutable
+    by contract — nothing writes to an installed version, which
+    ``tests/storage/test_versions.py`` checks — not by a frozen
+    ``__setattr__`` paid on every construction.
     """
 
     commit_ts: int
@@ -123,7 +129,7 @@ class VersionChain:
         return removed
 
     def copy(self) -> "VersionChain":
-        """Deep-enough copy (Version objects are immutable)."""
+        """Deep-enough copy (installed versions are never written to)."""
         clone = VersionChain(self.key)
         clone._versions = list(self._versions)
         clone._commit_tss = list(self._commit_tss)

@@ -18,22 +18,27 @@ from typing import Any, Callable, Iterator
 from repro.core.records import key_fingerprint
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogRecord:
-    """Base class for logical-log records."""
+    """Base class for logical-log records.
+
+    Records are slot-backed and built with plain attribute stores — one
+    is appended per logged operation — and are read-only once appended:
+    the propagator and WAL replay share the objects in ``LogicalLog``.
+    """
 
     txn_id: int
     lsn: int = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StartRecord(LogRecord):
     """Transaction start: carries the start timestamp start_p(T)."""
 
     start_ts: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UpdateRecord(LogRecord):
     """One logical update (a write or a delete) by an open transaction.
 
@@ -50,17 +55,17 @@ class UpdateRecord(LogRecord):
 
     def __post_init__(self) -> None:
         if self.key_fp < 0:
-            object.__setattr__(self, "key_fp", key_fingerprint(self.key))
+            self.key_fp = key_fingerprint(self.key)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommitRecord(LogRecord):
     """Transaction commit: carries the commit timestamp commit_p(T)."""
 
     commit_ts: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AbortRecord(LogRecord):
     """Transaction abort (its update records must be discarded)."""
 
@@ -101,26 +106,24 @@ class LogicalLog:
 
     # -- append helpers (used by the engine) ----------------------------
     def append_start(self, txn_id: int, start_ts: int) -> StartRecord:
-        record = StartRecord(txn_id=txn_id, lsn=self.next_lsn,
-                             start_ts=start_ts)
+        record = StartRecord(txn_id, len(self._records), start_ts)
         self._append(record)
         return record
 
     def append_update(self, txn_id: int, key: Any, value: Any,
                       deleted: bool = False) -> UpdateRecord:
-        record = UpdateRecord(txn_id=txn_id, lsn=self.next_lsn, key=key,
-                              value=value, deleted=deleted)
+        record = UpdateRecord(txn_id, len(self._records), key, value,
+                              deleted)
         self._append(record)
         return record
 
     def append_commit(self, txn_id: int, commit_ts: int) -> CommitRecord:
-        record = CommitRecord(txn_id=txn_id, lsn=self.next_lsn,
-                              commit_ts=commit_ts)
+        record = CommitRecord(txn_id, len(self._records), commit_ts)
         self._append(record)
         return record
 
     def append_abort(self, txn_id: int) -> AbortRecord:
-        record = AbortRecord(txn_id=txn_id, lsn=self.next_lsn)
+        record = AbortRecord(txn_id, len(self._records))
         self._append(record)
         return record
 

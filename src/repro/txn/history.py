@@ -19,12 +19,16 @@ Transactions carry optional metadata set by the replication layer:
     transaction.
 
 Long runs record millions of events, so the recorder is built to be
-memory-lean: events are ``slots`` dataclasses, the repeated identity
-strings (site, session, logical ids) are interned so every event shares
-one copy, and throughput-oriented sweeps can opt out of per-operation
-recording entirely with ``detail="commits"`` (begin/commit/abort only —
-enough for latency/staleness accounting, not for the SI checkers, which
-refuse such histories rather than vacuously pass).
+lean in memory and in time: events are ``slots`` dataclasses built with
+plain attribute stores (read-only by contract, not frozen — a frozen
+``__init__`` costs sixteen ``object.__setattr__`` calls per event), the
+repeated identity strings (site, session, logical ids) are interned —
+once per site and once per transaction, not once per event — so every
+event shares one copy, and throughput-oriented sweeps can opt out of
+per-operation recording entirely with ``detail="commits"``
+(begin/commit/abort only — enough for latency/staleness accounting, not
+for the SI checkers, which refuse such histories rather than vacuously
+pass).
 """
 
 from __future__ import annotations
@@ -39,15 +43,34 @@ _OP_KINDS = frozenset({"read", "write", "scan"})
 HISTORY_DETAILS = ("ops", "commits")
 
 
-def _intern(value: Optional[str]) -> Optional[str]:
-    if type(value) is str:
-        return sys.intern(value)
-    return value
+class _InternedStrings(dict):
+    """``self[s]`` is the interned copy of ``s``, interned on first use."""
+
+    def __missing__(self, value: str) -> str:
+        interned = self[value] = sys.intern(value)
+        return interned
 
 
-@dataclass(frozen=True, slots=True)
+def _interned_ids(txn: Any) -> tuple:
+    """``(logical_id, session, refresh_of)`` of ``txn``, strings interned."""
+    meta = getattr(txn, "metadata", None) or {}
+    intern = sys.intern
+    logical_id = meta.get("logical_id")
+    session = meta.get("session")
+    refresh_of = meta.get("refresh_of")
+    return (intern(logical_id) if type(logical_id) is str else logical_id,
+            intern(session) if type(session) is str else session,
+            intern(refresh_of) if type(refresh_of) is str else refresh_of)
+
+
+@dataclass(slots=True)
 class HistoryEvent:
-    """One operation in the global history."""
+    """One operation in the global history.
+
+    Treat as read-only once recorded: checkers and caches share the
+    event objects (``tests/txn/test_recording_oracle.py`` checks that no
+    checker writes to one).
+    """
 
     seq: int
     time: float
@@ -171,6 +194,13 @@ class HistoryRecorder:
         self.detail = detail
         self.events: list[HistoryEvent] = []
         self._seq = 0
+        # Interned identity strings: one entry per site name, and the
+        # (logical_id, session, refresh_of) of the transaction that
+        # recorded last — a transaction's events arrive in runs, so each
+        # transaction is interned about once, not once per event.
+        self._sites = _InternedStrings()
+        self._ids_txn: Any = None
+        self._ids: tuple = (None, None, None)
         self._views_cache: Optional[dict[tuple[str, int], TxnView]] = None
         self._views_cache_len = -1
         self._committed_cache: dict[Optional[str], list[TxnView]] = {}
@@ -189,33 +219,37 @@ class HistoryRecorder:
                 + sum(map(sys.getsizeof, self.events)))
 
     def record(self, kind: str, site: str, txn: Any, time: float,
-               **fields: Any) -> Optional[HistoryEvent]:
+               key: Any = None, value: Any = None, deleted: bool = False,
+               producer: Optional[int] = None,
+               reason: Optional[str] = None) -> Optional[HistoryEvent]:
         """Append one event; called by :class:`~repro.storage.SIDatabase`.
 
         Returns ``None`` (and records nothing) for read/write/scan events
-        when the recorder was built with ``detail="commits"``.
+        when the recorder was built with ``detail="commits"`` — the
+        engine does not even call in that case (``SIDatabase._record``).
         """
-        if kind in _OP_KINDS and self.detail == "commits":
+        if self.detail == "commits" and kind in _OP_KINDS:
             return None
-        meta = getattr(txn, "metadata", None) or {}
+        if txn is not self._ids_txn:
+            self._ids = _interned_ids(txn)
+            self._ids_txn = txn
+        logical_id, session, refresh_of = self._ids
+        seq = self._seq
         event = HistoryEvent(
-            seq=self._seq,
-            time=time,
-            kind=kind,
-            site=sys.intern(site),
-            txn_id=txn.txn_id,
-            logical_id=_intern(meta.get("logical_id")),
-            session=_intern(meta.get("session")),
-            refresh_of=_intern(meta.get("refresh_of")),
-            start_ts=txn.start_ts,
-            commit_ts=getattr(txn, "commit_ts", None),
-            key=fields.get("key"),
-            value=fields.get("value"),
-            deleted=fields.get("deleted", False),
-            producer=fields.get("producer"),
-            reason=fields.get("reason"),
-            update_declared=getattr(txn, "is_update", False),
-        )
+            seq, time, kind, self._sites[site], txn.txn_id, logical_id,
+            session, refresh_of, txn.start_ts,
+            getattr(txn, "commit_ts", None), key, value, deleted, producer,
+            reason, getattr(txn, "is_update", False))
+        self._seq = seq + 1
+        self.events.append(event)
+        return event
+
+    def _record_site_event(self, kind: str, site: str, time: float,
+                           commit_ts: int, value: Any) -> HistoryEvent:
+        """Append a site-level (non-transaction) event."""
+        event = HistoryEvent(self._seq, time, kind, self._sites[site], 0,
+                             None, None, None, commit_ts=commit_ts,
+                             value=value)
         self._seq += 1
         self.events.append(event)
         return event
@@ -231,21 +265,8 @@ class HistoryRecorder:
         checker verify the jump landed on a real primary state instead of
         trusting the recovery machinery.
         """
-        event = HistoryEvent(
-            seq=self._seq,
-            time=time,
-            kind="recover",
-            site=sys.intern(site),
-            txn_id=0,
-            logical_id=None,
-            session=None,
-            refresh_of=None,
-            commit_ts=commit_ts,
-            value=dict(state),
-        )
-        self._seq += 1
-        self.events.append(event)
-        return event
+        return self._record_site_event("recover", site, time, commit_ts,
+                                       dict(state))
 
     def record_subscription(self, site: str, shards: frozenset,
                             num_shards: int, time: float) -> HistoryEvent:
@@ -258,21 +279,8 @@ class HistoryRecorder:
         write sets intersect the subscribed shards, and its states are
         compared against the primary's states projected onto them.
         """
-        event = HistoryEvent(
-            seq=self._seq,
-            time=time,
-            kind="subscribe",
-            site=sys.intern(site),
-            txn_id=0,
-            logical_id=None,
-            session=None,
-            refresh_of=None,
-            commit_ts=num_shards,
-            value=frozenset(shards),
-        )
-        self._seq += 1
-        self.events.append(event)
-        return event
+        return self._record_site_event("subscribe", site, time, num_shards,
+                                       frozenset(shards))
 
     def record_promotion(self, old_site: str, new_site: str, time: float,
                          truncation_ts: int) -> HistoryEvent:
@@ -285,21 +293,8 @@ class HistoryRecorder:
         events and re-anchor the axis of comparison on the new primary's
         timeline (``site`` is the new primary, ``value`` the old one).
         """
-        event = HistoryEvent(
-            seq=self._seq,
-            time=time,
-            kind="promote",
-            site=sys.intern(new_site),
-            txn_id=0,
-            logical_id=None,
-            session=None,
-            refresh_of=None,
-            commit_ts=truncation_ts,
-            value=sys.intern(old_site),
-        )
-        self._seq += 1
-        self.events.append(event)
-        return event
+        return self._record_site_event("promote", new_site, time,
+                                       truncation_ts, self._sites[old_site])
 
     # -- aggregation -----------------------------------------------------
     def transactions(self) -> dict[tuple[str, int], TxnView]:

@@ -150,3 +150,69 @@ def test_scan_equals_sorted_state(script):
         txn.commit()
     txn = db.begin()
     assert txn.scan() == sorted(db.state_at().items())
+
+
+# Keys that nest as prefixes of one another, so prefix scans and range
+# bounds cut through the middle of the key space; OWN_KEYS adds some the
+# committed history never writes (own-written *new* keys).
+SCAN_KEYS = ["a", "ab", "abc", "b", "ba", "bb", "c", "ca"]
+OWN_KEYS = SCAN_KEYS + ["aa", "abb", "bab", "cb", "d"]
+DELETE = None       # a write of None stands for a delete in these scripts
+WRITES = st.one_of(st.just(DELETE), VALUES)
+BOUND = st.one_of(st.none(), st.sampled_from(OWN_KEYS + ["", "bz", "z"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    history=st.lists(
+        st.lists(st.tuples(st.sampled_from(SCAN_KEYS), WRITES),
+                 min_size=1, max_size=4),
+        min_size=0, max_size=10),
+    own=st.lists(st.tuples(st.sampled_from(OWN_KEYS), WRITES), max_size=5),
+    lo=BOUND, hi=BOUND,
+    prefix=st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "x"])),
+    data=st.data())
+def test_scan_equals_overlaid_sorted_snapshot(history, own, lo, hi, prefix,
+                                              data):
+    """``scan`` is ``sorted(state_at(start_ts))`` restricted to the range
+    and overlaid with the transaction's own writes — at any snapshot,
+    after deletes and a vacuum — and records exactly the returned keys."""
+    from repro.txn.history import HistoryRecorder
+    recorder = HistoryRecorder()
+    db = SIDatabase(recorder=recorder)
+    vacuum_after = data.draw(st.integers(0, len(history)), label="vacuum")
+    for count, writes in enumerate(history, start=1):
+        txn = db.begin(update=True)
+        for key, value in writes:
+            if value is DELETE:
+                txn.delete(key)
+            else:
+                txn.write(key, value)
+        txn.commit()
+        if count == vacuum_after:
+            db.vacuum()
+            assert len(db._index) == len(db._chains)
+    snapshot_ts = data.draw(
+        st.integers(db._vacuum_horizon, db.latest_commit_ts),
+        label="snapshot_ts")
+    txn = db.begin(update=bool(own), snapshot_ts=snapshot_ts)
+    expected = db.state_at(snapshot_ts)
+    for key, value in own:
+        if value is DELETE:
+            txn.delete(key)
+            expected.pop(key, None)
+        else:
+            txn.write(key, value)
+            expected[key] = value
+
+    def in_range(key):
+        if prefix is not None:
+            return key.startswith(prefix)
+        return (lo is None or key >= lo) and (hi is None or key <= hi)
+
+    rows = txn.scan(lo, hi, prefix=prefix)
+    assert rows == sorted((key, value) for key, value in expected.items()
+                          if in_range(key))
+    event = recorder.events[-1]
+    assert (event.kind, event.key) == ("scan", (lo, hi, prefix))
+    assert event.value == tuple(key for key, _ in rows)

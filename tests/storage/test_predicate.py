@@ -78,3 +78,14 @@ def test_copy_independent():
 def test_numeric_keys():
     index = _index(3, 1, 2)
     assert index.range(1, 2) == [1, 2]
+
+
+def test_discard_removes_and_readd_restores_order():
+    index = _index("a", "b", "c", "d")
+    index.discard("b")
+    index.discard("never-added")        # absent: a no-op, like set.discard
+    assert list(index) == ["a", "c", "d"]
+    assert "b" not in index and len(index) == 3
+    assert index.range("a", "c") == ["a", "c"]
+    index.add("b")
+    assert list(index) == ["a", "b", "c", "d"]

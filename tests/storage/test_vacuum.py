@@ -144,3 +144,43 @@ def test_vacuum_in_replicated_system_secondary():
     assert s.read("x") == 99
     system.quiesce()
     assert system.secondary_state(0) == system.primary_state()
+
+
+def test_vacuum_forgets_dead_keys_in_the_index():
+    """The ordered index drops a key with its chain, so later scans of the
+    range neither walk nor probe it; re-inserting restores it in order."""
+    db = SIDatabase()
+    for key in ("a", "b", "c", "d"):
+        _put(db, key, key.upper())
+    txn = db.begin(update=True)
+    txn.delete("b")
+    txn.delete("c")
+    txn.commit()
+    before = db.begin().scan()
+    assert len(db._index) == 4                # tombstoned, still indexed
+    db.vacuum()
+    assert len(db._index) == len(db._chains) == 2
+    assert list(db._index) == ["a", "d"]
+    assert db.begin().scan() == before == [("a", "A"), ("d", "D")]
+    assert db.begin().scan(prefix="b") == []
+    _put(db, "c", "again")
+    assert list(db._index) == ["a", "c", "d"]
+    assert db.begin().scan("b", "d") == [("c", "again"), ("d", "D")]
+    # An own write of a vacuumed key is a brand-new key again.
+    txn = db.begin(update=True)
+    txn.write("b", "mine")
+    assert txn.scan() == [("a", "A"), ("b", "mine"), ("c", "again"),
+                          ("d", "D")]
+
+
+def test_truncate_after_forgets_emptied_keys_in_the_index():
+    db = SIDatabase()
+    _put(db, "old", 1)
+    cut = db.latest_commit_ts
+    _put(db, "old", 2)
+    _put(db, "new", 3)
+    assert db.truncate_after(cut) == 2
+    assert list(db._index) == list(db._chains) == ["old"]
+    assert db.begin().scan() == [("old", 1)]
+    _put(db, "new", 4)
+    assert db.begin().scan() == [("new", 4), ("old", 1)]

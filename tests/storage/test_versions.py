@@ -82,3 +82,27 @@ def test_copy_is_independent():
 def test_iteration_in_commit_order():
     chain = _chain((1, "a"), (4, "b"), (9, "c"))
     assert [v.commit_ts for v in chain] == [1, 4, 9]
+
+
+def test_version_is_slot_backed_value_object():
+    """Versions are not frozen (construction is plain attribute stores);
+    they are immutable by contract, so what is guarded is the shape:
+    no ``__dict__``, no stray attributes, equality and repr by field."""
+    version = Version(commit_ts=3, value="v", txn_id=7)
+    assert not hasattr(version, "__dict__")
+    with pytest.raises(AttributeError):
+        version.scratch = 1
+    assert version == Version(3, "v", 7, False)
+    assert version != Version(3, "v", 7, True)
+    assert repr(version) == \
+        "Version(commit_ts=3, value='v', txn_id=7, deleted=False)"
+
+
+def test_reads_leave_installed_versions_untouched():
+    chain = _chain((1, "a"), (4, "b"), (9, "c"))
+    before = [repr(v) for v in chain]
+    for ts in range(12):
+        chain.visible_at(ts)
+        chain.value_at(ts)
+    chain.copy().truncate_after(1)
+    assert [repr(v) for v in chain] == before
