@@ -108,6 +108,9 @@ class PromotionReport:
     replayed: dict[str, int]
     #: Labels of sessions poisoned with ``LostUpdatesError``.
     lost_sessions: tuple[str, ...]
+    #: Replicas that had applied commits above ``base`` and were resynced
+    #: from a copy of the new primary (crash + Section 3.4 recovery).
+    resynced: tuple[str, ...] = ()
 
     @property
     def lost_commits(self) -> int:
@@ -185,10 +188,20 @@ def promote(system: "ReplicatedSystem",
              for site in system.secondaries}
     old_propagator.retire()
     fenced = candidate.retire()
-    for site in system.secondaries:
+    ahead: list[int] = []
+    for index, site in enumerate(system.secondaries):
         if site is candidate or not site.live:
             continue
         fenced += site.fence()
+        if site.engine.latest_commit_ts > base:
+            # Gap-tolerant refresh let this (partial) subscriber apply
+            # commits the candidate never received.  The fence only drops
+            # queued work; the truncated tail is installed and readable.
+            # Nothing short of a state transfer removes it, so the site
+            # takes the Section 3.4 path: down now, and a copy of the new
+            # primary once the epoch below is installed.
+            site.crash()
+            ahead.append(index)
     for link in links.values():
         if link is not None:
             link.resync()
@@ -327,6 +340,14 @@ def promote(system: "ReplicatedSystem",
     system.fenced_stale_records += fenced
     if old_ts > base:
         system.lost_update_windows += 1
+    for index in ahead:
+        system.recover_secondary(index)
+    # Readers park on ``... or self._lost_window is not None``; the fence
+    # above notified them *before* the reconcile set it, so wake them
+    # again now or a read whose required state was truncated never
+    # re-evaluates its predicate.
+    for site in system.secondaries:
+        site.seq_cond.notify_all()
 
     report = PromotionReport(
         epoch=system.cluster_epoch,
@@ -337,6 +358,7 @@ def promote(system: "ReplicatedSystem",
         fenced_records=fenced,
         replayed=replayed,
         lost_sessions=tuple(lost_sessions),
+        resynced=tuple(system.secondaries[index].name for index in ahead),
     )
     system.promotion_reports.append(report)
     return report

@@ -342,7 +342,10 @@ class SecondarySite:
         block forever demanding it of a replica that can never reach
         it), and ``shard_seqs`` (the propagator's per-shard counters
         snapshotted with the copy) reseeds the wire sequence numbers so
-        replay dedup stays monotonic.
+        replay dedup stays monotonic.  Both are *set*, not merged: the
+        site now holds exactly the copy, and after a promotion that can
+        be older than what it held before (a replica that ran ahead of
+        the promoted candidate is resynced down to the surviving prefix).
         """
         self.engine.recover_from(source_state, source_commit_ts)
         if self.recorder is not None:
@@ -350,12 +353,9 @@ class SecondarySite:
                                           source_state, source_commit_ts)
         self.seq_db = source_commit_ts
         if self.subscription is not None:
-            for shard, frontier in (shard_frontiers or {}).items():
-                if frontier > self.shard_frontier.get(shard, 0):
-                    self.shard_frontier[shard] = frontier
+            self.shard_frontier.update(shard_frontiers or {})
             for shard, seq in (shard_seqs or {}).items():
-                if shard in self.shard_seq_db \
-                        and seq > self.shard_seq_db[shard]:
+                if shard in self.shard_seq_db:
                     self.shard_seq_db[shard] = seq
         self.recover_count += 1
         self._recovered_at = self.kernel.now

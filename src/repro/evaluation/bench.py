@@ -232,7 +232,6 @@ def bench_checkers(commits: int = CHECKER_BENCH_COMMITS,
     recorder.committed()
     for site in recorder.sites():
         recorder.committed(site=site)
-        recorder.events_at(site)
 
     check_fns = {
         "weak_si": checkers.check_weak_si,

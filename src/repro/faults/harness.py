@@ -570,7 +570,9 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         else:
             system.restart_primary()
     for index, secondary in enumerate(system.secondaries):
-        if secondary.crashed:              # pragma: no cover - plan ends recovered
+        # (A retired site shares its engine with a primary it once was;
+        # if that primary died in turn, there is nothing to bring back.)
+        if secondary.crashed and not secondary.retired:
             system.recover_secondary(index)
     system.quiesce()
 

@@ -19,26 +19,34 @@ Two implementations share these definitions:
 
 * ``method="incremental"`` (default) — per-key timelines
   (:mod:`repro.txn.timeline`): candidate snapshots are intersections of
-  per-key admissible *intervals* resolved by ``bisect``, and completeness
-  compares only the keys that can differ between consecutive checked
-  states.  O(total writes) memory, near-linear time.
+  per-key admissible *intervals* resolved by ``bisect``, the ordering
+  constraints are one streaming pass carrying a running maximum per
+  era and shard (:func:`_streaming_ordering_violations`), and
+  completeness is one per-key induction along each site's subscribed
+  subsequence (:func:`_completeness`).  O(total writes) memory,
+  near-linear time, on plain, promoted and sharded histories alike.
 * ``method="legacy"`` — the original state-materialisation checkers
   (one full ``dict`` per committed update, every transaction tested
-  against every prefix state).  O(commits²); kept for differential
-  testing.
+  against every prefix state, an O(n²) pair loop).  Kept for
+  differential testing; histories with promotions or shard
+  subscriptions share the incremental ordering and completeness passes
+  under either method.
 
 Both return identical verdicts — violation kinds, messages, and order —
-which the differential tests in ``tests/txn/test_incremental_checkers.py``
-enforce over fault-storm histories.
+which ``tests/txn/test_incremental_checkers.py`` and
+``tests/txn/test_reference_differential.py`` enforce over fault-storm
+histories.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from operator import attrgetter, itemgetter
+from typing import Any, Iterable, Iterator, Optional
 
-from repro.core.records import key_fingerprint
+from repro.core.sharding import shard_of
 from repro.errors import CheckerError
 from repro.txn.history import HistoryRecorder, TxnView
 from repro.txn.timeline import IntervalSet, KeyTimelines
@@ -46,6 +54,10 @@ from repro.txn.timeline import IntervalSet, KeyTimelines
 _MISSING = object()
 
 _METHODS = ("incremental", "legacy")
+
+#: The shard set of every transaction in an unsharded history: one
+#: shard, which everything reads and writes.
+_ONE_SHARD = (0,)
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,7 @@ def _check_detail(recorder: HistoryRecorder) -> None:
             f"with detail='ops' for checked runs")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Analyzed:
     """A committed client transaction with its inferred snapshot(s).
 
@@ -110,6 +122,15 @@ class _Analyzed:
     commit_index: Optional[int]  # state index its commit produced (updates)
     upper: int                   # commits before its begin
     era: int = 0                 # promotion era the txn began in
+    #: Its (key, value, present) snapshot-read constraints — kept only
+    #: in a sharded history, where the ordering pass derives the read
+    #: shards from them (8 000 retained lists are a megabyte of peak RSS).
+    constraints: Any = ()
+    #: Filled in by the streaming ordering pass when it reaches the txn:
+    #: the shards those reads touch (in a sharded history) and the
+    #: snapshot it was assigned.
+    read_shards: Any = _ONE_SHARD
+    snapshot: Optional[int] = None
 
     @property
     def pinned(self) -> bool:
@@ -130,9 +151,7 @@ class _Analyzed:
 
     def admissible_list(self) -> list[int]:
         """Explicit candidate list — violation-message paths only."""
-        if isinstance(self.admissible, IntervalSet):
-            return self.admissible.to_list()
-        return self.admissible
+        return _index_list(self.admissible)
 
     def first_admissible_at_least(self, lower: int) -> Optional[int]:
         if isinstance(self.admissible, IntervalSet):
@@ -143,19 +162,33 @@ class _Analyzed:
         return None
 
 
+def _index_list(indices: Any) -> list[int]:
+    """Either method's candidate set as an explicit ascending list."""
+    if isinstance(indices, IntervalSet):
+        return indices.to_list()
+    return indices
+
+
 def _read_constraints(view: TxnView) -> list[tuple[Any, Any, bool]]:
-    """(key, value, present) constraints from first pre-own-write reads."""
+    """(key, value, present) constraints from first pre-own-write reads.
+
+    A transaction that wrote nothing has no own-writes to skip, so its
+    reads are walked as recorded, without a merge."""
+    events = view.reads
+    if not events:
+        return []
+    if view.writes:
+        events = sorted(events + view.writes, key=attrgetter("seq"))
     constraints: list[tuple[Any, Any, bool]] = []
     seen: set[Any] = set()
     written: set[Any] = set()
-    events = sorted(view.reads + view.writes, key=lambda e: e.seq)
     for event in events:
+        key = event.key
         if event.kind == "write":
-            written.add(event.key)
-        elif event.key not in seen and event.key not in written:
-            seen.add(event.key)
-            present = event.producer is not None
-            constraints.append((event.key, event.value, present))
+            written.add(key)
+        elif key not in seen and key not in written:
+            seen.add(key)
+            constraints.append((key, event.value, event.producer is not None))
     return constraints
 
 
@@ -177,18 +210,19 @@ def _candidates(states: list[dict[Any, Any]],
             if _satisfied(state, constraints)]
 
 
-def _primary_updates(recorder: HistoryRecorder,
-                     primary_site: str) -> list[TxnView]:
+def _primary_updates(recorder: HistoryRecorder, primary_site: str,
+                     dense: bool = True) -> list[TxnView]:
     """Committed primary update transactions in commit order, with the
     dense-timestamp sanity check both analysis paths share."""
     updates = [v for v in recorder.committed(site=primary_site)
                if v.is_update]
-    for index, view in enumerate(updates, start=1):
-        if view.commit_ts is not None and view.commit_ts != index:
-            raise CheckerError(
-                f"primary commit timestamps not dense: txn "
-                f"{view.logical_id or view.txn_id} has commit_ts "
-                f"{view.commit_ts}, expected {index}")
+    if dense:
+        for index, view in enumerate(updates, start=1):
+            if view.commit_ts is not None and view.commit_ts != index:
+                raise CheckerError(
+                    f"primary commit timestamps not dense: txn "
+                    f"{view.logical_id or view.txn_id} has commit_ts "
+                    f"{view.commit_ts}, expected {index}")
     return updates
 
 
@@ -211,24 +245,13 @@ class _Era:
 def _promotion_eras(recorder: HistoryRecorder,
                     primary_site: str) -> list[_Era]:
     """Split the history into eras at its promotion events (usually one
-    era: histories without promotions take the classic code paths)."""
+    era: a history without promotions has no clamps and no splices)."""
     eras = [_Era(0, primary_site, -1, 0)]
-    for event in recorder.events:
+    for event in recorder.site_events():
         if event.kind == "promote":
             eras.append(_Era(len(eras), event.site, event.seq,
                              event.commit_ts or 0))
     return eras
-
-
-def _era_of(eras: list[_Era], seq: int) -> int:
-    """Index of the era a history sequence number falls in."""
-    era = 0
-    for candidate in eras[1:]:
-        if candidate.start_seq < seq:
-            era = candidate.index
-        else:
-            break
-    return era
 
 
 def _era_axes(recorder: HistoryRecorder,
@@ -268,16 +291,21 @@ def _era_axes(recorder: HistoryRecorder,
     return axes
 
 
+def _apply_writes(state: dict[Any, Any],
+                  final_writes: dict[Any, tuple[Any, bool]]) -> None:
+    for key, (value, deleted) in final_writes.items():
+        if deleted:
+            state.pop(key, None)
+        else:
+            state[key] = value
+
+
 def _materialise_states(axis: list[TxnView]) -> list[dict[Any, Any]]:
     """S^0..S^n materialised from one axis' commits (legacy method)."""
     states: list[dict[Any, Any]] = [{}]
     current: dict[Any, Any] = {}
     for view in axis:
-        for key, (value, deleted) in view.final_writes.items():
-            if deleted:
-                current.pop(key, None)
-            else:
-                current[key] = value
+        _apply_writes(current, view.final_writes)
         states.append(dict(current))
     return states
 
@@ -298,63 +326,153 @@ def _subscriptions(recorder: HistoryRecorder
                    ) -> dict[str, tuple[frozenset, int]]:
     """site -> (subscribed shards, num_shards) from "subscribe" events.
 
-    Subscription events exist only in partial-replication histories, and
-    every sharded audit path is gated on this map being non-empty — so
-    unsharded histories take the classic code paths, byte for byte.
+    Subscription events exist only in partial-replication histories; a
+    history without them is the one-shard case, in which every site
+    holds everything.
     """
     subs: dict[str, tuple[frozenset, int]] = {}
-    for event in recorder.events:
+    for event in recorder.site_events():
         if event.kind == "subscribe":
             subs[event.site] = (frozenset(event.value or ()),
                                 event.commit_ts or 0)
     return subs
 
 
-def _project(state: dict[Any, Any], subscription: frozenset,
-             num_shards: int) -> dict[Any, Any]:
-    """``state`` restricted to the keys living on subscribed shards."""
-    return {key: value for key, value in state.items()
-            if key_fingerprint(key) % num_shards in subscription}
+class _ShardMemo(dict):
+    """key -> shard, hashed once per check (``shard_of`` is a
+    ``crc32(repr(key))``; the passes ask for the same few hundred keys
+    hundreds of thousands of times)."""
+
+    def __init__(self, num_shards: int):
+        self.num_shards = num_shards
+
+    def __missing__(self, key: Any) -> int:
+        shard = self[key] = shard_of(key, self.num_shards)
+        return shard
 
 
-def _read_shard_set(view: TxnView, num_shards: int) -> frozenset:
-    """Shards touched by the transaction's snapshot reads.
+class _HistoryAxes:
+    """What every pass over one history shares, built once per check:
+    its promotion eras, the per-era primary timelines (axes), the shard
+    subscriptions and the key -> shard memo.
 
-    Mirrors :func:`_read_constraints`' event walk: only reads that
-    precede an own write of the same key constrain the snapshot, so only
-    those keys' shards carry freshness obligations.
+    An unsharded history is the one-shard case (:data:`_ONE_SHARD`) and
+    a history without promotions the one-era case, so the ordering and
+    completeness passes below have a single shape.
     """
-    shards: set[int] = set()
-    written: set[Any] = set()
-    events = sorted(view.reads + view.writes, key=lambda e: e.seq)
-    for event in events:
-        if event.kind == "write":
-            written.add(event.key)
-        elif event.key not in written:
-            shards.add(key_fingerprint(event.key) % num_shards)
-    return frozenset(shards)
 
-
-class _HistoryAnalysis:
-    """Legacy shared preprocessing: materialised prefix states."""
-
-    def __init__(self, recorder: HistoryRecorder, primary_site: str):
+    def __init__(self, recorder: HistoryRecorder, primary_site: str,
+                 completeness: bool = False):
         self.recorder = recorder
         self.primary_site = primary_site
-        self.eras = _promotion_eras(recorder, primary_site)
-        if len(self.eras) == 1:
-            # Classic single-primary history: identical to the
-            # pre-promotion checker, byte for byte.
-            axis_states = [recorder.replay_states(primary_site)]
-            axis_commit_seqs = [
-                [v.end_seq
-                 for v in _primary_updates(recorder, primary_site)]]
+        self.eras = eras = _promotion_eras(recorder, primary_site)
+        self.subs = subs = _subscriptions(recorder)
+        self.num_shards: Optional[int] = (
+            next(iter(subs.values()))[1] if subs else None)
+        self.shard_of = _ShardMemo(self.num_shards or 1)
+        if len(eras) > 1 or (completeness and subs):
+            self.axes = _era_axes(recorder, eras)
         else:
-            axes = _era_axes(recorder, self.eras)
-            axis_states = [_materialise_states(axis) for axis in axes]
-            axis_commit_seqs = [[v.end_seq for v in axis] for axis in axes]
-        self.axis_states = axis_states
-        self.axis_commit_seqs = axis_commit_seqs
+            # The completeness audit of a plain history takes the
+            # primary's numbering as recorded; the SI analyses refuse a
+            # sparse one (they would mis-number states silently).
+            self.axes = [_primary_updates(recorder, primary_site,
+                                          dense=not completeness)]
+        self._timelines: list[Optional[KeyTimelines]] = [None] * len(eras)
+        self._shard_commits: Optional[list[dict]] = None
+        self._sent: dict[frozenset, list[list[int]]] = {}
+
+    def timelines(self, era: int) -> KeyTimelines:
+        """Per-key change history of one axis (built on first use: a
+        clean unsharded completeness audit never needs it)."""
+        timelines = self._timelines[era]
+        if timelines is None:
+            timelines = self._timelines[era] = KeyTimelines()
+            for view in self.axes[era]:
+                timelines.append_commit(view.final_writes)
+        return timelines
+
+    def shards(self, keys: Iterable) -> frozenset:
+        """The shard set a group of keys lives on (sharded histories)."""
+        return frozenset(map(self.shard_of.__getitem__, keys))
+
+    def write_shards(self, view: TxnView) -> Any:
+        """Shards an update's write set touched."""
+        if self.num_shards is None:
+            return _ONE_SHARD
+        return self.shards(view.final_writes)
+
+    def shard_commits(self) -> list[dict]:
+        """Per axis: shard -> ascending numbers of the commits touching
+        it.  The projection of S^s onto a shard only changes at those
+        commits, so one ``bisect`` answers both "what did a snapshot
+        observe of this shard" and "which commit is this subscriber sent
+        next"."""
+        if self._shard_commits is None:
+            if self.num_shards is None:
+                self._shard_commits = [{0: range(1, len(axis) + 1)}
+                                       for axis in self.axes]
+            else:
+                self._shard_commits = []
+                for axis in self.axes:
+                    per: dict[int, list[int]] = {}
+                    for ts, view in enumerate(axis, start=1):
+                        for shard in self.write_shards(view):
+                            per.setdefault(shard, []).append(ts)
+                    self._shard_commits.append(per)
+        return self._shard_commits
+
+    def _subscription(self, site: str) -> frozenset:
+        full = frozenset(range(self.num_shards))
+        return self.subs.get(site, (full,))[0]
+
+    def partial_subscription(self, site: str) -> Optional[frozenset]:
+        """The shard set ``site`` subscribes to, or ``None`` when it
+        holds every key (always, in an unsharded history)."""
+        if self.num_shards is None:
+            return None
+        subscription = self._subscription(site)
+        return None if len(subscription) >= self.num_shards else subscription
+
+    def commits_sent_to(self, site: str) -> Optional[list[list[int]]]:
+        """Per axis, the ascending numbers of the commits ``site`` is
+        sent — those touching a shard it subscribes to — or ``None`` in
+        an unsharded history (every commit, whatever the axis holds)."""
+        if self.num_shards is None:
+            return None
+        subscription = self._subscription(site)
+        sent = self._sent.get(subscription)
+        if sent is None:
+            sent = self._sent[subscription] = [
+                sorted(set().union(*(touching.get(shard, ())
+                                     for shard in subscription)))
+                for touching in self.shard_commits()]
+        return sent
+
+    def projected_state(self, era: int, index: int,
+                        held: Optional[frozenset]) -> dict[Any, Any]:
+        """``S^index`` of one axis restricted to the keys on ``held``
+        shards (everything when ``held`` is None), materialised."""
+        state = self.timelines(era).state_at(index)
+        if held is None:
+            return state
+        shard_of = self.shard_of
+        return {key: value for key, value in state.items()
+                if shard_of[key] in held}
+
+
+class _Analysis(_HistoryAxes):
+    """Shared preprocessing of the SI checkers: infer, for every
+    committed client transaction, the primary snapshots its reads are
+    consistent with.  The two methods differ only in how a candidate
+    set is represented and computed (three hooks per subclass), so they
+    produce the same :class:`_Analyzed` records and the same violations
+    (kind, message, order)."""
+
+    def __init__(self, recorder: HistoryRecorder, primary_site: str):
+        super().__init__(recorder, primary_site)
+        self.axis_commit_seqs = [[v.end_seq for v in axis]
+                                 for axis in self.axes]
         self.client_views = [v for v in recorder.committed()
                              if not v.is_refresh]
 
@@ -367,17 +485,17 @@ class _HistoryAnalysis:
         analyzed: list[_Analyzed] = []
         violations: list[Violation] = []
         eras = self.eras
-        multi = len(eras) > 1
-        for view in sorted(self.client_views, key=lambda v: v.begin_seq):
-            era = _era_of(eras, view.begin_seq) if multi else 0
-            states = self.axis_states[era]
+        era_starts = [era.start_seq for era in eras]
+        sharded = self.num_shards is not None
+        for view in sorted(self.client_views, key=attrgetter("begin_seq")):
+            # The era the transaction began in: the last one started
+            # before its first operation.
+            era = bisect_left(era_starts, view.begin_seq, 1) - 1
             upper = self.commits_before(era, view.begin_seq)
             constraints = _read_constraints(view)
             if view.site == eras[era].site and view.is_update:
                 snapshot = view.start_ts or 0
-                commit_index = view.commit_ts
-                if snapshot >= len(states) or not _satisfied(
-                        states[snapshot], constraints):
+                if not self._pinned_satisfied(era, snapshot, constraints):
                     violations.append(Violation(
                         kind="inconsistent-update-read",
                         message=(f"update txn {view.logical_id or view.txn_id}"
@@ -385,17 +503,18 @@ class _HistoryAnalysis:
                                  f"S^{snapshot}"),
                         txns=(view.key,)))
                     continue
-                analyzed.append(_Analyzed(view, [snapshot], commit_index,
-                                          upper, era))
+                analyzed.append(_Analyzed(view, self._pinned(snapshot),
+                                          view.commit_ts, upper, era,
+                                          constraints if sharded else ()))
                 continue
-            candidates = _candidates(states, constraints)
-            admissible = [i for i in candidates if i <= upper]
+            candidates, admissible = self._candidates(era, constraints,
+                                                      upper)
             if not admissible:
                 if candidates:
                     message = (
                         f"txn {view.logical_id or view.txn_id} saw a state "
-                        f"(index in {candidates}) newer than any committed "
-                        f"before it began (<= {upper})")
+                        f"(index in {_index_list(candidates)}) newer than "
+                        f"any committed before it began (<= {upper})")
                     kind = "future-snapshot"
                 else:
                     message = (
@@ -405,46 +524,47 @@ class _HistoryAnalysis:
                 violations.append(Violation(kind=kind, message=message,
                                             txns=(view.key,)))
                 continue
-            analyzed.append(_Analyzed(view, admissible, None, upper, era))
+            analyzed.append(_Analyzed(view, admissible, None, upper, era,
+                                      constraints if sharded else ()))
         return analyzed, violations
 
 
-class _IncrementalAnalysis:
-    """Incremental shared preprocessing: per-key timelines, no prefix
-    states.  Produces the same :class:`_Analyzed` records and the same
-    violations (kind, message, order) as :class:`_HistoryAnalysis`."""
+class _HistoryAnalysis(_Analysis):
+    """Legacy method: materialised prefix states, explicit index lists."""
 
     def __init__(self, recorder: HistoryRecorder, primary_site: str):
-        self.recorder = recorder
-        self.primary_site = primary_site
-        self.eras = _promotion_eras(recorder, primary_site)
-        self.axis_timelines: list[KeyTimelines] = []
-        self.axis_commit_seqs: list[list[int]] = []
-        if len(self.eras) == 1:
-            timelines = KeyTimelines()
-            commit_seqs: list[int] = []
-            for view in _primary_updates(recorder, primary_site):
-                commit_seqs.append(view.end_seq)
-                timelines.append_commit(view.final_writes)
-            self.axis_timelines.append(timelines)
-            self.axis_commit_seqs.append(commit_seqs)
-        else:
-            for axis in _era_axes(recorder, self.eras):
-                timelines = KeyTimelines()
-                for view in axis:
-                    timelines.append_commit(view.final_writes)
-                self.axis_timelines.append(timelines)
-                self.axis_commit_seqs.append([v.end_seq for v in axis])
-
-        self.client_views = [v for v in recorder.committed()
-                             if not v.is_refresh]
-
-    def commits_before(self, era: int, seq: int) -> int:
-        return bisect_left(self.axis_commit_seqs[era], seq)
+        super().__init__(recorder, primary_site)
+        self.axis_states = [_materialise_states(axis) for axis in self.axes]
 
     def _pinned_satisfied(self, era: int, snapshot: int,
                           constraints: list[tuple[Any, Any, bool]]) -> bool:
-        value_at = self.axis_timelines[era].value_at
+        states = self.axis_states[era]
+        return snapshot < len(states) and _satisfied(states[snapshot],
+                                                     constraints)
+
+    def _pinned(self, snapshot: int) -> list[int]:
+        return [snapshot]
+
+    def _candidates(self, era: int, constraints: list[tuple[Any, Any, bool]],
+                    upper: int) -> tuple[list[int], list[int]]:
+        candidates = _candidates(self.axis_states[era], constraints)
+        return candidates, [i for i in candidates if i <= upper]
+
+
+class _IncrementalAnalysis(_Analysis):
+    """Incremental method: per-key timelines, no prefix states."""
+
+    def __init__(self, recorder: HistoryRecorder, primary_site: str):
+        super().__init__(recorder, primary_site)
+        self.axis_timelines = [self.timelines(era.index)
+                               for era in self.eras]
+
+    def _pinned_satisfied(self, era: int, snapshot: int,
+                          constraints: list[tuple[Any, Any, bool]]) -> bool:
+        timelines = self.axis_timelines[era]
+        if snapshot > timelines.num_commits:
+            return False
+        value_at = timelines.value_at
         for key, value, present in constraints:
             actual_present, actual = value_at(key, snapshot)
             if present:
@@ -454,10 +574,13 @@ class _IncrementalAnalysis:
                 return False
         return True
 
-    def _candidate_intervals(
-            self, era: int,
-            constraints: list[tuple[Any, Any, bool]]) -> IntervalSet:
-        """Intersection of the per-constraint admissible interval sets."""
+    def _pinned(self, snapshot: int) -> IntervalSet:
+        return IntervalSet(((snapshot, snapshot),))
+
+    def _candidates(self, era: int, constraints: list[tuple[Any, Any, bool]],
+                    upper: int) -> tuple[IntervalSet, IntervalSet]:
+        """Intersection of the per-constraint admissible interval sets,
+        and its members no newer than ``upper``."""
         timelines = self.axis_timelines[era]
         candidates = IntervalSet.full(timelines.num_commits)
         intervals_for = timelines.intervals_for
@@ -466,56 +589,11 @@ class _IncrementalAnalysis:
                 intervals_for(key, value, present))
             if candidates.empty:
                 break       # intersection can only shrink further
-        return candidates
-
-    def analyze(self) -> tuple[list[_Analyzed], list[Violation]]:
-        analyzed: list[_Analyzed] = []
-        violations: list[Violation] = []
-        eras = self.eras
-        multi = len(eras) > 1
-        for view in sorted(self.client_views, key=lambda v: v.begin_seq):
-            era = _era_of(eras, view.begin_seq) if multi else 0
-            num_states = self.axis_timelines[era].num_commits + 1
-            upper = self.commits_before(era, view.begin_seq)
-            constraints = _read_constraints(view)
-            if view.site == eras[era].site and view.is_update:
-                snapshot = view.start_ts or 0
-                commit_index = view.commit_ts
-                if snapshot >= num_states or not self._pinned_satisfied(
-                        era, snapshot, constraints):
-                    violations.append(Violation(
-                        kind="inconsistent-update-read",
-                        message=(f"update txn {view.logical_id or view.txn_id}"
-                                 f" reads do not match primary state "
-                                 f"S^{snapshot}"),
-                        txns=(view.key,)))
-                    continue
-                analyzed.append(_Analyzed(
-                    view, IntervalSet(((snapshot, snapshot),)),
-                    commit_index, upper, era))
-                continue
-            candidates = self._candidate_intervals(era, constraints)
-            admissible = candidates.clamp_max(upper)
-            if admissible.empty:
-                if not candidates.empty:
-                    message = (
-                        f"txn {view.logical_id or view.txn_id} saw a state "
-                        f"(index in {candidates.to_list()}) newer than any "
-                        f"committed before it began (<= {upper})")
-                    kind = "future-snapshot"
-                else:
-                    message = (
-                        f"txn {view.logical_id or view.txn_id} reads match "
-                        f"no transaction-consistent primary state")
-                    kind = "no-consistent-snapshot"
-                violations.append(Violation(kind=kind, message=message,
-                                            txns=(view.key,)))
-                continue
-            analyzed.append(_Analyzed(view, admissible, None, upper, era))
-        return analyzed, violations
+        return candidates, candidates.clamp_max(upper)
 
 
-def _analysis(recorder: HistoryRecorder, primary_site: str, method: str):
+def _analysis(recorder: HistoryRecorder, primary_site: str,
+              method: str) -> _Analysis:
     _check_method(method)
     _check_detail(recorder)
     if method == "legacy":
@@ -549,8 +627,8 @@ def _ordering_violations(analyzed: list[_Analyzed],
     wrong — it invents phantom freshness obligations for later reads of
     the same session.)
 
-    This is the legacy O(n²) pair loop; see
-    :func:`_incremental_ordering_violations` for the streaming version.
+    This is the legacy O(n²) pair loop, kept for plain histories; see
+    :func:`_streaming_ordering_violations` for the linear pass.
     """
     violations: list[Violation] = []
     ordered = sorted(analyzed, key=lambda a: a.view.begin_seq)
@@ -603,48 +681,82 @@ def _inversion_violation(tj: _Analyzed, snapshot: int, lower: int,
         txns=(lower_source.view.key, tj.view.key))
 
 
-class _LowerBound:
-    """Running maximum of ``effective`` snapshots over an admitted pool.
+def _streaming_ordering_violations(analyzed: list[_Analyzed],
+                                   same_session_only: bool,
+                                   history: _HistoryAxes) -> list[Violation]:
+    """Definition 2.1/2.2 pair constraints in one streaming pass.
 
-    Replicates the legacy scan's tie-break exactly: the source is the
-    earliest-*begun* transaction achieving the maximum (the legacy loop
-    visits candidates in begin order and replaces only on a strict
-    increase), and an effective index of 0 never names a source (the
-    bound starts at 0 and only strict increases record one).
-    """
-
-    __slots__ = ("lower", "source")
-
-    def __init__(self) -> None:
-        self.lower = 0
-        self.source: Optional[_Analyzed] = None
-
-    def admit(self, ti: _Analyzed, effective: int) -> None:
-        if effective > self.lower:
-            self.lower = effective
-            self.source = ti
-        elif (effective == self.lower and self.source is not None
-              and ti.view.begin_seq < self.source.view.begin_seq):
-            self.source = ti
-
-
-def _incremental_ordering_violations(analyzed: list[_Analyzed],
-                                     same_session_only: bool
-                                     ) -> list[Violation]:
-    """Streaming equivalent of :func:`_ordering_violations`.
-
+    The same greedy-minimum assignment as :func:`_ordering_violations`.
     Processing transactions in begin order, every Ti that constrains Tj
     satisfies ``Ti.end_seq < Tj.begin_seq`` — so a single pointer over
-    the analyzed list sorted by end_seq admits each Ti into a running
-    lower-bound pool exactly once (globally, or per session label),
-    replacing the quadratic pair scan with O(n log n + n)."""
+    the transactions sorted by end_seq admits each Ti exactly once into
+    a pool of running maxima (one pool globally, or one per session
+    label), and Tj's lower bound is read off its pool.
+
+    With per-shard propagation streams a replica's freshness is a vector
+    of shard frontiers, and the guarantee weakens accordingly (NMSI): a
+    read observing shards R inherits from an earlier Ti only the
+    obligations Ti left *on the shards in R*.  Each transaction
+    therefore publishes a per-shard obligation vector — an update pins
+    its commit number on the shards its write set touched; a read-only
+    transaction assigned snapshot ``s`` pins, for each shard it read,
+    the newest axis commit <= ``s`` touching that shard (the projection
+    of S^s onto a shard only changes at commits touching it, so that
+    floor is exactly what the reader observed).  Every obligation is
+    the number of a commit touching the shard, so ``snapshot >=
+    obligation`` is both necessary and sufficient for the projected
+    states to be ordered.  A pool keeps ``shard -> max obligation`` per
+    era of the admitted transaction: an obligation carried into a later
+    era clamps to the shared prefix of the two axes
+    (:func:`_shared_prefix_bound` — beyond the truncation point the old
+    regime's tail no longer exists), and because the clamp depends only
+    on the era pair, clamping the per-era maximum equals the maximum of
+    the clamped obligations.  An unsharded history is the one-shard
+    case and a history without promotions has no clamps.
+
+    The running maxima do not remember *which* Ti set them.  The
+    violation message names the earliest-begun Ti reaching the bound
+    (the pair loop's tie-break), so that Ti is found by a pair scan on
+    the violation path only, for that one Tj.
+    """
+    eras = history.eras
+    sharded = history.num_shards is not None
+    shard_commits = history.shard_commits()
+
+    def obligations(ti: _Analyzed) -> dict[int, int]:
+        """What ``ti`` obliges a later reader of each shard to have seen."""
+        if ti.pinned:
+            return dict.fromkeys(history.write_shards(ti.view),
+                                 ti.commit_index)
+        snapshot = ti.snapshot
+        touching = shard_commits[ti.era]
+        vector: dict[int, int] = {}
+        for shard in ti.read_shards:
+            commits = touching.get(shard)
+            if commits:
+                pos = bisect_right(commits, snapshot)
+                if pos:
+                    vector[shard] = commits[pos - 1]
+        return vector
+
+    def bound_on(tj: _Analyzed, vector: dict[int, int], era: int) -> int:
+        """Lower bound an era-``era`` obligation vector puts on ``tj``."""
+        bound = 0
+        for shard in tj.read_shards:
+            ts = vector.get(shard, 0)
+            if ts > bound:
+                bound = ts
+        if era != tj.era:
+            bound = min(bound, _shared_prefix_bound(eras, era, tj.era))
+        return bound
+
     violations: list[Violation] = []
     ordered = sorted(analyzed, key=lambda a: a.view.begin_seq)
     by_end = sorted((a for a in analyzed if a.view.end_seq >= 0),
                     key=lambda a: a.view.end_seq)
-    assigned: dict[tuple, int] = {}
-    global_bound = _LowerBound()
-    session_bounds: dict[str, _LowerBound] = {}
+    #: pool label -> era -> shard -> max obligation admitted so far.
+    pools: dict[Any, dict[int, dict[int, int]]] = defaultdict(
+        lambda: defaultdict(dict))
     admit_pos = 0
     for tj in ordered:
         begin = tj.view.begin_seq
@@ -652,206 +764,50 @@ def _incremental_ordering_violations(analyzed: list[_Analyzed],
                 by_end[admit_pos].view.end_seq < begin:
             ti = by_end[admit_pos]
             admit_pos += 1
-            effective = (ti.commit_index if ti.pinned
-                         else assigned.get(ti.view.key))
-            if effective is None:
-                continue   # malformed view (end before begin); cannot occur
-            if same_session_only:
-                session = ti.view.session
-                if session is None:
-                    continue
-                bound = session_bounds.get(session)
-                if bound is None:
-                    bound = session_bounds[session] = _LowerBound()
-                bound.admit(ti, effective)
-            else:
-                global_bound.admit(ti, effective)
-        if same_session_only:
-            bound = session_bounds.get(tj.view.session) \
-                if tj.view.session is not None else None
-            lower = bound.lower if bound is not None else 0
-            lower_source = bound.source if bound is not None else None
-        else:
-            lower = global_bound.lower
-            lower_source = global_bound.source
-        if tj.pinned:
-            snapshot = tj.min_admissible
-            assigned[tj.view.key] = snapshot
-            feasible = snapshot >= lower
-        else:
-            option = tj.first_admissible_at_least(lower)
-            feasible = option is not None
-            snapshot = option if feasible else tj.max_admissible
-            assigned[tj.view.key] = snapshot
-        if not feasible:
-            violations.append(_inversion_violation(
-                tj, snapshot, lower, lower_source, same_session_only))
-    return violations
-
-
-def _era_ordering_violations(analyzed: list[_Analyzed],
-                             same_session_only: bool,
-                             eras: list[_Era]) -> list[Violation]:
-    """Definition 2.1/2.2 pair constraints across promotion eras.
-
-    Identical to :func:`_ordering_violations` except that a constraint
-    carried from an earlier era is clamped to the shared prefix of the
-    two transactions' axes (:func:`_shared_prefix_bound`): beyond the
-    truncation point the axes are incomparable — the old regime's tail
-    was discarded — so the only freshness obligation that survives a
-    promotion is "at least the surviving prefix state".  Used by *both*
-    checker methods: promotion histories are chaos-storm sized, so the
-    O(n²) scan is fine, and one shared implementation keeps the verdicts
-    method-independent by construction.
-    """
-    violations: list[Violation] = []
-    ordered = sorted(analyzed, key=lambda a: a.view.begin_seq)
-    assigned: dict[tuple, int] = {}
-    for j, tj in enumerate(ordered):
+            label = ti.view.session if same_session_only else None
+            if ti.snapshot is None or (same_session_only and label is None):
+                continue   # (an end before its own begin cannot occur)
+            maxima = pools[label][ti.era]
+            for shard, ts in obligations(ti).items():
+                if ts > maxima.get(shard, 0):
+                    maxima[shard] = ts
+        if sharded:
+            # Only reads that precede an own write of the same key
+            # constrain the snapshot, so only those keys' shards carry
+            # obligations.
+            tj.read_shards = history.shards(
+                map(itemgetter(0), tj.constraints))
+        label = tj.view.session if same_session_only else None
         lower = 0
-        lower_source = None
-        for ti in ordered[:j]:
-            if ti.view.end_seq < 0:
-                continue
-            if ti.view.end_seq >= tj.view.begin_seq:
-                continue
-            if same_session_only and (
-                    ti.view.session is None
-                    or ti.view.session != tj.view.session):
-                continue
-            effective = (ti.commit_index if ti.pinned
-                         else assigned[ti.view.key])
-            if ti.era != tj.era:
-                effective = min(
-                    effective, _shared_prefix_bound(eras, ti.era, tj.era))
-            if effective > lower:
-                lower = effective
-                lower_source = ti
+        for era, maxima in pools.get(label, {}).items():
+            bound = bound_on(tj, maxima, era)
+            if bound > lower:
+                lower = bound
         if tj.pinned:
             snapshot = tj.min_admissible
-            assigned[tj.view.key] = snapshot
             feasible = snapshot >= lower
         else:
             option = tj.first_admissible_at_least(lower)
             feasible = option is not None
             snapshot = option if feasible else tj.max_admissible
-            assigned[tj.view.key] = snapshot
+        tj.snapshot = snapshot
         if not feasible:
+            source = next(
+                ti for ti in ordered
+                if 0 <= ti.view.end_seq < begin
+                and (ti.view.session == label or not same_session_only)
+                and bound_on(tj, obligations(ti), ti.era) == lower)
             violations.append(_inversion_violation(
-                tj, snapshot, lower, lower_source, same_session_only))
-    return violations
-
-
-def _sharded_ordering_violations(analyzed: list[_Analyzed],
-                                 same_session_only: bool,
-                                 eras: list[_Era],
-                                 axes: list[list[TxnView]],
-                                 num_shards: int) -> list[Violation]:
-    """Definition 2.1/2.2 pair constraints under partial replication.
-
-    With per-shard propagation streams a replica's freshness is a vector
-    of shard frontiers, and the session guarantee weakens accordingly: a
-    read observing shards R inherits from an earlier transaction Ti only
-    the obligations Ti left *on the shards in R*.  Each transaction
-    therefore publishes a per-shard obligation vector instead of a
-    scalar — an update pins commit_ts on the shards its write set
-    touched; a read-only transaction assigned snapshot ``s`` pins, for
-    each shard it read, the newest axis commit <= ``s`` touching that
-    shard (the projection of S^s onto a shard only changes at commits
-    touching it, so that floor is exactly what the session observed).
-    Every obligation is the timestamp of a commit touching the shard, so
-    requiring ``snapshot >= obligation`` is both necessary and
-    sufficient for the projected states to be ordered.  Cross-era
-    obligations clamp to the shared axis prefix exactly as in
-    :func:`_era_ordering_violations`, and like that function this one
-    serves *both* checker methods: sharded histories are chaos-storm
-    sized, and a single implementation keeps the verdicts
-    method-independent by construction.
-    """
-    axis_shard_commits: list[dict[int, list[int]]] = []
-    for axis in axes:
-        per: dict[int, list[int]] = {}
-        for ts, view in enumerate(axis, start=1):
-            for shard in {key_fingerprint(key) % num_shards
-                          for key in view.final_writes}:
-                per.setdefault(shard, []).append(ts)
-        axis_shard_commits.append(per)
-
-    def shard_floor(era: int, shard: int, snapshot: int) -> int:
-        commits = axis_shard_commits[era].get(shard)
-        if not commits:
-            return 0
-        pos = bisect_right(commits, snapshot)
-        return commits[pos - 1] if pos else 0
-
-    violations: list[Violation] = []
-    ordered = sorted(analyzed, key=lambda a: a.view.begin_seq)
-    obligations: dict[tuple, dict[int, int]] = {}
-    for j, tj in enumerate(ordered):
-        read_shards = _read_shard_set(tj.view, num_shards)
-        lower = 0
-        lower_source = None
-        for ti in ordered[:j]:
-            if ti.view.end_seq < 0:
-                continue
-            if ti.view.end_seq >= tj.view.begin_seq:
-                continue
-            if same_session_only and (
-                    ti.view.session is None
-                    or ti.view.session != tj.view.session):
-                continue
-            vector = obligations[ti.view.key]
-            effective = 0
-            for shard in read_shards:
-                floor = vector.get(shard, 0)
-                if floor > effective:
-                    effective = floor
-            if ti.era != tj.era:
-                effective = min(
-                    effective, _shared_prefix_bound(eras, ti.era, tj.era))
-            if effective > lower:
-                lower = effective
-                lower_source = ti
-        if tj.pinned:
-            snapshot = tj.min_admissible
-            feasible = snapshot >= lower
-            obligations[tj.view.key] = {
-                key_fingerprint(key) % num_shards: tj.commit_index
-                for key in tj.view.final_writes}
-        else:
-            option = tj.first_admissible_at_least(lower)
-            feasible = option is not None
-            snapshot = option if feasible else tj.max_admissible
-            vector = {}
-            for shard in read_shards:
-                floor = shard_floor(tj.era, shard, snapshot)
-                if floor:
-                    vector[shard] = floor
-            obligations[tj.view.key] = vector
-        if not feasible:
-            violations.append(_inversion_violation(
-                tj, snapshot, lower, lower_source, same_session_only))
+                tj, snapshot, lower, source, same_session_only))
     return violations
 
 
 def _ordering(analyzed: list[_Analyzed], same_session_only: bool,
-              method: str, analysis) -> list[Violation]:
-    eras = analysis.eras
-    subs = _subscriptions(analysis.recorder)
-    if subs:
-        num_shards = next(iter(subs.values()))[1]
-        if len(eras) > 1:
-            axes = _era_axes(analysis.recorder, eras)
-        else:
-            axes = [_primary_updates(analysis.recorder,
-                                     analysis.primary_site)]
-        return _sharded_ordering_violations(
-            analyzed, same_session_only, eras, axes, num_shards)
-    if len(eras) > 1:
-        return _era_ordering_violations(analyzed, same_session_only, eras)
-    if method == "legacy":
+              method: str, analysis: _Analysis) -> list[Violation]:
+    if method == "legacy" and len(analysis.eras) == 1 and not analysis.subs:
         return _ordering_violations(analyzed, same_session_only)
-    return _incremental_ordering_violations(analyzed, same_session_only)
+    return _streaming_ordering_violations(analyzed, same_session_only,
+                                          analysis)
 
 
 def check_strong_si(recorder: HistoryRecorder,
@@ -903,513 +859,244 @@ def _secondary_timeline(recorder: HistoryRecorder,
     for view in recorder.committed(site=site):
         if view.is_update:
             timeline.append((view.end_seq, "commit", view))
-    for event in recorder.events_at(site):
-        if event.kind == "recover":
+    for event in recorder.site_events():
+        if event.kind == "recover" and event.site == site:
             timeline.append((event.seq, "recover", event))
     timeline.sort(key=lambda entry: entry[0])
     return timeline
 
 
-def _normalized_timeline(recorder: HistoryRecorder, site: str,
-                         boundaries: tuple = ()
-                         ) -> list[tuple[int, str, Any]]:
-    """Timeline runs re-ordered for dependency-tracked parallel refresh.
+def _commit_number(view: TxnView) -> int:
+    return view.commit_ts if view.commit_ts is not None else -1
+
+
+def _site_walk(history: _HistoryAxes,
+               site: str) -> Iterator[tuple[str, Any, int, int]]:
+    """``(what, item, index, era)`` for each timeline item of ``site``
+    the completeness audit visits, in the order it visits them: a
+    recovery copy or a refresh commit, the number of the primary state
+    it claims to produce, and the era it committed in.
 
     With ``parallel_refresh`` a secondary commits refresh transactions out
     of primary order; only the contiguous watermark prefix ever becomes
     externally visible (``seq(DBsec)`` advances at watermark boundaries),
     and commits applied above the watermark are truncated by a crash or an
-    epoch fence.  The completeness audit therefore verifies each *run* —
-    the stretch between recovery jumps (and promotion fences, passed in as
-    ``boundaries``) — in commit-number order, and stops a run at the first
-    gap in the numbering: commits past a gap never joined a visible
-    snapshot (the watermark cannot pass the gap) and were discarded by
-    whatever ended the run, so replaying them would audit a state the
-    replica never served.  Strict-FIFO histories have dense, in-order
-    runs, so this normalisation is the identity there and the verdicts
-    stay byte-identical.
+    epoch fence.  The audit therefore verifies each *run* — the stretch
+    between recovery jumps and promotion fences — in commit-number order,
+    and stops a run at the first gap in the numbering: commits past a gap
+    never joined a visible snapshot (the watermark cannot pass the gap)
+    and were discarded by whatever ended the run, so replaying them would
+    audit a state the replica never served.  Strict-FIFO histories have
+    dense, in-order runs, so this normalisation is the identity there.
+
+    A subscribing secondary is sent only the commits whose write sets
+    touch its shards, so the numbering it must follow without a gap is
+    that *subsequence* of the axis: a skipped commit is legitimate
+    exactly when it touches no subscribed shard.  A commit that should
+    never have arrived is deliberately kept in the walk, so the state
+    comparison flags it.  A promoted site is audited as a secondary only
+    up to its promotion; afterwards its own commits *define* the axis.
     """
-    entries = _secondary_timeline(recorder, site)
-    bounds = sorted(boundaries)
-    runs: list[list[tuple[int, str, Any]]] = [[]]
-    cut = 0
-    for entry in entries:
-        while cut < len(bounds) and entry[0] > bounds[cut]:
-            cut += 1
-            runs.append([])
+    eras = history.eras
+    # Fences bound the runs, so a run lies within one era — and on one
+    # side of the site's own promotion, if it has one.
+    promoted_in = max((era.index for era in eras[1:] if era.site == site),
+                      default=len(eras))
+    runs: list[tuple[int, list[tuple[int, str, Any]]]] = [(0, [])]
+    era = 0
+    for entry in _secondary_timeline(history.recorder, site):
+        while era + 1 < len(eras) and entry[0] > eras[era + 1].start_seq:
+            era += 1
+            runs.append((era, []))
         if entry[1] == "recover":
-            runs.append([])
-        runs[-1].append(entry)
-    normalized: list[tuple[int, str, Any]] = []
+            runs.append((era, []))
+        runs[-1][1].append(entry)
+    sent = history.commits_sent_to(site)
     prev = 0
-    for run in runs:
-        start = 0
+    for era, run in runs:
+        if era >= promoted_in:
+            return
         if run and run[0][1] == "recover":
-            normalized.append(run[0])
             prev = run[0][2].commit_ts or 0
-            start = 1
-        commits = sorted(
-            run[start:],
-            key=lambda e: e[2].commit_ts
-            if e[2].commit_ts is not None else -1)
-        for entry in commits:
-            ts = entry[2].commit_ts
-            if ts is not None and ts > prev + 1:
+            yield "recover", run[0][2], prev, era
+            run = run[1:]
+        for view in sorted((entry[2] for entry in run), key=_commit_number):
+            ts = _commit_number(view)
+            if sent is None:
+                due = prev + 1
+            else:
+                pos = bisect_right(sent[era], prev)
+                due = sent[era][pos] if pos < len(sent[era]) else None
+            if due is not None and ts > due:
                 break          # gap: the truncated tail was never visible
-            normalized.append(entry)
-            if ts is not None and ts == prev + 1:
+            yield "commit", view, ts, era
+            if ts == due:
                 prev = ts
-    return normalized
 
 
-def _legacy_completeness(recorder: HistoryRecorder,
-                         primary_site: str) -> CheckResult:
-    primary_states = recorder.replay_states(primary_site)
+def _replayed(current: dict[Any, Any], what: str, item: Any) -> dict[Any, Any]:
+    """A site's state after one more item of its walk, by state replay."""
+    if what == "recover":
+        return dict(item.value or {})
+    _apply_writes(current, item.final_writes)
+    return current
+
+
+def _ahead(site: str, index: int, n: int) -> Violation:
+    return Violation(
+        kind="secondary-ahead",
+        message=(f"site {site!r} produced state S^{index}, but the "
+                 f"primary only reached S^{n}"))
+
+
+def _diverged(site: str, what: str, index: int, current: dict[Any, Any],
+              expected: dict[Any, Any]) -> Violation:
+    what_label = "recovery copy" if what == "recover" else "state"
+    return Violation(
+        kind="state-divergence",
+        message=(f"site {site!r} {what_label} S^{index} diverges from "
+                 f"primary: {current!r} != {expected!r}"))
+
+
+def _legacy_completeness(history: _HistoryAxes) -> CheckResult:
+    primary_states = history.recorder.replay_states(history.primary_site)
     violations: list[Violation] = []
     checked = 0
-    for site in recorder.sites():
-        if site == primary_site:
+    for site in history.recorder.sites():
+        if site == history.primary_site:
             continue
         current: dict[Any, Any] = {}
-        for _, what, item in _normalized_timeline(recorder, site):
+        for what, item, index, _era in _site_walk(history, site):
             checked += 1
-            if what == "recover":
-                index = item.commit_ts or 0
-                current = dict(item.value or {})
-            else:
-                for key, (value, deleted) in item.final_writes.items():
-                    if deleted:
-                        current.pop(key, None)
-                    else:
-                        current[key] = value
-                index = item.commit_ts if item.commit_ts is not None else -1
+            current = _replayed(current, what, item)
             if not 0 <= index < len(primary_states):
-                violations.append(Violation(
-                    kind="secondary-ahead",
-                    message=(f"site {site!r} produced state S^{index}, but "
-                             f"the primary only reached "
-                             f"S^{len(primary_states) - 1}")))
+                violations.append(_ahead(site, index,
+                                         len(primary_states) - 1))
                 break
             if current != primary_states[index]:
-                what_label = ("recovery copy" if what == "recover"
-                              else "state")
-                violations.append(Violation(
-                    kind="state-divergence",
-                    message=(f"site {site!r} {what_label} S^{index} diverges "
-                             f"from primary: {current!r} != "
-                             f"{primary_states[index]!r}")))
+                violations.append(_diverged(site, what, index, current,
+                                            primary_states[index]))
                 break
     return CheckResult(criterion="completeness", ok=not violations,
                        violations=violations,
                        checked_transactions=checked)
 
 
-def _incremental_completeness(recorder: HistoryRecorder,
-                              primary_site: str) -> CheckResult:
-    """Per-key completeness check.
-
-    Invariant: before processing each timeline item the secondary's state
-    *is* the primary state ``S^prev`` (verified inductively), so — unlike
-    the legacy replay — that state never needs to be materialised or
-    maintained.  A refresh commit to ``S^index`` can only diverge on the
-    keys it wrote plus the keys the primary wrote in commits
-    ``(min(prev, index), max(prev, index)]``; every other key is equal by
-    the induction hypothesis, and the suspect keys are resolved point-wise
-    against the per-key timeline (the secondary's side is ``S^prev`` plus
-    this refresh's own writes).  A recovery copy is checked key-by-key
-    against the timeline plus a live-key count (so missing keys are
-    caught without materialising the primary state).  Full states are
-    materialised only to render a divergence message.
-
-    Fast path: an in-order refresh (``index == prev + 1``) whose write
-    events replay the primary commit's write events verbatim — same keys,
-    values and delete flags in the same order — needs no per-key
-    verification at all: the state was ``S^prev`` by the induction
-    hypothesis and the exact primary writes take it to ``S^index`` by
-    construction.  This is the overwhelmingly common case, and it touches
-    nothing but the raw write events — no ``final_writes`` dicts, no
-    state dict, no per-key timeline — so on clean histories the
-    incremental checker does strictly less work than the legacy one (the
-    :class:`KeyTimelines` index is only even built when a recovery jump
-    or a non-verbatim refresh shows up)."""
-    primary_updates: list[Optional[Any]] = [None]
-    for view in recorder.committed(site=primary_site):
-        if view.is_update:
-            primary_updates.append(view)
-    n = len(primary_updates) - 1
-    timelines: Optional[KeyTimelines] = None
-
-    def _timelines() -> KeyTimelines:
-        nonlocal timelines
-        if timelines is None:
-            timelines = KeyTimelines()
-            for view in primary_updates[1:]:
-                timelines.append_commit(view.final_writes)
-        return timelines
-
-    def _secondary_state(prev: int, final_writes: dict) -> dict:
-        # Divergence-message path only: S^prev plus the refresh's writes.
-        state = dict(_timelines().state_at(prev))
-        for key, (value, deleted) in final_writes.items():
-            if deleted:
-                state.pop(key, None)
-            else:
-                state[key] = value
-        return state
-
-    violations: list[Violation] = []
-    checked = 0
-    for site in recorder.sites():
-        if site == primary_site:
-            continue
-        prev = 0
-        for _, what, item in _normalized_timeline(recorder, site):
-            checked += 1
-            if what == "recover":
-                index = item.commit_ts or 0
-                if not 0 <= index <= n:
-                    violations.append(Violation(
-                        kind="secondary-ahead",
-                        message=(f"site {site!r} produced state S^{index}, "
-                                 f"but the primary only reached S^{n}")))
-                    break
-                # Recovery copy: every copy key must match S^index, and the
-                # copy must have exactly S^index's live-key count (catching
-                # keys the copy dropped).
-                copy = item.value or {}
-                tl = _timelines()
-                diverged = len(copy) != tl.live_counts[index]
-                if not diverged:
-                    value_at = tl.value_at
-                    for key, value in copy.items():
-                        present, expected = value_at(key, index)
-                        if not present or expected != value:
-                            diverged = True
-                            break
-                if diverged:
-                    violations.append(Violation(
-                        kind="state-divergence",
-                        message=(f"site {site!r} recovery copy S^{index} "
-                                 f"diverges from primary: {dict(copy)!r} != "
-                                 f"{tl.state_at(index)!r}")))
-                    break
-                prev = index
-                continue
-            index = item.commit_ts if item.commit_ts is not None else -1
-            if not 0 <= index <= n:
-                violations.append(Violation(
-                    kind="secondary-ahead",
-                    message=(f"site {site!r} produced state S^{index}, but "
-                             f"the primary only reached S^{n}")))
-                break
-            if index == prev + 1:
-                primary_writes = primary_updates[index].writes
-                item_writes = item.writes
-                if len(item_writes) == len(primary_writes):
-                    for mine, theirs in zip(item_writes, primary_writes):
-                        if (mine.key != theirs.key
-                                or mine.value != theirs.value
-                                or mine.deleted != theirs.deleted):
-                            break
-                    else:
-                        prev = index       # fast path: verbatim replay
-                        continue
-            # Refresh commit: only keys written by this refresh or by the
-            # primary between the last verified state and S^index can
-            # differ.
-            final_writes = item.final_writes
-            suspect_keys = set(final_writes)
-            lo, hi = (prev, index) if prev <= index else (index, prev)
-            tl = _timelines()
-            write_keys = tl.write_keys
-            for i in range(lo + 1, hi + 1):
-                suspect_keys.update(write_keys[i])
-            diverged = False
-            value_at = tl.value_at
-            for key in suspect_keys:
-                present, expected = value_at(key, index)
-                if key in final_writes:
-                    value, deleted = final_writes[key]
-                    actual = _MISSING if deleted else value
-                else:
-                    was_present, value = value_at(key, prev)
-                    actual = value if was_present else _MISSING
-                if present:
-                    if actual is _MISSING or actual != expected:
-                        diverged = True
-                        break
-                elif actual is not _MISSING:
-                    diverged = True
-                    break
-            if diverged:
-                violations.append(Violation(
-                    kind="state-divergence",
-                    message=(f"site {site!r} state S^{index} diverges "
-                             f"from primary: "
-                             f"{_secondary_state(prev, final_writes)!r} != "
-                             f"{tl.state_at(index)!r}")))
-                break
-            prev = index
-    return CheckResult(criterion="completeness", ok=not violations,
-                       violations=violations,
-                       checked_transactions=checked)
+def _verbatim(mine: list, theirs: list) -> bool:
+    """True when a refresh's write events replay the primary commit's
+    exactly: same keys, values and delete flags, in the same order."""
+    if len(mine) != len(theirs):
+        return False
+    for a, b in zip(mine, theirs):
+        if a.key != b.key or a.value != b.value or a.deleted != b.deleted:
+            return False
+    return True
 
 
-def _era_completeness(recorder: HistoryRecorder, primary_site: str,
-                      eras: list[_Era], method: str) -> CheckResult:
-    """Theorem 3.1 across promotion eras (both methods).
+def _refresh_diverges(history: _HistoryAxes, held: Optional[frozenset],
+                      at_era: int, at: int, era: int, index: int,
+                      final_writes: dict[Any, tuple[Any, bool]]) -> bool:
+    """One step of the completeness induction: does applying
+    ``final_writes`` to the (projected) state ``S^at`` of axis ``at_era``
+    fail to produce the (projected) ``S^index`` of axis ``era``?
 
-    Every timeline item at a secondary is audited against the axis of
-    the era it committed in — the truncation point becomes the new axis
-    of comparison, so a replica that applied the old primary's truncated
-    tail and carried it into the new era is flagged as divergent, not
-    excused.  At an era crossing (and after any recovery) the per-key
-    induction restarts with a full-state comparison: the axes agree only
-    on the shared prefix, so inducting across the boundary would be
-    unsound.  A promoted site is audited as a secondary only up to its
-    promotion; afterwards its own commits *define* the axis.
+    The two states agree on every key outside the refresh's own writes
+    and the axis writes above their common ancestor — the smaller index
+    on one axis, clamped to the shared prefix across an era boundary —
+    so only those keys are looked up.  ``held`` is the site's shard set
+    when it subscribes to part of the keyspace: a key on an unsubscribed
+    shard must be absent, whatever the primary holds.
     """
-    axes = _era_axes(recorder, eras)
-    legacy = method == "legacy"
-    if legacy:
-        axis_states = [_materialise_states(axis) for axis in axes]
-        axis_timelines = None
-    else:
-        axis_states = None
-        axis_timelines = []
-        for axis in axes:
-            timelines = KeyTimelines()
-            for view in axis:
-                timelines.append_commit(view.final_writes)
-            axis_timelines.append(timelines)
-    promoted_at = {era.site: era.start_seq for era in eras[1:]}
-    # Promotion fences truncate out-of-order applied commits exactly like
-    # crashes do, so each era boundary also bounds a normalisation run.
-    boundaries = tuple(era.start_seq for era in eras[1:])
-    violations: list[Violation] = []
-    checked = 0
-    for site in recorder.sites():
-        if site == eras[0].site:
-            continue
-        cutoff = promoted_at.get(site)
-        current: dict[Any, Any] = {}
-        prev = 0
-        prev_era = 0
-        for seq, what, item in _normalized_timeline(recorder, site,
-                                                    boundaries):
-            if cutoff is not None and seq > cutoff:
-                break   # promoted: from here on its commits are the axis
-            checked += 1
-            era = _era_of(eras, seq)
-            if what == "recover":
-                index = item.commit_ts or 0
-                current = dict(item.value or {})
-                full_check = True
-            else:
-                final_writes = item.final_writes
-                for key, (value, deleted) in final_writes.items():
-                    if deleted:
-                        current.pop(key, None)
-                    else:
-                        current[key] = value
-                index = item.commit_ts if item.commit_ts is not None else -1
-                full_check = era != prev_era
-            n = (len(axis_states[era]) - 1 if legacy
-                 else axis_timelines[era].num_commits)
-            if not 0 <= index <= n:
-                violations.append(Violation(
-                    kind="secondary-ahead",
-                    message=(f"site {site!r} produced state S^{index}, but "
-                             f"the primary only reached S^{n}")))
-                break
-            if legacy:
-                diverged = current != axis_states[era][index]
-            elif full_check:
-                timelines = axis_timelines[era]
-                diverged = len(current) != timelines.live_counts[index]
-                if not diverged:
-                    value_at = timelines.value_at
-                    for key, value in current.items():
-                        present, expected = value_at(key, index)
-                        if not present or expected != value:
-                            diverged = True
-                            break
-            else:
-                timelines = axis_timelines[era]
-                suspect_keys = set(item.final_writes)
-                lo, hi = (prev, index) if prev <= index else (index, prev)
-                write_keys = timelines.write_keys
-                for i in range(lo + 1, hi + 1):
-                    suspect_keys.update(write_keys[i])
-                diverged = False
-                value_at = timelines.value_at
-                for key in suspect_keys:
-                    present, expected = value_at(key, index)
-                    actual = current.get(key, _MISSING)
-                    if present:
-                        if actual is _MISSING or actual != expected:
-                            diverged = True
-                            break
-                    elif actual is not _MISSING:
-                        diverged = True
-                        break
-            if diverged:
-                what_label = ("recovery copy" if what == "recover"
-                              else "state")
-                expected_state = (axis_states[era][index] if legacy
-                                  else axis_timelines[era].state_at(index))
-                violations.append(Violation(
-                    kind="state-divergence",
-                    message=(f"site {site!r} {what_label} S^{index} diverges "
-                             f"from primary: {current!r} != "
-                             f"{expected_state!r}")))
-                break
-            prev = index
-            prev_era = era
-    return CheckResult(criterion="completeness", ok=not violations,
-                       violations=violations,
-                       checked_transactions=checked)
+    before, after = history.timelines(at_era), history.timelines(era)
+    common = min(at, index)
+    if at_era != era:
+        common = min(common, _shared_prefix_bound(history.eras, at_era, era))
+    suspects = set(final_writes)
+    for i in range(common + 1, at + 1):
+        suspects.update(before.write_keys[i])
+    for i in range(common + 1, index + 1):
+        suspects.update(after.write_keys[i])
+    shard_of = history.shard_of
+    for key in suspects:
+        subscribed = held is None or shard_of[key] in held
+        own = final_writes.get(key)
+        if own is not None:
+            actual = _MISSING if own[1] else own[0]
+        elif subscribed:
+            was_present, value = before.value_at(key, at)
+            actual = value if was_present else _MISSING
+        else:
+            continue        # untouched and unsubscribed: absent both sides
+        present, expected = (after.value_at(key, index) if subscribed
+                             else (False, None))
+        if present:
+            if actual is _MISSING or actual != expected:
+                return True
+        elif actual is not _MISSING:
+            return True
+    return False
 
 
-def _sharded_completeness(recorder: HistoryRecorder, primary_site: str,
-                          subs: dict[str, tuple[frozenset, int]],
-                          eras: list[_Era], method: str) -> CheckResult:
-    """Theorem 3.1 under partial replication (both methods, era-aware).
+def _completeness(history: _HistoryAxes) -> CheckResult:
+    """Theorem 3.1 as one per-key induction per site.
 
-    A subscribing secondary receives only the primary commits whose
-    write sets touch its shards, so its expected timeline is a
-    *subsequence* of the axis, and its state after applying subscribed
-    commit ``c`` is the primary state S^c **projected** onto its
-    subscription.  The audit walks each site's runs along that
-    subscribed subsequence: a gap is legitimate exactly when every
-    skipped commit touches no subscribed shard (the replica was never
-    sent it), while a missing *subscribed* commit still truncates the
-    run — as in :func:`_normalized_timeline`, commits past such a gap
-    never joined a visible snapshot.  A commit that should never have
-    arrived (one touching no subscribed shard) is deliberately kept in
-    the walk so the projected state comparison flags it.  Recovery
-    copies are projected at the source, so they are compared against the
-    projected axis state; promotion fences and the promoted-site cutoff
-    behave exactly as in :func:`_era_completeness`.  One shared
-    implementation serves both checker methods — sharded histories are
-    chaos-storm sized, and the projected full-state comparison keeps the
-    verdicts method-independent by construction.
+    Invariant: before each item of a site's audit walk
+    (:func:`_site_walk`) the site's state *is* the primary state
+    ``S^at`` of axis ``at_era``, projected onto the site's subscription
+    (verified inductively) — so that state never needs to be
+    materialised or maintained.  A refresh commit to ``S^index`` is
+    verified on the keys that can differ (:func:`_refresh_diverges`);
+    the axis is the one of the era the item committed in, so a replica
+    that carried the old primary's truncated tail across a promotion is
+    flagged as divergent, not excused.  The induction restarts at a
+    recovery copy — Section 3.4's one legitimate discontinuity — which
+    is compared in full against the projected ``S^ts`` it claims to be.
+    Apart from that, full states are materialised only to render a
+    divergence message.
+
+    Fast path: an in-order refresh (``index == at + 1``) at a site
+    holding every key, whose write events replay the primary commit's
+    write events verbatim — same keys, values and delete flags in the
+    same order — needs no per-key verification at all: the state was
+    ``S^at`` by the induction hypothesis and the exact primary writes
+    take it to ``S^index`` by construction.  This is the overwhelmingly
+    common case, and it touches nothing but the raw write events, so on
+    a clean unsharded history the :class:`KeyTimelines` index is never
+    even built.
     """
-    axes = _era_axes(recorder, eras)
-    axis_states = [_materialise_states(axis) for axis in axes]
-    num_shards = next(iter(subs.values()))[1]
-    # Per-axis, per-commit shard sets (index 0 unused), shared by every
-    # site's projection walk.
-    axis_commit_shards: list[list[frozenset]] = []
-    for axis in axes:
-        shard_sets = [frozenset()]
-        for view in axis:
-            shard_sets.append(frozenset(
-                key_fingerprint(key) % num_shards
-                for key in view.final_writes))
-        axis_commit_shards.append(shard_sets)
-    promoted_at = {era.site: era.start_seq for era in eras[1:]}
-    boundaries = sorted(era.start_seq for era in eras[1:])
-    full = frozenset(range(num_shards))
     violations: list[Violation] = []
     checked = 0
-    for site in recorder.sites():
-        if site == eras[0].site:
+    for site in history.recorder.sites():
+        if site == history.primary_site:
             continue
-        subscription = subs.get(site, (full, num_shards))[0]
-        # Ascending subscribed commit timestamps per axis: the expected
-        # refresh subsequence for this site.
-        projected = [
-            [ts for ts in range(1, len(shard_sets))
-             if shard_sets[ts] & subscription]
-            for shard_sets in axis_commit_shards]
-        cutoff = promoted_at.get(site)
-        entries = _secondary_timeline(recorder, site)
-        runs: list[list[tuple[int, str, Any]]] = [[]]
-        cut = 0
-        for entry in entries:
-            while cut < len(boundaries) and entry[0] > boundaries[cut]:
-                cut += 1
-                runs.append([])
-            if entry[1] == "recover":
-                runs.append([])
-            runs[-1].append(entry)
-        current: dict[Any, Any] = {}
-        prev = 0
-        done = False
-        for run in runs:
-            if done:
+        held = history.partial_subscription(site)
+        at_era = at = 0
+        for what, item, index, era in _site_walk(history, site):
+            checked += 1
+            axis = history.axes[era]
+            if not 0 <= index <= len(axis):
+                violations.append(_ahead(site, index, len(axis)))
                 break
-            start = 0
-            if run and run[0][1] == "recover":
-                seq, _, event = run[0]
-                if cutoff is not None and seq > cutoff:
-                    break
-                checked += 1
-                era = _era_of(eras, seq)
-                index = event.commit_ts or 0
-                n = len(axis_states[era]) - 1
-                if not 0 <= index <= n:
-                    violations.append(Violation(
-                        kind="secondary-ahead",
-                        message=(f"site {site!r} produced state S^{index}, "
-                                 f"but the primary only reached S^{n}")))
-                    done = True
-                    break
-                current = dict(event.value or {})
-                expected = _project(axis_states[era][index], subscription,
-                                    num_shards)
-                if current != expected:
-                    violations.append(Violation(
-                        kind="state-divergence",
-                        message=(f"site {site!r} recovery copy S^{index} "
-                                 f"diverges from primary: {current!r} != "
-                                 f"{expected!r}")))
-                    done = True
-                    break
-                prev = index
-                start = 1
-            commits = sorted(
-                run[start:],
-                key=lambda e: e[2].commit_ts
-                if e[2].commit_ts is not None else -1)
-            for seq, _, view in commits:
-                if cutoff is not None and seq > cutoff:
-                    done = True   # promoted: its own commits are the axis
-                    break
-                era = _era_of(eras, seq)
-                ts = view.commit_ts if view.commit_ts is not None else -1
-                proj = projected[era]
-                pos = bisect_right(proj, prev)
-                expected_next = proj[pos] if pos < len(proj) else None
-                if expected_next is not None and ts > expected_next:
-                    break   # gap in the subscribed subsequence: truncated
-                checked += 1
-                n = len(axis_states[era]) - 1
-                if not 0 <= ts <= n:
-                    violations.append(Violation(
-                        kind="secondary-ahead",
-                        message=(f"site {site!r} produced state S^{ts}, but "
-                                 f"the primary only reached S^{n}")))
-                    done = True
-                    break
-                for key, (value, deleted) in view.final_writes.items():
-                    if deleted:
-                        current.pop(key, None)
-                    else:
-                        current[key] = value
-                expected = _project(axis_states[era][ts], subscription,
-                                    num_shards)
-                if current != expected:
-                    violations.append(Violation(
-                        kind="state-divergence",
-                        message=(f"site {site!r} state S^{ts} diverges "
-                                 f"from primary: {current!r} != "
-                                 f"{expected!r}")))
-                    done = True
-                    break
-                if ts == expected_next:
-                    prev = ts
+            if what == "recover":
+                diverged = (dict(item.value or {})
+                            != history.projected_state(era, index, held))
+            elif (held is None and era == at_era and index == at + 1
+                  and _verbatim(item.writes, axis[at].writes)):
+                diverged = False        # fast path
+            else:
+                diverged = _refresh_diverges(history, held, at_era, at,
+                                             era, index, item.final_writes)
+            if diverged:
+                current: dict[Any, Any] = {}
+                for seen, earlier, _index, _era in _site_walk(history, site):
+                    current = _replayed(current, seen, earlier)
+                    if earlier is item:
+                        break
+                violations.append(_diverged(
+                    site, what, index, current,
+                    history.projected_state(era, index, held)))
+                break
+            at_era, at = era, index
     return CheckResult(criterion="completeness", ok=not violations,
                        violations=violations,
                        checked_transactions=checked)
@@ -1431,24 +1118,17 @@ def check_completeness(recorder: HistoryRecorder,
     mistimed copy is flagged, not trusted.
 
     Histories from dependency-tracked parallel refresh commit out of
-    primary order at the secondaries; see :func:`_normalized_timeline`
-    for how the audit re-orders each run by commit number (the watermark
-    invariant guarantees only such prefixes were ever visible) while
-    remaining byte-identical on strict-FIFO histories.
-
-    Partial-replication histories (those with "subscribe" events) route
-    to :func:`_sharded_completeness`, which audits each secondary
-    against the sub-history projected onto its subscription.
+    primary order at the secondaries; see :func:`_site_walk` for how the
+    audit re-orders each run by commit number (the watermark invariant
+    guarantees only such prefixes were ever visible) while remaining
+    byte-identical on strict-FIFO histories.  Under partial replication
+    (histories with "subscribe" events) each secondary is audited
+    against the sub-history projected onto its subscription, and across
+    promotions against the axis of the era each item committed in.
     """
     _check_method(method)
     _check_detail(recorder)
-    eras = _promotion_eras(recorder, primary_site)
-    subs = _subscriptions(recorder)
-    if subs:
-        return _sharded_completeness(recorder, primary_site, subs, eras,
-                                     method)
-    if len(eras) > 1:
-        return _era_completeness(recorder, primary_site, eras, method)
-    if method == "legacy":
-        return _legacy_completeness(recorder, primary_site)
-    return _incremental_completeness(recorder, primary_site)
+    history = _HistoryAxes(recorder, primary_site, completeness=True)
+    if method == "legacy" and len(history.eras) == 1 and not history.subs:
+        return _legacy_completeness(history)
+    return _completeness(history)

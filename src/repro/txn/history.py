@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Optional
 
 #: Event kinds dropped by ``detail="commits"`` recording.
@@ -141,11 +142,14 @@ class TxnView:
 
         Later reads of the same key may legitimately return the
         transaction's own writes; the first pre-write read pins the
-        snapshot.
+        snapshot.  A transaction that wrote nothing has no own-writes to
+        skip, so its reads are walked as recorded, without a merge.
         """
         out: dict[Any, Any] = {}
         written: set[Any] = set()
-        events = sorted(self.reads + self.writes, key=lambda e: e.seq)
+        events = self.reads
+        if self.writes:
+            events = sorted(events + self.writes, key=attrgetter("seq"))
         for event in events:
             if event.kind == "write":
                 written.add(event.key)
@@ -203,6 +207,7 @@ class HistoryRecorder:
         self._ids: tuple = (None, None, None)
         self._views_cache: Optional[dict[tuple[str, int], TxnView]] = None
         self._views_cache_len = -1
+        self._site_events: list[HistoryEvent] = []
         self._committed_cache: dict[Optional[str], list[TxnView]] = {}
         self._committed_cache_len = -1
         self._events_at_cache: dict[str, list[HistoryEvent]] = {}
@@ -309,9 +314,11 @@ class HistoryRecorder:
                 and self._views_cache_len == len(self.events)):
             return self._views_cache
         views: dict[tuple[str, int], TxnView] = {}
+        site_events = self._site_events = []
         for event in self.events:
             if event.kind in ("recover", "promote", "subscribe"):
-                continue   # site-level events, not transactions
+                site_events.append(event)   # site-level, no transaction
+                continue
             key = (event.site, event.txn_id)
             view = views.get(key)
             if view is None:
@@ -346,6 +353,14 @@ class HistoryRecorder:
         self._views_cache = views
         self._views_cache_len = len(self.events)
         return views
+
+    def site_events(self) -> list[HistoryEvent]:
+        """Site-level events (recover / promote / subscribe) in history
+        order, set aside by the :meth:`transactions` pass and cached with
+        it — the checkers ask for these few events several times per
+        check, and each ask used to walk the whole history."""
+        self.transactions()
+        return self._site_events
 
     def committed(self, site: Optional[str] = None) -> list[TxnView]:
         """Committed transactions (optionally one site), in commit order.

@@ -13,6 +13,7 @@ import pytest
 from repro.core.guarantees import Guarantee
 from repro.core.monitoring import aggregate_sessions, system_status
 from repro.core.promotion import PromotionConfig
+from repro.core.sharding import ShardingConfig
 from repro.core.system import ReplicatedSystem
 from repro.errors import (
     ConfigurationError,
@@ -238,6 +239,30 @@ def test_blocked_strong_session_read_unblocks_with_lost_updates_error():
     # seq(c)=2, which no replica will ever reach.
     system.kernel.call_at(system.kernel.now + 2.0,
                           system.promote_secondary)
+    with pytest.raises(LostUpdatesError):
+        session.read("x")
+
+
+@pytest.mark.parametrize("sharding", [None, ShardingConfig(shards=4)],
+                         ids=["unsharded", "sharded"])
+def test_read_parked_on_a_fenced_replica_wakes_with_lost_updates_error(
+        sharding):
+    """The same wait, parked on a replica the promotion *fences* rather
+    than retires.  The fence notifies the replica's waiters before the
+    session reconcile assigns the lost window, so without a second
+    wake-up after the reconcile the read never re-evaluates its
+    predicate (``DeadlockError`` — chaos seed 9 with ``--shards 8
+    --primary-kill``)."""
+    system = make_system(sharding=sharding)
+    session = system.session(Guarantee.STRONG_SESSION_SI, secondary=1)
+    session.write("x", 1)
+    system.quiesce()
+    system.propagator.pause()
+    session.write("x", 2)          # acknowledged, never shipped
+    system.run()
+    system.kill_primary()
+    system.kernel.call_at(system.kernel.now + 2.0,
+                          system.promote_secondary, 0)
     with pytest.raises(LostUpdatesError):
         session.read("x")
 

@@ -16,11 +16,16 @@ from repro.core.records import key_fingerprint
 from repro.core.sharding import ShardingConfig, shard_of, shard_of_fp
 from repro.core.system import ReplicatedSystem
 from repro.errors import ConfigurationError, ShardUnavailableError
+from repro.faults.channel import ChannelFaults
+from repro.storage.engine import SIDatabase
 from repro.txn.checkers import (
     check_completeness,
     check_strong_session_si,
     check_weak_si,
 )
+from repro.txn.history import HistoryRecorder
+
+from tests.txn.test_incremental_checkers import read, update
 
 SHARDS = 8
 
@@ -272,6 +277,52 @@ def test_promotion_picks_full_coverage_holder():
             projected(primary, sharding.subscription_for(index))
 
 
+def test_partial_subscriber_ahead_of_the_candidate_is_resynced():
+    """Gap-tolerant refresh lets a half-subscriber apply commits the
+    freshest *full-coverage* replica never received.  Promotion truncates
+    them; a fence alone would leave them installed and readable, so the
+    replica is resynced from the new primary (Section 3.4 path) with its
+    per-shard frontiers set back to the surviving prefix."""
+    everything = tuple(range(SHARDS))
+    sharding = ShardingConfig(shards=SHARDS, placement=(
+        everything, everything, (0, 1, 2, 3)))
+    system = ReplicatedSystem(num_secondaries=3, propagation_delay=0.1,
+                              sharding=sharding, channel_faults=ChannelFaults(),
+                              promotion=PromotionConfig())
+    writer = system.session(Guarantee.STRONG_SESSION_SI, secondary=2)
+    keys = keys_for(0)
+    writer.write(keys[0], "kept")
+    system.quiesce()
+    system.partition(0)                        # both full replicas cut off
+    system.partition(1)
+    writer.write(keys[1], "truncated")
+    writer.write(keys[2], "truncated")
+    assert writer.read(keys[2]) == "truncated"
+    half = system.secondaries[2]
+    assert half.seq_db == 3 and half.shard_frontier[0] == 3
+    assert system.secondaries[0].seq_db == 1
+
+    system.kill_primary()
+    report = system.promote_secondary()
+    assert report.base_commit_ts == 1
+    assert report.resynced == ("secondary-3",)
+    assert half.live and half.recover_count == 1
+    assert half.seq_db == 1 and half.shard_frontier[0] == 1
+    assert system.secondary_state(2) == {keys[0]: "kept"}
+
+    fresh = system.session(Guarantee.STRONG_SESSION_SI, secondary=2)
+    fresh.write(keys[1], "new era")
+    assert fresh.read(keys[1]) == "new era"
+    system.quiesce()
+    assert system.secondary_state(2) == \
+        projected(system.primary_state(), half.subscription)
+    for method in ("incremental", "legacy"):
+        for check in (check_completeness, check_weak_si,
+                      check_strong_session_si):
+            result = check(system.recorder, method=method)
+            assert result.ok, result.violations
+
+
 # -- checkers over projected sub-histories -------------------------------------
 
 
@@ -291,3 +342,173 @@ def test_checkers_pass_on_sharded_history(method):
                   check_strong_session_si):
         result = check(system.recorder, method=method)
         assert result.ok, result.summary()
+
+
+# -- litmus verdicts: hand-built sharded histories ------------------------------
+#
+# Tiny adversarial histories with the verdict each must get, under both
+# checker methods.  Two replicas subscribe to complementary halves of a
+# four-shard keyspace; A0/A1 live on the first half, B2 on the second.
+
+LITMUS_SHARDS = 4
+A0, A1, B2 = (keys_for(shard, count=1, shards=LITMUS_SHARDS)[0]
+              for shard in (0, 1, 2))
+METHODS = ("incremental", "legacy")
+
+
+class Litmus:
+    """A primary and two half-subscribers recording into one history."""
+
+    def __init__(self, subscriptions=((0, 1), (2, 3))):
+        self.recorder = HistoryRecorder()
+        self.primary = SIDatabase(name="primary", recorder=self.recorder)
+        self.replicas = []
+        for index, shards in enumerate(subscriptions, start=1):
+            name = f"secondary-{index}"
+            self.replicas.append(SIDatabase(name=name,
+                                            recorder=self.recorder))
+            if shards is not None:
+                self.recorder.record_subscription(
+                    name, frozenset(shards), LITMUS_SHARDS, 0.0)
+
+    def refresh(self, replica, of_logical, commit_ts, writes):
+        """Apply (a projection of) primary commit ``commit_ts``."""
+        db = self.replicas[replica]
+        txn = db.begin(update=True, metadata={
+            "logical_id": f"refresh-{of_logical}@{db.name}",
+            "refresh_of": of_logical})
+        for key, value in writes.items():
+            txn.write(key, value)
+        db.commit_refresh_at(txn, commit_ts)
+        db.advance_commit_counter(commit_ts)
+
+    def verdicts(self, check):
+        results = [check(self.recorder, method=method) for method in METHODS]
+        assert results[0].violations == results[1].violations
+        assert results[0].checked_transactions \
+            == results[1].checked_transactions
+        return results[0]
+
+
+def test_litmus_projected_write_dropped_is_divergence():
+    h = Litmus()
+    update(h.primary, "t1", "c1", {A0: 1, A1: 1})
+    h.refresh(0, "t1", 1, {A0: 1})             # A1 lost on the way
+    result = h.verdicts(check_completeness)
+    assert [v.kind for v in result.violations] == ["state-divergence"]
+    assert "'secondary-1' state S^1" in result.violations[0].message
+
+
+def test_litmus_unsubscribed_commit_delivered_anyway_is_flagged():
+    h = Litmus()
+    update(h.primary, "t1", "c1", {B2: 1})
+    h.refresh(1, "t1", 1, {B2: 1})
+    h.refresh(0, "t1", 1, {B2: 1})             # replica 0 holds shards 0-1
+    result = h.verdicts(check_completeness)
+    assert [v.kind for v in result.violations] == ["state-divergence"]
+    assert "'secondary-1'" in result.violations[0].message
+
+
+def test_litmus_gap_over_unsubscribed_commits_passes():
+    h = Litmus()
+    update(h.primary, "t1", "c1", {A0: 1})
+    update(h.primary, "t2", "c1", {B2: 2})
+    update(h.primary, "t3", "c1", {A1: 3})
+    h.refresh(0, "t1", 1, {A0: 1})
+    h.refresh(0, "t3", 3, {A1: 3})             # S^2 never shipped here
+    h.refresh(1, "t2", 2, {B2: 2})
+    read(h.replicas[0], "r1", "c1", [A0, A1])
+    completeness = h.verdicts(check_completeness)
+    assert completeness.ok, completeness.violations
+    assert completeness.checked_transactions == 3
+    assert h.verdicts(check_weak_si).ok
+    assert h.verdicts(check_strong_session_si).ok
+
+
+def test_litmus_gap_over_a_subscribed_commit_truncates_the_run():
+    """The complement: past a *subscribed* gap nothing was ever visible,
+    so the tail is not audited (and not counted)."""
+    h = Litmus()
+    update(h.primary, "t1", "c1", {A0: 1})
+    update(h.primary, "t2", "c1", {A1: 2})
+    update(h.primary, "t3", "c1", {A0: 3})
+    h.refresh(0, "t1", 1, {A0: 1})
+    h.refresh(0, "t3", 3, {A0: "garbage"})     # above the hole at S^2
+    completeness = h.verdicts(check_completeness)
+    assert completeness.ok
+    assert completeness.checked_transactions == 1
+
+
+def test_litmus_stale_read_on_the_written_shard_is_an_inversion():
+    h = Litmus()
+    update(h.primary, "t1", "c1", {A0: 1})
+    read(h.replicas[0], "r1", "c1", [A0])      # own write not applied yet
+    result = h.verdicts(check_strong_session_si)
+    assert [v.kind for v in result.violations] == ["transaction-inversion"]
+    assert "requires at least S^1" in result.violations[0].message
+    assert h.verdicts(check_weak_si).ok
+
+
+def nmsi_history(subscriptions):
+    h = Litmus(subscriptions)
+    update(h.primary, "t1", "c9", {A0: 1})
+    update(h.primary, "t2", "c1", {B2: 2})
+    update(h.primary, "t3", "c9", {A0: 3})
+    update(h.primary, "t4", "c1", {B2: 4})
+    h.refresh(0, "t1", 1, {A0: 1})
+    # c1 wrote S^4, then reads A0 where only S^1 has arrived: in commit
+    # numbers the read is three states behind the session's own write.
+    read(h.replicas[0], "r1", "c1", [A0])
+    return h
+
+
+def test_litmus_same_staleness_on_an_untouched_shard_passes():
+    """The NMSI weakening, stated as a test: c1 only ever wrote shard 2,
+    so it left no obligation on shard 0, the one shard its read touches.
+    The identical events without the subscriptions are an inversion."""
+    assert nmsi_history(((0, 1), (2, 3))).verdicts(
+        check_strong_session_si).ok
+    unsharded = nmsi_history((None, None)).verdicts(check_strong_session_si)
+    assert [v.kind for v in unsharded.violations] == \
+        ["transaction-inversion"]
+    assert "requires at least S^4" in unsharded.violations[0].message
+
+
+def promoted_litmus():
+    """secondary-1 (full coverage) is promoted at S^1; c1's acknowledged
+    S^2 died with the old primary and the new axis reuses the number."""
+    h = Litmus(((0, 1, 2, 3), (0, 1), (0, 1)))
+    update(h.primary, "t1", "c9", {A0: 1})
+    h.refresh(0, "t1", 1, {A0: 1})
+    update(h.primary, "t2", "c1", {A0: 2})     # obligation S^2, truncated
+    h.recorder.record_promotion(old_site="primary", new_site="secondary-1",
+                                time=10.0, truncation_ts=1)
+    update(h.replicas[0], "t3", "c9", {A0: 30})     # the new axis' S^2
+    h.refresh(1, "t1", 1, {A0: 1})
+    return h
+
+
+def test_litmus_cross_era_obligation_clamps_to_the_shared_prefix():
+    h = promoted_litmus()
+    read(h.replicas[1], "r1", "c1", [A0])      # S^1: all that survived
+    assert h.verdicts(check_strong_session_si).ok
+    assert h.verdicts(check_completeness).ok
+
+
+def test_litmus_clamped_cross_era_obligation_still_binds():
+    h = promoted_litmus()
+    read(h.replicas[2], "r1", "c1", [A0])      # S^0: behind the prefix
+    result = h.verdicts(check_strong_session_si)
+    assert [v.kind for v in result.violations] == ["transaction-inversion"]
+    assert "requires at least S^1" in result.violations[0].message
+
+
+def test_litmus_unprojected_recovery_copy_is_flagged():
+    h = Litmus()
+    update(h.primary, "t1", "c1", {A0: 1, B2: 1})
+    h.recorder.record_recovery("secondary-1", 1.0, {A0: 1, B2: 1}, 1)
+    h.recorder.record_recovery("secondary-2", 1.0, {B2: 1}, 1)
+    result = h.verdicts(check_completeness)
+    assert [v.kind for v in result.violations] == ["state-divergence"]
+    assert "'secondary-1' recovery copy S^1" in result.violations[0].message
+    assert result.checked_transactions == 2    # secondary-2's copy is right

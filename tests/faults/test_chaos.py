@@ -368,7 +368,11 @@ def test_sharded_storm_converges_and_passes_checkers(seed):
     assert result.ok
 
 
-@pytest.mark.parametrize("seed", range(8))
+#: Seeds 9, 15 and 18 failed until ISSUE 19: 9 parked a read across the
+#: promotion forever (``DeadlockError``); in 15 and 18 a half-subscriber
+#: had run ahead of the promoted candidate and kept serving the
+#: truncated tail (completeness / weak SI violations).
+@pytest.mark.parametrize("seed", [*range(8), 9, 15, 18])
 def test_sharded_promotion_storm(seed):
     """A permanent primary kill under partial placement: only a
     full-coverage replica may be promoted, and the rebuilt per-shard

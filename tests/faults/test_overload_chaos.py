@@ -84,7 +84,10 @@ def test_overload_sweep_exercises_every_protection_layer():
             assert result.max_reported_staleness >= 0
 
 
-@pytest.mark.parametrize("seed", range(3))
+#: Seed 7 elects twice — the first successor's lease lapses too — and
+#: used to die in the harness's settle step, which tried to "recover"
+#: the retired first successor (the CI sweep's only red seed).
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
 def test_overload_composes_with_autonomous_failover(seed):
     """A mid-burst permanent primary kill: the breaker and retry budget
     absorb the dead-primary window while the heartbeat/lease control
