@@ -161,7 +161,6 @@ class SecondarySite:
 
     def __init__(self, kernel: Kernel, name: str, recorder: Any = None,
                  serial_refresh: bool = False,
-                 applicator_pool: Optional[int] = None,
                  parallel_refresh: Optional[int] = None,
                  refresh_apply_cost: float = 0.0,
                  subscription: Optional[frozenset] = None,
@@ -194,7 +193,6 @@ class SecondarySite:
         #: before the failure are discarded on arrival.
         self.epoch = 0
         self.refresher = Refresher(kernel, self, serial=serial_refresh,
-                                   pool_size=applicator_pool,
                                    parallel=parallel_refresh,
                                    apply_cost=refresh_apply_cost)
         self.records_dropped = 0
@@ -293,9 +291,9 @@ class SecondarySite:
                             commit_ts: int) -> None:
         """Advance the per-shard frontiers for one newly *visible* commit.
 
-        Called by the refresher when a sharded commit's versions become
-        externally visible (at commit for FIFO refresh, at watermark
-        advance for parallel refresh).  Both maps only grow; the blocked
+        Called by the refresher's publish loop as a commit's versions
+        become externally visible (a no-op for the empty ``shard_seqs``
+        of an unsharded stream).  Both maps only grow; the blocked
         readers are woken by the caller's ``set_seq_db``.
         """
         frontier = self.shard_frontier

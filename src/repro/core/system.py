@@ -899,29 +899,21 @@ class ReplicatedSystem:
     serial_refresh:
         Apply refresh transactions serially instead of concurrently
         (the ablation baseline; default off).
-    applicator_pool:
-        Optional size of a reusable applicator pool per secondary.  When
-        set, commit records are drained by that many long-lived worker
-        processes (no per-commit process creation) and pending-queue
-        wakeups are coalesced; ``None`` (the default) keeps the classic
-        spawn-per-commit refresher, bit-identical to earlier versions.
     parallel_refresh:
         Optional worker count enabling **dependency-tracked parallel
         refresh** at every secondary: commit records carry write-set
-        fingerprints and a conflict dependency, workers apply any
-        runnable (all conflicting predecessors applied) commit
-        out of primary order, and ``seq(DBsec)`` advances only at the
-        contiguous-applied watermark so every externally visible
-        snapshot is still some primary state S^i.  Mutually exclusive
-        with ``serial_refresh``/``applicator_pool``; ``None`` (the
-        default) keeps the strict-FIFO refreshers, bit-identical to
-        earlier versions.
+        fingerprints and a conflict dependency, at most this many
+        applicators replay runnable (all conflicting predecessors
+        applied) commits and install them out of primary order, and
+        ``seq(DBsec)`` advances only along the contiguous applied
+        prefix so every externally visible snapshot is still some
+        primary state S^i.  Mutually exclusive with ``serial_refresh``;
+        ``None`` (the default) is the paper's refresh: one applicator
+        per commit, committing in primary commit order.
     refresh_apply_cost:
         Virtual-time cost charged per update operation while applying a
         refresh transaction (models the secondary's apply work; the
-        quantity parallel refresh overlaps).  ``0.0`` (the default)
-        adds no events and keeps runs bit-identical to earlier
-        versions.
+        quantity parallel refresh overlaps; default ``0.0``).
     autovacuum_interval:
         Optional virtual-time cadence for per-site autovacuum daemons
         that garbage-collect version chains at the GC horizon (primary
@@ -1002,7 +994,6 @@ class ReplicatedSystem:
                  record_history: bool = True,
                  history_detail: str = "ops",
                  serial_refresh: bool = False,
-                 applicator_pool: Optional[int] = None,
                  parallel_refresh: Optional[int] = None,
                  refresh_apply_cost: float = 0.0,
                  autovacuum_interval: Optional[float] = None,
@@ -1036,7 +1027,6 @@ class ReplicatedSystem:
             SecondarySite(self.kernel, name=f"secondary-{i + 1}",
                           recorder=self.recorder,
                           serial_refresh=serial_refresh,
-                          applicator_pool=applicator_pool,
                           parallel_refresh=parallel_refresh,
                           refresh_apply_cost=refresh_apply_cost,
                           subscription=subscriptions[i],

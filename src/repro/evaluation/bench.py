@@ -19,8 +19,8 @@ tolerance):
   over a generated 10k-commit, 5-secondary history, plus the recorded
   history's approximate byte size;
 * **parallel refresh** (schema 4) — secondary apply throughput and
-  replication lag of the dependency-tracked parallel scheduler vs the
-  FIFO applicator pool at 1/2/4/8 workers under the 80/20 and 95/5
+  replication lag of the dependency-tracked parallel scheduler at
+  1/2/4/8 workers vs ordered (paper) refresh under the 80/20 and 95/5
   transaction mixes.  These legs run in *virtual* time, so the numbers
   are deterministic per seed (they measure scheduling, not the host);
 * **overload** (schema 7) — a flash-crowd burst driven open-loop
@@ -52,8 +52,8 @@ from repro.evaluation.runner import figure_series, run_sweep, write_csv
 #: generated 10k-commit history) + ``history_bytes``, and replaces the
 #: meaningless single-CPU figure-2 speedup with ``jobs_effective`` and a
 #: ``null`` speedup.  Schema 4 adds ``parallel_refresh``: secondary
-#: apply throughput and replication lag, FIFO pool vs dependency-tracked
-#: parallel scheduler, per worker count and transaction mix.  Schema 6
+#: apply throughput and replication lag, ordered refresh vs
+#: dependency-tracked parallel scheduler, per worker count and mix.  Schema 6
 #: adds ``partial_replication``: per-secondary apply volume, link volume
 #: fraction and drain speedup of keyspace sharding at subscription
 #: fraction 1/2 vs full replication on the 95/5 mix.  Schema 7 adds
@@ -271,7 +271,8 @@ def bench_checkers(commits: int = CHECKER_BENCH_COMMITS,
 
 # -- schema 4: dependency-tracked parallel refresh ---------------------------
 
-#: Worker counts compared (applicator_pool=N vs parallel_refresh=N).
+#: Worker counts compared (parallel_refresh=N; the ordered engine reads
+#: the same at every N — relationship 2 serialises a sequential stream).
 APPLY_BENCH_WORKERS = (1, 2, 4, 8)
 
 #: Transaction mixes: label -> update-transaction probability.  80/20 is
@@ -327,8 +328,7 @@ def _apply_bench_txns(update_prob: float, seed: int) -> list[list]:
 
 def _apply_bench_system(mode: str, workers: int):
     from repro.core.system import ReplicatedSystem
-    knob = {"applicator_pool": workers} if mode == "fifo" \
-        else {"parallel_refresh": workers}
+    knob = {} if mode == "fifo" else {"parallel_refresh": workers}
     return ReplicatedSystem(num_secondaries=1, propagation_delay=0.1,
                             record_history=False,
                             refresh_apply_cost=APPLY_BENCH_COST, **knob)
@@ -385,7 +385,7 @@ def _paced_lag(txns: list[list], mode: str, workers: int) -> float:
 
 
 def bench_parallel_refresh(seed: int = 42) -> dict:
-    """FIFO pool vs dependency-tracked parallel refresh (schema 4)."""
+    """Ordered vs dependency-tracked parallel refresh (schema 4)."""
     result: dict = {
         "workers": list(APPLY_BENCH_WORKERS),
         "apply_cost": APPLY_BENCH_COST,
@@ -901,7 +901,7 @@ def run_bench(jobs: Optional[int] = None, out: Optional[Path] = None,
     print(f"  history: {checker_timings['history_events']} events, "
           f"{checker_timings['history_bytes'] / 1e6:.1f} MB")
 
-    print("Benchmarking parallel refresh vs FIFO pool "
+    print("Benchmarking parallel vs ordered refresh "
           f"(workers {APPLY_BENCH_WORKERS}) ...")
     parallel_refresh = bench_parallel_refresh(seed=seed)
     for mix, stats in parallel_refresh["mixes"].items():

@@ -5,7 +5,7 @@ is virtual time and ``seq`` is a monotonically increasing sequence number
 that breaks ties, so execution order is fully deterministic.
 
 One event queue implements that total order.  Same-instant events —
-wakeups, resumes, coalesced notifies, which dominate every workload in
+wakeups, resumes, zero-delay callbacks, which dominate every workload in
 this repository — go to an array-backed *ready* deque (O(1) append/pop,
 no comparisons).  Every other event is pushed onto a single binary heap
 keyed by ``(when, seq)``.  When the ready deque drains, the kernel

@@ -106,7 +106,7 @@ class _SecondaryModel:
         #: Running peak of len(pending) (mirrors counters.max_pending).
         self.feed_peak = 0
         self.refreshes_applied = 0
-        # -- pool / parallel-refresh state (dormant in classic mode) ----
+        # -- parallel-refresh state (dormant in classic mode) -----------
         self.work: Queue | None = None
         self.applied: set[int] = set()
         self.parked: dict[int, list[_CommitRecord]] = {}
@@ -219,7 +219,6 @@ class LazyReplicationModel:
                           daemon=True)
         params = self.params
         classic = (params.parallel_refresh is None
-                   and params.applicator_pool is None
                    and not params.serial_refresh)
         for secondary in self.secondaries:
             if classic and hasattr(secondary.server, "request_call"):
@@ -513,21 +512,18 @@ class LazyReplicationModel:
         # per-commit f-string and attribute walks add up at scale).
         params = self.params
         parallel = params.parallel_refresh
-        pool = params.applicator_pool
         serial = params.serial_refresh
         spawn = self.kernel.spawn
         pending = secondary.pending
         started = secondary.started
         max_pending = self.counters.max_pending
         applicator_name = f"applicator-{secondary.index}"
-        if parallel is not None or pool is not None:
+        if parallel is not None:
             secondary.work = Queue(self.kernel,
                                    name=f"sec{secondary.index}-work")
-            runner = (self._parallel_worker if parallel is not None
-                      else self._pool_worker)
-            for i in range(parallel if parallel is not None else pool):
-                spawn(runner(secondary), name=f"{applicator_name}:{i}",
-                      daemon=True)
+            for i in range(parallel):
+                spawn(self._parallel_worker(secondary),
+                      name=f"{applicator_name}:{i}", daemon=True)
         sec_index = secondary.index
         peak = max_pending.get(sec_index, 0)
         while True:
@@ -563,9 +559,6 @@ class LazyReplicationModel:
                     pending.append(record.commit_ts)
                     if len(pending) > peak:
                         peak = max_pending[sec_index] = len(pending)
-                    if pool is not None:
-                        secondary.work.put(record)
-                        continue
                     applicator = spawn(
                         self._applicator(secondary, record),
                         name=applicator_name, daemon=True, eager=True)
@@ -639,34 +632,6 @@ class LazyReplicationModel:
         secondary.refreshes_applied += 1
         secondary.pending_cond.notify_all()
         secondary.seq_cond.notify_all()
-
-    def _pool_worker(self, secondary: _SecondaryModel):
-        """Long-lived FIFO applicator: applies work-queue records in
-        arrival (= primary commit) order, committing at the pending head
-        exactly like the spawn-per-commit applicator.  Workers dequeue in
-        commit order, so the pending head is always held by some worker
-        and head-of-line blocking cannot deadlock."""
-        params = self.params
-        subscription = secondary.subscription
-        while True:
-            record = yield secondary.work.get()
-            if subscription is not None \
-                    and record.shard not in subscription:
-                self.counters.sharded_skips += 1
-            elif record.update_ops:
-                yield secondary.server.request(
-                    record.update_ops * params.op_service_time)
-            if not (secondary.pending
-                    and secondary.pending[0] == record.commit_ts):
-                yield secondary.pending_cond.wait_for(
-                    lambda: (secondary.pending
-                             and secondary.pending[0] == record.commit_ts))
-            if record.commit_ts > secondary.seq_db:
-                secondary.seq_db = record.commit_ts
-            secondary.pending.popleft()
-            secondary.refreshes_applied += 1
-            secondary.pending_cond.notify_all()
-            secondary.seq_cond.notify_all()
 
     def _parallel_worker(self, secondary: _SecondaryModel):
         """Dependency-tracked applicator: applies any runnable commit

@@ -63,18 +63,11 @@ class SimulationParameters:
     server_discipline: str = "ps"      # "ps" | "rr" | "fifo"
     per_op_requests: bool = False      # one server request per operation
     serial_refresh: bool = False       # naive serial replay (ablation)
-    #: Bounded FIFO applicator pool per secondary: commit records are
-    #: applied by this many long-lived workers in arrival order, still
-    #: committing in primary commit order (head-of-line blocking and
-    #: all).  ``None`` keeps the classic unbounded spawn-per-commit
-    #: applicators, bit-identical to earlier versions.
-    applicator_pool: int | None = None
     #: Dependency-tracked parallel refresh: commit records carry a
     #: conflict dependency and this many workers apply any runnable
     #: commit out of order; ``seq(DBsec)`` advances at the contiguous
-    #: watermark.  Mutually exclusive with ``serial_refresh`` and
-    #: ``applicator_pool``; ``None`` (default) is bit-identical to
-    #: earlier versions.
+    #: watermark.  Mutually exclusive with ``serial_refresh``; ``None``
+    #: (default) is bit-identical to earlier versions.
     parallel_refresh: int | None = None
     #: Probability a commit conflicts with (depends on) a recent earlier
     #: commit.  Drawn from a dedicated RNG stream, and only when
@@ -136,15 +129,13 @@ class SimulationParameters:
                 f"unknown server discipline {self.server_discipline!r}")
         if self.freshness_bound is not None and self.freshness_bound < 0:
             raise ConfigurationError("freshness_bound must be >= 0")
-        if self.applicator_pool is not None and self.applicator_pool < 1:
-            raise ConfigurationError("applicator_pool must be >= 1")
         if self.parallel_refresh is not None:
             if self.parallel_refresh < 1:
                 raise ConfigurationError("parallel_refresh must be >= 1")
-            if self.serial_refresh or self.applicator_pool is not None:
+            if self.serial_refresh:
                 raise ConfigurationError(
                     "parallel_refresh is mutually exclusive with "
-                    "serial_refresh and applicator_pool")
+                    "serial_refresh")
         if not 0.0 <= self.conflict_prob <= 1.0:
             raise ConfigurationError("conflict_prob must be in [0,1]")
         if self.shards is not None and self.shards < 2:

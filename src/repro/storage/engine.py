@@ -432,22 +432,22 @@ class SIDatabase:
     def commit_refresh_at(self, txn: Transaction, commit_ts: int) -> int:
         """Commit a refresh transaction at an explicit primary timestamp.
 
-        The parallel-refresh scheduler applies non-conflicting refresh
-        transactions out of primary commit order, which breaks the two
-        assumptions of the ordinary :meth:`Transaction.commit` path:
+        Every refresh transaction commits here rather than through
+        :meth:`Transaction.commit`, whose two assumptions do not hold at
+        a secondary:
 
-        * **first-committer-wins does not apply** — a conflicting
-          predecessor legitimately committed *after* this refresh
-          transaction's snapshot was taken (the primary already
-          serialised the pair; re-running its concurrency control here
-          would re-fight a settled conflict);
+        * **first-committer-wins does not apply** — the primary already
+          serialised every conflicting pair, and under parallel refresh
+          a conflicting predecessor legitimately commits *after* this
+          refresh transaction's snapshot was taken (re-running
+          concurrency control here would re-fight a settled conflict);
         * **the commit counter must not advance** — ``commit_ts`` is the
           primary's state number for this transaction, and the local
-          counter (== ``seq(DBsec)``) only moves at watermark boundaries
-          via :meth:`advance_commit_counter`, so snapshots never expose
-          a state with holes in it.
+          counter (== ``seq(DBsec)``) moves only when the refresher
+          publishes the commit via :meth:`advance_commit_counter`, so
+          snapshots never expose a state with holes in it.
 
-        Per-chain monotonicity still holds: the scheduler orders
+        Per-chain monotonicity still holds: the refresher orders
         conflicting predecessors first, so every written chain's newest
         version predates ``commit_ts`` (``VersionChain.install`` raises
         otherwise, turning a scheduler bug into a loud failure).
@@ -469,11 +469,11 @@ class SIDatabase:
         return commit_ts
 
     def advance_commit_counter(self, commit_ts: int) -> None:
-        """Publish the watermark: move the latest-snapshot pointer to
+        """Publish a refresh commit: move the latest-snapshot pointer to
         ``commit_ts`` (forward-only).  Versions installed beyond the old
         counter by :meth:`commit_refresh_at` become visible to new
-        default-snapshot transactions exactly when the contiguous applied
-        prefix reaches them."""
+        default-snapshot transactions exactly when the applied prefix
+        reaches them."""
         if commit_ts > self._commit_counter:
             self._commit_counter = commit_ts
 

@@ -359,21 +359,21 @@ def test_fencing_discards_stale_inflight_records():
     assert_checkers_pass(system)
 
 
-def test_promotion_fences_loaded_applicator_pools():
-    """Promotion while every secondary's pool is mid-drain — commits
-    queued in the work queue, refresh transactions claimed by workers
-    and open in the engine — must not wedge: the fence aborts the open
-    refreshes, counts every queued-but-unapplied record, and the new
-    regime proceeds cleanly."""
-    system = make_system(applicator_pool=2, refresh_apply_cost=0.4)
+def test_promotion_fences_loaded_applicators():
+    """Promotion while every secondary's refresher is mid-drain —
+    commits queued for the applicator slot, refresh transactions being
+    replayed and open in the engine — must not wedge: the fence aborts
+    the open refreshes, counts every queued-but-unapplied record, and
+    the new regime proceeds cleanly."""
+    system = make_system(serial_refresh=True, refresh_apply_cost=0.4)
     session = system.session()
     for i in range(6):
         session.write(f"k{i}", i)
     # Records arrive at t=1 (propagation delay); each apply costs 0.4 s,
-    # so stopping at t=1.5 catches workers mid-apply with a backlog.
+    # so stopping at t=1.5 catches the applicator mid-apply with a backlog.
     system.run(until=1.5)
     loaded = [s for s in system.secondaries if s.refresher.pending_count]
-    assert loaded, "pools drained early; the scenario needs a backlog"
+    assert loaded, "drained early; the scenario needs a backlog"
     inflight_refreshes = [
         txn for s in system.secondaries
         for txn in s.engine.active_transactions
@@ -385,9 +385,9 @@ def test_promotion_fences_loaded_applicator_pools():
     report = system.promote_secondary()
     assert report.fenced_records == expected_fenced > 0
     assert system.fenced_stale_records == report.fenced_records
-    # Every claimed refresh transaction was aborted by the fence, on
-    # retired and fenced sites alike — nothing is left open to wedge a
-    # worker or hold back the engine.
+    # Every open refresh transaction was aborted by the fence, on
+    # retired and fenced sites alike — nothing is left open to hold
+    # back the engine.
     for site in [system.primary, *system.secondaries]:
         assert not [txn for txn in site.engine.active_transactions
                     if (txn.metadata or {}).get("refresh_of") is not None]

@@ -13,6 +13,7 @@ from repro.core.records import (
     PropagatedStart,
 )
 from repro.core.site import SecondarySite
+from repro.errors import ReplicationError
 from repro.kernel import Kernel
 from repro.txn.history import HistoryRecorder
 
@@ -185,3 +186,25 @@ def test_idle_property(kernel, site):
     site.update_queue.put(commit(1, 1, []))
     kernel.run()
     assert site.refresher.idle
+
+
+@pytest.mark.parametrize("knobs", [{}, {"parallel_refresh": 2}],
+                         ids=["ordered", "parallel"])
+def test_stream_that_skips_a_commit_number_fails_loudly(kernel, knobs):
+    """A full-replication stream is contiguous.  Commit 3 arriving
+    straight after commit 1 used to end with ``seq(DBsec) == 3`` over an
+    engine at state 2 (ordered: every later state misnumbered), or with
+    commit 3 installed, never visible, and the refresher reporting idle
+    (parallel: ``quiesce()`` returned on a replica that would never
+    converge).  The publish loop now refuses the gap."""
+    site = SecondarySite(kernel, name="secondary-1", **knobs)
+    site.update_queue.put(start(1, 0))
+    site.update_queue.put(commit(1, 1, [("k1", 1, False)]))
+    site.update_queue.put(start(3, 1))
+    site.update_queue.put(commit(3, 3, [("k3", 3, False)]))
+    with pytest.raises(ReplicationError,
+                       match="commit 3 cannot follow local state 1"):
+        kernel.run()
+    assert site.seq_db == site.engine.latest_commit_ts == 1
+    assert site.engine.state_at() == {"k1": 1}
+    assert not site.refresher.idle

@@ -67,10 +67,9 @@ def test_chaos_memory_bounded_with_autovacuum(seed):
 
 
 def test_chaos_survives_full_throughput_pipeline():
-    """Batch shipping + pooled applicators + autovacuum, all enabled,
-    under the same fault storm: convergence and checkers must hold."""
+    """Batch shipping + autovacuum, both enabled, under the same fault
+    storm: convergence and checkers must hold."""
     result = run_chaos(ChaosConfig(seed=5, batch_interval=0.5,
-                                   applicator_pool=4,
                                    autovacuum_interval=5.0))
     assert result.converged, result.describe()
     for check in result.checks:
@@ -91,34 +90,38 @@ def test_different_seeds_differ():
     assert a.plan != b.plan
 
 
-#: Per seed: SHA-256 of ``describe()`` (integers and one percentage, so
-#: host-independent), events dispatched and peak queue depth of the
-#: partition + auto-failover storm, recorded at the last commit that had
-#: both a heap and a calendar-queue scheduler (they agreed on every byte).
+#: Per seed, for the partition + auto-failover storm: SHA-256 of
+#: ``describe()`` without its ``kernel:`` line (integers only, so
+#: host-independent), then events dispatched and peak queue depth.  The
+#: digests are of the text printed at the last commit whose applicators
+#: were kernel processes; making them completion callbacks removed
+#: events (1567 / 1729 / 2347 before) and so moved the dispatch count
+#: and same-instant percentage on the ``kernel:`` line, and nothing else.
 RECORDED_STORMS = {
-    0: ("b781ea0b71ceb2565e4bf77dc12fa87bb6d5a85f732a7f813a2c9eb73ca2864d",
-        1567, 50),
-    1: ("6f4a5a3ea5111bd4e0efe73996e1df1a4c8b36720a8d39dcb9dd86fc4d936ae4",
-        1729, 61),
-    2: ("53f378c2bab30b568bc794e2a0821d1d41a6be91042e1ca9f1780e13f210bca9",
-        2347, 59),
+    0: ("16ed189398408cbe592502e7d2635193e68cbd2a74aed6ee109363dad507e073",
+        1437, 50),
+    1: ("7a653a9fb33fb78dd96f390e79600734eef25d4b94d585fec37857878a1972df",
+        1552, 61),
+    2: ("2aa988526fc7349782fbee5791d201dcc7becfdbda87af81601b183f0ca4df9a",
+        2163, 59),
 }
 
 
 @pytest.mark.parametrize("seed", sorted(RECORDED_STORMS))
 def test_chaos_identical_across_schedulers(seed):
-    """The heaviest fault schedule reproduces the recorded heap storm.
+    """The heaviest fault schedule reproduces the recorded storm.
 
     Partitions plus autonomous failover exercise every timer user in
     the stack (heartbeats, leases, retransmit backoffs, partition
-    windows); the summary — including the kernel counter line, which
-    counts properties of the event stream — must match the recording
-    byte for byte.
+    windows); the summary must match the recording byte for byte, and
+    the kernel counters — properties of the event stream — exactly.
     """
     result = run_chaos(ChaosConfig(seed=seed, partitions=2,
                                    primary_kill=True, auto_failover=True))
     summary = result.describe()
-    digest = hashlib.sha256(summary.encode()).hexdigest()
+    digest = hashlib.sha256("\n".join(
+        line for line in summary.split("\n")
+        if "kernel:" not in line).encode()).hexdigest()
     assert (digest, result.events_dispatched, result.peak_queue_depth) \
         == RECORDED_STORMS[seed], summary
 
