@@ -291,17 +291,11 @@ class Kernel:
         return self._now
 
     def spawn(self, gen: ProcessBody, name: str = "process",
-              daemon: bool = False, eager: bool = False) -> Process:
+              daemon: bool = False) -> Process:
         """Create a process from a generator and schedule its first step.
 
         Daemon processes (e.g. infinite middleware loops) do not keep
         :meth:`run` alive and are not reported as leaks.
-
-        ``eager`` runs the first step synchronously instead of scheduling
-        it, saving one queue round-trip per spawn.  Virtual time is
-        unaffected (the step runs at the same instant), but the child
-        runs *before* any already-queued same-time events rather than
-        after — use it only on hot paths that don't depend on that order.
         """
         # Exact-type check first: spawn is on the hot path (one call per
         # applicator/transaction) and the ``typing``-protocol isinstance
@@ -316,10 +310,7 @@ class Kernel:
         process = Process(self, gen, name, pid, daemon=daemon)
         if not daemon:
             self._live_nondaemon += 1
-        if eager:
-            self._step(process, None, False)
-        else:
-            self._post(process, None)
+        self._post(process, None)
         return process
 
     def sleep(self, delay: float) -> Sleep:

@@ -9,12 +9,13 @@ of one event per slice).  The exact time-sliced :class:`RoundRobinServer`
 is also provided; the server-discipline ablation benchmark shows the two
 agree on the paper's workloads.
 
-Usage inside a kernel process::
+Usage, from a plain callback or inside a kernel process::
 
-    yield server.request(0.2)     # consume 0.2 s of service
+    server.request_call(0.2, done, txn)   # done(txn) after 0.2 s of service
+    yield server.request(0.2)             # the same, resuming the process
 
-The awaitable resumes when the job's cumulative service reaches the
-demand, under sharing with whatever else is running.
+Either completes when the job's cumulative service reaches the demand,
+under sharing with whatever else is running.
 """
 
 from __future__ import annotations
@@ -31,20 +32,23 @@ _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 
-class _PSRequest:
-    """Awaitable admission of one job into a PS server."""
+class _Request:
+    """Awaitable admission of one job: the process's resume is the job's
+    completion callback."""
 
-    __slots__ = ("server", "demand")
+    __slots__ = ("server", "demand", "job")
 
-    def __init__(self, server: "ProcessorSharingServer", demand: float):
+    def __init__(self, server, demand: float):
         self.server = server
         self.demand = demand
+        self.job = None
 
     def _block(self, kernel: Kernel, process: Process) -> None:
-        self.server._admit(process, self.demand)
+        self.job = self.server.request_call(self.demand, kernel._post,
+                                            process, None)
 
     def _cancel(self, process: Process) -> None:
-        self.server._evict(process)
+        self.server._evict(self.job)
 
 
 class ProcessorSharingServer:
@@ -68,38 +72,51 @@ class ProcessorSharingServer:
         self.capacity = capacity
         self._virtual = 0.0            # virtual service clock V
         self._last_update = 0.0
-        self._jobs: dict[int, Process] = {}
+        self._jobs: dict[int, tuple] = {}          # job id -> (fn, args)
         self._heap: list[tuple[float, int]] = []   # (target V, job id)
         self._evicted: set[int] = set()
         self._next_job_id = 0
         self._completion_token = 0
         #: Wall time of the armed completion event carrying the current
-        #: token, or None when no valid event is outstanding.
+        #: token, or None when no valid event is outstanding.  While that
+        #: event is being dispatched it holds the current instant, so
+        #: admissions made by completion callbacks arm nothing.
         self._next_fire: Optional[float] = None
         self.jobs_completed = 0
         self.busy_time = 0.0
-        self._total_demand_served = 0.0
 
     # -- public ---------------------------------------------------------
-    def request(self, demand: float) -> _PSRequest:
+    def request(self, demand: float) -> _Request:
         """Awaitable: consume ``demand`` seconds of service."""
         if demand < 0:
             raise SimulationError(f"negative service demand {demand}")
-        return _PSRequest(self, demand)
+        return _Request(self, demand)
 
-    def request_call(self, demand: float, fn, *args) -> None:
+    def request_call(self, demand: float, fn, *args) -> Optional[int]:
         """Admit a job that invokes ``fn(*args)`` on completion.
 
-        Zero-process service for hot middleware paths: no generator, no
-        Process, no resume event — the callback runs synchronously inside
-        the completion event (or immediately for zero demand), at the
-        exact instant a process-based ``request`` would have resumed.
-        The callback must not re-enter ``request_call`` on this server.
+        The service interface of all three disciplines; ``request`` is
+        this with the process's resume as ``fn``.  The contract:
+
+        * ``fn`` runs synchronously inside the server's completion event,
+          at the instant the job's service reaches ``demand`` and before
+          the server arms its next completion.  ``demand == 0`` consumes
+          no service and runs ``fn`` at once, inside this call.
+        * ``fn`` may admit new jobs, to this server too.  The server arms
+          nothing while it is completing; it arms once, after the last
+          callback of the event, over every job then present, so a job
+          admitted from a callback costs no event of its own.
+        * A caller whose admission must *not* be seen by that re-arm (it
+          stands for a process that would have resumed one queue slot
+          later) re-requests through ``kernel._schedule(now, ...)``.
+
+        Returns a handle for ``_evict`` (None when nothing was queued).
         """
         if demand < 0:
             raise SimulationError(f"negative service demand {demand}")
-        kernel = self.kernel
-        now = kernel._now
+        # _advance() inlined: admission is one of the two hottest call
+        # sites in the whole simulation (one per operation).
+        now = self.kernel._now
         jobs = self._jobs
         n = len(jobs)
         if n > 0:
@@ -109,15 +126,18 @@ class ProcessorSharingServer:
         self._last_update = now
         if demand == 0:
             fn(*args)
-            return
+            return None
         job_id = self._next_job_id
         self._next_job_id += 1
         jobs[job_id] = (fn, args)
         heap = self._heap
         _heappush(heap, (self._virtual + demand, job_id))
-        self._total_demand_served += demand
+        # An arrival only moves the next completion *later* unless the new
+        # job is the new heap head: the armed event then fires early and
+        # re-arms itself, so no reschedule is needed here.
         if self._next_fire is None or heap[0][1] == job_id:
             self._reschedule()
+        return job_id
 
     @property
     def active_jobs(self) -> int:
@@ -139,40 +159,11 @@ class ProcessorSharingServer:
             self.busy_time += elapsed
         self._last_update = now
 
-    def _admit(self, process: Process, demand: float) -> None:
-        # _advance() inlined: admission is one of the two hottest call
-        # sites in the whole simulation (one per operation).
-        kernel = self.kernel
-        now = kernel._now
-        jobs = self._jobs
-        n = len(jobs)
-        if n > 0:
-            elapsed = now - self._last_update
-            self._virtual += elapsed * self.capacity / n
-            self.busy_time += elapsed
-        self._last_update = now
-        if demand == 0:
-            kernel._post(process, None)
-            return
-        job_id = self._next_job_id
-        self._next_job_id += 1
-        jobs[job_id] = process
-        heap = self._heap
-        _heappush(heap, (self._virtual + demand, job_id))
-        self._total_demand_served += demand
-        # An arrival only moves the next completion *later* unless the new
-        # job is the new heap head: the armed event then fires early and
-        # re-arms itself, so no reschedule is needed here.
-        if self._next_fire is None or heap[0][1] == job_id:
-            self._reschedule()
-
-    def _evict(self, process: Process) -> None:
+    def _evict(self, job_id: Optional[int]) -> None:
         """Remove a killed process's job (lazy deletion from the heap)."""
         self._advance()
-        for job_id, proc in list(self._jobs.items()):
-            if proc is process:
-                del self._jobs[job_id]
-                self._evicted.add(job_id)
+        if self._jobs.pop(job_id, None) is not None:
+            self._evicted.add(job_id)
         self._reschedule()
 
     def _reschedule(self) -> None:
@@ -213,10 +204,12 @@ class ProcessorSharingServer:
     def _complete(self, token: int) -> None:
         if token != self._completion_token:
             return     # superseded by a later arrival/departure
-        self._next_fire = None
         # _advance() inlined: one completion event per job departure.
         kernel = self.kernel
         now = kernel._now
+        # This event is the armed one until it re-arms below: whatever
+        # the callbacks admit, "the pending event fires in time".
+        self._next_fire = now
         jobs = self._jobs
         n = len(jobs)
         if n > 0:
@@ -233,16 +226,11 @@ class ProcessorSharingServer:
             if job_id in evicted:
                 evicted.discard(job_id)
                 continue
-            target = jobs.pop(job_id)
+            fn, args = jobs.pop(job_id)
             self.jobs_completed += 1
-            if target.__class__ is tuple:
-                fn, args = target
-                fn(*args)
-            else:
-                kernel._post(target, None)
-        # _reschedule() inlined (common case: no evictions pending).  The
-        # consumed event leaves _next_fire conceptually None, so a new
-        # event is always armed when jobs remain.
+            fn(*args)
+        # _reschedule() inlined (common case: no evictions pending): the
+        # one arming of this event, over every job present by now.
         if evicted:
             while heap and heap[0][1] in evicted:
                 evicted.discard(_heappop(heap)[1])
@@ -260,37 +248,41 @@ class ProcessorSharingServer:
         kernel._schedule(due, self._complete, token)
 
 
-class _SlottedRequest:
-    """Awaitable job for queue-based servers (RR / FIFO)."""
-
-    __slots__ = ("server", "demand")
-
-    def __init__(self, server: "_QueuedServer", demand: float):
-        self.server = server
-        self.demand = demand
-
-    def _block(self, kernel: Kernel, process: Process) -> None:
-        self.server._enqueue(process, self.demand)
-
-    def _cancel(self, process: Process) -> None:
-        self.server._remove(process)
-
-
 class _QueuedServer:
-    """Common machinery for servers driven by an internal service loop."""
+    """Common machinery for servers driven by an internal service loop.
+
+    A queue entry is ``[fn, args, remaining]``; the loop is the server's
+    completion event, so :meth:`request_call`'s contract holds here too:
+    a callback's admissions join the queue the loop is about to re-read,
+    and the worker is never respawned while it runs.
+    """
 
     def __init__(self, kernel: Kernel, name: str = "server"):
         self.kernel = kernel
         self.name = name
-        self._queue: deque[list] = deque()    # [process, remaining]
+        self._queue: deque[list] = deque()
         self._worker: Optional[Process] = None
         self.jobs_completed = 0
         self.busy_time = 0.0
 
-    def request(self, demand: float) -> _SlottedRequest:
+    def request(self, demand: float) -> _Request:
         if demand < 0:
             raise SimulationError(f"negative service demand {demand}")
-        return _SlottedRequest(self, demand)
+        return _Request(self, demand)
+
+    def request_call(self, demand: float, fn, *args) -> Optional[list]:
+        """See :meth:`ProcessorSharingServer.request_call`."""
+        if demand < 0:
+            raise SimulationError(f"negative service demand {demand}")
+        if demand == 0:
+            fn(*args)
+            return None
+        job = [fn, args, demand]
+        self._queue.append(job)
+        if self._worker is None or not self._worker.alive:
+            self._worker = self.kernel.spawn(
+                self._serve(), name=f"{self.name}-worker", daemon=True)
+        return job
 
     @property
     def active_jobs(self) -> int:
@@ -299,15 +291,9 @@ class _QueuedServer:
     def utilization(self, elapsed: float) -> float:
         return self.busy_time / elapsed if elapsed > 0 else 0.0
 
-    def _enqueue(self, process: Process, demand: float) -> None:
-        self._queue.append([process, demand])
-        if self._worker is None or not self._worker.alive:
-            self._worker = self.kernel.spawn(
-                self._serve(), name=f"{self.name}-worker", daemon=True)
-
-    def _remove(self, process: Process) -> None:
-        self._queue = deque(job for job in self._queue
-                            if job[0] is not process)
+    def _evict(self, job: Optional[list]) -> None:
+        self._queue = deque(queued for queued in self._queue
+                            if queued is not job)
 
     def _serve(self):  # pragma: no cover - overridden
         raise NotImplementedError
@@ -327,16 +313,16 @@ class RoundRobinServer(_QueuedServer):
     def _serve(self):
         while self._queue:
             job = self._queue.popleft()
-            process, remaining = job
+            fn, args, remaining = job
             quantum = min(self.time_slice, remaining)
             yield self.kernel.sleep(quantum)
             self.busy_time += quantum
             remaining -= quantum
             if remaining <= 1e-12:
                 self.jobs_completed += 1
-                self.kernel._post(process, None)
+                fn(*args)
             else:
-                job[1] = remaining
+                job[2] = remaining
                 self._queue.append(job)
 
 
@@ -345,8 +331,8 @@ class FifoServer(_QueuedServer):
 
     def _serve(self):
         while self._queue:
-            process, demand = self._queue.popleft()
+            fn, args, demand = self._queue.popleft()
             yield self.kernel.sleep(demand)
             self.busy_time += demand
             self.jobs_completed += 1
-            self.kernel._post(process, None)
+            fn(*args)

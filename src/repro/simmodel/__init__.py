@@ -11,7 +11,7 @@ apply them under relationships 1-3; and the three comparison algorithms
 sequence number a read-only transaction must wait for.
 
 * :mod:`repro.simmodel.params` — Table 1 as a dataclass;
-* :mod:`repro.simmodel.model` — the processes;
+* :mod:`repro.simmodel.model` — the model, as one event graph;
 * :mod:`repro.simmodel.experiment` — replication runs, warm-up handling
   and 95% confidence intervals (Section 6.1 methodology).
 """

@@ -46,11 +46,17 @@ def run_once(params: SimulationParameters,
     """Execute one simulation run and collect its metrics."""
     effective_seed = params.seed if seed is None else seed
     model = LazyReplicationModel(params, seed=effective_seed)
-    metrics = model.run()
+    model.run()
+    return summarize(model)
+
+
+def summarize(model: LazyReplicationModel) -> RunResult:
+    """The :class:`RunResult` of a model that has finished its run."""
+    params, metrics = model.params, model.metrics
     block_stats = metrics.block_time.get("read")
     return RunResult(
         params=params,
-        seed=effective_seed,
+        seed=model.streams.master_seed,
         throughput=metrics.throughput(end_time=params.duration),
         raw_throughput=metrics.raw_throughput(end_time=params.duration),
         read_response_time=metrics.mean_response_time("read"),

@@ -1,27 +1,52 @@
-"""The discrete-event model of Section 5, process by process.
+"""The discrete-event model of Section 5, as one event graph.
 
-Components (all kernel processes on virtual time):
+Clients and refresh are not kernel processes: each is a chain of plain
+callbacks, and every arrow in a chain is one of three kinds.
 
-* **clients** — each bound to one secondary; runs sessions of exponential
-  length, thinks exponentially between transactions, then submits an
-  update transaction (to the primary) or a read-only transaction (to its
-  secondary) per the workload mix;
-* **primary concurrency control** — strong SI with first-committer-wins
-  modelled as the paper does: an update transaction consumes its service
-  demand at the primary's shared server and then aborts with probability
-  ``abort_prob``, restarting so the offered load is maintained;
-* **propagator** — accumulates start/commit/abort records and ships them
-  to every secondary each ``propagation_delay`` cycle (a log sniffer: it
-  uses no concurrency control and no modelled network resource);
-* **refresher + applicators** — per secondary; enforce relationships 1-3
-  exactly like :mod:`repro.core.refresh`: start records block until the
-  pending queue is empty, updates are applied by concurrent applicator
-  threads that consume secondary server capacity, commits happen in
-  primary commit order, and each commit advances ``seq(DBsec)``;
-* **ALG blocking rule** — a read-only transaction captures its required
-  sequence number at submission (``0`` for ALG-WEAK-SI, ``seq(c)`` for
-  ALG-STRONG-SESSION-SI, the global sequence for ALG-STRONG-SI) and waits
-  until ``seq(DBsec)`` reaches it.
+*Timers* (``kernel._schedule(later, fn)``): a client's exponential
+**think time**, after which :meth:`_Client.submit` draws the workload
+mix and sends an update transaction to the primary or a read-only
+transaction to the client's secondary.
+
+*Server completions* (``server.request_call(demand, fn)``: ``fn`` runs
+inside the server's completion event, before the server re-arms):
+
+* a **read-only transaction** finishing at its secondary: record the
+  response time, think again;
+* an **update transaction** finishing at the primary — strong SI with
+  first-committer-wins modelled as the paper does: the transaction
+  consumes its demand at the primary's shared server and then aborts
+  with probability ``abort_prob``, restarting so the offered load is
+  maintained; otherwise its commit record enters the log;
+* a **refresh transaction** finishing at a secondary, which enforces
+  relationships 1-3 exactly like :mod:`repro.core.refresh`: start
+  records wait until the pending queue is empty, updates are applied by
+  concurrent applicators that consume secondary server capacity, commits
+  happen in primary commit order, and each commit advances
+  ``seq(DBsec)``.  The records a waiting start record held back are
+  admitted inside the completion, so the server's re-arm sees them.
+
+*Ready-deque hops* (``kernel._schedule(now, fn)``: same instant, behind
+every event already queued), where a request is a new arrival *after*
+the departure and the server must first re-arm over the jobs that
+remain: an **aborted update's retry**, each next operation under
+``per_op_requests``, ``serial_refresh``'s next record after a commit, a
+``parallel_refresh`` slot's next commit, and a **blocked read's
+release** — a read-only transaction captures its required sequence
+number at submission (``0`` for ALG-WEAK-SI, ``seq(c)`` for
+ALG-STRONG-SESSION-SI, the global sequence for ALG-STRONG-SI) and waits
+on its secondary until ``seq(DBsec)`` reaches it.  Admitting inside the
+completion instead describes the same system but advances the
+processor-sharing clock at other instants, and one completion time
+1 ulp off ends as a different completion count
+(``tests/simmodel/golden_modes.json`` pins every mode's results;
+``docs/architecture.md``, "The simulator's event graph").
+
+Four slow periodic actors stay kernel processes: the **propagator**
+(accumulates start/commit/abort records and feeds them to every
+secondary each ``propagation_delay`` cycle — a log sniffer: it uses no
+concurrency control and no modelled network resource), the lag sampler,
+and the optional autovacuum and heartbeat daemons.
 
 Read-only transactions are never blocked by refresh transactions at the
 server level other than through server sharing, mirroring "read-only
@@ -38,8 +63,8 @@ from typing import Union
 from repro.core.admission import TokenBucket
 from repro.core.sessions import SequenceTracker
 from repro.errors import ConfigurationError
-from repro.kernel import Condition, Kernel, Queue, Sleep
-from repro.sim.rng import RandomStream, RandomStreams
+from repro.kernel import Kernel
+from repro.sim.rng import RandomStreams
 from repro.sim.resources import (
     FifoServer,
     ProcessorSharingServer,
@@ -77,14 +102,14 @@ class _CommitRecord:
 class _SecondaryModel:
     """State of one secondary site in the simulation."""
 
-    def __init__(self, kernel: Kernel, index: int, server: Server):
+    def __init__(self, index: int, server: Server, slots: int | None):
         self.index = index
         self.server = server
-        self.update_queue = Queue(kernel, name=f"sec{index}-updates")
         self.seq_db = 0
-        self.seq_cond = Condition(kernel, name=f"sec{index}-seq")
+        #: Blocked read-only transactions, ``(required, client)`` in
+        #: arrival order; scanned whenever ``seq(DBsec)`` advances.
+        self.waiters: list[tuple[int, _Client]] = []
         self.pending: deque[int] = deque()
-        self.pending_cond = Condition(kernel, name=f"sec{index}-pending")
         self.started: set[int] = set()
         #: Shards this secondary subscribes to under partial replication;
         #: ``None`` (classic full replication) applies every commit.  An
@@ -92,27 +117,187 @@ class _SecondaryModel:
         #: apply demand is zero, mirroring the functional system's
         #: per-shard streams (headers are sequenced, bodies filtered).
         self.subscription: frozenset[int] | None = None
-        #: Commit numbers whose update service finished but which are not
-        #: yet at the pending head (zero-process apply path).
+        #: Commit numbers whose update service finished but which
+        #: ``seq(DBsec)`` has not reached: behind the pending head
+        #: (ordered) or above the contiguous watermark (conflict).
         self.serviced: set[int] = set()
-        # -- direct-feed refresh state (classic mode + PS servers) ------
-        #: True when propagation batches are applied by direct call
-        #: instead of through update_queue + a refresher process.
-        self.direct_feed = False
-        #: (batch, index) of a start record waiting for pending to drain.
-        self.feed_parked: tuple | None = None
-        #: Batches queued behind a parked start record.
-        self.feed_backlog: deque = deque()
-        #: Running peak of len(pending) (mirrors counters.max_pending).
-        self.feed_peak = 0
+        #: ``(batch, index)`` of the record the feed stopped in front of.
+        self.cursor: tuple | None = None
+        #: Batches queued behind a stopped feed.
+        self.backlog: deque = deque()
+        #: Peak of accepted-but-unapplied commits (counters.max_pending).
+        self.peak = 0
         self.refreshes_applied = 0
-        # -- parallel-refresh state (dormant in classic mode) -----------
-        self.work: Queue | None = None
-        self.applied: set[int] = set()
-        self.parked: dict[int, list[_CommitRecord]] = {}
-        self.watermark = 0
+        # -- conflict admission (parallel_refresh only) -----------------
+        #: Free applicator slots, and runnable jobs waiting for one.
+        self.idle = slots
+        #: Jobs are ``(demand, commit_ts, unsubscribed)``.
+        self.runnable: deque[tuple] = deque()
+        #: dep_ts -> jobs parked behind that unapplied predecessor.
+        self.parked: dict[int, list[tuple]] = {}
         self.inflight = 0
         self.out_of_order = 0
+
+
+class _Client:
+    """One client: the state its callbacks carry from event to event.
+
+    Bound to one secondary; runs sessions of exponential length, thinks
+    exponentially between transactions, and draws everything from its
+    own random stream, in the order the transaction's steps happen.
+    """
+
+    __slots__ = ("model", "kernel", "secondary", "client_id", "expovariate",
+                 "random", "randint", "label", "session_end", "submitted",
+                 "n_ops", "update_ops", "txn_key")
+
+    def __init__(self, model: "LazyReplicationModel", client_id: int,
+                 secondary: _SecondaryModel):
+        self.model = model
+        self.kernel = model.kernel
+        self.secondary = secondary
+        self.client_id = client_id
+        # Draw-identical RNG fast path: exponential(m) == expovariate(1/m)
+        # and bernoulli(p) == random() < p, minus two wrapper frames per
+        # think-time cycle.
+        rng = model.streams.stream(f"client-{client_id}")._rng
+        self.expovariate = rng.expovariate
+        self.random = rng.random
+        self.randint = rng.randint
+        self.label: str | None = None
+        self.session_end = 0.0
+
+    def next_txn(self) -> None:
+        """Think, then submit; open a new session first if this one is
+        over (or none is open yet)."""
+        model = self.model
+        params = model.params
+        now = self.kernel._now
+        while now >= self.session_end:
+            if self.label is not None:
+                # Session labels are never reused, so drop the retired
+                # label's tracker entry — keeps tracker memory bounded by
+                # *live* sessions on long (e.g. `large`-scale) runs.
+                model.tracker.forget(self.label)
+            model._session_counter += 1
+            model.counters.sessions_started += 1
+            self.label = f"c{self.client_id}/s{model._session_counter}"
+            self.session_end = now + self.expovariate(
+                1.0 / params.session_time)
+        self.kernel._schedule(
+            now + self.expovariate(1.0 / params.think_time), self.submit)
+
+    def submit(self) -> None:
+        model = self.model
+        params = model.params
+        now = self.kernel._now
+        if self.random() >= params.update_tran_prob:
+            self.submitted = now
+            required = model.tracker.required_sequence(params.algorithm,
+                                                       self.label)
+            if params.freshness_bound is not None:
+                # Extension: bounded staleness — the read must see a
+                # state at most freshness_bound commits behind.
+                bound = model._commit_counter - params.freshness_bound
+                if bound > required:
+                    required = bound
+            if required > self.secondary.seq_db:
+                self.secondary.waiters.append((required, self))
+            else:
+                self.read()
+            return
+        bucket = model._admission_bucket
+        if bucket is not None and not bucket.try_acquire(now):
+            # Shed at the door: no service demand reaches the primary
+            # and — crucially — no RNG draw happens, so the admitted
+            # traffic's random sequences match the unthrottled model's.
+            model.counters.updates_shed += 1
+            self.next_txn()
+            return
+        self.submitted = now
+        self.n_ops = self.randint(params.tran_size_min, params.tran_size_max)
+        rng_random = self.random
+        update_op_prob = params.update_op_prob
+        self.update_ops = sum(1 for _ in range(self.n_ops)
+                              if rng_random() < update_op_prob)
+        self.attempt()
+
+    def read(self) -> None:
+        params = self.model.params
+        server = self.secondary.server
+        n_ops = self.randint(params.tran_size_min, params.tran_size_max)
+        if params.per_op_requests:
+            self.request_op(server, n_ops, self.read_done)
+        else:
+            server.request_call(n_ops * params.op_service_time,
+                                self.read_done)
+
+    def read_done(self) -> None:
+        self.model.metrics.record_completion("read", self.submitted,
+                                             self.kernel._now)
+        self.next_txn()
+
+    def attempt(self) -> None:
+        """Start (or, after an abort, restart) the update transaction."""
+        model = self.model
+        params = model.params
+        self.txn_key = model._txn_counter
+        model._txn_counter += 1
+        # start_p(T) enters the log as soon as T starts.
+        model._propagation_buffer.append(_StartRecord(self.txn_key))
+        if params.per_op_requests:
+            self.request_op(model.primary_server, self.n_ops, self.served)
+        else:
+            model.primary_server.request_call(
+                self.n_ops * params.op_service_time, self.served)
+
+    def served(self) -> None:
+        model = self.model
+        params = model.params
+        kernel = self.kernel
+        if self.random() < params.abort_prob:
+            # First-committer-wins loser: abort and restart to keep
+            # the offered load at the primary (Section 5).  The restart
+            # is a new arrival: through the ready deque.
+            model.metrics.record_abort(kernel._now)
+            model.counters.update_restarts += 1
+            model._propagation_buffer.append(_AbortRecord(self.txn_key))
+            kernel._schedule(kernel._now, self.attempt)
+            return
+        model._commit_counter += 1
+        commit_ts = model._commit_counter
+        model.counters.update_commits += 1
+        dep_ts = 0
+        conflict_rng = model._conflict_rng
+        if conflict_rng is not None and commit_ts > 1 \
+                and conflict_rng.bernoulli(params.conflict_prob):
+            # Conflict with a recent earlier commit (the paper's hotspot
+            # analogue): the refresh scheduler must order the pair.
+            dep_ts = conflict_rng.randint(max(1, commit_ts - 8),
+                                          commit_ts - 1)
+        shard = 0
+        if model._shard_rng is not None:
+            shard = model._shard_rng.randint(0, params.shards - 1)
+        model._propagation_buffer.append(_CommitRecord(
+            self.txn_key, commit_ts, self.update_ops, dep_ts, shard))
+        model.tracker.on_primary_commit(self.label, commit_ts)
+        model.metrics.record_completion("update", self.submitted,
+                                        kernel._now)
+        self.next_txn()
+
+    # -- one server request per operation (fidelity ablation) --------------
+    def request_op(self, server: Server, left: int, done) -> None:
+        # Equivalent to one aggregated request under PS; each next
+        # operation is a new arrival, through the ready deque.
+        server.request_call(self.model.params.op_service_time,
+                            self.op_done, server, left - 1, done)
+
+    def op_done(self, server: Server, left: int, done) -> None:
+        if left:
+            self.kernel._schedule(self.kernel._now, self.request_op,
+                                  server, left, done)
+        else:
+            done()
 
 
 @dataclass
@@ -149,7 +334,8 @@ class LazyReplicationModel:
         self.counters = ModelCounters()
         self.primary_server = self._make_server("primary")
         self.secondaries = [
-            _SecondaryModel(self.kernel, i, self._make_server(f"sec{i}"))
+            _SecondaryModel(i, self._make_server(f"sec{i}"),
+                            params.parallel_refresh)
             for i in range(params.num_sec)
         ]
         self._commit_counter = 0
@@ -210,26 +396,10 @@ class LazyReplicationModel:
     def run(self) -> MetricsCollector:
         """Run for ``params.duration`` of virtual time; return metrics."""
         for client_id, sec_index in enumerate(self._client_assignment()):
-            rng = self.streams.stream(f"client-{client_id}")
-            self.kernel.spawn(
-                self._client(client_id, rng, self.secondaries[sec_index]),
-                name=f"client-{client_id}", daemon=True)
+            _Client(self, client_id, self.secondaries[sec_index]).next_txn()
         self.kernel.spawn(self._propagator(), name="propagator", daemon=True)
         self.kernel.spawn(self._lag_sampler(), name="lag-sampler",
                           daemon=True)
-        params = self.params
-        classic = (params.parallel_refresh is None
-                   and not params.serial_refresh)
-        for secondary in self.secondaries:
-            if classic and hasattr(secondary.server, "request_call"):
-                # Classic refresh on PS servers needs no refresher
-                # process: batches are applied by direct call from the
-                # propagator (zero-process refresh path).
-                secondary.direct_feed = True
-            else:
-                self.kernel.spawn(self._refresher(secondary),
-                                  name=f"refresher-{secondary.index}",
-                                  daemon=True)
         if self.params.autovacuum_interval is not None:
             for secondary in self.secondaries:
                 self.kernel.spawn(self._autovacuum(secondary),
@@ -282,300 +452,146 @@ class LazyReplicationModel:
             for secondary in self.secondaries:
                 self.lag_stats.add(self._commit_counter - secondary.seq_db)
 
-    # -- client process -----------------------------------------------------------
-    def _client(self, client_id: int, rng: RandomStream,
-                secondary: _SecondaryModel):
-        params = self.params
-        kernel = self.kernel
-        counters = self.counters
-        # Draw-identical RNG fast path: exponential(m) == expovariate(1/m)
-        # and bernoulli(p) == random() < p, minus two wrapper frames per
-        # think-time cycle (this loop runs once per transaction).
-        expovariate = rng._rng.expovariate
-        rng_random = rng._rng.random
-        randint = rng._rng.randint
-        inv_session = 1.0 / params.session_time
-        inv_think = 1.0 / params.think_time
-        update_prob = params.update_tran_prob
-        # Read-transaction fast path (reads are ~95% of the paper's main
-        # mixes): the body of _read_transaction inlined so each read costs
-        # no delegated generator, with every per-read lookup hoisted.
-        algorithm = params.algorithm
-        freshness_bound = params.freshness_bound
-        per_op = params.per_op_requests
-        size_min = params.tran_size_min
-        size_max = params.tran_size_max
-        op_service_time = params.op_service_time
-        required_sequence = self.tracker.required_sequence
-        record_completion = self.metrics.record_completion
-        sec_request = secondary.server.request
-        # One reusable Sleep per client: the client is only ever blocked
-        # on one think-time sleep at a time, so mutating the delay in
-        # place saves an allocation per transaction.
-        think_sleep = Sleep(0.0)
-        while True:
-            self._session_counter += 1
-            counters.sessions_started += 1
-            label = f"c{client_id}/s{self._session_counter}"
-            session_end = kernel._now + expovariate(inv_session)
-            while kernel._now < session_end:
-                think_sleep.delay = expovariate(inv_think)
-                yield think_sleep
-                if rng_random() < update_prob:
-                    yield from self._update_transaction(rng, label)
-                    continue
-                submitted = kernel._now
-                required = required_sequence(algorithm, label)
-                if freshness_bound is not None:
-                    # Extension: bounded staleness — the read must see a
-                    # state at most freshness_bound commits behind.
-                    bound = self._commit_counter - freshness_bound
-                    if bound > required:
-                        required = bound
-                if required > secondary.seq_db:
-                    req = required
-                    yield secondary.seq_cond.wait_for(
-                        lambda: secondary.seq_db >= req)
-                    self.metrics.record_block(
-                        "read", kernel._now - submitted, kernel._now)
-                n_ops = randint(size_min, size_max)
-                if per_op:
-                    yield from self._service(secondary.server, rng, n_ops)
-                else:
-                    yield sec_request(n_ops * op_service_time)
-                record_completion("read", submitted, kernel._now)
-            # Session labels are never reused, so drop the retired label's
-            # tracker entry — keeps tracker memory bounded by *live*
-            # sessions on long (e.g. `large`-scale) runs.
-            self.tracker.forget(label)
-
-    def _service(self, server: Server, rng: RandomStream, n_ops: int):
-        """Consume n_ops of service, per-op or aggregated (equivalent
-        under PS; the per-op mode exists for the fidelity ablation)."""
-        op_time = self.params.op_service_time
-        if self.params.per_op_requests:
-            for _ in range(n_ops):
-                yield server.request(op_time)
-        else:
-            yield server.request(n_ops * op_time)
-
-    # -- update transactions (primary) -----------------------------------------------
-    def _update_transaction(self, rng: RandomStream, label: str):
-        params = self.params
-        bucket = self._admission_bucket
-        if bucket is not None \
-                and not bucket.try_acquire(self.kernel._now):
-            # Shed at the door: no service demand reaches the primary
-            # and — crucially — no RNG draw happens, so the admitted
-            # traffic's random sequences match the unthrottled model's.
-            self.counters.updates_shed += 1
-            return
-        submitted = self.kernel._now
-        n_ops = rng.randint(params.tran_size_min, params.tran_size_max)
-        update_ops = sum(1 for _ in range(n_ops)
-                         if rng.bernoulli(params.update_op_prob))
-        while True:
-            txn_key = self._txn_counter
-            self._txn_counter += 1
-            # start_p(T) enters the log as soon as T starts.
-            self._propagate(_StartRecord(txn_key))
-            # Common path of _service() inlined: one awaitable instead of
-            # a delegated generator per transaction.
-            if params.per_op_requests:
-                yield from self._service(self.primary_server, rng, n_ops)
-            else:
-                yield self.primary_server.request(
-                    n_ops * params.op_service_time)
-            if rng.bernoulli(params.abort_prob):
-                # First-committer-wins loser: abort and restart to keep
-                # the offered load at the primary (Section 5).
-                self.metrics.record_abort(self.kernel._now)
-                self.counters.update_restarts += 1
-                self._propagate(_AbortRecord(txn_key))
-                continue
-            break
-        self._commit_counter += 1
-        commit_ts = self._commit_counter
-        self.counters.update_commits += 1
-        dep_ts = 0
-        if self._conflict_rng is not None and commit_ts > 1 \
-                and self._conflict_rng.bernoulli(params.conflict_prob):
-            # Conflict with a recent earlier commit (the paper's hotspot
-            # analogue): the refresh scheduler must order the pair.
-            dep_ts = self._conflict_rng.randint(
-                max(1, commit_ts - 8), commit_ts - 1)
-        shard = 0
-        if self._shard_rng is not None:
-            shard = self._shard_rng.randint(0, params.shards - 1)
-        self._propagate(_CommitRecord(txn_key, commit_ts, update_ops,
-                                      dep_ts, shard))
-        self.tracker.on_primary_commit(label, commit_ts)
-        self.metrics.record_completion("update", submitted, self.kernel._now)
-
     # -- propagation (Algorithm 3.1, batched on a 10 s cycle) ----------------------------
-    def _propagate(self, record) -> None:
-        self._propagation_buffer.append(record)
-
     def _propagator(self):
         while True:
             yield self.kernel.sleep(self.params.propagation_delay)
+            self.counters.propagation_cycles += 1
             if not self._propagation_buffer:
-                self.counters.propagation_cycles += 1
                 continue
             batch, self._propagation_buffer = self._propagation_buffer, []
-            self.counters.propagation_cycles += 1
             self.counters.records_propagated += len(batch)
-            # One queue item per cycle per secondary (the PropagatedBatch
-            # frame of the functional system): a cycle's worth of records
-            # costs one wakeup instead of one per record.  The refresher
-            # iterates the shared list without mutating it.  Direct-feed
-            # secondaries skip even that wakeup: the batch is applied by
-            # synchronous call at the same instant.
+            # One shared list per cycle (the PropagatedBatch frame of the
+            # functional system), fed to every secondary by synchronous
+            # call at the same instant; nobody mutates it.
             for secondary in self.secondaries:
-                if secondary.direct_feed:
-                    self._feed_batch(secondary, batch)
-                else:
-                    secondary.update_queue.put(batch)
+                self._feed_batch(secondary, batch)
 
     # -- refresh (Algorithms 3.2/3.3) ------------------------------------------------------
+    #
+    # Two values span the refresh disciplines, as in repro.core.refresh:
+    # the applicator slots (one per commit; one in all under
+    # serial_refresh; parallel_refresh's worker count) and the admission
+    # rule — *ordered* (a start record waits for an empty pending queue,
+    # commits leave from the pending head) or, under parallel_refresh,
+    # *conflict* (no start record waits, a commit parks behind its
+    # unapplied dep_ts, and seq(DBsec) is the contiguous watermark, so
+    # readers still observe primary states in order).
     def _feed_batch(self, secondary: _SecondaryModel, batch: list) -> None:
-        """Direct-feed refresh entry point (classic mode, PS servers).
+        """Hand one propagation cycle's records to a secondary: processed
+        at once unless the feed is stopped in front of a record, in which
+        case the batch queues behind it."""
+        if secondary.cursor is not None or secondary.backlog:
+            secondary.backlog.append(batch)
+        elif self.params.serial_refresh:
+            # Serial replay only ever moves through the ready deque.
+            secondary.cursor = (batch, 0)
+            self.kernel._schedule(self.kernel._now, self._resume_feed,
+                                  secondary)
+        else:
+            self._drain_records(secondary, batch, 0)
 
-        Processes the batch inline unless a start record is parked
-        waiting for the pending queue to drain (Relationship 2), in
-        which case the batch queues behind it — exactly the order the
-        refresher process would impose.
-        """
-        if secondary.feed_parked is not None or secondary.feed_backlog:
-            secondary.feed_backlog.append(batch)
-            return
-        self._drain_records(secondary, batch, 0)
+    def _resume_feed(self, secondary: _SecondaryModel) -> None:
+        batch, idx = secondary.cursor
+        secondary.cursor = None
+        self._drain_records(secondary, batch, idx)
 
     def _drain_records(self, secondary: _SecondaryModel,
                        batch: list, idx: int) -> None:
-        """Apply records until done or a start record must wait.
+        """Process records until done or the feed must stop.
 
-        The state machine twin of the classic refresher loop: start
-        records wait for an empty pending queue (here: park the cursor;
-        :meth:`_apply_commit` resumes it), aborts retire their start
-        entry, commits join pending and go straight to the secondary
-        server as zero-process completion callbacks.
+        Start records wait for an empty pending queue (the cursor stops
+        in front of them; :meth:`_apply_commit` resumes it), aborts
+        retire their start entry, commits join pending and go straight
+        to the secondary server as completion callbacks.
         """
+        params = self.params
+        conflict = params.parallel_refresh is not None
+        serial = params.serial_refresh
+        op_service_time = params.op_service_time
         pending = secondary.pending
         started = secondary.started
         subscription = secondary.subscription
-        op_service_time = self.params.op_service_time
         request_call = secondary.server.request_call
         apply_commit = self._apply_commit
         max_pending = self.counters.max_pending
-        peak = secondary.feed_peak
-        backlog = secondary.feed_backlog
+        backlog = secondary.backlog
         while True:
             n = len(batch)
             while idx < n:
                 record = batch[idx]
+                idx += 1
+                # Exact-type dispatch: the record types are final and
+                # isinstance() was measurable at one call per record per
+                # secondary.
                 cls = record.__class__
                 if cls is _CommitRecord:
                     started.discard(record.txn_key)
                     ts = record.commit_ts
-                    pending.append(ts)
-                    if len(pending) > peak:
-                        peak = len(pending)
-                        secondary.feed_peak = peak
-                        max_pending[secondary.index] = peak
-                    demand = record.update_ops * op_service_time
-                    if subscription is not None \
-                            and record.shard not in subscription:
-                        demand = 0.0
+                    skip = subscription is not None \
+                        and record.shard not in subscription
+                    demand = 0.0 if skip else \
+                        record.update_ops * op_service_time
+                    if conflict:
+                        self._admit_conflict(secondary, record.dep_ts,
+                                             (demand, ts, skip))
+                        continue
+                    if skip:
                         self.counters.sharded_skips += 1
-                    if demand:
-                        request_call(demand, apply_commit, secondary, ts)
-                    else:
-                        apply_commit(secondary, ts)
+                    pending.append(ts)
+                    if len(pending) > secondary.peak:
+                        secondary.peak = len(pending)
+                        max_pending[secondary.index] = secondary.peak
+                    if serial:
+                        # Ablation: naive log-sequence replay — apply
+                        # each transaction to completion before the next.
+                        secondary.cursor = (batch, idx)
+                    request_call(demand, apply_commit, secondary, ts)
+                    if serial:
+                        return
                 elif cls is _StartRecord:
                     if pending:
-                        # Relationship 2: park until pending drains; the
-                        # started.add happens on resume.
-                        secondary.feed_parked = (batch, idx)
+                        # Relationship 2: wait until pending drains.
+                        secondary.cursor = (batch, idx - 1)
                         return
                     started.add(record.txn_key)
                 else:
                     started.discard(record.txn_key)
-                idx += 1
             if not backlog:
                 return
             batch = backlog.popleft()
             idx = 0
 
-    def _refresher(self, secondary: _SecondaryModel):
-        # Hot path: locals and a constant spawn name (profiling shows the
-        # per-commit f-string and attribute walks add up at scale).
-        params = self.params
-        parallel = params.parallel_refresh
-        serial = params.serial_refresh
-        spawn = self.kernel.spawn
-        pending = secondary.pending
-        started = secondary.started
-        max_pending = self.counters.max_pending
-        applicator_name = f"applicator-{secondary.index}"
-        if parallel is not None:
-            secondary.work = Queue(self.kernel,
-                                   name=f"sec{secondary.index}-work")
-            for i in range(parallel):
-                spawn(self._parallel_worker(secondary),
-                      name=f"{applicator_name}:{i}", daemon=True)
-        sec_index = secondary.index
-        peak = max_pending.get(sec_index, 0)
-        while True:
-            batch = yield secondary.update_queue.get()
-            for record in batch:
-                # Exact-type dispatch: the record types are final and
-                # isinstance() was measurable at one call per record per
-                # secondary.
-                cls = record.__class__
-                if cls is _StartRecord:
-                    # Relationship 2 is enforced by FIFO commit ordering;
-                    # under parallel refresh the conflict scheduler
-                    # provides it instead, so start records never block.
-                    if parallel is None and pending:
-                        yield secondary.pending_cond.wait_for(
-                            lambda: not pending)
-                    started.add(record.txn_key)
-                elif cls is _AbortRecord:
-                    started.discard(record.txn_key)
-                elif parallel is not None:
-                    started.discard(record.txn_key)
-                    secondary.inflight += 1
-                    if secondary.inflight > peak:
-                        peak = max_pending[sec_index] = secondary.inflight
-                    dep = record.dep_ts
-                    if dep > secondary.watermark \
-                            and dep not in secondary.applied:
-                        secondary.parked.setdefault(dep, []).append(record)
-                    else:
-                        secondary.work.put(record)
-                else:
-                    started.discard(record.txn_key)
-                    pending.append(record.commit_ts)
-                    if len(pending) > peak:
-                        peak = max_pending[sec_index] = len(pending)
-                    applicator = spawn(
-                        self._applicator(secondary, record),
-                        name=applicator_name, daemon=True, eager=True)
-                    if serial:
-                        # Ablation: naive log-sequence replay — apply
-                        # each transaction to completion before the next.
-                        yield applicator.join()
+    def _admit_conflict(self, secondary: _SecondaryModel, dep_ts: int,
+                        job: tuple) -> None:
+        secondary.inflight += 1
+        if secondary.inflight > secondary.peak:
+            secondary.peak = secondary.inflight
+            self.counters.max_pending[secondary.index] = secondary.peak
+        if dep_ts > secondary.seq_db and dep_ts not in secondary.serviced:
+            secondary.parked.setdefault(dep_ts, []).append(job)
+        else:
+            self._dispatch(secondary, job)
+
+    def _dispatch(self, secondary: _SecondaryModel, job: tuple) -> None:
+        """Give a runnable job a free slot (it starts through the ready
+        deque, a new arrival), or queue it for one."""
+        if secondary.idle:
+            secondary.idle -= 1
+            self.counters.sharded_skips += job[2]
+            self.kernel._schedule(
+                self.kernel._now, secondary.server.request_call, job[0],
+                self._apply_unordered, secondary, job[1])
+        else:
+            secondary.runnable.append(job)
 
     def _apply_commit(self, secondary: _SecondaryModel,
                       commit_ts: int) -> None:
-        """Completion callback of the zero-process apply path.
-
-        Commits strictly in pending (= primary commit) order, exactly
-        like the per-record applicator process: a record whose service
-        finishes out of order parks in ``serviced`` until the head
-        catches up, then the whole contiguous run commits in one go.
-        """
+        """Ordered admission: a refresh transaction's updates have been
+        applied."""
+        # Commit strictly in pending (= primary commit) order: a record
+        # serviced out of order waits in ``serviced`` until the head
+        # catches up, then the whole contiguous run commits in one go.
         pending = secondary.pending
         if pending[0] != commit_ts:
             secondary.serviced.add(commit_ts)
@@ -597,75 +613,61 @@ class LazyReplicationModel:
             serviced.remove(ts)
         secondary.seq_db = seq
         secondary.refreshes_applied += applied
-        if not pending:
-            parked = secondary.feed_parked
-            if parked is not None:
-                # A start record was waiting for this drain: admit it and
-                # continue its batch (direct-feed twin of the refresher
-                # waking from pending_cond).
-                secondary.feed_parked = None
-                batch, idx = parked
-                secondary.started.add(batch[idx].txn_key)
-                self._drain_records(secondary, batch, idx + 1)
-            secondary.pending_cond.notify_all()
-        secondary.seq_cond.notify_all()
+        if not pending and secondary.cursor is not None:
+            if self.params.serial_refresh:
+                # The next record goes through the ready deque, behind
+                # the readers this commit released (module docstring).
+                self._release_readers(secondary)
+                self.kernel._schedule(self.kernel._now, self._resume_feed,
+                                      secondary)
+                return
+            # The records a start record held back are admitted inside
+            # this completion: the server's re-arm sees them.
+            self._resume_feed(secondary)
+        self._release_readers(secondary)
 
-    def _applicator(self, secondary: _SecondaryModel,
-                    record: _CommitRecord):
-        subscription = secondary.subscription
-        if subscription is not None and record.shard not in subscription:
-            self.counters.sharded_skips += 1
-        elif record.update_ops:
-            yield secondary.server.request(
-                record.update_ops * self.params.op_service_time)
-        # Skip the condition round-trip when already at the head: the
-        # immediate-resume event the wait would schedule is pure overhead.
-        if not (secondary.pending
-                and secondary.pending[0] == record.commit_ts):
-            yield secondary.pending_cond.wait_for(
-                lambda: (secondary.pending
-                         and secondary.pending[0] == record.commit_ts))
-        # Commit R, then advance seq(DBsec) before dequeuing (Section 4).
-        if record.commit_ts > secondary.seq_db:
-            secondary.seq_db = record.commit_ts
-        secondary.pending.popleft()
+    def _apply_unordered(self, secondary: _SecondaryModel,
+                         commit_ts: int) -> None:
+        """Conflict admission: the commit is applied wherever it falls;
+        ``seq(DBsec)`` advances only over the contiguous prefix."""
+        serviced = secondary.serviced
+        serviced.add(commit_ts)
+        secondary.inflight -= 1
         secondary.refreshes_applied += 1
-        secondary.pending_cond.notify_all()
-        secondary.seq_cond.notify_all()
+        seq = secondary.seq_db
+        if commit_ts != seq + 1:
+            secondary.out_of_order += 1
+        while seq + 1 in serviced:
+            seq += 1
+            serviced.remove(seq)
+        if seq != secondary.seq_db:
+            secondary.seq_db = seq
+            self._release_readers(secondary)
+        for job in secondary.parked.pop(commit_ts, ()):
+            self._dispatch(secondary, job)
+        secondary.idle += 1
+        if secondary.runnable:
+            self._dispatch(secondary, secondary.runnable.popleft())
 
-    def _parallel_worker(self, secondary: _SecondaryModel):
-        """Dependency-tracked applicator: applies any runnable commit
-        (conflicting predecessor already applied) out of primary order;
-        ``seq(DBsec)`` advances only at the contiguous watermark so
-        readers still observe primary states in order."""
-        params = self.params
-        subscription = secondary.subscription
-        while True:
-            record = yield secondary.work.get()
-            if subscription is not None \
-                    and record.shard not in subscription:
-                self.counters.sharded_skips += 1
-            elif record.update_ops:
-                yield secondary.server.request(
-                    record.update_ops * params.op_service_time)
-            ts = record.commit_ts
-            applied = secondary.applied
-            applied.add(ts)
-            secondary.inflight -= 1
-            secondary.refreshes_applied += 1
-            if ts != secondary.watermark + 1:
-                secondary.out_of_order += 1
-            watermark = secondary.watermark
-            while watermark + 1 in applied:
-                watermark += 1
-                applied.remove(watermark)
-            if watermark != secondary.watermark:
-                secondary.watermark = watermark
-                if watermark > secondary.seq_db:
-                    secondary.seq_db = watermark
-                    secondary.seq_cond.notify_all()
-            for parked in secondary.parked.pop(ts, ()):
-                secondary.work.put(parked)
+    def _release_readers(self, secondary: _SecondaryModel) -> None:
+        """Release, in arrival order and through the ready deque, every
+        blocked read ``seq(DBsec)`` has caught up with."""
+        waiters = secondary.waiters
+        if not waiters:                 # common case: nobody is blocked
+            return
+        seq = secondary.seq_db
+        kernel = self.kernel
+        now = kernel._now
+        record_block = self.metrics.record_block
+        still_waiting = []
+        for waiter in waiters:
+            if waiter[0] <= seq:
+                client = waiter[1]
+                record_block("read", now - client.submitted, now)
+                kernel._schedule(now, client.read)
+            else:
+                still_waiting.append(waiter)
+        secondary.waiters = still_waiting
 
     # -- diagnostics -----------------------------------------------------------------------
     def primary_utilization(self) -> float:

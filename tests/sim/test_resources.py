@@ -246,3 +246,155 @@ def test_rr_worker_respawns_after_idle(kernel):
     kernel.run()
     assert len(done) == 2
     assert done[-1][0] == "late"
+
+
+# ---------------------------------------------------------------------------
+# request_call: the one service interface, on all three disciplines
+# ---------------------------------------------------------------------------
+
+DISCIPLINES = {
+    "ps": ProcessorSharingServer,
+    "rr": lambda kernel: RoundRobinServer(kernel, time_slice=0.01),
+    "fifo": FifoServer,
+}
+
+#: (arrival instant, demand): overlapping jobs, a same-instant pair, an
+#: idle gap and a late burst.
+ARRIVALS = [(0.0, 0.5), (0.1, 0.2), (0.1, 0.35), (0.3, 0.05), (2.0, 0.4),
+            (2.0, 0.4), (2.25, 0.1)]
+
+
+def serve_arrivals(make_server, through_callbacks):
+    kernel = Kernel()
+    server = make_server(kernel)
+    done = {}
+
+    def finished(tag):
+        done[tag] = kernel.now
+
+    def process_job(tag, arrival, demand):
+        yield kernel.sleep(arrival)
+        yield server.request(demand)
+        finished(tag)
+
+    for tag, (arrival, demand) in enumerate(ARRIVALS):
+        if through_callbacks:
+            kernel.call_at(arrival, server.request_call, demand,
+                           finished, tag)
+        else:
+            kernel.spawn(process_job(tag, arrival, demand))
+    kernel.run()
+    return done, server.jobs_completed, server.utilization(kernel.now)
+
+
+@pytest.mark.parametrize("discipline", DISCIPLINES)
+def test_request_call_matches_request(discipline):
+    """A process's ``request`` is ``request_call`` with its resume as the
+    callback: same completion instants, same counters."""
+    make_server = DISCIPLINES[discipline]
+    by_process = serve_arrivals(make_server, through_callbacks=False)
+    by_callback = serve_arrivals(make_server, through_callbacks=True)
+    assert by_callback == by_process
+    assert by_callback[1] == len(ARRIVALS)
+
+
+@pytest.mark.parametrize("discipline", DISCIPLINES)
+def test_request_call_zero_demand_runs_at_once(kernel, discipline):
+    server = DISCIPLINES[discipline](kernel)
+    server.request_call(5.0, lambda: None)
+    ran = []
+    server.request_call(0.0, ran.append, "now")
+    assert ran == ["now"]
+    assert server.active_jobs == 1
+
+
+@pytest.mark.parametrize("discipline", DISCIPLINES)
+def test_negative_demand_rejected_everywhere(kernel, discipline):
+    from repro.errors import SimulationError
+    server = DISCIPLINES[discipline](kernel)
+    with pytest.raises(SimulationError):
+        server.request(-1.0)
+    with pytest.raises(SimulationError):
+        server.request_call(-1.0, lambda: None)
+
+
+def test_ps_callback_may_admit_to_the_completing_server(kernel):
+    """The re-entrant admission is seen by the completion's one re-arm:
+    no event is armed for it, and PS arithmetic places its finish."""
+    server = ProcessorSharingServer(kernel)
+    done = {}
+
+    def finished(tag):
+        done[tag] = kernel.now
+
+    def first_done():
+        finished("a")
+        server.request_call(0.5, finished, "b")
+
+    server.request_call(1.0, first_done)
+    server.request_call(2.0, finished, "c")
+    # a and c share until a has its 1.0 at t=2.0; the completion admits b.
+    kernel.run(until=2.0)
+    assert done == {"a": 2.0}
+    assert kernel.pending_events == 1           # the one re-armed event
+    scheduled = kernel.counters()["events_scheduled"]
+    # b (0.5) and c (1.0 left) share: b at 3.0, then c alone until 3.5.
+    kernel.run()
+    assert done == {"a": 2.0, "b": 3.0, "c": 3.5}
+    counters = kernel.counters()
+    # One event per departure, none orphaned: arm, early fire at 1.0 (c
+    # slowed a down), a's completion, b's, c's.
+    assert counters["events_scheduled"] == scheduled + 1 == 4
+    assert counters["events_dispatched"] == 4
+
+
+@pytest.mark.parametrize("discipline", ["rr", "fifo"])
+def test_queued_callback_may_admit_to_the_completing_server(kernel,
+                                                            discipline):
+    server = DISCIPLINES[discipline](kernel)
+    done = {}
+
+    def finished(tag):
+        done[tag] = kernel.now
+
+    def first_done():
+        finished("a")
+        server.request_call(0.5, finished, "b")
+        # The service loop is this completion event: it picks b up when
+        # the callback returns, and no second worker is spawned.
+        assert kernel.pending_events == 0
+
+    server.request_call(1.0, first_done)
+    kernel.run()
+    assert done["a"] == pytest.approx(1.0)
+    assert done["b"] == pytest.approx(1.5)
+    assert server.jobs_completed == 2
+
+
+@pytest.mark.parametrize("discipline,kill_at,expected", [
+    # Three jobs share to t=0.5 (1/6 each), then two: 0.5 + 2 * 5/6.
+    ("ps", 0.5, 0.5 + 2 * 5 / 6),
+    # The victim never reaches the head: "last" follows "first".
+    ("fifo", 0.5, 2.0),
+    # Evicted from the queue before its first slice: two jobs alternate.
+    ("rr", 0.0, 2.0),
+])
+def test_killed_process_job_leaves_callback_jobs_alone(kernel, discipline,
+                                                       kill_at, expected):
+    server = DISCIPLINES[discipline](kernel)
+    done = {}
+
+    def finished(tag):
+        done[tag] = kernel.now
+
+    server.request_call(1.0, finished, "first")
+    victim = kernel.spawn(job(kernel, server, 10.0, [], "victim"))
+    kernel.run(until=0.0)                 # the victim joins behind "first"
+    server.request_call(1.0, finished, "last")
+    kernel.run(until=kill_at)
+    kernel.kill(victim)
+    kernel.run()
+    assert sorted(done) == ["first", "last"]
+    assert done["last"] == pytest.approx(expected, abs=0.011)
+    assert server.active_jobs == 0
+    assert server.jobs_completed == 2
