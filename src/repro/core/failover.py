@@ -313,15 +313,12 @@ class AutoFailover:
             self._check_epoch()
             system = self.system
             live = [s for s in system.secondaries if s.live]
-            # Partial replication: every live replica still counts for
-            # quorum, but only a full-coverage one can serve as the new
-            # primary (a partial subscriber never received the other
-            # shards' updates) — hold the election until one is up.
-            candidates = live
-            if system.sharding is not None:
-                full = frozenset(range(system.sharding.shards))
-                candidates = [s for s in live if s.holds_shards(full)]
-            if not live or not candidates:
+            # Every live replica counts for quorum, but only a
+            # full-coverage one can serve as the new primary (a partial
+            # subscriber never received the other shards' updates) —
+            # hold the election until one is up.
+            candidates = [s for s in live if s.full_coverage]
+            if not candidates:
                 continue
             suspecting = [s.name for s in live
                           if self._suspecting.get(s.name)]

@@ -136,32 +136,24 @@ def promote(system: "ReplicatedSystem",
         raise ConfigurationError(
             "cannot promote while the primary is live; promotion is a "
             "permanent-failure response, not a switchover")
-    full_coverage = (None if system.sharding is None
-                     else frozenset(range(system.sharding.shards)))
     if index is not None:
         candidate = system.secondaries[index]
         if not candidate.live:
             raise ConfigurationError(
                 f"cannot promote {candidate.name!r}: site is "
                 f"{'retired' if candidate.retired else 'crashed'}")
-        if full_coverage is not None \
-                and not candidate.holds_shards(full_coverage):
-            # A partial subscriber's state is a keyspace projection; it
-            # can never serve as the axis every replica converges on.
+        if not candidate.full_coverage:
             raise ConfigurationError(
                 f"cannot promote {candidate.name!r}: it subscribes to "
                 f"shards {sorted(candidate.subscription)} only; promote "
                 f"a full-coverage replica")
     else:
-        live = [s for s in system.secondaries if s.live]
-        if full_coverage is not None:
-            live = [s for s in live if s.holds_shards(full_coverage)]
-        if not live:
+        candidates = system.promotable()
+        if not candidates:
             raise NoLiveSecondariesError(
-                "cannot promote: no live full-coverage secondary remains"
-                if full_coverage is not None else
-                "cannot promote: every secondary is crashed or retired")
-        candidate = max(live, key=lambda s: s.seq_db)
+                "cannot promote: no live full-coverage secondary remains "
+                "(every one is crashed or retired)")
+        candidate = max(candidates, key=lambda s: s.seq_db)
 
     old_primary = system.primary
     old_propagator = system.propagator
@@ -237,13 +229,12 @@ def promote(system: "ReplicatedSystem",
         # every dependency at ``base`` keeps new-epoch commits behind
         # the entire surviving prefix.
         dep_floor=base,
-        # Sharded epochs keep the per-shard sequence numbering monotonic:
-        # the old counters (including seqs of truncated commits — the
-        # numbers are monotonic-max dedup state, never contiguity-
-        # checked) seed the new stream so no subscriber ever sees a
-        # per-shard sequence go backwards.
         sharding=old_propagator.sharding,
-        shard_seq_base=dict(old_propagator._shard_seq))
+        # The newest surviving commit per axis: recovery frontier
+        # floors, strong-SI requirements and the session clamps below
+        # all come from this map, and an inflated value would make
+        # sessions wait for a frontier no replica can ever reach.
+        newest_floor=old_propagator.newest_commit_ts_up_to(base))
     # Shipping counters continue across the epoch (monitoring reads
     # whichever propagator is current).
     new_propagator.records_sent = old_propagator.records_sent
@@ -251,26 +242,6 @@ def promote(system: "ReplicatedSystem",
     new_propagator.records_logged = old_propagator.records_logged
     new_propagator.records_shipped_by_shard = dict(
         old_propagator.records_shipped_by_shard)
-    # Rebuild the newest-commit-per-shard map *exactly* on the new axis:
-    # every value must be the timestamp of a surviving commit that
-    # actually touched the shard (not merely ``min(old, base)`` — the
-    # truncation point need not touch the shard).  Recovery frontier
-    # floors, strong-SI per-shard requirements and the observed-shard
-    # clamp below all come from this map; an inflated value would make
-    # sessions wait for a frontier no replica can ever reach.  The old
-    # archive holds exactly the old epoch's commits in commit order, so
-    # the epoch-start floor plus the archived commits at or before
-    # ``base`` reconstruct the map exactly.
-    if old_propagator.sharding is not None:
-        exact = dict(old_propagator._shard_last_floor)
-        for commit in old_propagator.archive:
-            if commit.commit_ts > base:
-                break
-            for shard, _seq in commit.shard_seqs:
-                if commit.commit_ts > exact.get(shard, 0):
-                    exact[shard] = commit.commit_ts
-        new_propagator._shard_last_commit_ts = exact
-        new_propagator._shard_last_floor = dict(exact)
 
     replayed: dict[str, int] = {}
     for site in system.secondaries:
@@ -292,45 +263,35 @@ def promote(system: "ReplicatedSystem",
                 site, after_commit_ts=site.seq_db, up_to_commit_ts=base)
 
     # -- reconcile sessions across the epoch --------------------------------
-    truncated = system.tracker.truncate(base)
-    if system.sharding is not None:
-        # ``truncate`` clamped the per-shard global sequences to ``base``,
-        # but ``base`` need not touch every shard: re-clamp them to the
-        # exact newest surviving commit per shard, so strong-SI and
-        # freshness-bounded reads never demand an unreachable frontier.
-        shard_last = new_propagator._shard_last_commit_ts
-        for shard, seq in system.tracker._global_shard_seq.items():
-            limit = shard_last.get(shard, 0)
-            if seq > limit:
-                system.tracker._global_shard_seq[shard] = limit
+    surviving = new_propagator.newest_commit_ts
+    truncated = system.tracker.truncate(base, surviving)
     lost_sessions: list[str] = []
     system._sessions = [s for s in system._sessions if not s.closed]
     for session in system._sessions:
         window = truncated.get(session.label)
+        observed = session._observed
+        seen = observed.get(None, 0)
         if window is not None:
             # The session's own acknowledged commits are gone.  This is a
             # durability loss, not an ordering subtlety — surface it for
             # every guarantee level.
             session._lost_window = window
             lost_sessions.append(session.label)
-        elif session.last_observed_seq > base:
-            if session.guarantee.orders_reads_within_session:
-                # The session *observed* truncated states (at a replica
-                # that has since crashed); monotonic session reads can
-                # never be honoured on the new axis.
-                session._lost_window = (base, session.last_observed_seq)
-                lost_sessions.append(session.label)
-            else:
-                # Weak/PCSI sessions make no cross-read ordering promise;
-                # clamp the freshness bookkeeping to the surviving prefix.
-                session.last_observed_seq = base
-        for shard, seen in session._observed_shards.items():
-            # Clamp to the newest surviving commit touching the shard,
-            # not to ``base``: the session must never remember a frontier
-            # value no replica can reach again.
-            limit = new_propagator._shard_last_commit_ts.get(shard, 0)
-            if seen > limit and session._lost_window is None:
-                session._observed_shards[shard] = limit
+        elif seen > base and session.guarantee.orders_reads_within_session:
+            # The session *observed* truncated states (at a replica
+            # that has since crashed); monotonic session reads can
+            # never be honoured on the new axis.
+            session._lost_window = (base, seen)
+            lost_sessions.append(session.label)
+        # Weak/PCSI sessions make no cross-read ordering promise, and a
+        # surviving strong session may have read a shard past its newest
+        # surviving commit: clamp the freshness bookkeeping on every
+        # axis to that commit (not to ``base``, which need not touch the
+        # shard), so the session never remembers a frontier value no
+        # replica can reach again.
+        for axis, frontier in observed.items():
+            if frontier > surviving(axis):
+                observed[axis] = surviving(axis)
 
     # -- install the new epoch ----------------------------------------------
     system.primary = new_primary

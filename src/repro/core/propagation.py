@@ -361,18 +361,22 @@ class Propagator:
         Partial-replication configuration.  When set, the propagator
         emits **only commit records** (no starts, no aborts — a
         subscriber cannot tell a filtered-out commit from an aborted
-        transaction anyway), stamps each with per-shard sequence numbers
-        and per-shard dependency bounds, and *projects* every commit
-        onto each endpoint's ``subscription``: commits touching no
-        subscribed shard are not shipped at all, partially-overlapping
-        commits ship only the subscribed slice of their write-set.
-        ``None`` (default) keeps the classic full-replication wire
-        format, bit-identical.
-    shard_seq_base:
-        Starting per-shard sequence counters; a promotion passes the old
-        propagator's counters so per-shard numbering stays monotonic
-        across the epoch (subscribers track these as monotonic maxima,
-        never asserting contiguity).
+        transaction anyway), stamps each with per-shard dependency
+        bounds, and *projects* every commit onto each endpoint's
+        ``subscription``: commits touching no subscribed shard are not
+        shipped at all, partially-overlapping commits ship only the
+        subscribed slice of their write-set.  ``None`` (default) keeps
+        the classic full-replication wire format.  This is the one place
+        the two modes are different protocols rather than one protocol
+        at two widths: a full-replication stream is contiguous and
+        drives Algorithm 3.2's empty-queue wait off its start records, a
+        projected stream can do neither, so :meth:`_on_log_record` and
+        :meth:`replay_to` choose which records exist — and nothing else
+        here asks which mode it is in.
+    newest_floor:
+        Newest commit timestamp per freshness axis at this propagator's
+        epoch start (empty for the first epoch); a promotion passes the
+        map rebuilt by :meth:`newest_commit_ts_up_to`.
     """
 
     def __init__(self, kernel: Kernel, log: LogicalLog, *,
@@ -380,7 +384,7 @@ class Propagator:
                  batch_interval: Optional[float] = None,
                  dep_floor: int = 0,
                  sharding: Optional[ShardingConfig] = None,
-                 shard_seq_base: Optional[dict[int, int]] = None,
+                 newest_floor: Optional[dict] = None,
                  name: str = "propagator"):
         if delay < 0:
             raise ReplicationError("propagation delay must be >= 0")
@@ -419,18 +423,15 @@ class Propagator:
         #: Per-key last-writer map (key fingerprint -> commit_ts) feeding
         #: the dependency summary shipped with every commit record.
         self._last_writer: dict[int, int] = {}
-        #: Per-shard sequence counters (shard -> count of commits that
-        #: touched it) and the newest commit timestamp touching each
-        #: shard; both empty (and untouched) with sharding off.
-        self._shard_seq: dict[int, int] = dict(shard_seq_base or {})
-        self._shard_last_commit_ts: dict[int, int] = {}
-        #: Frozen copy of ``_shard_last_commit_ts`` at this propagator's
-        #: epoch start (empty for the first epoch).  The archive only
-        #: holds this epoch's commits, so a later promotion needs this
-        #: floor to rebuild the newest-commit-per-shard map *exactly* —
-        #: every value must be the timestamp of a surviving commit that
-        #: touched the shard, or frontier waits can deadlock.
-        self._shard_last_floor: dict[int, int] = {}
+        #: Newest commit timestamp on each freshness axis — ``None``, the
+        #: whole database, and every shard a commit has touched — as
+        #: the log shows it.  Every value is the timestamp of a commit
+        #: that touched the axis, or frontier waits can deadlock.
+        self._newest_commit_ts: dict = dict(newest_floor or {})
+        #: Frozen copy at this propagator's epoch start.  The archive
+        #: only holds this epoch's commits, so a later promotion needs
+        #: this floor to rebuild the map *exactly*.
+        self._newest_floor: dict = dict(self._newest_commit_ts)
         #: Commit-record shipments per shard, summed over endpoints: a
         #: commit touching two subscribed shards of one endpoint counts
         #: once for each shard.
@@ -536,24 +537,18 @@ class Propagator:
                         bound = prev
                     shard_prev[shard] = bound
                 last_writer[fp] = record.commit_ts
-            if sharding is None:
-                commit = PropagatedCommit(
-                    txn_id=record.txn_id, commit_ts=record.commit_ts,
-                    updates=updates, write_fps=tuple(write_fps),
-                    dep_ts=dep_ts)
-            else:
-                shard_seqs = []
-                for shard in sorted(shard_prev):
-                    self._shard_seq[shard] = \
-                        self._shard_seq.get(shard, 0) + 1
-                    self._shard_last_commit_ts[shard] = record.commit_ts
-                    shard_seqs.append((shard, self._shard_seq[shard]))
-                commit = PropagatedCommit(
-                    txn_id=record.txn_id, commit_ts=record.commit_ts,
-                    updates=updates, write_fps=tuple(write_fps),
-                    dep_ts=dep_ts, update_fps=fps,
-                    shard_seqs=tuple(shard_seqs),
-                    shard_deps=tuple(sorted(shard_prev.items())))
+            newest = self._newest_commit_ts
+            newest[None] = record.commit_ts
+            for shard in shard_prev:
+                newest[shard] = record.commit_ts
+            commit = PropagatedCommit(
+                txn_id=record.txn_id, commit_ts=record.commit_ts,
+                updates=updates, write_fps=tuple(write_fps),
+                dep_ts=dep_ts,
+                # Only a record that can be projected needs the
+                # undeduplicated fingerprints.
+                update_fps=fps if shard_prev else (),
+                shard_deps=tuple(sorted(shard_prev.items())))
             self.archive.append(commit)
             self._emit(commit)
         elif isinstance(record, AbortRecord):
@@ -586,58 +581,63 @@ class Propagator:
         if not outbox:
             return
         links = self._links
-        if self.sharding is not None:
-            self._flush_sharded(outbox)
-            return
-        if self.batch_interval is not None:
-            # Batch shipping: the whole flush travels as one frame per
-            # endpoint — one sequence number, one ack, one delivery event
-            # — and the refresher unpacks the records in log order.
-            frame = PropagatedBatch(records=tuple(outbox))
+        batching = self.batch_interval is not None
+        # Batch shipping: the whole flush travels as one frame per
+        # endpoint — one sequence number, one ack, one delivery event —
+        # and the refresher unpacks the records in log order.  Unbatched,
+        # each record goes to every endpoint before the next is sent.
+        # An endpoint that declares no ``subscription`` receives all.
+        for item in ((PropagatedBatch(records=tuple(outbox)),)
+                     if batching else outbox):
             for endpoint in self._endpoints:
+                shipped = self.slice_for(
+                    item, getattr(endpoint, "subscription", None))
+                if shipped is None:
+                    continue
                 link = links.get(endpoint.name) if links else None
                 if link is not None:
-                    link.send(frame, self.delay)
+                    link.send(shipped, self.delay)
                 else:
-                    endpoint.deliver_later(frame, self.delay)
-                self.batches_sent += 1
-                self.records_sent += len(outbox)
-            return
-        for record in outbox:
-            for endpoint in self._endpoints:
-                link = links.get(endpoint.name) if links else None
-                if link is not None:
-                    link.send(record, self.delay)
+                    endpoint.deliver_later(shipped, self.delay)
+                if batching:
+                    self.batches_sent += 1
+                    self.records_sent += shipped.count
                 else:
-                    endpoint.deliver_later(record, self.delay)
-                self.records_sent += 1
+                    self.records_sent += 1
 
-    # -- sharded emission (partial replication) -----------------------------
-    def subscription_of(self, endpoint: PropagationEndpoint
-                        ) -> Optional[frozenset]:
-        """The endpoint's shard subscription (None = not shard-aware)."""
-        return getattr(endpoint, "subscription", None)
+    def slice_for(self, item: Any, subscription: Optional[frozenset]
+                  ) -> Any:
+        """What of one outgoing item travels to a subscriber, counted
+        per shard as shipped.
 
-    def project(self, commit: PropagatedCommit,
-                subscription: Optional[frozenset]
-                ) -> Optional[PropagatedCommit]:
-        """Project one sharded commit onto a subscription.
-
-        Returns ``None`` when the commit touches no subscribed shard
-        (nothing to ship), the original record when every touched shard
-        is subscribed (the common case — no copying on the hot path),
-        and a filtered record otherwise: only the subscribed slice of
-        the write-set travels, with ``dep_ts`` recomputed over the
-        subscribed shards so the record never waits on a commit the
-        subscriber will not receive.
+        Under full replication (``subscription`` None) that is the item
+        itself — every endpoint shares the one record or frame.  A
+        partial-replication stream holds only commit records: a frame is
+        sliced record by record, and a commit yields ``None`` when it
+        touches no subscribed shard (nothing to ship), the original
+        record when every touched shard is subscribed (the common case —
+        no copying on the hot path), and a filtered record otherwise:
+        only the subscribed slice of the write-set travels, with
+        ``dep_ts`` recomputed over the subscribed shards so the record
+        never waits on a commit the subscriber will not receive.
         """
         if subscription is None:
-            return commit
-        kept = [pair for pair in commit.shard_seqs
-                if pair[0] in subscription]
+            return item
+        if type(item) is PropagatedBatch:
+            records = tuple(
+                slice_ for slice_ in (self.slice_for(record, subscription)
+                                      for record in item.records)
+                if slice_ is not None)
+            return PropagatedBatch(records=records) if records else None
+        commit = item
+        kept = tuple(pair for pair in commit.shard_deps
+                     if pair[0] in subscription)
         if not kept:
             return None
-        if len(kept) == len(commit.shard_seqs):
+        shipped = self.records_shipped_by_shard
+        for shard, _dep in kept:
+            shipped[shard] = shipped.get(shard, 0) + 1
+        if len(kept) == len(commit.shard_deps):
             return commit
         shards = self.sharding.shards
         updates = []
@@ -649,61 +649,39 @@ class Propagator:
         write_fps = tuple(fp for fp in commit.write_fps
                           if fp % shards in subscription)
         dep_ts = self.dep_floor
-        for shard, dep in commit.shard_deps:
-            if shard in subscription and dep > dep_ts:
+        for _shard, dep in kept:
+            if dep > dep_ts:
                 dep_ts = dep
         return PropagatedCommit(
             txn_id=commit.txn_id, commit_ts=commit.commit_ts,
             updates=tuple(updates), logical_id=commit.logical_id,
             write_fps=write_fps, dep_ts=dep_ts,
-            update_fps=tuple(update_fps), shard_seqs=tuple(kept),
-            shard_deps=tuple(pair for pair in commit.shard_deps
-                             if pair[0] in subscription))
-
-    def _count_shipment(self, projected: PropagatedCommit) -> None:
-        shipped = self.records_shipped_by_shard
-        for shard, _seq in projected.shard_seqs:
-            shipped[shard] = shipped.get(shard, 0) + 1
-
-    def _flush_sharded(self, outbox: list[PropagationRecord]) -> None:
-        """Per-endpoint projected emission (sharded mode only).
-
-        The outbox holds only commit records here (sharded mode emits no
-        starts or aborts).  Unlike the classic batch path, each endpoint
-        gets its *own* frame — the projections differ — and endpoints
-        whose projection is empty receive nothing at all.
-        """
-        links = self._links
-        batching = self.batch_interval is not None
-        for endpoint in self._endpoints:
-            subscription = self.subscription_of(endpoint)
-            projected: list[PropagationRecord] = []
-            for record in outbox:
-                slice_ = self.project(record, subscription)
-                if slice_ is None:
-                    continue
-                self._count_shipment(slice_)
-                projected.append(slice_)
-            if not projected:
-                continue
-            link = links.get(endpoint.name) if links else None
-            if batching:
-                frame = PropagatedBatch(records=tuple(projected))
-                if link is not None:
-                    link.send(frame, self.delay)
-                else:
-                    endpoint.deliver_later(frame, self.delay)
-                self.batches_sent += 1
-                self.records_sent += len(projected)
-            else:
-                for record in projected:
-                    if link is not None:
-                        link.send(record, self.delay)
-                    else:
-                        endpoint.deliver_later(record, self.delay)
-                    self.records_sent += 1
+            update_fps=tuple(update_fps), shard_deps=kept)
 
     # -- recovery support (Section 3.4) -------------------------------------
+    def newest_commit_ts(self, axis) -> int:
+        """Newest commit on one freshness axis (0 if none): the frontier
+        a replica holding the axis converges on."""
+        return self._newest_commit_ts.get(axis, 0)
+
+    def newest_commit_ts_up_to(self, base: int) -> dict:
+        """The per-axis newest-commit map as of commit ``base``, rebuilt
+        *exactly* for a promotion that truncates there: every value is
+        the timestamp of a surviving commit that actually touched the
+        axis (not merely ``min(newest, base)`` — the truncation point
+        need not touch a given shard).  The archive holds exactly this
+        epoch's commits in commit order, so the epoch-start floor plus
+        the archived commits at or before ``base`` reconstruct it.
+        """
+        exact = dict(self._newest_floor)
+        for commit in self.archive:
+            if commit.commit_ts > base:
+                break
+            exact[None] = commit.commit_ts
+            for shard, _dep in commit.shard_deps:
+                exact[shard] = commit.commit_ts
+        return exact
+
     def retire(self) -> None:
         """Permanently disconnect this propagator (primary promotion).
 
@@ -739,32 +717,28 @@ class Propagator:
         commits beyond the truncation point died with the old primary and
         must never resurface.
 
-        In sharded mode the archive holds the *full* commits; each is
-        projected onto the endpoint's subscription exactly like live
-        traffic (commits touching no subscribed shard are skipped and do
-        not count), and no start records are synthesized — sharded
-        streams are commit-only.
+        The archive holds the *full* commits; each is sliced for the
+        endpoint's subscription exactly like live traffic (commits
+        touching no subscribed shard are skipped and do not count).  A
+        full-replication stream gets each commit's start record
+        synthesized ahead of it; partial-replication streams are
+        commit-only.
         """
         replayed = 0
-        sharded = self.sharding is not None
-        subscription = self.subscription_of(endpoint) if sharded else None
+        subscription = getattr(endpoint, "subscription", None)
         for commit in self.archive:
             if commit.commit_ts <= after_commit_ts:
                 continue
             if up_to_commit_ts is not None \
                     and commit.commit_ts > up_to_commit_ts:
                 break
-            if sharded:
-                slice_ = self.project(commit, subscription)
-                if slice_ is None:
-                    continue
-                self._count_shipment(slice_)
-                endpoint.deliver_later(slice_, 0.0)
-                replayed += 1
+            slice_ = self.slice_for(commit, subscription)
+            if slice_ is None:
                 continue
-            endpoint.deliver_later(
-                PropagatedStart(txn_id=commit.txn_id,
-                                start_ts=commit.commit_ts - 1), 0.0)
-            endpoint.deliver_later(commit, 0.0)
+            if self.sharding is None:
+                endpoint.deliver_later(
+                    PropagatedStart(txn_id=commit.txn_id,
+                                    start_ts=commit.commit_ts - 1), 0.0)
+            endpoint.deliver_later(slice_, 0.0)
             replayed += 1
         return replayed

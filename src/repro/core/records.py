@@ -68,18 +68,16 @@ class PropagatedCommit:
         One fingerprint per entry of ``updates`` (first-write-wins
         deduplication makes ``write_fps`` shorter, so projection by
         shard needs the undeduplicated list).
-    ``shard_seqs``
-        ``(shard, seq)`` pairs: this commit is the ``seq``-th commit
-        touching ``shard``, for every shard it touches.  Subscribers
-        track these per-shard sequence numbers as their per-shard
-        refresh watermarks.
     ``shard_deps``
-        ``(shard, dep_ts)`` pairs: per-shard dependency bound, the
-        commit timestamp of the latest prior committed transaction that
-        wrote any of the same keys *in that shard*.  A projection onto a
-        subscription recomputes ``dep_ts`` as the max over subscribed
-        shards, so a filtered commit never waits on a commit the
-        subscriber will not receive.
+        ``(shard, dep_ts)`` pairs in shard order, one per shard this
+        commit touches: the per-shard dependency bound, the commit
+        timestamp of the latest prior committed transaction that wrote
+        any of the same keys *in that shard*.  A projection onto a
+        subscription keeps the subscribed pairs and recomputes
+        ``dep_ts`` as their max, so a filtered commit never waits on a
+        commit the subscriber will not receive; the subscriber advances
+        its frontier on each shard named here when the commit becomes
+        visible.
     """
 
     txn_id: int
@@ -89,7 +87,6 @@ class PropagatedCommit:
     write_fps: tuple[int, ...] = ()
     dep_ts: int = 0
     update_fps: tuple[int, ...] = ()
-    shard_seqs: tuple[tuple[int, int], ...] = ()
     shard_deps: tuple[tuple[int, int], ...] = ()
 
     @property

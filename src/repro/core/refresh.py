@@ -417,7 +417,7 @@ class Refresher:
             # seq_cond notify may immediately begin a transaction at
             # snapshot ts, which the engine must already accept.
             engine.advance_commit_counter(ts)
-            site.note_shards_applied(record.shard_seqs, ts)
+            site.note_shards_applied(record.shard_deps, ts)
             # Section 4: advance seq(DBsec) after the commit, before
             # dequeuing the commit record.
             site.set_seq_db(ts)

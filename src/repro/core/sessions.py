@@ -14,62 +14,74 @@ system; ALG-WEAK-SI never consults the tracker.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.guarantees import GLOBAL_SESSION_LABEL, Guarantee
 
 
+#: The per-axis sequences of a label that never committed an update.
+_NO_UPDATES: dict = {}
+
+
 class SequenceTracker:
-    """Tracks seq(c) for every session label plus the global sequence."""
+    """Tracks seq(c) for every session label plus the global sequence,
+    each on every freshness axis.
+
+    An *axis* names what a sequence number is compared against: ``None``
+    is the whole database — the paper's ``seq(DBsec)`` — and under
+    partial replication each shard id is an axis of its own, because a
+    partial subscriber only ever reaches the commits that touched its
+    shards.  Every commit lies on the whole-database axis and on the
+    axis of each shard it wrote, so every number stored for an axis is
+    the timestamp of a commit that touched it, which a replica holding
+    the axis provably reaches.
+    """
 
     def __init__(self) -> None:
-        self._seq: dict[str, int] = defaultdict(int)
-        self._global_seq = 0
+        #: label -> axis -> commit_ts of the session's newest update on it.
+        self._seq: dict[str, dict] = {}
+        #: axis -> newest commit_ts on it (ALG-STRONG-SI's sequence).
+        self._newest: dict = {}
         #: Per-label acknowledged-but-truncated commit windows ``(kept,
         #: lost]`` recorded by :meth:`truncate` across primary promotions.
         self.lost_windows: dict[str, tuple[int, int]] = {}
-        #: Sharded seq(c) vectors: label -> shard -> commit_ts of the
-        #: session's newest update touching that shard (partial
-        #: replication only; empty — and cost-free — otherwise).
-        self._shard_seq: dict[str, dict[int, int]] = {}
-        #: shard -> newest commit_ts touching it (sharded ALG-STRONG-SI).
-        self._global_shard_seq: dict[int, int] = {}
 
     @property
     def global_seq(self) -> int:
         """Latest primary commit timestamp observed (the ALG-STRONG-SI
         single-session sequence number)."""
-        return self._global_seq
+        return self._newest.get(None, 0)
 
-    def seq(self, label: str) -> int:
-        """Current seq(c) for session label ``c``."""
-        return self._seq[label]
+    def newest(self, axis=None) -> int:
+        """Newest commit timestamp on ``axis`` (0 if none)."""
+        return self._newest.get(axis, 0)
+
+    def seq(self, label: str, axis=None) -> int:
+        """Current seq(c) for session label ``c`` on ``axis``."""
+        return self._seq.get(label, _NO_UPDATES).get(axis, 0)
 
     def on_primary_commit(self, label: Optional[str], commit_ts: int,
                           shards: tuple = ()) -> None:
         """Record that an update transaction from ``label`` committed.
 
-        Under partial replication ``shards`` names the shards the
-        transaction's write set touched; the per-shard seq(c) vectors let
-        a later read block only on the frontiers of the shards it reads,
-        instead of the scalar (which a partial replica may never reach).
+        ``shards`` names the shards its write set touched (partial
+        replication; empty otherwise): a later read then blocks only on
+        the axes it reads, instead of the whole-database one a partial
+        replica may never reach.
         """
-        if commit_ts > self._global_seq:
-            self._global_seq = commit_ts
-        if label is not None and commit_ts > self._seq[label]:
-            self._seq[label] = commit_ts
-        for shard in shards:
-            if commit_ts > self._global_shard_seq.get(shard, 0):
-                self._global_shard_seq[shard] = commit_ts
-            if label is not None:
-                vector = self._shard_seq.setdefault(label, {})
-                if commit_ts > vector.get(shard, 0):
-                    vector[shard] = commit_ts
+        newest = self._newest
+        own = None if label is None else self._seq.setdefault(label, {})
+        for axis in (None, *shards):
+            if commit_ts > newest.get(axis, 0):
+                newest[axis] = commit_ts
+            if own is not None and commit_ts > own.get(axis, 0):
+                own[axis] = commit_ts
 
-    def required_sequence(self, guarantee: Guarantee, label: str) -> int:
-        """The seq(DBsec) a read-only transaction from this session must
-        wait for under the given guarantee (captured at submission time).
+    def required_sequence(self, guarantee: Guarantee, label: str,
+                          axis=None) -> int:
+        """The frontier on ``axis`` a read-only transaction from this
+        session must wait for under the given guarantee (captured at
+        submission time) — ``seq(DBsec)`` on the whole-database axis.
 
         Both STRONG_SESSION_SI and PCSI wait for the session's own last
         update here; the extra ordering between read-only transactions
@@ -79,47 +91,12 @@ class SequenceTracker:
         if guarantee is Guarantee.WEAK_SI:
             return 0
         if guarantee is Guarantee.STRONG_SI:
-            return self._global_seq
-        return self._seq[label]
+            return self._newest.get(axis, 0)
+        return self._seq.get(label, _NO_UPDATES).get(axis, 0)
 
-    def required_shard_sequence(self, guarantee: Guarantee, label: str,
-                                shards: frozenset) -> dict[int, int]:
-        """Per-shard frontier requirements for a sharded read.
-
-        The sharded analogue of :meth:`required_sequence`: for each shard
-        the read touches, the frontier it must wait for — 0 under weak
-        SI, the global per-shard sequence under strong SI, the session's
-        own per-shard vector otherwise.  Every requirement is the commit
-        timestamp of a commit that *touched the shard*, so a subscribing
-        replica's frontier provably reaches it.
-        """
-        if guarantee is Guarantee.WEAK_SI:
-            return {shard: 0 for shard in shards}
-        if guarantee is Guarantee.STRONG_SI:
-            return {shard: self._global_shard_seq.get(shard, 0)
-                    for shard in shards}
-        vector = self._shard_seq.get(label, {})
-        return {shard: vector.get(shard, 0) for shard in shards}
-
-    def global_shard_seq(self, shard: int) -> int:
-        """Newest commit timestamp touching ``shard`` (0 if none)."""
-        return self._global_shard_seq.get(shard, 0)
-
-    def staleness(self, guarantee: Guarantee, label: str,
-                  seq_db: int) -> int:
-        """Sequence shortfall of a snapshot at ``seq_db`` for this session.
-
-        How many commits short of the guarantee's current requirement a
-        read served from ``seq_db`` would be — 0 when the snapshot
-        satisfies the guarantee.  This is the quantity a graceful-
-        degradation :class:`~repro.core.admission.StalenessReport`
-        bounds (the degradation path itself additionally folds in the
-        session's monotonic-read floor, which can only tighten the
-        requirement beyond the tracker's).
-        """
-        return max(0, self.required_sequence(guarantee, label) - seq_db)
-
-    def truncate(self, truncation_ts: int) -> dict[str, tuple[int, int]]:
+    def truncate(self, truncation_ts: int,
+                 surviving: Optional[Callable] = None
+                 ) -> dict[str, tuple[int, int]]:
         """Reconcile every seq(c) across a primary promotion.
 
         The new primary's history ends at ``truncation_ts``; any session
@@ -129,25 +106,28 @@ class SequenceTracker:
         recorded in :attr:`lost_windows` and returned (the promotion
         machinery turns them into :class:`~repro.errors.LostUpdatesError`
         for the affected sessions); all sequence numbers, including the
-        global ALG-STRONG-SI one, are clamped to ``truncation_ts`` so
-        surviving sessions wait for states that can actually appear.
+        global ALG-STRONG-SI ones, are clamped so surviving sessions
+        wait for states that can actually appear: on each axis to
+        ``surviving(axis)``, the newest surviving commit that touched it
+        (the truncation point need not have), or to ``truncation_ts``
+        when the caller knows no better.
         """
+        if surviving is None:
+            def surviving(axis):
+                return truncation_ts
         truncated: dict[str, tuple[int, int]] = {}
-        for label, seq in self._seq.items():
+        vectors = [self._newest]
+        for label, own in self._seq.items():
+            seq = own.get(None, 0)
             if seq > truncation_ts:
                 window = (truncation_ts, seq)
                 truncated[label] = window
                 self.lost_windows[label] = window
-                self._seq[label] = truncation_ts
-        if self._global_seq > truncation_ts:
-            self._global_seq = truncation_ts
-        for vector in self._shard_seq.values():
-            for shard, seq in vector.items():
-                if seq > truncation_ts:
-                    vector[shard] = truncation_ts
-        for shard, seq in self._global_shard_seq.items():
-            if seq > truncation_ts:
-                self._global_shard_seq[shard] = truncation_ts
+            vectors.append(own)
+        for vector in vectors:
+            for axis, seq in vector.items():
+                if seq > surviving(axis):
+                    vector[axis] = surviving(axis)
         return truncated
 
     def forget(self, label: str) -> None:
@@ -161,13 +141,10 @@ class SequenceTracker:
         like a label never seen.
         """
         self._seq.pop(label, None)
-        self._shard_seq.pop(label, None)
 
     def reset(self) -> None:
         self._seq.clear()
-        self._global_seq = 0
-        self._shard_seq.clear()
-        self._global_shard_seq.clear()
+        self._newest.clear()
 
     def labels(self) -> list[str]:
         return [label for label in self._seq if label != GLOBAL_SESSION_LABEL]

@@ -13,6 +13,7 @@ from typing import Any, Optional
 
 from repro.core.records import PropagatedBatch, PropagationRecord
 from repro.core.refresh import Refresher
+from repro.core.sharding import shard_of
 from repro.errors import ConfigurationError
 from repro.kernel import Condition, Kernel, Queue
 from repro.storage.engine import SIDatabase, Transaction
@@ -156,8 +157,23 @@ class PrimarySite:
         return recovered_ts
 
 
+#: The freshness axes of a full-replication site: just the whole
+#: database, spelled ``None`` — the paper's ``seq(DBsec)``.
+WHOLE_DATABASE: frozenset = frozenset((None,))
+
+
 class SecondarySite:
-    """A secondary: executes read-only transactions, applies refreshes."""
+    """A secondary: executes read-only transactions, applies refreshes.
+
+    Freshness is answered per *axis*.  A full-replication site has one,
+    the whole database (``None``), and its frontier there is
+    ``seq(DBsec)``.  A partial-replication site has one per subscribed
+    shard, whose frontier is the newest visible commit touching that
+    shard — it may never reach commits outside its subscription, so the
+    whole-database axis is not one it holds.  Sessions ask
+    :meth:`holds`, :meth:`frontier` and :meth:`reached` and never look
+    at which kind of site answers.
+    """
 
     def __init__(self, kernel: Kernel, name: str, recorder: Any = None,
                  serial_refresh: bool = False,
@@ -172,17 +188,14 @@ class SecondarySite:
         #: (None = sharding off, classic full replication).
         self.subscription = subscription
         self.num_shards = num_shards
+        #: The freshness axes this replica answers for.
+        self.axes: frozenset = \
+            WHOLE_DATABASE if subscription is None else subscription
         #: Per-shard freshness frontier: commit ts of the newest *visible*
         #: commit touching each subscribed shard.  Advanced by the
-        #: refresher alongside seq(DBsec); shard-aware strong-session
-        #: blocking waits on these instead of the scalar.
+        #: refresher alongside seq(DBsec).
         self.shard_frontier: dict[int, int] = \
-            {} if subscription is None else {s: 0 for s in subscription}
-        #: Per-shard wire sequence numbers (monotonic max of the
-        #: ``shard_seqs`` metadata received; never contiguity-checked —
-        #: recovery and promotion legitimately skip ranges).
-        self.shard_seq_db: dict[int, int] = \
-            {} if subscription is None else {s: 0 for s in subscription}
+            dict.fromkeys(subscription or (), 0)
         self.engine = SIDatabase(name=name, log=None, recorder=recorder,
                                  clock=lambda: kernel.now)
         self.update_queue = Queue(kernel, name=f"{name}-update-queue")
@@ -228,14 +241,50 @@ class SecondarySite:
 
     @property
     def sharded(self) -> bool:
-        """True when this site runs under partial replication."""
+        """The stream kind this site consumes: True for the commit-only,
+        projected stream of partial replication, False for the
+        contiguous start/commit/abort stream of full replication."""
         return self.subscription is not None
 
-    def holds_shards(self, shards: frozenset) -> bool:
-        """True when this replica subscribes to every given shard."""
+    @property
+    def full_coverage(self) -> bool:
+        """True when every commit reaches this replica whole — full
+        replication, or a subscription to every shard.  Only such a
+        replica can be promoted: a partial subscriber's state is a
+        keyspace projection, never the axis the others converge on."""
+        return self.subscription is None \
+            or len(self.subscription) == self.num_shards
+
+    def holds(self, axes) -> bool:
+        """True when this replica answers for every given axis."""
+        return axes <= self.axes
+
+    def frontier(self, axis) -> int:
+        """How far this replica has got on one axis: ``seq(DBsec)`` on
+        the whole-database axis, the newest visible commit touching a
+        subscribed shard — and -1, short of every requirement, on a
+        shard it does not subscribe to (0 there would read as "nothing
+        committed yet", which any replica satisfies)."""
+        if axis is None:
+            return self.seq_db
+        return self.shard_frontier.get(axis, -1)
+
+    def reached(self, required: dict) -> bool:
+        """The session rule ``seq(c) <= seq(DBsec)`` on every axis of a
+        requirement ``{axis: commit_ts}``."""
+        for axis, sequence in required.items():
+            if self.frontier(axis) < sequence:
+                return False
+        return True
+
+    def projection(self, state: dict) -> dict:
+        """``state`` restricted to the keys this replica subscribes to
+        (all of it under full replication).  Projection is by key, never
+        by transaction, so a transaction-consistent state stays one."""
         if self.subscription is None:
-            return True
-        return shards <= self.subscription
+            return state
+        return {key: value for key, value in state.items()
+                if shard_of(key, self.num_shards) in self.subscription}
 
     # -- propagation endpoint ----------------------------------------------
     def deliver_later(self, record: PropagationRecord, delay: float) -> None:
@@ -287,22 +336,20 @@ class SecondarySite:
                 self._catch_up_target = None
             self.seq_cond.notify_all()
 
-    def note_shards_applied(self, shard_seqs: tuple,
+    def note_shards_applied(self, shard_deps: tuple,
                             commit_ts: int) -> None:
         """Advance the per-shard frontiers for one newly *visible* commit.
 
         Called by the refresher's publish loop as a commit's versions
-        become externally visible (a no-op for the empty ``shard_seqs``
-        of an unsharded stream).  Both maps only grow; the blocked
-        readers are woken by the caller's ``set_seq_db``.
+        become externally visible, with the commit's ``shard_deps`` —
+        one pair per shard it touches, none on a full-replication
+        stream.  Frontiers only grow; the blocked readers are woken by
+        the caller's ``set_seq_db``.
         """
         frontier = self.shard_frontier
-        seqs = self.shard_seq_db
-        for shard, seq in shard_seqs:
+        for shard, _dep in shard_deps:
             if commit_ts > frontier.get(shard, 0):
                 frontier[shard] = commit_ts
-            if seq > seqs.get(shard, 0):
-                seqs[shard] = seq
 
     def begin_read_only(self, metadata: Optional[dict] = None) -> Transaction:
         """Start a read-only transaction under local strong SI."""
@@ -325,8 +372,7 @@ class SecondarySite:
         self.seq_cond.notify_all()
 
     def recover(self, source_state: dict, source_commit_ts: int,
-                shard_seqs: Optional[dict] = None,
-                shard_frontiers: Optional[dict] = None) -> None:
+                shard_frontiers: dict) -> None:
         """Reinstall a quiesced primary copy and restart refresh machinery.
 
         ``seq(DBsec)`` is reinitialised to the copy's commit timestamp —
@@ -334,27 +380,22 @@ class SecondarySite:
         the primary.  Under partial replication the copy is transaction-
         consistent at ``source_commit_ts``; ``shard_frontiers`` carries
         the per-shard timestamps of the newest commit *touching each
-        subscribed shard* at copy time (NOT the scalar copy timestamp —
+        subscribed shard* at copy time (empty under full replication;
+        NOT the scalar copy timestamp —
         frontier values must always name commits that touched the shard,
         or a session could observe an inflated frontier here and then
         block forever demanding it of a replica that can never reach
-        it), and ``shard_seqs`` (the propagator's per-shard counters
-        snapshotted with the copy) reseeds the wire sequence numbers so
-        replay dedup stays monotonic.  Both are *set*, not merged: the
-        site now holds exactly the copy, and after a promotion that can
-        be older than what it held before (a replica that ran ahead of
-        the promoted candidate is resynced down to the surviving prefix).
+        it).  They are *set*, not merged: the site now holds exactly the
+        copy, and after a promotion that can be older than what it held
+        before (a replica that ran ahead of the promoted candidate is
+        resynced down to the surviving prefix).
         """
         self.engine.recover_from(source_state, source_commit_ts)
         if self.recorder is not None:
             self.recorder.record_recovery(self.name, self.kernel.now,
                                           source_state, source_commit_ts)
         self.seq_db = source_commit_ts
-        if self.subscription is not None:
-            self.shard_frontier.update(shard_frontiers or {})
-            for shard, seq in (shard_seqs or {}).items():
-                if shard in self.shard_seq_db:
-                    self.shard_seq_db[shard] = seq
+        self.shard_frontier.update(shard_frontiers)
         self.recover_count += 1
         self._recovered_at = self.kernel.now
         self.refresher.start()

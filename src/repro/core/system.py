@@ -41,8 +41,8 @@ from repro.core.guarantees import Guarantee
 from repro.core.promotion import PromotionConfig, PromotionReport, promote
 from repro.core.propagation import Propagator, ReliableLink
 from repro.core.sessions import SequenceTracker
-from repro.core.sharding import ShardingConfig, shard_of
-from repro.core.site import PrimarySite, SecondarySite
+from repro.core.sharding import ShardingConfig
+from repro.core.site import WHOLE_DATABASE, PrimarySite, SecondarySite
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -103,15 +103,17 @@ class ClientSession:
         self.total_read_wait = 0.0
         self.freshness_timeouts = 0
         self.failovers = 0
-        #: Freshest seq(DBsec) this session has observed through a read —
-        #: the state strong session SI orders later reads after.  PCSI
-        #: deliberately ignores it (Section 7's distinction).
-        self.last_observed_seq = 0
-        #: Sharded analogue of ``last_observed_seq``: shard -> freshest
-        #: frontier this session has read that shard at.
-        self._observed_shards: dict[int, int] = {}
-        #: Reads whose bound replica did not hold every touched shard
-        #: (forcing a shard-aware re-route; partial replication only).
+        #: axis -> freshest frontier this session has read it at — the
+        #: state strong session SI orders later reads after.  PCSI
+        #: deliberately ignores it (Section 7's distinction).  Besides
+        #: the axes a read blocked on, every read notes the replica's
+        #: seq(DBsec) under the whole-database axis ``None``: a promotion
+        #: truncates the whole database, so that is the number it asks
+        #: "did this session see past the surviving prefix?" of.
+        self._observed: dict = {}
+        #: Reads whose bound replica was live but did not hold every
+        #: touched axis, forcing a re-route (partial replication only: a
+        #: full-replication replica holds the one axis there is).
         self.shard_routing_misses = 0
         #: Set by a primary promotion when state this session depends on
         #: fell in the truncated window ``(kept, lost]``; every later
@@ -412,27 +414,33 @@ class ClientSession:
         :attr:`staleness_reports` — the guarantee is relaxed *only*
         through that explicit, audited opt-in.
         """
+        process = self.system.kernel.spawn(
+            self._begin_read(work, keys, max_wait, on_timeout),
+            name=f"read@{self.label}")
+        return self.system.kernel.run_until_complete(process)
+
+    def _read_only_process(self, work: TransactionBody,
+                           keys: Optional[list] = None,
+                           max_wait: Optional[float] = None,
+                           on_timeout: str = "error"):
+        """Kernel-process form of :meth:`execute_read_only` for open-loop
+        drivers (the requirement is computed when the op actually runs).
+        ``work`` must not drive the kernel."""
+        return (yield from self._begin_read(work, keys, max_wait,
+                                            on_timeout))
+
+    def _begin_read(self, work: TransactionBody, keys: Optional[list],
+                    max_wait: Optional[float], on_timeout: str):
+        """Validate one read submitted *now*, fix what it waits for, and
+        return the (unstarted) :meth:`_read_process` that serves it."""
         self._check_open()
         self._check_not_lost()
         if on_timeout not in ("error", "stale"):
             raise ConfigurationError(
                 f"on_timeout must be 'error' or 'stale', got {on_timeout!r}")
-        system = self.system
-        max_wait, on_timeout, degrade = self._read_defaults(max_wait,
-                                                            on_timeout)
-        kind, touched, required = self._read_plan(keys)
-        if kind == "sharded":
-            process = system.kernel.spawn(
-                self._read_process_sharded(work, touched, required,
-                                           max_wait, on_timeout,
-                                           degrade=degrade),
-                name=f"read@{self.label}")
-            return system.kernel.run_until_complete(process)
-        process = system.kernel.spawn(
-            self._read_process(work, required, max_wait, on_timeout,
-                               degrade=degrade),
-            name=f"read@{self.label}")
-        return system.kernel.run_until_complete(process)
+        return self._read_process(
+            work, self._read_plan(keys),
+            *self._read_defaults(max_wait, on_timeout))
 
     def _read_defaults(self, max_wait: Optional[float],
                        on_timeout: str) -> tuple:
@@ -449,63 +457,33 @@ class ClientSession:
             return controller.config.read_deadline, "stale", True
         return controller.config.read_deadline, on_timeout, False
 
-    def _read_plan(self, keys: Optional[list]) -> tuple:
-        """Freshness requirement for a read-only txn submitted *now*:
-        ``("sharded", touched, {shard: seq})`` under partial
-        replication, else ``("classic", None, seq)``."""
+    def _read_plan(self, keys: Optional[list]) -> dict:
+        """Freshness requirement ``{axis: commit_ts}`` of a read-only
+        transaction submitted *now*: one entry per axis the read touches
+        — the whole database, or under partial replication the shards of
+        ``keys`` — naming the frontier a replica must have reached there.
+        """
         system = self.system
-        if system.sharding is not None:
-            sharding = system.sharding
-            touched = (frozenset(range(sharding.shards)) if keys is None
-                       else sharding.shards_touched(keys))
-            required = system.tracker.required_shard_sequence(
-                self.guarantee, self.label, touched)
-            if self.guarantee.orders_reads_within_session:
-                for shard in touched:
-                    seen = self._observed_shards.get(shard, 0)
-                    if seen > required[shard]:
-                        required[shard] = seen
-            if self.freshness_bound is not None:
-                for shard in touched:
-                    floor = (system.tracker.global_shard_seq(shard)
-                             - self.freshness_bound)
-                    if floor > required[shard]:
-                        required[shard] = floor
-            return "sharded", touched, required
-        required = system.tracker.required_sequence(self.guarantee,
-                                                    self.label)
-        if self.guarantee.orders_reads_within_session:
-            # Monotonic session reads: never go behind a state this
-            # session already observed (matters after move_to()).
-            required = max(required, self.last_observed_seq)
-        if self.freshness_bound is not None:
-            required = max(
-                required, system.tracker.global_seq - self.freshness_bound)
-        return "classic", None, required
-
-    def _read_only_process(self, work: TransactionBody,
-                           keys: Optional[list] = None,
-                           max_wait: Optional[float] = None,
-                           on_timeout: str = "error"):
-        """Kernel-process form of :meth:`execute_read_only` for open-loop
-        drivers (the requirement is computed when the op actually runs).
-        ``work`` must not drive the kernel."""
-        self._check_open()
-        self._check_not_lost()
-        if on_timeout not in ("error", "stale"):
-            raise ConfigurationError(
-                f"on_timeout must be 'error' or 'stale', got {on_timeout!r}")
-        max_wait, on_timeout, degrade = self._read_defaults(max_wait,
-                                                            on_timeout)
-        kind, touched, required = self._read_plan(keys)
-        if kind == "sharded":
-            result = yield from self._read_process_sharded(
-                work, touched, required, max_wait, on_timeout,
-                degrade=degrade)
-        else:
-            result = yield from self._read_process(
-                work, required, max_wait, on_timeout, degrade=degrade)
-        return result
+        tracker = system.tracker
+        guarantee = self.guarantee
+        # Monotonic session reads: never go behind a state this session
+        # already observed (matters after move_to()).
+        observed = (self._observed
+                    if guarantee.orders_reads_within_session else None)
+        bound = self.freshness_bound
+        required = {}
+        for axis in system._axes_touched(keys):
+            sequence = tracker.required_sequence(guarantee, self.label, axis)
+            if observed is not None:
+                seen = observed.get(axis, 0)
+                if seen > sequence:
+                    sequence = seen
+            if bound is not None:
+                floor = tracker.newest(axis) - bound
+                if floor > sequence:
+                    sequence = floor
+            required[axis] = sequence
+        return required
 
     def execute_read_only_at(self, sequence: int,
                              work: TransactionBody) -> Any:
@@ -516,7 +494,9 @@ class ClientSession:
         ``sequence <= seq(DBsec)`` is served locally from the replica's
         version history (the weak-SI time-travel facility of the related
         work the paper cites); newer sequences wait for refresh to catch
-        up first.  Vacuumed-away history raises.
+        up first.  Vacuumed-away history raises.  A time-travel read
+        never fails over: a replica that is (or goes) down or was
+        promoted raises :class:`~repro.errors.SiteUnavailableError`.
         """
         self._check_open()
         self._check_not_lost()
@@ -525,18 +505,18 @@ class ClientSession:
 
         def body():
             secondary = self.secondary
-            if sequence > secondary.seq_db:
+            if secondary.live and sequence > secondary.seq_db:
                 self.blocked_reads += 1
                 started = self.system.kernel.now
                 yield secondary.seq_cond.wait_for(
                     lambda: secondary.seq_db >= sequence
-                    or secondary.retired)
+                    or not secondary.live)
                 self.total_read_wait += self.system.kernel.now - started
-            if secondary.retired:
+            if not secondary.live:
                 raise SiteUnavailableError(
-                    f"session {self.label}: replica {secondary.name} was "
-                    f"promoted to primary; rebind with move_to() for "
-                    f"time-travel reads")
+                    f"session {self.label}: replica {secondary.name} "
+                    f"{'was promoted to primary' if secondary.retired else 'is down'}"
+                    f"; rebind with move_to() for time-travel reads")
             txn = secondary.engine.begin(snapshot_ts=sequence, metadata={
                 "logical_id": self.system._txn_ids.next(),
                 # Time-travel reads opt out of session ordering: they are
@@ -553,24 +533,34 @@ class ClientSession:
             body(), name=f"timetravel@{self.label}")
         return self.system.kernel.run_until_complete(process)
 
-    def _read_process(self, work: TransactionBody, required: int,
+    def _read_process(self, work: TransactionBody, required: dict,
                       max_wait: Optional[float], on_timeout: str,
                       degrade: bool = False):
+        """The read path (Section 4), as a kernel process: route to a
+        live replica holding every axis of ``required``, wait until its
+        frontiers reach it, run ``work`` there."""
         while True:
             secondary = self.secondary
-            degrade_bound: Optional[int] = None
-            if not secondary.live:
-                # Client-session failover: retry on a live replica; the
+            #: (axis, sequence required on it, promised bound) of a read
+            #: degraded to a stale snapshot.
+            degraded: Optional[tuple] = None
+            if not (secondary.live and secondary.holds(required.keys())):
+                # Client-session failover: retry on a live holder; the
                 # seq(c) <= seq(DBsec) blocking rule still applies below,
                 # so session guarantees survive the rebind.  A *retired*
                 # replica (promoted to primary) fails over exactly like a
                 # crashed one.
+                if secondary.live:
+                    # Wrong placement, not a failure: the bound replica
+                    # simply does not subscribe to these shards.
+                    self.shard_routing_misses += 1
                 secondary = yield from self._failover(required)
-            if required > secondary.seq_db:
+            if not secondary.reached(required):
+                kernel = self.system.kernel
                 self.blocked_reads += 1
-                started = self.system.kernel.now
+                started = kernel.now
                 wait = secondary.seq_cond.wait_for(
-                    lambda: secondary.seq_db >= required
+                    lambda: secondary.reached(required)
                     or not secondary.live
                     or self._lost_window is not None)
                 if max_wait is None:
@@ -580,22 +570,29 @@ class ClientSession:
                         yield Timeout(wait, max_wait)
                     except TimeoutExpired:
                         self.freshness_timeouts += 1
+                        # Reported (and promised, when degrading) on the
+                        # axis furthest behind.
+                        axis = max(required, key=lambda a: required[a]
+                                   - secondary.frontier(a))
+                        wanted = required[axis]
+                        reached = secondary.frontier(axis)
                         if on_timeout == "error":
-                            self.total_read_wait += (
-                                self.system.kernel.now - started)
+                            self.total_read_wait += kernel.now - started
                             raise FreshnessTimeoutError(
                                 f"replica {secondary.name} not at sequence "
-                                f"{required} within {max_wait}s "
-                                f"(seq(DBsec)={secondary.seq_db})")
+                                f"{wanted} within {max_wait}s ("
+                                + ("seq(DBsec)" if axis is None
+                                   else f"frontier of shard {axis}")
+                                + f"={reached})")
                         if degrade:
                             # The bound promised to the client, fixed at
-                            # the degradation instant; seq(DBsec) is
+                            # the degradation instant; frontiers are
                             # monotone, so the snapshot actually served
                             # (taken below) is never staler than this.
-                            degrade_bound = max(
-                                0, required - secondary.seq_db)
+                            degraded = (axis, wanted,
+                                        max(0, wanted - reached))
                         # 'stale': fall through and read what is there now.
-                self.total_read_wait += self.system.kernel.now - started
+                self.total_read_wait += kernel.now - started
                 if self._lost_window is not None:
                     # A promotion truncated the state this read was
                     # waiting for; it would otherwise block forever.
@@ -609,13 +606,19 @@ class ClientSession:
                 # carries its own label instead of flagging as an
                 # inversion in the strong-session checker.
                 "session": (f"{self.label}@d{self.degraded_reads}"
-                            if degrade_bound is not None else self.label),
+                            if degraded is not None else self.label),
             })
-            if degrade_bound is not None:
-                self._record_degraded_read(required, secondary.seq_db,
-                                           degrade_bound)
-            self.last_observed_seq = max(self.last_observed_seq,
-                                         secondary.seq_db)
+            if degraded is not None:
+                axis, wanted, bound = degraded
+                self._record_degraded_read(wanted, secondary.frontier(axis),
+                                           bound)
+            observed = self._observed
+            for axis in required:
+                frontier = secondary.frontier(axis)
+                if frontier > observed.get(axis, 0):
+                    observed[axis] = frontier
+            if secondary.seq_db > observed.get(None, 0):
+                observed[None] = secondary.seq_db
             result = work(txn)
             txn.commit()
             self.reads_executed += 1
@@ -634,133 +637,18 @@ class ClientSession:
         if controller is not None:
             controller.degraded_reads += 1
 
-    def _failover(self, required: int, backoff: float = 0.25):
-        """Rebind this session to a live replica (kernel sub-process).
+    def _failover(self, required: dict, backoff: float = 0.25):
+        """Rebind this session to a live replica holding every axis of
+        ``required`` (kernel sub-process).
 
-        Prefers a live replica already at ``required`` (the read can run
-        immediately); otherwise takes the freshest live one and lets the
-        ordinary freshness wait bring it up to ``seq(c)``.  While *no*
-        replica is live, retries with exponential backoff for up to
+        Prefers a holder that has already reached ``required`` (the read
+        can run immediately); otherwise takes the one whose least
+        advanced required axis is freshest and lets the ordinary
+        freshness wait bring it up to ``seq(c)``.  While no live holder
+        exists, retries with exponential backoff for up to
         ``failover_wait`` virtual time, then raises
-        :class:`~repro.errors.SiteUnavailableError`.
-        """
-        system = self.system
-        kernel = system.kernel
-        deadline = kernel.now + self.failover_wait
-        retry = ExponentialBackoff(backoff, 8.0)
-        while True:
-            live = [s for s in system.secondaries if s.live]
-            if live:
-                fresh = [s for s in live if s.seq_db >= required]
-                pool = fresh or live
-                target = max(pool, key=lambda s: s.seq_db)
-                self.failovers += 1
-                self.secondary = target
-                return target
-            if kernel.now >= deadline:
-                raise SiteUnavailableError(
-                    f"session {self.label}: every secondary is down and "
-                    f"none recovered within the failover wait budget "
-                    f"({self.failover_wait}s)")
-            yield kernel.sleep(min(retry.next_wait(), deadline - kernel.now))
-
-    def _read_process_sharded(self, work: TransactionBody,
-                              touched: frozenset,
-                              required: dict[int, int],
-                              max_wait: Optional[float], on_timeout: str,
-                              degrade: bool = False):
-        """Sharded read: route to a replica holding every touched shard
-        and block on those shards' frontiers instead of the scalar
-        ``seq(DBsec)`` (which a partial subscriber may never reach)."""
-        while True:
-            secondary = self.secondary
-            degrade_worst: Optional[tuple[int, int, int]] = None
-            if not secondary.live or not secondary.holds_shards(touched):
-                if secondary.live:
-                    # Wrong placement, not a failure: the bound replica
-                    # simply does not subscribe to these shards.
-                    self.shard_routing_misses += 1
-                secondary = yield from self._failover_sharded(touched,
-                                                              required)
-
-            def satisfied(site=secondary):
-                frontier = site.shard_frontier
-                return all(frontier.get(shard, 0) >= seq
-                           for shard, seq in required.items())
-
-            if not satisfied():
-                self.blocked_reads += 1
-                started = self.system.kernel.now
-                wait = secondary.seq_cond.wait_for(
-                    lambda: satisfied() or not secondary.live
-                    or self._lost_window is not None)
-                if max_wait is None:
-                    yield wait
-                else:
-                    try:
-                        yield Timeout(wait, max_wait)
-                    except TimeoutExpired:
-                        self.freshness_timeouts += 1
-                        if on_timeout == "error":
-                            self.total_read_wait += (
-                                self.system.kernel.now - started)
-                            raise FreshnessTimeoutError(
-                                f"replica {secondary.name} not at the "
-                                f"required frontiers for shards "
-                                f"{sorted(touched)} within {max_wait}s")
-                        if degrade:
-                            # Bound fixed at the degradation instant,
-                            # described by the worst-shortfall shard;
-                            # frontiers are monotone, so the snapshot
-                            # served below never exceeds it.
-                            frontier = secondary.shard_frontier
-                            worst = max(
-                                required,
-                                key=lambda s: required[s]
-                                - frontier.get(s, 0))
-                            degrade_worst = (
-                                worst, required[worst],
-                                max(0, required[worst]
-                                    - frontier.get(worst, 0)))
-                        # 'stale': fall through and read what is there now.
-                self.total_read_wait += self.system.kernel.now - started
-                if self._lost_window is not None:
-                    raise LostUpdatesError(self.label, self._lost_window)
-                if not secondary.live:
-                    continue   # replica died/retired mid-wait: fail over
-            txn = secondary.begin_read_only(metadata={
-                "logical_id": self.system._txn_ids.next(),
-                # Degraded reads opt out of session ordering — see
-                # _read_process for the rationale.
-                "session": (f"{self.label}@d{self.degraded_reads}"
-                            if degrade_worst is not None else self.label),
-            })
-            if degrade_worst is not None:
-                shard, shard_required, bound = degrade_worst
-                self._record_degraded_read(
-                    shard_required,
-                    secondary.shard_frontier.get(shard, 0), bound)
-            self.last_observed_seq = max(self.last_observed_seq,
-                                         secondary.seq_db)
-            for shard in touched:
-                frontier = secondary.shard_frontier.get(shard, 0)
-                if frontier > self._observed_shards.get(shard, 0):
-                    self._observed_shards[shard] = frontier
-            result = work(txn)
-            txn.commit()
-            self.reads_executed += 1
-            return result
-
-    def _failover_sharded(self, touched: frozenset,
-                          required: dict[int, int], backoff: float = 0.25):
-        """Rebind to a live replica subscribing to every touched shard.
-
-        Prefers a holder whose frontiers already satisfy ``required``
-        (the read can run immediately); otherwise the holder with the
-        freshest minimum touched frontier.  While no live holder exists,
-        retries with exponential backoff for up to ``failover_wait``,
-        then raises :class:`~repro.errors.ShardUnavailableError` when
-        replicas are live but none covers the shards — or
+        :class:`~repro.errors.ShardUnavailableError` when replicas are
+        live but none holds the axes — or
         :class:`~repro.errors.SiteUnavailableError` when the whole tier
         is dark.
         """
@@ -768,25 +656,20 @@ class ClientSession:
         kernel = system.kernel
         deadline = kernel.now + self.failover_wait
         retry = ExponentialBackoff(backoff, 8.0)
+        axes = required.keys()
         while True:
             live = [s for s in system.secondaries if s.live]
-            holders = [s for s in live if s.holds_shards(touched)]
+            holders = [s for s in live if s.holds(axes)]
             if holders:
-                def freshness(site: SecondarySite) -> int:
-                    return min((site.shard_frontier.get(shard, 0)
-                                for shard in touched),
-                               default=site.seq_db)
-                ready = [s for s in holders
-                         if all(s.shard_frontier.get(shard, 0) >= seq
-                                for shard, seq in required.items())]
-                pool = ready or holders
-                target = max(pool, key=freshness)
+                ready = [s for s in holders if s.reached(required)]
+                target = max(ready or holders, key=lambda s: min(
+                    (s.frontier(axis) for axis in axes), default=s.seq_db))
                 self.failovers += 1
                 self.secondary = target
                 return target
             if kernel.now >= deadline:
                 if live:
-                    raise ShardUnavailableError(touched, self.label)
+                    raise ShardUnavailableError(frozenset(axes), self.label)
                 raise SiteUnavailableError(
                     f"session {self.label}: every secondary is down and "
                     f"none recovered within the failover wait budget "
@@ -952,13 +835,13 @@ class ReplicatedSystem:
         shards by fingerprint, each secondary subscribes to a shard
         subset (``placement``; ``None`` subscribes everyone to every
         shard), and the propagator ships each commit's write set
-        projected onto the endpoint's subscription over a per-shard
-        sequenced, commit-only stream.  Read-only transactions route to
-        a live replica holding every shard they touch (declared via the
-        ``keys=`` hint) and session guarantees block on per-shard
-        frontiers.  Updates still all execute at the single primary.
-        ``None`` (the default) is classic full replication, bit-identical
-        to earlier versions.
+        projected onto the endpoint's subscription over a commit-only
+        stream.  Read-only transactions route to a live replica holding
+        every shard they touch (declared via the ``keys=`` hint) and
+        session guarantees block on those shards' frontiers — the same
+        read path as without sharding, with a shard where the whole
+        database was.  Updates still all execute at the single primary.
+        ``None`` (the default) is classic full replication.
     failover:
         Optional :class:`~repro.core.failover.FailoverConfig` enabling
         **autonomous** failover: the primary piggybacks heartbeats and
@@ -1154,11 +1037,29 @@ class ReplicatedSystem:
         return self.secondaries[index]
 
     def _shards_of_txn(self, txn: Transaction) -> frozenset:
-        """Shards a committed update's write set touched (empty when
-        sharding is off — the tracker then skips all per-shard state)."""
+        """Shards a committed update's write set touched (none when
+        sharding is off: the commit lies on the whole-database axis
+        only, which the tracker records for every commit)."""
         if self.sharding is None:
             return frozenset()
         return self.sharding.shards_touched(txn.write_set)
+
+    def _axes_touched(self, keys: Optional[list]) -> frozenset:
+        """Freshness axes a read of ``keys`` must be fresh on: the whole
+        database, or under partial replication the keys' shards (every
+        shard when the key set is undeclared)."""
+        sharding = self.sharding
+        if sharding is None:
+            return WHOLE_DATABASE
+        if keys is None:
+            return frozenset(range(sharding.shards))
+        return sharding.shards_touched(keys)
+
+    def promotable(self) -> list[SecondarySite]:
+        """The live replicas that could take over as primary: those
+        every commit reaches whole."""
+        return [site for site in self.secondaries
+                if site.live and site.full_coverage]
 
     # -- global progress --------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
@@ -1225,44 +1126,22 @@ class ReplicatedSystem:
         if link is not None:
             link.resync()
         state, commit_ts = self.primary.quiesced_copy()
-        if self.sharding is not None:
-            # A partial subscriber reinstalls only its own shards'
-            # keys; the copy stays transaction-consistent at commit_ts
-            # because projection is by key, never by transaction.  The
-            # propagator's per-shard counters (snapshotted here, exact:
-            # the log sniffer is synchronous) reseed the wire sequence
-            # numbers.
-            shards = self.sharding.shards
-            subscription = secondary.subscription
-            state = {key: value for key, value in state.items()
-                     if shard_of(key, shards) in subscription}
-            # Frontier floors are per-shard: the newest commit *touching*
-            # each shard (<= commit_ts since the log sniffer is
-            # synchronous), never the scalar copy timestamp — see
-            # SecondarySite.recover for why inflating them deadlocks.
-            secondary.recover(
-                state, commit_ts,
-                shard_seqs={
-                    shard: self.propagator._shard_seq.get(shard, 0)
-                    for shard in subscription},
-                shard_frontiers={
-                    shard: self.propagator._shard_last_commit_ts.get(
-                        shard, 0)
-                    for shard in subscription})
-            self.propagator.replay_to(secondary, after_commit_ts=commit_ts)
-            # The scalar catch-up target is unreachable for a partial
-            # subscriber (commits outside its shards never advance
-            # seq(DBsec)): aim at the newest commit touching its
-            # subscription instead.
-            secondary.track_catch_up(min(
-                commit_ts if subscription is None else max(
-                    (self.propagator._shard_last_commit_ts.get(shard, 0)
-                     for shard in subscription), default=0),
-                self.primary.latest_commit_ts))
-        else:
-            secondary.recover(state, commit_ts)
-            self.propagator.replay_to(secondary, after_commit_ts=commit_ts)
-            secondary.track_catch_up(self.primary.latest_commit_ts)
+        # A partial subscriber reinstalls only its own shards' keys, and
+        # its frontier floors are per shard: the newest commit *touching*
+        # each (<= commit_ts since the log sniffer is synchronous), never
+        # the scalar copy timestamp — see SecondarySite.recover for why
+        # inflating them deadlocks.
+        newest = self.propagator.newest_commit_ts
+        secondary.recover(
+            secondary.projection(state), commit_ts,
+            {shard: newest(shard) for shard in secondary.shard_frontier})
+        self.propagator.replay_to(secondary, after_commit_ts=commit_ts)
+        # Caught up means level with the newest commit on every axis the
+        # replica holds (the primary's newest overall is unreachable for
+        # a partial subscriber: commits outside its shards never ship).
+        secondary.track_catch_up(min(
+            max((newest(axis) for axis in secondary.axes), default=0),
+            self.primary.latest_commit_ts))
 
     def crash_primary(self) -> None:
         """Fail the primary: in-flight update transactions abort (the
@@ -1352,7 +1231,7 @@ class ReplicatedSystem:
         return self.secondaries[index].engine.state_at()
 
     def max_staleness(self) -> int:
-        """Largest seq(DBsec) lag across live secondaries, in commits.
+        """Largest frontier lag across live secondaries, in commits.
 
         Raises
         ------
@@ -1362,26 +1241,12 @@ class ReplicatedSystem:
             freshness-based routing treat a fully-dark replica tier as
             up to date.
         """
-        latest = self.primary.latest_commit_ts
-        if self.sharding is not None:
-            # Subscription-aware: a partial replica is only as stale as
-            # its own shards — measure each subscribed shard's frontier
-            # against the newest commit touching that shard.
-            newest = self.propagator._shard_last_commit_ts
-            lags = []
-            for secondary in self.secondaries:
-                if not secondary.live:
-                    continue
-                lags.append(max(
-                    (max(0, newest.get(shard, 0)
-                         - secondary.shard_frontier.get(shard, 0))
-                     for shard in secondary.subscription), default=0))
-            if not lags:
-                raise NoLiveSecondariesError(
-                    "max_staleness is undefined: every secondary is "
-                    "crashed or retired")
-            return max(lags)
-        lags = [latest - s.seq_db for s in self.secondaries if s.live]
+        # A replica is only as stale as the axes it holds: each frontier
+        # is measured against the newest commit on that axis.
+        newest = self.propagator.newest_commit_ts
+        lags = [max(max(0, newest(axis) - secondary.frontier(axis))
+                    for axis in secondary.axes)
+                for secondary in self.secondaries if secondary.live]
         if not lags:
             raise NoLiveSecondariesError(
                 "max_staleness is undefined: every secondary is crashed "

@@ -33,7 +33,7 @@ from repro.core.admission import AdmissionConfig
 from repro.core.failover import FailoverConfig
 from repro.core.guarantees import Guarantee
 from repro.core.promotion import PromotionConfig
-from repro.core.sharding import ShardingConfig, shard_of
+from repro.core.sharding import ShardingConfig
 from repro.core.system import ReplicatedSystem
 from repro.errors import (
     CircuitOpenError,
@@ -155,7 +155,7 @@ def derived_placement(shards: int,
     Secondaries 0 and 1 subscribe to every shard — the promotion pool
     stays non-empty through any single-site outage — and each further
     secondary takes an alternating half of the shard range, so partial
-    subscription, shard-aware routing and per-shard watermarks all get
+    subscription, routing by held shards and per-shard frontiers all get
     exercised whenever there are three or more secondaries.
     """
     full = frozenset(range(shards))
@@ -575,37 +575,19 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
     system.quiesce()
 
     # Retired sites share the new primary's engine; convergence is over
-    # the replicas that still follow the feed.
+    # the replicas that still follow the feed.  One has converged when
+    # it holds the primary state projected onto its subscription and its
+    # frontier on every axis it holds reached the newest commit there
+    # (the primary's newest overall is unreachable for a partial
+    # subscriber — commits outside its subscription never ship).
     primary_state = system.primary_state()
-    sharding = system.sharding
-    if sharding is None:
-        result.converged = all(
-            system.secondary_state(i) == primary_state
-            and system.secondaries[i].seq_db
-            == system.primary.latest_commit_ts
-            for i in range(config.num_secondaries)
-            if not system.secondaries[i].retired)
-    else:
-        # Partial replication: a subscriber converges when it holds the
-        # primary state *projected onto its subscription* and every
-        # subscribed shard frontier reached the newest commit touching
-        # the shard (the scalar seq_db target is unreachable for partial
-        # subscribers — commits outside their subscription never ship).
-        shard_last = system.propagator._shard_last_commit_ts
-
-        def _shard_converged(index: int) -> bool:
-            secondary = system.secondaries[index]
-            expected = {
-                key: value for key, value in primary_state.items()
-                if shard_of(key, sharding.shards) in secondary.subscription}
-            return (system.secondary_state(index) == expected
-                    and all(secondary.shard_frontier.get(shard, 0)
-                            >= shard_last.get(shard, 0)
-                            for shard in secondary.subscription))
-
-        result.converged = all(
-            _shard_converged(i) for i in range(config.num_secondaries)
-            if not system.secondaries[i].retired)
+    newest = system.propagator.newest_commit_ts
+    result.converged = all(
+        system.secondary_state(index) == secondary.projection(primary_state)
+        and all(secondary.frontier(axis) >= newest(axis)
+                for axis in secondary.axes)
+        for index, secondary in enumerate(system.secondaries)
+        if not secondary.retired)
     result.recorder = system.recorder
     result.history_bytes = system.recorder.nbytes()
     if config.history_detail == "ops":

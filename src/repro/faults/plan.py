@@ -262,24 +262,14 @@ class FaultInjector:
             if applicable:
                 system.kill_primary()
         elif action == "promote_secondary":
-            secondaries = system.secondaries
-
-            def candidate(site) -> bool:
-                # Under partial replication only a full-coverage replica
-                # can take over as primary; a promote drawn while none is
-                # live is skipped, like one drawn with every replica down.
-                if not site.live:
-                    return False
-                sharding = getattr(system, "sharding", None)
-                if sharding is None:
-                    return True
-                return site.holds_shards(frozenset(range(sharding.shards)))
-
+            # Only a live full-coverage replica can take over as
+            # primary; a promote drawn while none is up is skipped.
+            candidates = system.promotable()
             applicable = (
                 system.promotion is not None
                 and system.primary.crashed
-                and (any(candidate(s) for s in secondaries)
-                     if target is None else candidate(secondaries[target])))
+                and (bool(candidates) if target is None
+                     else system.secondaries[target] in candidates))
             if applicable:
                 system.promote_secondary(target)
         elif action == "pause_propagator":

@@ -1,12 +1,17 @@
 """Tests for read-side options: freshness timeouts and time-travel reads."""
 
+import re
+
 import pytest
 
+from repro.core.admission import AdmissionConfig
 from repro.core.guarantees import Guarantee
+from repro.core.sharding import ShardingConfig
 from repro.core.system import ReplicatedSystem
 from repro.errors import (
     ConfigurationError,
     FreshnessTimeoutError,
+    SiteUnavailableError,
     TransactionStateError,
 )
 
@@ -86,6 +91,59 @@ def test_session_remains_usable_after_timeout():
     assert s.execute_read_only(lambda t: t.read("x")) == 1
 
 
+def _lagging_reader(sharded: bool):
+    """A session whose two-key read cannot be fresh within the deadline:
+    its replica is three commits behind on one key's axis and one behind
+    on the other's.  Returns (system, session, replica, keys, axis)
+    where ``axis`` is the one furthest behind."""
+    sharding = None
+    if sharded:
+        # secondary-1 holds every shard, secondary-2 only the first half.
+        sharding = ShardingConfig(shards=4, placement=((0, 1, 2, 3), (0, 1)))
+    system = ReplicatedSystem(
+        num_secondaries=2, propagation_delay=50.0, sharding=sharding,
+        admission=AdmissionConfig(rate=1e9, burst=1e9, read_deadline=2.0,
+                                  degrade_to_stale=True))
+    far, near = "far", "near"
+    if sharded:
+        by_shard = {}
+        for i in range(64):
+            by_shard.setdefault(
+                next(iter(sharding.shards_touched([f"k{i}"]))), f"k{i}")
+        far, near = by_shard[0], by_shard[1]
+    session = system.session(Guarantee.STRONG_SESSION_SI, secondary=1)
+    session.write(far, 1)
+    session.write(near, 1)
+    session.write(far, 2)          # commit 3: `far` is the axis furthest behind
+    axis = next(iter(sharding.shards_touched([far]))) if sharded else None
+    return system, session, system.secondaries[1], [far, near], axis
+
+
+@pytest.mark.parametrize("sharded", [False, True],
+                         ids=["unsharded", "half-subscriber"])
+def test_timeout_and_degraded_read_name_the_axis_furthest_behind(sharded):
+    """One read path, one report: the timeout message and the staleness
+    report carry the sequence required on the axis furthest behind and
+    the frontier the replica had reached there — in both modes."""
+    system, session, replica, keys, axis = _lagging_reader(sharded)
+    required = session._read_plan(keys)
+    assert required[axis] == 3 and replica.frontier(axis) == 0
+
+    with pytest.raises(FreshnessTimeoutError) as caught:
+        session.execute_read_only(lambda t: None, keys=keys, max_wait=2.0)
+    numbers = [int(n) for n in re.findall(r"\d+", str(caught.value))]
+    assert numbers[:2] == [2, 3]            # "secondary-2 not at sequence 3"
+    assert numbers[-1] == replica.frontier(axis)
+    if sharded:
+        assert f"shard {axis}" in str(caught.value)
+
+    # No explicit max_wait: the admission deadline degrades the read.
+    session.execute_read_only(lambda t: None, keys=keys)
+    report = session.staleness_reports[-1]
+    assert (report.required_seq, report.served_seq, report.bound) \
+        == (required[axis], replica.frontier(axis), 3)
+
+
 # ---------------------------------------------------------------------------
 # Time-travel reads
 # ---------------------------------------------------------------------------
@@ -147,3 +205,34 @@ def test_time_travel_after_vacuum_raises():
         s.execute_read_only_at(1, lambda t: t.read("x"))
     # The latest snapshot is of course still readable.
     assert s.execute_read_only(lambda t: t.read("x")) == 40
+
+
+def _two_replica_system():
+    system = make_system(num_secondaries=2, propagation_delay=2.0)
+    s = system.session(Guarantee.WEAK_SI, secondary=0)
+    s.write("x", 1)
+    system.quiesce()
+    return system, s
+
+
+@pytest.mark.parametrize("sequence", [1, 5], ids=["past", "future"])
+def test_time_travel_on_crashed_replica_raises_site_unavailable(sequence):
+    """A time-travel read never fails over; on a dead replica it raises
+    the typed error whether or not it would have had to wait — the
+    future case used to park forever and deadlock the kernel."""
+    system, s = _two_replica_system()
+    system.crash_secondary(0)
+    with pytest.raises(SiteUnavailableError, match="secondary-1"):
+        s.execute_read_only_at(sequence, lambda t: t.read("x"))
+    assert s.blocked_reads == 0
+
+
+def test_time_travel_wakes_when_replica_crashes_mid_wait():
+    system, s = _two_replica_system()
+    system.kernel.call_at(system.kernel.now + 1.0, system.crash_secondary, 0)
+    with pytest.raises(SiteUnavailableError, match="is down"):
+        s.execute_read_only_at(5, lambda t: t.read("x"))
+    assert s.blocked_reads == 1
+    assert s.total_read_wait == pytest.approx(1.0)
+    # The session itself is fine: an ordinary read fails over.
+    assert s.read("x") == 1

@@ -94,3 +94,42 @@ def test_forget_drops_retired_label(tracker):
     # A forgotten (or never-seen) label restarts at zero.
     assert tracker.seq("c1") == 0
     tracker.forget("never-seen")              # no-op, no error
+
+
+# -- freshness axes --------------------------------------------------------------
+
+def test_sequences_are_kept_per_axis(tracker):
+    """Every commit lies on the whole-database axis (``None``) and on the
+    axis of each shard it wrote; an axis never written reads 0."""
+    tracker.on_primary_commit("c1", 4, shards=(0, 2))
+    tracker.on_primary_commit("c2", 6, shards=(2,))
+    assert tracker.seq("c1") == 4 and tracker.global_seq == 6
+    assert [tracker.seq("c1", axis) for axis in (0, 1, 2)] == [4, 0, 4]
+    assert [tracker.newest(axis) for axis in (None, 0, 1, 2)] == [6, 4, 0, 6]
+    session, strong = Guarantee.STRONG_SESSION_SI, Guarantee.STRONG_SI
+    assert tracker.required_sequence(session, "c1", 2) == 4
+    assert tracker.required_sequence(strong, "c1", 2) == 6
+    assert tracker.required_sequence(strong, "c1", 1) == 0
+    assert tracker.required_sequence(Guarantee.WEAK_SI, "c1", 2) == 0
+    # The scalar form is the whole-database axis.
+    assert tracker.required_sequence(session, "c1") \
+        == tracker.required_sequence(session, "c1", None) == 4
+    tracker.forget("c1")
+    assert tracker.seq("c1", 0) == 0 and tracker.newest(0) == 4
+
+
+def test_truncate_clamps_each_axis_to_its_newest_surviving_commit(tracker):
+    """The truncation point need not touch a shard: with the caller's
+    ``surviving`` map every axis lands on a commit that touched it."""
+    tracker.on_primary_commit("c1", 2, shards=(0,))
+    tracker.on_primary_commit("c2", 5, shards=(1,))
+    tracker.on_primary_commit("c1", 9, shards=(0, 1))
+    surviving = {None: 6, 0: 2, 1: 5}.__getitem__
+    assert tracker.truncate(6, surviving) == {"c1": (6, 9)}
+    assert [tracker.newest(axis) for axis in (None, 0, 1)] == [6, 2, 5]
+    assert [tracker.seq("c1", axis) for axis in (None, 0, 1)] == [6, 2, 5]
+    assert tracker.seq("c2", 1) == 5
+    # Without the map the truncation point is the best known limit.
+    tracker.on_primary_commit("c3", 8, shards=(0,))
+    tracker.truncate(7)
+    assert tracker.seq("c3", 0) == 7 and tracker.newest(0) == 7

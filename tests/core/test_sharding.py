@@ -225,6 +225,111 @@ def test_strong_session_blocks_on_touched_shard_frontier():
             assert session.read(key) == (shard, round_no)
 
 
+def test_read_of_no_keys_requires_nothing():
+    """``keys=[]`` touches no axis: nothing to wait for, never blocks,
+    every replica holds it — so it fails over to any live one."""
+    system = ReplicatedSystem(num_secondaries=2, propagation_delay=5.0,
+                              sharding=HALVES)
+    session = system.session(Guarantee.STRONG_SI, secondary=0,
+                             freshness_bound=0)
+    session.write(keys_for(0, count=1)[0], 1)      # nowhere near applied
+    assert session._read_plan([]) == {}
+    assert session.execute_read_only(lambda t: "ran", keys=[]) == "ran"
+    assert session.blocked_reads == 0 and session.failovers == 0
+    system.crash_secondary(0)
+    assert session.execute_read_only(lambda t: "ran", keys=[]) == "ran"
+    assert session.secondary is system.secondaries[1]
+    assert (session.blocked_reads, session.failovers,
+            session.shard_routing_misses) == (0, 1, 0)
+
+
+def test_unsubscribed_axis_is_never_reached():
+    """Frontier 0 is not a wildcard: a replica has not "reached sequence
+    0" on a shard it does not subscribe to, nor a full-replication
+    replica on any shard, nor anyone an axis nobody committed on."""
+    system = ReplicatedSystem(num_secondaries=2, sharding=HALVES)
+    low, high = system.secondaries
+    assert low.holds(frozenset({0, 3})) and not low.holds(frozenset({3, 4}))
+    assert low.reached({0: 0, 3: 0}) and not low.reached({4: 0})
+    assert high.reached({4: 0}) and not high.reached({4: 1})
+    assert not low.reached({0: 0, 4: 0})
+    assert low.reached({})
+    assert (low.full_coverage, high.full_coverage) == (False, False)
+    plain = ReplicatedSystem(num_secondaries=1).secondaries[0]
+    assert plain.full_coverage and plain.holds(frozenset({None}))
+    assert plain.reached({None: 0}) and not plain.reached({None: 1})
+    assert not plain.holds(frozenset({0})) and not plain.reached({0: 0})
+
+
+def test_observed_axes_name_surviving_commits_after_promotion():
+    """The frontier invariant: whatever a surviving session remembers
+    having read, on every axis, is the timestamp of a surviving commit
+    that touched that axis — never the truncation point itself, which
+    need not have."""
+    everything = tuple(range(SHARDS))
+    sharding = ShardingConfig(shards=SHARDS, placement=(
+        everything, everything, (0, 1, 2, 3)))
+    system = ReplicatedSystem(num_secondaries=3, propagation_delay=0.1,
+                              sharding=sharding,
+                              channel_faults=ChannelFaults(),
+                              promotion=PromotionConfig())
+    writer = system.session(Guarantee.STRONG_SESSION_SI, secondary=0)
+    k0, k1 = keys_for(0, count=2)
+    k5 = keys_for(5, count=1)[0]
+    writer.write(k0, "kept")                   # commit 1: shard 0
+    writer.write(k5, "kept")                   # commit 2: shard 5
+    system.quiesce()
+    system.partition(0)                        # both full replicas cut off
+    system.partition(1)
+    system.session(Guarantee.WEAK_SI).write(k1, "truncated")    # commit 3
+    system.run(until=system.kernel.now + 1.0)
+    # A PCSI reader on the half-subscriber sees shard 0 at the doomed
+    # commit; it makes no cross-read promise, so it survives, clamped.
+    reader = system.session(Guarantee.PCSI, secondary=2)
+    assert reader.read(k1) == "truncated"
+    assert reader._observed == {0: 3, None: 3}
+    assert writer.read_many([k0, k5]) == {k0: "kept", k5: "kept"}
+    assert writer._observed == {0: 1, 5: 2, None: 2}
+
+    system.kill_primary()
+    assert system.promote_secondary().base_commit_ts == 2
+    touched = {}                               # axis -> surviving commit ts
+    for commit_ts, key in enumerate((k0, k5), start=1):
+        touched[shard_of(key, SHARDS)] = touched[None] = commit_ts
+    for session in (writer, reader):
+        assert session._lost_window is None
+        assert session._observed.keys() <= touched.keys()
+        for axis, seen in session._observed.items():
+            assert seen == touched[axis]       # shard 0: commit 1, not base 2
+    newcomer = system.session(Guarantee.STRONG_SI, secondary=2)
+    assert newcomer.read(k0) == "kept"         # requires {0: 1}: reachable
+
+
+@pytest.mark.parametrize("secondaries", [1, 3])
+def test_one_shard_cluster_is_as_stale_as_an_unsharded_one(secondaries):
+    """``max_staleness`` is one path over the replicas' axes: unbatched
+    and with zero apply cost the two wire formats deliver every commit
+    at the same instant, so after every op of the same workload the
+    whole-database axis and the single shard's axis lag alike."""
+    def drive(sharding):
+        system = ReplicatedSystem(num_secondaries=secondaries,
+                                  propagation_delay=1.5, sharding=sharding)
+        session = system.session(Guarantee.WEAK_SI)
+        lags = []
+        for op in range(50):
+            if op % 3 == 2:
+                session.read(f"key{op % 7}")
+            else:
+                session.write(f"key{op % 7}", op)
+            system.run(until=system.kernel.now + (op % 4) * 0.5)
+            lags.append(system.max_staleness())
+        return lags
+
+    plain = drive(None)
+    assert plain == drive(ShardingConfig(shards=1))
+    assert max(plain) > 1 and min(plain) == 0
+
+
 # -- recovery & promotion ------------------------------------------------------
 
 

@@ -126,6 +126,53 @@ def test_chaos_identical_across_schedulers(seed):
         == RECORDED_STORMS[seed], summary
 
 
+#: The same pins for partial replication, recorded at the last commit
+#: that served sharded reads, failover and flushes through their own
+#: copies of the classic functions.  ``composed`` is every subsystem at
+#: once; ``plain`` is the unbatched storm with a propagator stall — the
+#: one shape in which the two flush copies ordered their sends
+#: differently (endpoint-major vs record-major after ``resume()``).
+RECORDED_SHARDED_STORMS = {
+    ("composed", 0): (
+        "f862bdc9d114368e2ebbbfca7cc7c5ddf09e19b566c9239fb7688b80e6e68f54",
+        980, 39),
+    ("composed", 1): (
+        "c2830928ea86808d7272739a7bc2bf9ce3feebacc638c1e063ecb153ebc884dc",
+        1078, 38),
+    ("composed", 2): (
+        "d75cac6f9c1b85a637e41da84ea67f1fdccb8f4be6e2e9c3627efc50a90cfe5f",
+        1253, 52),
+    ("plain", 0): (
+        "ab62d907aaf51dd6ee96feed7c8aaf41d79fb1dbed68e7b0985276bb463d6f74",
+        363, 23),
+    ("plain", 1): (
+        "dbb404f057f0d4fa2a9a2c4ddb5eae82ac17782116cef00e39afbcb981be2ef3",
+        453, 23),
+    ("plain", 2): (
+        "1fc19b0c2e44d6108643851723901a2152eaa20bb2dee731751b06d70f4f2937",
+        716, 65),
+}
+
+
+@pytest.mark.parametrize("shape,seed", sorted(RECORDED_SHARDED_STORMS))
+def test_sharded_storm_reproduces_the_recording(shape, seed):
+    """Partial replication has one serving path, the classic one; the
+    storms it used to serve through a second copy reproduce byte for
+    byte."""
+    config = ChaosConfig(seed=seed, shards=8)
+    if shape == "composed":
+        config = ChaosConfig(seed=seed, shards=8, partitions=2,
+                             primary_kill=True, auto_failover=True,
+                             parallel_refresh=4, refresh_apply_cost=0.01)
+    result = run_chaos(config)
+    summary = result.describe()
+    digest = hashlib.sha256("\n".join(
+        line for line in summary.split("\n")
+        if "kernel:" not in line).encode()).hexdigest()
+    assert (digest, result.events_dispatched, result.peak_queue_depth) \
+        == RECORDED_SHARDED_STORMS[shape, seed], summary
+
+
 def test_chaos_summary_reports_kernel_counters():
     result = run_chaos(ChaosConfig(seed=0))
     assert result.events_dispatched > 0
