@@ -9,7 +9,6 @@ dispatch-loop regressions, not noise.
 
 from time import perf_counter
 
-from repro.evaluation.bench import bench_kernel
 from repro.kernel import Kernel
 
 #: Per-test wall-clock ceiling.  Typical runs finish in well under a
@@ -21,13 +20,25 @@ EVENTS_PER_SEC_FLOOR = 10_000
 
 
 def test_dispatch_rate():
+    # The steady mix: staggered tickers, so the heap stays mixed.
+    kernel = Kernel()
+    processes, sleeps = 20, 500
+
+    def ticker(rank: int):
+        delay = 0.5 + rank * 0.01
+        for _ in range(sleeps):
+            yield kernel.sleep(delay)
+
+    for rank in range(processes):
+        kernel.spawn(ticker(rank), name=f"ticker-{rank}")
     started = perf_counter()
-    result = bench_kernel(num_processes=20, sleeps_per_process=500,
-                          repeats=2)
-    assert perf_counter() - started < BUDGET_SECONDS
-    assert result["events_per_sec"] > EVENTS_PER_SEC_FLOOR
-    # The microbench is deterministic: spawns plus sleeps, exactly.
-    assert result["events"] == 20 + 20 * 500
+    kernel.run()
+    elapsed = perf_counter() - started
+    assert elapsed < BUDGET_SECONDS
+    # Deterministic: spawns plus sleeps, exactly.
+    scheduled = kernel.counters()["events_scheduled"]
+    assert scheduled == processes * (1 + sleeps)
+    assert scheduled / elapsed > EVENTS_PER_SEC_FLOOR
 
 
 def test_deep_timer_heap_dispatch_rate():

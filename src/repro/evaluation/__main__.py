@@ -6,7 +6,7 @@ Examples::
     python -m repro.evaluation --figure 2 --scale full
     python -m repro.evaluation --figure 5 6 7 --out results/
     python -m repro.evaluation --figure 2 --scale full --jobs 8
-    python -m repro.evaluation --bench                 # perf baseline
+    python -m repro.evaluation --profile --scale small # hot-path tables
 """
 
 from __future__ import annotations
@@ -60,12 +60,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", "-j", type=int, default=None,
                         help="worker processes for sweep execution "
                              "(default: all cores; 1 = serial inline)")
-    parser.add_argument("--bench", action="store_true",
-                        help="run the perf baseline harness instead of "
-                             "regenerating figures")
-    parser.add_argument("--bench-out", type=Path, default=None,
-                        help="baseline JSON path (default: "
-                             "BENCH_evaluation.json)")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile one run_once per algorithm at "
                              "--scale and print the hottest functions")
@@ -79,10 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.evaluation.bench import run_profile
         return run_profile(scale=args.scale, seed=args.seed,
                            top=args.profile_top)
-
-    if args.bench:
-        from repro.evaluation.bench import run_bench
-        return run_bench(jobs=jobs, out=args.bench_out, seed=args.seed)
 
     wanted = (list(ALL_FIGURES) if "all" in args.figure
               else [str(f) for f in args.figure])

@@ -51,9 +51,7 @@ class Scale:
 
 
 SCALES: dict[str, Scale] = {
-    # Long-history scale: 2 h runs to exercise the incremental checkers
-    # and compact history recording far beyond the paper's 35 min runs
-    # (the legacy O(commits²) checkers were the wall at this length).
+    # Long-history scale: 2 h runs, far beyond the paper's 35 min runs.
     "large": Scale("large", duration=120 * 60.0, warmup=5 * 60.0,
                    replications=3),
     # Paper methodology: 35 min runs, 5 min warm-up, 5 replications.

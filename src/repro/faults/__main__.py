@@ -77,8 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parallel-refresh", type=int, default=None,
                         metavar="N",
                         help="dependency-tracked parallel refresh with N "
-                             "workers per secondary (default: strict "
-                             "FIFO refresh)")
+                             "workers per secondary (default: the paper's "
+                             "ordered refresh, one applicator per commit)")
     parser.add_argument("--refresh-apply-cost", type=float, default=None,
                         metavar="T",
                         help="virtual seconds of apply work per update "
@@ -112,6 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="only print failing runs and the final tally")
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     faults = ChannelFaults(drop=args.drop, duplicate=args.duplicate,
                            jitter=args.jitter, reorder=args.reorder,

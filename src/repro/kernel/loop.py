@@ -392,7 +392,7 @@ class Kernel:
         return self._seq - self._dispatched - self._cancelled_pending
 
     def counters(self) -> dict:
-        """Event-queue observability counters (schema: monitoring/bench).
+        """Event-queue observability counters.
 
         All values are properties of the dispatched event stream, so they
         repeat exactly for the same seed.

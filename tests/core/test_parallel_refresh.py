@@ -287,7 +287,7 @@ def test_parallel_off_is_dormant():
 
 # ---------------------------------------------------------------------------
 # The protocol fact: what parallel refresh buys, and why one ordered
-# engine is enough (the 95/5 leg of the old harness's schema 4, exact)
+# engine is enough
 # ---------------------------------------------------------------------------
 
 APPLY_COST = 0.05       # virtual seconds of apply work per update op
@@ -320,25 +320,31 @@ def _apply_system(**knobs):
                             refresh_apply_cost=APPLY_COST, **knobs)
 
 
-def _commit_at_primary(system, updates):
+def commit_at_primary(system, updates):
     txn = system.primary.begin_update()
     for key, value in updates:
         txn.write(key, value)
     txn.commit()
 
 
-def _drain_throughput(txns, **knobs):
-    """Commits per virtual second from releasing the whole stream (held
-    behind a paused propagator) to quiescence: pure refresh time."""
-    system = _apply_system(**knobs)
+def drain_flood(system, txns):
+    """Virtual seconds from releasing the whole stream (committed behind
+    a paused propagator) to quiescence: pure refresh time."""
     system.propagator.pause()
     for updates in txns:
-        _commit_at_primary(system, updates)
+        commit_at_primary(system, updates)
     released_at = system.kernel.now
     system.propagator.resume()
     system.quiesce()
+    return system.kernel.now - released_at
+
+
+def _drain_throughput(txns, **knobs):
+    """Commits per virtual second of the drained flood."""
+    system = _apply_system(**knobs)
+    drained = drain_flood(system, txns)
     assert system.secondary_state(0) == system.primary_state()
-    return round(len(txns) / (system.kernel.now - released_at), 3)
+    return round(len(txns) / drained, 3)
 
 
 def _paced_lag(txns, **knobs):
@@ -350,7 +356,7 @@ def _paced_lag(txns, **knobs):
     when = 0.0
     for updates in txns:
         system.run(until=when)
-        _commit_at_primary(system, updates)
+        commit_at_primary(system, updates)
         samples.append(system.primary.latest_commit_ts - secondary.seq_db)
         when += PACE
     system.quiesce()

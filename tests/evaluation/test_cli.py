@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.evaluation.__main__ import main
+from repro.evaluation.bench import run_profile
 
 
 def test_unknown_figure_rejected(capsys):
@@ -54,6 +56,12 @@ def test_profile_prints_hot_function_tables(capsys):
     assert "cProfile over one run_once per algorithm" in out
     assert "top 5 by internal time" in out
     assert "top 5 by cumulative time" in out
+
+
+def test_profile_rejects_an_unknown_scale(capsys):
+    with pytest.raises(ConfigurationError, match="smok.*smoke"):
+        run_profile(scale="smok")
+    assert capsys.readouterr().out == ""     # nothing was profiled
 
 
 def test_progress_lines_by_default(capsys):

@@ -95,6 +95,15 @@ def test_full_scale_matches_paper_methodology():
     assert full.max_points is None
 
 
+def test_large_scale_preset_registered():
+    large = SCALES["large"]
+    assert large.duration > SCALES["full"].duration
+    assert large.replications >= 1
+    # max_points=None: the large preset never subsamples a sweep.
+    assert large.max_points is None
+    assert large.select_points((1, 2, 3)) == (1, 2, 3)
+
+
 def test_figures_for_sweep():
     assert {f.figure for f in figures_for_sweep(CLIENTS_SWEEP_80_20)} == \
         {"2", "3", "4"}
