@@ -75,6 +75,79 @@ def test_engine_scan_throughput(benchmark):
     benchmark(scan_cycle)
 
 
+def _catalogue_with_interleaved_writes():
+    """500 items, then 200 single-key commits spread over them — the
+    state a refreshed secondary serves scans from."""
+    db = SIDatabase()
+    txn = db.begin(update=True)
+    for i in range(500):
+        txn.write(f"item:{i:04d}", i)
+    txn.commit()
+    for step in range(200):
+        txn = db.begin(update=True)
+        txn.write(f"item:{(step * 37) % 500:04d}", -step)
+        txn.commit()
+    return db
+
+
+def test_engine_scan_newest_state_after_interleaved_writes(benchmark):
+    """Each cycle writes one key of the range and scans it: one row is
+    recomputed, the other 99 come from the chains' memoised rows."""
+    db = _catalogue_with_interleaved_writes()
+    step = [0]
+
+    def write_and_scan():
+        step[0] += 1
+        key = f"item:{100 + step[0] % 100:04d}"
+        txn = db.begin(update=True)
+        txn.write(key, step[0])
+        txn.commit()
+        txn = db.begin()
+        rows = txn.scan("item:0100", "item:0199")
+        txn.commit()
+        assert len(rows) == 100
+        assert (key, step[0]) in rows
+
+    benchmark(write_and_scan)
+
+
+def test_engine_scan_same_range_at_an_old_snapshot(benchmark):
+    """Below the newest installed commit the scan walks the chains key
+    by key, whether or not their newest rows are memoised."""
+    db = _catalogue_with_interleaved_writes()
+    newest = db.begin().scan("item:0100", "item:0199")     # fills the memo
+    old_snapshot = 1        # the bulk load, before any single-key commit
+    loaded = [(f"item:{i:04d}", i) for i in range(100, 200)]
+
+    def scan_cycle():
+        txn = db.begin(snapshot_ts=old_snapshot)
+        rows = txn.scan("item:0100", "item:0199")
+        txn.commit()
+        assert rows == loaded
+
+    benchmark(scan_cycle)
+    assert db.begin().scan("item:0100", "item:0199") == newest
+
+
+def test_engine_scan_range_with_tombstones(benchmark):
+    """Every fifth key of the range is deleted: the memoised rows carry
+    the tombstones, and the scan pays one filter to drop them."""
+    db = _catalogue_with_interleaved_writes()
+    txn = db.begin(update=True)
+    for i in range(100, 200, 5):
+        txn.delete(f"item:{i:04d}")
+    txn.commit()
+
+    def scan_cycle():
+        txn = db.begin()
+        rows = txn.scan("item:0100", "item:0199")
+        txn.commit()
+        assert len(rows) == 80
+        assert rows[0][0] == "item:0101"
+
+    benchmark(scan_cycle)
+
+
 def test_engine_scan_inside_update_txn(benchmark):
     """The own-write overlay: overwritten, deleted and one brand-new
     in-range key (the only case that pays the final sort)."""

@@ -29,7 +29,7 @@ class PrimarySite:
         self.name = name
         self.log = LogicalLog(name=f"{name}-log")
         self.engine = SIDatabase(name=name, log=self.log, recorder=recorder,
-                                 clock=lambda: kernel.now)
+                                 clock=kernel.clock)
         self.crash_count = 0
         self.restart_count = 0
         #: Set by :meth:`kill`: the site is gone for good (disk and WAL
@@ -197,7 +197,7 @@ class SecondarySite:
         self.shard_frontier: dict[int, int] = \
             dict.fromkeys(subscription or (), 0)
         self.engine = SIDatabase(name=name, log=None, recorder=recorder,
-                                 clock=lambda: kernel.now)
+                                 clock=kernel.clock)
         self.update_queue = Queue(kernel, name=f"{name}-update-queue")
         #: seq(DBsec): primary commit ts of the newest applied refresh.
         self.seq_db = 0

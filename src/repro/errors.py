@@ -73,6 +73,24 @@ class KeyNotFound(StorageError):
         super().__init__(f"no visible version for key {key!r}")
 
 
+class UnorderableKeyError(StorageError):
+    """A written key cannot be ordered against the keys already stored.
+
+    The engine keeps its keys sorted for range scans, so one database
+    holds mutually comparable keys only.  A commit that brings such a key
+    is aborted before it changes anything.
+    """
+
+    def __init__(self, key: object):
+        self.key = key
+        super().__init__(
+            f"key {key!r} cannot be ordered against the stored keys")
+
+
+class InvalidScanError(StorageError):
+    """A scan asked for a prefix and range bounds at once."""
+
+
 class ReplicationError(ReproError):
     """Base class for replication-middleware errors."""
 
@@ -248,6 +266,8 @@ __all__ = [
     "ExplicitAbort",
     "TransactionStateError",
     "KeyNotFound",
+    "UnorderableKeyError",
+    "InvalidScanError",
     "ReplicationError",
     "SiteUnavailableError",
     "ShardUnavailableError",

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
+from operator import attrgetter
 from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
 
@@ -40,6 +42,7 @@ ProcessBody = Generator[Any, Any, Any]
 # module-level lookups beat attribute traversal there.
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_read_now = attrgetter("_now")
 
 
 class Process:
@@ -281,6 +284,9 @@ class Kernel:
         # event (tens of thousands per simulated minute).
         self._resume = self._resume        # type: ignore[method-assign]
         self._throw = self._throw          # type: ignore[method-assign]
+        #: ``clock()`` is :attr:`now` as a callable with no Python frame,
+        #: for code that stamps every event it records with the time.
+        self.clock: Callable[[], float] = partial(_read_now, self)
 
     # ------------------------------------------------------------------
     # Public interface

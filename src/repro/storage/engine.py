@@ -32,13 +32,15 @@ from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import (
     FirstCommitterWinsError,
+    InvalidScanError,
     KeyNotFound,
     SiteUnavailableError,
     TransactionStateError,
+    UnorderableKeyError,
 )
 from repro.storage.predicate import OrderedKeyIndex
 from repro.storage.snapshot import SnapshotView
-from repro.storage.versions import Version, VersionChain
+from repro.storage.versions import Version, VersionChain, newest_rows
 from repro.storage.wal import (
     AbortRecord,
     CommitRecord,
@@ -84,6 +86,7 @@ class Transaction:
         "commit_ts",
         "_writes",
         "_reads",
+        "recorded_ids",
     )
 
     def __init__(self, db: "SIDatabase", txn_id: int, start_ts: int,
@@ -101,6 +104,9 @@ class Transaction:
         # long read-heavy transactions re-read hot keys, so it is bounded
         # by distinct keys.
         self._reads: dict[Any, None] = {}
+        # ``(logical_id, session, refresh_of)`` as the history recorder
+        # read them off ``metadata`` on this transaction's first event.
+        self.recorded_ids: Optional[tuple] = None
 
     # -- queries ---------------------------------------------------------
     @property
@@ -178,33 +184,50 @@ class Transaction:
              *, prefix: Optional[str] = None) -> list[tuple[Any, Any]]:
         """Range/prefix scan over the snapshot, own writes merged in.
 
-        One pass over the ordered index slice.  Per key: the newest
-        version wins when it is inside the snapshot (the common case —
-        strong-SI locals and refreshed secondaries read the latest
-        state), otherwise a bisect finds the newest version at or below
-        ``start_ts``; tombstones are skipped.  The own-write overlay is a
-        single truthiness test per key until this transaction writes.
+        The range or prefix is one slice of the ordered key → chain map.
+        A transaction with no writes of its own whose snapshot is at or
+        past everything installed — what a read-only transaction at a
+        refreshed secondary and a strong-SI local is — reads each
+        chain's memoised newest row, one slot load per key
+        (:func:`~repro.storage.versions.newest_rows`).  Any other —
+        an older snapshot, own writes, versions installed ahead of the
+        counter by a parallel refresh — walks the slice: per key the
+        newest version when it is inside the snapshot, else a bisect for
+        the newest at or below ``start_ts``; tombstones are skipped, and
+        the own-write overlay is one truthiness test per key until this
+        transaction writes.
         """
         db = self.db
         if self.status is not _ACTIVE or db._crashed:
             self._check_usable()
         index = db._index
-        candidates = (index.range(lo, hi) if prefix is None
-                      else index.prefix(prefix))
-        chains = db._chains
+        if prefix is None:
+            keys, chains = index.range(lo, hi)
+        elif lo is None and hi is None:
+            keys, chains = index.prefix(prefix)
+        else:
+            raise InvalidScanError(
+                f"scan takes bounds or a prefix, not both: "
+                f"({lo!r}, {hi!r}, prefix={prefix!r})")
         start_ts = self.start_ts
         writes = self._writes
-        out: list[tuple[Any, Any]] = []
+        if not writes and start_ts >= db._installed_ts:
+            out = newest_rows(chains)
+            if db._records_ops:
+                db._record("scan", self, (lo, hi, prefix),
+                           tuple(keys) if len(out) == len(keys)
+                           else tuple(map(_key_of, out)))
+            return out
+        out = []
         emit = out.append
-        for key in candidates:
+        # Every indexed chain is non-empty (vacuum and truncation drop
+        # the key with its last version).
+        for key, chain in zip(keys, chains):
             if writes and key in writes:
                 value, deleted = writes[key]
                 if not deleted:
                     emit((key, value))
                 continue
-            # Every indexed key has a non-empty chain (vacuum and
-            # truncation drop the key with its last version).
-            chain = chains[key]
             commit_tss = chain._commit_tss
             if commit_tss[-1] <= start_ts:
                 version = chain._versions[-1]
@@ -219,8 +242,9 @@ class Transaction:
             # Own-written keys with no committed version are not in the
             # index slice; append them, and only then is a sort needed.
             appended = False
+            stored = db._chains
             for key, (value, deleted) in writes.items():
-                if (not deleted and key not in index
+                if (not deleted and key not in stored
                         and db._in_range(key, lo, hi, prefix)):
                     emit((key, value))
                     appended = True
@@ -327,7 +351,13 @@ class SIDatabase:
         self._records_ops = recorder is not None and recorder.detail == "ops"
         self.clock = clock or (lambda: 0.0)
         self._chains: dict[Any, VersionChain] = {}
+        # The same chains by sorted key; holds exactly the keys of
+        # ``_chains``, each with a non-empty chain.
         self._index = OrderedKeyIndex()
+        # Upper bound on every installed ``commit_ts``.  It runs ahead of
+        # the commit counter only while a parallel refresh has installed
+        # versions the counter has not been advanced to yet.
+        self._installed_ts = 0
         self._commit_counter = 0
         self._next_txn_id = 1
         self._active: dict[int, Transaction] = {}
@@ -406,9 +436,13 @@ class SIDatabase:
             self.commits += 1
             self._record("commit", txn)
             return None
-        self._commit_counter += 1
-        commit_ts = self._commit_counter
-        self._install(writes, commit_ts, txn.txn_id)
+        commit_ts = self._commit_counter + 1
+        try:
+            self._install(writes, commit_ts, txn.txn_id)
+        except UnorderableKeyError as exc:
+            self._abort(txn, str(exc))
+            raise
+        self._commit_counter = commit_ts
         txn.status = TxnStatus.COMMITTED
         txn.commit_ts = commit_ts
         del self._active[txn.txn_id]
@@ -420,14 +454,23 @@ class SIDatabase:
 
     def _install(self, writes: dict[Any, tuple[Any, bool]], commit_ts: int,
                  txn_id: int) -> None:
-        """Install one committed transaction's writes as versions."""
+        """Install one committed transaction's writes as versions.
+
+        Keys new to the database are placed in the index first, all or
+        nothing: one that cannot be ordered against the stored keys
+        raises :class:`~repro.errors.UnorderableKeyError` before any
+        state has changed.
+        """
         chains = self._chains
+        if not writes.keys() <= chains.keys():
+            fresh = [(key, VersionChain(key)) for key in writes
+                     if key not in chains]
+            self._index.load(fresh)
+            chains.update(fresh)
+        if commit_ts > self._installed_ts:
+            self._installed_ts = commit_ts
         for key, (value, deleted) in writes.items():
-            chain = chains.get(key)
-            if chain is None:
-                chain = chains[key] = VersionChain(key)
-                self._index.add(key)
-            chain.install(Version(commit_ts, value, txn_id, deleted))
+            chains[key].install(Version(commit_ts, value, txn_id, deleted))
 
     def commit_refresh_at(self, txn: Transaction, commit_ts: int) -> int:
         """Commit a refresh transaction at an explicit primary timestamp.
@@ -458,7 +501,11 @@ class SIDatabase:
             raise TransactionStateError(
                 f"refresh commit ts {commit_ts} predates the vacuum "
                 f"horizon {self._vacuum_horizon}")
-        self._install(txn._writes, commit_ts, txn.txn_id)
+        try:
+            self._install(txn._writes, commit_ts, txn.txn_id)
+        except UnorderableKeyError as exc:
+            self._abort(txn, str(exc))
+            raise
         txn.status = TxnStatus.COMMITTED
         txn.commit_ts = commit_ts
         del self._active[txn.txn_id]
@@ -557,6 +604,8 @@ class SIDatabase:
         self._drop_chains(empty_keys)
         if self._commit_counter > commit_ts:
             self._commit_counter = commit_ts
+        if self._installed_ts > commit_ts:
+            self._installed_ts = commit_ts
         return removed
 
     def _drop_chains(self, keys: list[Any]) -> None:
@@ -607,6 +656,7 @@ class SIDatabase:
                 "crash() it first")
         self._chains = {}
         self._index = OrderedKeyIndex()
+        self._installed_ts = 0
         # key -> (value, deleted) per open txn: last write per key wins,
         # in first-write order — the same dedup _commit applies.
         open_writes: dict[int, dict[Any, tuple[Any, bool]]] = {}
@@ -637,13 +687,13 @@ class SIDatabase:
         source's commit timestamp so subsequent refresh transactions line
         up with primary state numbering.
         """
-        self._chains = {}
-        self._index = OrderedKeyIndex()
+        chains = self._chains = {}
         for key, value in source_state.items():
-            chain = VersionChain(key)
+            chain = chains[key] = VersionChain(key)
             chain.install(Version(source_commit_ts, value, 0))
-            self._chains[key] = chain
-            self._index.add(key)
+        self._index = OrderedKeyIndex()
+        self._index.load(chains.items())
+        self._installed_ts = source_commit_ts
         self._commit_counter = source_commit_ts
         self._vacuum_horizon = source_commit_ts
         self._crashed = False

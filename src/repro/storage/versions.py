@@ -12,6 +12,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
+#: A tombstone's scan row: falsy, so ``all(rows)`` and ``filter(None,
+#: rows)`` tell it from a live ``(key, value)`` row at C speed.
+_TOMBSTONE_ROW = ()
+
 
 @dataclass(slots=True)
 class Version:
@@ -36,7 +40,7 @@ class Version:
 class VersionChain:
     """Committed versions of a single key, ordered by commit timestamp."""
 
-    __slots__ = ("key", "_versions", "_commit_tss")
+    __slots__ = ("key", "_versions", "_commit_tss", "_row")
 
     def __init__(self, key: Any):
         self.key = key
@@ -44,6 +48,10 @@ class VersionChain:
         # Parallel array of timestamps for bisect (avoids a key= lambda on
         # every probe; chains are read far more often than written).
         self._commit_tss: list[int] = []
+        # The newest version as a scan row: ``(key, value)``, the falsy
+        # ``_TOMBSTONE_ROW``, or None for "not computed since the chain
+        # last changed".  Writers reset it with one store; scans fill it.
+        self._row: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self._versions)
@@ -70,6 +78,20 @@ class VersionChain:
             )
         self._versions.append(version)
         self._commit_tss.append(version.commit_ts)
+        self._row = None
+
+    def newest_row(self) -> tuple:
+        """The newest version as a scan row, memoised: ``(key, value)``,
+        or a falsy row for a tombstone (and for an empty chain)."""
+        row = self._row
+        if row is None:
+            versions = self._versions
+            if versions and not versions[-1].deleted:
+                row = (self.key, versions[-1].value)
+            else:
+                row = _TOMBSTONE_ROW
+            self._row = row
+        return row
 
     def visible_at(self, start_ts: int) -> Optional[Version]:
         """Newest version with ``commit_ts <= start_ts`` (may be a tombstone).
@@ -126,6 +148,7 @@ class VersionChain:
         removed = len(self._versions) - idx
         del self._versions[idx:]
         del self._commit_tss[idx:]
+        self._row = None
         return removed
 
     def copy(self) -> "VersionChain":
@@ -133,4 +156,20 @@ class VersionChain:
         clone = VersionChain(self.key)
         clone._versions = list(self._versions)
         clone._commit_tss = list(self._commit_tss)
+        clone._row = self._row
         return clone
+
+
+def newest_rows(chains: list[VersionChain]) -> list[tuple[Any, Any]]:
+    """The ``(key, value)`` rows of the newest version of each chain,
+    tombstones left out — a scan of the newest state.
+
+    Per chain whose row is memoised and live this is one slot load inside
+    one list comprehension; a chain written since it was last scanned (or
+    ending in a tombstone) costs one :meth:`VersionChain.newest_row`, and
+    a tombstone in range one filter over the rows.
+    """
+    rows = [chain._row or chain.newest_row() for chain in chains]
+    if not all(rows):
+        rows = list(filter(None, rows))
+    return rows

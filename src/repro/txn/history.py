@@ -21,11 +21,13 @@ Transactions carry optional metadata set by the replication layer:
 Long runs record millions of events, so the recorder is built to be
 lean in memory and in time: events are ``slots`` dataclasses built with
 plain attribute stores (read-only by contract, not frozen — a frozen
-``__init__`` costs sixteen ``object.__setattr__`` calls per event), the
-repeated identity strings (site, session, logical ids) are interned —
-once per site and once per transaction, not once per event — so every
-event shares one copy, and throughput-oriented sweeps can opt out of
-per-operation recording entirely with ``detail="commits"``
+``__init__`` costs sixteen ``object.__setattr__`` calls per event), a
+transaction's identity triple is worked out once and kept on the
+transaction, the strings that repeat across transactions (site, session)
+are interned so every event shares one copy — logical ids are unique per
+transaction and already shared by its events, so interning them would
+only grow the interpreter's table — and throughput-oriented sweeps can
+opt out of per-operation recording entirely with ``detail="commits"``
 (begin/commit/abort only — enough for latency/staleness accounting, not
 for the SI checkers, which refuse such histories rather than vacuously
 pass).
@@ -50,18 +52,6 @@ class _InternedStrings(dict):
     def __missing__(self, value: str) -> str:
         interned = self[value] = sys.intern(value)
         return interned
-
-
-def _interned_ids(txn: Any) -> tuple:
-    """``(logical_id, session, refresh_of)`` of ``txn``, strings interned."""
-    meta = getattr(txn, "metadata", None) or {}
-    intern = sys.intern
-    logical_id = meta.get("logical_id")
-    session = meta.get("session")
-    refresh_of = meta.get("refresh_of")
-    return (intern(logical_id) if type(logical_id) is str else logical_id,
-            intern(session) if type(session) is str else session,
-            intern(refresh_of) if type(refresh_of) is str else refresh_of)
 
 
 @dataclass(slots=True)
@@ -198,13 +188,9 @@ class HistoryRecorder:
         self.detail = detail
         self.events: list[HistoryEvent] = []
         self._seq = 0
-        # Interned identity strings: one entry per site name, and the
-        # (logical_id, session, refresh_of) of the transaction that
-        # recorded last — a transaction's events arrive in runs, so each
-        # transaction is interned about once, not once per event.
-        self._sites = _InternedStrings()
-        self._ids_txn: Any = None
-        self._ids: tuple = (None, None, None)
+        # The identity strings many transactions share: site names and
+        # session labels.
+        self._interned = _InternedStrings()
         self._views_cache: Optional[dict[tuple[str, int], TxnView]] = None
         self._views_cache_len = -1
         self._site_events: list[HistoryEvent] = []
@@ -235,13 +221,11 @@ class HistoryRecorder:
         """
         if self.detail == "commits" and kind in _OP_KINDS:
             return None
-        if txn is not self._ids_txn:
-            self._ids = _interned_ids(txn)
-            self._ids_txn = txn
-        logical_id, session, refresh_of = self._ids
+        logical_id, session, refresh_of = \
+            getattr(txn, "recorded_ids", None) or self._identify(txn)
         seq = self._seq
         event = HistoryEvent(
-            seq, time, kind, self._sites[site], txn.txn_id, logical_id,
+            seq, time, kind, self._interned[site], txn.txn_id, logical_id,
             session, refresh_of, txn.start_ts,
             getattr(txn, "commit_ts", None), key, value, deleted, producer,
             reason, getattr(txn, "is_update", False))
@@ -249,10 +233,24 @@ class HistoryRecorder:
         self.events.append(event)
         return event
 
+    def _identify(self, txn: Any) -> tuple:
+        """``(logical_id, session, refresh_of)`` from ``txn.metadata``,
+        worked out on a transaction's first event and kept in its
+        ``recorded_ids`` slot; a duck-typed transaction without the slot
+        is identified afresh on each event."""
+        meta = getattr(txn, "metadata", None) or {}
+        session = meta.get("session")
+        if type(session) is str:
+            session = self._interned[session]
+        ids = (meta.get("logical_id"), session, meta.get("refresh_of"))
+        if hasattr(txn, "recorded_ids"):
+            txn.recorded_ids = ids
+        return ids
+
     def _record_site_event(self, kind: str, site: str, time: float,
                            commit_ts: int, value: Any) -> HistoryEvent:
         """Append a site-level (non-transaction) event."""
-        event = HistoryEvent(self._seq, time, kind, self._sites[site], 0,
+        event = HistoryEvent(self._seq, time, kind, self._interned[site], 0,
                              None, None, None, commit_ts=commit_ts,
                              value=value)
         self._seq += 1
@@ -299,7 +297,7 @@ class HistoryRecorder:
         timeline (``site`` is the new primary, ``value`` the old one).
         """
         return self._record_site_event("promote", new_site, time,
-                                       truncation_ts, self._sites[old_site])
+                                       truncation_ts, self._interned[old_site])
 
     # -- aggregation -----------------------------------------------------
     def transactions(self) -> dict[tuple[str, int], TxnView]:

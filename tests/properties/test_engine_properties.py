@@ -159,60 +159,192 @@ SCAN_KEYS = ["a", "ab", "abc", "b", "ba", "bb", "c", "ca"]
 OWN_KEYS = SCAN_KEYS + ["aa", "abb", "bab", "cb", "d"]
 DELETE = None       # a write of None stands for a delete in these scripts
 WRITES = st.one_of(st.just(DELETE), VALUES)
+WRITE_SET = st.lists(st.tuples(st.sampled_from(SCAN_KEYS), WRITES),
+                     min_size=1, max_size=4)
 BOUND = st.one_of(st.none(), st.sampled_from(OWN_KEYS + ["", "bz", "z"]))
+PREDICATE = st.one_of(
+    st.tuples(BOUND, BOUND, st.none()),
+    st.tuples(st.none(), st.none(),
+              st.sampled_from(["", "a", "ab", "b", "x"])))
+
+# What can happen to one site's database between scans: local commits;
+# refresh commits installed *ahead* of the commit counter (parallel
+# refresh), published by ``advance_commit_counter`` or left hanging;
+# vacuum; the epoch fence's ``truncate_after``; Section 3.4's
+# ``recover_from``; a crash and ``restart_from_wal``.
+STEP = st.one_of(
+    st.tuples(st.just("commit"), WRITE_SET),
+    st.tuples(st.just("ahead"), WRITE_SET, st.integers(1, 2),
+              st.booleans()),
+    st.tuples(st.just("vacuum")),
+    st.tuples(st.just("truncate"), st.integers(0, 3)),
+    st.tuples(st.just("recover"),
+              st.dictionaries(st.sampled_from(SCAN_KEYS), VALUES,
+                              max_size=4),
+              st.integers(0, 2)),
+    st.tuples(st.just("restart")))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    history=st.lists(
-        st.lists(st.tuples(st.sampled_from(SCAN_KEYS), WRITES),
-                 min_size=1, max_size=4),
-        min_size=0, max_size=10),
-    own=st.lists(st.tuples(st.sampled_from(OWN_KEYS), WRITES), max_size=5),
-    lo=BOUND, hi=BOUND,
-    prefix=st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "x"])),
-    data=st.data())
-def test_scan_equals_overlaid_sorted_snapshot(history, own, lo, hi, prefix,
-                                              data):
-    """``scan`` is ``sorted(state_at(start_ts))`` restricted to the range
-    and overlaid with the transaction's own writes — at any snapshot,
-    after deletes and a vacuum — and records exactly the returned keys."""
-    from repro.txn.history import HistoryRecorder
-    recorder = HistoryRecorder()
-    db = SIDatabase(recorder=recorder)
-    vacuum_after = data.draw(st.integers(0, len(history)), label="vacuum")
-    for count, writes in enumerate(history, start=1):
-        txn = db.begin(update=True)
-        for key, value in writes:
-            if value is DELETE:
-                txn.delete(key)
-            else:
-                txn.write(key, value)
-        txn.commit()
-        if count == vacuum_after:
-            db.vacuum()
-            assert len(db._index) == len(db._chains)
-    snapshot_ts = data.draw(
-        st.integers(db._vacuum_horizon, db.latest_commit_ts),
-        label="snapshot_ts")
-    txn = db.begin(update=bool(own), snapshot_ts=snapshot_ts)
-    expected = db.state_at(snapshot_ts)
-    for key, value in own:
+class _DictModel:
+    """The database as plain dicts: a base image plus the write set
+    installed at each commit timestamp.  It knows nothing of chains,
+    the index or the memoised rows the engine serves scans from."""
+
+    def __init__(self):
+        self.base = {}
+        self.installed = {}     # commit_ts -> [(key, value | DELETE)]
+        self.counter = 0        # latest_commit_ts
+        self.floor = 0          # oldest snapshot still readable
+
+    def top(self):
+        return max([self.counter, *self.installed])
+
+    def state_at(self, ts):
+        state = dict(self.base)
+        for commit_ts in sorted(self.installed):
+            if commit_ts <= ts:
+                for key, value in self.installed[commit_ts]:
+                    if value is DELETE:
+                        state.pop(key, None)
+                    else:
+                        state[key] = value
+        return state
+
+    def truncate(self, ts):
+        self.installed = {commit_ts: writes
+                          for commit_ts, writes in self.installed.items()
+                          if commit_ts <= ts}
+        self.counter = min(self.counter, ts)
+
+    def recover(self, state, ts):
+        self.base, self.installed = dict(state), {}
+        self.counter = self.floor = ts
+
+
+def _apply(txn, writes):
+    for key, value in writes:
         if value is DELETE:
             txn.delete(key)
-            expected.pop(key, None)
         else:
             txn.write(key, value)
+
+
+def _in_range(key, lo, hi, prefix):
+    if prefix is not None:
+        return key.startswith(prefix)
+    return (lo is None or key >= lo) and (hi is None or key <= hi)
+
+
+def _rows(state, predicate):
+    return sorted((key, value) for key, value in state.items()
+                  if _in_range(key, *predicate))
+
+
+def _check_storage_invariants(db):
+    """The three facts the memoised scan path rests on."""
+    keys, chains = db._index.range()
+    assert keys == sorted(db._chains)
+    for key, chain in zip(keys, chains):
+        assert chain is db._chains[key] and len(chain) > 0
+        newest = chain.latest
+        assert newest.commit_ts <= db._installed_ts
+        assert chain._row is None or chain._row == (
+            () if newest.deleted else (key, newest.value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(script=st.lists(STEP, max_size=10),
+       own=st.lists(st.tuples(st.sampled_from(OWN_KEYS), WRITES), max_size=5),
+       predicate=PREDICATE, data=st.data())
+def test_scan_equals_overlaid_sorted_snapshot(script, own, predicate, data):
+    """``scan`` is the sorted state at ``start_ts`` — by a dict model
+    advanced per commit, independent of the engine's chains and memoised
+    rows — restricted to the range and overlaid with the transaction's
+    own writes, and records exactly the returned keys: at any snapshot,
+    after deletes, vacuum, truncation, recovery, a WAL restart and
+    refresh commits installed ahead of the counter; the memoised path
+    and the per-key walk return the same rows."""
+    from repro.storage.wal import LogicalLog
+    from repro.txn.history import HistoryRecorder
+    recorder = HistoryRecorder()
+    db = SIDatabase(recorder=recorder, log=LogicalLog())
+    model = _DictModel()
+    wal_faithful = True     # the log alone still rebuilds this database
+    for step in script:
+        kind = step[0]
+        if kind == "commit":
+            # A local commit takes counter + 1, so whatever a refresh
+            # left installed ahead is published first.
+            db.advance_commit_counter(model.top())
+            txn = db.begin(update=True)
+            _apply(txn, step[1])
+            model.counter = txn.commit()
+            model.installed[model.counter] = step[1]
+        elif kind == "ahead":
+            _, writes, gap, publish = step
+            commit_ts = model.top() + gap
+            txn = db.begin(update=True)
+            _apply(txn, writes)
+            db.commit_refresh_at(txn, commit_ts)
+            model.installed[commit_ts] = writes
+            if publish:
+                db.advance_commit_counter(commit_ts)
+                model.counter = commit_ts
+            wal_faithful = False
+        elif kind == "vacuum":
+            db.vacuum()
+            model.floor = max(model.floor, model.counter)
+        elif kind == "truncate":
+            cut = max(model.floor, model.counter - step[1])
+            db.truncate_after(cut)
+            model.truncate(cut)
+            wal_faithful = False
+        elif kind == "recover":
+            source_ts = model.top() + step[2]
+            db.recover_from(step[1], source_ts)
+            model.recover(step[1], source_ts)
+            wal_faithful = False
+        elif wal_faithful:
+            db.crash()
+            assert db.restart_from_wal() == model.counter
+        assert db.latest_commit_ts == model.counter
+        assert db._vacuum_horizon == model.floor
+        _check_storage_invariants(db)
+        # Scans between the steps memoise some rows and not others, so
+        # the next step meets chains in every memo state.
+        warm = data.draw(st.one_of(st.none(), PREDICATE), label="warm")
+        if warm is not None:
+            lo, hi, prefix = warm
+            reader = db.begin()
+            assert reader.scan(lo, hi, prefix=prefix) == _rows(
+                model.state_at(model.counter), warm)
+            reader.commit()
+
+    # Half the scans read the newest state, where the memoised rows serve.
+    snapshot_ts = data.draw(
+        st.one_of(st.just(model.counter),
+                  st.integers(model.floor, model.counter)),
+        label="snapshot_ts")
+    expected = model.state_at(snapshot_ts)
+    assert db.state_at(snapshot_ts) == expected
+    txn = db.begin(update=bool(own), snapshot_ts=snapshot_ts)
+    for key, value in own:
+        if value is DELETE:
+            expected.pop(key, None)
+        else:
             expected[key] = value
-
-    def in_range(key):
-        if prefix is not None:
-            return key.startswith(prefix)
-        return (lo is None or key >= lo) and (hi is None or key <= hi)
-
+    _apply(txn, own)
+    lo, hi, prefix = predicate
     rows = txn.scan(lo, hi, prefix=prefix)
-    assert rows == sorted((key, value) for key, value in expected.items()
-                          if in_range(key))
+    assert rows == _rows(expected, predicate)
     event = recorder.events[-1]
     assert (event.kind, event.key) == ("scan", (lo, hi, prefix))
     assert event.value == tuple(key for key, _ in rows)
+    if not own:
+        # The same snapshot through the per-key walk: an own delete of a
+        # key nobody stores adds no row, but a transaction with writes
+        # never takes the memoised path.
+        walker = db.begin(update=True, snapshot_ts=snapshot_ts)
+        walker.delete("~nobody")
+        assert walker.scan(lo, hi, prefix=prefix) == rows
+    _check_storage_invariants(db)

@@ -4,11 +4,14 @@ import pytest
 
 from repro.errors import (
     FirstCommitterWinsError,
+    InvalidScanError,
     KeyNotFound,
     SiteUnavailableError,
     TransactionStateError,
+    UnorderableKeyError,
 )
 from repro.storage.engine import SIDatabase, TxnStatus
+from repro.storage.wal import AbortRecord, LogicalLog
 
 
 @pytest.fixture
@@ -364,3 +367,76 @@ def test_scan_merges_many_own_new_keys(db):
     out = txn.scan()
     assert [k for k, _ in out].count("a") == 1
     assert dict(out)["a"] == 99
+
+
+def test_scan_rejects_bounds_together_with_a_prefix(db):
+    """``scan(lo, hi, prefix=...)`` used to ignore the bounds silently —
+    and record them in the scan event as if they had been applied."""
+    for key in ("a1", "a2", "b1"):
+        _put(db, key, key)
+    txn = db.begin()
+    for lo, hi in (("a2", "b1"), ("a2", None), (None, "b1")):
+        with pytest.raises(InvalidScanError, match="not both"):
+            txn.scan(lo, hi, prefix="a")
+    assert txn.scan(prefix="a") == [("a1", "a1"), ("a2", "a2")]
+    assert txn.scan("a2", "b1") == [("a2", "a2"), ("b1", "b1")]
+
+
+def test_scans_of_an_untouched_range_share_their_rows(db):
+    """The newest state's rows are memoised per chain: two scans return
+    the same row objects, and a write replaces exactly the written row."""
+    for i in range(5):
+        _put(db, f"k{i}", i)
+    first = db.begin().scan("k1", "k3")
+    second = db.begin().scan("k1", "k3")
+    assert first == [("k1", 1), ("k2", 2), ("k3", 3)]
+    assert first is not second              # the lists are the callers'
+    assert all(a is b for a, b in zip(first, second))
+    _put(db, "k2", "new")
+    third = db.begin().scan("k1", "k3")
+    assert third == [("k1", 1), ("k2", "new"), ("k3", 3)]
+    assert [a is b for a, b in zip(first, third)] == [True, False, True]
+    # A snapshot older than the write walks the chains and still sees 2.
+    assert db.begin(snapshot_ts=5).scan("k1", "k3") == first
+
+
+@pytest.mark.parametrize("refresh", [False, True],
+                         ids=["local-commit", "refresh-commit"])
+def test_commit_with_an_unorderable_key_changes_nothing(refresh):
+    """A key that cannot be sorted among the stored keys used to raise a
+    raw TypeError half-way through the install: counter advanced, the
+    earlier writes visible, the transaction still active, nothing
+    logged.  It must abort the transaction and leave no trace."""
+    log = LogicalLog()
+    db = SIDatabase(name="test", log=log)
+    _put(db, "a", 0)
+    state, commit_ts = db.state_at(), db.latest_commit_ts
+    txn = db.begin(update=True)
+    txn.write("b", 2)
+    txn.write(5, 1)
+    with pytest.raises(UnorderableKeyError) as exc_info:
+        if refresh:
+            db.commit_refresh_at(txn, commit_ts + 1)
+        else:
+            txn.commit()
+    assert exc_info.value.key == 5
+    assert txn.status is TxnStatus.ABORTED
+    assert db.active_transactions == []
+    assert db.latest_commit_ts == commit_ts
+    assert db.state_at() == state == {"a": 0}
+    assert len(db._index) == len(db._chains) == 1
+    tail = log.records()[-1]
+    assert isinstance(tail, AbortRecord) and tail.txn_id == txn.txn_id
+    # The database is whole: the same writes without the bad key commit.
+    assert _put(db, "b", 2) == commit_ts + 1
+    assert db.begin().scan() == [("a", 0), ("b", 2)]
+
+
+def test_first_commit_of_mutually_unorderable_keys_is_refused(db):
+    txn = db.begin(update=True)
+    txn.write("b", 2)
+    txn.write(5, 1)
+    with pytest.raises(UnorderableKeyError):
+        txn.commit()
+    assert db.latest_commit_ts == 0 and db.state_at() == {}
+    assert len(db._index) == len(db._chains) == 0

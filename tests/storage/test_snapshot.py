@@ -74,3 +74,37 @@ def test_snapshot_of_deleted_key():
     assert "k" in db.snapshot(1)
     assert "k" not in db.snapshot(2)
     assert db.snapshot(2).materialize() == {}
+
+
+def test_views_and_scans_agree_on_tombstones_and_old_snapshots():
+    """A view walks the chains once; a scan of the newest state reads
+    their memoised rows, an older one walks too.  All of them, and
+    per-key lookups, must tell the same story at every timestamp."""
+    db = SIDatabase()
+    script = [{"a": 1, "b": 2, "c": 3}, {"b": None}, {"a": 10, "d": 4},
+              {"c": None, "b": 20}, {"d": None}]
+    states = [{}]
+    for writes in script:
+        txn = db.begin(update=True)
+        state = dict(states[-1])
+        for key, value in writes.items():
+            if value is None:
+                txn.delete(key)
+                state.pop(key, None)
+            else:
+                txn.write(key, value)
+                state[key] = value
+        txn.commit()
+        states.append(state)
+        for ts, expected in enumerate(states):
+            view = db.snapshot(ts)
+            assert view.items() == sorted(expected.items())
+            assert view.items() == db.begin(snapshot_ts=ts).scan()
+            assert view.keys() == sorted(expected) == list(view)
+            assert len(view) == len(expected)
+            assert view.materialize() == expected and view == expected
+            assert {key: view[key] for key in view} == expected
+    # A view the database has moved past keeps reading its own timestamp.
+    old = db.snapshot(3)
+    assert db.snapshot().items() == sorted(states[-1].items())
+    assert old.items() == sorted(states[3].items())

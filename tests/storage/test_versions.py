@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.versions import Version, VersionChain
+from repro.storage.versions import Version, VersionChain, newest_rows
 
 
 def _chain(*pairs):
@@ -106,3 +106,68 @@ def test_reads_leave_installed_versions_untouched():
         chain.value_at(ts)
     chain.copy().truncate_after(1)
     assert [repr(v) for v in chain] == before
+
+
+# ---------------------------------------------------------------------------
+# The memoised newest row
+# ---------------------------------------------------------------------------
+
+def test_newest_row_is_memoised_and_reset_by_install():
+    chain = _chain((1, "a"))
+    assert chain._row is None               # nothing computed yet
+    row = chain.newest_row()
+    assert row == ("k", "a")
+    assert chain.newest_row() is row        # same object until a write
+    chain.install(Version(commit_ts=2, value="b", txn_id=2))
+    assert chain._row is None
+    assert chain.newest_row() == ("k", "b")
+
+
+def test_newest_row_of_a_tombstone_is_falsy_but_computed():
+    chain = _chain((1, "a"))
+    chain.install(Version(commit_ts=2, value=None, txn_id=2, deleted=True))
+    row = chain.newest_row()
+    assert not row and row is not None
+    assert chain._row is row
+    assert not VersionChain("empty").newest_row()
+
+
+def test_newest_row_is_reset_by_truncate_after():
+    chain = _chain((1, "a"), (2, "b"))
+    assert chain.newest_row() == ("k", "b")
+    chain.truncate_after(1)
+    assert chain._row is None
+    assert chain.newest_row() == ("k", "a")
+
+
+def test_newest_row_survives_prune_before():
+    chain = _chain((1, "a"), (2, "b"), (3, "c"))
+    row = chain.newest_row()
+    assert chain.prune_before(3) == 2       # the newest version stays
+    assert chain._row is row
+    assert chain.newest_row() == ("k", chain.latest.value)
+
+
+def test_copy_carries_the_row_and_resets_its_own():
+    chain = _chain((1, "a"))
+    row = chain.newest_row()
+    clone = chain.copy()
+    assert clone._row is row
+    clone.install(Version(commit_ts=2, value="b", txn_id=2))
+    assert clone._row is None and chain._row is row
+    assert VersionChain("fresh").copy()._row is None
+
+
+def test_newest_rows_fills_the_gaps_and_drops_tombstones():
+    chains = []
+    for key in ("a", "b", "c", "d"):
+        chain = VersionChain(key)
+        chain.install(Version(commit_ts=1, value=key.upper(), txn_id=1))
+        chains.append(chain)
+    chains[1].install(Version(commit_ts=2, value=None, txn_id=2,
+                              deleted=True))
+    chains[0].newest_row()                  # one memoised, three not
+    assert newest_rows(chains) == [("a", "A"), ("c", "C"), ("d", "D")]
+    assert all(chain._row is not None for chain in chains)
+    assert newest_rows(chains) == [("a", "A"), ("c", "C"), ("d", "D")]
+    assert newest_rows([]) == []

@@ -14,6 +14,7 @@ from repro.errors import (
     ExplicitAbort,
     FirstCommitterWinsError,
     FreshnessTimeoutError,
+    InvalidScanError,
     KernelError,
     KeyNotFound,
     LeaseExpiredError,
@@ -31,6 +32,7 @@ from repro.errors import (
     StorageError,
     TransactionAborted,
     TransactionStateError,
+    UnorderableKeyError,
 )
 
 
@@ -61,6 +63,8 @@ def test_every_error_derives_from_repro_error():
     (ExplicitAbort, TransactionAborted),
     (TransactionStateError, StorageError),
     (KeyNotFound, StorageError),
+    (UnorderableKeyError, StorageError),
+    (InvalidScanError, StorageError),
     (ReplicationError, ReproError),
     (SiteUnavailableError, ReplicationError),
     (ShardUnavailableError, ReplicationError),
@@ -96,6 +100,13 @@ def test_key_not_found_attributes():
     with pytest.raises(KeyNotFound) as exc_info:
         raise KeyNotFound("ghost")
     assert exc_info.value.key == "ghost"
+
+
+def test_unorderable_key_attributes():
+    with pytest.raises(UnorderableKeyError) as exc_info:
+        raise UnorderableKeyError(5)
+    assert exc_info.value.key == 5
+    assert "key 5 " in str(exc_info.value)
 
 
 def test_shard_unavailable_attributes():
