@@ -35,6 +35,43 @@ def test_functional_weak_read_cycle(benchmark):
     benchmark(cycle)
 
 
+def test_functional_fresh_read_dispatches_no_event(benchmark):
+    """A strong-session read whose replica has caught up is served on
+    the caller's stack: the kernel dispatches nothing for it."""
+    system = ReplicatedSystem(num_secondaries=2, propagation_delay=0.1,
+                              record_history=False)
+    session = system.session(Guarantee.STRONG_SESSION_SI)
+    session.write("x", 1)
+    system.quiesce()
+    kernel = system.kernel
+
+    def cycle():
+        dispatched = kernel.counters()["events_dispatched"]
+        assert session.read("x") == 1
+        assert kernel.counters()["events_dispatched"] == dispatched
+
+    benchmark(cycle)
+    assert session.blocked_reads == 0
+
+
+def test_functional_read_after_own_write_blocks(benchmark):
+    """Read-your-writes still waits for refresh: the read right after
+    the session's own write blocks, and returns that write."""
+    system = ReplicatedSystem(num_secondaries=2, propagation_delay=0.1,
+                              record_history=False)
+    session = system.session(Guarantee.STRONG_SESSION_SI)
+    counter = iter(range(10**9))
+
+    def cycle():
+        value = next(counter)
+        blocked = session.blocked_reads
+        session.write("x", value)
+        assert session.read("x") == value
+        assert session.blocked_reads == blocked + 1
+
+    benchmark(cycle)
+
+
 def test_functional_sharded_update_read_cycle(benchmark):
     """The strong-session cycle under partial replication: write-sets
     are split into per-shard streams (reusing the fingerprints cached on

@@ -10,9 +10,9 @@ connect to a secondary in Figure 1) and to a :class:`Guarantee`:
 * read-only transactions run at the session's secondary, blocking first if
   the session's guarantee requires a fresher ``seq(DBsec)``.
 
-Every call drives the kernel until the operation completes, so client code
-is ordinary synchronous Python while propagation and refresh progress
-underneath in virtual time.
+A call that has to wait drives the kernel until the operation completes,
+so client code is ordinary synchronous Python while propagation and
+refresh progress underneath in virtual time.
 
 Example
 -------
@@ -62,11 +62,24 @@ from repro.errors import (
 from repro.faults.channel import ChannelFaults
 from repro.kernel import Kernel, Timeout, TimeoutExpired
 from repro.sim.rng import RandomStreams
-from repro.storage.engine import Transaction
+from repro.storage.engine import Transaction, TxnStatus
 from repro.txn.history import HistoryRecorder
 from repro.txn.ids import IdAllocator
 
 TransactionBody = Callable[[Transaction], Any]
+
+
+def _run_body(work: TransactionBody, txn: Transaction) -> Any:
+    """``work(txn)``.  A body that raises aborts ``txn`` first, if it is
+    still active, and then re-raises: left open, an update's propagated
+    start record would keep a refresh transaction open at every replica
+    and pin each site's GC horizon for good."""
+    try:
+        return work(txn)
+    except BaseException as exc:
+        if txn.status is TxnStatus.ACTIVE:
+            txn.abort(f"body raised {type(exc).__name__}")
+        raise
 
 
 class ClientSession:
@@ -207,7 +220,7 @@ class ClientSession:
                 self._check_not_lost()
                 continue
             try:
-                result = work(txn)
+                result = _run_body(work, txn)
                 commit_ts = txn.commit()
             except FirstCommitterWinsError:
                 attempts += 1
@@ -263,7 +276,7 @@ class ClientSession:
                     self._check_not_lost()
                     continue
                 try:
-                    result = work(txn)
+                    result = _run_body(work, txn)
                     commit_ts = txn.commit()
                 except FirstCommitterWinsError:
                     attempts += 1
@@ -391,8 +404,11 @@ class ClientSession:
         Under ``STRONG_SESSION_SI`` the transaction first waits until
         ``seq(DBsec) >= seq(c)``; under ``STRONG_SI`` until
         ``seq(DBsec) >= `` the global sequence at submission; under
-        ``WEAK_SI`` it runs immediately.  The kernel is driven forward
-        (propagation, refresh) while waiting.
+        ``WEAK_SI`` it runs immediately.  A read that must wait, fail
+        over, or queue behind an event due at the current instant drives
+        the kernel forward (propagation, refresh) until it is served;
+        one that need do none of these is served on the caller's stack
+        and dispatches no kernel event.
 
         ``keys`` declares the key set the transaction will touch.  It is
         only consulted under partial replication, where it routes the
@@ -414,10 +430,22 @@ class ClientSession:
         :attr:`staleness_reports` — the guarantee is relaxed *only*
         through that explicit, audited opt-in.
         """
-        process = self.system.kernel.spawn(
-            self._begin_read(work, keys, max_wait, on_timeout),
-            name=f"read@{self.label}")
-        return self.system.kernel.run_until_complete(process)
+        plan = self._begin_read(keys, max_wait, on_timeout)
+        required = plan[0]
+        secondary = self.secondary
+        kernel = self.system.kernel
+        if kernel.nothing_due() and secondary.live \
+                and secondary.holds(required.keys()) \
+                and secondary.reached(required):
+            # Nothing to wait for and nothing due before it: a spawned
+            # _read_process would be the next event dispatched, would
+            # serve the read in its first step and finish, so serve it
+            # here — the same code in the same order, minus one spawn
+            # and one dispatch.
+            return self._serve_read(secondary, work, required)
+        process = kernel.spawn(self._read_process(work, *plan),
+                               name=f"read@{self.label}")
+        return kernel.run_until_complete(process)
 
     def _read_only_process(self, work: TransactionBody,
                            keys: Optional[list] = None,
@@ -426,21 +454,23 @@ class ClientSession:
         """Kernel-process form of :meth:`execute_read_only` for open-loop
         drivers (the requirement is computed when the op actually runs).
         ``work`` must not drive the kernel."""
-        return (yield from self._begin_read(work, keys, max_wait,
-                                            on_timeout))
+        return (yield from self._read_process(
+            work, *self._begin_read(keys, max_wait, on_timeout)))
 
-    def _begin_read(self, work: TransactionBody, keys: Optional[list],
-                    max_wait: Optional[float], on_timeout: str):
-        """Validate one read submitted *now*, fix what it waits for, and
-        return the (unstarted) :meth:`_read_process` that serves it."""
+    def _begin_read(self, keys: Optional[list], max_wait: Optional[float],
+                    on_timeout: str) -> tuple:
+        """Validate one read submitted *now* and fix what it waits for:
+        the ``(required, max_wait, on_timeout, degrade)`` arguments of
+        :meth:`_read_process`."""
         self._check_open()
         self._check_not_lost()
         if on_timeout not in ("error", "stale"):
             raise ConfigurationError(
                 f"on_timeout must be 'error' or 'stale', got {on_timeout!r}")
-        return self._read_process(
-            work, self._read_plan(keys),
-            *self._read_defaults(max_wait, on_timeout))
+        if max_wait is not None and max_wait < 0:
+            raise ConfigurationError(f"max_wait must be >= 0, got {max_wait!r}")
+        return (self._read_plan(keys),
+                *self._read_defaults(max_wait, on_timeout))
 
     def _read_defaults(self, max_wait: Optional[float],
                        on_timeout: str) -> tuple:
@@ -524,7 +554,7 @@ class ClientSession:
                 # label rather than flagging them as inversions.
                 "session": f"{self.label}@t{sequence}",
             })
-            result = work(txn)
+            result = _run_body(work, txn)
             txn.commit()
             self.reads_executed += 1
             return result
@@ -538,7 +568,7 @@ class ClientSession:
                       degrade: bool = False):
         """The read path (Section 4), as a kernel process: route to a
         live replica holding every axis of ``required``, wait until its
-        frontiers reach it, run ``work`` there."""
+        frontiers reach it, serve ``work`` there."""
         while True:
             secondary = self.secondary
             #: (axis, sequence required on it, promised bound) of a read
@@ -599,30 +629,39 @@ class ClientSession:
                     raise LostUpdatesError(self.label, self._lost_window)
                 if not secondary.live:
                     continue   # replica died/retired mid-wait: fail over
-            txn = secondary.begin_read_only(metadata={
-                "logical_id": self.system._txn_ids.next(),
-                # A degraded read opts out of session ordering (like a
-                # time-travel read): it is *documented* stale, so it
-                # carries its own label instead of flagging as an
-                # inversion in the strong-session checker.
-                "session": (f"{self.label}@d{self.degraded_reads}"
-                            if degraded is not None else self.label),
-            })
-            if degraded is not None:
-                axis, wanted, bound = degraded
-                self._record_degraded_read(wanted, secondary.frontier(axis),
-                                           bound)
-            observed = self._observed
-            for axis in required:
-                frontier = secondary.frontier(axis)
-                if frontier > observed.get(axis, 0):
-                    observed[axis] = frontier
-            if secondary.seq_db > observed.get(None, 0):
-                observed[None] = secondary.seq_db
-            result = work(txn)
-            txn.commit()
-            self.reads_executed += 1
-            return result
+            return self._serve_read(secondary, work, required, degraded)
+
+    def _serve_read(self, secondary: SecondarySite, work: TransactionBody,
+                    required: dict, degraded: Optional[tuple] = None) -> Any:
+        """Run ``work`` as a read-only transaction at ``secondary``, which
+        is live, holds every axis of ``required`` and has reached it —
+        or, with ``degraded``, was let off the wait — and note what the
+        session has now seen.  Every read is served here, on the
+        caller's stack or in :meth:`_read_process`."""
+        txn = secondary.begin_read_only(metadata={
+            "logical_id": self.system._txn_ids.next(),
+            # A degraded read opts out of session ordering (like a
+            # time-travel read): it is *documented* stale, so it carries
+            # its own label instead of flagging as an inversion in the
+            # strong-session checker.
+            "session": (f"{self.label}@d{self.degraded_reads}"
+                        if degraded is not None else self.label),
+        })
+        if degraded is not None:
+            axis, wanted, bound = degraded
+            self._record_degraded_read(wanted, secondary.frontier(axis),
+                                       bound)
+        observed = self._observed
+        for axis in required:
+            frontier = secondary.frontier(axis)
+            if frontier > observed.get(axis, 0):
+                observed[axis] = frontier
+        if secondary.seq_db > observed.get(None, 0):
+            observed[None] = secondary.seq_db
+        result = _run_body(work, txn)
+        txn.commit()
+        self.reads_executed += 1
+        return result
 
     def _record_degraded_read(self, required: int, served: int,
                               bound: int) -> None:
@@ -732,7 +771,6 @@ class _InteractiveUpdate:
         return self.txn
 
     def __exit__(self, exc_type, exc, _tb) -> bool:
-        from repro.storage.engine import TxnStatus
         if self.txn.status is TxnStatus.ABORTED \
                 and self.txn.txn_id in self.site.demote_aborted:
             # The primary self-demoted (lease expiry) while this block

@@ -296,6 +296,19 @@ class Kernel:
         """Current virtual time."""
         return self._now
 
+    def nothing_due(self) -> bool:
+        """True when no event is due at the current instant.
+
+        Every event at ``now`` sits in the ready deque — ``_schedule``
+        sends ``when == now`` there and :meth:`_drive` stages a whole
+        instant out of the heap before dispatching it — so with the deque
+        empty the next event, if any, lies in the future.  A caller about
+        to spawn a process and drive the kernel until it finishes may
+        then run that process's first step on its own stack instead: it
+        would be the next event dispatched either way.
+        """
+        return not self._ready
+
     def spawn(self, gen: ProcessBody, name: str = "process",
               daemon: bool = False) -> Process:
         """Create a process from a generator and schedule its first step.

@@ -73,6 +73,36 @@ def test_invalid_on_timeout_rejected():
                             on_timeout="retry")
 
 
+def test_negative_max_wait_rejected_when_the_read_need_not_wait():
+    system = make_system()
+    s = system.session(Guarantee.WEAK_SI)
+    before = system.kernel.counters()
+    with pytest.raises(ConfigurationError, match="max_wait"):
+        s.execute_read_only(lambda t: t.read("x", default=None),
+                            max_wait=-1.0)
+    assert s.reads_executed == 0
+    assert system.kernel.counters() == before
+
+
+def test_negative_max_wait_rejected_when_the_read_must_wait():
+    system = make_system()
+    s = system.session(Guarantee.STRONG_SESSION_SI)
+    s.write("x", 1)
+    with pytest.raises(ConfigurationError, match="max_wait"):
+        s.execute_read_only(lambda t: t.read("x"), max_wait=-1.0)
+    assert s.reads_executed == 0 and s.blocked_reads == 0
+
+
+def test_negative_max_wait_rejected_by_the_process_form():
+    system = make_system()
+    s = system.session(Guarantee.WEAK_SI)
+    process = system.kernel.spawn(s._read_only_process(
+        lambda t: t.read("x", default=None), max_wait=-1.0))
+    with pytest.raises(ConfigurationError, match="max_wait"):
+        system.kernel.run_until_complete(process)
+    assert s.reads_executed == 0
+
+
 def test_max_wait_ignored_when_replica_fresh():
     system = make_system(propagation_delay=1.0)
     with system.session(Guarantee.WEAK_SI) as s:

@@ -2,12 +2,19 @@
 
 import pytest
 
+from repro.core.admission import AdmissionConfig
 from repro.core.guarantees import Guarantee
 from repro.core.system import ReplicatedSystem
 from repro.errors import (
     ConfigurationError,
     FirstCommitterWinsError,
     SessionClosedError,
+)
+from repro.storage.wal import AbortRecord, StartRecord, UpdateRecord
+from repro.txn.checkers import (
+    check_completeness,
+    check_strong_session_si,
+    check_weak_si,
 )
 
 
@@ -361,3 +368,97 @@ def test_interactive_update_on_closed_session():
     s.close()
     with pytest.raises(SessionClosedError):
         s.update_transaction()
+
+
+# ---------------------------------------------------------------------------
+# A transaction body that raises
+# ---------------------------------------------------------------------------
+
+class BodyError(Exception):
+    pass
+
+
+def read_then_raise(txn):
+    txn.read("x", default=None)
+    raise BodyError
+
+
+def write_then_raise(txn):
+    txn.write("y", 2)
+    raise BodyError
+
+
+def assert_nothing_left_open(system):
+    """No site keeps a transaction open, so every GC horizon has moved
+    up to its site's newest state, and the history still checks."""
+    for site in (system.primary, *system.secondaries):
+        assert site.engine.active_transactions == [], site.name
+        assert site.engine.gc_horizon() == site.engine.latest_commit_ts
+    for check in (check_completeness, check_weak_si,
+                  check_strong_session_si):
+        assert check(system.recorder).ok, check.__name__
+
+
+def test_raising_bodies_abort_their_transactions_at_every_site():
+    system = make_system()
+    s = system.session(Guarantee.STRONG_SESSION_SI, secondary=0)
+    s.write("x", 1)
+    system.quiesce()
+    with pytest.raises(BodyError):
+        s.execute_read_only(read_then_raise)
+    with pytest.raises(BodyError):
+        s.execute_update(write_then_raise)
+    system.quiesce()
+    s.write("x", 2)
+    s.write("x", 3)
+    system.quiesce()
+
+    assert_nothing_left_open(system)
+    assert system.primary.engine.latest_commit_ts == 3
+    aborts = [record for record in system.primary.log
+              if isinstance(record, AbortRecord)]
+    assert [record.txn_id for record in aborts] == [2]
+    events = system.recorder.events
+    assert [(e.site, e.reason) for e in events
+            if e.kind == "abort" and e.refresh_of is None] == [
+        ("secondary-1", "body raised BodyError"),
+        ("primary", "body raised BodyError")]
+    # The update's start record reached both replicas, and its abort
+    # ended the refresh transaction it had opened at each.
+    assert sorted(e.site for e in events if e.kind == "abort"
+                  and e.refresh_of is not None) == ["secondary-1",
+                                                    "secondary-2"]
+    assert s.reads_executed == 0 and s.updates_committed == 3
+
+
+def test_raising_body_of_a_read_that_waited_is_aborted():
+    system = make_system(propagation_delay=2.0)
+    s = system.session(Guarantee.STRONG_SESSION_SI)
+    s.write("x", 1)
+    with pytest.raises(BodyError):
+        s.execute_read_only(read_then_raise)
+    assert s.blocked_reads == 1
+    system.quiesce()
+    assert_nothing_left_open(system)
+
+
+def test_raising_time_travel_body_is_aborted():
+    system = make_system()
+    s = system.session(Guarantee.STRONG_SESSION_SI)
+    s.write("x", 1)
+    s.write("x", 2)
+    system.quiesce()
+    with pytest.raises(BodyError):
+        s.execute_read_only_at(1, read_then_raise)
+    assert_nothing_left_open(system)
+
+
+def test_raising_body_of_an_admitted_update_is_aborted():
+    system = make_system(admission=AdmissionConfig(rate=100.0))
+    s = system.session()
+    with pytest.raises(BodyError):
+        s.execute_update(write_then_raise)
+    system.quiesce()
+    assert [type(record) for record in system.primary.log] == [
+        StartRecord, UpdateRecord, AbortRecord]
+    assert_nothing_left_open(system)
