@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Section 3.4 in action: secondary failure and recovery.
 
-A secondary crashes mid-stream, losing its update queue and refresh
+A secondary crashes mid-stream, losing its undelivered records and refresh
 state.  Sessions bound to it transparently *fail over* to a live replica
 (still honouring seq(c) <= seq(DBsec), so their guarantees survive the
 rebind).  Recovery reinstalls a quiesced copy of the primary,

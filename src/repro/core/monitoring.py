@@ -298,7 +298,7 @@ def system_status(system: "ReplicatedSystem") -> SystemStatus:
             aborts=secondary.engine.aborts,
             seq_db=secondary.seq_db,
             lag=lag,
-            queued_records=len(secondary.update_queue),
+            queued_records=secondary.refresher.queued,
             pending_refreshes=secondary.refresher.pending_count,
             refreshes_applied=secondary.refresher.refreshes_applied,
             peak_applicators=secondary.refresher

@@ -26,7 +26,7 @@ secondary (the premise of Theorems 3.1-4.1).  When a secondary is
 attached through a :class:`ReliableLink`, that assumption is *restored*
 over an unreliable channel instead: every record is stamped with a
 per-link sequence number, the receiver delivers records to the site's
-update queue strictly in sequence order (buffering early arrivals,
+refresher strictly in sequence order (buffering early arrivals,
 discarding duplicates), acknowledges cumulatively, and the sender
 retransmits unacknowledged records on a timeout with exponential
 backoff.  Without a link (the default), records go straight to

@@ -2,20 +2,20 @@
 
 Each site wraps an autonomous :class:`~repro.storage.SIDatabase` with
 strong SI locally — the paper's architectural assumption.  The primary
-additionally exposes its logical log; each secondary owns the FIFO update
-queue records are delivered into, the refresher that drains it, and the
-``seq(DBsec)`` freshness sequence with its wait condition.
+additionally exposes its logical log; each secondary owns the refresher
+its records are delivered to and the ``seq(DBsec)`` freshness sequence
+with its wait condition.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.core.records import PropagatedBatch, PropagationRecord
+from repro.core.records import PropagationRecord
 from repro.core.refresh import Refresher
 from repro.core.sharding import shard_of
 from repro.errors import ConfigurationError
-from repro.kernel import Condition, Kernel, Queue
+from repro.kernel import Condition, Kernel
 from repro.storage.engine import SIDatabase, Transaction
 from repro.storage.wal import LogicalLog
 
@@ -198,7 +198,6 @@ class SecondarySite:
             dict.fromkeys(subscription or (), 0)
         self.engine = SIDatabase(name=name, log=None, recorder=recorder,
                                  clock=kernel.clock)
-        self.update_queue = Queue(kernel, name=f"{name}-update-queue")
         #: seq(DBsec): primary commit ts of the newest applied refresh.
         self.seq_db = 0
         self.seq_cond = Condition(kernel, name=f"{name}-seq")
@@ -212,9 +211,6 @@ class SecondarySite:
         #: Records scheduled for delivery but not yet arrived (used by
         #: :meth:`ReplicatedSystem.quiesce` to detect idleness).
         self.in_flight = 0
-        #: Records delivered but not yet fully handled by the refresher
-        #: (covers the direct queue->getter handoff window).
-        self.records_unprocessed = 0
         self.crash_count = 0
         self.recover_count = 0
         #: Durations from each recovery until seq(DBsec) reached the
@@ -299,8 +295,7 @@ class SecondarySite:
         if epoch != self.epoch or self.engine.crashed:
             self.records_dropped += 1
             return
-        self.records_unprocessed += 1
-        self.update_queue.put(record)
+        self.refresher.deliver(record)
 
     def receive(self, record: PropagationRecord) -> bool:
         """Accept an already-arrived record (the :class:`ReliableLink`
@@ -311,18 +306,8 @@ class SecondarySite:
         if self.engine.crashed:
             self.records_dropped += 1
             return False
-        self.records_unprocessed += 1
-        self.update_queue.put(record)
+        self.refresher.deliver(record)
         return True
-
-    def record_handled(self) -> None:
-        """Refresher callback: one delivered record fully processed.
-
-        Records injected directly into the queue (tests do this) never
-        incremented the counter, hence the floor at zero.
-        """
-        if self.records_unprocessed > 0:
-            self.records_unprocessed -= 1
 
     # -- freshness ----------------------------------------------------------
     def set_seq_db(self, commit_ts: int) -> None:
@@ -357,13 +342,11 @@ class SecondarySite:
 
     # -- failure & recovery (Section 3.4) -------------------------------------
     def crash(self) -> None:
-        """Fail the site: lose queued updates and all refresh state."""
+        """Fail the site: lose held records and all refresh state."""
         if not self.engine.crashed:
             self.crash_count += 1
         self.epoch += 1
         self.refresher.stop()
-        self.update_queue.drain()
-        self.records_unprocessed = 0
         self._catch_up_target = None
         self.engine.crash()
         # Blocked freshness waits re-evaluate their predicates (which also
@@ -405,25 +388,20 @@ class SecondarySite:
     def _discard_stale(self) -> int:
         """Bump the delivery epoch and drop all pre-fence refresh work.
 
-        Returns the number of stale records discarded *here* (queued
-        frames count as their contained records); in-flight deliveries
-        from the old epoch are dropped on arrival by the epoch check and
-        land in ``records_dropped`` as usual.
+        Returns the number of stale records discarded *here* — the
+        :attr:`lag`; in-flight deliveries from the old epoch are dropped
+        on arrival by the epoch check and land in ``records_dropped`` as
+        usual.  The refresher's own fence drops the held records.
         """
         self.epoch += 1
-        discarded = sum(item.count if isinstance(item, PropagatedBatch) else 1
-                        for item in self.update_queue.items)
-        discarded += self.refresher.pending_count
-        self.update_queue.drain()
-        self.records_unprocessed = 0
-        return discarded
+        return self.lag
 
     def fence(self) -> int:
         """Fence the old cluster epoch without losing the site.
 
         The committed state and all read service survive — only
         replication state from the dead primary's regime is discarded:
-        queued records, pending refreshes and open refresh transactions
+        held records, pending refreshes and open refresh transactions
         go, and the refresher restarts clean for the new primary's feed.
         """
         discarded = self._discard_stale()
@@ -456,11 +434,9 @@ class SecondarySite:
 
     @property
     def lag(self) -> int:
-        """Number of queued-but-unapplied refresh records (staleness).
+        """Number of delivered-but-unapplied refresh records (staleness).
 
-        Batch frames in the update queue count as their contained
-        records, so lag is comparable whether or not batching is on.
+        Held batch frames count as their contained records, so lag is
+        comparable whether or not batching is on.
         """
-        queued = sum(item.count if isinstance(item, PropagatedBatch) else 1
-                     for item in self.update_queue.items)
-        return queued + self.refresher.pending_count
+        return self.refresher.queued + self.refresher.pending_count

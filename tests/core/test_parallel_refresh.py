@@ -1,7 +1,7 @@
 """Dependency-tracked parallel refresh: the conflict-graph scheduler.
 
 Commit records carrying write-set fingerprints and a ``dep_ts`` bound
-are injected straight into a secondary's update queue; the tests verify
+are handed straight to a secondary (``receive``); the tests verify
 the scheduler's contract — conflicting commits serialise, independent
 commits overlap, and the watermark keeps every out-of-order apply
 invisible until the contiguous prefix below it is complete — plus the
@@ -86,10 +86,10 @@ def _commit_order(recorder):
 def test_independent_commits_apply_out_of_order(kernel, recorder, site):
     """T2 (short, no conflict with T1) physically commits before T1 —
     the whole point of the mode."""
-    site.update_queue.put(start(1, 0))
-    site.update_queue.put(start(2, 0))
-    site.update_queue.put(slow(1, 1, "a", 1))
-    site.update_queue.put(fast(2, 2, "b", 2))
+    site.receive(start(1, 0))
+    site.receive(start(2, 0))
+    site.receive(slow(1, 1, "a", 1))
+    site.receive(fast(2, 2, "b", 2))
     kernel.run()
     assert _commit_order(recorder) == ["txn-p2", "txn-p1"]
     assert site.refresher.out_of_order_commits == 1
@@ -100,10 +100,10 @@ def test_independent_commits_apply_out_of_order(kernel, recorder, site):
 def test_conflicting_commits_serialise(kernel, recorder, site):
     """T2 writes T1's key (dep_ts names T1): despite being much
     shorter it must wait for T1 and apply second."""
-    site.update_queue.put(start(1, 0))
-    site.update_queue.put(start(2, 0))
-    site.update_queue.put(slow(1, 1, "x", 1))
-    site.update_queue.put(fast(2, 2, "x", 2, dep_ts=1))
+    site.receive(start(1, 0))
+    site.receive(start(2, 0))
+    site.receive(slow(1, 1, "x", 1))
+    site.receive(fast(2, 2, "x", 2, dep_ts=1))
     kernel.run()
     assert _commit_order(recorder) == ["txn-p1", "txn-p2"]
     assert site.refresher.out_of_order_commits == 0
@@ -114,12 +114,12 @@ def test_conflicting_commits_serialise(kernel, recorder, site):
 def test_dep_ts_prunes_fingerprint_collisions(kernel, recorder, site):
     """A fingerprint match newer than the shipped dep_ts is a collision,
     not a real conflict: the edge is pruned and T2 still overtakes."""
-    site.update_queue.put(start(1, 0))
-    site.update_queue.put(start(2, 0))
-    site.update_queue.put(slow(1, 1, "a", 1))
+    site.receive(start(1, 0))
+    site.receive(start(2, 0))
+    site.receive(slow(1, 1, "a", 1))
     # Same fingerprint as T1's key, but the primary says T2 depends on
     # nothing (dep_ts=0) — so the match cannot be a true conflict.
-    site.update_queue.put(fast(2, 2, "b", 2,
+    site.receive(fast(2, 2, "b", 2,
                                write_fps=(key_fingerprint("a"),)))
     kernel.run()
     assert _commit_order(recorder) == ["txn-p2", "txn-p1"]
@@ -129,12 +129,12 @@ def test_dep_ts_prunes_fingerprint_collisions(kernel, recorder, site):
 def test_transitive_dependency_chain(kernel, recorder, site):
     """T3 depends on T2 depends on T1: the chain applies strictly in
     order even with idle workers available."""
-    site.update_queue.put(start(1, 0))
-    site.update_queue.put(start(2, 0))
-    site.update_queue.put(start(3, 0))
-    site.update_queue.put(slow(1, 1, "x", 1))
-    site.update_queue.put(fast(2, 2, "x", 2, dep_ts=1))
-    site.update_queue.put(fast(3, 3, "x", 3, dep_ts=2))
+    site.receive(start(1, 0))
+    site.receive(start(2, 0))
+    site.receive(start(3, 0))
+    site.receive(slow(1, 1, "x", 1))
+    site.receive(fast(2, 2, "x", 2, dep_ts=1))
+    site.receive(fast(3, 3, "x", 3, dep_ts=2))
     kernel.run()
     assert _commit_order(recorder) == ["txn-p1", "txn-p2", "txn-p3"]
     assert site.engine.state_at() == {"x": 3}
@@ -144,10 +144,10 @@ def test_transitive_dependency_chain(kernel, recorder, site):
 def test_watermark_gates_visibility(kernel, site):
     """While T1 is still applying, T2's already-committed version is
     invisible: reads and seq(DBsec) stay at the watermark."""
-    site.update_queue.put(start(1, 0))
-    site.update_queue.put(start(2, 0))
-    site.update_queue.put(slow(1, 1, "a", 1))      # finishes at t=3
-    site.update_queue.put(fast(2, 2, "b", 2))      # finishes at t=1
+    site.receive(start(1, 0))
+    site.receive(start(2, 0))
+    site.receive(slow(1, 1, "a", 1))      # finishes at t=3
+    site.receive(fast(2, 2, "b", 2))      # finishes at t=1
     probed = {}
 
     def probe():
@@ -177,10 +177,10 @@ def test_seq_db_never_exposes_a_hole(kernel, site):
         seen.append(site.seq_db)
 
     kernel.spawn(waiter())
-    site.update_queue.put(start(1, 0))
-    site.update_queue.put(start(2, 0))
-    site.update_queue.put(slow(1, 1, "a", 1))
-    site.update_queue.put(fast(2, 2, "b", 2))
+    site.receive(start(1, 0))
+    site.receive(start(2, 0))
+    site.receive(slow(1, 1, "a", 1))
+    site.receive(fast(2, 2, "b", 2))
     kernel.run()
     assert seen == [2]
 
@@ -189,10 +189,10 @@ def test_fence_truncates_out_of_order_applies(kernel, site):
     """A fence catching the scheduler mid-hole rolls back every commit
     above the watermark: those versions were never visible, and the new
     epoch's feed re-delivers or supersedes them."""
-    site.update_queue.put(start(1, 0))
-    site.update_queue.put(start(2, 0))
-    site.update_queue.put(slow(1, 1, "a", 1))
-    site.update_queue.put(fast(2, 2, "b", 2))
+    site.receive(start(1, 0))
+    site.receive(start(2, 0))
+    site.receive(slow(1, 1, "a", 1))
+    site.receive(fast(2, 2, "b", 2))
     kernel.run(until=2.0)                  # T2 applied above the watermark
     assert site.refresher.pending_count == 1       # T1 still in flight
     discarded = site.fence()
@@ -204,18 +204,18 @@ def test_fence_truncates_out_of_order_applies(kernel, site):
     # No refresh transaction survives the fence, and the site still
     # serves: a fresh feed starts clean.
     assert not site.engine.active_transactions
-    site.update_queue.put(start(9, 0))
-    site.update_queue.put(fast(9, 1, "c", 3))
+    site.receive(start(9, 0))
+    site.receive(fast(9, 1, "c", 3))
     kernel.run()
     assert site.engine.state_at() == {"c": 3}
     assert site.seq_db == 1
 
 
 def test_redelivered_commit_is_dropped_not_reapplied(kernel, site):
-    site.update_queue.put(start(1, 0))
-    site.update_queue.put(fast(1, 1, "x", 1))
+    site.receive(start(1, 0))
+    site.receive(fast(1, 1, "x", 1))
     kernel.run()
-    site.update_queue.put(fast(1, 1, "x", 1))      # redelivery
+    site.receive(fast(1, 1, "x", 1))      # redelivery
     kernel.run()
     assert site.refresher.stale_records_dropped == 1
     assert site.seq_db == 1

@@ -142,7 +142,7 @@ def test_pooled_duplicate_of_queued_commit_does_not_wedge_pool():
     kernel = Kernel()
     site = SecondarySite(kernel, name="s0", serial_refresh=True)
     c2 = PropagatedCommit(txn_id=2, commit_ts=2, updates=(("b", 2, False),))
-    site.update_queue.put(PropagatedBatch(records=(
+    site.receive(PropagatedBatch(records=(
         PropagatedStart(txn_id=1, start_ts=0),
         PropagatedStart(txn_id=2, start_ts=0),
         PropagatedCommit(txn_id=1, commit_ts=1, updates=(("a", 1, False),)),
@@ -165,12 +165,11 @@ def test_applicator_from_stopped_incarnation_applies_nothing():
     publish from, the restarted refresher."""
     kernel = Kernel()
     site = SecondarySite(kernel, name="s0")
-    site.update_queue.put(PropagatedStart(txn_id=1, start_ts=0))
-    site.update_queue.put(
+    site.receive(PropagatedStart(txn_id=1, start_ts=0))
+    site.receive(
         PropagatedCommit(txn_id=1, commit_ts=1, updates=(("a", 1, False),)))
-    # Step until the commit is accepted: its applicator is now scheduled.
-    while not site.refresher.pending:
-        assert kernel.step()
+    # The commit was accepted on arrival: its applicator is scheduled.
+    assert site.refresher.pending
     site.refresher.stop()
     site.refresher.start()
     kernel.run()

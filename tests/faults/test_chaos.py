@@ -99,13 +99,15 @@ def test_different_seeds_differ():
 #: and same-instant percentage on the ``kernel:`` line, and nothing else.
 #: Serving a read that need not wait on the caller's stack removed one
 #: spawn event per such read (1437 / 1552 / 2163 before), likewise.
+#: Handling each delivered record inside its arrival event, instead of
+#: resuming a refresher process, did the same (1388 / 1499 / 2121).
 RECORDED_STORMS = {
     0: ("16ed189398408cbe592502e7d2635193e68cbd2a74aed6ee109363dad507e073",
-        1388, 50),
+        1277, 50),
     1: ("7a653a9fb33fb78dd96f390e79600734eef25d4b94d585fec37857878a1972df",
-        1499, 61),
+        1358, 61),
     2: ("2aa988526fc7349782fbee5791d201dcc7becfdbda87af81601b183f0ca4df9a",
-        2121, 59),
+        1977, 59),
 }
 
 
@@ -135,26 +137,28 @@ def test_chaos_identical_across_schedulers(seed):
 #: one shape in which the two flush copies ordered their sends
 #: differently (endpoint-major vs record-major after ``resume()``).
 #: Reads served on the caller's stack moved only the event counts
-#: (composed 980 / 1078 / 1253, plain 363 / 453 / 716 before).
+#: (composed 980 / 1078 / 1253, plain 363 / 453 / 716 before), and so
+#: did records handled in their arrival event (composed 909 / 1011 /
+#: 1187, plain 290 / 384 / 651 before).
 RECORDED_SHARDED_STORMS = {
     ("composed", 0): (
         "f862bdc9d114368e2ebbbfca7cc7c5ddf09e19b566c9239fb7688b80e6e68f54",
-        909, 39),
+        849, 39),
     ("composed", 1): (
         "c2830928ea86808d7272739a7bc2bf9ce3feebacc638c1e063ecb153ebc884dc",
-        1011, 38),
+        935, 38),
     ("composed", 2): (
         "d75cac6f9c1b85a637e41da84ea67f1fdccb8f4be6e2e9c3627efc50a90cfe5f",
-        1187, 52),
+        1090, 52),
     ("plain", 0): (
         "ab62d907aaf51dd6ee96feed7c8aaf41d79fb1dbed68e7b0985276bb463d6f74",
-        290, 23),
+        238, 23),
     ("plain", 1): (
         "dbb404f057f0d4fa2a9a2c4ddb5eae82ac17782116cef00e39afbcb981be2ef3",
-        384, 23),
+        316, 23),
     ("plain", 2): (
         "1fc19b0c2e44d6108643851723901a2152eaa20bb2dee731751b06d70f4f2937",
-        651, 65),
+        540, 65),
 }
 
 

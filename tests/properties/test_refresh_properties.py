@@ -1,8 +1,8 @@
 """Property-based tests of the refresher under random primary schedules.
 
 A random-but-valid primary schedule (interleaved starts/commits/aborts of
-update transactions, in timestamp order) is injected into a secondary's
-update queue; whatever the interleaving, the refresher must commit refresh
+update transactions, in timestamp order) is delivered to a secondary;
+whatever the interleaving, the refresher must commit refresh
 transactions in primary commit order and produce exactly the primary's
 final state.
 """
@@ -69,16 +69,16 @@ def test_refresher_commits_in_primary_commit_order(events):
     for kind, txn in events:
         if kind == "start":
             start_ts[txn] = commit_ts
-            site.update_queue.put(
+            site.receive(
                 PropagatedStart(txn_id=txn, start_ts=commit_ts))
         elif kind == "abort":
-            site.update_queue.put(PropagatedAbort(txn_id=txn))
+            site.receive(PropagatedAbort(txn_id=txn))
         else:
             commit_ts += 1
             updates = ((f"k{txn}", commit_ts, False),)
             expected_state[f"k{txn}"] = commit_ts
             expected_commit_order.append(txn)
-            site.update_queue.put(PropagatedCommit(
+            site.receive(PropagatedCommit(
                 txn_id=txn, commit_ts=commit_ts, updates=updates))
     kernel.run()
     assert site.engine.state_at() == expected_state
@@ -106,14 +106,14 @@ def test_refresher_relationship_2_start_after_prior_commits(events):
         position += 1
         if kind == "start":
             start_pos[txn] = position
-            site.update_queue.put(
+            site.receive(
                 PropagatedStart(txn_id=txn, start_ts=commit_ts))
         elif kind == "abort":
-            site.update_queue.put(PropagatedAbort(txn_id=txn))
+            site.receive(PropagatedAbort(txn_id=txn))
         else:
             commit_ts += 1
             commit_pos[txn] = position
-            site.update_queue.put(PropagatedCommit(
+            site.receive(PropagatedCommit(
                 txn_id=txn, commit_ts=commit_ts,
                 updates=((f"k{txn}", 1, False),)))
     kernel.run()
@@ -146,13 +146,13 @@ def test_serial_and_concurrent_refresher_agree(events, _seed):
         commit_ts = 0
         for kind, txn in events:
             if kind == "start":
-                site.update_queue.put(
+                site.receive(
                     PropagatedStart(txn_id=txn, start_ts=commit_ts))
             elif kind == "abort":
-                site.update_queue.put(PropagatedAbort(txn_id=txn))
+                site.receive(PropagatedAbort(txn_id=txn))
             else:
                 commit_ts += 1
-                site.update_queue.put(PropagatedCommit(
+                site.receive(PropagatedCommit(
                     txn_id=txn, commit_ts=commit_ts,
                     updates=((f"k{txn}", commit_ts, False),)))
         kernel.run()
