@@ -544,20 +544,23 @@ def test_admission_holds_burst_goodput_where_the_open_system_falls_off():
     off = _drive_open_loop(ops, None)
 
     assert on["burst_over_steady"] == 8.625     # holds: the bar is >= 0.9
-    assert (on["read_p99"], on["peak_lag"]) == (1.0, 12)
-    assert (off["read_p99"], off["peak_lag"]) == (9.6, 66)
+    # The lag gauge counts the start record a waiting refresher holds
+    # (12 and 66 before it did), so the brownout bites a little sooner:
+    # the accounting below read 1080 / 211 / 869, 666 / 203 / 203 and 72.
+    assert (on["read_p99"], on["peak_lag"]) == (1.0, 13)
+    assert (off["read_p99"], off["peak_lag"]) == (9.6, 67)
     # Exact accounting: every attempt is admitted or shed, every shed is
     # retried or surfaced, every degraded read kept its reported bound.
     controller, sessions = on["controller"], on["sessions"]
     assert (controller.attempts, controller.admitted, controller.shed) \
-        == (1080, 211, 869)
+        == (1131, 196, 935)
     assert controller.attempts == controller.admitted + controller.shed
     retries = sum(s.overload_retries for s in sessions)
     surfaced = sum(s.overload_errors for s in sessions)
-    assert (retries, surfaced, on["client_errors"]) == (666, 203, 203)
+    assert (retries, surfaced, on["client_errors"]) == (717, 218, 218)
     assert controller.shed == retries + surfaced
     reports = [r for s in sessions for r in s.staleness_reports]
-    assert len(reports) == controller.degraded_reads == 72
+    assert len(reports) == controller.degraded_reads == 69
     assert all(r.staleness <= r.bound for r in reports)
 
 
