@@ -1,5 +1,7 @@
 """Microbenchmarks of the functional replicated system and the kernel."""
 
+import pytest
+
 from repro.core.guarantees import Guarantee
 from repro.core.sharding import ShardingConfig
 from repro.core.system import ReplicatedSystem
@@ -68,6 +70,29 @@ def test_functional_read_after_own_write_blocks(benchmark):
         session.write("x", value)
         assert session.read("x") == value
         assert session.blocked_reads == blocked + 1
+
+    benchmark(cycle)
+
+
+@pytest.mark.parametrize("secondaries", [1, 3, 5])
+def test_functional_write_refresh_dispatches_three_events_per_secondary(
+        benchmark, secondaries):
+    """An unbatched write reaches each secondary as a start and a commit
+    record.  Each is handled inside its own arrival event, and the
+    commit's applicator is one callback: three events per secondary,
+    with no refresher process to resume."""
+    system = ReplicatedSystem(num_secondaries=secondaries,
+                              propagation_delay=0.1, record_history=False)
+    session = system.session(Guarantee.STRONG_SESSION_SI)
+    kernel = system.kernel
+    counter = iter(range(10**9))
+
+    def cycle():
+        dispatched = kernel.counters()["events_dispatched"]
+        session.write("x", next(counter))
+        system.quiesce()
+        assert kernel.counters()["events_dispatched"] - dispatched \
+            == 3 * secondaries
 
     benchmark(cycle)
 

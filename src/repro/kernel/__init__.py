@@ -36,7 +36,7 @@ Example
 
 from repro.kernel.loop import (Checkpoint, Kernel, Process, Sleep,
                                Timeout, TimeoutExpired, Timer)
-from repro.kernel.sync import Condition, Event, Queue, Semaphore
+from repro.kernel.sync import Condition, Event, Queue
 
 __all__ = [
     "Kernel",
@@ -49,5 +49,4 @@ __all__ = [
     "Condition",
     "Event",
     "Queue",
-    "Semaphore",
 ]

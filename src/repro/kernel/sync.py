@@ -1,15 +1,12 @@
 """Synchronisation primitives for kernel processes.
 
-These mirror the constructs the paper's middleware needs:
-
-* :class:`Queue` — the FIFO *update queue* and *pending queue* of
-  Algorithms 3.2/3.3 (the paper keeps them outside the database to dodge
-  first-committer-wins conflicts on queue pages, Section 3.4 — here they are
-  plain kernel objects, which is the same design point).
 * :class:`Condition` — predicate waits, e.g. ALG-STRONG-SESSION-SI's
   "``Tr`` will wait if ``seq(c) > seq(DBsec)``".
 * :class:`Event` — one-shot signals (commit notifications).
-* :class:`Semaphore` — bounded applicator-thread pools.
+* :class:`Queue` — a blocking FIFO, the canonical awaitable of the kernel's
+  own tests and examples.  The replication middleware keeps its update and
+  pending queues as plain deques driven by callbacks
+  (:mod:`repro.core.refresh`), not as kernel queues.
 """
 
 from __future__ import annotations
@@ -241,52 +238,3 @@ class Event:
     def wait(self) -> _EventWait:
         """Awaitable: resumes (with the fired value) once the event fires."""
         return _EventWait(self)
-
-
-class _SemaphoreAcquire:
-    __slots__ = ("semaphore",)
-
-    def __init__(self, semaphore: "Semaphore"):
-        self.semaphore = semaphore
-
-    def _block(self, kernel: Kernel, process: Process) -> None:
-        s = self.semaphore
-        if s._count > 0:
-            s._count -= 1
-            kernel._post(process, None)
-        else:
-            s._waiters.append(process)
-
-    def _cancel(self, process: Process) -> None:
-        try:
-            self.semaphore._waiters.remove(process)
-        except ValueError:
-            pass
-
-
-class Semaphore:
-    """Counting semaphore (used to bound applicator-thread pools)."""
-
-    def __init__(self, kernel: Kernel, count: int, name: str = "semaphore"):
-        if count < 0:
-            raise KernelError("semaphore count must be non-negative")
-        self.kernel = kernel
-        self.name = name
-        self._count = count
-        self._waiters: Deque[Process] = deque()
-
-    @property
-    def available(self) -> int:
-        return self._count
-
-    def acquire(self) -> _SemaphoreAcquire:
-        """Awaitable acquire."""
-        return _SemaphoreAcquire(self)
-
-    def release(self) -> None:
-        """Release one permit, waking the longest-blocked waiter first."""
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            self.kernel._post(waiter, None)
-        else:
-            self._count += 1

@@ -1,9 +1,9 @@
-"""Tests for kernel synchronisation primitives (Queue/Condition/Event/Semaphore)."""
+"""Tests for kernel synchronisation primitives (Queue/Condition/Event)."""
 
 import pytest
 
 from repro.errors import KernelError
-from repro.kernel import Condition, Event, Kernel, Queue, Semaphore
+from repro.kernel import Condition, Event, Kernel, Queue
 
 
 @pytest.fixture
@@ -295,51 +295,6 @@ def test_event_wakes_all_waiters(kernel):
     event.fire("go")
     kernel.run()
     assert sorted(results) == [("a", "go"), ("b", "go")]
-
-
-# ---------------------------------------------------------------------------
-# Semaphore
-# ---------------------------------------------------------------------------
-
-def test_semaphore_limits_concurrency(kernel):
-    sem = Semaphore(kernel, count=2)
-    concurrent = {"now": 0, "max": 0}
-
-    def worker():
-        yield sem.acquire()
-        concurrent["now"] += 1
-        concurrent["max"] = max(concurrent["max"], concurrent["now"])
-        yield kernel.sleep(1.0)
-        concurrent["now"] -= 1
-        sem.release()
-
-    for _ in range(5):
-        kernel.spawn(worker())
-    kernel.run()
-    assert concurrent["max"] == 2
-    assert sem.available == 2
-
-
-def test_semaphore_release_wakes_fifo(kernel):
-    sem = Semaphore(kernel, count=0)
-    order = []
-
-    def worker(tag):
-        yield sem.acquire()
-        order.append(tag)
-
-    kernel.spawn(worker("first"))
-    kernel.spawn(worker("second"))
-    kernel.run(until=0.1)
-    sem.release()
-    sem.release()
-    kernel.run()
-    assert order == ["first", "second"]
-
-
-def test_semaphore_negative_count_rejected(kernel):
-    with pytest.raises(KernelError):
-        Semaphore(kernel, count=-1)
 
 
 def test_bounded_queue_putter_cancelled_on_kill(kernel):
