@@ -101,13 +101,16 @@ def test_different_seeds_differ():
 #: spawn event per such read (1437 / 1552 / 2163 before), likewise.
 #: Handling each delivered record inside its arrival event, instead of
 #: resuming a refresher process, did the same (1388 / 1499 / 2121).
+#: So did running the failover detector as one periodic callback
+#: instead of 2 + N daemon processes, with at most one lease check
+#: armed (1277 / 1358 / 1977).
 RECORDED_STORMS = {
     0: ("16ed189398408cbe592502e7d2635193e68cbd2a74aed6ee109363dad507e073",
-        1277, 50),
+        952, 43),
     1: ("7a653a9fb33fb78dd96f390e79600734eef25d4b94d585fec37857878a1972df",
-        1358, 61),
+        1071, 52),
     2: ("2aa988526fc7349782fbee5791d201dcc7becfdbda87af81601b183f0ca4df9a",
-        1977, 59),
+        1449, 50),
 }
 
 
@@ -139,17 +142,18 @@ def test_chaos_identical_across_schedulers(seed):
 #: Reads served on the caller's stack moved only the event counts
 #: (composed 980 / 1078 / 1253, plain 363 / 453 / 716 before), and so
 #: did records handled in their arrival event (composed 909 / 1011 /
-#: 1187, plain 290 / 384 / 651 before).
+#: 1187, plain 290 / 384 / 651 before) and the one-callback failover
+#: detector (composed 849 / 935 / 1090; plain storms run no detector).
 RECORDED_SHARDED_STORMS = {
     ("composed", 0): (
         "f862bdc9d114368e2ebbbfca7cc7c5ddf09e19b566c9239fb7688b80e6e68f54",
-        849, 39),
+        558, 29),
     ("composed", 1): (
         "c2830928ea86808d7272739a7bc2bf9ce3feebacc638c1e063ecb153ebc884dc",
-        935, 38),
+        653, 34),
     ("composed", 2): (
         "d75cac6f9c1b85a637e41da84ea67f1fdccb8f4be6e2e9c3627efc50a90cfe5f",
-        1090, 52),
+        779, 43),
     ("plain", 0): (
         "ab62d907aaf51dd6ee96feed7c8aaf41d79fb1dbed68e7b0985276bb463d6f74",
         238, 23),
