@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.failover import FailoverConfig
 from repro.core.guarantees import Guarantee
 from repro.core.sharding import ShardingConfig
 from repro.core.system import ReplicatedSystem
@@ -95,6 +96,28 @@ def test_functional_write_refresh_dispatches_three_events_per_secondary(
             == 3 * secondaries
 
     benchmark(cycle)
+
+
+@pytest.mark.parametrize("secondaries,events", [(1, 32), (3, 72), (5, 112)])
+def test_idle_failover_detector_dispatches_one_tick_per_interval(
+        benchmark, secondaries, events):
+    """Twenty idle seconds of the failover detector: ten ticks (each one
+    callback), a heartbeat arrival and a lease-grant arrival per
+    secondary per tick, and two lease checks — one armed check re-arms
+    at the renewed deadline instead of one check per grant."""
+
+    def idle():
+        system = ReplicatedSystem(
+            num_secondaries=secondaries, propagation_delay=0.5,
+            batch_interval=0.0, record_history=False,
+            failover=FailoverConfig(2.0, 8.0, 12.0))
+        kernel = system.kernel
+        system.run(until=21.0)
+        dispatched = kernel.counters()["events_dispatched"]
+        system.run(until=41.0)
+        assert kernel.counters()["events_dispatched"] - dispatched == events
+
+    benchmark(idle)
 
 
 def test_functional_sharded_update_read_cycle(benchmark):
