@@ -1,18 +1,22 @@
-"""The refresh schedule, pinned: recorded histories and queue peaks.
+"""The refresh schedule, pinned: recorded histories, queue peaks and
+refresher counters.
 
 Each run below is a small seeded mix of updates and strong-session reads
 on one refresh discipline.  Its pin is the SHA-256 of the ``repr`` of
 every recorded :class:`~repro.txn.history.HistoryEvent` (site, time,
-sequence number and transaction ids included) and the kernel's peak
-queue depth.  A change to how refresh work is *dispatched* — which
-kernel events carry it — must leave both unchanged; only a change to
-what is refreshed, or when in virtual time, may move them.
+sequence number and transaction ids included), the kernel's peak queue
+depth and every secondary's refresher counters.  A change to how refresh
+work is *dispatched* — which kernel events carry it — must leave all
+three unchanged; only a change to what is refreshed, or when in virtual
+time, may move them.
 
-The four shapes cover the refresher's every branch: start records that
+The five shapes cover the refresher's every branch: start records that
 wait for an empty pending queue in the middle of a batch frame, one
 delivery event per record at five secondaries, dependency-tracked
-parallel refresh, and a secondary crash and recovery (a replayed tail)
-followed by a primary kill and a promotion (fenced refresh work).
+parallel refresh, serial refresh under overlapping primary transactions
+(commits queue behind the one slot), and a secondary crash and recovery
+(a replayed tail) followed by a primary kill and a promotion (fenced
+refresh work).
 """
 
 import hashlib
@@ -35,7 +39,19 @@ SHAPES = {
                      refresh_apply_cost=0.05),
     "failures": dict(num_secondaries=3, propagation_delay=0.4,
                      refresh_apply_cost=0.03, promotion=PromotionConfig()),
+    "serial": dict(num_secondaries=2, propagation_delay=0.3,
+                   serial_refresh=True, refresh_apply_cost=0.05),
 }
+
+#: Shapes whose updates come in pairs of interactive transactions open
+#: at once, so their commit records reach a secondary without a start
+#: record between them.
+OVERLAPPING = {"serial"}
+
+COUNTERS = ("refreshes_applied", "peak_pending",
+            "max_concurrent_applicators", "max_runnable_depth",
+            "out_of_order_commits", "max_watermark_lag",
+            "stale_records_dropped")
 
 #: shape -> (history digest, peak queue depth).
 RECORDED = {
@@ -51,6 +67,19 @@ RECORDED = {
     "failures": (
         "23a5364af8e6512084e5254e7c419987aedfd631711603c87501c1298ba4c39c",
         42),
+    "serial": (
+        "6f2b05a416fc0204b063f5b37bfc4ead6a783710a77789271d7bccbdc6e4ca9e",
+        48),
+}
+
+#: shape -> per-secondary refresher counters, in :data:`COUNTERS` order.
+RECORDED_COUNTERS = {
+    "batched": [(148, 1, 1, 0, 0, 0, 0)] * 2,
+    "fanout": [(136, 1, 1, 0, 0, 0, 0)] * 5,
+    "parallel": [(148, 9, 4, 1, 21, 9, 0)] * 3,
+    "failures": [(99, 1, 1, 0, 0, 0, 0), (115, 1, 1, 0, 0, 0, 0),
+                 (150, 1, 1, 0, 0, 0, 0)],
+    "serial": [(263, 2, 1, 1, 0, 0, 0)] * 2,
 }
 
 
@@ -81,7 +110,15 @@ def run_shape(shape, seed=17, ops=300):
         keys = [f"k{rng.randrange(12)}" for _ in range(rng.randint(1, 4))]
         value = rng.randrange(1000)
         try:
-            if rng.random() < 0.5:
+            update = rng.random() < 0.5
+            if update and shape in OVERLAPPING:
+                other = sessions[(sessions.index(session) + 1) % 6]
+                with session.update_transaction() as first:
+                    with other.update_transaction() as second:
+                        second.write(f"k{rng.randrange(12)}", value)
+                    for key in keys:
+                        first.write(key, value)
+            elif update:
                 def work(txn, keys=keys, value=value):
                     for key in keys:
                         txn.write(key, value)
@@ -103,7 +140,14 @@ def fingerprint(system):
     return digest.hexdigest(), system.kernel.counters()["peak_queue_depth"]
 
 
+def counters(system):
+    """Each secondary's refresher counters, in :data:`COUNTERS` order."""
+    return [tuple(getattr(site.refresher, name) for name in COUNTERS)
+            for site in system.secondaries]
+
+
 @pytest.mark.parametrize("shape", sorted(RECORDED))
 def test_refresh_schedule_reproduces_the_recording(shape):
     system, _errors = run_shape(shape)
     assert fingerprint(system) == RECORDED[shape]
+    assert counters(system) == RECORDED_COUNTERS[shape]
