@@ -320,7 +320,7 @@ def system_status(system: "ReplicatedSystem") -> SystemStatus:
             out_of_order_commits=secondary.refresher.out_of_order_commits,
             peak_runnable_depth=secondary.refresher.max_runnable_depth,
             watermark_lag=secondary.refresher.watermark_lag,
-            peak_pending=getattr(secondary.refresher, "peak_pending", 0),
+            peak_pending=secondary.refresher.peak_pending,
             shards_subscribed=(len(secondary.subscription)
                                if secondary.sharded else None),
         ))
