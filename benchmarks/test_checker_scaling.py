@@ -1,12 +1,12 @@
 """Checker-scaling smoke: a 10k-commit history must verify in seconds.
 
-This is the CI guard for the incremental checker rewrite: generate a
-10k-commit, 5-secondary replicated history and require the weak-SI and
+This is the CI guard for the per-key checkers: generate a 10k-commit,
+5-secondary replicated history and require the weak-SI and
 strong-session-SI checks (plus completeness) to finish inside a hard
-wall-clock budget.  The legacy state-materialisation checkers take tens
-of seconds on the same history — if someone accidentally reroutes the
-default path back through them, or regresses the timeline code to
-quadratic behaviour, this fails loudly rather than slowly.
+wall-clock budget.  State-materialising checkers, like the test-only
+reference in ``tests/txn/reference_checkers.py``, are quadratic on the
+same history — if the timeline code regresses to that, this fails
+loudly rather than slowly.
 
 The sharded + promoted leg guards the other code path: histories with
 shard subscriptions and a promotion used to be audited by O(n²) pair

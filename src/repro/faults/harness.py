@@ -111,11 +111,9 @@ class ChaosConfig:
     #: classic chaos runs stay bit-identical.
     parallel_refresh: Optional[int] = None
     refresh_apply_cost: float = 0.0
-    #: Checker implementation ("incremental" or "legacy") and history
-    #: recording mode ("ops" records every operation; "commits" records
-    #: only transaction boundaries — the SI/completeness audits are then
-    #: skipped, leaving just the convergence check).
-    checker_method: str = "incremental"
+    #: History recording mode ("ops" records every operation; "commits"
+    #: records only transaction boundaries — the SI/completeness audits
+    #: are then skipped, leaving just the convergence check).
     history_detail: str = "ops"
     #: Client arrival shaping ("uniform", "flash-crowd" or "diurnal").
     #: "uniform" keeps the classic sorted-uniform op times (bit-identical
@@ -180,8 +178,8 @@ class ChaosResult:
     converged: bool
     checks: list[CheckResult] = field(default_factory=list)
     plan: Optional[FaultPlan] = None
-    #: The run's recorded history (for re-checking, e.g. differential
-    #: incremental-vs-legacy tests) and its approximate size.
+    #: The run's recorded history (for re-checking, e.g. against the
+    #: reference checkers) and its approximate size.
     recorder: Optional["HistoryRecorder"] = None
     history_bytes: int = 0
     #: Operation outcomes.
@@ -591,11 +589,10 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
     result.recorder = system.recorder
     result.history_bytes = system.recorder.nbytes()
     if config.history_detail == "ops":
-        method = config.checker_method
         result.checks = [
-            check_completeness(system.recorder, method=method),
-            check_weak_si(system.recorder, method=method),
-            check_strong_session_si(system.recorder, method=method),
+            check_completeness(system.recorder),
+            check_weak_si(system.recorder),
+            check_strong_session_si(system.recorder),
         ]
 
     for secondary in system.secondaries:

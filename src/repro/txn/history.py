@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Optional
+
+from repro.errors import ConfigurationError
 
 #: Event kinds dropped by ``detail="commits"`` recording.
 _OP_KINDS = frozenset({"read", "write", "scan"})
@@ -127,27 +128,6 @@ class TxnView:
         return {event.key for event in self.writes}
 
     @property
-    def first_read_values(self) -> dict[Any, Any]:
-        """Value seen by the *first* read of each key, skipping own-writes.
-
-        Later reads of the same key may legitimately return the
-        transaction's own writes; the first pre-write read pins the
-        snapshot.  A transaction that wrote nothing has no own-writes to
-        skip, so its reads are walked as recorded, without a merge.
-        """
-        out: dict[Any, Any] = {}
-        written: set[Any] = set()
-        events = self.reads
-        if self.writes:
-            events = sorted(events + self.writes, key=attrgetter("seq"))
-        for event in events:
-            if event.kind == "write":
-                written.add(event.key)
-            elif event.key not in out and event.key not in written:
-                out[event.key] = event.value
-        return out
-
-    @property
     def final_writes(self) -> dict[Any, tuple[Any, bool]]:
         """Last-write-wins view of the write set: key -> (value, deleted).
 
@@ -182,7 +162,7 @@ class HistoryRecorder:
 
     def __init__(self, detail: str = "ops") -> None:
         if detail not in HISTORY_DETAILS:
-            raise ValueError(
+            raise ConfigurationError(
                 f"unknown history detail {detail!r}; expected one of "
                 f"{HISTORY_DETAILS}")
         self.detail = detail
@@ -196,8 +176,6 @@ class HistoryRecorder:
         self._site_events: list[HistoryEvent] = []
         self._committed_cache: dict[Optional[str], list[TxnView]] = {}
         self._committed_cache_len = -1
-        self._events_at_cache: dict[str, list[HistoryEvent]] = {}
-        self._events_at_cache_len = -1
 
     def __len__(self) -> int:
         return len(self.events)
@@ -383,39 +361,8 @@ class HistoryRecorder:
         """Committed client transactions (refresh copies excluded)."""
         return [v for v in self.committed() if not v.is_refresh]
 
-    def events_at(self, site: str) -> list[HistoryEvent]:
-        """Events recorded at ``site`` (cached; treat as read-only)."""
-        if self._events_at_cache_len != len(self.events):
-            self._events_at_cache = {}
-            self._events_at_cache_len = len(self.events)
-        events = self._events_at_cache.get(site)
-        if events is None:
-            events = [e for e in self.events if e.site == site]
-            self._events_at_cache[site] = events
-        return events
-
     def sites(self) -> list[str]:
         seen: dict[str, None] = {}
         for event in self.events:
             seen.setdefault(event.site, None)
         return list(seen)
-
-    def replay_states(self, site: str) -> list[dict[Any, Any]]:
-        """Database states S^0, S^1, ... produced at ``site``.
-
-        Reconstructed purely from the recorded write events of committed
-        transactions, in commit order — independent of engine internals, so
-        the completeness checker cannot be fooled by engine bugs.
-        """
-        states: list[dict[Any, Any]] = [{}]
-        current: dict[Any, Any] = {}
-        for view in self.committed(site=site):
-            if not view.is_update:
-                continue
-            for key, (value, deleted) in view.final_writes.items():
-                if deleted:
-                    current.pop(key, None)
-                else:
-                    current[key] = value
-            states.append(dict(current))
-        return states

@@ -1,10 +1,9 @@
 """Per-key version timelines and interval arithmetic for the checkers.
 
-The legacy checkers materialise the primary's full database-state
-sequence ``S^0 .. S^n`` (one ``dict`` copy per committed update
-transaction) and test every transaction's read constraints against every
-prefix state — O(commits²) time and O(commits · keys) memory.  This
-module is the incremental replacement:
+The checkers never materialise the primary's database-state sequence
+``S^0 .. S^n``: one ``dict`` per committed update transaction, with
+every read tested against every prefix state, is O(commits²) time and
+O(commits · keys) memory.  They work per key instead:
 
 * :class:`KeyTimelines` is built **once** in O(total writes): for every
   key, the sorted list of ``(state_index, value, deleted)`` changes the
@@ -131,8 +130,7 @@ class KeyTimelines:
     """Per-key change history of one site's state sequence ``S^0..S^n``.
 
     Built from the ``final_writes`` of committed update transactions in
-    commit order (the same inputs ``HistoryRecorder.replay_states``
-    replays), but storing one entry per (state, key) *change* instead of
+    commit order, storing one entry per (state, key) *change* instead of
     one full ``dict`` per state: O(total writes) memory.
     """
 

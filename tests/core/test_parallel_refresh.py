@@ -239,11 +239,10 @@ def test_parallel_system_converges_and_passes_checkers():
         assert system.secondary_state(i) == state
         assert system.secondaries[i].seq_db == \
             system.primary.latest_commit_ts
-    for method in ("incremental", "legacy"):
-        for check in (check_completeness, check_weak_si,
-                      check_strong_session_si):
-            result = check(system.recorder, method=method)
-            assert result.ok, [v.message for v in result.violations]
+    for check in (check_completeness, check_weak_si,
+                  check_strong_session_si):
+        result = check(system.recorder)
+        assert result.ok, [v.message for v in result.violations]
 
 
 def test_parallel_knob_validation():

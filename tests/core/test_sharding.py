@@ -27,6 +27,7 @@ from repro.txn.checkers import (
 from repro.txn.history import HistoryRecorder
 
 from tests.core.test_parallel_refresh import drain_flood
+from tests.txn.reference_checkers import assert_matches_reference
 from tests.txn.test_incremental_checkers import read, update
 
 SHARDS = 8
@@ -496,18 +497,16 @@ def test_partial_subscriber_ahead_of_the_candidate_is_resynced():
     system.quiesce()
     assert system.secondary_state(2) == \
         projected(system.primary_state(), half.subscription)
-    for method in ("incremental", "legacy"):
-        for check in (check_completeness, check_weak_si,
-                      check_strong_session_si):
-            result = check(system.recorder, method=method)
-            assert result.ok, result.violations
+    for check in (check_completeness, check_weak_si,
+                  check_strong_session_si):
+        result = check(system.recorder)
+        assert result.ok, result.violations
 
 
 # -- checkers over projected sub-histories -------------------------------------
 
 
-@pytest.mark.parametrize("method", ["incremental", "legacy"])
-def test_checkers_pass_on_sharded_history(method):
+def test_checkers_pass_on_sharded_history():
     system = ReplicatedSystem(num_secondaries=2, propagation_delay=0.2,
                               sharding=HALVES)
     sessions = [system.session(Guarantee.STRONG_SESSION_SI),
@@ -520,20 +519,20 @@ def test_checkers_pass_on_sharded_history(method):
     system.quiesce()
     for check in (check_completeness, check_weak_si,
                   check_strong_session_si):
-        result = check(system.recorder, method=method)
+        result = check(system.recorder)
         assert result.ok, result.summary()
 
 
 # -- litmus verdicts: hand-built sharded histories ------------------------------
 #
-# Tiny adversarial histories with the verdict each must get, under both
-# checker methods.  Two replicas subscribe to complementary halves of a
-# four-shard keyspace; A0/A1 live on the first half, B2 on the second.
+# Tiny adversarial histories with the verdict each must get, from the
+# production checkers and the reference alike.  Two replicas subscribe
+# to complementary halves of a four-shard keyspace; A0/A1 live on the
+# first half, B2 on the second.
 
 LITMUS_SHARDS = 4
 A0, A1, B2 = (keys_for(shard, count=1, shards=LITMUS_SHARDS)[0]
               for shard in (0, 1, 2))
-METHODS = ("incremental", "legacy")
 
 
 class Litmus:
@@ -563,11 +562,8 @@ class Litmus:
         db.advance_commit_counter(commit_ts)
 
     def verdicts(self, check):
-        results = [check(self.recorder, method=method) for method in METHODS]
-        assert results[0].violations == results[1].violations
-        assert results[0].checked_transactions \
-            == results[1].checked_transactions
-        return results[0]
+        assert_matches_reference(self.recorder)
+        return check(self.recorder)
 
 
 def test_litmus_projected_write_dropped_is_divergence():

@@ -14,10 +14,11 @@ import pytest
 from repro.core.system import ReplicatedSystem
 from repro.faults.channel import ChannelFaults
 from repro.faults.harness import ChaosConfig, run_chaos
-from repro.txn.checkers import (
-    check_completeness,
-    check_strong_session_si,
-    check_weak_si,
+
+from tests.txn.reference_checkers import (
+    reference_check_completeness,
+    reference_check_strong,
+    reference_check_weak_si,
 )
 
 pytestmark = pytest.mark.chaos
@@ -269,23 +270,23 @@ def test_promotion_storm_is_deterministic_per_seed():
 PARALLEL = dict(parallel_refresh=4, refresh_apply_cost=0.02)
 
 
-def _legacy_checks(result):
-    """Re-audit the run's history with the legacy checkers: parallel
-    apply must satisfy both implementations, not just the incremental
-    one used inside ``run_chaos``."""
-    return [check_completeness(result.recorder, method="legacy"),
-            check_weak_si(result.recorder, method="legacy"),
-            check_strong_session_si(result.recorder, method="legacy")]
+def _reference_checks(result):
+    """Re-audit the run's history with the reference checkers: the
+    storm must satisfy them too, not just the production checkers used
+    inside ``run_chaos``."""
+    return [reference_check_completeness(result.recorder),
+            reference_check_weak_si(result.recorder),
+            reference_check_strong(result.recorder, same_session_only=True)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_parallel_refresh_storm_converges_and_passes_checkers(seed):
     """Out-of-order apply under the full fault storm: convergence plus
-    completeness/weak-SI/strong-session-SI, with both checker
-    implementations, for every seed."""
+    completeness/weak-SI/strong-session-SI, by the production and the
+    reference checkers, for every seed."""
     result = run_chaos(ChaosConfig(seed=seed, **PARALLEL))
     assert result.converged, result.describe()
-    for check in result.checks + _legacy_checks(result):
+    for check in result.checks + _reference_checks(result):
         assert check.ok, result.describe()
     assert result.ok
 
@@ -300,7 +301,7 @@ def test_parallel_refresh_promotion_storm(seed):
     assert result.primary_kills == 1
     assert result.promotions == 1
     assert result.converged, result.describe()
-    for check in result.checks + _legacy_checks(result):
+    for check in result.checks + _reference_checks(result):
         assert check.ok, result.describe()
     assert result.ok
 
@@ -357,7 +358,7 @@ def test_auto_failover_partition_storm(seed):
     """Every storm kills the primary for good and cuts links with seeded
     partition windows, with *no* promote_secondary event in the plan:
     promotion must come from the AutoFailover coordinator.  Convergence
-    and all three checkers (both implementations) must hold, every
+    and all three checkers (production and reference) must hold, every
     zombie record must be fenced, and any acknowledged-commit loss must
     be surfaced as a poisoned session — never silent."""
     result = run_chaos(ChaosConfig(seed=seed, **AUTO))
@@ -373,7 +374,7 @@ def test_auto_failover_partition_storm(seed):
     # loss is accounted, never silently absorbed.
     assert result.lost_update_windows in (0, 1)
     assert result.converged, result.describe()
-    for check in result.checks + _legacy_checks(result):
+    for check in result.checks + _reference_checks(result):
         assert check.ok, result.describe()
     assert result.ok
 
@@ -421,11 +422,11 @@ def test_sharded_storm_converges_and_passes_checkers(seed):
     """Partial replication under the full fault storm: per-shard
     convergence (each replica against its subscription-projected primary
     state) plus completeness/weak-SI/strong-session-SI verified against
-    projected sub-histories, with both checker implementations."""
+    projected sub-histories, by the production and reference checkers."""
     result = run_chaos(ChaosConfig(seed=seed, **SHARDED))
     assert result.shards == 8
     assert result.converged, result.describe()
-    for check in result.checks + _legacy_checks(result):
+    for check in result.checks + _reference_checks(result):
         assert check.ok, result.describe()
     assert result.ok
 
@@ -445,7 +446,7 @@ def test_sharded_promotion_storm(seed):
     assert result.primary_kills == 1
     assert result.promotions == 1
     assert result.converged, result.describe()
-    for check in result.checks + _legacy_checks(result):
+    for check in result.checks + _reference_checks(result):
         assert check.ok, result.describe()
     assert result.ok
 
@@ -460,7 +461,7 @@ def test_sharded_combined_storm(seed):
                                    refresh_apply_cost=0.02))
     assert result.shards == 4
     assert result.converged, result.describe()
-    for check in result.checks + _legacy_checks(result):
+    for check in result.checks + _reference_checks(result):
         assert check.ok, result.describe()
     assert result.ok
 

@@ -1,21 +1,24 @@
-"""Reference checkers: the sharded/era paths as they were before the
-linear-time passes replaced them (ISSUE 19), kept verbatim as a
-test-only differential oracle.
+"""Reference checkers: slow, obviously right, and independent of the
+per-key timelines, for every history shape.
 
-``src/repro/txn/checkers.py`` audits sharded and promoted histories with
-one streaming ordering pass and one per-key completeness induction.
-The functions below are what it used before — two explicit O(n²) pair
-scans and an audit that materialises every axis state and compares
-projected full states — moved here unchanged (bodies byte for byte;
-only the imports differ).  They are slow and obviously right, which is
-what an oracle should be: ``tests/txn/test_reference_differential.py``
-requires ``(ok, checked_transactions, [(kind, message, txns)])``
-equality between them and the new passes over seeded chaos corpora and
-seeded history mutations.  The next independent oracle (the axiomatic
-``method`` of ROADMAP item 2(b)) is validated against the same module.
+``src/repro/txn/checkers.py`` infers candidate snapshots from per-key
+timelines, checks ordering in one streaming pass and completeness by a
+per-key induction.  The reference here does each the direct way:
 
-Plain histories (one era, no subscriptions) need no copy here: there
-the reference is ``method="legacy"``, which still lives in ``src/``.
+* snapshot inference tests every read against every materialised prefix
+  state ``S^0..S^n`` of its era's axis (:class:`_MaterialisedAnalysis`);
+* ordering is an explicit O(n²) pair scan — per promotion era, or per
+  shard obligation vector under partial replication — and a plain
+  history is its one-era case;
+* completeness replays each secondary's walk and compares full
+  (projected) states against the materialised axis states.
+
+``tests/txn/test_reference_differential.py`` and
+``tests/txn/test_incremental_checkers.py`` require
+``(ok, checked_transactions, [(kind, message, txns)])`` equality between
+it and the production checkers over hand-built histories, seeded chaos
+corpora and seeded history mutations.  The next independent oracle (the
+axiomatic one of ROADMAP item 1) is validated against the same module.
 """
 
 from __future__ import annotations
@@ -27,26 +30,75 @@ from repro.core.records import key_fingerprint
 from repro.txn.checkers import (
     CheckResult,
     Violation,
+    _Analysis,
     _Analyzed,
     _Era,
-    _MISSING,
-    _analysis,
     _check_detail,
-    _check_method,
     _era_axes,
     _inversion_violation,
-    _materialise_states,
-    _ordering_violations,
     _primary_updates,
     _promotion_eras,
     _secondary_timeline,
     _shared_prefix_bound,
     _subscriptions,
     check_completeness,
+    check_strong_session_si,
+    check_strong_si,
+    check_weak_si,
+    count_transaction_inversions,
 )
 from repro.txn.history import HistoryRecorder, TxnView
-from repro.txn.timeline import KeyTimelines
+from repro.txn.timeline import IntervalSet
 
+
+def _materialise_states(axis: list[TxnView]) -> list[dict[Any, Any]]:
+    """``S^0..S^n`` of one axis as full dicts, replayed from its commits."""
+    states: list[dict[Any, Any]] = [{}]
+    current: dict[Any, Any] = {}
+    for view in axis:
+        for key, (value, deleted) in view.final_writes.items():
+            if deleted:
+                current.pop(key, None)
+            else:
+                current[key] = value
+        states.append(dict(current))
+    return states
+
+
+def _satisfied(state: dict[Any, Any],
+               constraints: list[tuple[Any, Any, bool]]) -> bool:
+    """Do ``(key, value, present)`` read constraints hold in ``state``?"""
+    for key, value, present in constraints:
+        if present:
+            if key not in state or state[key] != value:
+                return False
+        elif key in state:
+            return False
+    return True
+
+
+class _MaterialisedAnalysis(_Analysis):
+    """The production snapshot analysis with its two timeline-backed
+    methods replaced by tests against materialised prefix states.
+    Candidate lists become sets of one-index intervals, so the shared
+    :class:`_Analyzed` records and violation messages stay the same."""
+
+    def __init__(self, recorder: HistoryRecorder, primary_site: str):
+        super().__init__(recorder, primary_site)
+        self.axis_states = [_materialise_states(axis) for axis in self.axes]
+
+    def _pinned_satisfied(self, era: int, snapshot: int,
+                          constraints: list[tuple[Any, Any, bool]]) -> bool:
+        states = self.axis_states[era]
+        return snapshot < len(states) and _satisfied(states[snapshot],
+                                                     constraints)
+
+    def _candidates(self, era: int, constraints: list[tuple[Any, Any, bool]],
+                    upper: int) -> tuple[IntervalSet, IntervalSet]:
+        candidates = [i for i, state in enumerate(self.axis_states[era])
+                      if _satisfied(state, constraints)]
+        return (IntervalSet((i, i) for i in candidates),
+                IntervalSet((i, i) for i in candidates if i <= upper))
 
 
 def _era_of(eras: list[_Era], seq: int) -> int:
@@ -88,17 +140,19 @@ def _read_shard_set(view: TxnView, num_shards: int) -> frozenset:
 def _era_ordering_violations(analyzed: list[_Analyzed],
                              same_session_only: bool,
                              eras: list[_Era]) -> list[Violation]:
-    """Definition 2.1/2.2 pair constraints across promotion eras.
+    """Definition 2.1/2.2 pair constraints, as constraint satisfaction.
 
-    Identical to :func:`_ordering_violations` except that a constraint
+    A history satisfies the criterion iff *some* assignment of snapshot
+    indices (within each transaction's candidate set) satisfies every
+    ordering constraint; assigning each read-only transaction the
+    smallest feasible candidate is optimal, because every constraint is
+    a lower bound propagating forward in begin order.  A constraint
     carried from an earlier era is clamped to the shared prefix of the
     two transactions' axes (:func:`_shared_prefix_bound`): beyond the
     truncation point the axes are incomparable — the old regime's tail
     was discarded — so the only freshness obligation that survives a
-    promotion is "at least the surviving prefix state".  Used by *both*
-    checker methods: promotion histories are chaos-storm sized, so the
-    O(n²) scan is fine, and one shared implementation keeps the verdicts
-    method-independent by construction.
+    promotion is "at least the surviving prefix state".  A plain history
+    is the one-era case, with no clamps.
     """
     violations: list[Violation] = []
     ordered = sorted(analyzed, key=lambda a: a.view.begin_seq)
@@ -124,13 +178,13 @@ def _era_ordering_violations(analyzed: list[_Analyzed],
                 lower = effective
                 lower_source = ti
         if tj.pinned:
-            snapshot = tj.min_admissible
+            snapshot = tj.admissible.min()
             assigned[tj.view.key] = snapshot
             feasible = snapshot >= lower
         else:
-            option = tj.first_admissible_at_least(lower)
+            option = tj.admissible.first_at_least(lower)
             feasible = option is not None
-            snapshot = option if feasible else tj.max_admissible
+            snapshot = option if feasible else tj.admissible.max()
             assigned[tj.view.key] = snapshot
         if not feasible:
             violations.append(_inversion_violation(
@@ -159,10 +213,7 @@ def _sharded_ordering_violations(analyzed: list[_Analyzed],
     requiring ``snapshot >= obligation`` is both necessary and
     sufficient for the projected states to be ordered.  Cross-era
     obligations clamp to the shared axis prefix exactly as in
-    :func:`_era_ordering_violations`, and like that function this one
-    serves *both* checker methods: sharded histories are chaos-storm
-    sized, and a single implementation keeps the verdicts
-    method-independent by construction.
+    :func:`_era_ordering_violations`.
     """
     axis_shard_commits: list[dict[int, list[int]]] = []
     for axis in axes:
@@ -209,15 +260,15 @@ def _sharded_ordering_violations(analyzed: list[_Analyzed],
                 lower = effective
                 lower_source = ti
         if tj.pinned:
-            snapshot = tj.min_admissible
+            snapshot = tj.admissible.min()
             feasible = snapshot >= lower
             obligations[tj.view.key] = {
                 key_fingerprint(key) % num_shards: tj.commit_index
                 for key in tj.view.final_writes}
         else:
-            option = tj.first_admissible_at_least(lower)
+            option = tj.admissible.first_at_least(lower)
             feasible = option is not None
-            snapshot = option if feasible else tj.max_admissible
+            snapshot = option if feasible else tj.admissible.max()
             vector = {}
             for shard in read_shards:
                 floor = shard_floor(tj.era, shard, snapshot)
@@ -282,33 +333,19 @@ def _normalized_timeline(recorder: HistoryRecorder, site: str,
     return normalized
 
 
-def _era_completeness(recorder: HistoryRecorder, primary_site: str,
-                      eras: list[_Era], method: str) -> CheckResult:
-    """Theorem 3.1 across promotion eras (both methods).
+def _era_completeness(recorder: HistoryRecorder, eras: list[_Era],
+                      axes: list[list[TxnView]]) -> CheckResult:
+    """Theorem 3.1 across promotion eras, by full-state comparison.
 
     Every timeline item at a secondary is audited against the axis of
     the era it committed in — the truncation point becomes the new axis
     of comparison, so a replica that applied the old primary's truncated
     tail and carried it into the new era is flagged as divergent, not
-    excused.  At an era crossing (and after any recovery) the per-key
-    induction restarts with a full-state comparison: the axes agree only
-    on the shared prefix, so inducting across the boundary would be
-    unsound.  A promoted site is audited as a secondary only up to its
-    promotion; afterwards its own commits *define* the axis.
+    excused.  A promoted site is audited as a secondary only up to its
+    promotion; afterwards its own commits *define* the axis.  A plain
+    history is the one-era case.
     """
-    axes = _era_axes(recorder, eras)
-    legacy = method == "legacy"
-    if legacy:
-        axis_states = [_materialise_states(axis) for axis in axes]
-        axis_timelines = None
-    else:
-        axis_states = None
-        axis_timelines = []
-        for axis in axes:
-            timelines = KeyTimelines()
-            for view in axis:
-                timelines.append_commit(view.final_writes)
-            axis_timelines.append(timelines)
+    axis_states = [_materialise_states(axis) for axis in axes]
     promoted_at = {era.site: era.start_seq for era in eras[1:]}
     # Promotion fences truncate out-of-order applied commits exactly like
     # crashes do, so each era boundary also bounds a normalisation run.
@@ -320,8 +357,6 @@ def _era_completeness(recorder: HistoryRecorder, primary_site: str,
             continue
         cutoff = promoted_at.get(site)
         current: dict[Any, Any] = {}
-        prev = 0
-        prev_era = 0
         for seq, what, item in _normalized_timeline(recorder, site,
                                                     boundaries):
             if cutoff is not None and seq > cutoff:
@@ -331,77 +366,38 @@ def _era_completeness(recorder: HistoryRecorder, primary_site: str,
             if what == "recover":
                 index = item.commit_ts or 0
                 current = dict(item.value or {})
-                full_check = True
             else:
-                final_writes = item.final_writes
-                for key, (value, deleted) in final_writes.items():
+                for key, (value, deleted) in item.final_writes.items():
                     if deleted:
                         current.pop(key, None)
                     else:
                         current[key] = value
                 index = item.commit_ts if item.commit_ts is not None else -1
-                full_check = era != prev_era
-            n = (len(axis_states[era]) - 1 if legacy
-                 else axis_timelines[era].num_commits)
+            n = len(axis_states[era]) - 1
             if not 0 <= index <= n:
                 violations.append(Violation(
                     kind="secondary-ahead",
                     message=(f"site {site!r} produced state S^{index}, but "
                              f"the primary only reached S^{n}")))
                 break
-            if legacy:
-                diverged = current != axis_states[era][index]
-            elif full_check:
-                timelines = axis_timelines[era]
-                diverged = len(current) != timelines.live_counts[index]
-                if not diverged:
-                    value_at = timelines.value_at
-                    for key, value in current.items():
-                        present, expected = value_at(key, index)
-                        if not present or expected != value:
-                            diverged = True
-                            break
-            else:
-                timelines = axis_timelines[era]
-                suspect_keys = set(item.final_writes)
-                lo, hi = (prev, index) if prev <= index else (index, prev)
-                write_keys = timelines.write_keys
-                for i in range(lo + 1, hi + 1):
-                    suspect_keys.update(write_keys[i])
-                diverged = False
-                value_at = timelines.value_at
-                for key in suspect_keys:
-                    present, expected = value_at(key, index)
-                    actual = current.get(key, _MISSING)
-                    if present:
-                        if actual is _MISSING or actual != expected:
-                            diverged = True
-                            break
-                    elif actual is not _MISSING:
-                        diverged = True
-                        break
-            if diverged:
+            if current != axis_states[era][index]:
                 what_label = ("recovery copy" if what == "recover"
                               else "state")
-                expected_state = (axis_states[era][index] if legacy
-                                  else axis_timelines[era].state_at(index))
                 violations.append(Violation(
                     kind="state-divergence",
                     message=(f"site {site!r} {what_label} S^{index} diverges "
                              f"from primary: {current!r} != "
-                             f"{expected_state!r}")))
+                             f"{axis_states[era][index]!r}")))
                 break
-            prev = index
-            prev_era = era
     return CheckResult(criterion="completeness", ok=not violations,
                        violations=violations,
                        checked_transactions=checked)
 
 
-def _sharded_completeness(recorder: HistoryRecorder, primary_site: str,
+def _sharded_completeness(recorder: HistoryRecorder,
                           subs: dict[str, tuple[frozenset, int]],
-                          eras: list[_Era], method: str) -> CheckResult:
-    """Theorem 3.1 under partial replication (both methods, era-aware).
+                          eras: list[_Era]) -> CheckResult:
+    """Theorem 3.1 under partial replication (era-aware).
 
     A subscribing secondary receives only the primary commits whose
     write sets touch its shards, so its expected timeline is a
@@ -417,10 +413,7 @@ def _sharded_completeness(recorder: HistoryRecorder, primary_site: str,
     the walk so the projected state comparison flags it.  Recovery
     copies are projected at the source, so they are compared against the
     projected axis state; promotion fences and the promoted-site cutoff
-    behave exactly as in :func:`_era_completeness`.  One shared
-    implementation serves both checker methods — sharded histories are
-    chaos-storm sized, and the projected full-state comparison keeps the
-    verdicts method-independent by construction.
+    behave exactly as in :func:`_era_completeness`.
     """
     axes = _era_axes(recorder, eras)
     axis_states = [_materialise_states(axis) for axis in axes]
@@ -543,55 +536,102 @@ def _sharded_completeness(recorder: HistoryRecorder, primary_site: str,
 
 
 # ---------------------------------------------------------------------------
-# The old routing, so a whole public checker can be compared at once
+# The public checkers, reference edition
 # ---------------------------------------------------------------------------
 
 def reference_ordering(analyzed: list[_Analyzed], same_session_only: bool,
-                       analysis) -> list[Violation]:
+                       analysis: _Analysis) -> list[Violation]:
     """The pair-scan verdict for histories of any shape."""
     eras = analysis.eras
-    subs = _subscriptions(analysis.recorder)
-    if subs:
-        num_shards = next(iter(subs.values()))[1]
-        if len(eras) > 1:
-            axes = _era_axes(analysis.recorder, eras)
-        else:
-            axes = [_primary_updates(analysis.recorder,
-                                     analysis.primary_site)]
+    if analysis.subs:
+        num_shards = next(iter(analysis.subs.values()))[1]
         return _sharded_ordering_violations(
-            analyzed, same_session_only, eras, axes, num_shards)
-    if len(eras) > 1:
-        return _era_ordering_violations(analyzed, same_session_only, eras)
-    return _ordering_violations(analyzed, same_session_only)
+            analyzed, same_session_only, eras, analysis.axes, num_shards)
+    return _era_ordering_violations(analyzed, same_session_only, eras)
 
 
-def reference_check_strong(recorder: HistoryRecorder,
-                           same_session_only: bool,
-                           primary_site: str = "primary",
-                           method: str = "incremental") -> CheckResult:
-    """``check_strong_session_si`` / ``check_strong_si`` with the old
-    ordering scan behind the (shared) snapshot analysis."""
-    analysis = _analysis(recorder, primary_site, method)
+def _reference_si(recorder: HistoryRecorder, primary_site: str,
+                  criterion: str,
+                  same_session_only: bool | None = None) -> CheckResult:
+    """Weak SI, plus the ordering scan unless ``same_session_only`` is
+    None."""
+    analysis = _MaterialisedAnalysis(recorder, primary_site)
     analyzed, violations = analysis.analyze()
-    violations.extend(reference_ordering(analyzed, same_session_only,
-                                         analysis))
-    criterion = "strong session SI" if same_session_only else "strong SI"
+    if same_session_only is not None:
+        violations.extend(reference_ordering(analyzed, same_session_only,
+                                             analysis))
     return CheckResult(criterion=criterion, ok=not violations,
                        violations=violations,
                        checked_transactions=len(analysis.client_views))
 
 
+def reference_check_weak_si(recorder: HistoryRecorder,
+                            primary_site: str = "primary") -> CheckResult:
+    """``check_weak_si`` over materialised states."""
+    return _reference_si(recorder, primary_site, "weak SI")
+
+
+def reference_check_strong(recorder: HistoryRecorder,
+                           same_session_only: bool,
+                           primary_site: str = "primary") -> CheckResult:
+    """``check_strong_session_si`` / ``check_strong_si`` by pair scan."""
+    criterion = "strong session SI" if same_session_only else "strong SI"
+    return _reference_si(recorder, primary_site, criterion,
+                         same_session_only)
+
+
+def reference_count_inversions(recorder: HistoryRecorder,
+                               primary_site: str = "primary",
+                               within_sessions: bool = True) -> int:
+    """``count_transaction_inversions`` by pair scan."""
+    analysis = _MaterialisedAnalysis(recorder, primary_site)
+    analyzed, _ = analysis.analyze()
+    return len(reference_ordering(analyzed, within_sessions, analysis))
+
+
 def reference_check_completeness(recorder: HistoryRecorder,
-                                 primary_site: str = "primary",
-                                 method: str = "incremental") -> CheckResult:
-    """``check_completeness`` as it was routed before the induction."""
-    _check_method(method)
+                                 primary_site: str = "primary"
+                                 ) -> CheckResult:
+    """``check_completeness`` by full-state comparison."""
     _check_detail(recorder)
     eras = _promotion_eras(recorder, primary_site)
     subs = _subscriptions(recorder)
     if subs:
-        return _sharded_completeness(recorder, primary_site, subs, eras,
-                                     method)
+        return _sharded_completeness(recorder, subs, eras)
     if len(eras) > 1:
-        return _era_completeness(recorder, primary_site, eras, method)
-    return check_completeness(recorder, primary_site, method="legacy")
+        return _era_completeness(recorder, eras, _era_axes(recorder, eras))
+    # Like production, the plain audit takes the primary's numbering as
+    # recorded: it does not insist on dense commit timestamps.
+    return _era_completeness(
+        recorder, eras, [_primary_updates(recorder, primary_site,
+                                          dense=False)])
+
+
+def verdict(result: CheckResult) -> tuple:
+    """What two checkers must agree on, byte for byte."""
+    return (result.ok, result.checked_transactions,
+            [(v.kind, v.message, v.txns) for v in result.violations])
+
+
+def assert_matches_reference(recorder: HistoryRecorder,
+                             primary_site: str = "primary"
+                             ) -> list[CheckResult]:
+    """Every public checker and both inversion counts must equal the
+    reference's exactly.  Returns production's completeness, weak SI,
+    strong SI and strong session SI results, in that order."""
+    results = [check_completeness(recorder, primary_site),
+               check_weak_si(recorder, primary_site),
+               check_strong_si(recorder, primary_site),
+               check_strong_session_si(recorder, primary_site)]
+    references = [reference_check_completeness(recorder, primary_site),
+                  reference_check_weak_si(recorder, primary_site),
+                  reference_check_strong(recorder, False, primary_site),
+                  reference_check_strong(recorder, True, primary_site)]
+    for result, reference in zip(results, references):
+        assert verdict(result) == verdict(reference), result.criterion
+    for within_sessions in (True, False):
+        assert count_transaction_inversions(
+            recorder, primary_site, within_sessions) \
+            == reference_count_inversions(recorder, primary_site,
+                                          within_sessions), within_sessions
+    return results

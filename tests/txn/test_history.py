@@ -2,8 +2,17 @@
 
 import pytest
 
+from repro.core.system import ReplicatedSystem
+from repro.errors import CheckerError, ConfigurationError
+from repro.faults.harness import ChaosConfig, run_chaos
 from repro.storage.engine import SIDatabase
+from repro.txn.checkers import check_completeness, check_weak_si
 from repro.txn.history import HistoryRecorder
+
+from tests.txn.reference_checkers import (
+    _MaterialisedAnalysis,
+    assert_matches_reference,
+)
 
 
 @pytest.fixture
@@ -60,6 +69,8 @@ def test_aborted_txn_view(db, recorder):
 
 
 def test_first_read_values_skip_own_writes(db, recorder):
+    """Only a read before the transaction's own write of the key pins
+    its snapshot; weak SI would fail if the reread of x=20 counted."""
     seed = db.begin(update=True)
     seed.write("x", 10)
     seed.commit()
@@ -68,8 +79,8 @@ def test_first_read_values_skip_own_writes(db, recorder):
     txn.write("x", 20)
     txn.read("x")          # sees own 20 — must not repin
     txn.commit()
-    view = recorder.transactions()[("primary", txn.txn_id)]
-    assert view.first_read_values == {"x": 10}
+    assert check_weak_si(recorder).ok
+    assert_matches_reference(recorder)
 
 
 def test_final_writes_last_wins(db, recorder):
@@ -114,12 +125,23 @@ def test_sites_listing(recorder):
     assert recorder.sites() == ["a", "b"]
 
 
+def replayed_states(recorder):
+    """The primary's ``S^0..S^n``, replayed by the reference checkers
+    from the recorded writes and checked against the production
+    checkers' per-key timelines."""
+    analysis = _MaterialisedAnalysis(recorder, "primary")
+    states = analysis.axis_states[0]
+    timelines = analysis.axis_timelines[0]
+    assert [timelines.state_at(i) for i in range(len(states))] == states
+    return states
+
+
 def test_replay_states_reconstruct_progression(db, recorder):
     for key, value in [("x", 1), ("y", 2), ("x", 3)]:
         txn = db.begin(update=True)
         txn.write(key, value)
         txn.commit()
-    states = recorder.replay_states("primary")
+    states = replayed_states(recorder)
     assert states == [{}, {"x": 1}, {"x": 1, "y": 2}, {"x": 3, "y": 2}]
 
 
@@ -130,27 +152,31 @@ def test_replay_states_handle_deletes(db, recorder):
     t = db.begin(update=True)
     t.delete("x")
     t.commit()
-    assert recorder.replay_states("primary") == [{}, {"x": 1}, {}]
+    assert replayed_states(recorder) == [{}, {"x": 1}, {}]
 
 
 def test_replay_states_count_empty_update_txns(db, recorder):
-    t = db.begin(update=True)    # declared update, no writes
-    t.commit()
-    states = recorder.replay_states("primary")
-    assert states == [{}, {}]    # state S^1 exists and equals S^0
-
-
-def test_events_at_site_filter(db, recorder):
-    other = SIDatabase(name="other", recorder=recorder)
-    txn = db.begin(update=True)
-    txn.write("x", 1)
-    txn.commit()
-    ro = other.begin()
-    ro.read("x", default=None)
-    ro.commit()
-    assert all(e.site == "primary" for e in recorder.events_at("primary"))
-    assert all(e.site == "other" for e in recorder.events_at("other"))
-    assert len(recorder.events_at("primary")) == 3
+    """An update with no writes still numbers a state, on both sides: a
+    replica that applies it and then S^2 is complete, and a read of S^2
+    is no inversion."""
+    secondary = SIDatabase(name="secondary-1", recorder=recorder)
+    t = db.begin(update=True, metadata={"session": "c1"})
+    t.commit()                   # declared update, no writes: S^1
+    t = db.begin(update=True, metadata={"session": "c1"})
+    t.write("x", 1)
+    t.commit()                   # S^2
+    for writes in ({}, {"x": 1}):
+        refresh = secondary.begin(update=True, metadata={"refresh_of": "t"})
+        for key, value in writes.items():
+            refresh.write(key, value)
+        refresh.commit()
+    reader = secondary.begin(metadata={"session": "c1"})
+    reader.read("x")
+    reader.commit()
+    assert replayed_states(recorder) == [{}, {}, {"x": 1}]
+    results = assert_matches_reference(recorder)
+    assert all(result.ok for result in results), results
+    assert results[0].checked_transactions == 2
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +224,23 @@ def test_commits_detail_is_much_smaller():
 
 
 def test_unknown_detail_rejected():
-    with pytest.raises(ValueError, match="unknown history detail"):
+    with pytest.raises(ConfigurationError, match="unknown history detail"):
         HistoryRecorder(detail="everything")
+    with pytest.raises(ConfigurationError, match="unknown history detail"):
+        ReplicatedSystem(num_secondaries=1, history_detail="everything")
+    with pytest.raises(ConfigurationError, match="unknown history detail"):
+        run_chaos(ChaosConfig(seed=0, ops=4, history_detail="everything"))
 
 
 def test_checkers_refuse_commits_detail_history():
-    from repro.errors import CheckerError
-    from repro.txn.checkers import check_completeness, check_weak_si
-
     recorder = HistoryRecorder(detail="commits")
     db = SIDatabase(name="primary", recorder=recorder)
     txn = db.begin(update=True)
     txn.write("x", 1)
     txn.commit()
     for check in (check_weak_si, check_completeness):
-        for method in ("incremental", "legacy"):
-            with pytest.raises(CheckerError, match="detail"):
-                check(recorder, method=method)
+        with pytest.raises(CheckerError, match="detail"):
+            check(recorder)
 
 
 def test_identity_strings_are_interned(recorder):

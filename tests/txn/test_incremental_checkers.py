@@ -1,7 +1,7 @@
-"""Differential tests: incremental checkers ≡ legacy checkers.
+"""Differential tests: the per-key-timeline checkers ≡ the reference.
 
-The incremental per-key-timeline checkers (the default) must return
-verdicts *identical* to the legacy state-materialisation checkers —
+The production checkers must return verdicts *identical* to the
+state-materialising reference in ``tests/txn/reference_checkers.py`` —
 same ok flag, same violation kinds/messages/ordering, same counts — on
 every history: clean ones, hand-built violating ones, and recorded
 fault-storm histories.  Plus unit coverage for the interval/timeline
@@ -12,39 +12,15 @@ import pytest
 
 from repro.errors import CheckerError
 from repro.storage.engine import SIDatabase
-from repro.txn.checkers import (
-    check_completeness,
-    check_strong_session_si,
-    check_strong_si,
-    check_weak_si,
-    count_transaction_inversions,
-)
+from repro.txn.checkers import check_weak_si, count_transaction_inversions
 from repro.txn.histgen import generate_replicated_history
 from repro.txn.history import HistoryRecorder
 from repro.txn.timeline import IntervalSet, KeyTimelines
 
-ALL_CHECKS = (check_completeness, check_weak_si, check_strong_si,
-              check_strong_session_si)
-
-
-def assert_methods_agree(recorder, primary_site="primary"):
-    """Every checker must return the identical result via both methods."""
-    for check in ALL_CHECKS:
-        incremental = check(recorder, primary_site=primary_site)
-        legacy = check(recorder, primary_site=primary_site, method="legacy")
-        assert incremental.ok == legacy.ok, check.__name__
-        assert incremental.violations == legacy.violations, check.__name__
-        assert incremental.checked_transactions \
-            == legacy.checked_transactions, check.__name__
-    for within_sessions in (True, False):
-        assert count_transaction_inversions(
-            recorder, primary_site=primary_site,
-            within_sessions=within_sessions) \
-            == count_transaction_inversions(
-                recorder, primary_site=primary_site,
-                within_sessions=within_sessions, method="legacy")
-    return [check(recorder, primary_site=primary_site)
-            for check in ALL_CHECKS]
+from tests.txn.reference_checkers import (
+    assert_matches_reference,
+    reference_check_weak_si,
+)
 
 
 @pytest.fixture
@@ -92,7 +68,7 @@ def read(db, logical, session, keys):
 
 
 # ---------------------------------------------------------------------------
-# Hand-built histories: clean and violating, both methods must agree
+# Hand-built histories: clean and violating, production ≡ reference
 # ---------------------------------------------------------------------------
 
 def test_agree_on_clean_lagging_history(recorder, primary, secondary):
@@ -100,7 +76,7 @@ def test_agree_on_clean_lagging_history(recorder, primary, secondary):
     refresh(secondary, "t1", {"x": 1, "y": 1})
     update(primary, "t2", "c1", {"x": 2, "y": None})
     read(secondary, "r1", "c2", ["x", "y"])
-    results = assert_methods_agree(recorder)
+    results = assert_matches_reference(recorder)
     assert all(r.ok for r in results[:2])      # completeness + weak SI
 
 
@@ -108,7 +84,7 @@ def test_agree_on_partial_refresh(recorder, primary, secondary):
     update(primary, "t1", "c1", {"x": 1, "y": 1})
     refresh(secondary, "t1", {"x": 1})          # lost y!
     read(secondary, "r1", "c2", ["x", "y"])
-    completeness, weak, *_ = assert_methods_agree(recorder)
+    completeness, weak, *_ = assert_matches_reference(recorder)
     assert not completeness.ok
     assert completeness.violations[0].kind == "state-divergence"
     assert not weak.ok
@@ -120,7 +96,7 @@ def test_agree_on_out_of_order_refresh(recorder, primary, secondary):
     update(primary, "t2", "c1", {"y": 2})
     refresh(secondary, "t2", {"y": 2})          # wrong order
     read(secondary, "r1", "c2", ["x", "y"])
-    completeness, weak, *_ = assert_methods_agree(recorder)
+    completeness, weak, *_ = assert_matches_reference(recorder)
     assert not completeness.ok
     assert not weak.ok
 
@@ -134,7 +110,7 @@ def test_agree_on_deletes_and_rewrites(recorder, primary, secondary):
     read(secondary, "r1", "c2", ["x", "y"])     # sees S^2: no x
     refresh(secondary, "t3", {"x": 1})
     read(secondary, "r2", "c2", ["x", "y"])     # sees S^3 (== S^1 for x)
-    completeness, weak, strong, session = assert_methods_agree(recorder)
+    completeness, weak, strong, session = assert_matches_reference(recorder)
     # r1 is stale w.r.t. t3 (cross-session): strong SI fails, the
     # laziness-tolerant criteria hold.
     assert completeness.ok and weak.ok and session.ok
@@ -147,13 +123,13 @@ def test_agree_on_transaction_inversion(recorder, primary, secondary):
     refresh(secondary, "t1", {"x": 1})
     update(primary, "t2", "cA", {"x": 2})
     read(secondary, "r1", "cA", ["x"])          # sees x=1: inversion
-    _, weak, strong, session = assert_methods_agree(recorder)
+    _, weak, strong, session = assert_matches_reference(recorder)
     assert weak.ok
     assert not strong.ok
     assert not session.ok
     assert session.violations[0].kind == "transaction-inversion"
     # The violation message embeds the candidate list — byte-identical
-    # across methods (covered by assert_methods_agree) and well-formed.
+    # to the reference's (covered by assert_matches_reference).
     assert "candidates" in session.violations[0].message
 
 
@@ -161,7 +137,7 @@ def test_agree_on_cross_session_inversion_strong_only(
         recorder, primary, secondary):
     update(primary, "t1", "cA", {"x": 1})
     read(secondary, "r1", "cB", ["x"])          # stale, different session
-    _, weak, strong, session = assert_methods_agree(recorder)
+    _, weak, strong, session = assert_matches_reference(recorder)
     assert weak.ok and session.ok and not strong.ok
 
 
@@ -183,7 +159,7 @@ def test_agree_on_inconsistent_update_read(recorder, primary):
     recorder.record("write", "primary", fake, 0.0, key="y", value=1)
     fake.commit_ts = 2
     recorder.record("commit", "primary", fake, 0.0)
-    _, weak, *_ = assert_methods_agree(recorder)
+    _, weak, *_ = assert_matches_reference(recorder)
     assert not weak.ok
     assert weak.violations[0].kind == "inconsistent-update-read"
 
@@ -205,7 +181,7 @@ def test_agree_on_future_snapshot(recorder, primary, secondary):
     recorder.record("read", "secondary-1", fake, 0.0, key="x", value=1,
                     producer=1)
     recorder.record("commit", "secondary-1", fake, 0.0)
-    _, weak, *_ = assert_methods_agree(recorder)
+    _, weak, *_ = assert_matches_reference(recorder)
     assert not weak.ok
     assert weak.violations[0].kind == "future-snapshot"
 
@@ -214,7 +190,7 @@ def test_agree_on_secondary_ahead(recorder, primary, secondary):
     update(primary, "t1", "c1", {"x": 1})
     refresh(secondary, "t1", {"x": 1})
     refresh(secondary, "t2", {"x": 2})          # primary never committed t2
-    completeness, *_ = assert_methods_agree(recorder)
+    completeness, *_ = assert_matches_reference(recorder)
     assert not completeness.ok
     assert completeness.violations[0].kind == "secondary-ahead"
 
@@ -225,7 +201,7 @@ def test_agree_on_bad_recovery_copy(recorder, primary, secondary):
     # Recovery claims S^2 but hands over a corrupt copy.
     recorder.record_recovery("secondary-1", 0.0, {"x": 1, "y": 999},
                              commit_ts=2)
-    completeness, *_ = assert_methods_agree(recorder)
+    completeness, *_ = assert_matches_reference(recorder)
     assert not completeness.ok
     assert completeness.violations[0].kind == "state-divergence"
     assert "recovery copy" in completeness.violations[0].message
@@ -239,7 +215,7 @@ def test_agree_on_good_recovery_jump(recorder, primary, secondary):
     update(primary, "t2", "c1", {"y": 2})
     recorder.record_recovery("secondary-1", 0.0, {"x": 1, "y": 2},
                              commit_ts=2)
-    results = assert_methods_agree(recorder)
+    results = assert_matches_reference(recorder)
     assert all(r.ok for r in results), [r.violations for r in results]
 
 
@@ -248,12 +224,14 @@ def test_agree_on_recovery_copy_missing_key(recorder, primary, secondary):
     kept — the live-key count comparison must still catch it."""
     update(primary, "t1", "c1", {"x": 1, "y": 2})
     recorder.record_recovery("secondary-1", 0.0, {"x": 1}, commit_ts=1)
-    completeness, *_ = assert_methods_agree(recorder)
+    completeness, *_ = assert_matches_reference(recorder)
     assert not completeness.ok
     assert completeness.violations[0].kind == "state-divergence"
 
 
 def test_both_methods_reject_sparse_commit_timestamps(recorder, primary):
+    """Production and reference alike refuse to number states from a
+    primary whose commit timestamps skip."""
     class FakeTxn:
         txn_id = 77
         start_ts = 0
@@ -264,14 +242,21 @@ def test_both_methods_reject_sparse_commit_timestamps(recorder, primary):
     recorder.record("begin", "primary", fake, 0.0)
     fake.commit_ts = 5          # dense numbering would be 1
     recorder.record("commit", "primary", fake, 0.0)
-    for method in ("incremental", "legacy"):
+    for check in (check_weak_si, reference_check_weak_si):
         with pytest.raises(CheckerError, match="not dense"):
-            check_weak_si(recorder, method=method)
+            check(recorder)
 
 
-def test_unknown_method_rejected(recorder):
-    with pytest.raises(CheckerError, match="unknown checker method"):
-        check_weak_si(recorder, method="quantum")
+def test_agree_on_same_session_read_behind_two_commits(
+        recorder, primary, secondary):
+    """A read stale with respect to two earlier commits of its session
+    is one inverted transaction, not two inverted pairs."""
+    update(primary, "t1", "cA", {"x": 1})
+    update(primary, "t2", "cA", {"y": 2})
+    read(secondary, "r1", "cA", ["x", "y"])     # sees S^0
+    *_, session = assert_matches_reference(recorder)
+    assert [v.kind for v in session.violations] == ["transaction-inversion"]
+    assert count_transaction_inversions(recorder) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +266,7 @@ def test_unknown_method_rejected(recorder):
 def test_agree_on_generated_history():
     recorder = generate_replicated_history(200, secondaries=3, reads=80,
                                            seed=11)
-    completeness, weak, _strong, session = assert_methods_agree(recorder)
+    completeness, weak, _strong, session = assert_matches_reference(recorder)
     # Generated histories are clean by construction for the lazy-SI
     # criteria; plain strong SI legitimately fails under replica lag.
     assert completeness.ok and weak.ok and session.ok
@@ -297,14 +282,14 @@ def test_generated_history_is_deterministic():
 @pytest.mark.parametrize("seed", range(10))
 def test_agree_on_fault_storm_history(seed):
     """All three audited criteria × ≥10 fault-storm seeds: the recorded
-    chaos history must get the identical verdict from both methods."""
+    chaos history must get the identical verdict from the reference."""
     from repro.faults.harness import ChaosConfig, run_chaos
     result = run_chaos(ChaosConfig(seed=seed, ops=60, horizon=60.0,
                                    num_secondaries=2, secondary_outages=1))
     assert result.ok, result.describe()
     assert result.recorder is not None
     assert result.history_bytes > 0
-    assert_methods_agree(result.recorder)
+    assert_matches_reference(result.recorder)
 
 
 # ---------------------------------------------------------------------------

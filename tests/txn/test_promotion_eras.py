@@ -5,8 +5,8 @@ re-anchor the axis of comparison on the new primary's timeline — the
 surviving prefix S^0..S^base spliced with the new era's commits — and
 clamp cross-era snapshot comparisons to the shared prefix.  These tests
 pin that semantics on hand-built histories (clean and violating) and
-require the incremental and legacy methods to agree on real promotion
-storms.
+require the production checkers to agree with the reference on each of
+them and on real promotion storms.
 """
 
 import pytest
@@ -20,12 +20,11 @@ from repro.txn.checkers import (
 )
 from repro.txn.history import HistoryRecorder
 
-from tests.txn.test_incremental_checkers import (
-    assert_methods_agree,
-    read,
-    refresh,
-    update,
+from tests.txn.reference_checkers import (
+    assert_matches_reference,
+    reference_check_completeness,
 )
+from tests.txn.test_incremental_checkers import read, refresh, update
 
 
 @pytest.fixture
@@ -61,7 +60,7 @@ def test_clean_promotion_history_passes_all_checkers(recorder):
     refresh(sec2, "t1", {"x": 1})
     refresh(sec2, "t3", {"y": 9})
     read(sec2, "r1", "c3", ["x", "y"])
-    completeness, weak, _, session = assert_methods_agree(recorder)
+    completeness, weak, _, session = assert_matches_reference(recorder)
     assert completeness.ok, [v.message for v in completeness.violations]
     assert weak.ok
     assert session.ok
@@ -71,7 +70,7 @@ def test_promotion_only_history_passes(recorder):
     """A promotion with no new-era activity: the truncated commit t2
     imposes no obligation on any replica (it is off the new axis)."""
     promoted_pair(recorder)
-    completeness, weak, _, session = assert_methods_agree(recorder)
+    completeness, weak, _, session = assert_matches_reference(recorder)
     assert completeness.ok, [v.message for v in completeness.violations]
     assert weak.ok and session.ok
 
@@ -87,13 +86,13 @@ def test_two_promotions_stack_eras(recorder):
                               new_site="secondary-2",
                               time=20.0, truncation_ts=2)
     update(sec2, "t4", "c2", {"z": 5})
-    completeness, weak, _, session = assert_methods_agree(recorder)
+    completeness, weak, _, session = assert_matches_reference(recorder)
     assert completeness.ok, [v.message for v in completeness.violations]
     assert weak.ok and session.ok
 
 
 # ---------------------------------------------------------------------------
-# Violating cross-era histories (both methods must agree on the verdict)
+# Violating cross-era histories (the reference must agree on the verdict)
 # ---------------------------------------------------------------------------
 
 def test_truncated_tail_leaking_into_new_era_is_divergence(recorder):
@@ -104,7 +103,7 @@ def test_truncated_tail_leaking_into_new_era_is_divergence(recorder):
     refresh(sec2, "t1", {"x": 1})
     refresh(sec2, "t2", {"x": 2})              # the fenced, dead commit
     read(sec2, "r1", "c3", ["x", "y"])         # observes the dead state
-    completeness, weak, *_ = assert_methods_agree(recorder)
+    completeness, weak, *_ = assert_matches_reference(recorder)
     assert not completeness.ok
     assert completeness.violations[0].kind == "state-divergence"
     assert not weak.ok
@@ -119,7 +118,7 @@ def test_cross_era_session_inversion_detected(recorder):
     read(sec1, "r1", "c9", ["x"])              # era 0: observes S^1
     update(sec1, "t3", "c2", {"y": 9})
     read(sec2, "r2", "c9", ["x"])              # era 1: S^0 — regression
-    *_, session = assert_methods_agree(recorder)
+    *_, session = assert_matches_reference(recorder)
     assert not session.ok
     assert session.violations[0].kind == "transaction-inversion"
     assert count_transaction_inversions(recorder) >= 1
@@ -133,7 +132,7 @@ def test_secondary_ahead_of_new_era_axis(recorder):
     refresh(sec2, "t1", {"x": 1})
     refresh(sec2, "t3", {"y": 9})
     refresh(sec2, "t-phantom", {"q": 1})       # S^3: no such primary state
-    completeness, *_ = assert_methods_agree(recorder)
+    completeness, *_ = assert_matches_reference(recorder)
     assert not completeness.ok
     assert completeness.violations[0].kind == "secondary-ahead"
     assert "S^3" in completeness.violations[0].message
@@ -156,25 +155,25 @@ def test_non_dense_new_era_numbering_rejected(recorder):
     with pytest.raises(CheckerError, match="dense in era"):
         check_completeness(recorder)
     with pytest.raises(CheckerError, match="dense in era"):
-        check_completeness(recorder, method="legacy")
+        reference_check_completeness(recorder)
 
 
 # ---------------------------------------------------------------------------
-# Differential: real promotion storms, both methods identical
+# Differential: real promotion storms, production ≡ reference
 # ---------------------------------------------------------------------------
 
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", range(8))
 def test_agree_on_promotion_storm_history(seed):
     """Recorded primary-kill chaos histories span a promotion epoch; the
-    incremental and legacy checkers must return identical verdicts."""
+    production and reference checkers must return identical verdicts."""
     from repro.faults.harness import ChaosConfig, run_chaos
 
     result = run_chaos(ChaosConfig(seed=seed, ops=60, horizon=60.0,
                                    primary_kill=True))
     assert result.ok, result.describe()
     assert result.promotions == 1
-    assert_methods_agree(result.recorder)
+    assert_matches_reference(result.recorder)
 
 
 @pytest.mark.chaos
@@ -204,7 +203,7 @@ def test_era_checkers_see_lost_window_storm():
     survivor = system.session()
     survivor.write("k0", 100)
     system.quiesce()
-    assert_methods_agree(system.recorder)
+    assert_matches_reference(system.recorder)
     for check in (check_completeness, check_weak_si,
                   check_strong_session_si):
         assert check(system.recorder).ok

@@ -159,17 +159,16 @@ def test_seeded_history_matches_the_recording(detail):
 
 def test_checkers_do_not_write_to_events():
     """Events are plain slot objects now (nothing stops a store), so the
-    read-only contract is checked: every checker, both methods, over a
-    chaos history, leaves every field of every event as it was."""
+    read-only contract is checked: every checker, over a chaos history,
+    leaves every field of every event as it was."""
     result = run_chaos(ChaosConfig(seed=4))
     recorder = result.recorder
     before = events_digest(recorder.events)
     for check in (check_completeness, check_weak_si,
                   check_strong_session_si):
-        for method in ("incremental", "legacy"):
-            fresh = HistoryRecorder(detail=recorder.detail)
-            fresh.events = recorder.events
-            assert check(fresh, method=method).ok
+        fresh = HistoryRecorder(detail=recorder.detail)
+        fresh.events = recorder.events
+        assert check(fresh).ok
     assert events_digest(recorder.events) == before
 
 

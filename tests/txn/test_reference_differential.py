@@ -1,21 +1,22 @@
-"""Differential oracle: the linear-time passes ≡ the reference checkers.
+"""Differential oracle: the production checkers ≡ the reference checkers.
 
-``repro.txn.checkers`` audits sharded and promoted histories with one
-streaming ordering pass and one per-key completeness induction.  The
-pair scans and projected full-state audit they replaced live on in
-``tests/txn/reference_checkers.py``; every history here must get the
-identical ``(ok, checked_transactions, [(kind, message, txns)])`` from
-both, under both ``method``s, for all four public checkers:
+``repro.txn.checkers`` infers snapshots from per-key timelines and
+audits every history with one streaming ordering pass and one per-key
+completeness induction.  ``tests/txn/reference_checkers.py`` does the
+same by materialised states, pair scans and full-state comparison;
+every history here must get the identical ``(ok,
+checked_transactions, [(kind, message, txns)])`` from both, for all four
+public checkers, and the same inversion counts:
 
-* 20 seeds each of four chaos shapes — sharded, sharded with a permanent
-  primary kill, the composed auto-failover sweep, and the unsharded
-  promotion storm;
+* 20 seeds each of six chaos shapes — plain, plain with parallel
+  refresh, sharded, sharded with a permanent primary kill, the composed
+  auto-failover sweep, and the unsharded promotion storm;
 * the same histories under ``check_strong_si``, which finds *real*
   inversions in them (strong-session workloads are not strong SI), so
   the violation path and its source tie-break are compared too;
-* seeded mutations of a sharded promoted history — a refresh write
-  bumped, dropped, or re-keyed — each of which must be caught, with
-  the same message.
+* seeded mutations of a sharded promoted history and of a plain one — a
+  refresh write bumped, dropped, or re-keyed — each of which must be
+  caught, with the same message.
 """
 
 import copy
@@ -25,21 +26,14 @@ from functools import lru_cache
 import pytest
 
 from repro.faults.harness import ChaosConfig, run_chaos
-from repro.txn.checkers import (
-    check_completeness,
-    check_strong_session_si,
-    check_strong_si,
-    check_weak_si,
-    count_transaction_inversions,
-)
+from repro.txn.checkers import check_completeness, check_strong_si
 from repro.txn.history import HistoryRecorder
 
-from tests.txn.reference_checkers import (
-    reference_check_completeness,
-    reference_check_strong,
-)
+from tests.txn.reference_checkers import assert_matches_reference
 
 SHAPES = {
+    "plain": {},
+    "parallel": dict(parallel_refresh=4, refresh_apply_cost=0.02),
     "sharded": dict(shards=8),
     "sharded-kill": dict(shards=8, primary_kill=True),
     "composed": dict(shards=8, primary_kill=True, auto_failover=True,
@@ -48,33 +42,11 @@ SHAPES = {
     "kill": dict(primary_kill=True),
 }
 SEEDS = range(20)
-METHODS = ("incremental", "legacy")
-
-
-def verdict(result):
-    return (result.ok, result.checked_transactions,
-            [(v.kind, v.message, v.txns) for v in result.violations])
 
 
 @lru_cache(maxsize=None)
 def history(shape: str, seed: int) -> HistoryRecorder:
     return run_chaos(ChaosConfig(seed=seed, **SHAPES[shape])).recorder
-
-
-def assert_matches_reference(recorder: HistoryRecorder) -> None:
-    for method in METHODS:
-        assert verdict(check_completeness(recorder, method=method)) \
-            == verdict(reference_check_completeness(recorder, method=method))
-        weak = len(check_weak_si(recorder, method=method).violations)
-        for same_session_only, check in ((True, check_strong_session_si),
-                                         (False, check_strong_si)):
-            reference = reference_check_strong(
-                recorder, same_session_only, method=method)
-            assert verdict(check(recorder, method=method)) \
-                == verdict(reference), (check.__name__, method)
-            assert count_transaction_inversions(
-                recorder, within_sessions=same_session_only, method=method) \
-                == len(reference.violations) - weak
 
 
 @pytest.mark.chaos
@@ -97,12 +69,13 @@ def test_corpus_has_real_inversions_for_strong_si(shape):
 
 
 # ---------------------------------------------------------------------------
-# Seeded mutations of a sharded promoted history
+# Seeded mutations of sharded promoted histories and of a plain one
 # ---------------------------------------------------------------------------
 
 MUTATIONS = ("bump", "drop", "re-key")
 MUTATION_BASE_SEEDS = (2, 5, 11)
 MUTANTS_PER_KIND = 12           # x 3 kinds x 3 base histories = 108
+PLAIN_MUTATION_BASE_SEED = 2    # x 3 kinds x 12 = 36 more
 
 
 def mutate(recorder: HistoryRecorder, kind: str,
@@ -128,16 +101,28 @@ def mutate(recorder: HistoryRecorder, kind: str,
     return mutant
 
 
-@pytest.mark.chaos
-@pytest.mark.parametrize("kind", MUTATIONS)
-@pytest.mark.parametrize("base_seed", MUTATION_BASE_SEEDS)
-def test_mutated_sharded_promoted_history(base_seed, kind):
-    base = history("sharded-kill", base_seed)
+def assert_mutants_caught(base: HistoryRecorder, rng: random.Random,
+                          kind: str) -> None:
     assert check_completeness(base).ok
-    rng = random.Random(f"{base_seed}:{kind}")
     caught = 0
     for _ in range(MUTANTS_PER_KIND):
         mutant = mutate(base, kind, rng)
         assert_matches_reference(mutant)
         caught += not check_completeness(mutant).ok
     assert caught == MUTANTS_PER_KIND
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("kind", MUTATIONS)
+@pytest.mark.parametrize("base_seed", MUTATION_BASE_SEEDS)
+def test_mutated_sharded_promoted_history(base_seed, kind):
+    assert_mutants_caught(history("sharded-kill", base_seed),
+                          random.Random(f"{base_seed}:{kind}"), kind)
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_mutated_plain_history(kind):
+    """The plain route of both sides: 12 mutants of each kind."""
+    assert_mutants_caught(history("plain", PLAIN_MUTATION_BASE_SEED),
+                          random.Random(f"plain:{kind}"), kind)
