@@ -9,7 +9,9 @@ N times, alternating which side goes first, prints every run made, and
 then, per end-to-end metric of the parent's ``BENCHMARK.json``: each
 side's median and quartiles, the pairs the change won (ties count for
 neither), and whether the medians differ by more than the distance
-between the parent's quartiles.  A gain may be claimed when the change
+between the parent's quartiles.  A resolved decline is "worse, within
+bound" or "worse, past bound" by the metric's ``bound`` in
+``BENCHMARK.json``.  A gain may be claimed when the change
 wins at least nine tenths of the pairs *and* the medians are resolved
 (the choosing-metrics guide, section 8); the run length is the
 benchmark's own on both sides.
@@ -41,8 +43,10 @@ def quartiles(values: list) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def compare(parent: list, change: list, better: str) -> dict:
-    """Summarise paired values of one metric (``better``: higher/lower)."""
+def compare(parent: list, change: list, better: str, bound: float) -> dict:
+    """Summarise paired values of one metric (``better``: higher/lower;
+    ``bound``: the decline, as a fraction of the parent's median, that
+    ``BENCHMARK.json`` lets the metric take before it is a regression)."""
     sign = 1.0 if better == "higher" else -1.0
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
@@ -50,13 +54,15 @@ def compare(parent: list, change: list, better: str) -> dict:
     c_q1, c_median, c_q3 = quartiles(change)
     resolved = abs(c_median - p_median) > p_q3 - p_q1
     improved = sign * (c_median - p_median) > 0
+    within = abs(c_median - p_median) <= bound * abs(p_median)
     return {
         "parent": (p_q1, p_median, p_q3), "change": (c_q1, c_median, c_q3),
         "ratio": c_median / p_median if p_median else float("nan"),
         "won": won, "lost": lost, "pairs": len(parent),
         "resolved": resolved,
         "verdict": ("unresolved" if not resolved
-                    else "worse" if not improved
+                    else "worse, within bound" if not improved and within
+                    else "worse, past bound" if not improved
                     else "gain" if won >= WIN_SHARE * len(parent)
                     else "better, too few pairs won"),
     }
@@ -115,7 +121,7 @@ def main(argv=None) -> int:
         name = metric["name"]
         row = compare([run["metrics"][name] for run in runs["parent"]],
                       [run["metrics"][name] for run in runs["change"]],
-                      metric["better"])
+                      metric["better"], metric["bound"])
         spans = ["/".join(f"{value:.5g}" for value in row[side])
                  for side in ("parent", "change")]
         print(f"{name:<20}{spans[0]:>36}{spans[1]:>36}{row['ratio']:>8.3f}"

@@ -401,7 +401,8 @@ class _Analysis(_HistoryAxes):
         return bisect_left(self.axis_commit_seqs[era], seq)
 
     def analyze(self) -> tuple[list[_Analyzed], list[Violation]]:
-        """Infer candidate snapshots for all committed client txns."""
+        """Infer candidate snapshots for all committed client txns,
+        listed in begin order."""
         analyzed: list[_Analyzed] = []
         violations: list[Violation] = []
         eras = self.eras
@@ -428,9 +429,10 @@ class _Analysis(_HistoryAxes):
                     view.commit_ts, upper, era,
                     constraints if sharded else ()))
                 continue
-            candidates, admissible = self._candidates(era, constraints,
-                                                      upper)
+            admissible = self._candidates(era, constraints, upper)
             if not admissible:
+                candidates = self._candidates(era, constraints,
+                                              len(self.axes[era]))
                 if candidates:
                     message = (
                         f"txn {view.logical_id or view.txn_id} saw a state "
@@ -466,18 +468,19 @@ class _Analysis(_HistoryAxes):
         return True
 
     def _candidates(self, era: int, constraints: list[tuple[Any, Any, bool]],
-                    upper: int) -> tuple[IntervalSet, IntervalSet]:
-        """Intersection of the per-constraint admissible interval sets,
-        and its members no newer than ``upper``."""
+                    upper: int) -> IntervalSet:
+        """The era-axis states no newer than ``upper`` that satisfy every
+        read constraint: ``[0, upper]`` intersected with each
+        constraint's admissible intervals."""
         timelines = self.axis_timelines[era]
-        candidates = IntervalSet.full(timelines.num_commits)
+        candidates = IntervalSet.full(min(upper, timelines.num_commits))
         intervals_for = timelines.intervals_for
         for key, value, present in constraints:
+            if not candidates:
+                break       # intersection can only shrink further
             candidates = candidates.intersect(
                 intervals_for(key, value, present))
-            if candidates.empty:
-                break       # intersection can only shrink further
-        return candidates, candidates.clamp_max(upper)
+        return candidates
 
 
 def check_weak_si(recorder: HistoryRecorder,
@@ -546,7 +549,8 @@ def _streaming_ordering(analyzed: list[_Analyzed], same_session_only: bool,
     regime's tail no longer exists), and because the clamp depends only
     on the era pair, clamping the per-era maximum equals the maximum of
     the clamped obligations.  An unsharded history is the one-shard
-    case and a history without promotions has no clamps.
+    case and a history without promotions has no clamps; when both
+    hold, a pool is a single running maximum.
 
     The running maxima do not remember *which* Ti set them.  The
     violation message names the earliest-begun Ti reaching the bound
@@ -585,12 +589,15 @@ def _streaming_ordering(analyzed: list[_Analyzed], same_session_only: bool,
         return bound
 
     violations: list[Violation] = []
-    ordered = sorted(analyzed, key=lambda a: a.view.begin_seq)
-    by_end = sorted((a for a in analyzed if a.view.end_seq >= 0),
-                    key=lambda a: a.view.end_seq)
-    #: pool label -> era -> shard -> max obligation admitted so far.
-    pools: dict[Any, dict[int, dict[int, int]]] = defaultdict(
-        lambda: defaultdict(dict))
+    ordered = analyzed          # analyze() lists them in begin order
+    by_end = sorted(analyzed, key=attrgetter("view.end_seq"))
+    # One shard and one era: an obligation is the scalar ``obligations``
+    # would put on shard 0 — an update's commit number, a reader's
+    # snapshot — and a pool is one running maximum per label.
+    scalar = not sharded and len(eras) == 1
+    #: pool label -> max obligation admitted so far, or else
+    #: pool label -> era -> shard -> max obligation.
+    pools: Any = {} if scalar else defaultdict(lambda: defaultdict(dict))
     admit_pos = 0
     for tj in ordered:
         begin = tj.view.begin_seq
@@ -601,6 +608,12 @@ def _streaming_ordering(analyzed: list[_Analyzed], same_session_only: bool,
             label = ti.view.session if same_session_only else None
             if ti.snapshot is None or (same_session_only and label is None):
                 continue   # (an end before its own begin cannot occur)
+            if scalar:
+                ts = ti.snapshot if ti.commit_index is None \
+                    else ti.commit_index
+                if ts > pools.get(label, 0):
+                    pools[label] = ts
+                continue
             maxima = pools[label][ti.era]
             for shard, ts in obligations(ti).items():
                 if ts > maxima.get(shard, 0):
@@ -612,11 +625,14 @@ def _streaming_ordering(analyzed: list[_Analyzed], same_session_only: bool,
             tj.read_shards = history.shards(
                 map(itemgetter(0), tj.constraints))
         label = tj.view.session if same_session_only else None
-        lower = 0
-        for era, maxima in pools.get(label, {}).items():
-            bound = bound_on(tj, maxima, era)
-            if bound > lower:
-                lower = bound
+        if scalar:
+            lower = pools.get(label, 0)
+        else:
+            lower = 0
+            for era, maxima in pools.get(label, {}).items():
+                bound = bound_on(tj, maxima, era)
+                if bound > lower:
+                    lower = bound
         if tj.pinned:
             snapshot = tj.admissible.min()
             feasible = snapshot >= lower

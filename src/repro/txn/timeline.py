@@ -11,14 +11,15 @@ O(commits · keys) memory.  They work per key instead:
   key at any state ``S^i`` is then a single ``bisect``.
 * A read constraint ``(key, value, present)`` admits a **union of
   index intervals** — the segments of the key's timeline whose value
-  matches — and a transaction's candidate snapshot set is the
-  *intersection* of its constraints' interval sets, never an explicit
-  list of indices.
+  matches — and a transaction's candidate snapshot set is ``0..upper``
+  (the states committed before it began) *intersected* with its
+  constraints' interval sets, never an explicit list of indices.
 
 :class:`IntervalSet` keeps those candidate sets as sorted, disjoint,
-inclusive ``(lo, hi)`` pairs with exactly the operations the checkers
-need: intersection, clamping to an upper bound, min/max, and "smallest
-member >= lower" (the greedy-minimum snapshot assignment).
+inclusive ``(lo, hi)`` pairs with the operations the checkers need:
+the full range up to a bound, intersection, min/max, and "smallest
+member >= lower" (the greedy-minimum snapshot assignment).  Sets are
+never mutated once built, so an operation may return an operand.
 """
 
 from __future__ import annotations
@@ -44,9 +45,18 @@ class IntervalSet:
             self._his.append(hi)
 
     @classmethod
+    def _of(cls, los: list[int], his: list[int]) -> "IntervalSet":
+        """Adopt bound lists that already hold sorted, disjoint, non-empty
+        intervals (the generic constructor's loop costs more than the set)."""
+        result = cls.__new__(cls)
+        result._los = los
+        result._his = his
+        return result
+
+    @classmethod
     def full(cls, hi: int) -> "IntervalSet":
         """All indices ``0..hi`` inclusive (empty when ``hi < 0``)."""
-        return cls(((0, hi),))
+        return cls._of([0], [hi]) if hi >= 0 else cls._of([], [])
 
     # -- queries ---------------------------------------------------------
     @property
@@ -92,11 +102,21 @@ class IntervalSet:
 
     # -- algebra ---------------------------------------------------------
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """Two-pointer intersection, O(intervals_self + intervals_other)."""
-        result = IntervalSet()
-        los, his = result._los, result._his
+        """Two-pointer intersection, O(intervals_self + intervals_other).
+
+        When one operand is a single interval covering the other, the
+        other is returned as is (sets are never mutated, so sharing is
+        safe)."""
         a_lo, a_hi = self._los, self._his
         b_lo, b_hi = other._los, other._his
+        if len(a_lo) == 1 and b_lo and a_lo[0] <= b_lo[0] \
+                and b_hi[-1] <= a_hi[0]:
+            return other
+        if len(b_lo) == 1 and a_lo and b_lo[0] <= a_lo[0] \
+                and a_hi[-1] <= b_hi[0]:
+            return self
+        los: list[int] = []
+        his: list[int] = []
         i = j = 0
         while i < len(a_lo) and j < len(b_lo):
             lo = a_lo[i] if a_lo[i] > b_lo[j] else b_lo[j]
@@ -108,17 +128,15 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return result
+        return IntervalSet._of(los, his)
 
     def clamp_max(self, upper: int) -> "IntervalSet":
-        """Members ``<= upper`` (used for the begin-time upper bound)."""
-        result = IntervalSet()
-        for lo, hi in zip(self._los, self._his):
-            if lo > upper:
-                break
-            result._los.append(lo)
-            result._his.append(min(hi, upper))
-        return result
+        """Members ``<= upper``."""
+        count = bisect_right(self._los, upper)
+        his = self._his[:count]
+        if count and his[-1] > upper:
+            his[-1] = upper
+        return IntervalSet._of(self._los[:count], his)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pairs = ", ".join(f"{lo}..{hi}"
@@ -240,27 +258,29 @@ class KeyTimelines:
         starts = self._starts.get(key)
         if starts is None:
             return IntervalSet()
-        n = self.num_commits
+        positions = None
         by_value = self._value_index(key)
         if by_value is not None:
-            positions = by_value.get(value, ())
-            if not positions:
-                # Hash lookup can miss cross-type equalities (e.g. 1 vs
-                # 1.0 hash equal, but a custom __eq__ without __hash__
-                # parity cannot); fall back to scanning when the fast
-                # path found nothing but a slow equality might not.
-                positions = [pos for pos, (v, d)
-                             in enumerate(self._entries[key])
-                             if not d and v == value]
-            intervals = []
-            for pos in positions:
-                hi = starts[pos + 1] - 1 if pos + 1 < len(starts) else n
-                if hi >= starts[pos]:
-                    intervals.append((starts[pos], hi))
-            return IntervalSet(intervals)
-        return IntervalSet(
-            (lo, hi) for lo, hi, v, deleted in self._segments(key)
-            if not deleted and v == value)
+            try:
+                positions = by_value.get(value)
+            except TypeError:           # an unhashable read value
+                pass
+        if not positions:
+            # The segment scan: for an unhashable value on either side,
+            # and for cross-type equalities a hash lookup can miss (1 vs
+            # 1.0 hash equal, but a custom __eq__ without __hash__
+            # parity cannot).
+            positions = [pos for pos, (v, d) in enumerate(self._entries[key])
+                         if not d and v == value]
+        n = self.num_commits
+        los: list[int] = []
+        his: list[int] = []
+        for pos in positions:
+            hi = starts[pos + 1] - 1 if pos + 1 < len(starts) else n
+            if hi >= starts[pos]:
+                los.append(starts[pos])
+                his.append(hi)
+        return IntervalSet._of(los, his)
 
     def intervals_absent(self, key: Any) -> IntervalSet:
         """States where ``key`` is not present."""

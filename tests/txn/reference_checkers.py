@@ -94,11 +94,10 @@ class _MaterialisedAnalysis(_Analysis):
                                                      constraints)
 
     def _candidates(self, era: int, constraints: list[tuple[Any, Any, bool]],
-                    upper: int) -> tuple[IntervalSet, IntervalSet]:
-        candidates = [i for i, state in enumerate(self.axis_states[era])
-                      if _satisfied(state, constraints)]
-        return (IntervalSet((i, i) for i in candidates),
-                IntervalSet((i, i) for i in candidates if i <= upper))
+                    upper: int) -> IntervalSet:
+        return IntervalSet((i, i) for i, state
+                           in enumerate(self.axis_states[era])
+                           if i <= upper and _satisfied(state, constraints))
 
 
 def _era_of(eras: list[_Era], seq: int) -> int:

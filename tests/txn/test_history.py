@@ -13,6 +13,7 @@ from tests.txn.reference_checkers import (
     _MaterialisedAnalysis,
     assert_matches_reference,
 )
+from tests.txn.test_reference_differential import SHAPES, history
 
 
 @pytest.fixture
@@ -265,6 +266,57 @@ def test_events_are_slots_backed(recorder):
     assert not hasattr(event, "__dict__")
     with pytest.raises((AttributeError, TypeError)):
         event.scratch = 1
+
+
+_SITE_KINDS = ("recover", "promote", "subscribe")
+_STATUS = {"commit": "committed", "abort": "aborted"}
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("shape", SHAPES)
+def test_aggregation_matches_a_filter_and_sort(shape):
+    """The one aggregation pass against the obvious computation over the
+    event list: group by transaction, then filter and sort by end."""
+    recorder = history(shape, 0)
+    events = recorder.events
+    grouped: dict = {}
+    for event in events:
+        if event.kind not in _SITE_KINDS:
+            grouped.setdefault((event.site, event.txn_id), []).append(event)
+    views = recorder.transactions()
+    assert list(views) == list(grouped)
+    for key, txn_events in grouped.items():
+        view = views[key]
+        begin = next(e for e in txn_events if e.kind == "begin")
+        ends = [e for e in txn_events if e.kind in _STATUS]
+        end = ends[-1] if ends else None
+        for kind in ("read", "write", "scan"):
+            assert getattr(view, kind + "s") == [
+                e for e in txn_events if e.kind == kind]
+        assert (view.site, view.txn_id, view.logical_id, view.session,
+                view.refresh_of) == (begin.site, begin.txn_id,
+                                     begin.logical_id, begin.session,
+                                     begin.refresh_of)
+        assert (view.begin_seq, view.begin_time, view.start_ts) == (
+            begin.seq, begin.time, begin.start_ts)
+        assert view.is_update == (begin.update_declared or bool(view.writes))
+        assert view.status == (_STATUS[end.kind] if end else "active")
+        assert (view.end_seq, view.end_time) == (
+            (end.seq, end.time) if end else (-1, 0.0))
+        assert view.commit_ts == (
+            end.commit_ts if end and end.kind == "commit" else None)
+    committed = sorted((v for v in views.values() if v.committed),
+                       key=lambda v: v.end_seq)
+    assert [v.key for v in recorder.committed()] == [v.key for v in committed]
+    sites = list(dict.fromkeys(event.site for event in events))
+    assert recorder.sites() == sites
+    for site in sites:
+        assert [v.key for v in recorder.committed(site)] \
+            == [v.key for v in committed if v.site == site]
+    assert [v.key for v in recorder.client_transactions()] \
+        == [v.key for v in committed if v.refresh_of is None]
+    assert recorder.site_events() == [
+        event for event in events if event.kind in _SITE_KINDS]
 
 
 def test_transactions_cache_invalidated_by_new_events(db, recorder):

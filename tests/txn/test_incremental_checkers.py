@@ -186,6 +186,29 @@ def test_agree_on_future_snapshot(recorder, primary, secondary):
     assert weak.violations[0].kind == "future-snapshot"
 
 
+def test_agree_on_unhashable_read_value(recorder, primary):
+    """A read of a dict where every primary version of the key is
+    hashable: the per-value index cannot be asked, and the checker used
+    to raise a bare ``TypeError`` instead of reporting the read."""
+    class FakeTxn:
+        txn_id = 92
+        start_ts = 1
+        commit_ts = None
+        metadata = {"logical_id": "r", "session": "c2"}
+        is_update = False
+
+    update(primary, "t1", "c1", {"x": 1})
+    fake = FakeTxn()
+    recorder.record("begin", "secondary-1", fake, 0.0)
+    recorder.record("read", "secondary-1", fake, 0.0, key="x",
+                    value={"a": 1}, producer=1)
+    recorder.record("commit", "secondary-1", fake, 0.0)
+    _, weak, *_ = assert_matches_reference(recorder)
+    assert [(v.kind, v.message) for v in weak.violations] == [(
+        "no-consistent-snapshot",
+        "txn r reads match no transaction-consistent primary state")]
+
+
 def test_agree_on_secondary_ahead(recorder, primary, secondary):
     update(primary, "t1", "c1", {"x": 1})
     refresh(secondary, "t1", {"x": 1})
