@@ -27,7 +27,7 @@ class SiteStatus:
     commits: int
     aborts: int
     seq_db: Optional[int]           # None for the primary
-    lag: Optional[int]              # commits behind the primary
+    lag: Optional[int]              # ReplicatedSystem.replica_lag
     queued_records: Optional[int]
     pending_refreshes: Optional[int]
     refreshes_applied: Optional[int]
@@ -277,7 +277,7 @@ def system_status(system: "ReplicatedSystem") -> SystemStatus:
             continue
         lag = None
         if not secondary.engine.crashed:
-            lag = primary_ts - secondary.seq_db
+            lag = system.replica_lag(secondary)
             max_lag = max(max_lag, lag)
         link = system.propagator.link_for(secondary)
         dropped = duplicated = retransmissions = filtered = 0
@@ -471,9 +471,8 @@ class StalenessProbe:
         while True:
             yield self.system.kernel.sleep(self.interval)
             lag = 0
-            primary_ts = self.system.primary.latest_commit_ts
             for secondary in self.system.secondaries:
                 if secondary.live:
-                    lag = max(lag, primary_ts - secondary.seq_db)
+                    lag = max(lag, self.system.replica_lag(secondary))
             self.stats.add(lag)
             self.samples.append((self.system.kernel.now, lag))

@@ -6,8 +6,9 @@ ordered versus conflict admission and the contiguous watermark — is
 :class:`ApplySchedule`, which knows no kernel.  Two models drive it: the
 functional :class:`Refresher` below, where Theorems 3.1/3.2/4.1 are
 checked, and the simulator's secondaries (:mod:`repro.simmodel.model`),
-which produce the paper's figures.  Each supplies only how records
-arrive and wait, and how apply time is charged.
+which produce the paper's figures with ordered admission only.  Each
+supplies only how records arrive and wait, and how apply time is
+charged.
 
 One refresher runs per secondary, as a callback state machine rather
 than a process.  Each propagated record is handled inside its own

@@ -1221,8 +1221,23 @@ class ReplicatedSystem:
         """Latest committed key-value state at a secondary."""
         return self.secondaries[index].engine.state_at()
 
+    def replica_lag(self, secondary: SecondarySite) -> int:
+        """How many commits ``secondary`` is behind, on the axes it holds.
+
+        Each frontier is measured against the newest commit on its axis,
+        so a partial subscriber that holds every commit on its shards is
+        0 behind.  Under full replication this is
+        ``primary_commit_ts - seq(DBsec)``: the propagator's newest
+        commit is the primary's newest outside a primary commit, which
+        advances the engine's counter and then logs the commit in one
+        synchronous call.
+        """
+        newest = self.propagator.newest_commit_ts
+        return max(max(0, newest(axis) - secondary.frontier(axis))
+                   for axis in secondary.axes)
+
     def max_staleness(self) -> int:
-        """Largest frontier lag across live secondaries, in commits.
+        """Largest :meth:`replica_lag` across live secondaries.
 
         Raises
         ------
@@ -1232,11 +1247,7 @@ class ReplicatedSystem:
             freshness-based routing treat a fully-dark replica tier as
             up to date.
         """
-        # A replica is only as stale as the axes it holds: each frontier
-        # is measured against the newest commit on that axis.
-        newest = self.propagator.newest_commit_ts
-        lags = [max(max(0, newest(axis) - secondary.frontier(axis))
-                    for axis in secondary.axes)
+        lags = [self.replica_lag(secondary)
                 for secondary in self.secondaries if secondary.live]
         if not lags:
             raise NoLiveSecondariesError(

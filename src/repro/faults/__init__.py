@@ -18,8 +18,7 @@ imports ``repro.core.system`` — eager re-export would be a cycle.
 from repro.faults.channel import NO_FAULTS, ChannelFaults, FaultyChannel
 from repro.faults.plan import ACTIONS, FaultEvent, FaultInjector, FaultPlan
 
-_HARNESS = ("ChaosConfig", "ChaosResult", "DEFAULT_FAULTS", "run_chaos",
-            "run_chaos_suite")
+_HARNESS = ("ChaosConfig", "ChaosResult", "DEFAULT_FAULTS", "run_chaos")
 
 __all__ = [
     "ACTIONS",

@@ -670,12 +670,3 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
     result.same_instant_ratio = kernel_counters["same_instant_ratio"]
     return result
 
-
-def run_chaos_suite(seeds: list[int],
-                    base: Optional[ChaosConfig] = None,
-                    **overrides) -> list[ChaosResult]:
-    """Run one chaos schedule per seed (shared config shape)."""
-    from dataclasses import replace
-    template = base or ChaosConfig(seed=0)
-    return [run_chaos(replace(template, seed=seed, **overrides))
-            for seed in seeds]

@@ -13,20 +13,22 @@ scheduler so that
   (:mod:`repro.simmodel`).
 
 A *process* is a Python generator that ``yield``\\ s awaitable objects
-(sleeps, queue gets, condition waits, joins) and is resumed by the kernel
-with the awaited value.
+(sleeps, condition waits, timeouts) and is resumed by the kernel with the
+awaited value.
 
 Example
 -------
->>> from repro.kernel import Kernel, Queue
+>>> from repro.kernel import Condition, Kernel
 >>> k = Kernel()
->>> q = Queue(k)
+>>> ready = Condition(k)
+>>> mailbox = []
 >>> def producer():
 ...     yield k.sleep(1.0)
-...     q.put("hello")
+...     mailbox.append("hello")
+...     ready.notify_all()
 >>> def consumer():
-...     item = yield q.get()
-...     return (k.now, item)
+...     yield ready.wait_for(lambda: mailbox)
+...     return (k.now, mailbox.pop(0))
 >>> _ = k.spawn(producer())
 >>> c = k.spawn(consumer())
 >>> k.run()
@@ -36,7 +38,7 @@ Example
 
 from repro.kernel.loop import (Checkpoint, Kernel, Process, Sleep,
                                Timeout, TimeoutExpired, Timer)
-from repro.kernel.sync import Condition, Event, Queue
+from repro.kernel.sync import Condition
 
 __all__ = [
     "Kernel",
@@ -47,6 +49,4 @@ __all__ = [
     "TimeoutExpired",
     "Timer",
     "Condition",
-    "Event",
-    "Queue",
 ]

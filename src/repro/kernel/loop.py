@@ -18,8 +18,8 @@ earlier-``seq`` timed events at the same instant.
 Awaitable protocol
 ------------------
 Anything a process ``yield``\\ s must implement ``_block(kernel, process)``:
-arrange for ``kernel._resume(process, value)`` (or ``_throw``) to be called
-later, and return nothing.  Awaitables that support cancellation (so that
+arrange for ``kernel._resume(process, value)`` to be called later, and
+return nothing.  Awaitables that support cancellation (so that
 :meth:`Kernel.kill` can detach a blocked process) also implement
 ``_cancel(process)``.
 """
@@ -51,7 +51,7 @@ class Process:
     Attributes
     ----------
     name:
-        Human-readable label, used in error messages and traces.
+        Human-readable label, used in error messages.
     alive:
         True until the generator returns or raises.
     result:
@@ -69,7 +69,6 @@ class Process:
         "result",
         "exception",
         "daemon",
-        "_joiners",
         "_blocked_on",
         "_deadline_timer",
     )
@@ -84,16 +83,11 @@ class Process:
         self.result: Any = None
         self.exception: Optional[BaseException] = None
         self.daemon = daemon
-        self._joiners: list[Process] = []
         # The awaitable this process is currently blocked on (for cancel).
         self._blocked_on: Any = None
         # Head of the chain of armed Timeout deadline timers (nested
         # Timeouts stack); cancelled wholesale whenever the process steps.
         self._deadline_timer: Optional[Timer] = None
-
-    def join(self) -> "Join":
-        """Awaitable that resumes the caller when this process finishes."""
-        return Join(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "done"
@@ -200,7 +194,11 @@ class Timeout:
     deadline, a wait that is *already satisfiable* when the deadline lands
     wins the tie, including at ``limit=0``.
 
-    >>> value = yield Timeout(queue.get(), limit=5.0)
+    A strong-session read that waits at most ``max_wait`` for its
+    secondary to catch up::
+
+        yield Timeout(site.seq_cond.wait_for(
+            lambda: site.reached(required)), max_wait)
     """
 
     __slots__ = ("inner", "limit")
@@ -231,33 +229,6 @@ class Timeout:
             cancel(process)
 
 
-class Join:
-    """Awaitable: resume when the target process finishes.
-
-    The awaiting process receives the target's ``result``.  If the target
-    terminated with an exception, that exception is re-raised in the waiter.
-    """
-
-    __slots__ = ("target",)
-
-    def __init__(self, target: Process):
-        self.target = target
-
-    def _block(self, kernel: "Kernel", process: Process) -> None:
-        if not self.target.alive:
-            if self.target.exception is not None:
-                kernel._schedule(kernel._now, kernel._throw, process,
-                                 self.target.exception)
-            else:
-                kernel._post(process, self.target.result)
-            return
-        self.target._joiners.append(process)
-
-    def _cancel(self, process: Process) -> None:
-        if process in self.target._joiners:
-            self.target._joiners.remove(process)
-
-
 class Kernel:
     """A deterministic virtual-time scheduler for cooperative processes."""
 
@@ -266,7 +237,6 @@ class Kernel:
         self._seq: int = 0
         self._next_pid: int = 0
         self._live_nondaemon: int = 0
-        self._trace: Optional[Callable[[str], None]] = None
         # Observability counters: properties of the dispatched event
         # stream, exact whenever read (from inside a callback too).
         self._dispatched: int = 0
@@ -278,12 +248,11 @@ class Kernel:
         # order, and a ``(when, seq)`` heap of everything later.
         self._ready: deque = deque()
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
-        # Cache the bound resume/throw callbacks in the instance dict:
-        # every scheduled event closes over one of them, and looking the
-        # method up on the class would allocate a fresh bound method per
-        # event (tens of thousands per simulated minute).
+        # Cache the bound resume callback in the instance dict: most
+        # scheduled events close over it, and looking the method up on
+        # the class would allocate a fresh bound method per event (tens
+        # of thousands per simulated minute).
         self._resume = self._resume        # type: ignore[method-assign]
-        self._throw = self._throw          # type: ignore[method-assign]
         #: ``clock()`` is :attr:`now` as a callable with no Python frame,
         #: for code that stamps every event it records with the time.
         self.clock: Callable[[], float] = partial(_read_now, self)
@@ -397,10 +366,6 @@ class Kernel:
         process._blocked_on = None
         self._step(process, ProcessKilled(f"{process.name} killed"), throw=True)
 
-    def set_trace(self, fn: Optional[Callable[[str], None]]) -> None:
-        """Install a trace hook receiving one line per process step."""
-        self._trace = fn
-
     @property
     def pending_events(self) -> int:
         """Number of scheduled-but-unfired live events (for tests/diagnostics).
@@ -498,10 +463,6 @@ class Kernel:
         if process.alive:
             self._step(process, value, False)
 
-    def _throw(self, process: Process, exc: BaseException) -> None:
-        if process.alive:
-            self._step(process, exc, True)
-
     def _timeout_expired(self, process: Process, timeout: Timeout) -> None:
         # Fires only while the process is still parked on the wait that
         # armed it: any earlier resume/kill stepped the process, and
@@ -527,8 +488,6 @@ class Kernel:
                 deadline.cancel()
                 deadline = deadline._chain
         process._blocked_on = None
-        if self._trace is not None:  # pragma: no cover - tracing aid
-            self._trace(f"[{self._now:.6f}] step {process.name}")
         gen = process._gen
         try:
             if throw:
@@ -541,7 +500,7 @@ class Kernel:
         except ProcessKilled as exc:
             self._finish(process, result=None, exception=None if throw else exc)
             return
-        except BaseException as exc:  # noqa: BLE001 - propagate to joiners
+        except BaseException as exc:  # noqa: BLE001 - surfaced by _finish
             self._finish(process, result=None, exception=exc)
             return
         if awaited is None:
@@ -565,12 +524,6 @@ class Kernel:
         process.exception = exception
         if not process.daemon:
             self._live_nondaemon -= 1
-        joiners, process._joiners = process._joiners, []
-        for waiter in joiners:
-            if exception is not None:
-                self._schedule(self._now, self._throw, waiter, exception)
-            else:
-                self._post(waiter, result)
-        if exception is not None and not joiners:
-            # Surface unobserved failures instead of dropping them silently.
+        if exception is not None:
+            # Surface failures instead of dropping them silently.
             raise exception

@@ -25,7 +25,6 @@ from repro.sim.resources import (
 from repro.sim.stats import (
     ConfidenceInterval,
     MetricsCollector,
-    ReplicationSummary,
     SummaryStats,
     mean_ci,
 )
@@ -38,6 +37,5 @@ __all__ = [
     "SummaryStats",
     "MetricsCollector",
     "ConfidenceInterval",
-    "ReplicationSummary",
     "mean_ci",
 ]

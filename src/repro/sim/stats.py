@@ -9,7 +9,7 @@ first five as warm-up, averages five independent replications, and reports
 * **mean response time** per transaction class (read-only / update).
 
 :class:`MetricsCollector` gathers per-transaction completions inside one
-run; :class:`ReplicationSummary` aggregates across replications.
+run; :func:`mean_ci` aggregates across replications.
 """
 
 from __future__ import annotations
@@ -217,20 +217,3 @@ class MetricsCollector:
     def classes(self) -> list[str]:
         return sorted(self._classes)
 
-
-@dataclass
-class ReplicationSummary:
-    """Aggregates one metric over independent replications."""
-
-    name: str
-    values: list[float] = field(default_factory=list)
-
-    def add(self, value: float) -> None:
-        self.values.append(value)
-
-    def ci(self, confidence: float = 0.95) -> ConfidenceInterval:
-        return mean_ci(self.values, confidence)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values) if self.values else 0.0

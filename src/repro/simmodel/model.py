@@ -31,8 +31,8 @@ inside the server's completion event, before the server re-arms):
 every event already queued), where a request is a new arrival *after*
 the departure and the server must first re-arm over the jobs that
 remain: an **aborted update's retry**, each next operation under
-``per_op_requests``, every applicator started under bounded slots
-(``serial_refresh``, ``parallel_refresh``), and a **blocked read's
+``per_op_requests``, every applicator started under
+``serial_refresh``'s single slot, and a **blocked read's
 release** — a read-only transaction captures its required sequence
 number at submission (``0`` for ALG-WEAK-SI, ``seq(c)`` for
 ALG-STRONG-SESSION-SI, the global sequence for ALG-STRONG-SI) and waits
@@ -43,11 +43,11 @@ processor-sharing clock at other instants, and one completion time
 (``tests/simmodel/golden_modes.json`` pins every mode's results;
 ``docs/architecture.md``, "The simulator's event graph").
 
-Four slow periodic actors stay kernel processes: the **propagator**
+Two slow periodic actors stay kernel processes: the **propagator**
 (accumulates start/commit/abort records and feeds them to every
 secondary each ``propagation_delay`` cycle — a log sniffer: it uses no
-concurrency control and no modelled network resource), the lag sampler,
-and the optional autovacuum and heartbeat daemons.
+concurrency control and no modelled network resource) and the lag
+sampler.
 
 Read-only transactions are never blocked by refresh transactions at the
 server level other than through server sharing, mirroring "read-only
@@ -61,7 +61,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Union
 
-from repro.core.admission import TokenBucket
 from repro.core.refresh import ApplySchedule
 from repro.core.sessions import SequenceTracker
 from repro.errors import ConfigurationError
@@ -93,35 +92,22 @@ _ABORT = _AbortRecord()
 @dataclass(frozen=True)
 class _CommitRecord:
     commit_ts: int
-    #: Apply service demand at a subscribing secondary.
+    #: Apply service demand at every secondary.
     demand: float
-    #: The latest earlier commit this one conflicts with, if any (drawn
-    #: only under ``parallel_refresh``): it must apply after it.
-    after: tuple = ()
-    #: Shard the transaction's write set falls in.  Only meaningful
-    #: under ``params.shards``; 0 otherwise.
-    shard: int = 0
 
 
 class _SecondaryModel(ApplySchedule):
     """One secondary site in the simulation: an apply schedule whose
     jobs are commit records, fed from a cursor."""
 
-    def __init__(self, index: int, server: Server, slots: int | None,
-                 ordered: bool):
-        super().__init__(slots, ordered)
+    def __init__(self, index: int, server: Server, slots: int | None):
+        super().__init__(slots, True)
         self.index = index
         self.server = server
         self.seq_db = 0
         #: Blocked read-only transactions, ``(required, client)`` in
         #: arrival order; scanned whenever ``seq(DBsec)`` advances.
         self.waiters: list[tuple[int, _Client]] = []
-        #: Shards this secondary subscribes to under partial replication;
-        #: ``None`` (classic full replication) applies every commit.  An
-        #: unsubscribed commit still advances ``seq(DBsec)`` — only its
-        #: apply demand is zero, mirroring the functional system's
-        #: per-shard streams (headers are sequenced, bodies filtered).
-        self.subscription: frozenset[int] | None = None
         #: ``(batch, index)`` of the record the feed stopped in front of.
         self.cursor: tuple | None = None
         #: Batches queued behind a stopped feed.
@@ -195,14 +181,6 @@ class _Client:
             else:
                 self.read()
             return
-        bucket = model._admission_bucket
-        if bucket is not None and not bucket.try_acquire(now):
-            # Shed at the door: no service demand reaches the primary
-            # and — crucially — no RNG draw happens, so the admitted
-            # traffic's random sequences match the unthrottled model's.
-            model.counters.updates_shed += 1
-            self.next_txn()
-            return
         self.submitted = now
         self.n_ops = self.randint(params.tran_size_min, params.tran_size_max)
         rng_random = self.random
@@ -254,20 +232,8 @@ class _Client:
         model._commit_counter += 1
         commit_ts = model._commit_counter
         model.counters.update_commits += 1
-        after = ()
-        conflict_rng = model._conflict_rng
-        if conflict_rng is not None and commit_ts > 1 \
-                and conflict_rng.bernoulli(params.conflict_prob):
-            # Conflict with a recent earlier commit (the paper's hotspot
-            # analogue): the refresh scheduler must order the pair.
-            after = (conflict_rng.randint(max(1, commit_ts - 8),
-                                          commit_ts - 1),)
-        shard = 0
-        if model._shard_rng is not None:
-            shard = model._shard_rng.randint(0, params.shards - 1)
         model._propagation_buffer.append(_CommitRecord(
-            commit_ts, self.update_ops * params.op_service_time, after,
-            shard))
+            commit_ts, self.update_ops * params.op_service_time))
         model.tracker.on_primary_commit(self.label, commit_ts)
         model.metrics.record_completion("update", self.submitted,
                                         kernel._now)
@@ -297,14 +263,6 @@ class ModelCounters:
     records_propagated: int = 0
     propagation_cycles: int = 0
     sessions_started: int = 0
-    vacuum_passes: int = 0
-    heartbeats_sent: int = 0
-    #: Commit records applied with zero demand because the secondary did
-    #: not subscribe to their shard (partial replication only).
-    sharded_skips: int = 0
-    #: Update transactions shed at the door by the admission token
-    #: bucket (``admission_rate`` only) — zero demand, zero RNG draws.
-    updates_shed: int = 0
     max_pending: dict[int, int] = field(default_factory=dict)
 
 
@@ -321,38 +279,12 @@ class LazyReplicationModel:
         self.tracker = SequenceTracker()
         self.counters = ModelCounters()
         self.primary_server = self._make_server("primary")
-        slots = 1 if params.serial_refresh else params.parallel_refresh
+        slots = 1 if params.serial_refresh else None
         self.secondaries = [
-            _SecondaryModel(i, self._make_server(f"sec{i}"), slots,
-                            params.parallel_refresh is None)
+            _SecondaryModel(i, self._make_server(f"sec{i}"), slots)
             for i in range(params.num_sec)
         ]
         self._commit_counter = 0
-        # Conflict dependencies are drawn from a dedicated stream, and
-        # only when parallel refresh is on, so every other
-        # configuration's random sequences stay byte-identical.
-        self._conflict_rng = (self.streams.stream("conflicts")
-                              if params.parallel_refresh is not None
-                              else None)
-        # Shard stamps likewise come from a dedicated stream, drawn only
-        # when partial replication is on, and each secondary subscribes
-        # to a contiguous rotated window of whole shards.
-        self._shard_rng = (self.streams.stream("shards")
-                           if params.shards is not None else None)
-        if params.shards is not None:
-            width = max(1, round(params.shards
-                                 * params.subscription_fraction))
-            for secondary in self.secondaries:
-                secondary.subscription = frozenset(
-                    (secondary.index + offset) % params.shards
-                    for offset in range(width))
-        # Admission control at the primary: a purely arithmetic token
-        # bucket (no kernel events, no RNG), so every configuration with
-        # admission_rate=None is bit-identical to earlier versions.
-        self._admission_bucket = (
-            TokenBucket(params.admission_rate,
-                        max(params.admission_rate, 1.0))
-            if params.admission_rate is not None else None)
         self._propagation_buffer: list = []
         self._session_counter = 0
         #: Sampled replication lag (commits behind the primary) across all
@@ -388,51 +320,11 @@ class LazyReplicationModel:
         self.kernel.spawn(self._propagator(), name="propagator", daemon=True)
         self.kernel.spawn(self._lag_sampler(), name="lag-sampler",
                           daemon=True)
-        if self.params.autovacuum_interval is not None:
-            for secondary in self.secondaries:
-                self.kernel.spawn(self._autovacuum(secondary),
-                                  name=f"autovacuum-{secondary.index}",
-                                  daemon=True)
-        if self.params.heartbeat_interval is not None:
-            for secondary in self.secondaries:
-                self.kernel.spawn(self._heartbeat(secondary),
-                                  name=f"heartbeat-{secondary.index}",
-                                  daemon=True)
         self.kernel.run(until=self.params.duration)
         self.counters.max_pending = {s.index: s.peak_pending
                                      for s in self.secondaries
                                      if s.peak_pending}
         return self.metrics
-
-    def _autovacuum(self, secondary: _SecondaryModel):
-        """Periodic storage-maintenance pass at one secondary server.
-
-        The simulation has no real version store; the daemon models the
-        maintenance cost as a fixed service demand each cycle, contending
-        with refresh and read work exactly like any other request.
-        """
-        params = self.params
-        while True:
-            yield self.kernel.sleep(params.autovacuum_interval)
-            if params.autovacuum_cost:
-                yield secondary.server.request(params.autovacuum_cost)
-            self.counters.vacuum_passes += 1
-
-    def _heartbeat(self, secondary: _SecondaryModel):
-        """Failure-detector overhead at one secondary server.
-
-        The performance model has no failures to detect; the daemon
-        charges the steady-state cost of the autonomous-failover control
-        plane (processing the primary's heartbeat and granting a lease
-        each cycle), contending with refresh and read work like any
-        other request.
-        """
-        params = self.params
-        while True:
-            yield self.kernel.sleep(params.heartbeat_interval)
-            if params.heartbeat_cost:
-                yield secondary.server.request(params.heartbeat_cost)
-            self.counters.heartbeats_sent += 1
 
     def _lag_sampler(self, interval: float = 5.0):
         """Sample replication lag across secondaries after warm-up."""
@@ -472,12 +364,11 @@ class LazyReplicationModel:
                        batch: list, idx: int) -> None:
         """Process records until done or the feed must stop.
 
-        Under ordered admission a start record waits for an empty
-        pending queue (the cursor stops in front of it; :meth:`_applied`
-        resumes it); every commit is admitted to the schedule and starts
-        at once if it may; aborts need nothing.
+        A start record waits for an empty pending queue (the cursor
+        stops in front of it; :meth:`_applied` resumes it); every commit
+        is admitted to the schedule and starts at once if it may; aborts
+        need nothing.
         """
-        ordered = secondary.ordered
         pending = secondary.pending
         admit = secondary.admit
         start = self._start_apply
@@ -492,10 +383,9 @@ class LazyReplicationModel:
                 # secondary.
                 cls = record.__class__
                 if cls is _CommitRecord:
-                    if admit(record.commit_ts, record,
-                             record.after) is not None:
+                    if admit(record.commit_ts, record) is not None:
                         start(secondary, record)
-                elif cls is _StartRecord and ordered and pending:
+                elif cls is _StartRecord and pending:
                     # Relationship 2: wait until pending drains.
                     secondary.cursor = (batch, idx - 1)
                     return
@@ -509,26 +399,21 @@ class LazyReplicationModel:
         """Charge one commit's apply demand to the secondary server: at
         once with a slot per commit, else as a new arrival through the
         ready deque."""
-        demand = record.demand
-        subscription = secondary.subscription
-        if subscription is not None and record.shard not in subscription:
-            self.counters.sharded_skips += 1
-            demand = 0.0
         if secondary.slots is None:
-            secondary.server.request_call(demand, self._applied, secondary,
-                                          record.commit_ts)
+            secondary.server.request_call(record.demand, self._applied,
+                                          secondary, record.commit_ts)
         else:
             self.kernel._schedule(
-                self.kernel._now, secondary.server.request_call, demand,
-                self._applied, secondary, record.commit_ts)
+                self.kernel._now, secondary.server.request_call,
+                record.demand, self._applied, secondary, record.commit_ts)
 
     def _applied(self, secondary: _SecondaryModel, commit_ts: int) -> None:
         """A refresh transaction's updates have been applied."""
         seq = secondary.finish(commit_ts)
         # With a slot per commit, the records a start record held back
         # are admitted inside this completion (the server's re-arm sees
-        # them), before the readers it released.  Under bounded slots
-        # every apply is a new arrival behind those readers.
+        # them), before the readers it released.  Under serial refresh's
+        # one slot every apply is a new arrival behind those readers.
         readers_first = secondary.slots is not None
         if seq:
             secondary.seq_db = seq

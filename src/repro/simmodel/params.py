@@ -63,52 +63,7 @@ class SimulationParameters:
     server_discipline: str = "ps"      # "ps" | "rr" | "fifo"
     per_op_requests: bool = False      # one server request per operation
     serial_refresh: bool = False       # naive serial replay (ablation)
-    #: Dependency-tracked parallel refresh: commit records carry a
-    #: conflict dependency and this many workers apply any runnable
-    #: commit out of order; ``seq(DBsec)`` advances at the contiguous
-    #: watermark.  Mutually exclusive with ``serial_refresh``; ``None``
-    #: (default) is bit-identical to earlier versions.
-    parallel_refresh: int | None = None
-    #: Probability a commit conflicts with (depends on) a recent earlier
-    #: commit.  Drawn from a dedicated RNG stream, and only when
-    #: ``parallel_refresh`` is enabled, so every other configuration's
-    #: random sequences are untouched.
-    conflict_prob: float = 0.2
     freshness_bound: int | None = None  # bounded-staleness reads (extension)
-    #: Keyspace sharding with partial replication (extension): each
-    #: committed update is stamped with a shard drawn uniformly from a
-    #: dedicated RNG stream, and a secondary only spends apply demand on
-    #: commits touching a shard it subscribes to (the commit header still
-    #: arrives and advances ``seq(DBsec)``, mirroring the functional
-    #: system's gap-tolerant per-shard streams).  ``None`` (default)
-    #: keeps every configuration bit-identical to the unsharded model.
-    shards: int | None = None
-    #: Fraction of the keyspace each secondary subscribes to (rounded to
-    #: whole shards, minimum one); secondary ``i`` holds the contiguous
-    #: shard window starting at ``i``.  Only read when ``shards`` is set.
-    subscription_fraction: float = 0.5
-    #: Periodic vacuum pass at each secondary server (models the storage
-    #: maintenance daemon): every ``autovacuum_interval`` seconds the
-    #: server spends ``autovacuum_cost`` seconds of service demand.
-    #: ``None`` disables the daemon (Table 1 behaviour, bit-identical).
-    autovacuum_interval: float | None = None
-    autovacuum_cost: float = 0.01
-    #: Failure-detector heartbeat overhead (models the autonomous
-    #: failover control plane of :mod:`repro.core.failover`): every
-    #: ``heartbeat_interval`` seconds each secondary server spends
-    #: ``heartbeat_cost`` seconds of service demand acknowledging the
-    #: primary's heartbeat and granting a lease.  ``None`` disables the
-    #: daemons (Table 1 behaviour, bit-identical).
-    heartbeat_interval: float | None = None
-    heartbeat_cost: float = 0.001
-    #: Admission control at the primary (extension): update transactions
-    #: pass a token bucket refilling at this rate (burst = one second's
-    #: tokens) and are *shed at the door* — zero service demand, counted
-    #: in ``counters.updates_shed`` — when no token is available.  The
-    #: shed check runs before any RNG draw, so admitted traffic's random
-    #: sequences match the unthrottled model's.  ``None`` (default)
-    #: disables the bucket, bit-identical to earlier versions.
-    admission_rate: float | None = None
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -129,32 +84,6 @@ class SimulationParameters:
                 f"unknown server discipline {self.server_discipline!r}")
         if self.freshness_bound is not None and self.freshness_bound < 0:
             raise ConfigurationError("freshness_bound must be >= 0")
-        if self.parallel_refresh is not None:
-            if self.parallel_refresh < 1:
-                raise ConfigurationError("parallel_refresh must be >= 1")
-            if self.serial_refresh:
-                raise ConfigurationError(
-                    "parallel_refresh is mutually exclusive with "
-                    "serial_refresh")
-        if not 0.0 <= self.conflict_prob <= 1.0:
-            raise ConfigurationError("conflict_prob must be in [0,1]")
-        if self.shards is not None and self.shards < 2:
-            raise ConfigurationError("shards must be >= 2 when set")
-        if not 0.0 < self.subscription_fraction <= 1.0:
-            raise ConfigurationError(
-                "subscription_fraction must be in (0,1]")
-        if self.autovacuum_interval is not None \
-                and self.autovacuum_interval <= 0:
-            raise ConfigurationError("autovacuum_interval must be > 0")
-        if self.autovacuum_cost < 0:
-            raise ConfigurationError("autovacuum_cost must be >= 0")
-        if self.heartbeat_interval is not None \
-                and self.heartbeat_interval <= 0:
-            raise ConfigurationError("heartbeat_interval must be > 0")
-        if self.heartbeat_cost < 0:
-            raise ConfigurationError("heartbeat_cost must be >= 0")
-        if self.admission_rate is not None and self.admission_rate <= 0:
-            raise ConfigurationError("admission_rate must be > 0 when set")
 
     @property
     def num_clients(self) -> int:

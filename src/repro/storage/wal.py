@@ -136,11 +136,6 @@ class LogicalLog:
         """All commit records, in commit-timestamp (= log) order."""
         return [r for r in self._records if isinstance(r, CommitRecord)]
 
-    def updates_for(self, txn_id: int) -> list[UpdateRecord]:
-        """The update records of one transaction, in execution order."""
-        return [r for r in self._records
-                if isinstance(r, UpdateRecord) and r.txn_id == txn_id]
-
     def last_commit_ts(self) -> int:
         """Newest commit timestamp in the log (0 if none committed)."""
         for record in reversed(self._records):

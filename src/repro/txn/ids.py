@@ -9,7 +9,7 @@ logical id of the primary update transaction it replays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -37,14 +37,3 @@ class IdAllocator:
 
     def next(self) -> str:
         return f"{self.prefix}-{next(self._counter)}"
-
-
-@dataclass(frozen=True)
-class LogicalTxnId:
-    """Identity of a client-submitted transaction across sites."""
-
-    name: str
-    session: SessionLabel = field(default=SessionLabel("?"))
-
-    def __str__(self) -> str:
-        return self.name

@@ -8,6 +8,7 @@ from repro.core.monitoring import (
     aggregate_sessions,
     system_status,
 )
+from repro.core.sharding import ShardingConfig, shard_of
 from repro.core.system import ReplicatedSystem
 
 
@@ -106,6 +107,30 @@ def test_staleness_probe_samples_lag():
     assert probe.samples[-1][1] == 0         # caught up by t=10
     lags = [lag for _, lag in probe.samples]
     assert 1 in lags and 0 in lags
+
+
+def test_lag_of_a_partial_subscriber_counts_only_its_shards():
+    """Status, probe and max_staleness share one per-replica lag: a
+    replica holding shards {0, 1} is not behind commits on shards 2-3."""
+    full = (0, 1, 2, 3)
+    system = ReplicatedSystem(
+        num_secondaries=3, propagation_delay=1.0,
+        sharding=ShardingConfig(shards=4, placement=(full, full, (0, 1))))
+    probe = StalenessProbe(system, interval=1.0)
+    probe.start()
+    s = system.session()
+    keys = [key for key in (f"k{i}" for i in range(100))
+            if shard_of(key, 4) in (2, 3)][:5]
+    for value, key in enumerate(keys):
+        s.write(key, value)
+    system.quiesce()
+    system.run(until=system.kernel.now + 2.0)
+    probe.stop()
+    status = system_status(system)
+    assert [site.lag for site in status.secondaries] == [0, 0, 0]
+    assert status.max_lag == 0 == system.max_staleness()
+    assert probe.samples[-1][1] == 0
+    assert system.secondaries[2].seq_db == 0      # holds none of the five
 
 
 def test_staleness_probe_interval_validation():

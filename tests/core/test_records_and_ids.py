@@ -7,7 +7,7 @@ from repro.core.records import (
     PropagatedCommit,
     PropagatedStart,
 )
-from repro.txn.ids import IdAllocator, LogicalTxnId, SessionLabel
+from repro.txn.ids import IdAllocator, SessionLabel
 
 
 def test_commit_record_update_count():
@@ -43,9 +43,3 @@ def test_session_label_ordering_and_str():
     assert a < b
     assert str(a) == "a"
     assert {a, SessionLabel("a")} == {a}
-
-
-def test_logical_txn_id():
-    txn_id = LogicalTxnId("t1", SessionLabel("c1"))
-    assert str(txn_id) == "t1"
-    assert txn_id.session.value == "c1"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, KernelError, ProcessKilled
-from repro.kernel import Kernel
+from repro.kernel import Condition, Kernel
 
 
 @pytest.fixture
@@ -107,11 +107,10 @@ def test_run_until_complete_returns_result(kernel):
 
 
 def test_run_until_complete_raises_deadlock(kernel):
-    from repro.kernel import Event
-    event = Event(kernel)
+    cond = Condition(kernel)
 
     def waiter():
-        yield event.wait()
+        yield cond.wait_for(lambda: False)
 
     process = kernel.spawn(waiter())
     with pytest.raises(DeadlockError):
@@ -126,52 +125,6 @@ def test_run_until_complete_propagates_exception(kernel):
     process = kernel.spawn(failing())
     with pytest.raises(ValueError, match="boom"):
         kernel.run_until_complete(process)
-
-
-def test_join_returns_target_result(kernel):
-    def worker():
-        yield kernel.sleep(2.0)
-        return "payload"
-
-    def waiter(target):
-        value = yield target.join()
-        return (kernel.now, value)
-
-    worker_proc = kernel.spawn(worker())
-    waiter_proc = kernel.spawn(waiter(worker_proc))
-    kernel.run()
-    assert waiter_proc.result == (2.0, "payload")
-
-
-def test_join_on_finished_process_resumes_immediately(kernel):
-    def worker():
-        yield kernel.sleep(1.0)
-        return 5
-
-    worker_proc = kernel.spawn(worker())
-    kernel.run()
-
-    def late_waiter():
-        value = yield worker_proc.join()
-        return value
-
-    late = kernel.spawn(late_waiter())
-    kernel.run()
-    assert late.result == 5
-
-
-def test_join_reraises_target_exception(kernel):
-    def failing():
-        yield kernel.sleep(1.0)
-        raise RuntimeError("inner")
-
-    def waiter(target):
-        yield target.join()
-
-    failing_proc = kernel.spawn(failing())
-    waiter_proc = kernel.spawn(waiter(failing_proc))
-    with pytest.raises(RuntimeError, match="inner"):
-        kernel.run_until_complete(waiter_proc)
 
 
 def test_unobserved_exception_surfaces_from_run(kernel):

@@ -12,11 +12,46 @@ deadline event eagerly instead of leaving it pending until it fires.
 
 import hashlib
 import random
+from collections import deque
 
 import pytest
 
 from repro.errors import ProcessKilled
-from repro.kernel import Kernel, Queue, Timeout, TimeoutExpired
+from repro.kernel import Condition, Kernel, Timeout, TimeoutExpired
+
+
+class _Handoff:
+    """A FIFO hand-off built on one :class:`Condition`, with the event
+    stream of the blocking kernel queue the recordings below were made
+    with: a get finding an item queued resumes at once, a put wakes the
+    oldest blocked getter and nobody else, and an expired or killed
+    getter leaves the line."""
+
+    def __init__(self, kernel: Kernel):
+        self.cond = Condition(kernel)
+        self.items: deque = deque()
+        #: One box per blocked getter, oldest first.
+        self.getters: deque = deque()
+
+    def put(self, item) -> None:
+        if self.getters:
+            self.getters.popleft().append(item)
+            self.cond.notify_all()
+        else:
+            self.items.append(item)
+
+    def get(self, limit: float):
+        """``value = yield from handoff.get(limit)``, under a Timeout."""
+        box = [self.items.popleft()] if self.items else []
+        if not box:
+            self.getters.append(box)
+        try:
+            yield Timeout(self.cond.wait_for(lambda: box), limit)
+        except BaseException:
+            if not box:
+                self.getters = deque(b for b in self.getters if b is not box)
+            raise
+        return box[0]
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +68,7 @@ def _run_program(seed: int):
     rng = random.Random(seed)
     kernel = Kernel()
     trace: list[tuple] = []
-    queue = Queue(kernel)
+    queue = _Handoff(kernel)
 
     def mark(tag: str, what: str) -> None:
         trace.append((round(kernel.now, 9), tag, what))
@@ -77,7 +112,7 @@ def _run_program(seed: int):
 
     def waiter(tag, limit):
         try:
-            value = yield Timeout(queue.get(), limit)
+            value = yield from queue.get(limit)
             mark(tag, f"got-{value}")
         except TimeoutExpired:
             mark(tag, "expired")
@@ -99,7 +134,7 @@ def _run_program(seed: int):
 
     def victim(tag):
         try:
-            yield Timeout(queue.get(), 50.0)
+            yield from queue.get(50.0)
             mark(tag, "got")
         except ProcessKilled:
             mark(tag, "killed")
@@ -162,7 +197,7 @@ def test_satisfied_timeouts_leave_no_pending_events():
     inner wait resumes.
     """
     kernel = Kernel()
-    queue = Queue(kernel)
+    queue = _Handoff(kernel)
     n = 50
 
     def feeder():
@@ -172,7 +207,7 @@ def test_satisfied_timeouts_leave_no_pending_events():
 
     def consumer():
         for i in range(n):
-            value = yield Timeout(queue.get(), limit=1000.0)
+            value = yield from queue.get(1000.0)
             assert value == i
 
     kernel.spawn(feeder())
@@ -186,10 +221,10 @@ def test_satisfied_timeouts_leave_no_pending_events():
 
 def test_kill_cancels_armed_deadline():
     kernel = Kernel()
-    queue = Queue(kernel)
+    cond = Condition(kernel)
 
     def victim():
-        yield Timeout(queue.get(), 500.0)
+        yield Timeout(cond.wait_for(lambda: False), 500.0)
 
     process = kernel.spawn(victim())
     kernel.run(until=1.0)

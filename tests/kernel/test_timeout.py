@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import KernelError
-from repro.kernel import Event, Kernel, Queue, Timeout, TimeoutExpired
+from repro.kernel import Condition, Kernel, Timeout, TimeoutExpired
 
 
 @pytest.fixture
@@ -12,84 +12,97 @@ def kernel():
 
 
 def test_inner_completes_in_time(kernel):
-    q = Queue(kernel)
+    cond = Condition(kernel)
+    box = []
 
-    def getter():
-        value = yield Timeout(q.get(), limit=10.0)
-        return (kernel.now, value)
+    def waiter():
+        yield Timeout(cond.wait_for(lambda: box), limit=10.0)
+        return (kernel.now, box[0])
 
-    def putter():
+    def setter():
         yield kernel.sleep(3.0)
-        q.put("x")
+        box.append("x")
+        cond.notify_all()
 
-    get_proc = kernel.spawn(getter())
-    kernel.spawn(putter())
+    wait_proc = kernel.spawn(waiter())
+    kernel.spawn(setter())
     kernel.run()
-    assert get_proc.result == (3.0, "x")
+    assert wait_proc.result == (3.0, "x")
 
 
 def test_timeout_expires(kernel):
-    q = Queue(kernel)
+    cond = Condition(kernel)
 
-    def getter():
+    def waiter():
         try:
-            yield Timeout(q.get(), limit=5.0)
+            yield Timeout(cond.wait_for(lambda: False), limit=5.0)
         except TimeoutExpired:
             return ("timeout", kernel.now)
 
-    process = kernel.spawn(getter())
+    process = kernel.spawn(waiter())
     kernel.run()
     assert process.result == ("timeout", 5.0)
 
 
 def test_timeout_detaches_inner_wait(kernel):
-    """After expiry the queue must have no stale waiter: a later put
-    stays in the queue rather than waking a dead getter."""
-    q = Queue(kernel)
+    """After expiry the condition must have no stale waiter: a later
+    notify finds nobody to wake."""
+    cond = Condition(kernel)
+    state = {"ready": False}
+    woken = []
 
-    def getter():
+    def waiter():
         try:
-            yield Timeout(q.get(), limit=1.0)
+            yield Timeout(cond.wait_for(lambda: state["ready"]), limit=1.0)
+            woken.append(kernel.now)
         except TimeoutExpired:
             pass
 
-    kernel.spawn(getter())
+    kernel.spawn(waiter())
     kernel.run()
-    q.put("later")
+    assert cond.waiting == 0
+    state["ready"] = True
+    cond.notify_all()
     kernel.run()
-    assert len(q) == 1     # nothing consumed it
+    assert woken == []
+    assert kernel.pending_events == 0
 
 
 def test_event_after_timeout_not_delivered_twice(kernel):
-    event = Event(kernel)
+    """A notify that lands after the expiry must not resume the process
+    a second time (here: cut its later sleep short)."""
+    cond = Condition(kernel)
+    state = {"ready": False}
     results = []
 
     def waiter():
         try:
-            value = yield Timeout(event.wait(), limit=2.0)
-            results.append(("value", value))
+            yield Timeout(cond.wait_for(lambda: state["ready"]), limit=2.0)
+            results.append(("value", kernel.now))
         except TimeoutExpired:
             results.append(("timeout", kernel.now))
         yield kernel.sleep(10.0)
+        results.append(("slept", kernel.now))
 
     kernel.spawn(waiter())
     kernel.run(until=5.0)
-    event.fire("late")
+    state["ready"] = True
+    cond.notify_all()
     kernel.run()
-    assert results == [("timeout", 2.0)]
+    assert results == [("timeout", 2.0), ("slept", 12.0)]
 
 
 def test_zero_timeout_on_ready_awaitable(kernel):
     """limit=0 with an already-satisfiable wait is a race the kernel must
     resolve deterministically: readiness is scheduled before the deadline."""
-    q = Queue(kernel)
-    q.put("ready")
+    cond = Condition(kernel)
+    box = ["ready"]
 
-    def getter():
-        value = yield Timeout(q.get(), limit=0.0)
-        return value
+    def waiter():
+        yield Timeout(cond.wait_for(lambda: box), limit=0.0)
+        return box[0]
 
-    process = kernel.spawn(getter())
+    process = kernel.spawn(waiter())
     kernel.run()
     assert process.result == "ready"
 
@@ -108,9 +121,9 @@ def test_inner_exception_propagates(kernel):
 
 
 def test_negative_limit_rejected(kernel):
-    q = Queue(kernel)
+    cond = Condition(kernel)
     with pytest.raises(KernelError, match="negative timeout"):
-        Timeout(q.get(), limit=-1.0)
+        Timeout(cond.wait_for(lambda: True), limit=-1.0)
 
 
 def test_non_awaitable_inner_rejected():
@@ -119,15 +132,15 @@ def test_non_awaitable_inner_rejected():
 
 
 def test_killed_process_cleans_up_timeout(kernel):
-    q = Queue(kernel)
+    cond = Condition(kernel)
 
     def waiter():
-        yield Timeout(q.get(), limit=100.0)
+        yield Timeout(cond.wait_for(lambda: False), limit=100.0)
 
     process = kernel.spawn(waiter())
     kernel.run(until=1.0)
+    assert cond.waiting == 1
     kernel.kill(process)
-    kernel.run()
-    q.put("x")
-    kernel.run()
-    assert len(q) == 1     # proxy was evicted from the queue too
+    assert cond.waiting == 0     # the waiter was evicted from the condition
+    assert kernel.pending_events == 0    # and its deadline retired
+    kernel.run()                         # the tombstone drains as a no-op

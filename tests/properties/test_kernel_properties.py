@@ -3,27 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel import Kernel, Queue
+from repro.kernel import Kernel
 from repro.sim.resources import ProcessorSharingServer
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=999), min_size=1,
-                max_size=30))
-def test_queue_preserves_fifo_order(items):
-    kernel = Kernel()
-    queue = Queue(kernel)
-    received = []
-
-    def consumer():
-        for _ in items:
-            received.append((yield queue.get()))
-
-    kernel.spawn(consumer())
-    for item in items:
-        queue.put(item)
-    kernel.run()
-    assert received == items
 
 
 #: Delays on a quarter-unit grid: exact float arithmetic, frequent
@@ -151,29 +132,3 @@ def test_ps_server_never_finishes_before_demand(arrivals):
     kernel.run()
     for response, demand in results:
         assert response >= demand - 1e-9
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.sampled_from(["put", "get"]), min_size=1, max_size=40),
-       st.integers(min_value=1, max_value=5))
-def test_queue_random_put_get_interleavings(ops, capacity):
-    """Whatever the interleaving, gets return puts in order, nothing is
-    lost, nothing is duplicated."""
-    kernel = Kernel()
-    queue = Queue(kernel, capacity=capacity)
-    puts = [op for op in ops if op == "put"]
-    gets_needed = len(puts)      # consume exactly what is produced
-    received = []
-
-    def producer():
-        for i in range(len(puts)):
-            yield queue.put_wait(i)
-
-    def consumer():
-        for _ in range(gets_needed):
-            received.append((yield queue.get()))
-
-    kernel.spawn(producer())
-    kernel.spawn(consumer())
-    kernel.run()
-    assert received == list(range(len(puts)))

@@ -7,7 +7,6 @@ import pytest
 from repro.sim.stats import (
     ConfidenceInterval,
     MetricsCollector,
-    ReplicationSummary,
     SummaryStats,
     mean_ci,
 )
@@ -134,18 +133,6 @@ def test_classes_listing():
     collector.record_completion("update", 0.0, 1.0)
     collector.record_completion("read", 0.0, 1.0)
     assert collector.classes() == ["read", "update"]
-
-
-# ---------------------------------------------------------------------------
-# ReplicationSummary
-# ---------------------------------------------------------------------------
-
-def test_replication_summary():
-    summary = ReplicationSummary("throughput")
-    for value in (10.0, 11.0, 12.0):
-        summary.add(value)
-    assert summary.mean == pytest.approx(11.0)
-    assert summary.ci().n == 3
 
 
 # ---------------------------------------------------------------------------

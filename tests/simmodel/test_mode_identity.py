@@ -29,17 +29,10 @@ GOLDEN = Path(__file__).with_name("golden_modes.json")
 MODES = {
     "default": {},
     "serial": {"serial_refresh": True},
-    "parallel4": {"parallel_refresh": 4},
     "fifo": {"server_discipline": "fifo"},
     "rr": {"server_discipline": "rr"},
     "per-op": {"per_op_requests": True},
-    "sharded": {"shards": 4, "subscription_fraction": 0.5},
-    "parallel2-sharded": {"parallel_refresh": 2, "shards": 4,
-                          "subscription_fraction": 0.5},
     "freshness2": {"freshness_bound": 2},
-    "admission": {"admission_rate": 0.2},
-    "daemons": {"autovacuum_interval": 7.0, "autovacuum_cost": 0.05,
-                "heartbeat_interval": 3.0, "heartbeat_cost": 0.004},
     # TINY is nearly idle (one abort in a hundred, servers ~10 % busy):
     # these cells put the abort retry, server sharing and the queued
     # disciplines' refresh paths under real contention.
@@ -47,8 +40,6 @@ MODES = {
     "loaded": {"clients_per_secondary": 30, "think_time": 1.5},
     "loaded-serial": {"clients_per_secondary": 30, "think_time": 1.5,
                       "serial_refresh": True, "abort_prob": 0.2},
-    "loaded-parallel3": {"clients_per_secondary": 30, "think_time": 1.5,
-                         "parallel_refresh": 3, "conflict_prob": 0.5},
     "loaded-fifo": {"clients_per_secondary": 30, "think_time": 1.5,
                     "server_discipline": "fifo", "abort_prob": 0.2},
     "loaded-rr": {"clients_per_secondary": 30, "think_time": 1.5,
@@ -57,8 +48,6 @@ MODES = {
     "rr-per-op-aborts": {"server_discipline": "rr", "per_op_requests": True,
                          "abort_prob": 0.3, "time_slice": 0.01},
     "fifo-serial": {"server_discipline": "fifo", "serial_refresh": True},
-    "rr-parallel2": {"server_discipline": "rr", "parallel_refresh": 2,
-                     "time_slice": 0.01},
 }
 
 CELLS = [(mode, algorithm) for mode in MODES for algorithm in ALGORITHMS]

@@ -159,19 +159,3 @@ def test_pcsi_behaves_like_session_si_in_model():
     assert pcsi.mean_response_time("read") == pytest.approx(
         session.mean_response_time("read"))
 
-
-def test_heartbeat_daemons_dormant_by_default():
-    model, _ = run_model()
-    assert model.counters.heartbeats_sent == 0
-
-
-def test_heartbeat_daemons_consume_service_demand():
-    model, _ = run_model(heartbeat_interval=5.0, heartbeat_cost=0.01)
-    # 2 secondaries x (120s / 5s) cycles, minus start-up slack.
-    assert model.counters.heartbeats_sent >= 40
-
-
-def test_heartbeat_overhead_is_deterministic():
-    _, a = run_model(heartbeat_interval=5.0)
-    _, b = run_model(heartbeat_interval=5.0)
-    assert a.throughput() == b.throughput()

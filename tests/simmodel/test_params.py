@@ -69,8 +69,6 @@ def test_with_total_clients_too_few():
     ("abort_prob", 1.0),
     ("tran_size_min", 0),
     ("server_discipline", "lifo"),
-    ("heartbeat_interval", 0.0),
-    ("heartbeat_cost", -0.5),
 ])
 def test_validation_rejects_bad_values(field, value):
     with pytest.raises(ConfigurationError):

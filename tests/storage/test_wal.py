@@ -90,18 +90,6 @@ def test_lsns_are_dense_and_ordered(db, log):
     assert [r.lsn for r in log] == list(range(len(log)))
 
 
-def test_updates_for_filters_by_txn(db, log):
-    t1 = db.begin(update=True)
-    t2 = db.begin(update=True)
-    t1.write("a", 1)
-    t2.write("b", 2)
-    t1.write("c", 3)
-    t1.commit()
-    t2.commit()
-    assert [r.key for r in log.updates_for(t1.txn_id)] == ["a", "c"]
-    assert [r.key for r in log.updates_for(t2.txn_id)] == ["b"]
-
-
 def test_log_order_consistent_with_timestamp_order(db, log):
     """Section 3: start/commit timestamps consistent with operation order."""
     for i in range(5):
