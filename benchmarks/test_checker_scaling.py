@@ -46,10 +46,8 @@ BUDGET_SECONDS = 10.0
 
 @pytest.fixture(scope="module")
 def history():
-    recorder = generate_replicated_history(
+    return generate_replicated_history(
         COMMITS, secondaries=SECONDARIES, reads=2000, seed=42)
-    recorder.transactions()        # warm the shared aggregation cache
-    return recorder
 
 
 @pytest.mark.parametrize("check", [
@@ -86,7 +84,7 @@ MAX_OVER_WEAK_SI = 3.0
 @pytest.fixture(scope="module")
 def sharded_times():
     """ops -> checker -> best-of-3 CPU seconds, on a fresh recorder per
-    run (no cached transaction views) with the collector off."""
+    run with the collector off."""
     times = {}
     for ops in SHARDED_OPS:
         result = run_chaos(ChaosConfig(

@@ -1,41 +1,43 @@
 """Executable correctness criteria: weak SI, strong SI, strong session SI.
 
 The checkers work purely from a recorded multi-site history — they do not
-trust any middleware bookkeeping.  The method:
+trust any middleware bookkeeping — and each reads the events once, in
+``seq`` order, through a monitor.  The paper's guarantees are properties
+of history prefixes (Raad, Lahav and Vafeiadis state SI as axioms over
+prefixes), so a transaction's verdict is final when it commits:
 
-1. Number the primary's database states ``S^0 .. S^n`` by the committed
-   update transactions (Theorem 3.1 numbering), kept as per-key
-   timelines (:mod:`repro.txn.timeline`), never as materialised states.
-2. For every committed client transaction, infer which state(s) its reads
-   are consistent with (its *candidate snapshot indices*): the
-   intersection of per-key admissible intervals, each resolved by
-   ``bisect``.  A transaction whose reads match no prefix state is not
-   even weak SI.
-3. Test the Definition 2.1 / 2.2 ordering constraints in one streaming
-   pass that assigns each read-only transaction its smallest feasible
-   candidate (:func:`_streaming_ordering`).
+1. The primary's states ``S^0 .. S^n`` are numbered by its committed
+   update transactions (Theorem 3.1) and kept as per-key timelines
+   (:mod:`repro.txn.timeline`), one axis per promotion era, appended at
+   each primary commit and never materialised.
+2. A client transaction's candidate snapshots are the states committed
+   before it began, intersected with the admissible intervals of its
+   reads (:class:`_SIMonitor`); none means it is not even weak SI.
+3. The Definition 2.1 / 2.2 ordering constraints are lower bounds that
+   propagate forward, so the running maxima a transaction saw at its
+   begin bound its snapshot (:meth:`_SIMonitor._order`).
+4. Completeness is one per-key induction along each secondary's refresh
+   stream (:class:`_CompletenessMonitor`).
 
-Completeness (Theorem 3.1) is one per-key induction along each
-secondary's audit walk (:func:`_completeness`).  O(total writes) memory
+Of the settled transactions a monitor keeps only the violating ones,
+classified and rendered when the stream ends.  O(total writes) memory
 and near-linear time, on plain, promoted and sharded histories alike.
-
 ``tests/txn/reference_checkers.py`` is a slow, state-materialising
-reference for every history shape; ``tests/txn/test_reference_differential.py``
-requires identical verdicts — violation kinds, messages, and order —
-from both over fault-storm histories and seeded mutations.
+reference; ``tests/txn/test_reference_differential.py`` requires
+identical verdicts from both.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
-from typing import Any, Iterable, Iterator, Optional
+from heapq import heappop, heappush
+from operator import attrgetter
+from typing import Any, Optional
 
 from repro.core.sharding import shard_of
 from repro.errors import CheckerError
-from repro.txn.history import HistoryRecorder, TxnView
+from repro.txn.history import HistoryRecorder
 from repro.txn.timeline import IntervalSet, KeyTimelines
 
 _MISSING = object()
@@ -43,6 +45,15 @@ _MISSING = object()
 #: The shard set of every transaction in an unsharded history: one
 #: shard, which everything reads and writes.
 _ONE_SHARD = (0,)
+
+#: Site-level event kinds, which belong to no transaction.
+_SITE_KINDS = frozenset({"recover", "promote", "subscribe"})
+
+#: An ordering pool nothing has been admitted to (never mutated).
+_EMPTY_POOL: dict = {}
+
+#: Begin order; ties (transactions recorded without a begin) by commit.
+_begin_order = attrgetter("begin_seq", "order")
 
 
 @dataclass(frozen=True)
@@ -72,97 +83,24 @@ class CheckResult:
                 f"{self.checked_transactions} committed transaction(s)")
 
 
-def _check_detail(recorder: HistoryRecorder) -> None:
-    detail = getattr(recorder, "detail", "ops")
-    if detail != "ops":
-        raise CheckerError(
-            f"history was recorded with detail={detail!r}: read/write "
-            f"events are missing, so the SI checkers cannot run; record "
-            f"with detail='ops' for checked runs")
+def _final_writes(writes: list) -> dict[Any, tuple[Any, bool]]:
+    """Last-write-wins view of write events: key -> (value, deleted)."""
+    return {event.key: (event.value, event.deleted) for event in writes}
 
 
-@dataclass(slots=True)
-class _Analyzed:
-    """A committed client transaction with its inferred snapshot(s).
-
-    For update transactions the snapshot is pinned (the engine's
-    ``start_ts``); for read-only transactions the reads admit a *set* of
-    candidate snapshot indices, expanded only on violation messages, and
-    which one to assume is decided per criterion by
-    :func:`_streaming_ordering` (choosing minimally, so no
-    phantom constraints are invented for later transactions).
-    """
-
-    view: TxnView
-    admissible: IntervalSet
-    commit_index: Optional[int]  # state index its commit produced (updates)
-    upper: int                   # commits before its begin
-    era: int = 0                 # promotion era the txn began in
-    #: Its (key, value, present) snapshot-read constraints — kept only
-    #: in a sharded history, where the ordering pass derives the read
-    #: shards from them (8 000 retained lists are a megabyte of peak RSS).
-    constraints: Any = ()
-    #: Filled in by the streaming ordering pass when it reaches the txn:
-    #: the shards those reads touch (in a sharded history) and the
-    #: snapshot it was assigned.
-    read_shards: Any = _ONE_SHARD
-    snapshot: Optional[int] = None
-
-    @property
-    def pinned(self) -> bool:
-        """True when the snapshot is uniquely determined."""
-        return self.commit_index is not None
-
-
-def _read_constraints(view: TxnView) -> list[tuple[Any, Any, bool]]:
-    """(key, value, present) constraints from first pre-own-write reads.
-
-    A transaction that wrote nothing has no own-writes to skip, so its
-    reads are walked as recorded, without a merge."""
-    events = view.reads
-    if not events:
-        return []
-    if view.writes:
-        events = sorted(events + view.writes, key=attrgetter("seq"))
-    constraints: list[tuple[Any, Any, bool]] = []
-    seen: set[Any] = set()
-    written: set[Any] = set()
-    for event in events:
-        key = event.key
-        if event.kind == "write":
-            written.add(key)
-        elif key not in seen and key not in written:
-            seen.add(key)
-            constraints.append((key, event.value, event.producer is not None))
-    return constraints
-
-
-def _primary_updates(recorder: HistoryRecorder, primary_site: str,
-                     dense: bool = True) -> list[TxnView]:
-    """Committed primary update transactions in commit order, with the
-    dense-timestamp sanity check (the SI analyses need it; the
-    completeness audit of a plain history does not)."""
-    updates = [v for v in recorder.committed(site=primary_site)
-               if v.is_update]
-    if dense:
-        for index, view in enumerate(updates, start=1):
-            if view.commit_ts is not None and view.commit_ts != index:
-                raise CheckerError(
-                    f"primary commit timestamps not dense: txn "
-                    f"{view.logical_id or view.txn_id} has commit_ts "
-                    f"{view.commit_ts}, expected {index}")
-    return updates
+def _verbatim(mine: list, theirs: list) -> bool:
+    """True when a refresh's write events replay the primary commit's
+    exactly: same keys, values and delete flags, in the same order."""
+    return len(mine) == len(theirs) and all(
+        a.key == b.key and a.value == b.value and a.deleted == b.deleted
+        for a, b in zip(mine, theirs))
 
 
 @dataclass(frozen=True)
 class _Era:
-    """One primary regime delimited by promotion events.
-
-    ``site`` is the primary from history sequence ``start_seq``
-    (exclusive) onward; its timeline ("axis") inherits the first
-    ``base_ts`` commits of the previous era's axis as a shared prefix —
-    the states that survived the truncation.
-    """
+    """One primary regime: ``site`` is the primary after history sequence
+    ``start_seq``, and its axis inherits the previous axis' first
+    ``base_ts`` commits — the states that survived the truncation."""
 
     index: int
     site: str
@@ -170,95 +108,17 @@ class _Era:
     base_ts: int
 
 
-def _promotion_eras(recorder: HistoryRecorder,
-                    primary_site: str) -> list[_Era]:
-    """Split the history into eras at its promotion events (usually one
-    era: a history without promotions has no clamps and no splices)."""
-    eras = [_Era(0, primary_site, -1, 0)]
-    for event in recorder.site_events():
-        if event.kind == "promote":
-            eras.append(_Era(len(eras), event.site, event.seq,
-                             event.commit_ts or 0))
-    return eras
-
-
-def _era_axes(recorder: HistoryRecorder,
-              eras: list[_Era]) -> list[list[TxnView]]:
-    """Per-era primary timelines (the axes of comparison).
-
-    Axis 0 is the original primary's committed update sequence; axis e
-    splices the first ``base_ts`` commits of axis e-1 (the prefix that
-    survived the promotion) with the new primary's own commits.  The
-    promoted engine keeps the shared commit numbering, so each era's
-    commits must be dense from its base.  Old-primary commits past the
-    truncation point stay on axis 0 only: they were acknowledged but
-    lost, and later eras must never observe them.
-    """
-    axes: list[list[TxnView]] = []
-    for era in eras:
-        commits = [v for v in recorder.committed(site=era.site)
-                   if v.is_update and not v.is_refresh
-                   and v.end_seq > era.start_seq]
-        expected = era.base_ts
-        for view in commits:
-            expected += 1
-            if view.commit_ts is not None and view.commit_ts != expected:
-                raise CheckerError(
-                    f"primary commit timestamps not dense in era "
-                    f"{era.index}: txn {view.logical_id or view.txn_id} "
-                    f"has commit_ts {view.commit_ts}, expected {expected}")
-        if era.index == 0:
-            axes.append(commits)
-        else:
-            prefix = axes[era.index - 1]
-            if era.base_ts > len(prefix):
-                raise CheckerError(
-                    f"promotion base S^{era.base_ts} exceeds the previous "
-                    f"primary's last state S^{len(prefix)}")
-            axes.append(prefix[:era.base_ts] + commits)
-    return axes
-
-
-def _apply_writes(state: dict[Any, Any],
-                  final_writes: dict[Any, tuple[Any, bool]]) -> None:
-    for key, (value, deleted) in final_writes.items():
-        if deleted:
-            state.pop(key, None)
-        else:
-            state[key] = value
-
-
 def _shared_prefix_bound(eras: list[_Era], from_era: int,
                          to_era: int) -> int:
-    """Highest state index comparable between two eras' axes.
-
-    The axes agree exactly on the commits below every intervening
-    truncation point, so a freshness obligation carried from an earlier
-    era clamps to the smallest base in between — beyond it the old
-    regime's states no longer exist on the new axis.
-    """
+    """Highest state index comparable between two eras' axes: the
+    smallest truncation point in between (beyond it the old regime's
+    states no longer exist on the new axis)."""
     return min(eras[e].base_ts for e in range(from_era + 1, to_era + 1))
-
-
-def _subscriptions(recorder: HistoryRecorder
-                   ) -> dict[str, tuple[frozenset, int]]:
-    """site -> (subscribed shards, num_shards) from "subscribe" events.
-
-    Subscription events exist only in partial-replication histories; a
-    history without them is the one-shard case, in which every site
-    holds everything.
-    """
-    subs: dict[str, tuple[frozenset, int]] = {}
-    for event in recorder.site_events():
-        if event.kind == "subscribe":
-            subs[event.site] = (frozenset(event.value or ()),
-                                event.commit_ts or 0)
-    return subs
 
 
 class _ShardMemo(dict):
     """key -> shard, hashed once per check (``shard_of`` is a
-    ``crc32(repr(key))``; the passes ask for the same few hundred keys
+    ``crc32(repr(key))``; a check asks for the same few hundred keys
     hundreds of thousands of times)."""
 
     def __init__(self, num_shards: int):
@@ -269,307 +129,445 @@ class _ShardMemo(dict):
         return shard
 
 
-class _HistoryAxes:
-    """What every pass over one history shares, built once per check:
-    its promotion eras, the per-era primary timelines (axes), the shard
-    subscriptions and the key -> shard memo.
+class _Axis:
+    """One era's primary timeline: axis 0 is the original primary's
+    committed updates; axis e starts as the first ``base_ts`` commits of
+    axis e-1 and goes on with the new primary's own.  Old-primary commits
+    past the truncation point stay on the old axis only."""
 
-    An unsharded history is the one-shard case (:data:`_ONE_SHARD`) and
-    a history without promotions the one-era case, so the ordering and
-    completeness passes below have a single shape.
+    __slots__ = ("commits", "touching", "own", "key_timelines")
+
+    def __init__(self, commits: list, touching: dict):
+        #: The write events of each commit, in commit order.
+        self.commits = commits
+        #: Sharded histories: a shard (or a subscription's shard set) ->
+        #: ascending numbers of the commits touching it — where a shard's
+        #: projection of S^s changes, and what a subscriber is sent.
+        self.touching = touching
+        #: Commits the era's own primary appended (density check).
+        self.own = 0
+        #: The per-key change history of the commits, built lazily.
+        self.key_timelines = KeyTimelines()
+
+    def timelines(self) -> KeyTimelines:
+        """:attr:`key_timelines`, brought up to date (a clean unsharded
+        completeness audit never asks for it)."""
+        timelines = self.key_timelines
+        commits = self.commits
+        while timelines.num_commits < len(commits):
+            timelines.append_commit(
+                _final_writes(commits[timelines.num_commits]))
+        return timelines
+
+    def prefix(self, base: int) -> "_Axis":
+        """A new axis holding this one's first ``base`` commits."""
+        return _Axis(self.commits[:base],
+                     {label: commits[:bisect_right(commits, base)]
+                      for label, commits in self.touching.items()})
+
+
+class _Monitor:
+    """What every check keeps while it replays a history: the promotion
+    eras, one primary axis per era, and the shard subscriptions.  An
+    unsharded history is the one-shard case and a history without
+    promotions the one-era case, so each check has a single shape."""
+
+    def __init__(self, recorder: HistoryRecorder, primary_site: str):
+        detail = getattr(recorder, "detail", "ops")
+        if detail != "ops":
+            raise CheckerError(
+                f"history was recorded with detail={detail!r}: read/write "
+                f"events are missing, so the SI checkers cannot run; record "
+                f"with detail='ops' for checked runs")
+        self.recorder = recorder
+        self.primary_site = primary_site
+        self.eras = [_Era(0, primary_site, -1, 0)]
+        self.axes = [_Axis([], {})]
+        #: site -> the eras it is the primary of.
+        self.primary_of: dict[str, list[int]] = {primary_site: [0]}
+        #: site -> (subscribed shards, num_shards) from "subscribe" events
+        #: (only partial-replication histories record them).
+        self.subs: dict[str, tuple[frozenset, int]] = {}
+        self.num_shards: Optional[int] = None
+        self.shard_of = _ShardMemo(1)
+        self.started = False
+        #: era -> first density error; era -> promotion base error.
+        self.dense_errors: dict[int, tuple] = {}
+        self.base_errors: dict[int, str] = {}
+
+    def _site_event(self, event: Any) -> None:
+        kind = event.kind
+        if kind == "subscribe":
+            if self.started:
+                raise CheckerError(
+                    f"subscription of {event.site!r} recorded after the "
+                    f"first commit: shard subscriptions are declared "
+                    f"before any transaction commits")
+            self.subs[event.site] = (frozenset(event.value or ()),
+                                     event.commit_ts or 0)
+            self.num_shards = next(iter(self.subs.values()))[1]
+            self.shard_of = _ShardMemo(self.num_shards)
+        elif kind == "promote":
+            self._fence()
+            era = _Era(len(self.eras), event.site, event.seq,
+                       event.commit_ts or 0)
+            previous = self.axes[-1]
+            if era.base_ts > len(previous.commits):
+                self.base_errors[era.index] = (
+                    f"promotion base S^{era.base_ts} exceeds the previous "
+                    f"primary's last state S^{len(previous.commits)}")
+            self.eras.append(era)
+            self.axes.append(previous.prefix(era.base_ts))
+            self.primary_of.setdefault(era.site, []).append(era.index)
+            self._promoted(era.site)
+        else:
+            self.started = True
+            self._recover(event)
+
+    def _fence(self) -> None:
+        """Hook: a promotion is about to open a new era."""
+
+    def _promoted(self, site: str) -> None:
+        """Hook: ``site`` has just become the primary."""
+
+    def _recover(self, event: Any) -> None:
+        """Hook: a recovery copy was installed at ``event.site``."""
+
+    def _primary_commit(self, site: str, writes: list, name: Any,
+                        commit_ts: Optional[int]) -> None:
+        """An update committed at ``site``: the next commit of the axis
+        of every era ``site`` is the primary of."""
+        for era in self.primary_of.get(site, ()):
+            axis = self.axes[era]
+            axis.commits.append(writes)
+            if self.num_shards is not None:
+                self._index(axis, self._shards([event.key
+                                                for event in writes]))
+            axis.own += 1
+            expected = self.eras[era].base_ts + axis.own
+            if commit_ts is not None and commit_ts != expected \
+                    and era not in self.dense_errors:
+                self.dense_errors[era] = (name, commit_ts, expected)
+
+    def _index(self, axis: _Axis, shards: frozenset) -> None:
+        """Sharded histories: file the axis' newest commit, which wrote
+        to ``shards``, under the labels of :attr:`_Axis.touching`."""
+
+    def _raise_axis_errors(self, dense: bool, named: bool) -> None:
+        """Refuse, era by era, a history whose states cannot be numbered:
+        a promotion base past the previous primary's last state, or (when
+        ``dense``) skipping primary commit timestamps."""
+        for era in range(len(self.eras)):
+            error = self.dense_errors.get(era)
+            if dense and error is not None:
+                name, commit_ts, expected = error
+                where = f" in era {era}" if named else ""
+                raise CheckerError(
+                    f"primary commit timestamps not dense{where}: txn "
+                    f"{name} has commit_ts {commit_ts}, expected "
+                    f"{expected}")
+            if era in self.base_errors:
+                raise CheckerError(self.base_errors[era])
+
+    def _shards(self, keys: Any) -> frozenset:
+        """The shard set a group of keys lives on (sharded histories)."""
+        shard_of = self.shard_of
+        return frozenset([shard_of[key] for key in keys])
+
+
+class _Txn:
+    """An open client transaction, kept from its first event to its
+    commit — and past it only if it violates the criterion.  Its
+    ``constraints`` are the (key, value, present) of its first reads of
+    keys it had not yet read or written (``blocked``)."""
+
+    __slots__ = ("site", "txn_id", "logical_id", "session", "is_update",
+                 "begin_seq", "start_ts", "era", "upper", "pool", "writes",
+                 "constraints", "blocked", "order", "snapshot",
+                 "admissible", "lower", "read_shards", "source")
+
+    @property
+    def key(self) -> tuple[str, int]:
+        return (self.site, self.txn_id)
+
+    @property
+    def name(self) -> Any:
+        return self.logical_id or self.txn_id
+
+
+class _SIMonitor(_Monitor):
+    """Weak SI (Theorem 3.2), plus the ordering constraints of strong SI
+    (``same_session`` False) or strong session SI (True).
+
+    A client transaction is settled at its commit: ``upper`` is the
+    number of axis commits before its begin, its candidates are ``[0,
+    upper]`` intersected with the admissible intervals of its first reads
+    (those before any own write), and its ordering bound is the pool it
+    captured at its begin.  Refresh transactions and scans are skipped.
+    ``sources`` makes it a second replay, on the violation path only.
     """
 
     def __init__(self, recorder: HistoryRecorder, primary_site: str,
-                 completeness: bool = False):
-        _check_detail(recorder)
-        self.recorder = recorder
-        self.primary_site = primary_site
-        self.eras = eras = _promotion_eras(recorder, primary_site)
-        self.subs = subs = _subscriptions(recorder)
-        self.num_shards: Optional[int] = (
-            next(iter(subs.values()))[1] if subs else None)
-        self.shard_of = _ShardMemo(self.num_shards or 1)
-        if len(eras) > 1 or (completeness and subs):
-            self.axes = _era_axes(recorder, eras)
-        else:
-            # The completeness audit of a plain history takes the
-            # primary's numbering as recorded; the SI analyses refuse a
-            # sparse one (they would mis-number states silently).
-            self.axes = [_primary_updates(recorder, primary_site,
-                                          dense=not completeness)]
-        self._timelines: list[Optional[KeyTimelines]] = [None] * len(eras)
-        self._shard_commits: Optional[list[dict]] = None
-        self._sent: dict[frozenset, list[list[int]]] = {}
-
-    def timelines(self, era: int) -> KeyTimelines:
-        """Per-key change history of one axis (built on first use: a
-        clean unsharded completeness audit never needs it)."""
-        timelines = self._timelines[era]
-        if timelines is None:
-            timelines = self._timelines[era] = KeyTimelines()
-            for view in self.axes[era]:
-                timelines.append_commit(view.final_writes)
-        return timelines
-
-    def shards(self, keys: Iterable) -> frozenset:
-        """The shard set a group of keys lives on (sharded histories)."""
-        return frozenset(map(self.shard_of.__getitem__, keys))
-
-    def write_shards(self, view: TxnView) -> Any:
-        """Shards an update's write set touched."""
-        if self.num_shards is None:
-            return _ONE_SHARD
-        return self.shards(view.final_writes)
-
-    def shard_commits(self) -> list[dict]:
-        """Per axis: shard -> ascending numbers of the commits touching
-        it.  The projection of S^s onto a shard only changes at those
-        commits, so one ``bisect`` answers both "what did a snapshot
-        observe of this shard" and "which commit is this subscriber sent
-        next"."""
-        if self._shard_commits is None:
-            if self.num_shards is None:
-                self._shard_commits = [{0: range(1, len(axis) + 1)}
-                                       for axis in self.axes]
-            else:
-                self._shard_commits = []
-                for axis in self.axes:
-                    per: dict[int, list[int]] = {}
-                    for ts, view in enumerate(axis, start=1):
-                        for shard in self.write_shards(view):
-                            per.setdefault(shard, []).append(ts)
-                    self._shard_commits.append(per)
-        return self._shard_commits
-
-    def _subscription(self, site: str) -> frozenset:
-        full = frozenset(range(self.num_shards))
-        return self.subs.get(site, (full,))[0]
-
-    def partial_subscription(self, site: str) -> Optional[frozenset]:
-        """The shard set ``site`` subscribes to, or ``None`` when it
-        holds every key (always, in an unsharded history)."""
-        if self.num_shards is None:
-            return None
-        subscription = self._subscription(site)
-        return None if len(subscription) >= self.num_shards else subscription
-
-    def commits_sent_to(self, site: str) -> Optional[list[list[int]]]:
-        """Per axis, the ascending numbers of the commits ``site`` is
-        sent — those touching a shard it subscribes to — or ``None`` in
-        an unsharded history (every commit, whatever the axis holds)."""
-        if self.num_shards is None:
-            return None
-        subscription = self._subscription(site)
-        sent = self._sent.get(subscription)
-        if sent is None:
-            sent = self._sent[subscription] = [
-                sorted(set().union(*(touching.get(shard, ())
-                                     for shard in subscription)))
-                for touching in self.shard_commits()]
-        return sent
-
-    def projected_state(self, era: int, index: int,
-                        held: Optional[frozenset]) -> dict[Any, Any]:
-        """``S^index`` of one axis restricted to the keys on ``held``
-        shards (everything when ``held`` is None), materialised."""
-        state = self.timelines(era).state_at(index)
-        if held is None:
-            return state
-        shard_of = self.shard_of
-        return {key: value for key, value in state.items()
-                if shard_of[key] in held}
-
-
-class _Analysis(_HistoryAxes):
-    """Shared preprocessing of the SI checkers: infer, for every
-    committed client transaction, the primary snapshots its reads are
-    consistent with.  Only :meth:`_pinned_satisfied` and
-    :meth:`_candidates` consult the axis states, through each axis'
-    :class:`KeyTimelines`; the test-only reference overrides just those
-    two with materialised states."""
-
-    def __init__(self, recorder: HistoryRecorder, primary_site: str):
+                 same_session: Optional[bool] = None,
+                 sources: Optional[tuple] = None):
         super().__init__(recorder, primary_site)
-        self.axis_commit_seqs = [[v.end_seq for v in axis]
-                                 for axis in self.axes]
-        self.client_views = recorder.client_transactions()
-        self.axis_timelines = [self.timelines(era.index)
-                               for era in self.eras]
+        self.same_session = same_session
+        self.sources = sources
+        #: Ordering pools: label -> max obligation while the history has
+        #: one shard and one era (``scalar``), else label -> era -> shard
+        #: -> max.  A label nothing joined yet binds with 0.
+        self.pools: dict = {}
+        self.scalar = True
+        self.checked = 0
+        #: Sequence number of the commit being settled.
+        self.end_seq = -1
+        #: (transaction, Violation) of the weak-SI analysis.
+        self.analysis: list[tuple] = []
+        #: Client transactions whose reads admit no snapshot.
+        self.unsnapshotted: list[_Txn] = []
+        #: Transactions that fell behind their ordering bound.
+        self.inverted: list[_Txn] = []
 
-    def commits_before(self, era: int, seq: int) -> int:
-        """Number of era-axis commits whose commit precedes ``seq``."""
-        return bisect_left(self.axis_commit_seqs[era], seq)
-
-    def analyze(self) -> tuple[list[_Analyzed], list[Violation]]:
-        """Infer candidate snapshots for all committed client txns,
-        listed in begin order."""
-        analyzed: list[_Analyzed] = []
-        violations: list[Violation] = []
-        eras = self.eras
-        era_starts = [era.start_seq for era in eras]
-        sharded = self.num_shards is not None
-        for view in sorted(self.client_views, key=attrgetter("begin_seq")):
-            # The era the transaction began in: the last one started
-            # before its first operation.
-            era = bisect_left(era_starts, view.begin_seq, 1) - 1
-            upper = self.commits_before(era, view.begin_seq)
-            constraints = _read_constraints(view)
-            if view.site == eras[era].site and view.is_update:
-                snapshot = view.start_ts or 0
-                if not self._pinned_satisfied(era, snapshot, constraints):
-                    violations.append(Violation(
-                        kind="inconsistent-update-read",
-                        message=(f"update txn {view.logical_id or view.txn_id}"
-                                 f" reads do not match primary state "
-                                 f"S^{snapshot}"),
-                        txns=(view.key,)))
-                    continue
-                analyzed.append(_Analyzed(
-                    view, IntervalSet(((snapshot, snapshot),)),
-                    view.commit_ts, upper, era,
-                    constraints if sharded else ()))
+    def replay(self) -> "_SIMonitor":
+        open_txns: dict[tuple[str, int], _Txn] = {}
+        txn: Optional[_Txn] = None
+        for event in self.recorder.events:
+            kind = event.kind
+            if kind == "begin":
+                if event.refresh_of is None:
+                    txn = open_txns[event.site, event.txn_id] = \
+                        self._begin(event, True)
                 continue
-            admissible = self._candidates(era, constraints, upper)
-            if not admissible:
-                candidates = self._candidates(era, constraints,
-                                              len(self.axes[era]))
-                if candidates:
-                    message = (
-                        f"txn {view.logical_id or view.txn_id} saw a state "
-                        f"(index in {candidates.to_list()}) newer than "
-                        f"any committed before it began (<= {upper})")
-                    kind = "future-snapshot"
-                else:
-                    message = (
-                        f"txn {view.logical_id or view.txn_id} reads match "
-                        f"no transaction-consistent primary state")
-                    kind = "no-consistent-snapshot"
-                violations.append(Violation(kind=kind, message=message,
-                                            txns=(view.key,)))
+            if kind == "scan" or event.refresh_of is not None:
                 continue
-            analyzed.append(_Analyzed(view, admissible, None, upper, era,
-                                      constraints if sharded else ()))
-        return analyzed, violations
+            if kind in _SITE_KINDS:
+                self._site_event(event)
+                continue
+            # Most events belong to the transaction of the one before.
+            if txn is None or txn.txn_id != event.txn_id \
+                    or txn.site != event.site:
+                txn = open_txns.get((event.site, event.txn_id))
+                if txn is None:
+                    txn = open_txns[event.site, event.txn_id] = \
+                        self._begin(event, False)
+            if kind == "read":
+                key = event.key
+                if key not in txn.blocked:
+                    txn.blocked.add(key)
+                    txn.constraints.append(
+                        (key, event.value, event.producer is not None))
+            elif kind == "write":
+                txn.writes.append(event)
+                txn.is_update = True    # writers are update txns regardless
+                txn.blocked.add(event.key)
+            elif kind == "commit":
+                del open_txns[txn.site, txn.txn_id]
+                self.started = True
+                if txn.is_update:
+                    self._primary_commit(txn.site, txn.writes, txn.name,
+                                         event.commit_ts)
+                self.end_seq = event.seq
+                self._settle(txn, event.commit_ts)
+                txn = None
+            elif kind == "abort":
+                del open_txns[txn.site, txn.txn_id]
+                txn = None
+        self._raise_axis_errors(True, len(self.eras) > 1)
+        return self
 
-    def _pinned_satisfied(self, era: int, snapshot: int,
-                          constraints: list[tuple[Any, Any, bool]]) -> bool:
-        """Do the reads hold in ``S^snapshot`` of the era's axis?"""
-        timelines = self.axis_timelines[era]
-        if snapshot > timelines.num_commits:
-            return False
-        value_at = timelines.value_at
-        for key, value, present in constraints:
-            actual_present, actual = value_at(key, snapshot)
-            if present:
-                if not actual_present or actual != value:
-                    return False
-            elif actual_present:
-                return False
-        return True
+    def _begin(self, event: Any, began: bool) -> _Txn:
+        """Open a client transaction at its begin — or, recorded without
+        one, at its first event, as if it began before anything else."""
+        txn = _Txn()
+        txn.site, txn.txn_id = event.site, event.txn_id
+        txn.logical_id = event.logical_id
+        session = txn.session = event.session
+        txn.writes, txn.constraints, txn.blocked = [], [], set()
+        if not began:
+            txn.is_update, txn.begin_seq, txn.start_ts = False, -1, None
+            txn.era = txn.upper = txn.pool = 0
+            return txn
+        txn.is_update = event.update_declared
+        txn.begin_seq, txn.start_ts = event.seq, event.start_ts
+        era = txn.era = len(self.eras) - 1
+        txn.upper = len(self.axes[era].commits)
+        same = self.same_session
+        if same is not None:
+            # A session-less transaction binds and is bound by nothing.
+            txn.pool = 0 if same and session is None else self.pools.get(
+                session if same else None, 0)
+        return txn
 
-    def _candidates(self, era: int, constraints: list[tuple[Any, Any, bool]],
-                    upper: int) -> IntervalSet:
-        """The era-axis states no newer than ``upper`` that satisfy every
-        read constraint: ``[0, upper]`` intersected with each
-        constraint's admissible intervals."""
-        timelines = self.axis_timelines[era]
-        candidates = IntervalSet.full(min(upper, timelines.num_commits))
-        intervals_for = timelines.intervals_for
-        for key, value, present in constraints:
-            if not candidates:
-                break       # intersection can only shrink further
-            candidates = candidates.intersect(
-                intervals_for(key, value, present))
-        return candidates
+    def _promoted(self, site: str) -> None:
+        if self.scalar and self.num_shards is None:
+            self.pools = {label: {0: {0: ts}}
+                          for label, ts in self.pools.items()}
+        self.scalar = False
 
+    def _index(self, axis: _Axis, shards: frozenset) -> None:
+        number = len(axis.commits)
+        for shard in shards:
+            axis.touching.setdefault(shard, []).append(number)
 
-def check_weak_si(recorder: HistoryRecorder,
-                  primary_site: str = "primary") -> CheckResult:
-    """Global weak SI (Theorem 3.2): every committed client transaction
-    observed *some* transaction-consistent primary snapshot no newer than
-    its begin."""
-    analysis = _Analysis(recorder, primary_site)
-    analyzed, violations = analysis.analyze()
-    return CheckResult(criterion="weak SI", ok=not violations,
-                       violations=violations,
-                       checked_transactions=len(analysis.client_views))
+    # -- weak SI -----------------------------------------------------------
+    def _settle(self, txn: _Txn, commit_ts: Optional[int]) -> None:
+        """Infer the snapshots a committed client transaction's reads are
+        consistent with; order it if the check asks for ordering."""
+        self.checked += 1
+        era = txn.era
+        constraints = txn.constraints
+        if txn.is_update and txn.site == self.eras[era].site:
+            snapshot = txn.start_ts or 0
+            if not _holds(self.axes[era].timelines(), snapshot, constraints):
+                txn.order = self.checked
+                self.analysis.append((txn, Violation(
+                    kind="inconsistent-update-read",
+                    message=(f"update txn {txn.name} reads do not match "
+                             f"primary state S^{snapshot}"),
+                    txns=(txn.key,))))
+                return
+            if self.same_session is not None:
+                self._order(txn, (snapshot, snapshot), commit_ts)
+            return
+        if not constraints:
+            # Any state before its begin will do: no interval set.
+            if self.same_session is not None:
+                self._order(txn, (0, txn.upper), None)
+            return
+        admissible = _candidates(self.axes[era].timelines(), constraints,
+                                 txn.upper)
+        if not admissible:
+            txn.order = self.checked
+            self.unsnapshotted.append(txn)
+            return
+        if self.same_session is not None:
+            self._order(txn, admissible, None)
 
+    def analysis_violations(self) -> list[Violation]:
+        """The weak-SI violations, in begin order.  Telling a future
+        snapshot from none at all needs the whole axis, so the
+        transactions whose reads admitted no snapshot are classified
+        here, at the end of the stream."""
+        found = list(self.analysis)
+        for txn in self.unsnapshotted:
+            axis = self.axes[txn.era]
+            candidates = _candidates(axis.timelines(), txn.constraints,
+                                     len(axis.commits))
+            if candidates:
+                kind, message = "future-snapshot", (
+                    f"txn {txn.name} saw a state (index in "
+                    f"{candidates.to_list()}) newer than any committed "
+                    f"before it began (<= {txn.upper})")
+            else:
+                kind, message = "no-consistent-snapshot", (
+                    f"txn {txn.name} reads match no transaction-consistent "
+                    f"primary state")
+            found.append((txn, Violation(kind, message, (txn.key,))))
+        found.sort(key=lambda entry: _begin_order(entry[0]))
+        return [violation for _, violation in found]
 
-def _inversion_violation(tj: _Analyzed, snapshot: int, lower: int,
-                         lower_source: _Analyzed,
-                         same_session_only: bool) -> Violation:
-    scope = " in the same session" if same_session_only else ""
-    source = (lower_source.view.logical_id
-              or lower_source.view.txn_id)
-    return Violation(
-        kind="transaction-inversion",
-        message=(
-            f"txn {tj.view.logical_id or tj.view.txn_id} saw "
-            f"state S^{snapshot} (candidates {tj.admissible.to_list()}) but "
-            f"{source} (committed earlier{scope}) requires at "
-            f"least S^{lower}"),
-        txns=(lower_source.view.key, tj.view.key))
+    # -- ordering ----------------------------------------------------------
+    def _order(self, txn: _Txn, admissible: Any,
+               commit_index: Optional[int]) -> None:
+        """Definition 2.1/2.2 pair constraints, settled at the commit.
+        ``admissible`` holds ``txn``'s candidates: an :class:`IntervalSet`
+        or a ``(lo, hi)`` range; an update at its era's primary is pinned
+        to one snapshot and has a ``commit_index``.
 
+        A history satisfies the criterion iff *some* assignment of
+        candidate snapshots satisfies every ordering constraint.  The
+        constraints are lower bounds that propagate forward, so assigning
+        each read-only transaction its **smallest** feasible candidate is
+        optimal (a greedy maximum invents phantom obligations).  Every Ti
+        that constrains Tj committed before Tj began, so Tj's bound is
+        the pool of running maxima (one globally, or one per session
+        label) it captured at its begin, and Ti joins the pools at its
+        commit.
 
-def _streaming_ordering(analyzed: list[_Analyzed], same_session_only: bool,
-                        history: _HistoryAxes) -> list[Violation]:
-    """Definition 2.1/2.2 pair constraints in one streaming pass.
+        Under partial replication a read observing shards R inherits from
+        Ti only the obligations Ti left on the shards in R (NMSI), so
+        each transaction publishes an obligation vector
+        (:meth:`_obligation`) and a pool keeps ``shard -> max`` per era
+        of the admitted transaction.  An obligation carried into a later
+        era clamps to the two axes' shared prefix; the clamp depends only
+        on the era pair, so clamping the per-era maximum equals the
+        maximum of the clamped obligations.  With one shard and one era a
+        pool is a single running maximum.
+        """
+        same = self.same_session
+        if self.num_shards is None:
+            txn.read_shards = _ONE_SHARD
+        else:
+            # Only reads that precede an own write of the same key
+            # constrain the snapshot, so only those keys' shards carry
+            # obligations.
+            shard_of = self.shard_of
+            txn.read_shards = {shard_of[key] for key, _, _ in txn.constraints}
+        pool = txn.pool
+        lower = pool if type(pool) is int else _bound(
+            pool, txn.read_shards, txn.era, self.eras)
+        if type(admissible) is tuple:
+            lo, hi = admissible
+            snapshot = max(lo, lower) if lower <= hi else None
+        else:
+            snapshot = admissible.first_at_least(lower)
+        feasible = snapshot is not None
+        if not feasible:
+            if type(admissible) is tuple:
+                admissible = IntervalSet((admissible,))
+            snapshot = admissible.max()
+            txn.order = self.checked
+            txn.snapshot = snapshot
+            txn.admissible = admissible
+            txn.lower = lower
+            txn.source = None
+            self.inverted.append(txn)
+        if same and txn.session is None:
+            return
+        label = txn.session if same else None
+        if self.scalar and self.num_shards is None:
+            ts = snapshot if commit_index is None else commit_index
+            if ts > self.pools.get(label, 0):
+                self.pools[label] = ts
+            if self.sources is not None:
+                self._offer(txn, {0: ts})
+            return
+        vector = self._obligation(txn, snapshot, commit_index)
+        if self.sources is not None:
+            self._offer(txn, vector)
+        pool = self.pools.get(label, _EMPTY_POOL)
+        maxima = pool.get(txn.era, _EMPTY_POOL)
+        raised = None
+        for shard, ts in vector.items():
+            if ts > maxima.get(shard, 0):
+                if raised is None:
+                    raised = dict(maxima)
+                raised[shard] = ts
+        if raised is not None:
+            # Pools are copied on write: a transaction keeps the one it
+            # captured at its begin.
+            pool = dict(pool)
+            pool[txn.era] = raised
+            self.pools[label] = pool
 
-    A history satisfies the criterion iff *some* assignment of snapshot
-    indices (within each transaction's candidate set) satisfies every
-    ordering constraint.  All constraints are lower bounds that propagate
-    forward in begin order, so assigning each read-only transaction the
-    **smallest** feasible candidate is optimal: it can only relax the
-    constraints on later transactions.  (A greedy *maximum* assignment is
-    wrong — it invents phantom freshness obligations for later reads of
-    the same session.)
-
-    Processing transactions in begin order, every Ti that constrains Tj
-    satisfies ``Ti.end_seq < Tj.begin_seq`` — so a single pointer over
-    the transactions sorted by end_seq admits each Ti exactly once into
-    a pool of running maxima (one pool globally, or one per session
-    label), and Tj's lower bound is read off its pool.
-
-    With per-shard propagation streams a replica's freshness is a vector
-    of shard frontiers, and the guarantee weakens accordingly (NMSI): a
-    read observing shards R inherits from an earlier Ti only the
-    obligations Ti left *on the shards in R*.  Each transaction
-    therefore publishes a per-shard obligation vector — an update pins
-    its commit number on the shards its write set touched; a read-only
-    transaction assigned snapshot ``s`` pins, for each shard it read,
-    the newest axis commit <= ``s`` touching that shard (the projection
-    of S^s onto a shard only changes at commits touching it, so that
-    floor is exactly what the reader observed).  Every obligation is
-    the number of a commit touching the shard, so ``snapshot >=
-    obligation`` is both necessary and sufficient for the projected
-    states to be ordered.  A pool keeps ``shard -> max obligation`` per
-    era of the admitted transaction: an obligation carried into a later
-    era clamps to the shared prefix of the two axes
-    (:func:`_shared_prefix_bound` — beyond the truncation point the old
-    regime's tail no longer exists), and because the clamp depends only
-    on the era pair, clamping the per-era maximum equals the maximum of
-    the clamped obligations.  An unsharded history is the one-shard
-    case and a history without promotions has no clamps; when both
-    hold, a pool is a single running maximum.
-
-    The running maxima do not remember *which* Ti set them.  The
-    violation message names the earliest-begun Ti reaching the bound
-    (an all-pairs loop's tie-break), so that Ti is found by a pair scan
-    on the violation path only, for that one Tj.
-    """
-    eras = history.eras
-    sharded = history.num_shards is not None
-    shard_commits = history.shard_commits()
-
-    def obligations(ti: _Analyzed) -> dict[int, int]:
-        """What ``ti`` obliges a later reader of each shard to have seen."""
-        if ti.pinned:
-            return dict.fromkeys(history.write_shards(ti.view),
-                                 ti.commit_index)
-        snapshot = ti.snapshot
-        touching = shard_commits[ti.era]
+    def _obligation(self, txn: _Txn, snapshot: int,
+                    commit_index: Optional[int]) -> dict[int, int]:
+        """What ``txn`` obliges a later reader of each shard to have
+        seen: an update, its commit number on the shards it wrote; a
+        read-only transaction assigned snapshot ``s``, the newest commit
+        <= ``s`` touching each shard it read — exactly what it observed
+        of that shard."""
+        if self.num_shards is None:
+            if commit_index is not None:
+                return {0: commit_index}
+            return {0: snapshot} if snapshot else {}
+        if commit_index is not None:
+            return dict.fromkeys(
+                self._shards([event.key for event in txn.writes]),
+                commit_index)
+        touching = self.axes[txn.era].touching
         vector: dict[int, int] = {}
-        for shard in ti.read_shards:
+        for shard in txn.read_shards:
             commits = touching.get(shard)
             if commits:
                 pos = bisect_right(commits, snapshot)
@@ -577,104 +575,427 @@ def _streaming_ordering(analyzed: list[_Analyzed], same_session_only: bool,
                     vector[shard] = commits[pos - 1]
         return vector
 
-    def bound_on(tj: _Analyzed, vector: dict[int, int], era: int) -> int:
-        """Lower bound an era-``era`` obligation vector puts on ``tj``."""
-        bound = 0
-        for shard in tj.read_shards:
-            ts = vector.get(shard, 0)
-            if ts > bound:
-                bound = ts
-        if era != tj.era:
-            bound = min(bound, _shared_prefix_bound(eras, era, tj.era))
-        return bound
+    def _offer(self, ti: _Txn, vector: dict[int, int]) -> None:
+        """Source replay: is ``ti`` the earliest-begun transaction that
+        sets an inverted transaction's bound?  (A running maximum forgets
+        which Ti set it; the message names that one, an all-pairs loop's
+        tie-break.)"""
+        end = self.end_seq
+        same = self.same_session
+        eras, targets = self.sources
+        for tj in targets:
+            if end < tj.begin_seq and (not same or ti.session == tj.session) \
+                    and (tj.source is None
+                         or ti.begin_seq < tj.source.begin_seq) \
+                    and _bound({ti.era: vector}, tj.read_shards, tj.era,
+                               eras) == tj.lower:
+                tj.source = ti
 
-    violations: list[Violation] = []
-    ordered = analyzed          # analyze() lists them in begin order
-    by_end = sorted(analyzed, key=attrgetter("view.end_seq"))
-    # One shard and one era: an obligation is the scalar ``obligations``
-    # would put on shard 0 — an update's commit number, a reader's
-    # snapshot — and a pool is one running maximum per label.
-    scalar = not sharded and len(eras) == 1
-    #: pool label -> max obligation admitted so far, or else
-    #: pool label -> era -> shard -> max obligation.
-    pools: Any = {} if scalar else defaultdict(lambda: defaultdict(dict))
-    admit_pos = 0
-    for tj in ordered:
-        begin = tj.view.begin_seq
-        while admit_pos < len(by_end) and \
-                by_end[admit_pos].view.end_seq < begin:
-            ti = by_end[admit_pos]
-            admit_pos += 1
-            label = ti.view.session if same_session_only else None
-            if ti.snapshot is None or (same_session_only and label is None):
-                continue   # (an end before its own begin cannot occur)
-            if scalar:
-                ts = ti.snapshot if ti.commit_index is None \
-                    else ti.commit_index
-                if ts > pools.get(label, 0):
-                    pools[label] = ts
-                continue
-            maxima = pools[label][ti.era]
-            for shard, ts in obligations(ti).items():
-                if ts > maxima.get(shard, 0):
-                    maxima[shard] = ts
-        if sharded:
-            # Only reads that precede an own write of the same key
-            # constrain the snapshot, so only those keys' shards carry
-            # obligations.
-            tj.read_shards = history.shards(
-                map(itemgetter(0), tj.constraints))
-        label = tj.view.session if same_session_only else None
-        if scalar:
-            lower = pools.get(label, 0)
+    def ordering_violations(self) -> list[Violation]:
+        """The inversions, in begin order, each naming its source — found
+        by one more replay, on this violation path only."""
+        inverted = sorted(self.inverted, key=_begin_order)
+        if not inverted:
+            return []
+        _SIMonitor(self.recorder, self.primary_site, self.same_session,
+                   sources=(self.eras, inverted)).replay()
+        scope = " in the same session" if self.same_session else ""
+        return [Violation(
+            kind="transaction-inversion",
+            message=(f"txn {tj.name} saw state S^{tj.snapshot} (candidates "
+                     f"{tj.admissible.to_list()}) but {tj.source.name} "
+                     f"(committed earlier{scope}) requires at least "
+                     f"S^{tj.lower}"),
+            txns=(tj.source.key, tj.key)) for tj in inverted]
+
+
+class _Replica:
+    """The completeness cursor of one secondary.  Invariant: before each
+    audited item the site's state *is* ``S^at`` of axis ``at_era``,
+    projected onto its subscription (``held`` when partial).  ``prev`` is
+    the last commit of the numbering it must follow without a gap, and
+    ``pending`` the run's commits that arrived above the next one due.
+    A ``divergence`` (label, index, seq, expected state) waits for the
+    ``state`` the site held, which only a rendering replay keeps."""
+
+    __slots__ = ("site", "subscription", "held", "at_era", "at", "prev",
+                 "checked", "stopped", "pending", "violation", "divergence",
+                 "state")
+
+    def __init__(self, site: str, subscription: Optional[frozenset],
+                 held: Optional[frozenset], stopped: bool,
+                 state: Optional[dict]):
+        self.site, self.subscription, self.held = site, subscription, held
+        self.at_era = self.at = self.prev = self.checked = 0
+        self.stopped, self.state = stopped, state
+        self.pending: list = []
+        self.violation: Optional[Violation] = None
+        self.divergence: Optional[tuple] = None
+
+
+class _CompletenessMonitor(_Monitor):
+    """Theorem 3.1 as one per-key induction per secondary, along its
+    refresh stream (:meth:`_arrive`).  Reads, scans and read-only
+    transactions play no part and are skipped.
+
+    ``render`` (site -> sequence number of a divergent item) makes the
+    monitor a second replay on the violation path, which folds those
+    sites' items into full states exactly as the replicas applied them,
+    up to that item (:attr:`rendered`).
+    """
+
+    def __init__(self, recorder: HistoryRecorder, primary_site: str,
+                 render: Optional[dict] = None):
+        super().__init__(recorder, primary_site)
+        self.render = render or {}
+        self.rendered: dict[str, dict] = {}
+        #: Every site, in order of first appearance.
+        self.sites: dict[str, None] = {}
+        self.replicas: dict[str, _Replica] = {}
+        #: The distinct shard sets sites hold (sharded histories).
+        self.subscriptions: Optional[set[frozenset]] = None
+
+    def replay(self) -> "_CompletenessMonitor":
+        #: (site, txn id) -> write events of an open update transaction.
+        open_writes: dict[tuple[str, int], list] = {}
+        sites = self.sites
+        for event in self.recorder.events:
+            kind = event.kind
+            if kind == "begin":
+                sites.setdefault(event.site)
+                if event.update_declared:
+                    open_writes[event.site, event.txn_id] = []
+            elif kind == "write":
+                writes = open_writes.get((event.site, event.txn_id))
+                if writes is None:      # undeclared writer, or no begin
+                    sites.setdefault(event.site)
+                    writes = open_writes[event.site, event.txn_id] = []
+                writes.append(event)
+            elif kind == "commit":
+                writes = open_writes.pop((event.site, event.txn_id), None)
+                if writes is not None:
+                    self._commit(event, writes)
+            elif kind == "abort":
+                open_writes.pop((event.site, event.txn_id), None)
+            elif kind in _SITE_KINDS:
+                sites.setdefault(event.site)
+                self._site_event(event)
+        self._fence()
+        # The plain audit takes the primary's numbering as recorded.
+        self._raise_axis_errors(len(self.eras) > 1 or bool(self.subs), True)
+        return self
+
+    def _commit(self, event: Any, writes: list) -> None:
+        self.started = True
+        site = event.site
+        if event.refresh_of is None:
+            self._primary_commit(site, writes, event.logical_id
+                                 or event.txn_id, event.commit_ts)
+        if site != self.primary_site:
+            replica = self.replicas.get(site) or self._replica(site)
+            if not replica.stopped:
+                ts = event.commit_ts
+                self._arrive(replica, -1 if ts is None else ts, event.seq,
+                             writes)
+
+    def _index(self, axis: _Axis, shards: frozenset) -> None:
+        if self.subscriptions is None:
+            # Every site holds every shard unless it subscribed to fewer.
+            self.subscriptions = {shards for shards, _ in self.subs.values()}
+            self.subscriptions.add(frozenset(range(self.num_shards)))
+        number = len(axis.commits)
+        for subscription in self.subscriptions:
+            if not shards.isdisjoint(subscription):
+                axis.touching.setdefault(subscription, []).append(number)
+
+    def _fence(self) -> None:
+        # A promotion fence (or the end of the history) ends every run.
+        for replica in self.replicas.values():
+            self._drain(replica, end_run=True)
+
+    def _promoted(self, site: str) -> None:
+        # A promoted site is audited as a secondary only up to its
+        # promotion; afterwards its own commits define the axis.
+        if site in self.replicas:
+            self.replicas[site].stopped = True
+
+    def _recover(self, event: Any) -> None:
+        replica = self.replicas.get(event.site) or self._replica(event.site)
+        if not replica.stopped:
+            self._drain(replica, end_run=True)
+            replica.prev = event.commit_ts or 0
+            self._audit(replica, replica.prev, event.seq, None, event.value)
+
+    def _replica(self, site: str) -> _Replica:
+        subscription = held = None
+        if self.num_shards is not None:
+            subscription = self.subs.get(
+                site, (frozenset(range(self.num_shards)),))[0]
+            if len(subscription) < self.num_shards:
+                held = subscription
+        replica = self.replicas[site] = _Replica(
+            site, subscription, held, site in self.primary_of,
+            {} if site in self.render else None)
+        return replica
+
+    def _due(self, replica: _Replica) -> Optional[int]:
+        """The next commit the site must apply: ``prev + 1`` when
+        unsharded, else the next axis commit touching a subscribed shard
+        (None when the axis holds none yet)."""
+        if replica.subscription is None:
+            return replica.prev + 1
+        sent = self.axes[-1].touching.get(replica.subscription, ())
+        pos = bisect_right(sent, replica.prev)
+        return sent[pos] if pos < len(sent) else None
+
+    def _arrive(self, replica: _Replica, ts: int, seq: int,
+                writes: list) -> None:
+        """A refresh commit reaches the site's cursor.
+
+        With ``parallel_refresh`` a secondary commits out of primary
+        order, but only the contiguous watermark prefix ever becomes
+        visible, and what it applied above the watermark is truncated by
+        a crash or an epoch fence.  So each *run* (between recoveries and
+        promotion fences) is audited in commit-number order: a commit
+        above the one due waits in ``pending`` until the gap closes, and
+        what still waits when the run ends is dropped (:meth:`_drain`).
+        Strict-FIFO histories arrive in order and nothing waits.  A
+        subscriber is sent only the commits touching its shards, so the
+        numbering it follows is that subsequence of the axis; a commit
+        that should never have arrived is audited, and flagged.
+        """
+        due = self._due(replica)
+        if due is not None and ts > due:
+            heappush(replica.pending, (ts, seq, writes))
+            return
+        self._audit(replica, ts, seq, writes)
+        if ts == due:
+            replica.prev = ts
+            self._drain(replica)
+
+    def _drain(self, replica: _Replica, end_run: bool = False) -> None:
+        """Audit the waiting commits that are due.  A recovery or a
+        promotion fence ends the site's run (``end_run``): what it
+        applied above a gap then was truncated."""
+        pending = replica.pending
+        while pending and not replica.stopped:
+            due = self._due(replica)
+            if due is not None and pending[0][0] > due:
+                break
+            ts, seq, writes = heappop(pending)
+            self._audit(replica, ts, seq, writes)
+            if ts == due:
+                replica.prev = ts
+        if end_run:
+            replica.pending = []
+
+    def _audit(self, replica: _Replica, index: int, seq: int,
+               writes: Optional[list], copy: Any = None) -> None:
+        """One step of the induction: a refresh commit (``writes``) or a
+        recovery copy (``copy``) claims to leave the site in ``S^index``
+        of the current era's axis — so a replica that carried the old
+        primary's truncated tail across a promotion is flagged.  A
+        recovery copy (Section 3.4's one legitimate discontinuity) is
+        compared in full and restarts the induction.
+
+        Fast path: an in-order refresh at a site holding every key whose
+        write events replay the primary commit's verbatim takes ``S^at``
+        to ``S^index`` by construction.  It is the common case and reads
+        only raw events, so a clean unsharded audit never builds the
+        :class:`KeyTimelines` index.
+        """
+        replica.checked += 1
+        era = len(self.eras) - 1
+        axis = self.axes[era]
+        if replica.state is not None:
+            if writes is None:
+                replica.state = dict(copy or {})
+            for key, (value, deleted) in _final_writes(writes or ()).items():
+                if deleted:
+                    replica.state.pop(key, None)
+                else:
+                    replica.state[key] = value
+            if self.render[replica.site] == seq:
+                self.rendered[replica.site] = dict(replica.state)
+        if not 0 <= index <= len(axis.commits):
+            replica.violation = Violation(
+                kind="secondary-ahead",
+                message=(f"site {replica.site!r} produced state S^{index}, "
+                         f"but the primary only reached "
+                         f"S^{len(axis.commits)}"))
+            replica.stopped = True
+            return
+        if writes is None:
+            diverged = (dict(copy or {})
+                        != self._projected(era, index, replica.held))
+        elif (replica.held is None and era == replica.at_era
+              and index == replica.at + 1
+              and _verbatim(writes, axis.commits[replica.at])):
+            diverged = False            # fast path
         else:
-            lower = 0
-            for era, maxima in pools.get(label, {}).items():
-                bound = bound_on(tj, maxima, era)
-                if bound > lower:
-                    lower = bound
-        if tj.pinned:
-            snapshot = tj.admissible.min()
-            feasible = snapshot >= lower
-        else:
-            option = tj.admissible.first_at_least(lower)
-            feasible = option is not None
-            snapshot = option if feasible else tj.admissible.max()
-        tj.snapshot = snapshot
-        if not feasible:
-            source = next(
-                ti for ti in ordered
-                if 0 <= ti.view.end_seq < begin
-                and (ti.view.session == label or not same_session_only)
-                and bound_on(tj, obligations(ti), ti.era) == lower)
-            violations.append(_inversion_violation(
-                tj, snapshot, lower, source, same_session_only))
-    return violations
+            diverged = self._diverges(replica.held, replica.at_era,
+                                      replica.at, era, index,
+                                      _final_writes(writes))
+        if diverged:
+            label = "recovery copy" if writes is None else "state"
+            replica.divergence = (label, index, seq,
+                                  self._projected(era, index, replica.held))
+            replica.stopped = True
+            return
+        replica.at_era, replica.at = era, index
+
+    def _projected(self, era: int, index: int,
+                   held: Optional[frozenset]) -> dict[Any, Any]:
+        """``S^index`` of one axis restricted to the keys on ``held``
+        shards (everything when ``held`` is None), materialised."""
+        state = self.axes[era].timelines().state_at(index)
+        if held is None:
+            return state
+        shard_of = self.shard_of
+        return {key: value for key, value in state.items()
+                if shard_of[key] in held}
+
+    def _diverges(self, held: Optional[frozenset], at_era: int, at: int,
+                  era: int, index: int,
+                  final_writes: dict[Any, tuple[Any, bool]]) -> bool:
+        """Does applying ``final_writes`` to the (projected) ``S^at`` of
+        axis ``at_era`` fail to produce the (projected) ``S^index`` of
+        axis ``era``?  Only the refresh's own keys and the axis writes
+        above the two states' common ancestor can differ.  ``held`` is a
+        partial subscriber's shard set: a key elsewhere must be absent.
+        """
+        before = self.axes[at_era].timelines()
+        after = self.axes[era].timelines()
+        common = min(at, index)
+        if at_era != era:
+            common = min(common, _shared_prefix_bound(self.eras, at_era, era))
+        suspects = set(final_writes)
+        for i in range(common + 1, at + 1):
+            suspects.update(before.write_keys[i])
+        for i in range(common + 1, index + 1):
+            suspects.update(after.write_keys[i])
+        shard_of = self.shard_of
+        for key in suspects:
+            subscribed = held is None or shard_of[key] in held
+            own = final_writes.get(key)
+            if own is not None:
+                actual = _MISSING if own[1] else own[0]
+            elif subscribed:
+                was_present, value = before.value_at(key, at)
+                actual = value if was_present else _MISSING
+            else:
+                continue        # untouched and unsubscribed: absent both sides
+            present, expected = (after.value_at(key, index) if subscribed
+                                 else (False, None))
+            if present:
+                if actual is _MISSING or actual != expected:
+                    return True
+            elif actual is not _MISSING:
+                return True
+        return False
+
+    def completeness_result(self) -> CheckResult:
+        """Per site in order of first appearance: its audited items and
+        its violation, if any.  A divergence message shows the state the
+        site held, rendered by one more replay, on this violation path
+        only."""
+        replicas = [self.replicas[site] for site in self.sites
+                    if site in self.replicas]
+        divergent = {replica.site: replica.divergence[2]
+                     for replica in replicas if replica.divergence}
+        if divergent:
+            held = _CompletenessMonitor(self.recorder, self.primary_site,
+                                        render=divergent).replay().rendered
+            for replica in replicas:
+                if replica.divergence:
+                    label, index, _, expected = replica.divergence
+                    replica.violation = Violation(
+                        kind="state-divergence",
+                        message=(f"site {replica.site!r} {label} S^{index} "
+                                 f"diverges from primary: "
+                                 f"{held[replica.site]!r} != {expected!r}"))
+        violations = [replica.violation for replica in replicas
+                      if replica.violation is not None]
+        return CheckResult(criterion="completeness", ok=not violations,
+                           violations=violations,
+                           checked_transactions=sum(
+                               replica.checked for replica in replicas))
 
 
-def _check_ordering(recorder: HistoryRecorder, primary_site: str,
-                    same_session_only: bool, criterion: str) -> CheckResult:
-    analysis = _Analysis(recorder, primary_site)
-    analyzed, violations = analysis.analyze()
-    violations.extend(_streaming_ordering(analyzed, same_session_only,
-                                          analysis))
+def _bound(pool: dict, read_shards: Any, era: int, eras: list[_Era]) -> int:
+    """Lower bound a pool (era -> shard -> max obligation) puts on a
+    transaction of ``era`` reading ``read_shards``."""
+    lower = 0
+    for from_era, maxima in pool.items():
+        clamp = (None if from_era == era
+                 else _shared_prefix_bound(eras, from_era, era))
+        for shard in read_shards:
+            ts = maxima.get(shard, 0)
+            if clamp is not None and ts > clamp:
+                ts = clamp
+            if ts > lower:
+                lower = ts
+    return lower
+
+
+def _holds(timelines: KeyTimelines, snapshot: int,
+           constraints: list[tuple[Any, Any, bool]]) -> bool:
+    """Do the reads hold in ``S^snapshot`` of the axis?"""
+    if snapshot > timelines.num_commits:
+        return False
+    value_at = timelines.value_at
+    for key, value, present in constraints:
+        actual_present, actual = value_at(key, snapshot)
+        if actual_present != present or (present and actual != value):
+            return False
+    return True
+
+
+def _candidates(timelines: KeyTimelines,
+                constraints: list[tuple[Any, Any, bool]],
+                upper: int) -> IntervalSet:
+    """The axis states no newer than ``upper`` that satisfy every read
+    constraint: ``[0, upper]`` intersected with each constraint's
+    admissible intervals."""
+    candidates = IntervalSet.full(upper)
+    intervals_for = timelines.intervals_for
+    for key, value, present in constraints:
+        if not candidates:
+            break       # intersection can only shrink further
+        candidates = candidates.intersect(intervals_for(key, value, present))
+    return candidates
+
+
+def _check_si(recorder: HistoryRecorder, primary_site: str,
+              same_session: Optional[bool], criterion: str) -> CheckResult:
+    monitor = _SIMonitor(recorder, primary_site, same_session).replay()
+    violations = monitor.analysis_violations()
+    violations.extend(monitor.ordering_violations())
     return CheckResult(criterion=criterion, ok=not violations,
                        violations=violations,
-                       checked_transactions=len(analysis.client_views))
+                       checked_transactions=monitor.checked)
+
+
+def check_weak_si(recorder: HistoryRecorder,
+                  primary_site: str = "primary") -> CheckResult:
+    """Global weak SI (Theorem 3.2): every committed client transaction
+    observed *some* transaction-consistent primary snapshot no newer than
+    its begin."""
+    return _check_si(recorder, primary_site, None, "weak SI")
 
 
 def check_strong_si(recorder: HistoryRecorder,
                     primary_site: str = "primary") -> CheckResult:
     """Strong SI (Definition 2.1): weak SI plus no transaction inversions
     between *any* pair of committed transactions."""
-    return _check_ordering(recorder, primary_site, False, "strong SI")
+    return _check_si(recorder, primary_site, False, "strong SI")
 
 
 def check_strong_session_si(recorder: HistoryRecorder,
                             primary_site: str = "primary") -> CheckResult:
     """Strong session SI (Definition 2.2): weak SI plus no transaction
     inversions between pairs with the same session label."""
-    return _check_ordering(recorder, primary_site, True, "strong session SI")
+    return _check_si(recorder, primary_site, True, "strong session SI")
 
 
 def count_transaction_inversions(recorder: HistoryRecorder,
@@ -687,246 +1008,21 @@ def count_transaction_inversions(recorder: HistoryRecorder,
     observed an older state than Ti installed (or saw).  Each such Tj
     counts once, however many earlier transactions it falls behind.
     """
-    analysis = _Analysis(recorder, primary_site)
-    analyzed, _ = analysis.analyze()
-    return len(_streaming_ordering(analyzed, within_sessions, analysis))
-
-
-def _secondary_timeline(recorder: HistoryRecorder,
-                        site: str) -> list[tuple[int, str, Any]]:
-    """Committed refresh transactions interleaved with recovery jumps at
-    ``site``, in history order."""
-    timeline: list[tuple[int, str, Any]] = []
-    for view in recorder.committed(site=site):
-        if view.is_update:
-            timeline.append((view.end_seq, "commit", view))
-    for event in recorder.site_events():
-        if event.kind == "recover" and event.site == site:
-            timeline.append((event.seq, "recover", event))
-    timeline.sort(key=lambda entry: entry[0])
-    return timeline
-
-
-def _commit_number(view: TxnView) -> int:
-    return view.commit_ts if view.commit_ts is not None else -1
-
-
-def _site_walk(history: _HistoryAxes,
-               site: str) -> Iterator[tuple[str, Any, int, int]]:
-    """``(what, item, index, era)`` for each timeline item of ``site``
-    the completeness audit visits, in the order it visits them: a
-    recovery copy or a refresh commit, the number of the primary state
-    it claims to produce, and the era it committed in.
-
-    With ``parallel_refresh`` a secondary commits refresh transactions out
-    of primary order; only the contiguous watermark prefix ever becomes
-    externally visible (``seq(DBsec)`` advances at watermark boundaries),
-    and commits applied above the watermark are truncated by a crash or an
-    epoch fence.  The audit therefore verifies each *run* — the stretch
-    between recovery jumps and promotion fences — in commit-number order,
-    and stops a run at the first gap in the numbering: commits past a gap
-    never joined a visible snapshot (the watermark cannot pass the gap)
-    and were discarded by whatever ended the run, so replaying them would
-    audit a state the replica never served.  Strict-FIFO histories have
-    dense, in-order runs, so this normalisation is the identity there.
-
-    A subscribing secondary is sent only the commits whose write sets
-    touch its shards, so the numbering it must follow without a gap is
-    that *subsequence* of the axis: a skipped commit is legitimate
-    exactly when it touches no subscribed shard.  A commit that should
-    never have arrived is deliberately kept in the walk, so the state
-    comparison flags it.  A promoted site is audited as a secondary only
-    up to its promotion; afterwards its own commits *define* the axis.
-    """
-    eras = history.eras
-    # Fences bound the runs, so a run lies within one era — and on one
-    # side of the site's own promotion, if it has one.
-    promoted_in = max((era.index for era in eras[1:] if era.site == site),
-                      default=len(eras))
-    runs: list[tuple[int, list[tuple[int, str, Any]]]] = [(0, [])]
-    era = 0
-    for entry in _secondary_timeline(history.recorder, site):
-        while era + 1 < len(eras) and entry[0] > eras[era + 1].start_seq:
-            era += 1
-            runs.append((era, []))
-        if entry[1] == "recover":
-            runs.append((era, []))
-        runs[-1][1].append(entry)
-    sent = history.commits_sent_to(site)
-    prev = 0
-    for era, run in runs:
-        if era >= promoted_in:
-            return
-        if run and run[0][1] == "recover":
-            prev = run[0][2].commit_ts or 0
-            yield "recover", run[0][2], prev, era
-            run = run[1:]
-        for view in sorted((entry[2] for entry in run), key=_commit_number):
-            ts = _commit_number(view)
-            if sent is None:
-                due = prev + 1
-            else:
-                pos = bisect_right(sent[era], prev)
-                due = sent[era][pos] if pos < len(sent[era]) else None
-            if due is not None and ts > due:
-                break          # gap: the truncated tail was never visible
-            yield "commit", view, ts, era
-            if ts == due:
-                prev = ts
-
-
-def _verbatim(mine: list, theirs: list) -> bool:
-    """True when a refresh's write events replay the primary commit's
-    exactly: same keys, values and delete flags, in the same order."""
-    if len(mine) != len(theirs):
-        return False
-    for a, b in zip(mine, theirs):
-        if a.key != b.key or a.value != b.value or a.deleted != b.deleted:
-            return False
-    return True
-
-
-def _refresh_diverges(history: _HistoryAxes, held: Optional[frozenset],
-                      at_era: int, at: int, era: int, index: int,
-                      final_writes: dict[Any, tuple[Any, bool]]) -> bool:
-    """One step of the completeness induction: does applying
-    ``final_writes`` to the (projected) state ``S^at`` of axis ``at_era``
-    fail to produce the (projected) ``S^index`` of axis ``era``?
-
-    The two states agree on every key outside the refresh's own writes
-    and the axis writes above their common ancestor — the smaller index
-    on one axis, clamped to the shared prefix across an era boundary —
-    so only those keys are looked up.  ``held`` is the site's shard set
-    when it subscribes to part of the keyspace: a key on an unsubscribed
-    shard must be absent, whatever the primary holds.
-    """
-    before, after = history.timelines(at_era), history.timelines(era)
-    common = min(at, index)
-    if at_era != era:
-        common = min(common, _shared_prefix_bound(history.eras, at_era, era))
-    suspects = set(final_writes)
-    for i in range(common + 1, at + 1):
-        suspects.update(before.write_keys[i])
-    for i in range(common + 1, index + 1):
-        suspects.update(after.write_keys[i])
-    shard_of = history.shard_of
-    for key in suspects:
-        subscribed = held is None or shard_of[key] in held
-        own = final_writes.get(key)
-        if own is not None:
-            actual = _MISSING if own[1] else own[0]
-        elif subscribed:
-            was_present, value = before.value_at(key, at)
-            actual = value if was_present else _MISSING
-        else:
-            continue        # untouched and unsubscribed: absent both sides
-        present, expected = (after.value_at(key, index) if subscribed
-                             else (False, None))
-        if present:
-            if actual is _MISSING or actual != expected:
-                return True
-        elif actual is not _MISSING:
-            return True
-    return False
-
-
-def _completeness(history: _HistoryAxes) -> CheckResult:
-    """Theorem 3.1 as one per-key induction per site.
-
-    Invariant: before each item of a site's audit walk
-    (:func:`_site_walk`) the site's state *is* the primary state
-    ``S^at`` of axis ``at_era``, projected onto the site's subscription
-    (verified inductively) — so that state never needs to be
-    materialised or maintained.  A refresh commit to ``S^index`` is
-    verified on the keys that can differ (:func:`_refresh_diverges`);
-    the axis is the one of the era the item committed in, so a replica
-    that carried the old primary's truncated tail across a promotion is
-    flagged as divergent, not excused.  The induction restarts at a
-    recovery copy — Section 3.4's one legitimate discontinuity — which
-    is compared in full against the projected ``S^ts`` it claims to be.
-    Apart from that, full states are materialised only to render a
-    divergence message.
-
-    Fast path: an in-order refresh (``index == at + 1``) at a site
-    holding every key, whose write events replay the primary commit's
-    write events verbatim — same keys, values and delete flags in the
-    same order — needs no per-key verification at all: the state was
-    ``S^at`` by the induction hypothesis and the exact primary writes
-    take it to ``S^index`` by construction.  This is the overwhelmingly
-    common case, and it touches nothing but the raw write events, so on
-    a clean unsharded history the :class:`KeyTimelines` index is never
-    even built.
-    """
-    violations: list[Violation] = []
-    checked = 0
-    for site in history.recorder.sites():
-        if site == history.primary_site:
-            continue
-        held = history.partial_subscription(site)
-        at_era = at = 0
-        for what, item, index, era in _site_walk(history, site):
-            checked += 1
-            axis = history.axes[era]
-            if not 0 <= index <= len(axis):
-                violations.append(Violation(
-                    kind="secondary-ahead",
-                    message=(f"site {site!r} produced state S^{index}, but "
-                             f"the primary only reached S^{len(axis)}")))
-                break
-            if what == "recover":
-                diverged = (dict(item.value or {})
-                            != history.projected_state(era, index, held))
-            elif (held is None and era == at_era and index == at + 1
-                  and _verbatim(item.writes, axis[at].writes)):
-                diverged = False        # fast path
-            else:
-                diverged = _refresh_diverges(history, held, at_era, at,
-                                             era, index, item.final_writes)
-            if diverged:
-                # Render the state the site held by replaying its walk.
-                current: dict[Any, Any] = {}
-                for seen, earlier, _index, _era in _site_walk(history, site):
-                    if seen == "recover":
-                        current = dict(earlier.value or {})
-                    else:
-                        _apply_writes(current, earlier.final_writes)
-                    if earlier is item:
-                        break
-                label = "recovery copy" if what == "recover" else "state"
-                expected = history.projected_state(era, index, held)
-                violations.append(Violation(
-                    kind="state-divergence",
-                    message=(f"site {site!r} {label} S^{index} diverges "
-                             f"from primary: {current!r} != {expected!r}")))
-                break
-            at_era, at = era, index
-    return CheckResult(criterion="completeness", ok=not violations,
-                       violations=violations,
-                       checked_transactions=checked)
+    monitor = _SIMonitor(recorder, primary_site, within_sessions).replay()
+    return len(monitor.inverted)
 
 
 def check_completeness(recorder: HistoryRecorder,
                        primary_site: str = "primary") -> CheckResult:
     """Theorem 3.1: every state a secondary produces is a primary state.
 
-    Refresh commits at a secondary mirror primary commit numbering, so
-    each committed refresh must leave the secondary in exactly the
-    primary state of the same number.  Section 3.4 recovery is the one
-    legitimate discontinuity: the site *jumps* to a quiesced copy of the
-    primary instead of replaying the commits it missed.  Such jumps are
-    recorded in the history (with the copy itself), so the checker
-    verifies that the copy equals the primary state it claims to be,
-    then resumes tracking from there — a recovery handed a corrupt or
-    mistimed copy is flagged, not trusted.
-
-    Histories from dependency-tracked parallel refresh commit out of
-    primary order at the secondaries; see :func:`_site_walk` for how the
-    audit re-orders each run by commit number (the watermark invariant
-    guarantees only such prefixes were ever visible) while remaining
-    byte-identical on strict-FIFO histories.  Under partial replication
-    (histories with "subscribe" events) each secondary is audited
-    against the sub-history projected onto its subscription, and across
-    promotions against the axis of the era each item committed in.
+    Refresh commits mirror primary commit numbering, so each committed
+    refresh must leave the secondary in exactly the primary state of the
+    same number.  Section 3.4 recovery is the one legitimate
+    discontinuity: the site *jumps* to a quiesced copy of the primary,
+    recorded with the copy itself, which is verified rather than
+    trusted.  Parallel refresh, partial replication and promotions are
+    handled as :meth:`_CompletenessMonitor._arrive` describes.
     """
-    return _completeness(_HistoryAxes(recorder, primary_site,
-                                      completeness=True))
+    return _CompletenessMonitor(recorder,
+                                primary_site).replay().completeness_result()

@@ -4,7 +4,7 @@ A single :class:`HistoryRecorder` is shared by every site's engine; each
 begin / read / write / scan / commit / abort is appended with a global
 sequence number, producing the totally-ordered history H over which the
 paper's definitions are stated.  :class:`TxnView` aggregates the events of
-one transaction for the checkers.
+one transaction (the checkers replay the events themselves).
 
 Transactions carry optional metadata set by the replication layer:
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
@@ -104,8 +105,8 @@ class TxnView:
     reads: list[HistoryEvent] = field(default_factory=list)
     writes: list[HistoryEvent] = field(default_factory=list)
     scans: list[HistoryEvent] = field(default_factory=list)
-    #: Memoised :attr:`final_writes` (the checkers read it once per site
-    #: per pass; recomputing the dict dominated their profiles).
+    #: Memoised :attr:`final_writes` (a reader may ask once per site and
+    #: per pass).
     _final_writes: Optional[dict] = field(default=None, repr=False,
                                           compare=False)
 
@@ -174,9 +175,8 @@ class HistoryRecorder:
         # session labels.
         self._interned = _InternedStrings()
         self._views_cache: dict[tuple[str, int], TxnView] = {}
-        self._views_cache_len = -1
-        self._site_events: list[HistoryEvent] = []
-        self._commit_order: list[TxnView] = []
+        #: (event list, its length) the cache was built from.
+        self._views_cache_of: tuple = (None, -1)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -282,17 +282,14 @@ class HistoryRecorder:
     def transactions(self) -> dict[tuple[str, int], TxnView]:
         """Aggregate events into per-transaction views, keyed (site, id).
 
-        One pass, cached until new events are recorded — checkers call
-        this many times over a finished history.  The pass also sets
-        aside the site-level events and the commit order: events are
-        appended in ``seq`` order, so commits appear in ``end_seq``
-        order.  Treat the returned mapping and views as read-only.
+        One pass, cached until new events are recorded or :attr:`events`
+        is replaced by another list.  Treat the returned mapping and
+        views as read-only.
         """
-        if self._views_cache_len == len(self.events):
+        events, length = self._views_cache_of
+        if events is self.events and length == len(events):
             return self._views_cache
         views: dict[tuple[str, int], TxnView] = {}
-        site_events = self._site_events = []
-        commit_order = self._commit_order = []
         view: Optional[TxnView] = None
         for event in self.events:
             kind = event.kind
@@ -307,8 +304,7 @@ class HistoryRecorder:
                     "active", [], [], [])
                 continue
             if kind in _SITE_KINDS:
-                site_events.append(event)   # site-level, no transaction
-                continue
+                continue                    # site-level, no transaction
             # Most events belong to the transaction of the one before.
             if view is None or view.txn_id != event.txn_id \
                     or view.site != event.site:
@@ -330,31 +326,24 @@ class HistoryRecorder:
                 view.end_time = event.time
                 view.commit_ts = event.commit_ts
                 view.status = "committed"
-                commit_order.append(view)
             elif kind == "abort":
                 view.end_seq = event.seq
                 view.end_time = event.time
                 view.status = "aborted"
         self._views_cache = views
-        self._views_cache_len = len(self.events)
+        self._views_cache_of = (self.events, len(self.events))
         return views
 
     def site_events(self) -> list[HistoryEvent]:
         """Site-level events (recover / promote / subscribe) in history
-        order, set aside by the :meth:`transactions` pass and cached with
-        it — the checkers ask for these few events several times per
-        check, and each ask used to walk the whole history."""
-        self.transactions()
-        return self._site_events
+        order."""
+        return [event for event in self.events if event.kind in _SITE_KINDS]
 
     def committed(self, site: Optional[str] = None) -> list[TxnView]:
-        """Committed transactions (optionally one site), in commit order,
-        as recorded by the :meth:`transactions` pass.  Treat the
-        returned list as read-only."""
-        self.transactions()
-        if site is None:
-            return self._commit_order
-        return [v for v in self._commit_order if v.site == site]
+        """Committed transactions (optionally one site), in commit order."""
+        return sorted((view for view in self.transactions().values()
+                       if view.committed and site in (None, view.site)),
+                      key=attrgetter("end_seq"))
 
     def client_transactions(self) -> list[TxnView]:
         """Committed client transactions (refresh copies excluded)."""

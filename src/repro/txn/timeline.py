@@ -5,10 +5,11 @@ The checkers never materialise the primary's database-state sequence
 every read tested against every prefix state, is O(commits²) time and
 O(commits · keys) memory.  They work per key instead:
 
-* :class:`KeyTimelines` is built **once** in O(total writes): for every
-  key, the sorted list of ``(state_index, value, deleted)`` changes the
-  primary's committed update transactions made to it.  The value of a
-  key at any state ``S^i`` is then a single ``bisect``.
+* :class:`KeyTimelines` is appended commit by commit, O(total writes)
+  in all: for every key, the sorted list of ``(state_index, value,
+  deleted)`` changes the primary's committed update transactions made
+  to it.  The value of a key at any state ``S^i`` is a ``bisect``, and
+  it is final once ``S^i`` exists.
 * A read constraint ``(key, value, present)`` admits a **union of
   index intervals** — the segments of the key's timeline whose value
   matches — and a transaction's candidate snapshot set is ``0..upper``
@@ -151,8 +152,6 @@ class KeyTimelines:
         self._entries: dict[Any, list[tuple[Any, bool]]] = {}
         #: Number of committed update transactions (states are 0..n).
         self.num_commits = 0
-        #: live_counts[i] == number of present keys in S^i.
-        self.live_counts: list[int] = [0]
         #: write_keys[i] == keys written (incl. deletes) by commit i
         #: (index 0 is a placeholder for the initial state).
         self.write_keys: list[tuple[Any, ...]] = [()]
@@ -166,22 +165,22 @@ class KeyTimelines:
         """Record the next committed update transaction's effect."""
         self.num_commits += 1
         index = self.num_commits
-        live = self.live_counts[-1]
         for key, (value, deleted) in final_writes.items():
             starts = self._starts.get(key)
             if starts is None:
                 starts = self._starts[key] = []
                 self._entries[key] = []
             entries = self._entries[key]
-            was_present = bool(entries) and not entries[-1][1]
-            if deleted:
-                if was_present:
-                    live -= 1
-            elif not was_present:
-                live += 1
             starts.append(index)
             entries.append((value, deleted))
-        self.live_counts.append(live)
+            by_value = self._by_value.get(key)
+            if by_value is not None and not deleted:
+                # Keep an index already built in step (a monitor asks
+                # between commits).
+                try:
+                    by_value.setdefault(value, []).append(len(entries) - 1)
+                except TypeError:       # an unhashable value
+                    self._by_value[key] = None
         self.write_keys.append(tuple(final_writes))
 
     # -- point queries ---------------------------------------------------

@@ -1,18 +1,22 @@
 """Reference checkers: slow, obviously right, and independent of the
 per-key timelines, for every history shape.
 
-``src/repro/txn/checkers.py`` infers candidate snapshots from per-key
-timelines, checks ordering in one streaming pass and completeness by a
-per-key induction.  The reference here does each the direct way:
+``src/repro/txn/checkers.py`` replays the history once through a
+monitor: per-key timelines for snapshot inference, running maxima for
+ordering and a per-key induction per replica for completeness.  The
+reference here does each the direct way, over the recorder's aggregated
+transaction views and with its own copy of the preprocessing (eras,
+axes, subscriptions, read constraints):
 
 * snapshot inference tests every read against every materialised prefix
-  state ``S^0..S^n`` of its era's axis (:class:`_MaterialisedAnalysis`);
+  state ``S^0..S^n`` of its era's axis (:func:`_analyse`);
 * ordering is an explicit O(n²) pair scan — per promotion era, or per
   shard obligation vector under partial replication — and a plain
   history is its one-era case;
 * completeness replays each secondary's walk and compares full
   (projected) states against the materialised axis states.
 
+It imports only the public names of ``repro.txn.checkers``.
 ``tests/txn/test_reference_differential.py`` and
 ``tests/txn/test_incremental_checkers.py`` require
 ``(ok, checked_transactions, [(kind, message, txns)])`` equality between
@@ -23,24 +27,15 @@ axiomatic one of ROADMAP item 1) is validated against the same module.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.core.records import key_fingerprint
+from repro.errors import CheckerError
 from repro.txn.checkers import (
     CheckResult,
     Violation,
-    _Analysis,
-    _Analyzed,
-    _Era,
-    _check_detail,
-    _era_axes,
-    _inversion_violation,
-    _primary_updates,
-    _promotion_eras,
-    _secondary_timeline,
-    _shared_prefix_bound,
-    _subscriptions,
     check_completeness,
     check_strong_session_si,
     check_strong_si,
@@ -49,6 +44,105 @@ from repro.txn.checkers import (
 )
 from repro.txn.history import HistoryRecorder, TxnView
 from repro.txn.timeline import IntervalSet
+
+
+# ---------------------------------------------------------------------------
+# Preprocessing: eras, axes, subscriptions, read constraints
+# ---------------------------------------------------------------------------
+
+def _check_detail(recorder: HistoryRecorder) -> None:
+    detail = getattr(recorder, "detail", "ops")
+    if detail != "ops":
+        raise CheckerError(
+            f"history was recorded with detail={detail!r}: read/write "
+            f"events are missing, so the SI checkers cannot run; record "
+            f"with detail='ops' for checked runs")
+
+
+@dataclass(frozen=True)
+class _Era:
+    """A primary regime: ``site`` is the primary after history sequence
+    ``start_seq``, and its axis inherits the previous axis' first
+    ``base_ts`` commits."""
+
+    index: int
+    site: str
+    start_seq: int
+    base_ts: int
+
+
+def _promotion_eras(recorder: HistoryRecorder,
+                    primary_site: str) -> list[_Era]:
+    eras = [_Era(0, primary_site, -1, 0)]
+    for event in recorder.site_events():
+        if event.kind == "promote":
+            eras.append(_Era(len(eras), event.site, event.seq,
+                             event.commit_ts or 0))
+    return eras
+
+
+def _subscriptions(recorder: HistoryRecorder
+                   ) -> dict[str, tuple[frozenset, int]]:
+    """site -> (subscribed shards, num_shards) from "subscribe" events."""
+    subs: dict[str, tuple[frozenset, int]] = {}
+    for event in recorder.site_events():
+        if event.kind == "subscribe":
+            subs[event.site] = (frozenset(event.value or ()),
+                                event.commit_ts or 0)
+    return subs
+
+
+def _era_axes(recorder: HistoryRecorder, eras: list[_Era], dense: bool,
+              named: bool) -> list[list[TxnView]]:
+    """Per-era primary timelines: axis 0 is the original primary's
+    committed non-refresh updates, axis e the first ``base_ts`` commits
+    of axis e-1 followed by the new primary's own.  ``dense`` refuses
+    commit timestamps that do not number the axis densely, in a message
+    that names the era when ``named``."""
+    axes: list[list[TxnView]] = []
+    for era in eras:
+        commits = [v for v in recorder.committed(site=era.site)
+                   if v.is_update and not v.is_refresh
+                   and v.end_seq > era.start_seq]
+        if dense:
+            where = f" in era {era.index}" if named else ""
+            for expected, view in enumerate(commits, start=era.base_ts + 1):
+                if view.commit_ts is not None and view.commit_ts != expected:
+                    raise CheckerError(
+                        f"primary commit timestamps not dense{where}: txn "
+                        f"{view.logical_id or view.txn_id} has commit_ts "
+                        f"{view.commit_ts}, expected {expected}")
+        if era.index == 0:
+            axes.append(commits)
+        else:
+            prefix = axes[era.index - 1]
+            if era.base_ts > len(prefix):
+                raise CheckerError(
+                    f"promotion base S^{era.base_ts} exceeds the previous "
+                    f"primary's last state S^{len(prefix)}")
+            axes.append(prefix[:era.base_ts] + commits)
+    return axes
+
+
+def _shared_prefix_bound(eras: list[_Era], from_era: int,
+                         to_era: int) -> int:
+    """The smallest truncation point between two eras: the highest state
+    their axes share."""
+    return min(eras[e].base_ts for e in range(from_era + 1, to_era + 1))
+
+
+def _read_constraints(view: TxnView) -> list[tuple[Any, Any, bool]]:
+    """(key, value, present) of the first reads before an own write."""
+    constraints: list[tuple[Any, Any, bool]] = []
+    seen: set[Any] = set()
+    for event in sorted(view.reads + view.writes, key=lambda e: e.seq):
+        if event.key in seen:
+            continue
+        seen.add(event.key)
+        if event.kind == "read":
+            constraints.append((event.key, event.value,
+                                event.producer is not None))
+    return constraints
 
 
 def _materialise_states(axis: list[TxnView]) -> list[dict[Any, Any]]:
@@ -77,27 +171,114 @@ def _satisfied(state: dict[Any, Any],
     return True
 
 
-class _MaterialisedAnalysis(_Analysis):
-    """The production snapshot analysis with its two timeline-backed
-    methods replaced by tests against materialised prefix states.
-    Candidate lists become sets of one-index intervals, so the shared
-    :class:`_Analyzed` records and violation messages stay the same."""
+# ---------------------------------------------------------------------------
+# Snapshot inference against materialised states
+# ---------------------------------------------------------------------------
 
-    def __init__(self, recorder: HistoryRecorder, primary_site: str):
-        super().__init__(recorder, primary_site)
-        self.axis_states = [_materialise_states(axis) for axis in self.axes]
+@dataclass
+class _Analyzed:
+    """A committed client transaction with its candidate snapshots (one
+    pinned snapshot for an update at its era's primary)."""
 
-    def _pinned_satisfied(self, era: int, snapshot: int,
-                          constraints: list[tuple[Any, Any, bool]]) -> bool:
-        states = self.axis_states[era]
-        return snapshot < len(states) and _satisfied(states[snapshot],
-                                                     constraints)
+    view: TxnView
+    admissible: IntervalSet
+    commit_index: Optional[int]
+    era: int
 
-    def _candidates(self, era: int, constraints: list[tuple[Any, Any, bool]],
-                    upper: int) -> IntervalSet:
-        return IntervalSet((i, i) for i, state
-                           in enumerate(self.axis_states[era])
-                           if i <= upper and _satisfied(state, constraints))
+    @property
+    def pinned(self) -> bool:
+        return self.commit_index is not None
+
+
+@dataclass
+class _Analysis:
+    eras: list[_Era]
+    axes: list[list[TxnView]]
+    subs: dict[str, tuple[frozenset, int]]
+    analyzed: list[_Analyzed]
+    violations: list[Violation]
+    checked: int
+
+
+def _analyse(recorder: HistoryRecorder, primary_site: str) -> _Analysis:
+    """Test every committed client transaction's reads against every
+    materialised state of its era's axis, in begin order."""
+    _check_detail(recorder)
+    eras = _promotion_eras(recorder, primary_site)
+    axes = _era_axes(recorder, eras, dense=True, named=len(eras) > 1)
+    axis_states = [_materialise_states(axis) for axis in axes]
+    axis_seqs = [[view.end_seq for view in axis] for axis in axes]
+    client_views = recorder.client_transactions()
+    analyzed: list[_Analyzed] = []
+    violations: list[Violation] = []
+    for view in sorted(client_views, key=lambda v: v.begin_seq):
+        era = _era_of(eras, view.begin_seq)
+        states = axis_states[era]
+        upper = bisect_left(axis_seqs[era], view.begin_seq)
+        constraints = _read_constraints(view)
+        name = view.logical_id or view.txn_id
+        if view.site == eras[era].site and view.is_update:
+            snapshot = view.start_ts or 0
+            if snapshot < len(states) and _satisfied(states[snapshot],
+                                                     constraints):
+                analyzed.append(_Analyzed(
+                    view, IntervalSet(((snapshot, snapshot),)),
+                    view.commit_ts, era))
+            else:
+                violations.append(Violation(
+                    kind="inconsistent-update-read",
+                    message=(f"update txn {name} reads do not match "
+                             f"primary state S^{snapshot}"),
+                    txns=(view.key,)))
+            continue
+        matching = [i for i, state in enumerate(states)
+                    if _satisfied(state, constraints)]
+        admissible = IntervalSet((i, i) for i in matching if i <= upper)
+        if admissible:
+            analyzed.append(_Analyzed(view, admissible, None, era))
+        elif matching:
+            violations.append(Violation(
+                kind="future-snapshot",
+                message=(f"txn {name} saw a state (index in {matching}) "
+                         f"newer than any committed before it began "
+                         f"(<= {upper})"),
+                txns=(view.key,)))
+        else:
+            violations.append(Violation(
+                kind="no-consistent-snapshot",
+                message=(f"txn {name} reads match no "
+                         f"transaction-consistent primary state"),
+                txns=(view.key,)))
+    return _Analysis(eras, axes, _subscriptions(recorder), analyzed,
+                     violations, len(client_views))
+
+
+def _inversion_violation(tj: _Analyzed, snapshot: int, lower: int,
+                         source: _Analyzed,
+                         same_session_only: bool) -> Violation:
+    scope = " in the same session" if same_session_only else ""
+    return Violation(
+        kind="transaction-inversion",
+        message=(
+            f"txn {tj.view.logical_id or tj.view.txn_id} saw state "
+            f"S^{snapshot} (candidates {tj.admissible.to_list()}) but "
+            f"{source.view.logical_id or source.view.txn_id} (committed "
+            f"earlier{scope}) requires at least S^{lower}"),
+        txns=(source.view.key, tj.view.key))
+
+
+def _secondary_timeline(recorder: HistoryRecorder,
+                        site: str) -> list[tuple[int, str, Any]]:
+    """Committed update transactions interleaved with recovery jumps at
+    ``site``, in history order."""
+    timeline: list[tuple[int, str, Any]] = [
+        (view.end_seq, "commit", view)
+        for view in recorder.committed(site=site) if view.is_update]
+    timeline.extend((event.seq, "recover", event)
+                    for event in recorder.site_events()
+                    if event.kind == "recover" and event.site == site)
+    timeline.sort(key=lambda entry: entry[0])
+    return timeline
 
 
 def _era_of(eras: list[_Era], seq: int) -> int:
@@ -345,7 +526,9 @@ def _era_completeness(recorder: HistoryRecorder, eras: list[_Era],
     history is the one-era case.
     """
     axis_states = [_materialise_states(axis) for axis in axes]
-    promoted_at = {era.site: era.start_seq for era in eras[1:]}
+    promoted_at: dict[str, int] = {}
+    for era in eras[1:]:
+        promoted_at.setdefault(era.site, era.start_seq)
     # Promotion fences truncate out-of-order applied commits exactly like
     # crashes do, so each era boundary also bounds a normalisation run.
     boundaries = tuple(era.start_seq for era in eras[1:])
@@ -414,7 +597,7 @@ def _sharded_completeness(recorder: HistoryRecorder,
     projected axis state; promotion fences and the promoted-site cutoff
     behave exactly as in :func:`_era_completeness`.
     """
-    axes = _era_axes(recorder, eras)
+    axes = _era_axes(recorder, eras, dense=True, named=True)
     axis_states = [_materialise_states(axis) for axis in axes]
     num_shards = next(iter(subs.values()))[1]
     # Per-axis, per-commit shard sets (index 0 unused), shared by every
@@ -427,7 +610,9 @@ def _sharded_completeness(recorder: HistoryRecorder,
                 key_fingerprint(key) % num_shards
                 for key in view.final_writes))
         axis_commit_shards.append(shard_sets)
-    promoted_at = {era.site: era.start_seq for era in eras[1:]}
+    promoted_at: dict[str, int] = {}
+    for era in eras[1:]:
+        promoted_at.setdefault(era.site, era.start_seq)
     boundaries = sorted(era.start_seq for era in eras[1:])
     full = frozenset(range(num_shards))
     violations: list[Violation] = []
@@ -538,15 +723,17 @@ def _sharded_completeness(recorder: HistoryRecorder,
 # The public checkers, reference edition
 # ---------------------------------------------------------------------------
 
-def reference_ordering(analyzed: list[_Analyzed], same_session_only: bool,
+def reference_ordering(same_session_only: bool,
                        analysis: _Analysis) -> list[Violation]:
     """The pair-scan verdict for histories of any shape."""
     eras = analysis.eras
     if analysis.subs:
         num_shards = next(iter(analysis.subs.values()))[1]
         return _sharded_ordering_violations(
-            analyzed, same_session_only, eras, analysis.axes, num_shards)
-    return _era_ordering_violations(analyzed, same_session_only, eras)
+            analysis.analyzed, same_session_only, eras, analysis.axes,
+            num_shards)
+    return _era_ordering_violations(analysis.analyzed, same_session_only,
+                                    eras)
 
 
 def _reference_si(recorder: HistoryRecorder, primary_site: str,
@@ -554,14 +741,13 @@ def _reference_si(recorder: HistoryRecorder, primary_site: str,
                   same_session_only: bool | None = None) -> CheckResult:
     """Weak SI, plus the ordering scan unless ``same_session_only`` is
     None."""
-    analysis = _MaterialisedAnalysis(recorder, primary_site)
-    analyzed, violations = analysis.analyze()
+    analysis = _analyse(recorder, primary_site)
+    violations = list(analysis.violations)
     if same_session_only is not None:
-        violations.extend(reference_ordering(analyzed, same_session_only,
-                                             analysis))
+        violations.extend(reference_ordering(same_session_only, analysis))
     return CheckResult(criterion=criterion, ok=not violations,
                        violations=violations,
-                       checked_transactions=len(analysis.client_views))
+                       checked_transactions=analysis.checked)
 
 
 def reference_check_weak_si(recorder: HistoryRecorder,
@@ -583,9 +769,8 @@ def reference_count_inversions(recorder: HistoryRecorder,
                                primary_site: str = "primary",
                                within_sessions: bool = True) -> int:
     """``count_transaction_inversions`` by pair scan."""
-    analysis = _MaterialisedAnalysis(recorder, primary_site)
-    analyzed, _ = analysis.analyze()
-    return len(reference_ordering(analyzed, within_sessions, analysis))
+    return len(reference_ordering(within_sessions,
+                                  _analyse(recorder, primary_site)))
 
 
 def reference_check_completeness(recorder: HistoryRecorder,
@@ -597,13 +782,11 @@ def reference_check_completeness(recorder: HistoryRecorder,
     subs = _subscriptions(recorder)
     if subs:
         return _sharded_completeness(recorder, subs, eras)
-    if len(eras) > 1:
-        return _era_completeness(recorder, eras, _era_axes(recorder, eras))
     # Like production, the plain audit takes the primary's numbering as
     # recorded: it does not insist on dense commit timestamps.
-    return _era_completeness(
-        recorder, eras, [_primary_updates(recorder, primary_site,
-                                          dense=False)])
+    multi_era = len(eras) > 1
+    return _era_completeness(recorder, eras, _era_axes(
+        recorder, eras, dense=multi_era, named=multi_era))
 
 
 def verdict(result: CheckResult) -> tuple:

@@ -8,11 +8,15 @@ from repro.faults.harness import ChaosConfig, run_chaos
 from repro.storage.engine import SIDatabase
 from repro.txn.checkers import check_completeness, check_weak_si
 from repro.txn.history import HistoryRecorder
+from repro.txn.timeline import KeyTimelines
 
 from tests.txn.reference_checkers import (
-    _MaterialisedAnalysis,
+    _era_axes,
+    _materialise_states,
+    _promotion_eras,
     assert_matches_reference,
 )
+from tests.txn.test_incremental_checkers import refresh, update
 from tests.txn.test_reference_differential import SHAPES, history
 
 
@@ -129,10 +133,13 @@ def test_sites_listing(recorder):
 def replayed_states(recorder):
     """The primary's ``S^0..S^n``, replayed by the reference checkers
     from the recorded writes and checked against the production
-    checkers' per-key timelines."""
-    analysis = _MaterialisedAnalysis(recorder, "primary")
-    states = analysis.axis_states[0]
-    timelines = analysis.axis_timelines[0]
+    checkers' per-key timelines of the same commits."""
+    axis = _era_axes(recorder, _promotion_eras(recorder, "primary"),
+                     dense=True, named=False)[0]
+    states = _materialise_states(axis)
+    timelines = KeyTimelines()
+    for view in axis:
+        timelines.append_commit(view.final_writes)
     assert [timelines.state_at(i) for i in range(len(states))] == states
     return states
 
@@ -331,3 +338,26 @@ def test_transactions_cache_invalidated_by_new_events(db, recorder):
     second = recorder.transactions()
     assert second is not first
     assert len(second) == 2
+
+
+def one_update_history(value) -> list:
+    """Six events: one update at the primary and its refresh."""
+    recorder = HistoryRecorder()
+    primary = SIDatabase(name="primary", recorder=recorder)
+    secondary = SIDatabase(name="secondary-1", recorder=recorder)
+    update(primary, "t1", "c1", {"x": value})
+    refresh(secondary, "t1", {"x": value})
+    assert len(recorder.events) == 6
+    return recorder.events
+
+
+def test_transactions_cache_follows_a_replaced_event_list():
+    """Replacing the event list with another of the same length must not
+    serve the old list's views."""
+    recorder = HistoryRecorder()
+    recorder.events = one_update_history(1)
+    assert [event.value for view in recorder.transactions().values()
+            for event in view.writes] == [1, 1]
+    recorder.events = one_update_history(2)
+    assert [event.value for view in recorder.transactions().values()
+            for event in view.writes] == [2, 2]

@@ -12,13 +12,21 @@ import pytest
 
 from repro.errors import CheckerError
 from repro.storage.engine import SIDatabase
-from repro.txn.checkers import check_weak_si, count_transaction_inversions
+from repro.txn.checkers import (
+    check_completeness,
+    check_strong_session_si,
+    check_strong_si,
+    check_weak_si,
+    count_transaction_inversions,
+)
 from repro.txn.histgen import generate_replicated_history
 from repro.txn.history import HistoryRecorder
 from repro.txn.timeline import IntervalSet, KeyTimelines
 
 from tests.txn.reference_checkers import (
     assert_matches_reference,
+    reference_check_completeness,
+    reference_check_strong,
     reference_check_weak_si,
 )
 
@@ -244,7 +252,7 @@ def test_agree_on_good_recovery_jump(recorder, primary, secondary):
 
 def test_agree_on_recovery_copy_missing_key(recorder, primary, secondary):
     """A copy that *drops* a key has the right values for every key it
-    kept — the live-key count comparison must still catch it."""
+    kept — the full-state comparison must still catch it."""
     update(primary, "t1", "c1", {"x": 1, "y": 2})
     recorder.record_recovery("secondary-1", 0.0, {"x": 1}, commit_ts=1)
     completeness, *_ = assert_matches_reference(recorder)
@@ -268,6 +276,69 @@ def test_both_methods_reject_sparse_commit_timestamps(recorder, primary):
     for check in (check_weak_si, reference_check_weak_si):
         with pytest.raises(CheckerError, match="not dense"):
             check(recorder)
+
+
+def sparse_commit(recorder, site, commit_ts):
+    """An update at ``site`` whose commit timestamp is ``commit_ts``."""
+    class FakeTxn:
+        txn_id = 77
+        start_ts = 0
+        commit_ts = None
+        metadata = {"logical_id": "fake"}
+        is_update = True
+    fake = FakeTxn()
+    recorder.record("begin", site, fake, 0.0)
+    fake.commit_ts = commit_ts
+    recorder.record("commit", site, fake, 0.0)
+
+
+def unnumberable_histories():
+    """Histories every checker must refuse, each with its own message."""
+    commits_only = HistoryRecorder(detail="commits")
+    update(SIDatabase(name="primary", recorder=commits_only), "t1", "c1",
+           {"x": 1})
+    sparse = HistoryRecorder()
+    sparse_commit(sparse, "primary", 5)
+    sharded_sparse = HistoryRecorder()      # completeness names era 0
+    sharded_sparse.record_subscription("secondary-1", frozenset({0}), 2, 0.0)
+    sparse_commit(sharded_sparse, "primary", 5)
+    era_sparse = HistoryRecorder()
+    update(SIDatabase(name="primary", recorder=era_sparse), "t1", "c1",
+           {"x": 1})
+    era_sparse.record_promotion(old_site="primary", new_site="secondary-1",
+                                time=1.0, truncation_ts=1)
+    sparse_commit(era_sparse, "secondary-1", 7)
+    base_past = HistoryRecorder()
+    update(SIDatabase(name="primary", recorder=base_past), "t1", "c1",
+           {"x": 1})
+    base_past.record_promotion(old_site="primary", new_site="secondary-1",
+                               time=1.0, truncation_ts=3)
+    return [commits_only, sparse, sharded_sparse, era_sparse, base_past]
+
+
+def refusal(check, recorder):
+    try:
+        check(recorder)
+    except CheckerError as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_refusals_match_the_reference(index):
+    """Same input, same ``CheckerError`` message (or none) from every
+    checker and its reference."""
+    recorder = unnumberable_histories()[index]
+    pairs = [(check_completeness, reference_check_completeness),
+             (check_weak_si, reference_check_weak_si),
+             (check_strong_si,
+              lambda r: reference_check_strong(r, False)),
+             (check_strong_session_si,
+              lambda r: reference_check_strong(r, True))]
+    messages = [(refusal(check, recorder), refusal(reference, recorder))
+                for check, reference in pairs]
+    assert all(mine == theirs for mine, theirs in messages), messages
+    assert any(mine is not None for mine, _ in messages)
 
 
 def test_agree_on_same_session_read_behind_two_commits(
@@ -364,7 +435,6 @@ def test_key_timelines_value_lookup():
     assert tl.value_at("x", 3) == (False, None)
     assert tl.value_at("x", 4) == (True, 1)
     assert tl.value_at("never", 4) == (False, None)
-    assert tl.live_counts == [0, 1, 2, 1, 2]
     assert tl.intervals_present("x", 1).to_list() == [1, 2, 4]
     assert tl.intervals_present("x", 9).empty
     assert tl.intervals_absent("x").to_list() == [0, 3]

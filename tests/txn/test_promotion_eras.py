@@ -138,6 +138,27 @@ def test_secondary_ahead_of_new_era_axis(recorder):
     assert "S^3" in completeness.violations[0].message
 
 
+def test_transaction_without_begin_belongs_to_the_first_era(recorder):
+    """A transaction recorded without its begin counts as begun before
+    anything: era 0, with no commit before it.  Its read of S^1 is then
+    a future snapshot, not a read of the new era's axis."""
+    class FakeTxn:
+        txn_id = 93
+        start_ts = 0
+        commit_ts = None
+        metadata = {"logical_id": "headless", "session": "c5"}
+        is_update = False
+
+    _, sec1, _ = promoted_pair(recorder)
+    update(sec1, "t3", "c2", {"y": 9})
+    fake = FakeTxn()
+    recorder.record("read", "secondary-1", fake, 0.0, key="x", value=1,
+                    producer=1)
+    recorder.record("commit", "secondary-1", fake, 0.0)
+    _, weak, *_ = assert_matches_reference(recorder)
+    assert [v.kind for v in weak.violations] == ["future-snapshot"]
+
+
 def test_non_dense_new_era_numbering_rejected(recorder):
     """The new primary must continue dense commit numbering from the
     truncation point; a gap is a checker error, not a silent pass."""

@@ -19,9 +19,11 @@ public checkers, and the same inversion counts:
   caught, with the same message.
 """
 
+import ast
 import copy
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.faults.harness import ChaosConfig, run_chaos
 from repro.txn.checkers import check_completeness, check_strong_si
 from repro.txn.history import HistoryRecorder
 
+from tests.txn import reference_checkers
 from tests.txn.reference_checkers import assert_matches_reference
 
 SHAPES = {
@@ -126,3 +129,22 @@ def test_mutated_plain_history(kind):
     """The plain route of both sides: 12 mutants of each kind."""
     assert_mutants_caught(history("plain", PLAIN_MUTATION_BASE_SEED),
                           random.Random(f"plain:{kind}"), kind)
+
+
+def test_reference_imports_only_public_checker_names():
+    """The reference shares no code with the production checkers beyond
+    their public interface: it would otherwise agree with them by
+    construction."""
+    source = Path(reference_checkers.__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) \
+                and node.module == "repro.txn.checkers":
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert "repro.txn.checkers" not in {
+                alias.name for alias in node.names}
+    assert imported == {
+        "CheckResult", "Violation", "check_completeness",
+        "check_strong_session_si", "check_strong_si", "check_weak_si",
+        "count_transaction_inversions"}
