@@ -92,7 +92,7 @@ def sharded_times():
             shards=8, primary_kill=True, parallel_refresh=4,
             refresh_apply_cost=0.01))
         assert result.ok, result.describe()
-        assert result.promotions == 1
+        assert result.status.promotions == 1
         times[ops] = {}
         for check in (check_weak_si, check_strong_session_si,
                       check_completeness):

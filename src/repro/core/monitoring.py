@@ -38,6 +38,7 @@ class SiteStatus:
     recover_count: int = 0          # restarts, for the primary
     channel_dropped: int = 0        # messages lost on this site's link
     channel_duplicated: int = 0
+    channel_reordered: int = 0
     retransmissions: int = 0
     duplicates_filtered: int = 0
     stale_refreshes_dropped: int = 0
@@ -73,6 +74,10 @@ class SystemStatus:
     primary: SiteStatus
     secondaries: tuple[SiteStatus, ...]
     max_lag: int
+    #: Secondaries a promotion retired: each is (or was) a primary, so
+    #: :attr:`secondaries` leaves them out, but their crashes, recoveries
+    #: and out-of-order commits happened in this run.
+    retired: tuple[SiteStatus, ...] = ()
     # -- propagator shipping counters ------------------------------------
     #: Per-endpoint deliveries (replays and retransmissions included);
     #: grows with the number of attached secondaries.  Before the
@@ -97,6 +102,9 @@ class SystemStatus:
     auto_promotions: int = 0
     partitions_active: int = 0
     zombie_records_fenced: int = 0
+    # -- autovacuum totals over every daemon, a killed primary's included -
+    vacuum_runs: int = 0
+    versions_reclaimed: int = 0
     # -- partial-replication counters (zero/empty with sharding off) ------
     num_shards: int = 0
     records_shipped_by_shard: tuple[tuple[int, int], ...] = ()
@@ -237,151 +245,116 @@ class SystemStatus:
 
 def system_status(system: "ReplicatedSystem") -> SystemStatus:
     """Collect a :class:`SystemStatus` snapshot."""
-    primary_ts = system.primary.latest_commit_ts
-    vacuums = {id(daemon.engine): daemon
-               for daemon in getattr(system, "autovacuums", [])}
+    vacuums = {id(daemon.engine): daemon for daemon in system.autovacuums}
 
-    def vacuum_stats(engine) -> tuple[int, int]:
+    def engine_status(site) -> dict:
+        engine = site.engine
         daemon = vacuums.get(id(engine))
-        if daemon is None:
-            return 0, 0
-        return daemon.runs, daemon.versions_reclaimed
+        return dict(
+            name=site.name, crashed=engine.crashed, commits=engine.commits,
+            aborts=engine.aborts, stored_versions=engine.version_count,
+            max_chain_length=engine.max_chain_length,
+            vacuum_runs=daemon.runs if daemon else 0,
+            versions_reclaimed=daemon.versions_reclaimed if daemon else 0)
 
-    failover = getattr(system, "auto_failover", None)
-    kernel_counters = system.kernel.counters()
-    primary_vacuum = vacuum_stats(system.primary.engine)
-    primary = SiteStatus(
-        name=system.primary.name,
-        crashed=system.primary.engine.crashed,
-        commits=system.primary.engine.commits,
-        aborts=system.primary.engine.aborts,
-        seq_db=None,
-        lag=None,
-        queued_records=None,
-        pending_refreshes=None,
-        refreshes_applied=None,
-        peak_applicators=None,
-        stored_versions=system.primary.engine.version_count,
-        crash_count=system.primary.crash_count,
-        recover_count=system.primary.restart_count,
-        max_chain_length=system.primary.engine.max_chain_length,
-        vacuum_runs=primary_vacuum[0],
-        versions_reclaimed=primary_vacuum[1],
-    )
-    secondaries = []
-    max_lag = 0
-    for secondary in system.secondaries:
-        if secondary.retired:
-            # A retired site *is* the current primary (reported above);
-            # listing it as a secondary would double-count its engine.
-            continue
-        lag = None
-        if not secondary.engine.crashed:
-            lag = system.replica_lag(secondary)
-            max_lag = max(max_lag, lag)
+    def secondary_status(secondary) -> SiteStatus:
         link = system.propagator.link_for(secondary)
-        dropped = duplicated = retransmissions = filtered = 0
+        channels = {}
         if link is not None:
-            dropped = link.data_channel.dropped + link.ack_channel.dropped
-            duplicated = (link.data_channel.duplicated
-                          + link.ack_channel.duplicated)
-            retransmissions = link.retransmissions
-            filtered = link.duplicates_filtered
-        catch_up = None
-        if secondary.catch_up_times:
-            catch_up = (sum(secondary.catch_up_times)
-                        / len(secondary.catch_up_times))
-        secondaries.append(SiteStatus(
-            name=secondary.name,
-            crashed=secondary.engine.crashed,
-            commits=secondary.engine.commits,
-            aborts=secondary.engine.aborts,
+            data, acks = link.data_channel, link.ack_channel
+            channels = dict(
+                channel_dropped=data.dropped + acks.dropped,
+                channel_duplicated=data.duplicated + acks.duplicated,
+                channel_reordered=data.reordered + acks.reordered,
+                retransmissions=link.retransmissions,
+                duplicates_filtered=link.duplicates_filtered)
+        refresher = secondary.refresher
+        times = secondary.catch_up_times
+        return SiteStatus(
+            **engine_status(secondary), **channels,
             seq_db=secondary.seq_db,
-            lag=lag,
-            queued_records=secondary.refresher.queued,
-            pending_refreshes=secondary.refresher.pending_count,
-            refreshes_applied=secondary.refresher.refreshes_applied,
-            peak_applicators=secondary.refresher
-            .max_concurrent_applicators,
-            stored_versions=secondary.engine.version_count,
+            lag=system.replica_lag(secondary) if secondary.live else None,
+            queued_records=refresher.queued,
+            pending_refreshes=refresher.pending_count,
+            refreshes_applied=refresher.refreshes_applied,
+            peak_applicators=refresher.max_concurrent_applicators,
             crash_count=secondary.crash_count,
             recover_count=secondary.recover_count,
-            channel_dropped=dropped,
-            channel_duplicated=duplicated,
-            retransmissions=retransmissions,
-            duplicates_filtered=filtered,
-            stale_refreshes_dropped=secondary.refresher
-            .stale_records_dropped,
-            mean_catch_up_time=catch_up,
-            max_chain_length=secondary.engine.max_chain_length,
-            vacuum_runs=vacuum_stats(secondary.engine)[0],
-            versions_reclaimed=vacuum_stats(secondary.engine)[1],
-            parallel_workers=secondary.refresher.parallel,
-            out_of_order_commits=secondary.refresher.out_of_order_commits,
-            peak_runnable_depth=secondary.refresher.max_runnable_depth,
-            watermark_lag=secondary.refresher.watermark_lag,
-            peak_pending=secondary.refresher.peak_pending,
+            stale_refreshes_dropped=refresher.stale_records_dropped,
+            mean_catch_up_time=sum(times) / len(times) if times else None,
+            parallel_workers=refresher.parallel,
+            out_of_order_commits=refresher.out_of_order_commits,
+            peak_runnable_depth=refresher.max_runnable_depth,
+            watermark_lag=refresher.watermark_lag,
+            peak_pending=refresher.peak_pending,
             shards_subscribed=(len(secondary.subscription)
-                               if secondary.sharded else None),
-        ))
-    sharding = getattr(system, "sharding", None)
-    admission = getattr(system, "admission_controller", None)
-    return SystemStatus(now=system.kernel.now,
-                        primary_commit_ts=primary_ts,
-                        primary=primary,
-                        secondaries=tuple(secondaries),
-                        max_lag=max_lag,
-                        records_sent=system.propagator.records_sent,
-                        batches_sent=system.propagator.batches_sent,
-                        records_logged=system.propagator.records_logged,
-                        cluster_epoch=getattr(system, "cluster_epoch", 0),
-                        promotions=getattr(system, "promotions", 0),
-                        fenced_stale_records=getattr(
-                            system, "fenced_stale_records", 0),
-                        lost_update_windows=getattr(
-                            system, "lost_update_windows", 0),
-                        suspicions=getattr(failover, "suspicions", 0),
-                        false_suspicions=getattr(
-                            failover, "false_suspicions", 0),
-                        lease_expiries=getattr(failover,
-                                               "lease_expiries", 0),
-                        auto_promotions=getattr(failover,
-                                                "auto_promotions", 0),
-                        partitions_active=getattr(
-                            system, "partitions_active", 0),
-                        zombie_records_fenced=getattr(
-                            system, "zombie_records_fenced", 0),
-                        num_shards=(sharding.shards
-                                    if sharding is not None else 0),
-                        records_shipped_by_shard=tuple(sorted(
-                            system.propagator
-                            .records_shipped_by_shard.items())),
-                        shard_routing_misses=sum(
-                            session.shard_routing_misses
-                            for session in system._sessions),
-                        admission_attempts=getattr(
-                            admission, "attempts", 0),
-                        admission_admitted=getattr(
-                            admission, "admitted", 0),
-                        admission_shed=getattr(admission, "shed", 0),
-                        admission_throttled=getattr(
-                            admission, "throttled", 0),
-                        admission_peak_queue=getattr(
-                            admission, "peak_queue_depth", 0),
-                        admission_brownouts=getattr(
-                            admission, "brownouts", 0),
-                        admission_min_brownout_factor=getattr(
-                            admission, "min_brownout_factor", 1.0),
-                        admission_degraded_reads=getattr(
-                            admission, "degraded_reads", 0),
-                        kernel_events_dispatched=kernel_counters[
-                            "events_dispatched"],
-                        kernel_peak_queue_depth=kernel_counters[
-                            "peak_queue_depth"],
-                        kernel_timer_cancellations=kernel_counters[
-                            "timer_cancellations"],
-                        kernel_same_instant_ratio=kernel_counters[
-                            "same_instant_ratio"])
+                               if secondary.sharded else None))
+
+    primary = SiteStatus(
+        **engine_status(system.primary), seq_db=None, lag=None,
+        queued_records=None, pending_refreshes=None, refreshes_applied=None,
+        peak_applicators=None, crash_count=system.primary.crash_count,
+        recover_count=system.primary.restart_count)
+    secondaries, retired = [], []
+    for secondary in system.secondaries:
+        # A retired site *is* the current primary (reported above), or
+        # was one; listing it as a secondary would double-count its
+        # engine, but its counters still belong to the run.
+        if secondary.retired:
+            retired.append(secondary_status(secondary))
+            continue
+        secondaries.append(secondary_status(secondary))
+    detector = {}
+    if system.auto_failover is not None:
+        failover = system.auto_failover
+        detector = dict(suspicions=failover.suspicions,
+                        false_suspicions=failover.false_suspicions,
+                        lease_expiries=failover.lease_expiries,
+                        auto_promotions=failover.auto_promotions)
+    admission = {}
+    if system.admission_controller is not None:
+        controller = system.admission_controller
+        admission = dict(
+            admission_attempts=controller.attempts,
+            admission_admitted=controller.admitted,
+            admission_shed=controller.shed,
+            admission_throttled=controller.throttled,
+            admission_peak_queue=controller.peak_queue_depth,
+            admission_brownouts=controller.brownouts,
+            admission_min_brownout_factor=controller.min_brownout_factor,
+            admission_degraded_reads=controller.degraded_reads)
+    kernel = system.kernel.counters()
+    propagator = system.propagator
+    return SystemStatus(
+        now=system.kernel.now,
+        primary_commit_ts=system.primary.latest_commit_ts,
+        primary=primary,
+        secondaries=tuple(secondaries),
+        max_lag=max((site.lag for site in secondaries
+                     if site.lag is not None), default=0),
+        retired=tuple(retired),
+        records_sent=propagator.records_sent,
+        batches_sent=propagator.batches_sent,
+        records_logged=propagator.records_logged,
+        cluster_epoch=system.cluster_epoch,
+        promotions=system.promotions,
+        fenced_stale_records=system.fenced_stale_records,
+        lost_update_windows=system.lost_update_windows,
+        **detector,
+        partitions_active=system.partitions_active,
+        zombie_records_fenced=system.zombie_records_fenced,
+        vacuum_runs=sum(daemon.runs for daemon in system.autovacuums),
+        versions_reclaimed=sum(daemon.versions_reclaimed
+                               for daemon in system.autovacuums),
+        num_shards=system.sharding.shards if system.sharding else 0,
+        records_shipped_by_shard=tuple(sorted(
+            propagator.records_shipped_by_shard.items())),
+        shard_routing_misses=system.shard_routing_misses,
+        **admission,
+        kernel_events_dispatched=kernel["events_dispatched"],
+        kernel_peak_queue_depth=kernel["peak_queue_depth"],
+        kernel_timer_cancellations=kernel["timer_cancellations"],
+        kernel_same_instant_ratio=kernel["same_instant_ratio"])
 
 
 @dataclass
@@ -403,7 +376,9 @@ class SessionStats:
     overload_errors: int = 0        # sheds that exhausted the retry budget
     overload_retries: int = 0       # backed-off re-submissions after a shed
     circuit_open_errors: int = 0    # fast-fails from an open breaker
+    breaker_opens: int = 0
     degraded_reads: int = 0         # reads served stale under degradation
+    max_reported_staleness: int = 0  # worst StalenessReport.staleness
 
     @property
     def blocked_fraction(self) -> float:
@@ -427,15 +402,18 @@ def aggregate_sessions(sessions: list["ClientSession"]) -> SessionStats:
         stats.fcw_retries += session.fcw_retries
         stats.freshness_timeouts += session.freshness_timeouts
         stats.failovers += session.failovers
-        stats.no_primary_errors += getattr(session, "no_primary_errors", 0)
-        stats.shard_routing_misses += getattr(
-            session, "shard_routing_misses", 0)
-        stats.overload_errors += getattr(session, "overload_errors", 0)
-        stats.overload_retries += getattr(session, "overload_retries", 0)
-        stats.circuit_open_errors += getattr(
-            session, "circuit_open_errors", 0)
-        stats.degraded_reads += getattr(session, "degraded_reads", 0)
-        if getattr(session, "_lost_window", None) is not None:
+        stats.no_primary_errors += session.no_primary_errors
+        stats.shard_routing_misses += session.shard_routing_misses
+        stats.overload_errors += session.overload_errors
+        stats.overload_retries += session.overload_retries
+        stats.circuit_open_errors += session.circuit_open_errors
+        stats.degraded_reads += session.degraded_reads
+        if session._breaker is not None:
+            stats.breaker_opens += session._breaker.opens
+        for report in session.staleness_reports:
+            stats.max_reported_staleness = max(
+                stats.max_reported_staleness, report.staleness)
+        if session._lost_window is not None:
             stats.lost_sessions += 1
     return stats
 

@@ -544,6 +544,7 @@ class ClientSession:
                     # Wrong placement, not a failure: the bound replica
                     # simply does not subscribe to these shards.
                     self.shard_routing_misses += 1
+                    self.system.shard_routing_misses += 1
                 secondary = yield from self._failover(required)
             if not secondary.reached(required):
                 kernel = self.system.kernel
@@ -974,6 +975,9 @@ class ReplicatedSystem:
         #: Every session ever opened (promotion reconciles their seq(c)
         #: state); closed sessions are pruned at each promotion.
         self._sessions: list[ClientSession] = []
+        #: Sessions' routing misses, counted here too: a promotion's
+        #: pruning of closed sessions must not take theirs away.
+        self.shard_routing_misses = 0
         self.failover = failover
         self.auto_failover: Optional[AutoFailover] = None
         if failover is not None:

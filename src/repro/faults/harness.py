@@ -32,6 +32,12 @@ from typing import Optional
 from repro.core.admission import AdmissionConfig
 from repro.core.failover import FailoverConfig
 from repro.core.guarantees import Guarantee
+from repro.core.monitoring import (
+    SessionStats,
+    SystemStatus,
+    aggregate_sessions,
+    system_status,
+)
 from repro.core.promotion import PromotionConfig
 from repro.core.sharding import ShardingConfig
 from repro.core.system import ReplicatedSystem
@@ -172,7 +178,13 @@ def derived_placement(shards: int,
 
 @dataclass
 class ChaosResult:
-    """Outcome and diagnostics of one chaos run."""
+    """Outcome and diagnostics of one chaos run.
+
+    The system's own counters are read once, at the end of the run, into
+    :attr:`status` and :attr:`clients`; the fields here are what only the
+    harness knows: the driver's operation outcomes and the injector's
+    bookkeeping.
+    """
 
     seed: int
     converged: bool
@@ -182,76 +194,29 @@ class ChaosResult:
     #: reference checkers) and its approximate size.
     recorder: Optional["HistoryRecorder"] = None
     history_bytes: int = 0
-    #: Operation outcomes.
+    live_keys: int = 0             # keys in the converged primary state
+    #: The settled system's snapshot, and its sessions' (replaced ones
+    #: included) summed counters.
+    status: Optional[SystemStatus] = None
+    clients: Optional[SessionStats] = None
+    #: Operation outcomes, as the driver saw them.
     updates: int = 0
     reads: int = 0
     deferred_updates: int = 0      # primary was down; dropped client-side
     fcw_aborts: int = 0
-    #: Fault-machinery activity, summed over all links.
-    channel_drops: int = 0
-    channel_duplicates: int = 0
-    channel_reorders: int = 0
-    retransmissions: int = 0
-    duplicates_filtered: int = 0
-    failovers: int = 0
-    secondary_crashes: int = 0
-    secondary_recoveries: int = 0
-    primary_crashes: int = 0
-    primary_restarts: int = 0
-    #: Promotion activity (all zero unless ``primary_kill`` is set).
+    deferred_reads: int = 0        # no live holder of the touched shard
+    shed_updates: int = 0          # updates shed after the retry budget
+    breaker_fast_fails: int = 0    # updates failed fast by an open breaker
+    read_timeouts: int = 0         # freshness deadline hit, no degradation
+    #: Injector bookkeeping: kills, partitions and heals applied, and how
+    #: many plan events actually fired vs. were skipped as inapplicable
+    #: (e.g. promote with no live candidate, heal of a never-cut link).
     primary_kills: int = 0
-    promotions: int = 0
-    fenced_stale_records: int = 0
-    lost_update_windows: int = 0
-    lost_sessions: int = 0
-    no_primary_errors: int = 0
-    #: Autonomous-failover / partition activity (all zero unless
-    #: ``auto_failover``/``partitions`` are set).
-    suspicions: int = 0
-    false_suspicions: int = 0
-    lease_expiries: int = 0
-    auto_promotions: int = 0
-    partitions: int = 0            # partition events applied
+    partitions: int = 0
     heals: int = 0
-    zombie_records_fenced: int = 0
-    #: Injector bookkeeping: how many plan events actually fired vs.
-    #: were skipped as inapplicable (e.g. promote with no live
-    #: candidate, heal of a never-cut link).
     events_applied: int = 0
     events_skipped: int = 0
     skipped_actions: tuple = ()
-    #: Parallel-refresh activity, summed over all secondaries (zero
-    #: unless ``parallel_refresh`` is set).
-    out_of_order_commits: int = 0
-    #: Kernel event-queue activity (properties of the dispatched event
-    #: stream, so they repeat exactly for the same seed).
-    events_dispatched: int = 0
-    peak_queue_depth: int = 0
-    timer_cancellations: int = 0
-    same_instant_ratio: float = 0.0
-    #: Partial-replication activity (all zero unless ``shards`` is set).
-    shards: int = 0
-    shard_routing_misses: int = 0
-    deferred_reads: int = 0        # no live holder of the touched shard
-    #: Overload / admission activity (all zero unless ``admission`` set).
-    shed_updates: int = 0          # updates shed after the retry budget
-    overload_retries: int = 0      # backed-off re-submissions
-    breaker_fast_fails: int = 0    # updates failed fast by an open breaker
-    breaker_opens: int = 0
-    degraded_reads: int = 0        # reads served stale under degradation
-    max_reported_staleness: int = 0
-    read_timeouts: int = 0         # freshness deadline hit, no degradation
-    admission_attempts: int = 0
-    admission_admitted: int = 0
-    admission_shed: int = 0        # controller-side sheds (incl. retried)
-    admission_throttled: int = 0
-    admission_peak_queue: int = 0
-    brownouts: int = 0
-    #: Storage-maintenance outcome (zero with autovacuum off).
-    vacuum_runs: int = 0
-    versions_reclaimed: int = 0
-    max_version_count: int = 0     # worst per-site store after quiesce
-    live_keys: int = 0             # keys in the converged primary state
 
     @property
     def ok(self) -> bool:
@@ -259,6 +224,8 @@ class ChaosResult:
 
     def describe(self) -> str:
         """One human-readable line per aspect (used by CLI and asserts)."""
+        status, clients = self.status, self.clients
+        sites = status.secondaries + status.retired
         lines = [f"seed {self.seed}: "
                  f"{'OK' if self.ok else 'FAILED'} "
                  f"(converged={self.converged})"]
@@ -269,80 +236,84 @@ class ChaosResult:
         lines.append(
             f"  ops: {self.updates} updates ({self.deferred_updates} "
             f"deferred while primary down), {self.reads} reads, "
-            f"{self.failovers} failovers")
+            f"{clients.failovers} failovers")
         lines.append(
-            f"  channel: {self.channel_drops} dropped, "
-            f"{self.channel_duplicates} duplicated, "
-            f"{self.channel_reorders} reordered, "
-            f"{self.retransmissions} retransmitted, "
-            f"{self.duplicates_filtered} dup-filtered")
+            f"  channel: {sum(s.channel_dropped for s in sites)} dropped, "
+            f"{sum(s.channel_duplicated for s in sites)} duplicated, "
+            f"{sum(s.channel_reordered for s in sites)} reordered, "
+            f"{sum(s.retransmissions for s in sites)} retransmitted, "
+            f"{sum(s.duplicates_filtered for s in sites)} dup-filtered")
         lines.append(
-            f"  crashes: {self.secondary_crashes} secondary "
-            f"(+{self.secondary_recoveries} recoveries), "
-            f"{self.primary_crashes} primary "
-            f"(+{self.primary_restarts} restarts)")
-        if self.primary_kills or self.promotions:
+            f"  crashes: {sum(s.crash_count for s in sites)} secondary "
+            f"(+{sum(s.recover_count for s in sites)} recoveries), "
+            f"{status.primary.crash_count} primary "
+            f"(+{status.primary.recover_count} restarts)")
+        if self.primary_kills or status.promotions:
             lines.append(
                 f"  promotion: {self.primary_kills} kills, "
-                f"{self.promotions} promotions, "
-                f"{self.fenced_stale_records} fenced records, "
-                f"{self.lost_update_windows} lost windows, "
-                f"{self.lost_sessions} lost sessions, "
-                f"{self.no_primary_errors} no-primary errors")
-        if (self.partitions or self.suspicions or self.lease_expiries
-                or self.auto_promotions or self.zombie_records_fenced):
+                f"{status.promotions} promotions, "
+                f"{status.fenced_stale_records} fenced records, "
+                f"{status.lost_update_windows} lost windows, "
+                f"{clients.lost_sessions} lost sessions, "
+                f"{clients.no_primary_errors} no-primary errors")
+        if (self.partitions or status.suspicions or status.lease_expiries
+                or status.auto_promotions or status.zombie_records_fenced):
             lines.append(
-                f"  failover: {self.suspicions} suspicions "
-                f"({self.false_suspicions} false), "
-                f"{self.lease_expiries} lease expiries, "
-                f"{self.auto_promotions} auto-promotions, "
+                f"  failover: {status.suspicions} suspicions "
+                f"({status.false_suspicions} false), "
+                f"{status.lease_expiries} lease expiries, "
+                f"{status.auto_promotions} auto-promotions, "
                 f"{self.partitions} partitions (+{self.heals} heals), "
-                f"{self.zombie_records_fenced} zombie records fenced")
+                f"{status.zombie_records_fenced} zombie records fenced")
         if self.events_skipped:
             lines.append(
                 f"  plan: {self.events_applied} events applied, "
                 f"{self.events_skipped} skipped "
                 f"({', '.join(sorted(set(self.skipped_actions)))})")
-        if self.out_of_order_commits:
+        out_of_order = sum(s.out_of_order_commits for s in sites)
+        if out_of_order:
             lines.append(
-                f"  parallel refresh: {self.out_of_order_commits} "
+                f"  parallel refresh: {out_of_order} "
                 f"commits applied out of order")
-        if self.shards:
+        if status.num_shards:
             lines.append(
-                f"  sharding: {self.shards} shards, "
-                f"{self.shard_routing_misses} routing misses, "
+                f"  sharding: {status.num_shards} shards, "
+                f"{clients.shard_routing_misses} routing misses, "
                 f"{self.deferred_reads} reads deferred "
                 f"(no live shard holder)")
-        if self.admission_attempts:
+        if status.admission_attempts:
             lines.append(
-                f"  admission: {self.admission_attempts} attempts, "
-                f"{self.admission_admitted} admitted, "
-                f"{self.admission_shed} shed "
+                f"  admission: {status.admission_attempts} attempts, "
+                f"{status.admission_admitted} admitted, "
+                f"{status.admission_shed} shed "
                 f"({self.shed_updates} client-visible after "
-                f"{self.overload_retries} retries), "
-                f"{self.admission_throttled} throttled, "
-                f"peak queue {self.admission_peak_queue}, "
-                f"{self.brownouts} brownouts")
-        if (self.degraded_reads or self.read_timeouts
-                or self.breaker_opens):
+                f"{clients.overload_retries} retries), "
+                f"{status.admission_throttled} throttled, "
+                f"peak queue {status.admission_peak_queue}, "
+                f"{status.admission_brownouts} brownouts")
+        if (status.admission_degraded_reads or self.read_timeouts
+                or clients.breaker_opens):
             lines.append(
-                f"  degradation: {self.degraded_reads} degraded reads "
-                f"(max staleness {self.max_reported_staleness}), "
+                f"  degradation: {status.admission_degraded_reads} "
+                f"degraded reads "
+                f"(max staleness {clients.max_reported_staleness}), "
                 f"{self.read_timeouts} freshness timeouts, "
-                f"{self.breaker_opens} breaker opens "
+                f"{clients.breaker_opens} breaker opens "
                 f"({self.breaker_fast_fails} fast-fails)")
-        if self.vacuum_runs:
+        if status.vacuum_runs:
+            max_store = max(s.stored_versions
+                            for s in (status.primary, *sites))
             lines.append(
-                f"  vacuum: {self.vacuum_runs} runs, "
-                f"{self.versions_reclaimed} versions reclaimed, "
-                f"max store {self.max_version_count} "
-                f"({self.live_keys} live keys)")
-        if self.events_dispatched:
+                f"  vacuum: {status.vacuum_runs} runs, "
+                f"{status.versions_reclaimed} versions reclaimed, "
+                f"max store {max_store} ({self.live_keys} live keys)")
+        if status.kernel_events_dispatched:
             lines.append(
-                f"  kernel: {self.events_dispatched} events dispatched "
-                f"({self.same_instant_ratio:.1%} same-instant), "
-                f"peak queue depth {self.peak_queue_depth}, "
-                f"{self.timer_cancellations} timer cancellations")
+                f"  kernel: {status.kernel_events_dispatched} events "
+                f"dispatched ({status.kernel_same_instant_ratio:.1%} "
+                f"same-instant), peak queue depth "
+                f"{status.kernel_peak_queue_depth}, "
+                f"{status.kernel_timer_cancellations} timer cancellations")
         return "\n".join(lines)
 
 
@@ -595,78 +566,16 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
             check_strong_session_si(system.recorder),
         ]
 
-    for secondary in system.secondaries:
-        link = system.propagator.link_for(secondary)
-        if link is not None:               # None for the promoted site
-            result.channel_drops += link.data_channel.dropped \
-                + link.ack_channel.dropped
-            result.channel_duplicates += link.data_channel.duplicated \
-                + link.ack_channel.duplicated
-            result.channel_reorders += link.data_channel.reordered \
-                + link.ack_channel.reordered
-            result.retransmissions += link.retransmissions
-            result.duplicates_filtered += link.duplicates_filtered
-        result.secondary_crashes += secondary.crash_count
-        result.secondary_recoveries += secondary.recover_count
-        result.out_of_order_commits += secondary.refresher.out_of_order_commits
-    result.failovers = sum(s.failovers for s in all_sessions)
-    result.no_primary_errors = sum(s.no_primary_errors
-                                   for s in all_sessions)
-    result.shards = config.shards or 0
-    result.shard_routing_misses = sum(s.shard_routing_misses
-                                      for s in all_sessions)
-    result.primary_crashes = system.primary.crash_count
-    result.primary_restarts = system.primary.restart_count
-    result.primary_kills = sum(1 for event in injector.applied
-                               if event.action == "kill_primary")
-    result.promotions = system.promotions
-    result.fenced_stale_records = system.fenced_stale_records
-    result.lost_update_windows = system.lost_update_windows
-    result.lost_sessions = sum(len(r.lost_sessions)
-                               for r in system.promotion_reports)
-    detector = system.auto_failover
-    if detector is not None:
-        result.suspicions = detector.suspicions
-        result.false_suspicions = detector.false_suspicions
-        result.lease_expiries = detector.lease_expiries
-        result.auto_promotions = detector.auto_promotions
-    controller = system.admission_controller
-    if controller is not None:
-        result.admission_attempts = controller.attempts
-        result.admission_admitted = controller.admitted
-        result.admission_shed = controller.shed
-        result.admission_throttled = controller.throttled
-        result.admission_peak_queue = controller.peak_queue_depth
-        result.brownouts = controller.brownouts
-        result.degraded_reads = controller.degraded_reads
-        result.overload_retries = sum(s.overload_retries
-                                      for s in all_sessions)
-        result.breaker_opens = sum(
-            s._breaker.opens for s in all_sessions
-            if s._breaker is not None)
-        result.max_reported_staleness = max(
-            (report.staleness for s in all_sessions
-             for report in s.staleness_reports), default=0)
-    result.partitions = sum(1 for event in injector.applied
-                            if event.action == "partition")
-    result.heals = sum(1 for event in injector.applied
-                       if event.action == "heal")
-    result.zombie_records_fenced = system.zombie_records_fenced
+    result.status = system_status(system)
+    result.clients = aggregate_sessions(all_sessions)
+    result.live_keys = len(primary_state)
+    applied = [event.action for event in injector.applied]
+    result.primary_kills = applied.count("kill_primary")
+    result.partitions = applied.count("partition")
+    result.heals = applied.count("heal")
     result.events_applied = len(injector.applied)
     result.events_skipped = len(injector.skipped)
     result.skipped_actions = tuple(event.action
                                    for event in injector.skipped)
-    result.vacuum_runs = sum(d.runs for d in system.autovacuums)
-    result.versions_reclaimed = sum(d.versions_reclaimed
-                                    for d in system.autovacuums)
-    result.max_version_count = max(
-        site.engine.version_count
-        for site in [system.primary, *system.secondaries])
-    result.live_keys = len(primary_state)
-    kernel_counters = system.kernel.counters()
-    result.events_dispatched = kernel_counters["events_dispatched"]
-    result.peak_queue_depth = kernel_counters["peak_queue_depth"]
-    result.timer_cancellations = kernel_counters["timer_cancellations"]
-    result.same_instant_ratio = kernel_counters["same_instant_ratio"]
     return result
 

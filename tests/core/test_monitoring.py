@@ -8,6 +8,7 @@ from repro.core.monitoring import (
     aggregate_sessions,
     system_status,
 )
+from repro.core.promotion import PromotionConfig
 from repro.core.sharding import ShardingConfig, shard_of
 from repro.core.system import ReplicatedSystem
 
@@ -249,3 +250,27 @@ def test_aggregate_sessions_counts_failovers():
     assert s.read("x") == 1
     stats = aggregate_sessions([s])
     assert stats.failovers == 1
+
+
+def test_routing_misses_survive_a_promotion():
+    """A promotion prunes closed sessions from the system's list; the
+    routing misses they counted stay in the status, which only grows."""
+    full = (0, 1, 2, 3)
+    system = ReplicatedSystem(
+        num_secondaries=3, propagation_delay=1.0,
+        promotion=PromotionConfig(),
+        sharding=ShardingConfig(shards=4, placement=(full, full, (0, 1))))
+    key = next(key for key in (f"k{i}" for i in range(100))
+               if shard_of(key, 4) == 2)
+    session = system.session(Guarantee.STRONG_SESSION_SI, secondary=2)
+    session.write(key, 1)
+    assert session.read(key) == 1        # re-routed off the half replica
+    assert session.shard_routing_misses == 1
+    session.close()
+    system.quiesce()
+    assert system_status(system).shard_routing_misses == 1
+    system.kill_primary()
+    system.promote_secondary()
+    status = system_status(system)
+    assert status.promotions == 1
+    assert status.shard_routing_misses == 1

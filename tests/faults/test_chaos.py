@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from repro.core.admission import AdmissionConfig
 from repro.core.system import ReplicatedSystem
 from repro.faults.channel import ChannelFaults
 from repro.faults.harness import ChaosConfig, run_chaos
@@ -26,18 +27,26 @@ pytestmark = pytest.mark.chaos
 SEEDS = range(20)
 
 
+def _sites(result):
+    """Every secondary's status, those a promotion retired included."""
+    return result.status.secondaries + result.status.retired
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chaos_run_converges_and_passes_checkers(seed):
     result = run_chaos(ChaosConfig(seed=seed))
     # The schedule must actually have exercised the fault machinery...
     assert result.plan.count("crash_secondary") >= 1
     assert result.plan.count("crash_primary") == 1
-    assert result.channel_drops > 0
-    assert result.channel_duplicates > 0
-    assert result.retransmissions > 0
-    assert result.secondary_crashes >= 1
-    assert result.secondary_recoveries == result.secondary_crashes
-    assert result.primary_crashes == 1 and result.primary_restarts == 1
+    sites = _sites(result)
+    assert sum(site.channel_dropped for site in sites) > 0
+    assert sum(site.channel_duplicated for site in sites) > 0
+    assert sum(site.retransmissions for site in sites) > 0
+    crashes = sum(site.crash_count for site in sites)
+    assert crashes >= 1
+    assert sum(site.recover_count for site in sites) == crashes
+    primary = result.status.primary
+    assert primary.crash_count == 1 and primary.recover_count == 1
     # ... and the paper's guarantees must have survived it.
     assert result.converged, result.describe()
     for check in result.checks:
@@ -58,11 +67,13 @@ def test_chaos_memory_bounded_with_autovacuum(seed):
     guarantees survive AND version chains do not grow with update count."""
     result = run_chaos(ChaosConfig(seed=seed, autovacuum_interval=5.0))
     assert result.ok, result.describe()
-    assert result.vacuum_runs > 0
-    assert result.versions_reclaimed > 0
+    assert result.status.vacuum_runs > 0
+    assert result.status.versions_reclaimed > 0
     bound = MEMORY_BOUND_MULTIPLE * max(result.live_keys, 1)
-    assert result.max_version_count <= bound, (
-        f"seed {seed}: {result.max_version_count} versions for "
+    max_store = max(site.stored_versions
+                    for site in (result.status.primary, *_sites(result)))
+    assert max_store <= bound, (
+        f"seed {seed}: {max_store} versions for "
         f"{result.live_keys} live keys exceeds {bound}\n"
         + result.describe())
 
@@ -89,6 +100,18 @@ def test_different_seeds_differ():
     a = run_chaos(ChaosConfig(seed=1))
     b = run_chaos(ChaosConfig(seed=2))
     assert a.plan != b.plan
+
+
+def _pinned(result):
+    """SHA-256 of ``describe()`` without its ``kernel:`` line (integers
+    only, so host-independent), then events dispatched and peak queue
+    depth: what the ``RECORDED_*`` tables below pin per storm."""
+    summary = result.describe()
+    digest = hashlib.sha256("\n".join(
+        line for line in summary.split("\n")
+        if "kernel:" not in line).encode()).hexdigest()
+    return (digest, result.status.kernel_events_dispatched,
+            result.status.kernel_peak_queue_depth)
 
 
 #: Per seed, for the partition + auto-failover storm: SHA-256 of
@@ -126,12 +149,7 @@ def test_chaos_identical_across_schedulers(seed):
     """
     result = run_chaos(ChaosConfig(seed=seed, partitions=2,
                                    primary_kill=True, auto_failover=True))
-    summary = result.describe()
-    digest = hashlib.sha256("\n".join(
-        line for line in summary.split("\n")
-        if "kernel:" not in line).encode()).hexdigest()
-    assert (digest, result.events_dispatched, result.peak_queue_depth) \
-        == RECORDED_STORMS[seed], summary
+    assert _pinned(result) == RECORDED_STORMS[seed], result.describe()
 
 
 #: The same pins for partial replication, recorded at the last commit
@@ -178,17 +196,76 @@ def test_sharded_storm_reproduces_the_recording(shape, seed):
                              primary_kill=True, auto_failover=True,
                              parallel_refresh=4, refresh_apply_cost=0.01)
     result = run_chaos(config)
-    summary = result.describe()
-    digest = hashlib.sha256("\n".join(
-        line for line in summary.split("\n")
-        if "kernel:" not in line).encode()).hexdigest()
-    assert (digest, result.events_dispatched, result.peak_queue_depth) \
-        == RECORDED_SHARDED_STORMS[shape, seed], summary
+    assert _pinned(result) == RECORDED_SHARDED_STORMS[shape, seed], \
+        result.describe()
+
+
+#: The same pins for three promotion storms the tables above miss:
+#: ``overload`` is the CLI's ``--overload --primary-kill
+#: --auto-failover`` storm (its admission and degradation lines);
+#: ``autovacuum`` and ``parallel`` kill the primary under autovacuum and
+#: under parallel refresh, so their vacuum totals and out-of-order
+#: counts include sites retired by the promotion (the parallel seeds are
+#: ones whose promoted site applied commits out of order).
+RECORDED_PROMOTED_STORMS = {
+    ("overload", 0): (
+        "068bcaca886f4e427f137826a17f896d854d6eb9104255fe436f0b10177993a5",
+        1084, 74),
+    ("overload", 1): (
+        "7ae239ac2ddc5e5fad54162b527b5d4cb1e76aabd53f5da7ea2981f1788667c9",
+        1510, 76),
+    ("overload", 2): (
+        "6eac168429a0d19a7437d31357eccb7523699d1971861d84e5387da5076157a4",
+        1396, 94),
+    ("autovacuum", 0): (
+        "c931e85cc0bf7274a67b6a95331cfc30f41057ad6d391bbe48ba66b0ac887a47",
+        915, 44),
+    ("autovacuum", 1): (
+        "3037e089eee6891474a4333b746367687cc3932f38d6b202699bfa90e6d64000",
+        928, 55),
+    ("autovacuum", 2): (
+        "311e13d4555113ba9f30795a45777a89fd74524ad388080876c12bd35f0781b4",
+        1046, 64),
+    ("parallel", 7): (
+        "8a42d958fc697d199e122a9630dbb928ac667453fb9291f832e8424d24d7c589",
+        950, 55),
+    ("parallel", 8): (
+        "3fa90193e6a6dd73bc95094fc3e0998d7d043e1d96df87671a52149fa58055ba",
+        850, 64),
+    ("parallel", 10): (
+        "2b5ed8bd1ba8f11d63d07338b94b13fcebf6f94699c7df068dc5441e41ea4c96",
+        931, 60),
+}
+
+#: The admission settings of ``python -m repro.faults --overload``.
+CLI_OVERLOAD = AdmissionConfig(rate=2.0, queue_limit=2, retry_budget=3,
+                               breaker_threshold=6, breaker_cooldown=2.0,
+                               lag_bound=24, read_deadline=5.0,
+                               degrade_to_stale=True)
+
+PROMOTED_SHAPES = {
+    "overload": dict(auto_failover=True, admission=CLI_OVERLOAD,
+                     arrival_pattern="flash-crowd",
+                     refresh_apply_cost=0.02),
+    "autovacuum": dict(autovacuum_interval=5.0),
+    "parallel": dict(parallel_refresh=4, refresh_apply_cost=0.02),
+}
+
+
+@pytest.mark.parametrize("shape,seed", sorted(RECORDED_PROMOTED_STORMS))
+def test_promoted_storm_reproduces_the_recording(shape, seed):
+    """A promotion retires a secondary; its counters (crashes, vacuum
+    passes, out-of-order commits) still belong in the summary."""
+    result = run_chaos(ChaosConfig(seed=seed, primary_kill=True,
+                                   **PROMOTED_SHAPES[shape]))
+    assert result.ok, result.describe()
+    assert _pinned(result) == RECORDED_PROMOTED_STORMS[shape, seed], \
+        result.describe()
 
 
 def test_chaos_summary_reports_kernel_counters():
     result = run_chaos(ChaosConfig(seed=0))
-    assert result.events_dispatched > 0
+    assert result.status.kernel_events_dispatched > 0
     summary = result.describe()
     assert "kernel:" in summary
     assert "events dispatched" in summary
@@ -242,12 +319,12 @@ def test_promotion_storm_converges_and_passes_checkers(seed):
     assert result.plan.count("kill_primary") == 1
     assert result.plan.count("promote_secondary") == 1
     assert result.primary_kills == 1
-    assert result.promotions == 1
-    assert result.primary_restarts == 0
+    assert result.status.promotions == 1
+    assert result.status.primary.recover_count == 0
     # Acknowledged-commit loss, when it happens, is accounted: a lost
     # window implies lost sessions were poisoned (or nobody owned the
     # truncated commits), never silently absorbed.
-    assert result.lost_update_windows in (0, 1)
+    assert result.status.lost_update_windows in (0, 1)
     assert result.converged, result.describe()
     for check in result.checks:
         assert check.ok, result.describe()
@@ -299,7 +376,7 @@ def test_parallel_refresh_promotion_storm(seed):
     result = run_chaos(ChaosConfig(seed=seed, primary_kill=True,
                                    **PARALLEL))
     assert result.primary_kills == 1
-    assert result.promotions == 1
+    assert result.status.promotions == 1
     assert result.converged, result.describe()
     for check in result.checks + _reference_checks(result):
         assert check.ok, result.describe()
@@ -311,8 +388,9 @@ def test_parallel_refresh_storms_actually_reorder():
     of order somewhere in the sweep — guard against a silently serial
     configuration."""
     total = sum(
-        run_chaos(ChaosConfig(seed=seed, **PARALLEL)).out_of_order_commits
-        for seed in range(4))
+        site.out_of_order_commits
+        for seed in range(4)
+        for site in _sites(run_chaos(ChaosConfig(seed=seed, **PARALLEL))))
     assert total > 0
 
 
@@ -330,17 +408,17 @@ def test_promotion_disabled_same_seed_is_bit_identical():
     a = run_chaos(ChaosConfig(seed=3))
     b = run_chaos(ChaosConfig(seed=3))
     assert a.describe() == b.describe()
-    assert a.promotions == a.primary_kills == 0
-    assert a.lost_update_windows == a.lost_sessions == 0
-    assert a.no_primary_errors == 0
+    assert a.status.promotions == a.primary_kills == 0
+    assert a.status.lost_update_windows == a.clients.lost_sessions == 0
+    assert a.clients.no_primary_errors == 0
     assert "promotion:" not in a.describe()
     assert a.plan.count("kill_primary") == 0
     # The failover/partition machinery is equally dormant by default:
     # no detector, no control traffic, no partition draws, no fencing.
     assert a.plan.count("partition") == a.plan.count("heal") == 0
-    assert a.suspicions == a.false_suspicions == 0
-    assert a.lease_expiries == a.auto_promotions == 0
-    assert a.partitions == a.heals == a.zombie_records_fenced == 0
+    assert a.status.suspicions == a.status.false_suspicions == 0
+    assert a.status.lease_expiries == a.status.auto_promotions == 0
+    assert a.partitions == a.heals == a.status.zombie_records_fenced == 0
     assert "failover:" not in a.describe()
 
 
@@ -367,12 +445,12 @@ def test_auto_failover_partition_storm(seed):
     assert result.plan.count("partition") == 2
     assert result.plan.count("heal") == 2
     assert result.primary_kills == 1
-    assert result.promotions == 1
-    assert result.auto_promotions == 1
-    assert result.suspicions >= 1
+    assert result.status.promotions == 1
+    assert result.status.auto_promotions == 1
+    assert result.status.suspicions >= 1
     # At most the one kill can truncate acknowledged commits, and the
     # loss is accounted, never silently absorbed.
-    assert result.lost_update_windows in (0, 1)
+    assert result.status.lost_update_windows in (0, 1)
     assert result.converged, result.describe()
     for check in result.checks + _reference_checks(result):
         assert check.ok, result.describe()
@@ -393,7 +471,7 @@ def test_partitions_alone_are_absorbed():
     result = run_chaos(ChaosConfig(seed=9, primary_crash=False,
                                    partitions=2))
     assert result.partitions >= 1
-    assert result.promotions == 0
+    assert result.status.promotions == 0
     assert result.converged, result.describe()
     for check in result.checks:
         assert check.ok, result.describe()
@@ -424,7 +502,7 @@ def test_sharded_storm_converges_and_passes_checkers(seed):
     state) plus completeness/weak-SI/strong-session-SI verified against
     projected sub-histories, by the production and reference checkers."""
     result = run_chaos(ChaosConfig(seed=seed, **SHARDED))
-    assert result.shards == 8
+    assert result.status.num_shards == 8
     assert result.converged, result.describe()
     for check in result.checks + _reference_checks(result):
         assert check.ok, result.describe()
@@ -444,7 +522,7 @@ def test_sharded_promotion_storm(seed):
     result = run_chaos(ChaosConfig(seed=seed, primary_kill=True,
                                    **SHARDED))
     assert result.primary_kills == 1
-    assert result.promotions == 1
+    assert result.status.promotions == 1
     assert result.converged, result.describe()
     for check in result.checks + _reference_checks(result):
         assert check.ok, result.describe()
@@ -459,7 +537,7 @@ def test_sharded_combined_storm(seed):
                                    partitions=2, primary_kill=True,
                                    parallel_refresh=4,
                                    refresh_apply_cost=0.02))
-    assert result.shards == 4
+    assert result.status.num_shards == 4
     assert result.converged, result.describe()
     for check in result.checks + _reference_checks(result):
         assert check.ok, result.describe()

@@ -42,14 +42,15 @@ def storm_config(seed, **overrides):
 
 def assert_overload_accounting(result):
     """The exact conservation laws of the admission tier."""
-    assert result.admission_attempts \
-        == result.admission_admitted + result.admission_shed, \
+    status = result.status
+    assert status.admission_attempts \
+        == status.admission_admitted + status.admission_shed, \
         result.describe()
     # Every shed is either retried within the budget or surfaced to the
     # client (breaker fast-fails never reach the bucket, so they are
     # outside this balance).
-    assert result.admission_shed \
-        == result.overload_retries + result.shed_updates, \
+    assert status.admission_shed \
+        == result.clients.overload_retries + result.shed_updates, \
         result.describe()
 
 
@@ -61,8 +62,8 @@ def test_overload_storm_converges_and_accounts_exactly(seed):
         assert check.ok, result.describe()
     assert result.ok
     # The storm must actually stress the admission tier ...
-    assert result.admission_attempts > 0
-    assert result.admission_peak_queue > 0
+    assert result.status.admission_attempts > 0
+    assert result.status.admission_peak_queue > 0
     # ... and the books must balance exactly.
     assert_overload_accounting(result)
 
@@ -73,15 +74,15 @@ def test_overload_sweep_exercises_every_protection_layer():
     admitted) updates and degraded bounded-staleness reads."""
     results = [run_chaos(storm_config(seed)) for seed in SEEDS]
     assert all(r.ok for r in results)
-    assert any(r.admission_shed > 0 for r in results)
+    assert any(r.status.admission_shed > 0 for r in results)
     assert any(r.shed_updates > 0 for r in results)
-    assert any(r.overload_retries > 0 for r in results)
-    assert any(r.admission_throttled > 0 for r in results)
-    assert any(r.degraded_reads > 0 for r in results)
+    assert any(r.clients.overload_retries > 0 for r in results)
+    assert any(r.status.admission_throttled > 0 for r in results)
+    assert any(r.status.admission_degraded_reads > 0 for r in results)
     # Degraded reads always carry a finite reported bound.
     for result in results:
-        if result.degraded_reads:
-            assert result.max_reported_staleness >= 0
+        if result.status.admission_degraded_reads:
+            assert result.clients.max_reported_staleness >= 0
 
 
 #: Seed 7 elects twice — the first successor's lease lapses too — and
@@ -98,7 +99,7 @@ def test_overload_composes_with_autonomous_failover(seed):
     for check in result.checks:
         assert check.ok, result.describe()
     assert result.ok
-    assert result.promotions >= 1
+    assert result.status.promotions >= 1
     assert_overload_accounting(result)
 
 
@@ -113,7 +114,7 @@ def test_arrival_pattern_alone_keeps_the_closed_loop():
     driver: no admission counters, and the run still passes."""
     result = run_chaos(ChaosConfig(seed=2, arrival_pattern="flash-crowd"))
     assert result.ok, result.describe()
-    assert result.admission_attempts == 0
+    assert result.status.admission_attempts == 0
     assert result.shed_updates == 0
     assert "admission:" not in result.describe()
 
@@ -130,9 +131,9 @@ def test_dormant_default_reports_no_overload_lines():
     byte."""
     result = run_chaos(ChaosConfig(seed=0))
     assert result.ok
-    assert result.admission_attempts == 0
-    assert result.degraded_reads == 0
-    assert result.breaker_opens == 0
+    assert result.status.admission_attempts == 0
+    assert result.status.admission_degraded_reads == 0
+    assert result.clients.breaker_opens == 0
     description = result.describe()
     assert "admission:" not in description
     assert "degradation:" not in description

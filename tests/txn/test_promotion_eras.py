@@ -193,7 +193,7 @@ def test_agree_on_promotion_storm_history(seed):
     result = run_chaos(ChaosConfig(seed=seed, ops=60, horizon=60.0,
                                    primary_kill=True))
     assert result.ok, result.describe()
-    assert result.promotions == 1
+    assert result.status.promotions == 1
     assert_matches_reference(result.recorder)
 
 
