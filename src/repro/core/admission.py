@@ -28,7 +28,7 @@ ROADMAP's "load-leveling and throttling" item calls for:
   :class:`~repro.errors.FreshnessTimeoutError` surfaces.
 
 House style: ``ReplicatedSystem(admission=None)`` (the default) builds
-none of this — no daemons, no RNG draws, bit-identical to the
+none of this — no drainer, no RNG draws, bit-identical to the
 pre-admission system.
 """
 
@@ -301,9 +301,10 @@ class AdmissionController:
     Sessions call :meth:`acquire` (a kernel sub-process) before
     forwarding an update.  The fast path takes a token synchronously;
     otherwise the request joins the bounded queue (or the shed policy
-    fires) and a lazily-spawned drainer process grants tokens to waiters
-    in FIFO order.  ``attempts == admitted + shed`` holds exactly
-    whenever the queue is empty — the accounting the bench asserts.
+    fires) and a drainer callback, armed when the queue fills from
+    empty, grants tokens to waiters in FIFO order.
+    ``attempts == admitted + shed`` holds exactly whenever the queue is
+    empty — the accounting the bench asserts.
     """
 
     def __init__(self, system: "ReplicatedSystem", config: AdmissionConfig):
@@ -314,7 +315,9 @@ class AdmissionController:
         self.bucket._last_refill = self.kernel.now
         self._queue: list[_Waiter] = []
         self._cond = Condition(self.kernel, name="admission")
-        self._drainer = None
+        #: True from the enqueue that arms the drainer until a drain
+        #: finds the queue empty.
+        self._draining = False
         self._streams = RandomStreams(config.retry_seed)
         self._retry_rngs: dict[str, Any] = {}
         # -- counters (monitoring) ----------------------------------------
@@ -425,22 +428,25 @@ class AdmissionController:
         self._cond.notify_all()
 
     def _ensure_drainer(self) -> None:
-        if self._drainer is None:
-            self._drainer = self.kernel.spawn(self._drain(),
-                                              name="admission-drainer")
+        if not self._draining:
+            self._draining = True
+            # A same-instant hop: the first drain runs after the waiter
+            # that armed it has parked.
+            self.kernel.call_at(self.kernel.now, self._drain)
 
-    def _drain(self):
-        """Grant queued waiters tokens in FIFO order; exit when empty
-        (respawned lazily on the next enqueue)."""
-        try:
-            while self._queue:
-                scale = self.rate_scale()
-                if self.bucket.try_acquire(self.kernel.now, scale):
-                    waiter = self._queue.pop(0)
-                    waiter.state = "admitted"
-                    self._cond.notify_all()
-                    continue
-                yield self.kernel.sleep(
-                    max(self.bucket.time_to_token(scale), 1e-9))
-        finally:
-            self._drainer = None
+    def _drain(self) -> None:
+        """Grant queued waiters tokens in FIFO order; re-arm for the
+        next token while any wait, go idle once the queue is empty."""
+        kernel = self.kernel
+        while self._queue:
+            scale = self.rate_scale()
+            if self.bucket.try_acquire(kernel.now, scale):
+                waiter = self._queue.pop(0)
+                waiter.state = "admitted"
+                self._cond.notify_all()
+                continue
+            kernel.call_at(
+                kernel.now + max(self.bucket.time_to_token(scale), 1e-9),
+                self._drain)
+            return
+        self._draining = False

@@ -1,18 +1,17 @@
-"""Per-site autovacuum daemon — bounded version chains for long runs.
+"""Per-site autovacuum — bounded version chains for long runs.
 
 :meth:`~repro.storage.engine.SIDatabase.vacuum` exists but nothing in the
 system ever called it, so version chains grow linearly with committed
 update count: a long scale-up or chaos run holds every version ever
-written.  The :class:`AutovacuumDaemon` is a kernel daemon process that
-periodically vacuums one engine at its current GC horizon, which is
-always safe — only versions no live snapshot can see are reclaimed, and
-an engine snapshot pinned older than the horizon
+written.  An :class:`AutovacuumDaemon` is a periodic kernel callback
+that vacuums one engine at its current GC horizon, which is always
+safe — only versions no live snapshot can see are reclaimed, and an
+engine snapshot pinned older than the horizon
 (``SIDatabase.begin(snapshot_ts=...)``) is refused, never served wrong.
 
-One daemon runs per site (primary and each secondary), on a configurable
-virtual-time cadence.  With ``interval=None`` the daemon is never
-created, keeping the default system bit-identical to the pre-autovacuum
-code.
+One runs per site (primary and each secondary), on a configurable
+virtual-time cadence.  With ``interval=None`` none is created, keeping
+the default system bit-identical to the pre-autovacuum code.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
-from repro.kernel import Kernel, Process
+from repro.kernel import Kernel, Timer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.engine import SIDatabase
@@ -42,19 +41,22 @@ class AutovacuumDaemon:
         self.runs = 0
         #: Total versions reclaimed across all passes.
         self.versions_reclaimed = 0
-        self.process: Optional[Process] = kernel.spawn(
-            self._run(), name=name, daemon=True)
+        # Armed through a same-instant hop, so the first pass's
+        # (when, seq) slot follows everything scheduled at this instant
+        # before the hop runs.
+        self._timer: Optional[Timer] = kernel.call_later(0.0, self._arm)
 
-    def _run(self):
-        while True:
-            yield self.kernel.sleep(self.interval)
-            if self.engine.crashed:
-                continue
+    def _arm(self) -> None:
+        self._timer = self.kernel.call_later(self.interval, self._tick)
+
+    def _tick(self) -> None:
+        if not self.engine.crashed:
             self.versions_reclaimed += self.engine.vacuum()
             self.runs += 1
+        self._arm()
 
     def stop(self) -> None:
-        """Kill the daemon (it is never restarted automatically)."""
-        if self.process is not None:
-            self.kernel.kill(self.process)
-            self.process = None
+        """Cancel the next pass (it is never restarted automatically)."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None

@@ -16,6 +16,7 @@ from repro.sim.stats import SummaryStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import ClientSession, ReplicatedSystem
+    from repro.kernel import Timer
 
 
 @dataclass(frozen=True)
@@ -434,23 +435,29 @@ class StalenessProbe:
         self.interval = interval
         self.stats = SummaryStats()
         self.samples: list[tuple[float, int]] = []
-        self._process = None
+        self._timer: Optional[Timer] = None
 
     def start(self) -> None:
-        self._process = self.system.kernel.spawn(
-            self._run(), name="staleness-probe", daemon=True)
+        """Begin sampling every ``interval``; a second call is a no-op."""
+        if self._timer is None:
+            # Armed through a same-instant hop, as AutovacuumDaemon is.
+            self._timer = self.system.kernel.call_later(0.0, self._arm)
 
     def stop(self) -> None:
-        if self._process is not None:
-            self.system.kernel.kill(self._process)
-            self._process = None
+        """Cancel the next sample; :meth:`start` may begin again."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
-    def _run(self):
-        while True:
-            yield self.system.kernel.sleep(self.interval)
-            lag = 0
-            for secondary in self.system.secondaries:
-                if secondary.live:
-                    lag = max(lag, self.system.replica_lag(secondary))
-            self.stats.add(lag)
-            self.samples.append((self.system.kernel.now, lag))
+    def _arm(self) -> None:
+        self._timer = self.system.kernel.call_later(self.interval,
+                                                    self._sample)
+
+    def _sample(self) -> None:
+        lag = 0
+        for secondary in self.system.secondaries:
+            if secondary.live:
+                lag = max(lag, self.system.replica_lag(secondary))
+        self.stats.add(lag)
+        self.samples.append((self.system.kernel.now, lag))
+        self._arm()

@@ -123,7 +123,7 @@ def promote(system: "ReplicatedSystem",
     """Promote a live secondary (default: the freshest) to primary.
 
     Synchronous — performs the whole epoch switch at the current virtual
-    instant, so calling it from a fault-injection daemon is deterministic.
+    instant, so calling it from a fault-injection callback is deterministic.
     Requires ``system.promotion`` to be configured and the current
     primary to be down (promotion answers permanent failure; it is not a
     live switchover).

@@ -789,9 +789,9 @@ class ReplicatedSystem:
         refresh transaction (models the secondary's apply work; the
         quantity parallel refresh overlaps; default ``0.0``).
     autovacuum_interval:
-        Optional virtual-time cadence for per-site autovacuum daemons
-        that garbage-collect version chains at the GC horizon (primary
-        and every secondary).  ``None`` (the default) never vacuums,
+        Optional virtual-time cadence for per-site periodic autovacuum
+        callbacks that garbage-collect version chains at the GC horizon
+        (primary and every secondary).  ``None`` (the default) never vacuums,
         matching earlier versions exactly.
     channel_faults:
         Optional :class:`~repro.faults.channel.ChannelFaults` injected on
@@ -1065,7 +1065,7 @@ class ReplicatedSystem:
         """Advance until all propagated work has been applied everywhere.
 
         Unlike a bare ``kernel.run()``, this terminates even when
-        periodic daemons (monitoring probes, batching propagators) keep
+        periodic callbacks (monitoring probes, batching propagators) keep
         future events scheduled forever: it steps the kernel only until
         the *replication pipeline* is idle.
         """

@@ -26,10 +26,6 @@ class DeadlockError(KernelError):
     """
 
 
-class ProcessKilled(KernelError):
-    """Injected into a process that was forcibly terminated."""
-
-
 class StorageError(ReproError):
     """Base class for storage-engine errors."""
 
@@ -259,7 +255,6 @@ __all__ = [
     "ReproError",
     "KernelError",
     "DeadlockError",
-    "ProcessKilled",
     "StorageError",
     "TransactionAborted",
     "FirstCommitterWinsError",

@@ -1,4 +1,4 @@
-"""Deterministic crash/recovery schedules driven as a kernel process.
+"""Deterministic crash/recovery schedules replayed by kernel callbacks.
 
 A :class:`FaultPlan` is an ordered list of :class:`FaultEvent`\\ s — site
 crashes and recoveries, propagator stalls, a primary crash with
@@ -6,7 +6,7 @@ WAL-replay restart, or a *permanent* primary kill answered by a
 secondary promotion — either hand-written or drawn from a seeded
 :class:`~repro.sim.rng.RandomStream` via :meth:`FaultPlan.random`.  A
 :class:`FaultInjector` replays the plan against a
-:class:`~repro.core.system.ReplicatedSystem` as a daemon process on the
+:class:`~repro.core.system.ReplicatedSystem` as timed callbacks on the
 shared virtual-time kernel, so fault timing interleaves deterministically
 with propagation, refresh and client traffic: the same (workload, plan,
 channel seed) triple always produces the same execution.
@@ -212,7 +212,7 @@ class FaultPlan:
 
 @dataclass
 class FaultInjector:
-    """Replays a :class:`FaultPlan` against a system as a kernel daemon."""
+    """Replays a :class:`FaultPlan` against a system as kernel callbacks."""
 
     system: "ReplicatedSystem"
     plan: FaultPlan
@@ -221,17 +221,30 @@ class FaultInjector:
     finished: bool = False
 
     def start(self) -> None:
-        """Spawn the injection process (call before driving the kernel)."""
-        self.system.kernel.spawn(self._run(), name="fault-injector",
-                                 daemon=True)
-
-    def _run(self):
+        """Arm the replay (call before driving the kernel).  The first
+        events are applied from a same-instant hop."""
         kernel = self.system.kernel
-        for event in self.plan:
+        kernel.call_at(kernel.now, self._replay, 0)
+
+    def _replay(self, index: int) -> None:
+        """Apply the plan from ``index`` on, up to the first event that
+        lies in the future; arm :meth:`_wake` for that one."""
+        kernel = self.system.kernel
+        events = self.plan.events
+        for i in range(index, len(events)):
+            event = events[i]
             if event.at > kernel.now:
-                yield kernel.sleep(event.at - kernel.now)
+                kernel.call_at(kernel.now + (event.at - kernel.now),
+                               self._wake, i)
+                return
             self._apply(event)
         self.finished = True
+
+    def _wake(self, index: int) -> None:
+        # The armed instant is ``now + (at - now)``, which may round a
+        # hair below ``at``: the event is due all the same.
+        self._apply(self.plan.events[index])
+        self._replay(index + 1)
 
     def _apply(self, event: FaultEvent) -> None:
         """Apply one event, skipping no-ops (e.g. crashing a site that a

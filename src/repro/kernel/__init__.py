@@ -12,9 +12,11 @@ scheduler so that
   (:mod:`repro.core`) and the CSIM-style performance model
   (:mod:`repro.simmodel`).
 
-A *process* is a Python generator that ``yield``\\ s awaitable objects
-(sleeps, condition waits, timeouts) and is resumed by the kernel with the
-awaited value.
+The system side is plain callbacks that re-arm themselves
+(:meth:`Kernel.call_at`, :meth:`Kernel.call_later`).  Only a client that
+must wait is a *process*: a Python generator that ``yield``\\ s awaitable
+objects (sleeps, condition waits, timeouts) and is resumed by the kernel
+with the awaited value.
 
 Example
 -------
@@ -22,14 +24,13 @@ Example
 >>> k = Kernel()
 >>> ready = Condition(k)
 >>> mailbox = []
->>> def producer():
-...     yield k.sleep(1.0)
+>>> def deliver():
 ...     mailbox.append("hello")
 ...     ready.notify_all()
+>>> k.call_at(1.0, deliver)
 >>> def consumer():
 ...     yield ready.wait_for(lambda: mailbox)
 ...     return (k.now, mailbox.pop(0))
->>> _ = k.spawn(producer())
 >>> c = k.spawn(consumer())
 >>> k.run()
 >>> c.result

@@ -15,13 +15,23 @@ this is the tie-break invariant that keeps same-instant events scheduled
 *during* dispatch (which always carry larger ``seq``) behind
 earlier-``seq`` timed events at the same instant.
 
+Processes and callbacks
+-----------------------
+Only client code waits: a session's update or read that blocks on a
+condition, and the open-loop runners of the chaos harness, are
+generator processes.  Every system-side actor — refresh, propagation,
+failure detection, autovacuum, probes, fault injection, the simulated
+servers — is a plain callback that re-arms itself with
+:meth:`Kernel.call_at` or :meth:`Kernel.call_later`.  A process runs
+until its generator returns or raises; nothing kills it from outside.
+
 Awaitable protocol
 ------------------
 Anything a process ``yield``\\ s must implement ``_block(kernel, process)``:
 arrange for ``kernel._resume(process, value)`` to be called later, and
-return nothing.  Awaitables that support cancellation (so that
-:meth:`Kernel.kill` can detach a blocked process) also implement
-``_cancel(process)``.
+return nothing.  An awaitable a :class:`Timeout` may wrap also implements
+``_cancel(process)``, which detaches the process from the wait when the
+deadline lands first.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from operator import attrgetter
 from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
 
-from repro.errors import DeadlockError, KernelError, ProcessKilled
+from repro.errors import DeadlockError, KernelError
 
 ProcessBody = Generator[Any, Any, Any]
 
@@ -68,13 +78,11 @@ class Process:
         "alive",
         "result",
         "exception",
-        "daemon",
-        "_blocked_on",
         "_deadline_timer",
     )
 
-    def __init__(self, kernel: "Kernel", gen: ProcessBody, name: str, pid: int,
-                 daemon: bool = False):
+    def __init__(self, kernel: "Kernel", gen: ProcessBody, name: str,
+                 pid: int):
         self.kernel = kernel
         self.name = name
         self.pid = pid
@@ -82,9 +90,6 @@ class Process:
         self.alive = True
         self.result: Any = None
         self.exception: Optional[BaseException] = None
-        self.daemon = daemon
-        # The awaitable this process is currently blocked on (for cancel).
-        self._blocked_on: Any = None
         # Head of the chain of armed Timeout deadline timers (nested
         # Timeouts stack); cancelled wholesale whenever the process steps.
         self._deadline_timer: Optional[Timer] = None
@@ -100,8 +105,8 @@ class Timer:
     The scheduled entry stays in the queue after :meth:`cancel` (removing
     from the middle of a heap is O(n)); it is popped as a tombstone that
     runs nothing and is excluded from :attr:`Kernel.pending_events`.  This
-    is what lets ``kill``/fence paths and satisfied ``Timeout``\\ s retire
-    their deadline events in O(1) instead of spawning observer processes.
+    is what lets a stopped periodic callback and a satisfied ``Timeout``
+    retire their pending events in O(1).
     """
 
     __slots__ = ("_kernel", "when", "_fn", "_args", "_cancelled", "_fired",
@@ -155,10 +160,6 @@ class Sleep:
         kernel._schedule(kernel._now + self.delay, kernel._resume, process,
                          None)
 
-    def _cancel(self, process: Process) -> None:
-        # The timed event still fires but finds the process dead; harmless.
-        pass
-
 
 class Checkpoint:
     """Awaitable: yield the processor, resume at the same virtual time.
@@ -171,9 +172,6 @@ class Checkpoint:
 
     def _block(self, kernel: "Kernel", process: Process) -> None:
         kernel._post(process, None)
-
-    def _cancel(self, process: Process) -> None:
-        pass
 
 
 class TimeoutExpired(KernelError):
@@ -194,6 +192,11 @@ class Timeout:
     deadline, a wait that is *already satisfiable* when the deadline lands
     wins the tie, including at ``limit=0``.
 
+    The inner awaitable must be detachable (implement ``_cancel``): a
+    condition wait or another ``Timeout``.  A sleep, a checkpoint or a
+    server request cannot be withdrawn, and its late resume would wake
+    the process out of whatever it waits on next.
+
     A strong-session read that waits at most ``max_wait`` for its
     secondary to catch up::
 
@@ -206,8 +209,10 @@ class Timeout:
     def __init__(self, inner: Any, limit: float):
         if limit < 0:
             raise KernelError(f"negative timeout {limit!r}")
-        if not hasattr(inner, "_block"):
-            raise KernelError(f"Timeout wraps awaitables, got {inner!r}")
+        if not (hasattr(inner, "_block") and hasattr(inner, "_cancel")):
+            raise KernelError(
+                f"Timeout wraps awaitables that can detach a waiter, "
+                f"got {inner!r}")
         self.inner = inner
         self.limit = limit
 
@@ -224,9 +229,7 @@ class Timeout:
     def _cancel(self, process: Process) -> None:
         # Detach the process from the inner wait; the armed deadline
         # timer chain is cancelled by the _step the canceller triggers.
-        cancel = getattr(self.inner, "_cancel", None)
-        if cancel is not None:
-            cancel(process)
+        self.inner._cancel(process)
 
 
 class Kernel:
@@ -236,7 +239,6 @@ class Kernel:
         self._now: float = 0.0
         self._seq: int = 0
         self._next_pid: int = 0
-        self._live_nondaemon: int = 0
         # Observability counters: properties of the dispatched event
         # stream, exact whenever read (from inside a callback too).
         self._dispatched: int = 0
@@ -278,13 +280,8 @@ class Kernel:
         """
         return not self._ready
 
-    def spawn(self, gen: ProcessBody, name: str = "process",
-              daemon: bool = False) -> Process:
-        """Create a process from a generator and schedule its first step.
-
-        Daemon processes (e.g. infinite middleware loops) do not keep
-        :meth:`run` alive and are not reported as leaks.
-        """
+    def spawn(self, gen: ProcessBody, name: str = "process") -> Process:
+        """Create a process from a generator and schedule its first step."""
         # Exact-type check first: spawn is on the hot path (one call per
         # applicator/transaction) and the ``typing``-protocol isinstance
         # it replaced showed up as a top-five cost under cProfile.
@@ -295,9 +292,7 @@ class Kernel:
             )
         pid = self._next_pid
         self._next_pid += 1
-        process = Process(self, gen, name, pid, daemon=daemon)
-        if not daemon:
-            self._live_nondaemon += 1
+        process = Process(self, gen, name, pid)
         self._post(process, None)
         return process
 
@@ -355,16 +350,6 @@ class Kernel:
         if process.exception is not None:
             raise process.exception
         return process.result
-
-    def kill(self, process: Process) -> None:
-        """Forcibly terminate a process (its ``finally`` blocks still run)."""
-        if not process.alive:
-            return
-        blocked_on = process._blocked_on
-        if blocked_on is not None and hasattr(blocked_on, "_cancel"):
-            blocked_on._cancel(process)
-        process._blocked_on = None
-        self._step(process, ProcessKilled(f"{process.name} killed"), throw=True)
 
     @property
     def pending_events(self) -> int:
@@ -465,16 +450,9 @@ class Kernel:
 
     def _timeout_expired(self, process: Process, timeout: Timeout) -> None:
         # Fires only while the process is still parked on the wait that
-        # armed it: any earlier resume/kill stepped the process, and
-        # _step cancels the whole deadline chain.
-        if not process.alive:  # pragma: no cover - defensive
-            return
-        blocked_on = process._blocked_on
-        if blocked_on is not None:
-            cancel = getattr(blocked_on, "_cancel", None)
-            if cancel is not None:
-                cancel(process)
-            process._blocked_on = None
+        # armed it: any earlier resume stepped the process, and _step
+        # cancels the whole deadline chain.
+        timeout._cancel(process)
         self._step(process, TimeoutExpired(
             f"wait did not complete within {timeout.limit}"), throw=True)
 
@@ -487,7 +465,6 @@ class Kernel:
             while deadline is not None:
                 deadline.cancel()
                 deadline = deadline._chain
-        process._blocked_on = None
         gen = process._gen
         try:
             if throw:
@@ -496,9 +473,6 @@ class Kernel:
                 awaited = gen.send(value)
         except StopIteration as stop:
             self._finish(process, result=stop.value, exception=None)
-            return
-        except ProcessKilled as exc:
-            self._finish(process, result=None, exception=None if throw else exc)
             return
         except BaseException as exc:  # noqa: BLE001 - surfaced by _finish
             self._finish(process, result=None, exception=exc)
@@ -514,7 +488,6 @@ class Kernel:
             )
             self._step(process, err, throw=True)
             return
-        process._blocked_on = awaited
         block(self, process)
 
     def _finish(self, process: Process, result: Any,
@@ -522,8 +495,6 @@ class Kernel:
         process.alive = False
         process.result = result
         process.exception = exception
-        if not process.daemon:
-            self._live_nondaemon -= 1
         if exception is not None:
             # Surface failures instead of dropping them silently.
             raise exception

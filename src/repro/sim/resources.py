@@ -36,19 +36,14 @@ class _Request:
     """Awaitable admission of one job: the process's resume is the job's
     completion callback."""
 
-    __slots__ = ("server", "demand", "job")
+    __slots__ = ("server", "demand")
 
     def __init__(self, server, demand: float):
         self.server = server
         self.demand = demand
-        self.job = None
 
     def _block(self, kernel: Kernel, process: Process) -> None:
-        self.job = self.server.request_call(self.demand, kernel._post,
-                                            process, None)
-
-    def _cancel(self, process: Process) -> None:
-        self.server._evict(self.job)
+        self.server.request_call(self.demand, kernel._post, process, None)
 
 
 class ProcessorSharingServer:
@@ -74,7 +69,6 @@ class ProcessorSharingServer:
         self._last_update = 0.0
         self._jobs: dict[int, tuple] = {}          # job id -> (fn, args)
         self._heap: list[tuple[float, int]] = []   # (target V, job id)
-        self._evicted: set[int] = set()
         self._next_job_id = 0
         self._completion_token = 0
         #: Wall time of the armed completion event carrying the current
@@ -92,7 +86,7 @@ class ProcessorSharingServer:
             raise SimulationError(f"negative service demand {demand}")
         return _Request(self, demand)
 
-    def request_call(self, demand: float, fn, *args) -> Optional[int]:
+    def request_call(self, demand: float, fn, *args) -> None:
         """Admit a job that invokes ``fn(*args)`` on completion.
 
         The service interface of all three disciplines; ``request`` is
@@ -110,7 +104,7 @@ class ProcessorSharingServer:
           stands for a process that would have resumed one queue slot
           later) re-requests through ``kernel._schedule(now, ...)``.
 
-        Returns a handle for ``_evict`` (None when nothing was queued).
+        An admitted job always runs to completion.
         """
         if demand < 0:
             raise SimulationError(f"negative service demand {demand}")
@@ -126,7 +120,7 @@ class ProcessorSharingServer:
         self._last_update = now
         if demand == 0:
             fn(*args)
-            return None
+            return
         job_id = self._next_job_id
         self._next_job_id += 1
         jobs[job_id] = (fn, args)
@@ -137,7 +131,6 @@ class ProcessorSharingServer:
         # re-arms itself, so no reschedule is needed here.
         if self._next_fire is None or heap[0][1] == job_id:
             self._reschedule()
-        return job_id
 
     @property
     def active_jobs(self) -> int:
@@ -159,13 +152,6 @@ class ProcessorSharingServer:
             self.busy_time += elapsed
         self._last_update = now
 
-    def _evict(self, job_id: Optional[int]) -> None:
-        """Remove a killed process's job (lazy deletion from the heap)."""
-        self._advance()
-        if self._jobs.pop(job_id, None) is not None:
-            self._evicted.add(job_id)
-        self._reschedule()
-
     def _reschedule(self) -> None:
         """Arm the next-completion event, reusing a pending one if it can.
 
@@ -174,18 +160,10 @@ class ProcessorSharingServer:
         due, and re-arms itself with an accurate ETA.  Keeping it (rather
         than token-invalidating and pushing a fresh event per arrival)
         cuts the stale-event churn that dominated the heap under load.
-        A new event is needed only when the next completion moved
-        *earlier* (departure, eviction, or a small new job).
+        A new event is needed only when the server was idle or the new
+        job completes before the armed event fires.
         """
         heap = self._heap
-        evicted = self._evicted
-        if evicted:
-            while heap and heap[0][1] in evicted:
-                evicted.discard(_heappop(heap)[1])
-        if not heap:
-            self._completion_token += 1     # orphan any pending event
-            self._next_fire = None
-            return
         eta = (heap[0][0] - self._virtual) * len(self._jobs) / self.capacity
         if eta < 0.0:
             eta = 0.0
@@ -218,24 +196,16 @@ class ProcessorSharingServer:
             self.busy_time += elapsed
         self._last_update = now
         heap = self._heap
-        evicted = self._evicted
         horizon = self._virtual + 1e-12
         # Complete every job whose target has been reached (ties possible).
         while heap and heap[0][0] <= horizon:
             _target, job_id = _heappop(heap)
-            if job_id in evicted:
-                evicted.discard(job_id)
-                continue
             fn, args = jobs.pop(job_id)
             self.jobs_completed += 1
             fn(*args)
-        # _reschedule() inlined (common case: no evictions pending): the
-        # one arming of this event, over every job present by now.
-        if evicted:
-            while heap and heap[0][1] in evicted:
-                evicted.discard(_heappop(heap)[1])
+        # _reschedule() inlined: the one arming of this event, over every
+        # job present by now.
         if not heap:
-            self._completion_token += 1
             self._next_fire = None
             return
         eta = (heap[0][0] - self._virtual) * len(jobs) / self.capacity
@@ -249,19 +219,25 @@ class ProcessorSharingServer:
 
 
 class _QueuedServer:
-    """Common machinery for servers driven by an internal service loop.
+    """Common machinery for servers that serve one queued job at a time.
 
-    A queue entry is ``[fn, args, remaining]``; the loop is the server's
-    completion event, so :meth:`request_call`'s contract holds here too:
-    a callback's admissions join the queue the loop is about to re-read,
-    and the worker is never respawned while it runs.
+    A queue entry is ``[fn, args, remaining]``.  Service is a chain of
+    kernel callbacks: :meth:`_serve_next` takes the head job and arms
+    :meth:`_served` after its service period, which charges the period
+    and calls :meth:`_serve_next` again, until the queue is empty.  The
+    chain is started through one same-instant hop when a job arrives at
+    an idle server.  :meth:`request_call`'s contract holds here too: a
+    callback's admissions join the queue that the chain is about to
+    re-read.
     """
 
     def __init__(self, kernel: Kernel, name: str = "server"):
         self.kernel = kernel
         self.name = name
         self._queue: deque[list] = deque()
-        self._worker: Optional[Process] = None
+        #: True from the hop that starts a service chain until the chain
+        #: finds the queue empty.
+        self._serving = False
         self.jobs_completed = 0
         self.busy_time = 0.0
 
@@ -270,19 +246,18 @@ class _QueuedServer:
             raise SimulationError(f"negative service demand {demand}")
         return _Request(self, demand)
 
-    def request_call(self, demand: float, fn, *args) -> Optional[list]:
+    def request_call(self, demand: float, fn, *args) -> None:
         """See :meth:`ProcessorSharingServer.request_call`."""
         if demand < 0:
             raise SimulationError(f"negative service demand {demand}")
         if demand == 0:
             fn(*args)
-            return None
-        job = [fn, args, demand]
-        self._queue.append(job)
-        if self._worker is None or not self._worker.alive:
-            self._worker = self.kernel.spawn(
-                self._serve(), name=f"{self.name}-worker", daemon=True)
-        return job
+            return
+        self._queue.append([fn, args, demand])
+        if not self._serving:
+            self._serving = True
+            kernel = self.kernel
+            kernel._schedule(kernel._now, self._serve_next)
 
     @property
     def active_jobs(self) -> int:
@@ -291,13 +266,29 @@ class _QueuedServer:
     def utilization(self, elapsed: float) -> float:
         return self.busy_time / elapsed if elapsed > 0 else 0.0
 
-    def _evict(self, job: Optional[list]) -> None:
-        self._queue = deque(queued for queued in self._queue
-                            if queued is not job)
+    def _serve_next(self) -> None:
+        """Arm the head job's next service period, or go idle."""
+        if not self._queue:
+            self._serving = False
+            return
+        job = self._queue.popleft()
+        period = self._period(job)
+        kernel = self.kernel
+        kernel._schedule(kernel._now + period, self._served, job, period)
 
-    def _serve(self):  # pragma: no cover - overridden
+    def _served(self, job: list, period: float) -> None:
+        self.busy_time += period
+        remaining = job[2] - period
+        if remaining <= 1e-12:
+            self.jobs_completed += 1
+            job[0](*job[1])
+        else:
+            job[2] = remaining
+            self._queue.append(job)
+        self._serve_next()
+
+    def _period(self, job: list) -> float:  # pragma: no cover - overridden
         raise NotImplementedError
-        yield
 
 
 class RoundRobinServer(_QueuedServer):
@@ -310,29 +301,12 @@ class RoundRobinServer(_QueuedServer):
         super().__init__(kernel, name)
         self.time_slice = time_slice
 
-    def _serve(self):
-        while self._queue:
-            job = self._queue.popleft()
-            fn, args, remaining = job
-            quantum = min(self.time_slice, remaining)
-            yield self.kernel.sleep(quantum)
-            self.busy_time += quantum
-            remaining -= quantum
-            if remaining <= 1e-12:
-                self.jobs_completed += 1
-                fn(*args)
-            else:
-                job[2] = remaining
-                self._queue.append(job)
+    def _period(self, job: list) -> float:
+        return min(self.time_slice, job[2])
 
 
 class FifoServer(_QueuedServer):
     """First-come-first-served server (for tests and comparisons)."""
 
-    def _serve(self):
-        while self._queue:
-            fn, args, demand = self._queue.popleft()
-            yield self.kernel.sleep(demand)
-            self.busy_time += demand
-            self.jobs_completed += 1
-            fn(*args)
+    def _period(self, job: list) -> float:
+        return job[2]

@@ -76,6 +76,9 @@ from repro.simmodel.params import SimulationParameters
 
 Server = Union[ProcessorSharingServer, RoundRobinServer, FifoServer]
 
+#: Virtual seconds between two samples of the replication lag.
+LAG_SAMPLE_INTERVAL = 5.0
+
 
 class _StartRecord:
     """``start_p(T)``: the model reads nothing from it but its type."""
@@ -288,7 +291,7 @@ class LazyReplicationModel:
         self._propagation_buffer: list = []
         self._session_counter = 0
         #: Sampled replication lag (commits behind the primary) across all
-        #: secondaries, post-warm-up; sampled every 5 s of virtual time.
+        #: secondaries, post-warm-up; sampled every LAG_SAMPLE_INTERVAL.
         self.lag_stats = SummaryStats()
 
     # -- construction helpers ------------------------------------------------
@@ -317,31 +320,35 @@ class LazyReplicationModel:
         """Run for ``params.duration`` of virtual time; return metrics."""
         for client_id, sec_index in enumerate(self._client_assignment()):
             _Client(self, client_id, self.secondaries[sec_index]).next_txn()
-        self.kernel.spawn(self._propagator(), name="propagator", daemon=True)
-        self.kernel.spawn(self._lag_sampler(), name="lag-sampler",
-                          daemon=True)
-        self.kernel.run(until=self.params.duration)
+        # The propagation cycle and the lag sampler re-arm themselves.
+        # Each is first armed through a same-instant hop, so its slot in
+        # the (when, seq) order follows everything scheduled at this
+        # instant before the hop runs.
+        kernel = self.kernel
+        now = kernel.now
+        kernel.call_at(now, kernel.call_at,
+                       now + self.params.propagation_delay, self._propagate)
+        kernel.call_at(now, kernel.call_at, now + LAG_SAMPLE_INTERVAL,
+                       self._sample_lag)
+        kernel.run(until=self.params.duration)
         self.counters.max_pending = {s.index: s.peak_pending
                                      for s in self.secondaries
                                      if s.peak_pending}
         return self.metrics
 
-    def _lag_sampler(self, interval: float = 5.0):
+    def _sample_lag(self) -> None:
         """Sample replication lag across secondaries after warm-up."""
-        while True:
-            yield self.kernel.sleep(interval)
-            if self.kernel._now < self.params.warmup:
-                continue
+        kernel = self.kernel
+        if kernel._now >= self.params.warmup:
             for secondary in self.secondaries:
                 self.lag_stats.add(self._commit_counter - secondary.seq_db)
+        kernel.call_at(kernel._now + LAG_SAMPLE_INTERVAL, self._sample_lag)
 
     # -- propagation (Algorithm 3.1, batched on a 10 s cycle) ----------------------------
-    def _propagator(self):
-        while True:
-            yield self.kernel.sleep(self.params.propagation_delay)
-            self.counters.propagation_cycles += 1
-            if not self._propagation_buffer:
-                continue
+    def _propagate(self) -> None:
+        """One propagation cycle; re-arms itself after the feed."""
+        self.counters.propagation_cycles += 1
+        if self._propagation_buffer:
             batch, self._propagation_buffer = self._propagation_buffer, []
             self.counters.records_propagated += len(batch)
             # One shared list per cycle (the PropagatedBatch frame of the
@@ -349,6 +356,9 @@ class LazyReplicationModel:
             # call at the same instant; nobody mutates it.
             for secondary in self.secondaries:
                 self._feed_batch(secondary, batch)
+        kernel = self.kernel
+        kernel.call_at(kernel._now + self.params.propagation_delay,
+                       self._propagate)
 
     # -- refresh (Algorithms 3.2/3.3 on the shared ApplySchedule) --------------------------
     def _feed_batch(self, secondary: _SecondaryModel, batch: list) -> None:

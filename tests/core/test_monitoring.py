@@ -110,6 +110,21 @@ def test_staleness_probe_samples_lag():
     assert 1 in lags and 0 in lags
 
 
+def test_staleness_probe_starts_once_and_stops_cleanly():
+    """A second ``start()`` adds no sampler, and ``stop()`` cancels the
+    armed sample: nothing of the probe is left pending."""
+    system = make_system()
+    probe = StalenessProbe(system, interval=1.0)
+    probe.start()
+    probe.start()
+    system.run(until=3.0)
+    assert [t for t, _ in probe.samples] == [1.0, 2.0, 3.0]
+    probe.stop()
+    system.run(until=10.0)
+    assert len(probe.samples) == 3
+    assert system.kernel.pending_events == 0
+
+
 def test_lag_of_a_partial_subscriber_counts_only_its_shards():
     """Status, probe and max_staleness share one per-replica lag: a
     replica holding shards {0, 1} is not behind commits on shards 2-3."""

@@ -31,9 +31,9 @@ def run_mixed_workload(seed, monkeypatch, force_process):
     spawned = Counter()
     spawn = kernel.spawn
 
-    def counting_spawn(gen, name="process", daemon=False):
+    def counting_spawn(gen, name="process"):
         spawned[name.partition("@")[0]] += 1
-        return spawn(gen, name=name, daemon=daemon)
+        return spawn(gen, name=name)
 
     monkeypatch.setattr(kernel, "spawn", counting_spawn)
     if force_process:

@@ -292,6 +292,31 @@ def test_quiesce_terminates_with_periodic_daemons_running():
     probe.stop()
 
 
+def test_idle_system_spawns_no_process():
+    """Autovacuum, a staleness probe, the failure detector and a fault
+    plan are kernel callbacks: an idle system running them all for 100
+    virtual seconds starts no process."""
+    from repro.core.failover import FailoverConfig
+    from repro.core.monitoring import StalenessProbe
+    from repro.faults.plan import FaultEvent, FaultInjector, FaultPlan
+    system = ReplicatedSystem(
+        num_secondaries=2, propagation_delay=0.5, batch_interval=0.0,
+        autovacuum_interval=5.0,
+        failover=FailoverConfig(heartbeat_interval=2.0,
+                                suspicion_timeout=8.0, lease_duration=12.0))
+    probe = StalenessProbe(system, interval=1.0)
+    probe.start()
+    injector = FaultInjector(system, FaultPlan.of([
+        FaultEvent(at=10.0, action="crash_secondary", target=0),
+        FaultEvent(at=20.0, action="recover_secondary", target=0)]))
+    injector.start()
+    system.run(until=100.0)
+    assert injector.finished and len(injector.applied) == 2
+    assert len(probe.samples) == 100
+    assert min(daemon.runs for daemon in system.autovacuums) >= 18
+    assert system.kernel._next_pid == 0
+
+
 def test_quiesce_handles_direct_getter_handoff():
     """Regression: a record handed straight to the blocked refresher left
     every queue empty, so quiesce declared idle before it was applied."""

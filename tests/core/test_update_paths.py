@@ -46,9 +46,9 @@ def run_update_stream(seed, monkeypatch, update):
     spawned = Counter()
     spawn = kernel.spawn
 
-    def counting_spawn(gen, name="process", daemon=False):
+    def counting_spawn(gen, name="process"):
         spawned[name.partition("@")[0]] += 1
-        return spawn(gen, name=name, daemon=daemon)
+        return spawn(gen, name=name)
 
     monkeypatch.setattr(kernel, "spawn", counting_spawn)
     rng = random.Random(seed)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DeadlockError, KernelError, ProcessKilled
+from repro.errors import DeadlockError, KernelError
 from repro.kernel import Condition, Kernel
 
 
@@ -72,7 +72,7 @@ def test_run_until_stops_at_horizon(kernel):
             yield kernel.sleep(1.0)
             log.append(kernel.now)
 
-    kernel.spawn(ticker(), daemon=True)
+    kernel.spawn(ticker())
     kernel.run(until=3.5)
     assert log == [1.0, 2.0, 3.0]
     assert kernel.now == 3.5
@@ -135,47 +135,6 @@ def test_unobserved_exception_surfaces_from_run(kernel):
     kernel.spawn(failing())
     with pytest.raises(RuntimeError, match="unobserved"):
         kernel.run()
-
-
-def test_kill_runs_finally_blocks(kernel):
-    cleaned = []
-
-    def worker():
-        try:
-            yield kernel.sleep(100.0)
-        finally:
-            cleaned.append(True)
-
-    process = kernel.spawn(worker())
-    kernel.run(until=1.0)
-    kernel.kill(process)
-    assert cleaned == [True]
-    assert not process.alive
-
-
-def test_kill_dead_process_is_noop(kernel):
-    def quick():
-        yield kernel.sleep(0.1)
-
-    process = kernel.spawn(quick())
-    kernel.run()
-    kernel.kill(process)   # must not raise
-    assert not process.alive
-
-
-def test_killed_process_can_catch_processkilled(kernel):
-    outcome = []
-
-    def worker():
-        try:
-            yield kernel.sleep(100.0)
-        except ProcessKilled:
-            outcome.append("caught")
-
-    process = kernel.spawn(worker())
-    kernel.run(until=1.0)
-    kernel.kill(process)
-    assert outcome == ["caught"]
 
 
 def test_checkpoint_yields_without_time_advance(kernel):

@@ -3,9 +3,7 @@
 The event queue must dispatch in exact ``(when, seq)`` order, every
 same-seed run bit-identical.  The differential test drives it with
 seeded event programs (sleeps, same-instant ties, timer cancellations,
-timeouts, kill-during-timeout) and compares trace and counters with a
-recording made while the kernel still had two schedulers — a binary heap
-and a calendar queue — that agreed on every byte.  The ``Timeout``
+timeouts) and compares trace and counters with a recording.  The ``Timeout``
 proxy-leak regression rides along: a satisfied timeout must retire its
 deadline event eagerly instead of leaving it pending until it fires.
 """
@@ -16,7 +14,6 @@ from collections import deque
 
 import pytest
 
-from repro.errors import ProcessKilled
 from repro.kernel import Condition, Kernel, Timeout, TimeoutExpired
 
 
@@ -24,8 +21,8 @@ class _Handoff:
     """A FIFO hand-off built on one :class:`Condition`, with the event
     stream of the blocking kernel queue the recordings below were made
     with: a get finding an item queued resumes at once, a put wakes the
-    oldest blocked getter and nobody else, and an expired or killed
-    getter leaves the line."""
+    oldest blocked getter and nobody else, and an expired getter leaves
+    the line."""
 
     def __init__(self, kernel: Kernel):
         self.cond = Condition(kernel)
@@ -128,28 +125,6 @@ def _run_program(seed: int):
 
     kernel.spawn(feeder())
 
-    # Kill-during-timeout: victims blocked under a deadline are killed
-    # before it lands; the kill must cancel the armed deadline timer.
-    kill_at = 0.5 + rng.random()
-
-    def victim(tag):
-        try:
-            yield from queue.get(50.0)
-            mark(tag, "got")
-        except ProcessKilled:
-            mark(tag, "killed")
-            raise
-
-    victims = [kernel.spawn(victim(f"v{i}")) for i in range(3)]
-
-    def killer():
-        yield kernel.sleep(kill_at)
-        for process in victims:
-            kernel.kill(process)
-        mark("killer", "done")
-
-    kernel.spawn(killer())
-
     kernel.run()
     assert kernel.pending_events == 0
     return trace, kernel.counters()
@@ -157,19 +132,23 @@ def _run_program(seed: int):
 
 #: Per seed: SHA-256 of ``repr(trace)``, trace length, and the integer
 #: counters (events scheduled, dispatched, peak queue depth, timer
-#: cancellations, same-instant events), recorded from the binary-heap
-#: scheduler at the last commit that had it (the calendar queue matched).
+#: cancellations, same-instant events).  The programs used to end by
+#: killing three getters mid-timeout.  That section drew the last random
+#: number and went with ``Kernel.kill``; these values were recorded
+#: without it on the last kernel that had ``kill``, and the kernel
+#: without it reproduces them.  The full programs had been recorded when
+#: a binary heap and a calendar queue agreed on every byte.
 RECORDED_PROGRAMS = {
-    0: ("8c625bb845d72960d94f6afbbcec0d9e71555a26e99f0664f894bf6e0c66216c",
-        117, (179, 179, 60, 16, 77)),
-    1: ("fcc30faaaa01370f52ac07acfc943c845590f7b1602fb6ad619503577f071d5a",
-        103, (151, 151, 62, 7, 59)),
-    2: ("5fb0855c9fb8a0460568b59a1b3d01ff4731c9dc07472587b5b1d2b30c5b56fb",
-        93, (150, 150, 58, 15, 66)),
-    3: ("a65a6316fb9bf9cb36e24f8ad5816072cb182accb01178887d38dc9c6701e3d9",
-        118, (163, 163, 62, 6, 65)),
-    17: ("27526ae5a09ccc432792902f7787c5ab1d939b7ba305c694e0329159ce5325c5",
-         111, (175, 175, 60, 15, 68)),
+    0: ("3039886ad15d353ce55556d44d92efccaa0eb3a2f30e72ed8bd9865b9860a3bd",
+        113, (171, 171, 56, 13, 73)),
+    1: ("8f7a3374c29d5471bb8f404fbb716eb2316a9be14c7132bc49150254e7eebbbe",
+        99, (143, 143, 58, 4, 55)),
+    2: ("cfe9e7f48755f3eab3cb428620c8449142f5f1cf01098efb6829a26a2286addc",
+        89, (142, 142, 54, 12, 62)),
+    3: ("bb5648b9ca8209eb9971023d6f3bbea0952dfcf7f671bab711c9ca7c0cef22c0",
+        114, (155, 155, 58, 3, 61)),
+    17: ("7be114aca2ddceeea3abc1076ee9a17a1bba4afc548ab56afe762830961c79f3",
+         107, (167, 167, 56, 12, 64)),
 }
 
 
@@ -217,22 +196,6 @@ def test_satisfied_timeouts_leave_no_pending_events():
     assert kernel.pending_events == 0
     assert kernel._next_pid == 2         # zero-spawn: feeder + consumer only
     assert kernel.counters()["timer_cancellations"] == n
-
-
-def test_kill_cancels_armed_deadline():
-    kernel = Kernel()
-    cond = Condition(kernel)
-
-    def victim():
-        yield Timeout(cond.wait_for(lambda: False), 500.0)
-
-    process = kernel.spawn(victim())
-    kernel.run(until=1.0)
-    assert kernel.pending_events == 1    # the armed deadline
-    kernel.kill(process)
-    assert kernel.pending_events == 0
-    assert kernel.counters()["timer_cancellations"] == 1
-    kernel.run()                         # the tombstone drains as a no-op
 
 
 # ---------------------------------------------------------------------------

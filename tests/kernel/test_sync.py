@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import Condition, Kernel
+from repro.kernel import Condition, Kernel, Timeout, TimeoutExpired
 
 
 @pytest.fixture
@@ -89,10 +89,13 @@ def test_condition_waiting_count(kernel):
     cond = Condition(kernel)
 
     def waiter():
-        yield cond.wait_for(lambda: False)
+        try:
+            yield Timeout(cond.wait_for(lambda: False), limit=1.0)
+        except TimeoutExpired:
+            pass
 
-    process = kernel.spawn(waiter(), daemon=True)
+    kernel.spawn(waiter())
     kernel.run(until=0.1)
     assert cond.waiting == 1
-    kernel.kill(process)
-    assert cond.waiting == 0   # cancel removed the waiter
+    kernel.run()
+    assert cond.waiting == 0   # the expired deadline removed the waiter

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import KernelError
 from repro.kernel import Condition, Kernel, Timeout, TimeoutExpired
+from repro.sim.resources import ProcessorSharingServer
 
 
 @pytest.fixture
@@ -112,6 +113,9 @@ def test_inner_exception_propagates(kernel):
         def _block(self, kernel_, process):
             raise RuntimeError("inner boom")
 
+        def _cancel(self, process):  # pragma: no cover - never reached
+            pass
+
     def waiter():
         yield Timeout(Exploding(), limit=5.0)
 
@@ -131,16 +135,15 @@ def test_non_awaitable_inner_rejected():
         Timeout(42, limit=1.0)
 
 
-def test_killed_process_cleans_up_timeout(kernel):
-    cond = Condition(kernel)
-
-    def waiter():
-        yield Timeout(cond.wait_for(lambda: False), limit=100.0)
-
-    process = kernel.spawn(waiter())
-    kernel.run(until=1.0)
-    assert cond.waiting == 1
-    kernel.kill(process)
-    assert cond.waiting == 0     # the waiter was evicted from the condition
-    assert kernel.pending_events == 0    # and its deadline retired
-    kernel.run()                         # the tombstone drains as a no-op
+@pytest.mark.parametrize("inner", ["sleep", "checkpoint", "server-request"])
+def test_inner_that_cannot_detach_is_rejected(kernel, inner):
+    """A sleep, a checkpoint or a server request cannot be withdrawn when
+    the deadline lands first: its late resume would wake the process out
+    of whatever it waits on next.  Timeout refuses them up front."""
+    make = {
+        "sleep": lambda: kernel.sleep(10.0),
+        "checkpoint": kernel.checkpoint,
+        "server-request": lambda: ProcessorSharingServer(kernel).request(10.0),
+    }[inner]
+    with pytest.raises(KernelError, match="wraps awaitables"):
+        Timeout(make(), limit=1.0)

@@ -109,19 +109,6 @@ def test_ps_active_jobs(kernel):
     assert server.active_jobs == 0
 
 
-def test_ps_killed_job_evicted(kernel):
-    server = ProcessorSharingServer(kernel)
-    done = []
-    victim = kernel.spawn(job(kernel, server, 10.0, done, "victim"))
-    kernel.spawn(job(kernel, server, 2.0, done, "survivor"))
-    kernel.run(until=1.0)
-    kernel.kill(victim)
-    kernel.run()
-    # Survivor: 0.5 done by t=1 (sharing), then full rate: 1.5 more -> 2.5.
-    assert done == [("survivor", 2.5)]
-    assert server.active_jobs == 0
-
-
 def test_ps_many_jobs_conserve_work(kernel):
     """Total completion time of a batch equals total demand (work
     conservation: the server is never idle while jobs remain)."""
@@ -218,17 +205,6 @@ def test_fifo_idle_then_busy(kernel):
     kernel.run()
     assert done == [("late", 6.0)]
     assert server.utilization(6.0) == pytest.approx(1 / 6)
-
-
-def test_rr_killed_job_does_not_stall_others(kernel):
-    server = RoundRobinServer(kernel, time_slice=0.001)
-    done = []
-    victim = kernel.spawn(job(kernel, server, 0.05, done, "victim"))
-    kernel.spawn(job(kernel, server, 0.01, done, "other"))
-    kernel.run(until=0.002)
-    kernel.kill(victim)
-    kernel.run()
-    assert [tag for tag, _ in done] == ["other"]
 
 
 def test_rr_worker_respawns_after_idle(kernel):
@@ -361,40 +337,11 @@ def test_queued_callback_may_admit_to_the_completing_server(kernel,
         finished("a")
         server.request_call(0.5, finished, "b")
         # The service loop is this completion event: it picks b up when
-        # the callback returns, and no second worker is spawned.
+        # the callback returns, and no second service chain starts.
         assert kernel.pending_events == 0
 
     server.request_call(1.0, first_done)
     kernel.run()
     assert done["a"] == pytest.approx(1.0)
     assert done["b"] == pytest.approx(1.5)
-    assert server.jobs_completed == 2
-
-
-@pytest.mark.parametrize("discipline,kill_at,expected", [
-    # Three jobs share to t=0.5 (1/6 each), then two: 0.5 + 2 * 5/6.
-    ("ps", 0.5, 0.5 + 2 * 5 / 6),
-    # The victim never reaches the head: "last" follows "first".
-    ("fifo", 0.5, 2.0),
-    # Evicted from the queue before its first slice: two jobs alternate.
-    ("rr", 0.0, 2.0),
-])
-def test_killed_process_job_leaves_callback_jobs_alone(kernel, discipline,
-                                                       kill_at, expected):
-    server = DISCIPLINES[discipline](kernel)
-    done = {}
-
-    def finished(tag):
-        done[tag] = kernel.now
-
-    server.request_call(1.0, finished, "first")
-    victim = kernel.spawn(job(kernel, server, 10.0, [], "victim"))
-    kernel.run(until=0.0)                 # the victim joins behind "first"
-    server.request_call(1.0, finished, "last")
-    kernel.run(until=kill_at)
-    kernel.kill(victim)
-    kernel.run()
-    assert sorted(done) == ["first", "last"]
-    assert done["last"] == pytest.approx(expected, abs=0.011)
-    assert server.active_jobs == 0
     assert server.jobs_completed == 2

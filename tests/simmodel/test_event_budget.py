@@ -45,3 +45,14 @@ def test_event_budget(algorithm, monkeypatch):
     # Completion events born dead (superseded before they fire) were 18 %
     # of all _complete calls while callbacks re-armed the server.
     assert sum(completes) < 0.01 * len(completes)
+
+
+@pytest.mark.parametrize("discipline", ["ps", "rr", "fifo"])
+def test_no_process_is_spawned(discipline):
+    """The propagation cycle, the lag sampler and every server's service
+    loop are kernel callbacks, so a run starts no process."""
+    model = LazyReplicationModel(TINY.with_(server_discipline=discipline),
+                                 seed=TINY.seed)
+    model.run()
+    assert model.metrics.completions() > 0
+    assert model.kernel._next_pid == 0

@@ -22,7 +22,6 @@ from repro.errors import (
     NoLiveSecondariesError,
     NoPrimaryError,
     OverloadError,
-    ProcessKilled,
     ReplicationError,
     ReproError,
     SessionClosedError,
@@ -56,7 +55,6 @@ def test_every_error_derives_from_repro_error():
 @pytest.mark.parametrize("cls,base", [
     (KernelError, ReproError),
     (DeadlockError, KernelError),
-    (ProcessKilled, KernelError),
     (StorageError, ReproError),
     (TransactionAborted, StorageError),
     (FirstCommitterWinsError, TransactionAborted),
@@ -155,7 +153,7 @@ def test_circuit_open_error_attributes():
 
 
 @pytest.mark.parametrize("cls", [
-    ReproError, KernelError, DeadlockError, ProcessKilled, StorageError,
+    ReproError, KernelError, DeadlockError, StorageError,
     TransactionAborted, ExplicitAbort, TransactionStateError,
     ReplicationError, SiteUnavailableError, NoLiveSecondariesError,
     NoPrimaryError, SessionClosedError, FreshnessTimeoutError,
