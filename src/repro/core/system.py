@@ -212,7 +212,7 @@ class ClientSession:
         self._check_not_lost()
         if self.system.admission_controller is not None:
             return self._complete(
-                self._update_process(work, max_retries=max_retries),
+                self.update_process(work, max_retries=max_retries),
                 "update")
         retry_limit = self.fcw_retries + max_retries
         while (result := self._attempt_update(work, retry_limit)) \
@@ -220,8 +220,8 @@ class ClientSession:
             self._complete(self._await_primary(), "await-primary")
         return result
 
-    def _update_process(self, work: TransactionBody, *,
-                        max_retries: int = 25):
+    def update_process(self, work: TransactionBody, *,
+                       max_retries: int = 25):
         """Kernel-process form of :meth:`execute_update`: the admission
         gate, then the same attempt, nesting the primary wait.
 
@@ -455,10 +455,10 @@ class ClientSession:
             return self._serve_read(secondary, work, required)
         return self._complete(self._read_process(work, *plan), "read")
 
-    def _read_only_process(self, work: TransactionBody,
-                           keys: Optional[list] = None,
-                           max_wait: Optional[float] = None,
-                           on_timeout: str = "error"):
+    def read_only_process(self, work: TransactionBody,
+                          keys: Optional[list] = None,
+                          max_wait: Optional[float] = None,
+                          on_timeout: str = "error"):
         """Kernel-process form of :meth:`execute_read_only` for open-loop
         drivers (the requirement is computed when the op actually runs).
         ``work`` must not drive the kernel."""

@@ -23,6 +23,7 @@ import argparse
 import sys
 
 from repro.core.admission import SHED_POLICIES, AdmissionConfig
+from repro.errors import ConfigurationError
 from repro.faults.channel import ChannelFaults
 from repro.faults.harness import DEFAULT_FAULTS, ChaosConfig, run_chaos
 
@@ -165,7 +166,10 @@ def main(argv: list[str] | None = None) -> int:
                              shards=args.shards,
                              arrival_pattern=arrival,
                              admission=admission)
-        result = run_chaos(config)
+        try:
+            result = run_chaos(config)
+        except ConfigurationError as error:
+            parser.error(str(error))
         if not result.ok:
             failures += 1
         if not result.ok or not args.quiet:

@@ -48,6 +48,7 @@ from repro.errors import (
     LostUpdatesError,
     NoPrimaryError,
     OverloadError,
+    ReproError,
     ShardUnavailableError,
     SiteUnavailableError,
 )
@@ -69,6 +70,28 @@ from repro.txn.history import HistoryRecorder
 DEFAULT_FAULTS = ChannelFaults(drop=0.15, duplicate=0.10, jitter=2.0,
                                reorder=0.10, reorder_delay=3.0)
 
+#: Share of client ops that are updates; the rest are point reads.
+UPDATE_SHARE = 0.4
+#: How long a read waits for a live replica before it is deferred.
+READ_FAILOVER_WAIT = 60.0
+
+#: The one outcome table: the :class:`ChaosResult` counter each typed
+#: error bumps, by ``(error type, op is an update)``.  An op ending in
+#: ``LostUpdatesError`` replaces its session; any other error escapes.
+_OUTCOMES = {
+    # The primary is down, or no promoted one appeared in time.
+    (SiteUnavailableError, True): "deferred_updates",
+    (NoPrimaryError, True): "deferred_updates",
+    (FirstCommitterWinsError, True): "fcw_aborts",
+    (OverloadError, True): "shed_updates",     # after the retry budget
+    (CircuitOpenError, True): "breaker_fast_fails",
+    # Every replica, or every holder of the key's shard, stayed down.
+    (SiteUnavailableError, False): "deferred_reads",
+    (ShardUnavailableError, False): "deferred_reads",
+    # The admission read deadline passed with degradation off.
+    (FreshnessTimeoutError, False): "read_timeouts",
+}
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -84,43 +107,31 @@ class ChaosConfig:
     faults: ChannelFaults = DEFAULT_FAULTS
     secondary_outages: int = 2
     primary_crash: bool = True
-    propagator_stall: bool = True
     #: Make the primary failure *permanent*: the plan's primary window
     #: becomes kill + promotion of the freshest live secondary, the
-    #: system gets ``promotion=PromotionConfig(promotion_wait=...)``,
-    #: and the workload rides the failover (retrying updates, replacing
-    #: sessions whose acknowledged commits were truncated).
+    #: system gets a default :class:`PromotionConfig`, and the workload
+    #: rides the failover (retrying updates, replacing sessions whose
+    #: acknowledged commits were truncated).
     primary_kill: bool = False
-    promotion_wait: float = 30.0
-    failover_wait: float = 60.0
-    update_fraction: float = 0.4
     #: Seeded partition windows: each blackholes one secondary's link
     #: (data held, control dropped) and heals it later in the run.
     partitions: int = 0
     #: Autonomous failover: run the heartbeat/lease/suspicion control
-    #: plane and let the :class:`~repro.core.failover.AutoFailover`
-    #: coordinator detect a killed primary and promote on its own — the
-    #: plan's scripted ``promote_secondary`` trigger is suppressed.
+    #: plane (a default :class:`FailoverConfig`) and let the
+    #: :class:`~repro.core.failover.AutoFailover` coordinator detect a
+    #: killed primary and promote on its own — the plan's scripted
+    #: ``promote_secondary`` trigger is suppressed.
     auto_failover: bool = False
-    heartbeat_interval: float = 2.0
-    suspicion_timeout: float = 8.0
-    lease_duration: float = 12.0
-    #: Throughput knobs (all default-off so classic chaos runs are
-    #: bit-identical): propagation batching cycle and per-site
+    #: Throughput knobs: propagation batching cycle and per-site
     #: autovacuum cadence.
     batch_interval: Optional[float] = None
     autovacuum_interval: Optional[float] = None
     #: Dependency-tracked parallel refresh (workers per secondary) and
     #: per-update-op virtual apply cost.  A nonzero cost is what makes
     #: reordering actually happen under faults — with free applies every
-    #: commit finishes instantly and in order.  Both default off, so
-    #: classic chaos runs stay bit-identical.
+    #: commit finishes instantly and in order.
     parallel_refresh: Optional[int] = None
     refresh_apply_cost: float = 0.0
-    #: History recording mode ("ops" records every operation; "commits"
-    #: records only transaction boundaries — the SI/completeness audits
-    #: are then skipped, leaving just the convergence check).
-    history_detail: str = "ops"
     #: Client arrival shaping ("uniform", "flash-crowd" or "diurnal").
     #: "uniform" keeps the classic sorted-uniform op times (bit-identical
     #: replay); the shaped patterns draw op instants from a dedicated
@@ -128,18 +139,17 @@ class ChaosConfig:
     #: thus every op's session/key/value choice — is untouched.
     arrival_pattern: str = "uniform"
     #: Admission control / overload protection.  Default ``None`` keeps
-    #: the classic closed-loop driver and a controller-free system
-    #: (bit-identical).  When set, client ops are dispatched *open-loop*:
-    #: per-session runner processes execute them concurrently across
-    #: sessions (serialized within each), which is what actually fills
-    #: the bounded admission queue during a burst.
+    #: a controller-free system whose client ops run one at a time.
+    #: When set, they are dispatched *open-loop*: per-session runner
+    #: processes execute them concurrently across sessions (serialized
+    #: within each), which is what actually fills the bounded admission
+    #: queue during a burst.
     admission: Optional[AdmissionConfig] = None
     #: Keyspace sharding with partial replication: ``shards=N`` derives a
     #: placement where the first two secondaries hold every shard (so
     #: promotion always has a full-coverage candidate through any single
     #: outage) and each further secondary subscribes to an alternating
-    #: half of the keyspace.  Default off, so classic chaos runs are
-    #: bit-identical.
+    #: half of the keyspace.
     shards: Optional[int] = None
 
     def sharding_config(self) -> Optional[ShardingConfig]:
@@ -204,7 +214,7 @@ class ChaosResult:
     reads: int = 0
     deferred_updates: int = 0      # primary was down; dropped client-side
     fcw_aborts: int = 0
-    deferred_reads: int = 0        # no live holder of the touched shard
+    deferred_reads: int = 0        # no live replica (holding its shard)
     shed_updates: int = 0          # updates shed after the retry budget
     breaker_fast_fails: int = 0    # updates failed fast by an open breaker
     read_timeouts: int = 0         # freshness deadline hit, no degradation
@@ -317,117 +327,77 @@ class ChaosResult:
         return "\n".join(lines)
 
 
-def _dispatch_closed_loop(system, config, result, workload, op_times,
-                          sessions, replace_lost) -> None:
-    """The classic serialized driver: one op at a time, in arrival order.
+def _dispatch(system, config, result, workload, op_times, sessions,
+              replace_lost) -> None:
+    """Drive the client op stream: each arrival draws its session, key
+    and op, then runs it and counts its outcome in :data:`_OUTCOMES`.
 
-    Ops never overlap (the driver blocks on each), so no admission queue
-    can ever fill — this is the ``admission=None`` path, kept draw-for-
-    draw identical to the pre-admission harness.
-    """
-    for when in op_times:
-        if when > system.kernel.now:
-            system.run(until=when)
-        session = workload.choice(sessions)
-        key = f"k{workload.randint(0, config.keys - 1)}"
-        if workload.bernoulli(config.update_fraction):
-            try:
-                session.write(key, workload.randint(0, 10_000))
-                result.updates += 1
-            except SiteUnavailableError:
-                # Primary down: a real client would queue/retry; the
-                # harness counts and moves on (reads keep working).
-                result.deferred_updates += 1
-            except NoPrimaryError:
-                # Promotion-enabled runs retry internally; the bounded
-                # wait expired before a new primary appeared.
-                result.deferred_updates += 1
-            except LostUpdatesError:
-                replace_lost(session)
-            except FirstCommitterWinsError:
-                result.fcw_aborts += 1
-        else:
-            try:
-                session.read(key, default=None)
-                result.reads += 1
-            except LostUpdatesError:
-                replace_lost(session)
-            except ShardUnavailableError:
-                # Every replica holding the key's shard is down and the
-                # failover deadline passed; a real client would retry.
-                result.deferred_reads += 1
-
-
-def _dispatch_open_loop(system, config, result, workload, op_times,
-                        sessions, replace_lost) -> None:
-    """The overload driver: per-session runners execute ops concurrently.
-
-    Each op is handed to its session's runner process at the arrival
-    instant and the driver moves straight on to the next arrival, so
-    distinct sessions' operations overlap — during a flash crowd the
-    token bucket empties and the bounded admission queue actually fills.
+    With admission off the op runs on the caller's stack, one at a time
+    in arrival order, so no admission queue can ever fill.  With it on,
+    the op is handed to its session's runner process and the driver
+    moves straight on, so distinct sessions' ops overlap: during a flash
+    crowd the token bucket empties and the bounded queue actually fills.
     Within one session ops stay serialized (a session is one client).
     """
     kernel = system.kernel
-    pending: list[list] = [[] for _ in range(config.num_sessions)]
-    closed = [False]
-    cond = Condition(kernel, name="chaos-ops")
+    open_loop = config.admission is not None
+    pending: list[list] = [[] for _ in sessions]
+    closed = False
+    wake = Condition(kernel, name="chaos-ops")
+
+    def op(index: int, is_update: bool, key: str, value):
+        """One op and its counted outcome.  Open-loop it is a runner's
+        process body; closed-loop it never yields, so ``next()`` runs
+        it to the end."""
+        session = sessions[index]
+        try:
+            if is_update and open_loop:
+                yield from session.update_process(
+                    lambda txn: txn.write(key, value))
+            elif is_update:
+                session.write(key, value)
+            elif open_loop:
+                yield from session.read_only_process(
+                    lambda txn: txn.read(key, default=None), keys=[key])
+            else:
+                session.read(key, default=None)
+        except LostUpdatesError:
+            replace_lost(session)
+        except ReproError as error:
+            counter = _OUTCOMES.get((type(error), is_update))
+            if counter is None:
+                raise
+            setattr(result, counter, getattr(result, counter) + 1)
+        else:
+            if is_update:
+                result.updates += 1
+            else:
+                result.reads += 1
 
     def runner(index: int):
-        while True:
-            if not pending[index]:
-                if closed[0]:
-                    return
-                yield cond.wait_for(
-                    lambda: pending[index] or closed[0])
-                continue
-            is_update, key, value = pending[index].pop(0)
-            session = sessions[index]
-            if is_update:
-                try:
-                    yield from session._update_process(
-                        lambda txn, k=key, v=value: txn.write(k, v))
-                    result.updates += 1
-                except (SiteUnavailableError, NoPrimaryError):
-                    result.deferred_updates += 1
-                except LostUpdatesError:
-                    replace_lost(session)
-                except FirstCommitterWinsError:
-                    result.fcw_aborts += 1
-                except OverloadError:
-                    # Shed after the session's whole retry budget.
-                    result.shed_updates += 1
-                except CircuitOpenError:
-                    result.breaker_fast_fails += 1
+        queue = pending[index]
+        while queue or not closed:
+            if queue:
+                yield from op(index, *queue.pop(0))
             else:
-                try:
-                    yield from session._read_only_process(
-                        lambda txn, k=key: txn.read(k, default=None),
-                        keys=[key])
-                    result.reads += 1
-                except LostUpdatesError:
-                    replace_lost(session)
-                except ShardUnavailableError:
-                    result.deferred_reads += 1
-                except FreshnessTimeoutError:
-                    # read_deadline hit with degradation off.
-                    result.read_timeouts += 1
+                yield wake.wait_for(lambda: queue or closed)
 
-    runners = [kernel.spawn(runner(i), name=f"client@{i}")
-               for i in range(config.num_sessions)]
+    runners = ([kernel.spawn(runner(i), name=f"client@{i}")
+                for i in range(len(sessions))] if open_loop else [])
     for when in op_times:
         if when > kernel.now:
             system.run(until=when)
-        index = workload.randint(0, config.num_sessions - 1)
+        index = workload.randint(0, len(sessions) - 1)
         key = f"k{workload.randint(0, config.keys - 1)}"
-        if workload.bernoulli(config.update_fraction):
-            pending[index].append(
-                (True, key, workload.randint(0, 10_000)))
+        is_update = workload.bernoulli(UPDATE_SHARE)
+        value = workload.randint(0, 10_000) if is_update else None
+        if open_loop:
+            pending[index].append((is_update, key, value))
+            wake.notify_all()
         else:
-            pending[index].append((False, key, None))
-        cond.notify_all()
-    closed[0] = True
-    cond.notify_all()
+            next(op(index, is_update, key, value), None)
+    closed = True
+    wake.notify_all()
     # Drain: every queued op (including backed-off retries past the
     # horizon) finishes before the fault plan is settled and audited.
     for process in runners:
@@ -437,13 +407,9 @@ def _dispatch_open_loop(system, config, result, workload, op_times,
 def run_chaos(config: ChaosConfig) -> ChaosResult:
     """Execute one seeded chaos schedule and audit the result."""
     streams = RandomStreams(config.seed)
-    promotion = (PromotionConfig(promotion_wait=config.promotion_wait)
+    promotion = (PromotionConfig()
                  if config.primary_kill or config.auto_failover else None)
-    failover = (FailoverConfig(
-        heartbeat_interval=config.heartbeat_interval,
-        suspicion_timeout=config.suspicion_timeout,
-        lease_duration=config.lease_duration)
-        if config.auto_failover else None)
+    failover = FailoverConfig() if config.auto_failover else None
     system = ReplicatedSystem(
         num_secondaries=config.num_secondaries,
         propagation_delay=config.propagation_delay,
@@ -451,7 +417,6 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         parallel_refresh=config.parallel_refresh,
         refresh_apply_cost=config.refresh_apply_cost,
         autovacuum_interval=config.autovacuum_interval,
-        history_detail=config.history_detail,
         channel_faults=config.faults,
         fault_seed=config.seed,
         promotion=promotion,
@@ -463,7 +428,6 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         num_secondaries=config.num_secondaries,
         secondary_outages=config.secondary_outages,
         primary_crash=config.primary_crash,
-        propagator_stall=config.propagator_stall,
         permanent_primary_kill=config.primary_kill,
         partitions=config.partitions,
         scripted_promotion=not config.auto_failover,
@@ -474,17 +438,11 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
 
     # All sessions run at the strictest level: strong session SI must
     # hold for each of them through every fault in the plan.  Priorities
-    # only differ (alternating high/low) when the shed policy actually
-    # ranks by them, so the other policies see the classic flat field.
-    def session_priority(index: int) -> int:
-        if (config.admission is not None
-                and config.admission.shed_policy == "by-session-priority"):
-            return index % 2
-        return 0
-
+    # alternate high/low; only the by-session-priority shed policy reads
+    # them.
     sessions = [system.session(Guarantee.STRONG_SESSION_SI,
-                               failover_wait=config.failover_wait,
-                               priority=session_priority(i))
+                               failover_wait=READ_FAILOVER_WAIT,
+                               priority=i % 2)
                 for i in range(config.num_sessions)]
     all_sessions = list(sessions)      # replaced sessions still count
 
@@ -492,7 +450,7 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         """Swap a session poisoned by ``LostUpdatesError`` for a fresh
         one — the client-side answer to a truncated session."""
         fresh = system.session(Guarantee.STRONG_SESSION_SI,
-                               failover_wait=config.failover_wait,
+                               failover_wait=READ_FAILOVER_WAIT,
                                priority=session.priority)
         sessions[sessions.index(session)] = fresh
         all_sessions.append(fresh)
@@ -508,12 +466,8 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         # stream's draw sequence is untouched by the pattern choice.
         op_times = arrival_times(config.arrival_pattern, config.ops,
                                  config.horizon, streams["arrivals"])
-    if config.admission is None:
-        _dispatch_closed_loop(system, config, result, workload, op_times,
-                              sessions, replace_lost)
-    else:
-        _dispatch_open_loop(system, config, result, workload, op_times,
-                            sessions, replace_lost)
+    _dispatch(system, config, result, workload, op_times, sessions,
+              replace_lost)
 
     # Drain the plan, then bring everything back and settle the system.
     if plan.horizon > system.kernel.now:
@@ -523,13 +477,13 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         system.heal()
     if system.propagator.paused:           # pragma: no cover - plan ends resumed
         system.propagator.resume()
-    if config.auto_failover and system.primary.crashed:
+    if failover is not None and system.primary.crashed:
         # Give the detector one full suspicion+lease cycle to declare
         # the death and promote on its own before falling back to the
         # scripted path (a kill at the very end of the horizon may not
         # have aged past the lease bound yet).
-        grace = (config.lease_duration + config.suspicion_timeout
-                 + 4 * config.heartbeat_interval)
+        grace = (failover.lease_duration + failover.suspicion_timeout
+                 + 4 * failover.heartbeat_interval)
         system.run(until=system.kernel.now + grace)
     if system.primary.crashed:             # pragma: no cover - plan ends restarted
         if system.primary.permanently_failed:
@@ -559,12 +513,11 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         if not secondary.retired)
     result.recorder = system.recorder
     result.history_bytes = system.recorder.nbytes()
-    if config.history_detail == "ops":
-        result.checks = [
-            check_completeness(system.recorder),
-            check_weak_si(system.recorder),
-            check_strong_session_si(system.recorder),
-        ]
+    result.checks = [
+        check_completeness(system.recorder),
+        check_weak_si(system.recorder),
+        check_strong_session_si(system.recorder),
+    ]
 
     result.status = system_status(system)
     result.clients = aggregate_sessions(all_sessions)

@@ -138,6 +138,9 @@ def run_bookstore_workload(
     Returns a :class:`WorkloadReport`; the system's recorder holds the
     history for the SI checkers.
     """
+    if txns_per_session < 1:
+        raise ConfigurationError(
+            f"txns_per_session must be >= 1, got {txns_per_session}")
     shop = workload or BookstoreWorkload()
     shop.populate(system)
     streams = RandomStreams(seed)
@@ -381,6 +384,9 @@ def run_scale_workload(
             raise ConfigurationError(
                 f"unknown scale preset {preset!r} "
                 f"(expected one of {sorted(SCALE_PRESETS)})") from None
+    if preset.txns_per_session < 1:
+        raise ConfigurationError(
+            f"txns_per_session must be >= 1, got {preset.txns_per_session}")
     shop = workload or BookstoreWorkload(n_books=preset.n_books)
     if system is None:
         system = ReplicatedSystem(num_secondaries=preset.num_secondaries,

@@ -34,7 +34,7 @@ def submit_update(system, session, key, value, outcomes):
 
     def attempt():
         try:
-            yield from session._update_process(
+            yield from session.update_process(
                 lambda txn: txn.write(key, value))
             outcomes.append("committed")
         except (OverloadError, CircuitOpenError) as exc:
@@ -533,7 +533,7 @@ def _drive_open_loop(ops, admission):
                 # Start of execution to completion: the freshness wait
                 # read_deadline governs, not the session's own queue.
                 started = kernel.now
-                yield from session._read_only_process(
+                yield from session.read_only_process(
                     lambda txn: txn.read(key, default=None), keys=[key])
                 read_waits.append(kernel.now - started)
                 continue
@@ -542,7 +542,7 @@ def _drive_open_loop(ops, admission):
                 for k, v in writes.items():
                     txn.write(k, v)
             try:
-                yield from session._update_process(work)
+                yield from session.update_process(work)
                 commit_times.append(kernel.now)
             except OverloadError as exc:
                 errors.append(exc)

@@ -94,7 +94,7 @@ def test_negative_max_wait_rejected_when_the_read_must_wait():
 def test_negative_max_wait_rejected_by_the_process_form():
     system = make_system()
     s = system.session(Guarantee.WEAK_SI)
-    process = system.kernel.spawn(s._read_only_process(
+    process = system.kernel.spawn(s.read_only_process(
         lambda t: t.read("x", default=None), max_wait=-1.0))
     with pytest.raises(ConfigurationError, match="max_wait"):
         system.kernel.run_until_complete(process)

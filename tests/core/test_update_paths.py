@@ -1,7 +1,7 @@
 """The three ways into ``ClientSession``'s one update attempt agree.
 
 ``execute_update`` runs the attempt on the caller's stack, the
-``_update_process`` open-loop drivers spawn runs it inside a kernel
+``update_process`` open-loop drivers spawn runs it inside a kernel
 process, and ``update_transaction()`` hands its transaction to a
 ``with`` block.  One seeded update stream, with the primary killed and a
 promotion arriving while updates wait for it, must record the same
@@ -27,7 +27,7 @@ def inline(system, session, work):
 def process(system, session, work):
     kernel = system.kernel
     return kernel.run_until_complete(kernel.spawn(
-        session._update_process(work), name=f"update@{session.label}"))
+        session.update_process(work), name=f"update@{session.label}"))
 
 
 def interactive(system, session, work):

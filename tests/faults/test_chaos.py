@@ -7,6 +7,7 @@ then audits the recorded history with the checkers and requires replica
 convergence.  Marked ``chaos`` so CI can run the sweep as its own job.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -14,7 +15,12 @@ import pytest
 from repro.core.admission import AdmissionConfig
 from repro.core.system import ReplicatedSystem
 from repro.faults.channel import ChannelFaults
-from repro.faults.harness import ChaosConfig, run_chaos
+from repro.faults.harness import (
+    ChaosConfig,
+    ChaosResult,
+    _dispatch,
+    run_chaos,
+)
 
 from tests.txn.reference_checkers import (
     reference_check_completeness,
@@ -261,6 +267,93 @@ def test_promoted_storm_reproduces_the_recording(shape, seed):
     assert result.ok, result.describe()
     assert _pinned(result) == RECORDED_PROMOTED_STORMS[shape, seed], \
         result.describe()
+
+
+#: The same pins for the shapes the tables above miss: the CLI's
+#: ``--overload`` storm under its two other shed policies (the
+#: by-session-priority one is the only reader of session priorities),
+#: and shaped arrivals with admission off, which the client serves one
+#: op at a time on the caller's stack.
+RECORDED_ARRIVAL_STORMS = {
+    ("reject-oldest", 0): (
+        "0f683098888cee53c6060f28aa992f9c77fd13ceda88232caa15c9fa5167c166",
+        176, 3),
+    ("reject-oldest", 1): (
+        "7576fb6a251417ff9edfce9c0c739e2b2b3723604b4c72e960ee6b6bc9e1f9e7",
+        428, 75),
+    ("reject-oldest", 2): (
+        "59d53fb95e8ad6b7c76ba3daec8a301987699f96503938086ab47464dcf86c04",
+        831, 85),
+    ("by-session-priority", 0): (
+        "b89e92382a535e21ce2d2f8a38ad20571cd2ff86396ed5c8313c607fea83bff4",
+        164, 3),
+    ("by-session-priority", 1): (
+        "6a9f52a1a6fede961e6f690399e6007238c537880b6c6b5697932453dd74e47f",
+        353, 72),
+    ("by-session-priority", 2): (
+        "6d74c4502994f7172f3b80daebc9b483d0def77b5367da9492e855dc5fd8bf72",
+        819, 87),
+    ("diurnal", 0): (
+        "a869a63b6c435b60d68bd6388f40db9c6eab1034ede1cf7e1143199581dbfd39",
+        294, 49),
+    ("diurnal", 1): (
+        "e119a948044dbf7053a1e01f726f51d8caaa1f7118c842e54fe1c6a1352991ae",
+        330, 52),
+    ("diurnal", 2): (
+        "154ec7fc8b205d8d3d62035110f4006ba34e0dac0665a0167c0f4a92de77a99a",
+        1243, 98),
+    ("flash-crowd", 0): (
+        "4dbcf52a5a8cbd778fbc3dd2d56c6533f12d3dccdb0740cd6e6b3e6140f5f9a6",
+        10, 1),
+    ("flash-crowd", 1): (
+        "0f714f988fa7b33ffeaa2710e6badd498005babefdcb55a3dd332238f92fd5a8",
+        51, 16),
+    ("flash-crowd", 2): (
+        "6266d159f4d5af0c769f3388a09739567362cf7df931c6c65242fb3b4092eecb",
+        1146, 105),
+}
+
+ARRIVAL_SHAPES = {
+    policy: dict(admission=dataclasses.replace(CLI_OVERLOAD,
+                                               shed_policy=policy),
+                 arrival_pattern="flash-crowd", refresh_apply_cost=0.02)
+    for policy in ("reject-oldest", "by-session-priority")
+} | {pattern: dict(arrival_pattern=pattern)
+     for pattern in ("diurnal", "flash-crowd")}
+
+
+@pytest.mark.parametrize("shape,seed", sorted(RECORDED_ARRIVAL_STORMS))
+def test_arrival_storm_reproduces_the_recording(shape, seed):
+    result = run_chaos(ChaosConfig(seed=seed, **ARRIVAL_SHAPES[shape]))
+    assert result.ok, result.describe()
+    assert _pinned(result) == RECORDED_ARRIVAL_STORMS[shape, seed], \
+        result.describe()
+
+
+class _ReadsOfK0:
+    """A workload stream whose every op is session 0 reading ``k0``."""
+
+    def randint(self, lo, hi):
+        return lo
+
+    def bernoulli(self, probability):
+        return False
+
+
+@pytest.mark.parametrize("admission", [None, CLI_OVERLOAD])
+def test_read_with_every_replica_down_is_deferred(admission):
+    """A read that outwaits its failover budget with the whole replica
+    tier down is a deferred read in both dispatch modes; it used to
+    escape the run as ``SiteUnavailableError``."""
+    system = ReplicatedSystem(num_secondaries=2, admission=admission)
+    for index in range(2):
+        system.crash_secondary(index)
+    config = ChaosConfig(seed=0, num_sessions=1, admission=admission)
+    result = ChaosResult(seed=0, converged=False)
+    _dispatch(system, config, result, _ReadsOfK0(), [1.0],
+              [system.session(failover_wait=0.0)], replace_lost=None)
+    assert result.deferred_reads == 1
+    assert result.reads == result.updates == 0
 
 
 def test_chaos_summary_reports_kernel_counters():

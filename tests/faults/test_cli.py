@@ -18,3 +18,12 @@ def test_a_sweep_of_no_seeds_is_a_usage_error(count, capsys):
 def test_single_seed_quiet_run_prints_only_the_tally(capsys):
     assert main(["--seed", "3", "--quiet"]) == 0
     assert capsys.readouterr().out == "1/1 chaos runs passed\n"
+
+
+def test_an_unplannable_storm_is_a_usage_error(capsys):
+    """A random plan needs two secondaries; one is reported as a usage
+    error, not a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--seed", "0", "--secondaries", "1"])
+    assert excinfo.value.code == 2
+    assert ">= 2 secondaries" in capsys.readouterr().err

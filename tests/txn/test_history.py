@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.system import ReplicatedSystem
 from repro.errors import CheckerError, ConfigurationError
-from repro.faults.harness import ChaosConfig, run_chaos
 from repro.storage.engine import SIDatabase
 from repro.txn.checkers import check_completeness, check_weak_si
 from repro.txn.history import HistoryRecorder
@@ -236,8 +235,6 @@ def test_unknown_detail_rejected():
         HistoryRecorder(detail="everything")
     with pytest.raises(ConfigurationError, match="unknown history detail"):
         ReplicatedSystem(num_secondaries=1, history_detail="everything")
-    with pytest.raises(ConfigurationError, match="unknown history detail"):
-        run_chaos(ChaosConfig(seed=0, ops=4, history_detail="everything"))
 
 
 def test_checkers_refuse_commits_detail_history():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.guarantees import Guarantee
 from repro.core.system import ReplicatedSystem
+from repro.errors import ConfigurationError
 from repro.workload.generator import BookstoreWorkload, run_bookstore_workload
 from repro.workload.tpcw import BROWSING_MIX
 
@@ -127,6 +128,15 @@ def test_oversell_reported_when_stock_exhausted():
     # With one book and one copy, purchases beyond the first must cap.
     assert report.purchases >= 2
     assert report.oversells >= 1
+
+
+@pytest.mark.parametrize("txns", [0, -1])
+def test_run_workload_rejects_fewer_than_one_txn_per_session(txns):
+    """Zero used to never return: every pick drove the session's
+    remaining count below zero, so no session ever left the active set."""
+    with pytest.raises(ConfigurationError, match="txns_per_session"):
+        run_bookstore_workload(make_system(), sessions=2,
+                               txns_per_session=txns)
 
 
 def test_report_summary_string():

@@ -1,5 +1,6 @@
 """Tests for the scalable session driver (zipfian keys, shaped arrivals)."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -115,6 +116,13 @@ def test_driver_is_deterministic():
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigurationError):
         run_scale_workload("gigantic")
+
+
+def test_preset_with_no_txns_per_session_rejected():
+    """Zero used to run one transaction per session (300 on smoke)."""
+    preset = dataclasses.replace(SCALE_PRESETS["smoke"], txns_per_session=0)
+    with pytest.raises(ConfigurationError, match="txns_per_session"):
+        run_scale_workload(preset)
 
 
 def test_huge_preset_targets_100k_concurrent_sessions():
