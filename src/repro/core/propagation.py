@@ -29,9 +29,9 @@ per-link sequence number, the receiver delivers records to the site's
 refresher strictly in sequence order (buffering early arrivals,
 discarding duplicates), acknowledges cumulatively, and the sender
 retransmits unacknowledged records on a timeout with exponential
-backoff.  Without a link (the default), records go straight to
-``endpoint.deliver_later`` exactly as before — the fault machinery adds
-zero behaviour when disabled.
+backoff.  Without a link (the default), each record or frame travels
+in one kernel event that hands it to every such endpoint in attach
+order — the fault machinery adds zero behaviour when disabled.
 """
 
 from __future__ import annotations
@@ -61,12 +61,36 @@ from repro.storage.wal import (
 
 
 class PropagationEndpoint(Protocol):
-    """What the propagator needs from a secondary site."""
+    """What the propagator needs from a secondary site.
+
+    A record or frame sent straight to an endpoint (no link) counts in
+    its ``in_flight`` and is stamped with its ``epoch`` at send time;
+    one kernel event later calls ``arrive`` on every endpoint it was
+    sent to, in attach order.  ``subscription`` is the endpoint's shard
+    set, or None for the whole database.
+    """
 
     name: str
+    epoch: int
+    in_flight: int
+    subscription: Optional[frozenset]
 
-    def deliver_later(self, record: PropagationRecord, delay: float) -> None:
-        """Schedule delivery of ``record`` after ``delay`` virtual time."""
+    def arrive(self, epoch: int, record: PropagationRecord) -> None:
+        """``record``, sent in delivery ``epoch``, arrives now."""
+
+
+def _expect(endpoint: PropagationEndpoint, item: Any) -> tuple:
+    """One direct delivery as the sender fixes it: the endpoint counts it
+    in flight, and it travels in the endpoint's current epoch."""
+    endpoint.in_flight += 1
+    return (endpoint, endpoint.epoch, item)
+
+
+def _arrive_all(arrivals: list) -> None:
+    """The one arrival event of a record or frame: every endpoint it was
+    sent to receives it, in attach order."""
+    for endpoint, epoch, item in arrivals:
+        endpoint.arrive(epoch, item)
 
 
 class ReliableLink:
@@ -401,8 +425,6 @@ class Propagator:
         self._links: dict[str, ReliableLink] = {}
         self._update_lists: dict[int, list] = {}
         self._update_fps: dict[int, list[int]] = {}
-        self._start_ts: dict[int, int] = {}
-        self._logical_ids: dict[int, str] = {}
         self._outbox: list[PropagationRecord] = []
         self._flush_scheduled = False
         self._paused = False
@@ -445,8 +467,8 @@ class Propagator:
 
         With a :class:`ReliableLink`, records are routed through the
         link's sequenced ack/retransmission protocol (surviving channel
-        faults); without one they are handed to ``deliver_later``
-        directly, exactly as before.
+        faults); without one they arrive through the shared arrival
+        event of each record or frame.
         """
         self._endpoints.append(endpoint)
         if link is not None:
@@ -494,7 +516,6 @@ class Propagator:
     # -- log sniffing (Algorithm 3.1) --------------------------------------
     def _on_log_record(self, record: LogRecord) -> None:
         if isinstance(record, StartRecord):
-            self._start_ts[record.txn_id] = record.start_ts
             self._update_lists[record.txn_id] = []
             self._update_fps[record.txn_id] = []
             if self.sharding is None:
@@ -510,7 +531,6 @@ class Propagator:
         elif isinstance(record, CommitRecord):
             updates = tuple(self._update_lists.pop(record.txn_id, ()))
             fps = tuple(self._update_fps.pop(record.txn_id, ()))
-            self._start_ts.pop(record.txn_id, None)
             # Dependency summary (incremental, O(write set)): the newest
             # prior writer among the written keys becomes dep_ts, then
             # this commit is recorded as the new last writer.  The
@@ -554,7 +574,6 @@ class Propagator:
         elif isinstance(record, AbortRecord):
             self._update_lists.pop(record.txn_id, None)
             self._update_fps.pop(record.txn_id, None)
-            self._start_ts.pop(record.txn_id, None)
             if self.sharding is None:
                 self._emit(PropagatedAbort(txn_id=record.txn_id))
 
@@ -581,38 +600,47 @@ class Propagator:
         if not outbox:
             return
         links = self._links
+        delay = self.delay
         batching = self.batch_interval is not None
-        # Batch shipping: the whole flush travels as one frame per
-        # endpoint — one sequence number, one ack, one delivery event —
-        # and the refresher unpacks the records in log order.  Unbatched,
-        # each record goes to every endpoint before the next is sent.
-        # An endpoint that declares no ``subscription`` receives all.
+        # Batch shipping: the whole flush travels as one frame — one
+        # sequence number and one ack per linked endpoint — and the
+        # refresher unpacks the records in log order.  Unbatched, each
+        # record goes to every endpoint before the next is sent.  Either
+        # way one kernel event carries an item to every endpoint without
+        # a link.  An endpoint with no ``subscription`` receives all.
         for item in ((PropagatedBatch(records=tuple(outbox)),)
                      if batching else outbox):
+            arrivals = []
             for endpoint in self._endpoints:
-                shipped = self.slice_for(
-                    item, getattr(endpoint, "subscription", None))
+                subscription = endpoint.subscription
+                shipped = item if subscription is None \
+                    else self.slice_for(item, subscription)
                 if shipped is None:
                     continue
                 link = links.get(endpoint.name) if links else None
                 if link is not None:
-                    link.send(shipped, self.delay)
+                    link.send(shipped, delay)
                 else:
-                    endpoint.deliver_later(shipped, self.delay)
+                    arrivals.append(_expect(endpoint, shipped))
                 if batching:
                     self.batches_sent += 1
                     self.records_sent += shipped.count
                 else:
                     self.records_sent += 1
+            if arrivals:
+                self._ship(arrivals, delay)
 
-    def slice_for(self, item: Any, subscription: Optional[frozenset]
-                  ) -> Any:
+    def _ship(self, arrivals: list, delay: float) -> None:
+        """Schedule the one arrival event of ``arrivals``."""
+        self.kernel.call_at(self.kernel.now + delay, _arrive_all, arrivals)
+
+    def slice_for(self, item: Any, subscription: frozenset) -> Any:
         """What of one outgoing item travels to a subscriber, counted
         per shard as shipped.
 
-        Under full replication (``subscription`` None) that is the item
-        itself — every endpoint shares the one record or frame.  A
-        partial-replication stream holds only commit records: a frame is
+        Only a subscriber asks: an endpoint without a subscription
+        shares the one record or frame as it is.  A partial-replication
+        stream holds only commit records: a frame is
         sliced record by record, and a commit yields ``None`` when it
         touches no subscribed shard (nothing to ship), the original
         record when every touched shard is subscribed (the common case —
@@ -621,8 +649,6 @@ class Propagator:
         ``dep_ts`` recomputed over the subscribed shards so the record
         never waits on a commit the subscriber will not receive.
         """
-        if subscription is None:
-            return item
         if type(item) is PropagatedBatch:
             records = tuple(
                 slice_ for slice_ in (self.slice_for(record, subscription)
@@ -654,8 +680,7 @@ class Propagator:
                 dep_ts = dep
         return PropagatedCommit(
             txn_id=commit.txn_id, commit_ts=commit.commit_ts,
-            updates=tuple(updates), logical_id=commit.logical_id,
-            write_fps=write_fps, dep_ts=dep_ts,
+            updates=tuple(updates), write_fps=write_fps, dep_ts=dep_ts,
             update_fps=tuple(update_fps), shard_deps=kept)
 
     # -- recovery support (Section 3.4) -------------------------------------
@@ -725,20 +750,21 @@ class Propagator:
         commit-only.
         """
         replayed = 0
-        subscription = getattr(endpoint, "subscription", None)
+        subscription = endpoint.subscription
         for commit in self.archive:
             if commit.commit_ts <= after_commit_ts:
                 continue
             if up_to_commit_ts is not None \
                     and commit.commit_ts > up_to_commit_ts:
                 break
-            slice_ = self.slice_for(commit, subscription)
+            slice_ = commit if subscription is None \
+                else self.slice_for(commit, subscription)
             if slice_ is None:
                 continue
             if self.sharding is None:
-                endpoint.deliver_later(
-                    PropagatedStart(txn_id=commit.txn_id,
-                                    start_ts=commit.commit_ts - 1), 0.0)
-            endpoint.deliver_later(slice_, 0.0)
+                self._ship([_expect(endpoint, PropagatedStart(
+                    txn_id=commit.txn_id, start_ts=commit.commit_ts - 1))],
+                    0.0)
+            self._ship([_expect(endpoint, slice_)], 0.0)
             replayed += 1
         return replayed

@@ -36,7 +36,6 @@ class PropagatedStart:
 
     txn_id: int
     start_ts: int
-    logical_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,6 @@ class PropagatedCommit:
     txn_id: int
     commit_ts: int
     updates: tuple[UpdateTuple, ...]
-    logical_id: str = ""
     write_fps: tuple[int, ...] = ()
     dep_ts: int = 0
     update_fps: tuple[int, ...] = ()
@@ -99,7 +97,6 @@ class PropagatedAbort:
     """abort_p(T): discard T's refresh transaction."""
 
     txn_id: int
-    logical_id: str = ""
 
 
 PropagationRecord = PropagatedStart | PropagatedCommit | PropagatedAbort
@@ -111,8 +108,9 @@ class PropagatedBatch:
 
     When the propagator batches (``batch_interval`` set), every flush
     wraps the buffered records — still in log order — into one of these,
-    so a whole cycle costs one sequence number, one ack and one delivery
-    event per endpoint instead of one per record.  The refresher unpacks
+    so a whole cycle costs one sequence number and one ack per linked
+    endpoint, and one arrival event shared by every directly attached
+    endpoint, instead of one per record.  The refresher unpacks
     the frame and processes the contained records exactly as if they had
     arrived individually.
     """

@@ -412,7 +412,7 @@ class Refresher(ApplySchedule):
                 return True
             if self.ordered and self.pending:
                 return False
-            self._begin_refresh(record.txn_id, record.start_ts)
+            self._begin_refresh(record.txn_id)
         elif isinstance(record, PropagatedCommit):
             ts = record.commit_ts
             pending = self.pending
@@ -434,7 +434,7 @@ class Refresher(ApplySchedule):
                     # Late join after recovery: the start record was lost
                     # with the old epoch.  Serialise this transaction.
                     return False
-                self._begin_refresh(record.txn_id, None)
+                self._begin_refresh(record.txn_id)
             if self.admit(ts, record, self._conflicts(record)) is not None:
                 self._start(record)
         elif isinstance(record, PropagatedAbort):
@@ -445,12 +445,10 @@ class Refresher(ApplySchedule):
             raise ReplicationError(f"unknown propagated record: {record!r}")
         return True
 
-    def _begin_refresh(self, primary_txn_id: int,
-                       start_ts: Optional[int]) -> None:
+    def _begin_refresh(self, primary_txn_id: int) -> None:
         txn = self.site.engine.begin(update=True, metadata={
             "logical_id": f"refresh-{primary_txn_id}@{self.site.name}",
             "refresh_of": f"txn-p{primary_txn_id}",
-            "primary_start_ts": start_ts,
         })
         self._refresh_txns[primary_txn_id] = txn
 

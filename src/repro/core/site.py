@@ -208,8 +208,9 @@ class SecondarySite:
                                    parallel=parallel_refresh,
                                    apply_cost=refresh_apply_cost)
         self.records_dropped = 0
-        #: Records scheduled for delivery but not yet arrived (used by
-        #: :meth:`ReplicatedSystem.quiesce` to detect idleness).
+        #: Records and frames sent but not yet arrived, counted by the
+        #: propagator (used by :meth:`ReplicatedSystem.quiesce` to
+        #: detect idleness).
         self.in_flight = 0
         self.crash_count = 0
         self.recover_count = 0
@@ -283,14 +284,9 @@ class SecondarySite:
                 if shard_of(key, self.num_shards) in self.subscription}
 
     # -- propagation endpoint ----------------------------------------------
-    def deliver_later(self, record: PropagationRecord, delay: float) -> None:
-        """Schedule arrival of ``record`` after ``delay`` (propagator API)."""
-        epoch = self.epoch
-        self.in_flight += 1
-        self.kernel.call_at(self.kernel.now + delay, self._arrive, epoch,
-                            record)
-
-    def _arrive(self, epoch: int, record: PropagationRecord) -> None:
+    def arrive(self, epoch: int, record: PropagationRecord) -> None:
+        """A record or frame sent in delivery ``epoch`` arrives (the
+        propagator counted it in :attr:`in_flight` at send time)."""
         self.in_flight -= 1
         if epoch != self.epoch or self.engine.crashed:
             self.records_dropped += 1

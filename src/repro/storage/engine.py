@@ -26,6 +26,7 @@ update transaction, matching the state-numbering of Theorem 3.1.
 from __future__ import annotations
 
 import enum
+import sys
 from bisect import bisect_right
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional
@@ -161,7 +162,8 @@ class Transaction:
                     raise KeyNotFound(key)
                 return default
             if db._records_ops:
-                db._record("read", self, key, value, False, self.txn_id)
+                db.recorder.record("read", db._site, self, db.clock(), key,
+                                   value, False, self.txn_id)
             return value
         chain = db._chains.get(key)
         version = None if chain is None else chain.visible_at(self.start_ts)
@@ -169,11 +171,11 @@ class Transaction:
             if default is _RAISE:
                 raise KeyNotFound(key)
             if db._records_ops:
-                db._record("read", self, key)
+                db.recorder.record("read", db._site, self, db.clock(), key)
             return default
         if db._records_ops:
-            db._record("read", self, key, version.value, False,
-                       version.txn_id)
+            db.recorder.record("read", db._site, self, db.clock(), key,
+                               version.value, False, version.txn_id)
         return version.value
 
     def exists(self, key: Any) -> bool:
@@ -214,9 +216,10 @@ class Transaction:
         if not writes and start_ts >= db._installed_ts:
             out = newest_rows(chains)
             if db._records_ops:
-                db._record("scan", self, (lo, hi, prefix),
-                           tuple(keys) if len(out) == len(keys)
-                           else tuple(map(_key_of, out)))
+                db.recorder.record("scan", db._site, self, db.clock(),
+                                   (lo, hi, prefix),
+                                   tuple(keys) if len(out) == len(keys)
+                                   else tuple(map(_key_of, out)))
             return out
         out = []
         emit = out.append
@@ -251,8 +254,8 @@ class Transaction:
             if appended:
                 out.sort(key=_key_of)
         if db._records_ops:
-            db._record("scan", self, (lo, hi, prefix),
-                       tuple(map(_key_of, out)))
+            db.recorder.record("scan", db._site, self, db.clock(),
+                               (lo, hi, prefix), tuple(map(_key_of, out)))
         return out
 
     # -- mutations --------------------------------------------------------
@@ -263,7 +266,8 @@ class Transaction:
             self._check_usable()
         self._writes[key] = (value, False)
         if db._records_ops:
-            db._record("write", self, key, value)
+            db.recorder.record("write", db._site, self, db.clock(), key,
+                               value)
         if self.is_update and db.log is not None:
             db.log.append_update(self.txn_id, key, value, False)
 
@@ -274,7 +278,8 @@ class Transaction:
             self._check_usable()
         self._writes[key] = (None, True)
         if db._records_ops:
-            db._record("write", self, key, None, True)
+            db.recorder.record("write", db._site, self, db.clock(), key,
+                               None, True)
         if self.is_update and db.log is not None:
             db.log.append_update(self.txn_id, key, None, True)
 
@@ -283,13 +288,26 @@ class Transaction:
         """Replay logged updates ``(key, value, deleted)`` in order.
 
         This is what an applicator thread does inside a refresh transaction
-        (Algorithm 3.3, line 2).
+        (Algorithm 3.3, line 2).  One loop buffers the whole list, with
+        the same effect — buffered writes, recorded write events, log
+        records — as a :meth:`write` or :meth:`delete` call per update,
+        and the same typed errors, checked once up front.
         """
+        db = self.db
+        if self.status is not _ACTIVE or db._crashed:
+            self._check_usable()
+        writes = self._writes
+        recorder = db.recorder if db._records_ops else None
+        log = db.log if self.is_update else None
         for key, value, deleted in updates:
             if deleted:
-                self.delete(key)
-            else:
-                self.write(key, value)
+                value = None
+            writes[key] = (value, deleted)
+            if recorder is not None:
+                recorder.record("write", db._site, self, db.clock(), key,
+                                value, deleted)
+            if log is not None:
+                log.append_update(self.txn_id, key, value, deleted)
 
     # -- termination ------------------------------------------------------
     def commit(self) -> Optional[int]:
@@ -349,6 +367,8 @@ class SIDatabase:
         # per-operation paths test this flag before they build an
         # argument or read the clock, so a dropped event costs nothing.
         self._records_ops = recorder is not None and recorder.detail == "ops"
+        # The site stamp of every recorded event, interned once.
+        self._site = sys.intern(name)
         self.clock = clock or (lambda: 0.0)
         self._chains: dict[Any, VersionChain] = {}
         # The same chains by sorted key; holds exactly the keys of
@@ -414,7 +434,8 @@ class SIDatabase:
         self._active[txn.txn_id] = txn
         if update and self.log is not None:
             self.log.append_start(txn.txn_id, start_ts)
-        self._record("begin", txn)
+        if self.recorder is not None:
+            self.recorder.record("begin", self._site, txn, self.clock())
         return txn
 
     def _commit(self, txn: Transaction) -> Optional[int]:
@@ -434,7 +455,8 @@ class SIDatabase:
             txn.status = TxnStatus.COMMITTED
             del self._active[txn.txn_id]
             self.commits += 1
-            self._record("commit", txn)
+            if self.recorder is not None:
+                self.recorder.record("commit", self._site, txn, self.clock())
             return None
         commit_ts = self._commit_counter + 1
         try:
@@ -449,7 +471,8 @@ class SIDatabase:
         self.commits += 1
         if txn.is_update and self.log is not None:
             self.log.append_commit(txn.txn_id, commit_ts)
-        self._record("commit", txn)
+        if self.recorder is not None:
+            self.recorder.record("commit", self._site, txn, self.clock())
         return commit_ts
 
     def _install(self, writes: dict[Any, tuple[Any, bool]], commit_ts: int,
@@ -512,7 +535,8 @@ class SIDatabase:
         self.commits += 1
         if txn.is_update and self.log is not None:
             self.log.append_commit(txn.txn_id, commit_ts)
-        self._record("commit", txn)
+        if self.recorder is not None:
+            self.recorder.record("commit", self._site, txn, self.clock())
         return commit_ts
 
     def advance_commit_counter(self, commit_ts: int) -> None:
@@ -530,7 +554,9 @@ class SIDatabase:
         self.aborts += 1
         if txn.is_update and self.log is not None:
             self.log.append_abort(txn.txn_id)
-        self._record("abort", txn, reason=reason)
+        if self.recorder is not None:
+            self.recorder.record("abort", self._site, txn, self.clock(),
+                                 reason=reason)
 
     # -- whole-database views ----------------------------------------------
     def snapshot(self, commit_ts: Optional[int] = None) -> SnapshotView:
@@ -633,7 +659,9 @@ class SIDatabase:
         self._crashed = True
         for txn in list(self._active.values()):
             txn.status = TxnStatus.ABORTED
-            self._record("abort", txn, reason="site crash")
+            if self.recorder is not None:
+                self.recorder.record("abort", self._site, txn, self.clock(),
+                                     reason="site crash")
         self._active.clear()
 
     def restart_from_wal(self) -> int:
@@ -708,20 +736,6 @@ class SIDatabase:
         if hi is not None and key > hi:
             return False
         return True
-
-    def _record(self, kind: str, txn: Transaction, key: Any = None,
-                value: Any = None, deleted: bool = False,
-                producer: Optional[int] = None,
-                reason: Optional[str] = None) -> None:
-        """Hand one event to the recorder, stamped with site and time.
-
-        Transaction boundaries come here unconditionally; read/write/scan
-        come only when ``_records_ops`` says the recorder keeps them.
-        """
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.record(kind, self.name, txn, self.clock(), key, value,
-                            deleted, producer, reason)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SIDatabase {self.name!r} ts={self._commit_counter} "

@@ -23,8 +23,9 @@ lean in memory and in time: events are ``slots`` dataclasses built with
 plain attribute stores (read-only by contract, not frozen — a frozen
 ``__init__`` costs sixteen ``object.__setattr__`` calls per event), a
 transaction's identity triple is worked out once and kept on the
-transaction, the strings that repeat across transactions (site, session)
-are interned so every event shares one copy — logical ids are unique per
+transaction, the strings that repeat across transactions are interned
+so every event shares one copy (a site name once by its engine, session
+labels here) — logical ids are unique per
 transaction and already shared by its events, so interning them would
 only grow the interpreter's table — and throughput-oriented sweeps can
 opt out of per-operation recording entirely with ``detail="commits"``
@@ -192,22 +193,25 @@ class HistoryRecorder:
                key: Any = None, value: Any = None, deleted: bool = False,
                producer: Optional[int] = None,
                reason: Optional[str] = None) -> Optional[HistoryEvent]:
-        """Append one event; called by :class:`~repro.storage.SIDatabase`.
+        """Append one event; called by :class:`~repro.storage.SIDatabase`,
+        which passes its interned site name.
 
+        ``txn`` is a :class:`~repro.storage.engine.Transaction` or any
+        object with the same ``txn_id``, ``start_ts``, ``commit_ts``,
+        ``is_update``, ``metadata`` and ``recorded_ids`` attributes.
         Returns ``None`` (and records nothing) for read/write/scan events
         when the recorder was built with ``detail="commits"`` — the
-        engine does not even call in that case (``SIDatabase._record``).
+        engine does not even call in that case.
         """
         if self.detail == "commits" and kind in _OP_KINDS:
             return None
         logical_id, session, refresh_of = \
-            getattr(txn, "recorded_ids", None) or self._identify(txn)
+            txn.recorded_ids or self._identify(txn)
         seq = self._seq
         event = HistoryEvent(
-            seq, time, kind, self._interned[site], txn.txn_id, logical_id,
-            session, refresh_of, txn.start_ts,
-            getattr(txn, "commit_ts", None), key, value, deleted, producer,
-            reason, getattr(txn, "is_update", False))
+            seq, time, kind, site, txn.txn_id, logical_id, session,
+            refresh_of, txn.start_ts, txn.commit_ts, key, value, deleted,
+            producer, reason, txn.is_update)
         self._seq = seq + 1
         self.events.append(event)
         return event
@@ -215,15 +219,13 @@ class HistoryRecorder:
     def _identify(self, txn: Any) -> tuple:
         """``(logical_id, session, refresh_of)`` from ``txn.metadata``,
         worked out on a transaction's first event and kept in its
-        ``recorded_ids`` slot; a duck-typed transaction without the slot
-        is identified afresh on each event."""
-        meta = getattr(txn, "metadata", None) or {}
+        ``recorded_ids`` slot."""
+        meta = txn.metadata or {}
         session = meta.get("session")
         if type(session) is str:
             session = self._interned[session]
-        ids = (meta.get("logical_id"), session, meta.get("refresh_of"))
-        if hasattr(txn, "recorded_ids"):
-            txn.recorded_ids = ids
+        ids = txn.recorded_ids = (meta.get("logical_id"), session,
+                                  meta.get("refresh_of"))
         return ids
 
     def _record_site_event(self, kind: str, site: str, time: float,

@@ -102,6 +102,34 @@ def test_in_flight_deliveries_from_old_epoch_dropped():
     assert system.secondary_state(0) == system.primary_state()
 
 
+def test_shared_arrival_drops_only_the_recovered_secondarys_share():
+    """One arrival event hands each record to all three secondaries; the
+    one that crashed and recovered before it arrives drops its
+    old-epoch share (start and commit), the other two apply the write."""
+    system = make_system(num_secondaries=3, propagation_delay=10.0)
+    writer = system.session(secondary=1)
+    writer.write("x", 1)                    # both records arrive at t+10
+    system.crash_secondary(0)
+    system.recover_secondary(0)             # recovery includes that commit
+    system.quiesce()
+    sites = system.secondaries
+    assert [site.records_dropped for site in sites] == [2, 0, 0]
+    assert [site.refresher.refreshes_applied for site in sites] == [0, 1, 1]
+    assert [site.in_flight for site in sites] == [0, 0, 0]
+    for index in range(3):
+        assert system.secondary_state(index) == system.primary_state() \
+            == {"x": 1}
+
+
+@pytest.mark.parametrize("secondaries", [1, 3, 5])
+def test_queued_events_after_a_write_do_not_grow_with_fanout(secondaries):
+    """An unbatched write queues one arrival event per record (start and
+    commit), however many secondaries receive it."""
+    system = make_system(num_secondaries=secondaries)
+    system.session().write("x", 1)
+    assert system.kernel.pending_events == 2
+
+
 def test_reads_after_recovery_see_consistent_state():
     system = make_system()
     writer = system.session(secondary=1)

@@ -15,16 +15,20 @@ from repro.storage.wal import LogicalLog
 
 
 class FakeEndpoint:
-    """Records deliveries with their scheduled arrival times."""
+    """Records deliveries with their arrival times."""
+
+    subscription = None
 
     def __init__(self, kernel, name="fake"):
         self.kernel = kernel
         self.name = name
+        self.epoch = 0
+        self.in_flight = 0
         self.deliveries = []
 
-    def deliver_later(self, record, delay):
-        self.kernel.call_at(self.kernel.now + delay, self.deliveries.append,
-                            (self.kernel.now + delay, record))
+    def arrive(self, epoch, record):
+        self.in_flight -= 1
+        self.deliveries.append((self.kernel.now, record))
 
 
 @pytest.fixture

@@ -6,13 +6,15 @@ on one refresh discipline.  Its pin is the SHA-256 of the ``repr`` of
 every recorded :class:`~repro.txn.history.HistoryEvent` (site, time,
 sequence number and transaction ids included), the kernel's peak queue
 depth and every secondary's refresher counters.  A change to how refresh
-work is *dispatched* — which kernel events carry it — must leave all
-three unchanged; only a change to what is refreshed, or when in virtual
-time, may move them.
+work is *dispatched* — which kernel events carry it — must leave the
+history digest and the counters unchanged, and moves the peak depth
+exactly when it changes how many events are queued at once; only a
+change to what is refreshed, or when in virtual time, may move the
+digest or the counters.
 
 The five shapes cover the refresher's every branch: start records that
 wait for an empty pending queue in the middle of a batch frame, one
-delivery event per record at five secondaries, dependency-tracked
+arrival event per record shared by five secondaries, dependency-tracked
 parallel refresh, serial refresh under overlapping primary transactions
 (commits queue behind the one slot), and a secondary crash and recovery
 (a replayed tail) followed by a primary kill and a promotion (fenced
@@ -60,16 +62,16 @@ RECORDED = {
         3),
     "fanout": (
         "4b4f063ac672ebe99c818cb165d958460bf03cc141feb8502ad878dad2dff7a6",
-        90),
+        21),
     "parallel": (
         "fb0f6fa99623b293344269768821c8bd001ac18a591e0712896feaf72c9761b3",
         12),
     "failures": (
         "23a5364af8e6512084e5254e7c419987aedfd631711603c87501c1298ba4c39c",
-        42),
+        15),
     "serial": (
         "6f2b05a416fc0204b063f5b37bfc4ead6a783710a77789271d7bccbdc6e4ca9e",
-        48),
+        24),
 }
 
 #: shape -> per-secondary refresher counters, in :data:`COUNTERS` order.

@@ -12,6 +12,7 @@ from repro.errors import (
 )
 from repro.storage.engine import SIDatabase, TxnStatus
 from repro.storage.wal import AbortRecord, LogicalLog
+from repro.txn.history import HistoryRecorder
 
 
 @pytest.fixture
@@ -340,6 +341,55 @@ def test_apply_update_records(db):
                               ("a", None, True)])
     txn.commit()
     assert db.state_at() == {"b": 2}
+
+
+def test_bulk_apply_matches_write_and_delete_calls():
+    """One bulk apply buffers, records and logs exactly what a write or
+    delete call per update does: an overwrite then a delete of one key
+    included."""
+    updates = [("a", 1, False), ("b", 2, False), ("a", 3, False),
+               ("a", None, True), ("c", 4, False)]
+
+    def run(bulk):
+        recorder = HistoryRecorder(detail="ops")
+        log = LogicalLog()
+        db = SIDatabase(name="site", log=log, recorder=recorder)
+        txn = db.begin(update=True)
+        if bulk:
+            txn.apply_update_records(updates)
+        else:
+            for key, value, deleted in updates:
+                if deleted:
+                    txn.delete(key)
+                else:
+                    txn.write(key, value)
+        writes = dict(txn._writes)
+        txn.commit()
+        return (writes, db.state_at(), [event.kind for event in
+                                         recorder.events],
+                list(map(repr, recorder.events)), list(map(repr, log)))
+
+    bulk, per_call = run(bulk=True), run(bulk=False)
+    assert bulk == per_call
+    assert bulk[0] == {"a": (None, True), "b": (2, False), "c": (4, False)}
+    assert bulk[1] == {"b": 2, "c": 4}
+    assert bulk[2] == ["begin"] + ["write"] * len(updates) + ["commit"]
+
+
+def test_bulk_apply_raises_as_write_does(db):
+    ended = db.begin(update=True)
+    ended.commit()
+    with pytest.raises(TransactionStateError):
+        ended.write("x", 1)
+    with pytest.raises(TransactionStateError):
+        ended.apply_update_records([("x", 1, False)])
+    live = db.begin(update=True)
+    db.crash()
+    live.status = TxnStatus.ACTIVE      # reach the crash check itself
+    with pytest.raises(SiteUnavailableError):
+        live.write("x", 1)
+    with pytest.raises(SiteUnavailableError):
+        live.apply_update_records([("x", 1, False)])
 
 
 def test_repeat_reads_do_not_grow_read_keys(db):

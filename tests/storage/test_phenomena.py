@@ -56,6 +56,7 @@ def test_p0_detector_fires_on_fabricated_bad_history(recorder):
             self.start_ts = 0
             self.metadata = {}
             self.is_update = True
+            self.recorded_ids = None
             self.commit_ts = None
     t1, t2 = FakeTxn(1), FakeTxn(2)
     recorder.record("begin", "s", t1, 0.0)

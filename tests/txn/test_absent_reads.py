@@ -74,6 +74,7 @@ def test_a_genuine_changed_value_reread_is_still_reported(recorder):
         commit_ts = None
         metadata = {"logical_id": "fuzzy"}
         is_update = False
+        recorded_ids = None
     fake = FakeTxn()
     recorder.record("begin", "s", fake, 0.0)
     recorder.record("read", "s", fake, 0.0, key="k", value=1, producer=1)

@@ -115,6 +115,7 @@ def test_checker_rejects_sparse_commit_timestamps(recorder, primary):
         commit_ts = None
         metadata = {"logical_id": "fake"}
         is_update = True
+        recorded_ids = None
     fake = FakeTxn()
     recorder.record("begin", "primary", fake, 0.0)
     fake.commit_ts = 5          # dense numbering would be 1
@@ -168,6 +169,7 @@ def test_strong_si_fabricated_future_snapshot(recorder):
             self.commit_ts = None
             self.metadata = meta
             self.is_update = is_update
+            self.recorded_ids = None
 
     writer = FakeTxn(1, True, {"logical_id": "t1"})
     reader = FakeTxn(2, False, {"logical_id": "r1"})

@@ -157,6 +157,7 @@ def test_agree_on_inconsistent_update_read(recorder, primary):
             self.commit_ts = None
             self.metadata = {"logical_id": f"fake-{txn_id}"}
             self.is_update = True
+            self.recorded_ids = None
 
     update(primary, "t1", "c1", {"x": 1})
     # Fabricate an update that claims snapshot S^1 but read x=999.
@@ -180,6 +181,7 @@ def test_agree_on_future_snapshot(recorder, primary, secondary):
         commit_ts = None
         metadata = {"logical_id": "time-traveller", "session": "cT"}
         is_update = False
+        recorded_ids = None
 
     fake = FakeTxn()
     recorder.record("begin", "secondary-1", fake, 0.0)   # before any commit
@@ -204,6 +206,7 @@ def test_agree_on_unhashable_read_value(recorder, primary):
         commit_ts = None
         metadata = {"logical_id": "r", "session": "c2"}
         is_update = False
+        recorded_ids = None
 
     update(primary, "t1", "c1", {"x": 1})
     fake = FakeTxn()
@@ -269,6 +272,7 @@ def test_both_methods_reject_sparse_commit_timestamps(recorder, primary):
         commit_ts = None
         metadata = {"logical_id": "fake"}
         is_update = True
+        recorded_ids = None
     fake = FakeTxn()
     recorder.record("begin", "primary", fake, 0.0)
     fake.commit_ts = 5          # dense numbering would be 1
@@ -286,6 +290,7 @@ def sparse_commit(recorder, site, commit_ts):
         commit_ts = None
         metadata = {"logical_id": "fake"}
         is_update = True
+        recorded_ids = None
     fake = FakeTxn()
     recorder.record("begin", site, fake, 0.0)
     fake.commit_ts = commit_ts

@@ -148,6 +148,7 @@ def test_transaction_without_begin_belongs_to_the_first_era(recorder):
         commit_ts = None
         metadata = {"logical_id": "headless", "session": "c5"}
         is_update = False
+        recorded_ids = None
 
     _, sec1, _ = promoted_pair(recorder)
     update(sec1, "t3", "c2", {"y": 9})
