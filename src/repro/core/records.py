@@ -57,8 +57,9 @@ class PropagatedCommit:
         fingerprint-collision false dependencies: any fingerprint match
         newer than ``dep_ts`` cannot be a real conflict.
 
-    Both default to their empty values so FIFO-mode records (and records
-    from before this wire-format revision) are unchanged.
+    The propagator fills both for every commit, whether the secondaries
+    apply in order or in parallel; an in-order refresher ignores them.
+    The empty defaults serve only records built by hand (tests, tools).
 
     The sharded wire extension (partial replication; all empty when
     sharding is off, leaving classic records unchanged):

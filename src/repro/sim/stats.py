@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from scipy import stats as _scipy_stats
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -83,9 +81,15 @@ class SummaryStats:
 
     def ci(self, confidence: float = 0.95) -> ConfidenceInterval:
         """Student-t confidence interval for the mean."""
+        if not 0.0 < confidence < 1.0:
+            raise ValueError(
+                f"confidence must be in (0, 1), got {confidence}")
         if self.n < 2:
             return ConfidenceInterval(self.mean, 0.0, self.n, confidence)
-        t = _scipy_stats.t.ppf(0.5 + confidence / 2.0, self.n - 1)
+        # Deferred: scipy costs ~80 MB and ~1.3 s to import, and only the
+        # replication summaries after a sweep ever reach this line.
+        from scipy import stats as scipy_stats
+        t = scipy_stats.t.ppf(0.5 + confidence / 2.0, self.n - 1)
         half = t * self.stdev / math.sqrt(self.n)
         return ConfidenceInterval(self.mean, half, self.n, confidence)
 
@@ -164,7 +168,11 @@ class MetricsCollector:
         if when < self.warmup:
             return
         self.blocked[kind] = self.blocked.get(kind, 0) + 1
-        self.block_time.setdefault(kind, SummaryStats()).add(waited)
+        # .get + explicit insert, as in record_completion.
+        summary = self.block_time.get(kind)
+        if summary is None:
+            summary = self.block_time[kind] = SummaryStats()
+        summary.add(waited)
 
     def record_abort(self, when: float) -> None:
         if when >= self.warmup:

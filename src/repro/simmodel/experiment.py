@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.sim.stats import ConfidenceInterval, mean_ci
+from repro.sim.stats import ConfidenceInterval, SummaryStats
 from repro.simmodel.model import LazyReplicationModel
 from repro.simmodel.params import SimulationParameters
 
@@ -85,9 +85,13 @@ class AggregatedResult:
     params: SimulationParameters
     runs: list[RunResult] = field(default_factory=list)
 
+    def _summary(self, attribute: str) -> SummaryStats:
+        summary = SummaryStats()
+        summary.extend(getattr(run, attribute) for run in self.runs)
+        return summary
+
     def _ci(self, attribute: str) -> ConfidenceInterval:
-        return mean_ci([getattr(run, attribute) for run in self.runs],
-                       self.params.confidence)
+        return self._summary(attribute).ci(self.params.confidence)
 
     @property
     def throughput(self) -> ConfidenceInterval:
@@ -107,15 +111,15 @@ class AggregatedResult:
 
     @property
     def primary_utilization(self) -> float:
-        return self._ci("primary_utilization").mean
+        return self._summary("primary_utilization").mean
 
     @property
     def secondary_utilization(self) -> float:
-        return self._ci("secondary_utilization").mean
+        return self._summary("secondary_utilization").mean
 
     @property
     def blocked_reads(self) -> float:
-        return self._ci("blocked_reads").mean
+        return self._summary("blocked_reads").mean
 
 
 def run_replications(params: SimulationParameters,

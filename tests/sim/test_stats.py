@@ -58,6 +58,17 @@ def test_ci_confidence_level_affects_width():
     assert wide.half_width > narrow.half_width
 
 
+@pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.5])
+def test_ci_rejects_confidence_outside_unit_interval(confidence):
+    # t.ppf would answer nan, inf or 0.0 here: a silent half-width.
+    with pytest.raises(ValueError):
+        mean_ci([1.0, 2.0, 3.0], confidence=confidence)
+    stats = SummaryStats()
+    stats.add(1.0)      # rejected even where no quantile is needed
+    with pytest.raises(ValueError):
+        stats.ci(confidence)
+
+
 def test_ci_str():
     ci = ConfidenceInterval(mean=1.5, half_width=0.25, n=5)
     assert "1.500" in str(ci) and "0.250" in str(ci)
@@ -120,6 +131,10 @@ def test_blocks_and_aborts_respect_warmup():
     assert collector.blocked == {"read": 1}
     assert collector.block_time["read"].mean == pytest.approx(2.0)
     assert collector.aborts == 1
+    collector.record_block("read", waited=4.0, when=160.0)
+    assert collector.blocked == {"read": 2}
+    assert collector.block_time["read"].n == 2
+    assert collector.block_time["read"].mean == pytest.approx(3.0)
 
 
 def test_zero_measured_time():
