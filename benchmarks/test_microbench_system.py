@@ -163,12 +163,12 @@ def test_ps_server_event_throughput(benchmark):
         kernel = Kernel()
         server = ProcessorSharingServer(kernel)
 
-        def jobproc(delay, demand):
-            yield kernel.sleep(delay)
-            yield server.request(demand)
+        def done():
+            pass
 
         for i in range(200):
-            kernel.spawn(jobproc(i * 0.01, 0.5 + (i % 7) * 0.1))
+            kernel.call_at(i * 0.01, server.request_call,
+                           0.5 + (i % 7) * 0.1, done)
         kernel.run()
 
     benchmark(run_batch)

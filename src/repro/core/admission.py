@@ -17,7 +17,7 @@ ROADMAP's "load-leveling and throttling" item calls for:
   failing fast with :class:`~repro.errors.CircuitOpenError`;
 * **backpressure**: when any live secondary's refresh backlog exceeds
   ``lag_bound`` records, the admission rate *brownouts* proportionally
-  (never below ``brownout_floor``), so refresh queues stay bounded
+  (never below :data:`BROWNOUT_FLOOR`), so refresh queues stay bounded
   instead of growing without limit;
 * **graceful degradation**: strong-session/strong-SI reads that would
   block past ``read_deadline`` may — only with the explicit opt-in
@@ -28,8 +28,7 @@ ROADMAP's "load-leveling and throttling" item calls for:
   :class:`~repro.errors.FreshnessTimeoutError` surfaces.
 
 House style: ``ReplicatedSystem(admission=None)`` (the default) builds
-none of this — no drainer, no RNG draws, bit-identical to the
-pre-admission system.
+none of this — no drainer, no RNG draws.
 """
 
 from __future__ import annotations
@@ -47,6 +46,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 SHED_POLICIES = ("reject-newest", "reject-oldest", "by-session-priority")
 
+#: Client retry backoff after a shed: the first wait and its cap
+#: (virtual seconds), doubling between them, each wait fully jittered.
+RETRY_BASE = 0.05
+RETRY_CAP = 1.0
+#: Ceiling on the breaker cooldown, which doubles per consecutive open.
+BREAKER_COOLDOWN_CAP = 30.0
+#: Lowest share of the configured rate a brownout scales admission to.
+BROWNOUT_FLOOR = 0.1
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
@@ -56,9 +64,7 @@ class AdmissionConfig:
     ----------
     rate:
         Token-bucket refill rate — update admissions per virtual second
-        under no brownout.
-    burst:
-        Bucket capacity (tokens); ``None`` defaults to ``max(rate, 1)``.
+        under no brownout.  The bucket holds :attr:`burst` tokens.
     queue_limit:
         Bounded admission-queue depth in front of the primary.  A
         request arriving to an empty bucket waits here for a token; a
@@ -70,20 +76,21 @@ class AdmissionConfig:
         latest arrival — which may be the arriving request itself).
     retry_budget:
         Client-side retries after a shed, spaced by bounded exponential
-        backoff (``retry_base``/``retry_cap``) with optional full jitter
-        drawn from a per-session stream of ``RandomStreams(retry_seed)``.
+        backoff (:data:`RETRY_BASE` doubling to :data:`RETRY_CAP`) with
+        full jitter drawn from a per-session stream of
+        ``RandomStreams(0)``.
     breaker_threshold:
         Consecutive update failures (sheds after retry exhaustion,
         unavailable/absent primary) that open the session's circuit
         breaker; ``0`` disables the breaker.  While open, updates fail
         fast with :class:`~repro.errors.CircuitOpenError`; after the
         cooldown (``breaker_cooldown``, doubling per consecutive open up
-        to ``breaker_cooldown_cap``) a single probe is admitted.
+        to :data:`BREAKER_COOLDOWN_CAP`) a single probe is admitted.
     lag_bound:
         Backpressure bound, in queued-but-unapplied records at a live
         secondary.  While any live secondary's backlog exceeds it, the
         admission rate is scaled by ``lag_bound / backlog`` (floored at
-        ``brownout_floor``); ``None`` disables brownout.
+        :data:`BROWNOUT_FLOOR`); ``None`` disables brownout.
     read_deadline:
         Default freshness-wait cap (virtual seconds) applied to session
         reads that pass no explicit ``max_wait``; ``None`` leaves reads
@@ -96,27 +103,18 @@ class AdmissionConfig:
     """
 
     rate: float
-    burst: Optional[float] = None
     queue_limit: int = 8
     shed_policy: str = "reject-newest"
     retry_budget: int = 0
-    retry_base: float = 0.05
-    retry_cap: float = 1.0
-    retry_jitter: bool = True
-    retry_seed: int = 0
     breaker_threshold: int = 0
     breaker_cooldown: float = 1.0
-    breaker_cooldown_cap: float = 30.0
     lag_bound: Optional[float] = None
-    brownout_floor: float = 0.1
     read_deadline: Optional[float] = None
     degrade_to_stale: bool = False
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
             raise ConfigurationError("admission rate must be > 0")
-        if self.burst is not None and self.burst < 1:
-            raise ConfigurationError("admission burst must be >= 1")
         if self.queue_limit < 0:
             raise ConfigurationError("queue_limit must be >= 0")
         if self.shed_policy not in SHED_POLICIES:
@@ -125,20 +123,13 @@ class AdmissionConfig:
                 f"got {self.shed_policy!r}")
         if self.retry_budget < 0:
             raise ConfigurationError("retry_budget must be >= 0")
-        if self.retry_base <= 0 or self.retry_cap < self.retry_base:
-            raise ConfigurationError(
-                "retry_base must be > 0 and retry_cap >= retry_base")
         if self.breaker_threshold < 0:
             raise ConfigurationError("breaker_threshold must be >= 0")
-        if self.breaker_cooldown <= 0 \
-                or self.breaker_cooldown_cap < self.breaker_cooldown:
+        if not 0 < self.breaker_cooldown <= BREAKER_COOLDOWN_CAP:
             raise ConfigurationError(
-                "breaker_cooldown must be > 0 and breaker_cooldown_cap "
-                ">= breaker_cooldown")
+                f"breaker_cooldown must be in (0, {BREAKER_COOLDOWN_CAP}]")
         if self.lag_bound is not None and self.lag_bound <= 0:
             raise ConfigurationError("lag_bound must be > 0")
-        if not 0.0 < self.brownout_floor <= 1.0:
-            raise ConfigurationError("brownout_floor must be in (0, 1]")
         if self.read_deadline is not None and self.read_deadline <= 0:
             raise ConfigurationError("read_deadline must be > 0")
         if self.degrade_to_stale and self.read_deadline is None:
@@ -146,8 +137,9 @@ class AdmissionConfig:
                 "degrade_to_stale needs a read_deadline to degrade at")
 
     @property
-    def effective_burst(self) -> float:
-        return self.burst if self.burst is not None else max(self.rate, 1.0)
+    def burst(self) -> float:
+        """Bucket capacity in tokens: one second of refill, at least one."""
+        return max(self.rate, 1.0)
 
 
 @dataclass(frozen=True)
@@ -220,12 +212,12 @@ class CircuitBreaker:
     ``check()`` gates each update attempt: it raises
     :class:`~repro.errors.CircuitOpenError` while open, and admits a
     single probe once the cooldown elapses (half-open).  The cooldown
-    doubles on consecutive opens (bounded by ``cooldown_cap``) and
-    resets on any success.
+    doubles on consecutive opens (bounded by :data:`BREAKER_COOLDOWN_CAP`)
+    and resets on any success.
     """
 
     def __init__(self, kernel: Any, label: str, threshold: int,
-                 cooldown: float, cooldown_cap: float):
+                 cooldown: float):
         self.kernel = kernel
         self.label = label
         self.threshold = threshold
@@ -233,7 +225,7 @@ class CircuitBreaker:
         self._failures = 0
         self._open_until = 0.0
         self._probe_in_flight = False
-        self._cooldowns = ExponentialBackoff(cooldown, cooldown_cap)
+        self._cooldowns = ExponentialBackoff(cooldown, BREAKER_COOLDOWN_CAP)
         self.opens = 0
         self.fast_failures = 0
         self.probes = 0
@@ -311,14 +303,14 @@ class AdmissionController:
         self.system = system
         self.kernel = system.kernel
         self.config = config
-        self.bucket = TokenBucket(config.rate, config.effective_burst)
+        self.bucket = TokenBucket(config.rate, config.burst)
         self.bucket._last_refill = self.kernel.now
         self._queue: list[_Waiter] = []
         self._cond = Condition(self.kernel, name="admission")
         #: True from the enqueue that arms the drainer until a drain
         #: finds the queue empty.
         self._draining = False
-        self._streams = RandomStreams(config.retry_seed)
+        self._streams = RandomStreams(0)
         self._retry_rngs: dict[str, Any] = {}
         # -- counters (monitoring) ----------------------------------------
         self.attempts = 0
@@ -334,7 +326,7 @@ class AdmissionController:
     # -- client retry streams ---------------------------------------------
     def retry_rng(self, label: str) -> Any:
         """The session's dedicated jitter stream (same-draws discipline:
-        derived from ``retry_seed``, never from workload streams)."""
+        its own seeded stream, never a workload stream)."""
         if label not in self._retry_rngs:
             self._retry_rngs[label] = self._streams[f"retry.{label}"]
         return self._retry_rngs[label]
@@ -343,7 +335,7 @@ class AdmissionController:
     def rate_scale(self) -> float:
         """Backpressure factor in (0, 1]: 1 while every live secondary's
         backlog is within ``lag_bound``, shrinking proportionally past
-        it (floored at ``brownout_floor``)."""
+        it (floored at :data:`BROWNOUT_FLOOR`)."""
         bound = self.config.lag_bound
         if bound is None:
             return 1.0
@@ -357,7 +349,7 @@ class AdmissionController:
         if backlog <= bound:
             return 1.0
         self.brownouts += 1
-        factor = max(self.config.brownout_floor, bound / backlog)
+        factor = max(BROWNOUT_FLOOR, bound / backlog)
         if factor < self.min_brownout_factor:
             self.min_brownout_factor = factor
         return factor

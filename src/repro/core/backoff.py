@@ -1,45 +1,32 @@
 """Shared bounded-exponential backoff (optionally with full jitter).
 
-Three components grew their own retry timing — the
+Four components wait this way — the
 :class:`~repro.core.propagation.ReliableLink` retransmission timer, the
-session promotion-wait loop, and the session failover loop.  All three
-compute the same quantity: ``min(base * factor**attempt, cap)``.  This
-module is the single home for that expression, in two shapes:
+session promotion-wait and read-failover loops, and the admission
+subsystem's client retries and breaker cooldowns.  All compute
+``min(base * 2**attempt, cap)``, in two shapes:
 
 * :func:`backoff_wait` — the pure formula, for callers that keep their
   own attempt counter (the retransmission timer resets its counter on
   cumulative-ack progress, so it owns the state);
 * :class:`ExponentialBackoff` — a small stateful schedule for retry
-  loops, with optional AWS-style *full jitter* (``wait = rng.random() *
-  deterministic_wait``) drawn from a caller-supplied seeded stream.
-
-Bit-identity note: the legacy loops iterated ``wait = min(wait * 2,
-cap)``.  Because scaling by a power of two is exact in IEEE-754 floats,
-the iterated form equals the closed form ``min(base * 2.0**k, cap)``
-*exactly*, so replacing the loops with this module changes no virtual
-timestamp.  Existing call sites keep jitter off; jitter is only enabled
-by the admission subsystem's client retry path, which draws from its own
-dedicated RNG stream (same-draws discipline).
+  loops, with AWS-style *full jitter* (``wait = rng.random() *
+  deterministic_wait``) when given a seeded stream.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.errors import ConfigurationError
 
 __all__ = ["backoff_wait", "ExponentialBackoff"]
 
 
-def backoff_wait(attempt: int, base: float, factor: float,
-                 cap: float) -> float:
-    """Deterministic wait before retry number ``attempt`` (0-based).
-
-    ``min(base * factor**attempt, cap)`` — the exact expression the
-    bespoke implementations used, preserved verbatim so extracting them
-    onto this helper is bit-identical.
-    """
-    return min(base * (factor ** attempt), cap)
+def backoff_wait(attempt: int, base: float, cap: float) -> float:
+    """Deterministic wait before retry number ``attempt`` (0-based):
+    ``min(base * 2**attempt, cap)``."""
+    return min(base * (2.0 ** attempt), cap)
 
 
 class ExponentialBackoff:
@@ -49,39 +36,32 @@ class ExponentialBackoff:
     >>> [schedule.next_wait() for _ in range(5)]
     [0.25, 0.5, 1.0, 2.0, 2.0]
 
-    With ``jitter=True`` each wait is ``rng.random()`` times the
-    deterministic wait (full jitter); ``rng`` must then provide a
-    ``random()`` method (a :class:`~repro.sim.rng.RandomStream` does).
-    ``peek()`` returns the *deterministic* wait for the next attempt
-    without advancing or drawing.
+    Given an ``rng`` (anything with a ``random()`` method, such as a
+    :class:`~repro.sim.rng.RandomStream`), each wait is ``rng.random()``
+    times the deterministic wait (full jitter); without one the schedule
+    draws nothing.  ``peek()`` returns the *deterministic* wait for the
+    next attempt without advancing or drawing.
     """
 
-    def __init__(self, base: float, cap: float, *, factor: float = 2.0,
-                 rng: Any = None, jitter: bool = False):
+    def __init__(self, base: float, cap: float, *, rng: Any = None):
         if base <= 0:
             raise ConfigurationError("backoff base must be > 0")
         if cap < base:
             raise ConfigurationError("backoff cap must be >= base")
-        if factor < 1.0:
-            raise ConfigurationError("backoff factor must be >= 1")
-        if jitter and rng is None:
-            raise ConfigurationError("jittered backoff needs an rng stream")
         self.base = base
         self.cap = cap
-        self.factor = factor
         self.rng = rng
-        self.jitter = jitter
         self.attempt = 0
 
     def peek(self) -> float:
         """The deterministic (pre-jitter) wait for the next attempt."""
-        return backoff_wait(self.attempt, self.base, self.factor, self.cap)
+        return backoff_wait(self.attempt, self.base, self.cap)
 
     def next_wait(self) -> float:
         """Consume one attempt and return how long to wait before it."""
         wait = self.peek()
         self.attempt += 1
-        if self.jitter:
+        if self.rng is not None:
             return self.rng.random() * wait
         return wait
 
@@ -91,5 +71,4 @@ class ExponentialBackoff:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ExponentialBackoff(base={self.base}, cap={self.cap}, "
-                f"factor={self.factor}, attempt={self.attempt}, "
-                f"jitter={self.jitter})")
+                f"attempt={self.attempt}, jitter={self.rng is not None})")

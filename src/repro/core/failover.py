@@ -55,7 +55,7 @@ bit-identical to a system without the subsystem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.core.promotion import promote
@@ -85,17 +85,11 @@ class FailoverConfig:
         refuses to promote until *every* secondary's last grant has
         aged past it.  Must be at least ``suspicion_timeout`` so the
         quorum condition, not the lease, is the fast path.
-    quorum:
-        Number of live secondaries that must concurrently suspect the
-        primary before it can be declared dead.  ``None`` (the default)
-        means a majority of the secondaries not yet promoted, recounted
-        after every promotion; a crashed one still counts.
     """
 
     heartbeat_interval: float = 2.0
     suspicion_timeout: float = 8.0
     lease_duration: float = 12.0
-    quorum: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
@@ -109,8 +103,6 @@ class FailoverConfig:
             raise ConfigurationError(
                 "lease_duration must be >= suspicion_timeout (the lease "
                 "is the safety backstop behind the suspicion quorum)")
-        if self.quorum is not None and self.quorum < 1:
-            raise ConfigurationError("quorum must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -200,11 +192,11 @@ class AutoFailover:
 
     @property
     def quorum(self) -> int:
-        """The effective suspicion quorum: by default a majority of the
+        """How many live secondaries must concurrently suspect the
+        primary before it can be declared dead: a majority of the
         secondaries not yet promoted (a retired one is the primary now,
-        or was, and never suspects again)."""
-        if self.config.quorum is not None:
-            return self.config.quorum
+        or was, and never suspects again), recounted after every
+        promotion; a crashed one still counts."""
         members = sum(1 for site in self.system.secondaries
                       if not site.retired)
         return members // 2 + 1

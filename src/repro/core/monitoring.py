@@ -81,14 +81,11 @@ class SystemStatus:
     retired: tuple[SiteStatus, ...] = ()
     # -- propagator shipping counters ------------------------------------
     #: Per-endpoint deliveries (replays and retransmissions included);
-    #: grows with the number of attached secondaries.  Before the
-    #: batch-shipping overhaul this counted each log record once — that
-    #: endpoint-independent metric now lives in :attr:`records_logged`.
+    #: grows with the number of attached secondaries.
     records_sent: int = 0
     batches_sent: int = 0
     #: Log records the propagator sniffed, counted once regardless of
-    #: endpoint count — the pre-overhaul ``records_sent`` semantics,
-    #: kept for baseline comparability.
+    #: endpoint count.
     records_logged: int = 0
     # -- promotion counters (zero while the original primary survives) ----
     cluster_epoch: int = 0

@@ -69,24 +69,13 @@ class PromotionConfig:
         Total virtual time an update transaction waits for a live
         primary to appear before raising
         :class:`~repro.errors.NoPrimaryError`.
-    retry_backoff:
-        Initial probe interval of the bounded exponential backoff.
-    max_backoff:
-        Ceiling on the backoff interval.
     """
 
     promotion_wait: float = 30.0
-    retry_backoff: float = 0.25
-    max_backoff: float = 8.0
 
     def __post_init__(self) -> None:
         if self.promotion_wait < 0:
             raise ConfigurationError("promotion_wait must be >= 0")
-        if self.retry_backoff <= 0:
-            raise ConfigurationError("retry_backoff must be > 0")
-        if self.max_backoff < self.retry_backoff:
-            raise ConfigurationError(
-                "max_backoff must be >= retry_backoff")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Any, Optional, Protocol
 
 from repro.core.backoff import backoff_wait
-from repro.errors import ReplicationError
+from repro.errors import ConfigurationError, ReplicationError
 from repro.faults.channel import NO_FAULTS, ChannelFaults, FaultyChannel
 from repro.core.records import (
     PropagatedAbort,
@@ -93,6 +93,11 @@ def _arrive_all(arrivals: list) -> None:
         endpoint.arrive(epoch, item)
 
 
+#: Ceiling on a link's retransmission timeout, which doubles per
+#: consecutive expiry.
+MAX_RETRANSMIT_TIMEOUT = 30.0
+
+
 class ReliableLink:
     """In-order exactly-once delivery to one secondary over lossy channels.
 
@@ -102,8 +107,8 @@ class ReliableLink:
     Sender side: records are numbered 0, 1, 2, ... per link epoch, kept in
     an unacked buffer, and (re)transmitted through ``data`` faults.  A
     one-shot retransmission timer fires after ``timeout`` (doubling per
-    consecutive expiry up to ``max_timeout``, resetting on ack progress)
-    and resends every unacked record in sequence order.
+    consecutive expiry up to :data:`MAX_RETRANSMIT_TIMEOUT`, resetting on
+    ack progress) and resends every unacked record in sequence order.
 
     Receiver side: a record arriving with the expected sequence number is
     handed to ``site.receive`` (and any directly-following buffered
@@ -124,19 +129,13 @@ class ReliableLink:
                  rng: Any = None,
                  ack_rng: Any = None,
                  ack_delay: float = 0.0,
-                 timeout: float = 2.0,
-                 backoff: float = 2.0,
-                 max_timeout: float = 30.0):
+                 timeout: float = 2.0):
         if timeout <= 0:
             raise ReplicationError("retransmission timeout must be > 0")
-        if backoff < 1.0:
-            raise ReplicationError("retransmission backoff must be >= 1")
         self.kernel = kernel
         self.site = site
         self.ack_delay = ack_delay
         self.timeout = timeout
-        self.backoff = backoff
-        self.max_timeout = max_timeout
         self.data_channel = FaultyChannel(
             kernel, self._on_data, faults=faults, rng=rng,
             name=f"{site.name}-data")
@@ -188,7 +187,7 @@ class ReliableLink:
         # counter because cumulative-ack progress (not success of one
         # attempt) is what resets it.
         wait = backoff_wait(self._consecutive_timeouts, self.timeout,
-                            self.backoff, self.max_timeout)
+                            MAX_RETRANSMIT_TIMEOUT)
         self.kernel.call_at(self.kernel.now + wait, self._on_timer)
 
     def _site_live(self) -> bool:
@@ -411,9 +410,9 @@ class Propagator:
                  newest_floor: Optional[dict] = None,
                  name: str = "propagator"):
         if delay < 0:
-            raise ReplicationError("propagation delay must be >= 0")
+            raise ConfigurationError("propagation delay must be >= 0")
         if batch_interval is not None and batch_interval < 0:
-            raise ReplicationError("batch interval must be >= 0")
+            raise ConfigurationError("batch interval must be >= 0")
         self.kernel = kernel
         self.log = log
         self.delay = delay
@@ -432,15 +431,12 @@ class Propagator:
         #: used to bring a recovered secondary back up to date (Section 3.4).
         self.archive: list[PropagatedCommit] = []
         #: Per-endpoint record deliveries: a record shipped to three
-        #: secondaries counts three times.  (Before the batch-shipping
-        #: change this was a single per-record count independent of the
-        #: endpoint count — that metric now lives in ``records_logged``.)
+        #: secondaries counts three times.
         self.records_sent = 0
         #: Batch frames shipped (per endpoint); zero unless batching is on.
         self.batches_sent = 0
         #: Records emitted from the log, counted once each regardless of
-        #: how many endpoints they fan out to — the pre-batching
-        #: ``records_sent`` semantics, kept for baseline comparability.
+        #: how many endpoints they fan out to.
         self.records_logged = 0
         #: Per-key last-writer map (key fingerprint -> commit_ts) feeding
         #: the dependency summary shipped with every commit record.

@@ -29,6 +29,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.core.admission import (
+    RETRY_BASE,
+    RETRY_CAP,
     AdmissionConfig,
     AdmissionController,
     CircuitBreaker,
@@ -93,6 +95,12 @@ def _raise_if_demoted(site: PrimarySite, txn: Transaction,
 
 #: :meth:`ClientSession._attempt_update`'s result while the primary is down.
 _PRIMARY_DOWN = object()
+
+#: A session waiting for a live primary (promotion) or a live replica
+#: (read failover) probes after this many virtual seconds, doubling up
+#: to the cap.
+PROBE_WAIT_BASE = 0.25
+PROBE_WAIT_CAP = 8.0
 
 
 class ClientSession:
@@ -168,8 +176,7 @@ class ClientSession:
             self._breaker = CircuitBreaker(
                 system.kernel, label,
                 controller.config.breaker_threshold,
-                controller.config.breaker_cooldown,
-                controller.config.breaker_cooldown_cap)
+                controller.config.breaker_cooldown)
 
     # -- context manager ---------------------------------------------------
     def __enter__(self) -> "ClientSession":
@@ -330,8 +337,7 @@ class ClientSession:
             except CircuitOpenError:
                 self.circuit_open_errors += 1
                 raise
-        config = controller.config
-        retries_left = config.retry_budget
+        retries_left = controller.config.retry_budget
         schedule: Optional[ExponentialBackoff] = None
         while True:
             try:
@@ -347,10 +353,8 @@ class ClientSession:
                 self.overload_retries += 1
                 if schedule is None:
                     schedule = ExponentialBackoff(
-                        config.retry_base, config.retry_cap,
-                        rng=(controller.retry_rng(self.label)
-                             if config.retry_jitter else None),
-                        jitter=config.retry_jitter)
+                        RETRY_BASE, RETRY_CAP,
+                        rng=controller.retry_rng(self.label))
                 yield self.system.kernel.sleep(schedule.next_wait())
 
     def update_transaction(self) -> "_InteractiveUpdate":
@@ -388,13 +392,14 @@ class ClientSession:
         """Kernel sub-process: wait until a live primary exists (a
         promotion swaps ``system.primary`` for a new object, so every probe
         re-reads it) and check the session lost nothing to the promotion.
-        Bounded exponential backoff over ``promotion_wait``; raises
+        Probes back off from :data:`PROBE_WAIT_BASE` to
+        :data:`PROBE_WAIT_CAP` over ``promotion_wait``; raises
         :class:`~repro.errors.NoPrimaryError` on exhaustion."""
         system = self.system
         config = system.promotion
         kernel = system.kernel
         deadline = kernel.now + config.promotion_wait
-        retry = ExponentialBackoff(config.retry_backoff, config.max_backoff)
+        retry = ExponentialBackoff(PROBE_WAIT_BASE, PROBE_WAIT_CAP)
         while system.primary.crashed:
             if kernel.now >= deadline:
                 self.no_primary_errors += 1
@@ -636,7 +641,7 @@ class ClientSession:
         if controller is not None:
             controller.degraded_reads += 1
 
-    def _failover(self, required: dict, backoff: float = 0.25):
+    def _failover(self, required: dict):
         """Rebind this session to a live replica holding every axis of
         ``required`` (kernel sub-process).
 
@@ -644,8 +649,8 @@ class ClientSession:
         can run immediately); otherwise takes the one whose least
         advanced required axis is freshest and lets the ordinary
         freshness wait bring it up to ``seq(c)``.  While no live holder
-        exists, retries with exponential backoff for up to
-        ``failover_wait`` virtual time, then raises
+        exists, probes with the same backoff as the promotion wait for
+        up to ``failover_wait`` virtual time, then raises
         :class:`~repro.errors.ShardUnavailableError` when replicas are
         live but none holds the axes — or
         :class:`~repro.errors.SiteUnavailableError` when the whole tier
@@ -654,7 +659,7 @@ class ClientSession:
         system = self.system
         kernel = system.kernel
         deadline = kernel.now + self.failover_wait
-        retry = ExponentialBackoff(backoff, 8.0)
+        retry = ExponentialBackoff(PROBE_WAIT_BASE, PROBE_WAIT_CAP)
         axes = required.keys()
         while True:
             live = [s for s in system.secondaries if s.live]
@@ -795,31 +800,24 @@ class ReplicatedSystem:
         matching earlier versions exactly.
     channel_faults:
         Optional :class:`~repro.faults.channel.ChannelFaults` injected on
-        every propagator->secondary data channel.  Setting this (or
-        ``ack_faults``) routes propagation through per-secondary
+        every propagator->secondary data channel and every ack channel
+        back.  Setting it routes propagation through per-secondary
         :class:`~repro.core.propagation.ReliableLink` instances whose
         sequence-numbered ack/retransmission protocol restores in-order
-        exactly-once delivery over the lossy channel.  When both are
-        ``None`` (the default) propagation is direct and bit-identical
-        to the fault-free system.
-    ack_faults:
-        Faults for the secondary->propagator ack channels (defaults to
-        ``channel_faults`` when links are enabled).
+        exactly-once delivery over the lossy channel; their base
+        retransmission timeout is four propagation delays, floored at
+        1.0 virtual seconds.  ``None`` (the default) propagates directly.
     fault_seed:
         Master seed for all channel fault streams; every chaos run is a
         deterministic function of (workload, fault plan, this seed).
-    retransmit_timeout:
-        Base retransmission timeout for reliable links (default: four
-        propagation delays, floored at 1.0 virtual seconds).
     promotion:
         Optional :class:`~repro.core.promotion.PromotionConfig` enabling
         secondary promotion after a permanent primary failure
         (:meth:`kill_primary` + :meth:`promote_secondary`), including the
-        bounded update-retry behaviour of client sessions.  ``None`` (the
-        default) keeps the system bit-identical to its pre-promotion
-        behaviour: updates fail with
+        bounded update-retry behaviour of client sessions.  With ``None``
+        (the default) updates fail with
         :class:`~repro.errors.SiteUnavailableError` while the primary is
-        down, exactly as before.
+        down.
     sharding:
         Optional :class:`~repro.core.sharding.ShardingConfig` enabling
         **keyspace sharding with partial replication**: keys map to
@@ -847,7 +845,7 @@ class ReplicatedSystem:
         :class:`~repro.core.propagation.ReliableLink` instances so the
         control plane has channels to ride on.  ``None`` (the default)
         builds none of it: no tick, no control traffic, no extra
-        random draws — bit-identical to the pre-failover system.
+        random draws.
     admission:
         Optional :class:`~repro.core.admission.AdmissionConfig` enabling
         **overload protection** in front of the primary: a token-bucket
@@ -859,8 +857,7 @@ class ReplicatedSystem:
         driven by secondary refresh backlog, and opt-in graceful
         degradation of blocking reads to an explicitly-reported stale
         snapshot.  ``None`` (the default) builds none of it: no
-        processes, no RNG draws, bit-identical to the pre-admission
-        system.
+        processes, no RNG draws.
     """
 
     def __init__(self, num_secondaries: int = 1, *,
@@ -872,18 +869,15 @@ class ReplicatedSystem:
                  parallel_refresh: Optional[int] = None,
                  refresh_apply_cost: float = 0.0,
                  autovacuum_interval: Optional[float] = None,
-                 kernel: Optional[Kernel] = None,
                  channel_faults: Optional[ChannelFaults] = None,
-                 ack_faults: Optional[ChannelFaults] = None,
                  fault_seed: int = 0,
-                 retransmit_timeout: Optional[float] = None,
                  promotion: Optional[PromotionConfig] = None,
                  sharding: Optional[ShardingConfig] = None,
                  failover: Optional[FailoverConfig] = None,
                  admission: Optional[AdmissionConfig] = None):
         if num_secondaries < 1:
             raise ConfigurationError("need at least one secondary site")
-        self.kernel = kernel or Kernel()
+        self.kernel = Kernel()
         #: Admission control is constructed before any session: sessions
         #: consult the controller for breakers and read deadlines.
         self.admission = admission
@@ -929,24 +923,20 @@ class ReplicatedSystem:
         # Autonomous failover needs link channels for its control plane
         # (heartbeats/leases) and for partitions to have something to
         # cut, even when the channels themselves are fault-free.
-        use_links = (channel_faults is not None or ack_faults is not None
-                     or failover is not None)
+        use_links = channel_faults is not None or failover is not None
         #: Every link ever created, in secondary order — promotions
         #: orphan the promoted site's link, but its channels can still
         #: hold partition-captured traffic whose eventual (fenced)
         #: delivery the zombie accounting must observe.
         self._all_links: list[ReliableLink] = []
         if use_links:
-            data_faults = channel_faults or ChannelFaults()
-            returns_faults = ack_faults if ack_faults is not None \
-                else data_faults
+            faults = channel_faults or ChannelFaults()
             streams = RandomStreams(fault_seed)
-            timeout = retransmit_timeout if retransmit_timeout is not None \
-                else max(1.0, 4.0 * propagation_delay)
+            timeout = max(1.0, 4.0 * propagation_delay)
             for secondary in self.secondaries:
                 link = ReliableLink(
                     self.kernel, secondary,
-                    faults=data_faults, ack_faults=returns_faults,
+                    faults=faults, ack_faults=faults,
                     rng=streams[f"channel.{secondary.name}.data"],
                     ack_rng=streams[f"channel.{secondary.name}.ack"],
                     ack_delay=propagation_delay, timeout=timeout)
@@ -1172,8 +1162,7 @@ class ReplicatedSystem:
         is held and released on :meth:`heal`; control traffic
         (heartbeats, lease grants) is dropped outright, which is what
         lets the failure detector see the partition.  Requires
-        link-based propagation (``channel_faults``/``ack_faults``/
-        ``failover``).
+        link-based propagation (``channel_faults`` or ``failover``).
         """
         for link in self._partition_links(index):
             link.blackhole()
@@ -1192,7 +1181,7 @@ class ReplicatedSystem:
         if not self._all_links:
             raise ConfigurationError(
                 "partitions need link-based propagation; construct the "
-                "system with channel_faults=, ack_faults= or failover=")
+                "system with channel_faults= or failover=")
         if index is None:
             return self._all_links
         self._secondary_at(index)

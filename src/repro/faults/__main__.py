@@ -115,7 +115,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    if args.ops < 0:
+        parser.error(f"--ops must be >= 0, got {args.ops}")
+    try:
+        return _run(args)
+    except ConfigurationError as error:
+        parser.error(str(error))
 
+
+def _run(args: argparse.Namespace) -> int:
+    """Run every requested seed; the exit status of the sweep."""
     faults = ChannelFaults(drop=args.drop, duplicate=args.duplicate,
                            jitter=args.jitter, reorder=args.reorder,
                            reorder_delay=DEFAULT_FAULTS.reorder_delay)
@@ -166,10 +175,7 @@ def main(argv: list[str] | None = None) -> int:
                              shards=args.shards,
                              arrival_pattern=arrival,
                              admission=admission)
-        try:
-            result = run_chaos(config)
-        except ConfigurationError as error:
-            parser.error(str(error))
+        result = run_chaos(config)
         if not result.ok:
             failures += 1
         if not result.ok or not args.quiet:

@@ -100,7 +100,6 @@ class FaultPlan:
                num_secondaries: int,
                secondary_outages: int = 2,
                primary_crash: bool = True,
-               propagator_stall: bool = True,
                permanent_primary_kill: bool = False,
                partitions: int = 0,
                scripted_promotion: bool = True,
@@ -144,6 +143,9 @@ class FaultPlan:
         """
         if horizon <= 0:
             raise ConfigurationError("plan horizon must be > 0")
+        if secondary_outages < 0 or partitions < 0:
+            raise ConfigurationError(
+                "secondary_outages and partitions must be >= 0")
         if num_secondaries < 2 and secondary_outages:
             raise ConfigurationError(
                 "random plans need >= 2 secondaries to keep one live "
@@ -188,12 +190,10 @@ class FaultPlan:
             else:
                 events.append(FaultEvent(at=down, action="crash_primary"))
                 events.append(FaultEvent(at=up, action="restart_primary"))
-        if propagator_stall:
-            stall = rng.uniform(lo, 0.8 * horizon)
-            unstall = rng.uniform(stall + 0.01 * horizon, hi)
-            events.append(FaultEvent(at=stall, action="pause_propagator"))
-            events.append(FaultEvent(at=unstall,
-                                     action="resume_propagator"))
+        stall = rng.uniform(lo, 0.8 * horizon)
+        unstall = rng.uniform(stall + 0.01 * horizon, hi)
+        events.append(FaultEvent(at=stall, action="pause_propagator"))
+        events.append(FaultEvent(at=unstall, action="resume_propagator"))
         if partitions:
             # Drawn last so pre-partition seeds replay unchanged.
             # Sequential windows, same scheme as secondary outages.

@@ -193,9 +193,9 @@ class Timeout:
     wins the tie, including at ``limit=0``.
 
     The inner awaitable must be detachable (implement ``_cancel``): a
-    condition wait or another ``Timeout``.  A sleep, a checkpoint or a
-    server request cannot be withdrawn, and its late resume would wake
-    the process out of whatever it waits on next.
+    condition wait or another ``Timeout``.  A sleep or a checkpoint
+    cannot be withdrawn, and its late resume would wake the process out
+    of whatever it waits on next.
 
     A strong-session read that waits at most ``max_wait`` for its
     secondary to catch up::

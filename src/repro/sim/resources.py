@@ -9,13 +9,12 @@ of one event per slice).  The exact time-sliced :class:`RoundRobinServer`
 is also provided; the server-discipline ablation benchmark shows the two
 agree on the paper's workloads.
 
-Usage, from a plain callback or inside a kernel process::
+Every discipline has one service interface, a callback::
 
     server.request_call(0.2, done, txn)   # done(txn) after 0.2 s of service
-    yield server.request(0.2)             # the same, resuming the process
 
-Either completes when the job's cumulative service reaches the demand,
-under sharing with whatever else is running.
+The job completes when its cumulative service reaches the demand, under
+sharing with whatever else is running.
 """
 
 from __future__ import annotations
@@ -25,25 +24,11 @@ from collections import deque
 from typing import Optional
 
 from repro.errors import SimulationError
-from repro.kernel import Kernel, Process
+from repro.kernel import Kernel
 
 # Hot-path aliases: every job arrival/departure goes through the heap.
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-
-class _Request:
-    """Awaitable admission of one job: the process's resume is the job's
-    completion callback."""
-
-    __slots__ = ("server", "demand")
-
-    def __init__(self, server, demand: float):
-        self.server = server
-        self.demand = demand
-
-    def _block(self, kernel: Kernel, process: Process) -> None:
-        self.server.request_call(self.demand, kernel._post, process, None)
 
 
 class ProcessorSharingServer:
@@ -53,18 +38,11 @@ class ProcessorSharingServer:
     n jobs are present.  A job arriving with demand d completes when V
     reaches ``V_arrival + d``; completions are a min-heap on that target,
     and only arrivals/departures generate events.
-
-    ``capacity`` scales the service rate (a server of capacity 2 serves a
-    lone job twice as fast).
     """
 
-    def __init__(self, kernel: Kernel, name: str = "server",
-                 capacity: float = 1.0):
-        if capacity <= 0:
-            raise SimulationError("server capacity must be positive")
+    def __init__(self, kernel: Kernel, name: str = "server"):
         self.kernel = kernel
         self.name = name
-        self.capacity = capacity
         self._virtual = 0.0            # virtual service clock V
         self._last_update = 0.0
         self._jobs: dict[int, tuple] = {}          # job id -> (fn, args)
@@ -80,17 +58,10 @@ class ProcessorSharingServer:
         self.busy_time = 0.0
 
     # -- public ---------------------------------------------------------
-    def request(self, demand: float) -> _Request:
-        """Awaitable: consume ``demand`` seconds of service."""
-        if demand < 0:
-            raise SimulationError(f"negative service demand {demand}")
-        return _Request(self, demand)
-
     def request_call(self, demand: float, fn, *args) -> None:
         """Admit a job that invokes ``fn(*args)`` on completion.
 
-        The service interface of all three disciplines; ``request`` is
-        this with the process's resume as ``fn``.  The contract:
+        The service interface of all three disciplines.  The contract:
 
         * ``fn`` runs synchronously inside the server's completion event,
           at the instant the job's service reaches ``demand`` and before
@@ -115,7 +86,7 @@ class ProcessorSharingServer:
         n = len(jobs)
         if n > 0:
             elapsed = now - self._last_update
-            self._virtual += elapsed * self.capacity / n
+            self._virtual += elapsed / n
             self.busy_time += elapsed
         self._last_update = now
         if demand == 0:
@@ -148,7 +119,7 @@ class ProcessorSharingServer:
         n = len(self._jobs)
         if n > 0:
             elapsed = now - self._last_update
-            self._virtual += elapsed * self.capacity / n
+            self._virtual += elapsed / n
             self.busy_time += elapsed
         self._last_update = now
 
@@ -164,7 +135,7 @@ class ProcessorSharingServer:
         job completes before the armed event fires.
         """
         heap = self._heap
-        eta = (heap[0][0] - self._virtual) * len(self._jobs) / self.capacity
+        eta = (heap[0][0] - self._virtual) * len(self._jobs)
         if eta < 0.0:
             eta = 0.0
         kernel = self.kernel
@@ -192,7 +163,7 @@ class ProcessorSharingServer:
         n = len(jobs)
         if n > 0:
             elapsed = now - self._last_update
-            self._virtual += elapsed * self.capacity / n
+            self._virtual += elapsed / n
             self.busy_time += elapsed
         self._last_update = now
         heap = self._heap
@@ -208,7 +179,7 @@ class ProcessorSharingServer:
         if not heap:
             self._next_fire = None
             return
-        eta = (heap[0][0] - self._virtual) * len(jobs) / self.capacity
+        eta = (heap[0][0] - self._virtual) * len(jobs)
         if eta < 0.0:
             eta = 0.0
         due = now + eta
@@ -240,11 +211,6 @@ class _QueuedServer:
         self._serving = False
         self.jobs_completed = 0
         self.busy_time = 0.0
-
-    def request(self, demand: float) -> _Request:
-        if demand < 0:
-            raise SimulationError(f"negative service demand {demand}")
-        return _Request(self, demand)
 
     def request_call(self, demand: float, fn, *args) -> None:
         """See :meth:`ProcessorSharingServer.request_call`."""

@@ -4,6 +4,9 @@ retry budgets, circuit breakers and graceful degradation."""
 import pytest
 
 from repro.core.admission import (
+    BROWNOUT_FLOOR,
+    RETRY_BASE,
+    RETRY_CAP,
     SHED_POLICIES,
     AdmissionConfig,
     StalenessReport,
@@ -91,18 +94,18 @@ def test_token_bucket_validation():
 
 @pytest.mark.parametrize("kwargs", [
     dict(rate=0.0),
-    dict(rate=1.0, burst=0.5),
+    dict(rate=-1.0),
     dict(rate=1.0, queue_limit=-1),
     dict(rate=1.0, shed_policy="coin-flip"),
     dict(rate=1.0, retry_budget=-1),
-    dict(rate=1.0, retry_base=0.0),
-    dict(rate=1.0, retry_base=2.0, retry_cap=1.0),
     dict(rate=1.0, breaker_threshold=-1),
     dict(rate=1.0, breaker_cooldown=0.0),
-    dict(rate=1.0, breaker_cooldown=5.0, breaker_cooldown_cap=1.0),
+    dict(rate=1.0, breaker_cooldown=-1.0),
+    dict(rate=1.0, breaker_cooldown=31.0),      # above the fixed 30 s cap
     dict(rate=1.0, lag_bound=0.0),
-    dict(rate=1.0, brownout_floor=0.0),
+    dict(rate=1.0, lag_bound=-1.0),
     dict(rate=1.0, read_deadline=0.0),
+    dict(rate=1.0, read_deadline=-1.0),
     dict(rate=1.0, degrade_to_stale=True),      # no read_deadline
 ])
 def test_invalid_admission_configs_rejected(kwargs):
@@ -111,9 +114,13 @@ def test_invalid_admission_configs_rejected(kwargs):
 
 
 def test_effective_burst_defaults_to_rate():
-    assert AdmissionConfig(rate=4.0).effective_burst == 4.0
-    assert AdmissionConfig(rate=0.5).effective_burst == 1.0
-    assert AdmissionConfig(rate=4.0, burst=16.0).effective_burst == 16.0
+    assert AdmissionConfig(rate=4.0).burst == 4.0
+    assert AdmissionConfig(rate=0.5).burst == 1.0
+
+
+def test_breaker_cooldown_may_equal_its_cap():
+    assert AdmissionConfig(rate=1.0, breaker_cooldown=30.0) \
+        .breaker_cooldown == 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +158,9 @@ def test_fast_path_admits_without_queueing():
 
 
 def test_empty_bucket_throttles_then_admits():
-    # burst=1: the first update takes the only token, the second waits
+    # Burst 1: the first update takes the only token, the second waits
     # in the queue until the 1-token refill at t=1.
-    system = make_system(AdmissionConfig(rate=1.0, burst=1.0))
+    system = make_system(AdmissionConfig(rate=1.0))
     session_a = system.session(Guarantee.STRONG_SESSION_SI)
     session_b = system.session(Guarantee.STRONG_SESSION_SI)
     outcomes = []
@@ -177,7 +184,7 @@ def test_empty_bucket_throttles_then_admits():
 
 def shed_scenario(policy, priorities):
     """One token, queue_limit=1: admit one, queue one, overflow one."""
-    system = make_system(AdmissionConfig(rate=1.0, burst=1.0,
+    system = make_system(AdmissionConfig(rate=1.0,
                                          queue_limit=1,
                                          shed_policy=policy))
     sessions = [system.session(Guarantee.STRONG_SESSION_SI, priority=p)
@@ -240,19 +247,31 @@ def test_by_session_priority_newcomer_loses_ties():
 # Retry budgets
 # ---------------------------------------------------------------------------
 
+def seeded_retry_instants(label, retries):
+    """When each of a session's shed-retries lands, from t=0: retry k
+    waits ``u_k * min(RETRY_BASE * 2**k, RETRY_CAP)``, with ``u_k`` the
+    k-th draw of the session's dedicated jitter stream."""
+    rng = RandomStreams(0)[f"retry.{label}"]
+    now, instants = 0.0, []
+    for attempt in range(retries):
+        now += rng.random() * min(RETRY_BASE * 2 ** attempt, RETRY_CAP)
+        instants.append(now)
+    return instants
+
+
 def test_retry_budget_exhausts_to_overload_error():
     # queue_limit=0: every empty-bucket attempt sheds immediately.  The
-    # token refills at t=1.0, far past the unjittered backoff schedule
-    # (0.05 + 0.1 = 0.15s), so the budget of 2 retries exhausts.
-    system = make_system(AdmissionConfig(rate=1.0, burst=1.0,
-                                         queue_limit=0, retry_budget=2,
-                                         retry_jitter=False))
+    # token refills at t=1.0, far past two jittered retries (at most
+    # 0.05 + 0.1 = 0.15s), so the budget of 2 retries exhausts.
+    system = make_system(AdmissionConfig(rate=1.0,
+                                         queue_limit=0, retry_budget=2))
     session = system.session(Guarantee.STRONG_SESSION_SI)
     session.write("warm", 0)                     # consumes the one token
     with pytest.raises(OverloadError):
         session.write("x", 1)
     assert session.overload_retries == 2
     assert session.overload_errors == 1
+    assert system.kernel.now == seeded_retry_instants(session.label, 2)[-1]
     controller = system.admission_controller
     assert controller.attempts == 4              # 1 admitted + 3 shed
     assert controller.shed == 3
@@ -261,34 +280,38 @@ def test_retry_budget_exhausts_to_overload_error():
 
 
 def test_retry_budget_recovers_within_budget():
-    # Backoff base 1.0: the single retry lands at t=1.0, exactly when
-    # the bucket has refilled one token — the retry succeeds.
-    system = make_system(AdmissionConfig(rate=1.0, burst=1.0,
-                                         queue_limit=0, retry_budget=3,
-                                         retry_base=1.0, retry_cap=2.0,
-                                         retry_jitter=False))
+    # The first retry landing at or past t=1.0, when the bucket has
+    # refilled one token, succeeds; the seeded draws say which one.
+    budget = 10
+    system = make_system(AdmissionConfig(rate=1.0,
+                                         queue_limit=0, retry_budget=budget))
     session = system.session(Guarantee.STRONG_SESSION_SI)
     session.write("warm", 0)
+    landings = seeded_retry_instants(session.label, budget)
+    retries = next(k for k, t in enumerate(landings, 1) if t >= 1.0)
+    assert 1 < retries < budget
     session.write("x", 1)
-    assert session.overload_retries == 1
+    assert session.overload_retries == retries
+    assert system.kernel.now == landings[retries - 1]
     assert session.overload_errors == 0
     assert session.updates_committed == 2
     system.quiesce()
 
 
 def test_jittered_retries_draw_from_dedicated_stream():
-    system = make_system(AdmissionConfig(rate=1.0, burst=1.0,
-                                         queue_limit=0, retry_budget=1,
-                                         retry_seed=5))
+    system = make_system(AdmissionConfig(rate=1.0,
+                                         queue_limit=0, retry_budget=1))
     session = system.session(Guarantee.STRONG_SESSION_SI)
     rng = system.admission_controller.retry_rng(session.label)
     assert system.admission_controller.retry_rng(session.label) is rng
-    # Jitter draws are full-jitter: strictly within the deterministic
-    # schedule, reproducible from retry_seed alone.
+    # Full jitter: the one retry waits strictly within the deterministic
+    # 0.05 s, by the first draw of the session's own seeded stream.
     session.write("warm", 0)
     with pytest.raises(OverloadError):
         session.write("x", 1)
     assert session.overload_retries == 1
+    assert 0.0 < system.kernel.now < RETRY_BASE
+    assert system.kernel.now == seeded_retry_instants(session.label, 1)[0]
     system.quiesce()
 
 
@@ -297,7 +320,7 @@ def test_jittered_retries_draw_from_dedicated_stream():
 # ---------------------------------------------------------------------------
 
 def test_breaker_opens_fails_fast_and_recovers_via_probe():
-    system = make_system(AdmissionConfig(rate=1.0, burst=1.0,
+    system = make_system(AdmissionConfig(rate=1.0,
                                          queue_limit=0,
                                          breaker_threshold=2,
                                          breaker_cooldown=1.0))
@@ -330,11 +353,10 @@ def test_breaker_opens_fails_fast_and_recovers_via_probe():
 
 
 def test_failed_probe_reopens_with_longer_cooldown():
-    system = make_system(AdmissionConfig(rate=0.1, burst=1.0,
+    system = make_system(AdmissionConfig(rate=0.1,
                                          queue_limit=0,
                                          breaker_threshold=1,
-                                         breaker_cooldown=1.0,
-                                         breaker_cooldown_cap=8.0))
+                                         breaker_cooldown=1.0))
     session = system.session(Guarantee.STRONG_SESSION_SI)
     session.write("warm", 0)
     with pytest.raises(OverloadError):
@@ -364,7 +386,7 @@ def test_every_admitted_probe_is_resolved():
     sent through ``update_transaction()`` is resolved by its commit.
     Neither leaves the breaker half-open for good, refusing every later
     update with ``CircuitOpenError(retry_after=0)``."""
-    system = make_system(AdmissionConfig(rate=1.0, burst=1.0,
+    system = make_system(AdmissionConfig(rate=1.0,
                                          queue_limit=0,
                                          breaker_threshold=1,
                                          breaker_cooldown=1.0))
@@ -415,8 +437,7 @@ def test_refresh_backlog_brownouts_admission_rate():
     session.write("late", 1)
     assert controller.brownouts >= 1
     assert controller.min_brownout_factor < 1.0
-    assert controller.min_brownout_factor \
-        >= AdmissionConfig(rate=100.0, lag_bound=1.0).brownout_floor
+    assert controller.min_brownout_factor >= BROWNOUT_FLOOR
     system.quiesce()
 
 
@@ -611,7 +632,7 @@ def test_admission_holds_burst_goodput_where_the_open_system_falls_off():
 # ---------------------------------------------------------------------------
 
 def test_system_status_reports_admission_counters():
-    system = make_system(AdmissionConfig(rate=1.0, burst=1.0,
+    system = make_system(AdmissionConfig(rate=1.0,
                                          queue_limit=0,
                                          read_deadline=2.0,
                                          degrade_to_stale=True),

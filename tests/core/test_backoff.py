@@ -23,14 +23,14 @@ def test_closed_form_equals_iterated_doubling_bitwise(base, cap):
     # that is what made the extraction bit-identical for virtual time.
     wait = base
     for attempt in range(60):
-        assert backoff_wait(attempt, base, 2.0, cap) == wait
+        assert backoff_wait(attempt, base, cap) == wait
         wait = min(wait * 2, cap)
 
 
 def test_backoff_wait_caps():
-    assert backoff_wait(0, 1.0, 2.0, 8.0) == 1.0
-    assert backoff_wait(3, 1.0, 2.0, 8.0) == 8.0
-    assert backoff_wait(50, 1.0, 2.0, 8.0) == 8.0
+    assert backoff_wait(0, 1.0, 8.0) == 1.0
+    assert backoff_wait(3, 1.0, 8.0) == 8.0
+    assert backoff_wait(50, 1.0, 8.0) == 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -59,19 +59,13 @@ def test_reset_returns_to_base():
     assert schedule.next_wait() == 0.25
 
 
-def test_custom_factor():
-    schedule = ExponentialBackoff(1.0, 100.0, factor=3.0)
-    assert [schedule.next_wait() for _ in range(4)] \
-        == [1.0, 3.0, 9.0, 27.0]
-
-
 # ---------------------------------------------------------------------------
 # Full jitter
 # ---------------------------------------------------------------------------
 
 def test_jitter_bounded_by_deterministic_wait():
     rng = RandomStreams(7)["jitter"]
-    schedule = ExponentialBackoff(0.25, 2.0, rng=rng, jitter=True)
+    schedule = ExponentialBackoff(0.25, 2.0, rng=rng)
     for _ in range(50):
         ceiling = schedule.peek()
         wait = schedule.next_wait()
@@ -81,8 +75,7 @@ def test_jitter_bounded_by_deterministic_wait():
 def test_jitter_is_deterministic_per_seed():
     def draws(seed):
         schedule = ExponentialBackoff(0.25, 2.0,
-                                      rng=RandomStreams(seed)["jitter"],
-                                      jitter=True)
+                                      rng=RandomStreams(seed)["jitter"])
         return [schedule.next_wait() for _ in range(10)]
 
     assert draws(7) == draws(7)
@@ -90,12 +83,14 @@ def test_jitter_is_deterministic_per_seed():
 
 
 def test_jitter_off_draws_nothing():
+    """Jitter is on exactly when an rng is given; ``peek`` never draws."""
     class Exploding:
         def random(self):      # pragma: no cover - must never run
-            raise AssertionError("unjittered backoff drew from the rng")
+            raise AssertionError("peek drew from the rng")
 
+    assert ExponentialBackoff(0.25, 2.0).next_wait() == 0.25
     schedule = ExponentialBackoff(0.25, 2.0, rng=Exploding())
-    assert schedule.next_wait() == 0.25
+    assert schedule.peek() == schedule.peek() == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +101,8 @@ def test_jitter_off_draws_nothing():
     dict(base=0.0, cap=1.0),
     dict(base=-1.0, cap=1.0),
     dict(base=2.0, cap=1.0),
-    dict(base=1.0, cap=2.0, factor=0.5),
-    dict(base=1.0, cap=2.0, jitter=True),   # jitter without an rng
+    dict(base=1.0, cap=0.0),
+    dict(base=-2.0, cap=-1.0),              # cap >= base, base still < 0
 ])
 def test_invalid_configurations_rejected(kwargs):
     with pytest.raises(ConfigurationError):

@@ -50,10 +50,6 @@ def assert_checkers_pass(system):
 def test_promotion_config_validation():
     with pytest.raises(ConfigurationError):
         PromotionConfig(promotion_wait=-1.0)
-    with pytest.raises(ConfigurationError):
-        PromotionConfig(retry_backoff=0.0)
-    with pytest.raises(ConfigurationError):
-        PromotionConfig(retry_backoff=2.0, max_backoff=1.0)
 
 
 def test_promote_requires_promotion_config():
@@ -270,8 +266,7 @@ def test_read_parked_on_a_fenced_replica_wakes_with_lost_updates_error(
 def test_update_retries_across_promotion():
     """execute_update blocks through the no-primary window and commits
     on the new primary once promotion lands."""
-    system = make_system(promotion=PromotionConfig(promotion_wait=30.0,
-                                                   retry_backoff=0.25))
+    system = make_system(promotion=PromotionConfig(promotion_wait=30.0))
     session = system.session()
     session.write("x", 1)
     system.quiesce()
@@ -288,8 +283,7 @@ def test_update_retries_across_promotion():
 
 
 def test_no_primary_error_after_wait_exhausted():
-    system = make_system(promotion=PromotionConfig(promotion_wait=2.0,
-                                                   retry_backoff=0.25))
+    system = make_system(promotion=PromotionConfig(promotion_wait=2.0))
     session = system.session()
     session.write("x", 1)
     system.quiesce()

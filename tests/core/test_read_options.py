@@ -130,7 +130,7 @@ def _lagging_reader(sharded: bool):
         sharding = ShardingConfig(shards=4, placement=((0, 1, 2, 3), (0, 1)))
     system = ReplicatedSystem(
         num_secondaries=2, propagation_delay=50.0, sharding=sharding,
-        admission=AdmissionConfig(rate=1e9, burst=1e9, read_deadline=2.0,
+        admission=AdmissionConfig(rate=1e9, read_deadline=2.0,
                                   degrade_to_stale=True))
     far, near = "far", "near"
     if sharded:

@@ -72,6 +72,16 @@ def test_need_at_least_one_secondary():
         ReplicatedSystem(num_secondaries=0)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(propagation_delay=-1.0), "propagation delay must be >= 0"),
+    (dict(batch_interval=-1.0), "batch interval must be >= 0"),
+])
+def test_negative_propagation_timing_is_a_configuration_error(kwargs,
+                                                              message):
+    with pytest.raises(ConfigurationError, match=message):
+        ReplicatedSystem(num_secondaries=1, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Session guarantees
 # ---------------------------------------------------------------------------

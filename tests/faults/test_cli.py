@@ -27,3 +27,23 @@ def test_an_unplannable_storm_is_a_usage_error(capsys):
         main(["--seed", "0", "--secondaries", "1"])
     assert excinfo.value.code == 2
     assert ">= 2 secondaries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--drop", "1.5"], "drop probability must be in [0, 1]"),
+    (["--jitter", "-1"], "jitter must be >= 0"),
+    (["--reorder", "2"], "reorder probability must be in [0, 1]"),
+    (["--overload", "--admission-rate", "0"], "admission rate must be > 0"),
+    (["--ops", "-3"], "--ops must be >= 0, got -3"),
+    (["--partitions", "-1"],
+     "secondary_outages and partitions must be >= 0"),
+])
+def test_bad_storm_input_is_a_usage_error(flags, message, capsys):
+    """Out-of-range fault, admission and workload flags end in a usage
+    error naming the problem, never a traceback or a silent run."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--seed", "1", *flags])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "chaos runs passed" not in captured.out

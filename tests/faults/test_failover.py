@@ -76,7 +76,6 @@ def read_keys(keys):
     dict(heartbeat_interval=-1.0),
     dict(heartbeat_interval=2.0, suspicion_timeout=3.0),   # < 2 intervals
     dict(suspicion_timeout=8.0, lease_duration=7.0),       # < suspicion
-    dict(quorum=0),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
@@ -86,12 +85,6 @@ def test_config_validation(kwargs):
 def test_quorum_defaults_to_majority():
     assert make_system(3).auto_failover.quorum == 2
     assert make_system(5).auto_failover.quorum == 3
-    system = ReplicatedSystem(
-        num_secondaries=3,
-        failover=FailoverConfig(heartbeat_interval=2.0,
-                                suspicion_timeout=8.0,
-                                lease_duration=12.0, quorum=3))
-    assert system.auto_failover.quorum == 3
 
 
 @pytest.mark.parametrize("num_secondaries", [4, 5])

@@ -67,6 +67,14 @@ def test_random_plan_requires_two_secondaries():
         FaultPlan.random(rng, horizon=10.0, num_secondaries=1)
 
 
+@pytest.mark.parametrize("kwargs", [dict(secondary_outages=-1),
+                                    dict(partitions=-1)])
+def test_random_plan_rejects_negative_window_counts(kwargs):
+    rng = RandomStreams(0)["plan"]
+    with pytest.raises(ConfigurationError, match="must be >= 0"):
+        FaultPlan.random(rng, horizon=10.0, num_secondaries=3, **kwargs)
+
+
 def test_injector_applies_events_at_their_times():
     system = ReplicatedSystem(num_secondaries=2, propagation_delay=0.0)
     plan = FaultPlan.of([

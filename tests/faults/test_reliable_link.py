@@ -53,8 +53,6 @@ def test_lossless_link_delivers_in_order():
 def test_validation():
     with pytest.raises(ReplicationError):
         make_link(timeout=0.0)
-    with pytest.raises(ReplicationError):
-        make_link(backoff=0.5)
 
 
 def test_drops_recovered_by_retransmission():
@@ -101,9 +99,9 @@ def test_full_fault_mix_with_lossy_acks():
 
 def test_retransmission_backoff_doubles_and_resets():
     # Total blackout: every data message dropped, so the timer keeps
-    # firing with doubling waits capped at max_timeout.
+    # firing with doubling waits capped at MAX_RETRANSMIT_TIMEOUT (30).
     faults = ChannelFaults(drop=1.0)
-    kernel, site, link = make_link(faults, timeout=1.0, max_timeout=8.0)
+    kernel, site, link = make_link(faults, timeout=4.0)
     fires = []
     orig = link._on_timer
 
@@ -113,9 +111,9 @@ def test_retransmission_backoff_doubles_and_resets():
 
     link._on_timer = spy
     link.send("x", 0.0)
-    kernel.run(until=40.0)
+    kernel.run(until=100.0)
     gaps = [round(b - a, 6) for a, b in zip(fires, fires[1:])]
-    assert gaps[:4] == [2.0, 4.0, 8.0, 8.0]   # 1 -> 2 -> 4 -> 8, capped
+    assert gaps[:4] == [8.0, 16.0, 30.0, 30.0]   # 4 -> 8 -> 16 -> 30, capped
 
 
 def test_timer_stops_when_site_crashes():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import KernelError
 from repro.kernel import Condition, Kernel, Timeout, TimeoutExpired
-from repro.sim.resources import ProcessorSharingServer
 
 
 @pytest.fixture
@@ -135,15 +134,14 @@ def test_non_awaitable_inner_rejected():
         Timeout(42, limit=1.0)
 
 
-@pytest.mark.parametrize("inner", ["sleep", "checkpoint", "server-request"])
+@pytest.mark.parametrize("inner", ["sleep", "checkpoint"])
 def test_inner_that_cannot_detach_is_rejected(kernel, inner):
-    """A sleep, a checkpoint or a server request cannot be withdrawn when
-    the deadline lands first: its late resume would wake the process out
-    of whatever it waits on next.  Timeout refuses them up front."""
+    """A sleep or a checkpoint cannot be withdrawn when the deadline
+    lands first: its late resume would wake the process out of whatever
+    it waits on next.  Timeout refuses them up front."""
     make = {
         "sleep": lambda: kernel.sleep(10.0),
         "checkpoint": kernel.checkpoint,
-        "server-request": lambda: ProcessorSharingServer(kernel).request(10.0),
     }[inner]
     with pytest.raises(KernelError, match="wraps awaitables"):
         Timeout(make(), limit=1.0)

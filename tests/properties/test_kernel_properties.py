@@ -96,12 +96,11 @@ def test_ps_server_work_conservation(demands):
     server = ProcessorSharingServer(kernel)
     completions = []
 
-    def jobproc(index, demand):
-        yield server.request(demand)
+    def finished(index):
         completions.append((kernel.now, index))
 
     for index, demand in enumerate(demands):
-        kernel.spawn(jobproc(index, demand))
+        kernel.call_at(0.0, server.request_call, demand, finished, index)
     kernel.run()
     assert max(t for t, _ in completions) == pytest.approx(sum(demands))
     finish_time = dict((i, t) for t, i in completions)
@@ -121,14 +120,14 @@ def test_ps_server_never_finishes_before_demand(arrivals):
     server = ProcessorSharingServer(kernel)
     results = []
 
-    def jobproc(arrive, demand):
-        yield kernel.sleep(arrive)
-        started = kernel.now
-        yield server.request(demand)
+    def finished(started, demand):
         results.append((kernel.now - started, demand))
 
+    def arrive_at(demand):
+        server.request_call(demand, finished, kernel.now, demand)
+
     for arrive, demand in arrivals:
-        kernel.spawn(jobproc(arrive, demand))
+        kernel.call_at(arrive, arrive_at, demand)
     kernel.run()
     for response, demand in results:
         assert response >= demand - 1e-9

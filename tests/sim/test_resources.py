@@ -15,11 +15,10 @@ def kernel():
     return Kernel()
 
 
-def job(kernel, server, demand, done, tag=None):
-    def body():
-        yield server.request(demand)
-        done.append((tag, kernel.now))
-    return body()
+def job(kernel, server, demand, done, tag=None, at=0.0):
+    """Admit one job at ``at``; append ``(tag, completion instant)``."""
+    kernel.call_at(at, server.request_call, demand,
+                   lambda: done.append((tag, kernel.now)))
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +28,7 @@ def job(kernel, server, demand, done, tag=None):
 def test_ps_single_job_takes_demand(kernel):
     server = ProcessorSharingServer(kernel)
     done = []
-    kernel.spawn(job(kernel, server, 2.0, done))
+    job(kernel, server, 2.0, done)
     kernel.run()
     assert done == [(None, 2.0)]
 
@@ -38,8 +37,8 @@ def test_ps_two_equal_jobs_share_equally(kernel):
     """Two jobs of demand d arriving together finish together at 2d."""
     server = ProcessorSharingServer(kernel)
     done = []
-    kernel.spawn(job(kernel, server, 1.0, done, "a"))
-    kernel.spawn(job(kernel, server, 1.0, done, "b"))
+    job(kernel, server, 1.0, done, "a")
+    job(kernel, server, 1.0, done, "b")
     kernel.run()
     assert [t for _, t in done] == [2.0, 2.0]
 
@@ -47,8 +46,8 @@ def test_ps_two_equal_jobs_share_equally(kernel):
 def test_ps_short_job_finishes_first(kernel):
     server = ProcessorSharingServer(kernel)
     done = []
-    kernel.spawn(job(kernel, server, 0.5, done, "short"))
-    kernel.spawn(job(kernel, server, 2.0, done, "long"))
+    job(kernel, server, 0.5, done, "short")
+    job(kernel, server, 2.0, done, "long")
     kernel.run()
     # Short job: shares until it accumulates 0.5 of service at rate 1/2
     # -> finishes at t=1.0; long job then runs alone: 2.0-0.5 remaining
@@ -59,14 +58,8 @@ def test_ps_short_job_finishes_first(kernel):
 def test_ps_late_arrival(kernel):
     server = ProcessorSharingServer(kernel)
     done = []
-
-    def late():
-        yield kernel.sleep(1.0)
-        yield server.request(1.0)
-        done.append(("late", kernel.now))
-
-    kernel.spawn(job(kernel, server, 2.0, done, "early"))
-    kernel.spawn(late())
+    job(kernel, server, 2.0, done, "early")
+    job(kernel, server, 1.0, done, "late", at=1.0)
     kernel.run()
     # t=0..1: early alone (1.0 of 2.0 done). t=1..3: both share (rate 1/2):
     # late needs 1.0 -> 2 wall seconds -> t=3; early finishes at t=3 too.
@@ -76,23 +69,15 @@ def test_ps_late_arrival(kernel):
 def test_ps_zero_demand_completes_instantly(kernel):
     server = ProcessorSharingServer(kernel)
     done = []
-    kernel.spawn(job(kernel, server, 0.0, done))
+    job(kernel, server, 0.0, done)
     kernel.run()
     assert done == [(None, 0.0)]
-
-
-def test_ps_capacity_scales_rate(kernel):
-    server = ProcessorSharingServer(kernel, capacity=2.0)
-    done = []
-    kernel.spawn(job(kernel, server, 2.0, done))
-    kernel.run()
-    assert done == [(None, 1.0)]
 
 
 def test_ps_utilization_and_counters(kernel):
     server = ProcessorSharingServer(kernel)
     done = []
-    kernel.spawn(job(kernel, server, 2.0, done))
+    job(kernel, server, 2.0, done)
     kernel.run(until=4.0)
     assert server.jobs_completed == 1
     assert server.utilization(4.0) == pytest.approx(0.5)
@@ -101,8 +86,8 @@ def test_ps_utilization_and_counters(kernel):
 def test_ps_active_jobs(kernel):
     server = ProcessorSharingServer(kernel)
     done = []
-    kernel.spawn(job(kernel, server, 5.0, done))
-    kernel.spawn(job(kernel, server, 5.0, done))
+    job(kernel, server, 5.0, done)
+    job(kernel, server, 5.0, done)
     kernel.run(until=1.0)
     assert server.active_jobs == 2
     kernel.run()
@@ -116,7 +101,7 @@ def test_ps_many_jobs_conserve_work(kernel):
     done = []
     demands = [0.3, 1.1, 0.7, 2.0, 0.9]
     for i, demand in enumerate(demands):
-        kernel.spawn(job(kernel, server, demand, done, i))
+        job(kernel, server, demand, done, i)
     kernel.run()
     assert max(t for _, t in done) == pytest.approx(sum(demands))
     assert server.jobs_completed == len(demands)
@@ -126,7 +111,7 @@ def test_ps_negative_demand_rejected(kernel):
     server = ProcessorSharingServer(kernel)
     from repro.errors import SimulationError
     with pytest.raises(SimulationError):
-        server.request(-1.0)
+        server.request_call(-1.0, lambda: None)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +121,7 @@ def test_ps_negative_demand_rejected(kernel):
 def test_rr_single_job(kernel):
     server = RoundRobinServer(kernel, time_slice=0.001)
     done = []
-    kernel.spawn(job(kernel, server, 0.01, done))
+    job(kernel, server, 0.01, done)
     kernel.run()
     assert done[0][1] == pytest.approx(0.01)
 
@@ -144,8 +129,8 @@ def test_rr_single_job(kernel):
 def test_rr_two_jobs_interleave(kernel):
     server = RoundRobinServer(kernel, time_slice=0.001)
     done = []
-    kernel.spawn(job(kernel, server, 0.01, done, "a"))
-    kernel.spawn(job(kernel, server, 0.01, done, "b"))
+    job(kernel, server, 0.01, done, "a")
+    job(kernel, server, 0.01, done, "b")
     kernel.run()
     times = sorted(t for _, t in done)
     # Both finish around 0.02 — within one slice of each other.
@@ -163,8 +148,8 @@ def test_rr_approximates_ps(kernel):
     rr_done, ps_done = [], []
     demands = [0.2, 0.14, 0.3]
     for i, demand in enumerate(demands):
-        rr_kernel.spawn(job(rr_kernel, rr, demand, rr_done, i))
-        ps_kernel.spawn(job(ps_kernel, ps, demand, ps_done, i))
+        job(rr_kernel, rr, demand, rr_done, i)
+        job(ps_kernel, ps, demand, ps_done, i)
     rr_kernel.run()
     ps_kernel.run()
     rr_times = dict(rr_done)
@@ -186,8 +171,8 @@ def test_rr_time_slice_validation(kernel):
 def test_fifo_serves_in_arrival_order(kernel):
     server = FifoServer(kernel)
     done = []
-    kernel.spawn(job(kernel, server, 1.0, done, "first"))
-    kernel.spawn(job(kernel, server, 1.0, done, "second"))
+    job(kernel, server, 1.0, done, "first")
+    job(kernel, server, 1.0, done, "second")
     kernel.run()
     assert done == [("first", 1.0), ("second", 2.0)]
 
@@ -195,13 +180,7 @@ def test_fifo_serves_in_arrival_order(kernel):
 def test_fifo_idle_then_busy(kernel):
     server = FifoServer(kernel)
     done = []
-
-    def late():
-        yield kernel.sleep(5.0)
-        yield server.request(1.0)
-        done.append(("late", kernel.now))
-
-    kernel.spawn(late())
+    job(kernel, server, 1.0, done, "late", at=5.0)
     kernel.run()
     assert done == [("late", 6.0)]
     assert server.utilization(6.0) == pytest.approx(1 / 6)
@@ -210,15 +189,9 @@ def test_fifo_idle_then_busy(kernel):
 def test_rr_worker_respawns_after_idle(kernel):
     server = RoundRobinServer(kernel, time_slice=0.001)
     done = []
-    kernel.spawn(job(kernel, server, 0.01, done, "first"))
+    job(kernel, server, 0.01, done, "first")
     kernel.run()
-
-    def late():
-        yield kernel.sleep(5.0)
-        yield server.request(0.01)
-        done.append(("late", kernel.now))
-
-    kernel.spawn(late())
+    job(kernel, server, 0.01, done, "late", at=kernel.now + 5.0)
     kernel.run()
     assert len(done) == 2
     assert done[-1][0] == "late"
@@ -240,38 +213,40 @@ ARRIVALS = [(0.0, 0.5), (0.1, 0.2), (0.1, 0.35), (0.3, 0.05), (2.0, 0.4),
             (2.0, 0.4), (2.25, 0.1)]
 
 
-def serve_arrivals(make_server, through_callbacks):
+#: Each ARRIVALS job's completion instant, worked by hand.  PS: job 3
+#: leaves four sharers at 0.5, job 1 three at 0.75, job 2 two at 1.05,
+#: job 0 alone at 1.1; after the gap job 6 leaves three at 2.55 and
+#: jobs 4 and 5 finish together.  FIFO: back to back in arrival order.
+EXPECTED = {
+    "ps": [1.1, 0.75, 1.05, 0.5, 2.9, 2.9, 2.55],
+    "fifo": [0.5, 0.7, 1.05, 1.1, 2.4, 2.8, 2.9],
+}
+EXPECTED["rr"] = EXPECTED["ps"]
+
+
+@pytest.mark.parametrize("discipline", DISCIPLINES)
+def test_request_call_matches_request(discipline):
+    """Every job completes when its cumulative service matches the demand
+    it requested: at the hand-worked instants (round-robin within three
+    10 ms slices of processor sharing), and every discipline conserves
+    work."""
     kernel = Kernel()
-    server = make_server(kernel)
+    server = DISCIPLINES[discipline](kernel)
     done = {}
 
     def finished(tag):
         done[tag] = kernel.now
 
-    def process_job(tag, arrival, demand):
-        yield kernel.sleep(arrival)
-        yield server.request(demand)
-        finished(tag)
-
     for tag, (arrival, demand) in enumerate(ARRIVALS):
-        if through_callbacks:
-            kernel.call_at(arrival, server.request_call, demand,
-                           finished, tag)
-        else:
-            kernel.spawn(process_job(tag, arrival, demand))
+        kernel.call_at(arrival, server.request_call, demand, finished, tag)
     kernel.run()
-    return done, server.jobs_completed, server.utilization(kernel.now)
-
-
-@pytest.mark.parametrize("discipline", DISCIPLINES)
-def test_request_call_matches_request(discipline):
-    """A process's ``request`` is ``request_call`` with its resume as the
-    callback: same completion instants, same counters."""
-    make_server = DISCIPLINES[discipline]
-    by_process = serve_arrivals(make_server, through_callbacks=False)
-    by_callback = serve_arrivals(make_server, through_callbacks=True)
-    assert by_callback == by_process
-    assert by_callback[1] == len(ARRIVALS)
+    tolerance = 0.03 if discipline == "rr" else 1e-9
+    assert [done[tag] for tag in range(len(ARRIVALS))] \
+        == pytest.approx(EXPECTED[discipline], abs=tolerance)
+    assert server.jobs_completed == len(ARRIVALS)
+    busy = sum(demand for _, demand in ARRIVALS)
+    assert server.utilization(kernel.now) \
+        == pytest.approx(busy / kernel.now)
 
 
 @pytest.mark.parametrize("discipline", DISCIPLINES)
@@ -288,8 +263,6 @@ def test_request_call_zero_demand_runs_at_once(kernel, discipline):
 def test_negative_demand_rejected_everywhere(kernel, discipline):
     from repro.errors import SimulationError
     server = DISCIPLINES[discipline](kernel)
-    with pytest.raises(SimulationError):
-        server.request(-1.0)
     with pytest.raises(SimulationError):
         server.request_call(-1.0, lambda: None)
 
