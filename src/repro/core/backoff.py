@@ -23,10 +23,16 @@ from repro.errors import ConfigurationError
 __all__ = ["backoff_wait", "ExponentialBackoff"]
 
 
+#: Largest exponent whose power of two is a finite float; any positive
+#: base above ``cap / 2**1023`` has reached its cap by then.
+_MAX_EXPONENT = 1023
+
+
 def backoff_wait(attempt: int, base: float, cap: float) -> float:
     """Deterministic wait before retry number ``attempt`` (0-based):
-    ``min(base * 2**attempt, cap)``."""
-    return min(base * (2.0 ** attempt), cap)
+    ``min(base * 2**attempt, cap)``, for any number of attempts (the
+    exponent is clamped where ``2.0 ** attempt`` would overflow)."""
+    return min(base * (2.0 ** min(attempt, _MAX_EXPONENT)), cap)
 
 
 class ExponentialBackoff:

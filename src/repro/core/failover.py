@@ -105,16 +105,22 @@ class FailoverConfig:
                 "is the safety backstop behind the suspicion quorum)")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Heartbeat:
-    """The primary's periodic "I am alive" control datagram."""
+    """The primary's periodic "I am alive" control datagram.
+
+    Treat as read-only once sent, like every control datagram.
+    """
 
     sent_at: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LeaseGrant:
-    """A secondary's reply: "your lease runs from my send time"."""
+    """A secondary's reply: "your lease runs from my send time".
+
+    Treat as read-only once sent, like every control datagram.
+    """
 
     granted_at: float
     site: str

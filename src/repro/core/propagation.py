@@ -28,10 +28,12 @@ over an unreliable channel instead: every record is stamped with a
 per-link sequence number, the receiver delivers records to the site's
 refresher strictly in sequence order (buffering early arrivals,
 discarding duplicates), acknowledges cumulatively, and the sender
-retransmits unacknowledged records on a timeout with exponential
-backoff.  Without a link (the default), each record or frame travels
-in one kernel event that hands it to every such endpoint in attach
-order — the fault machinery adds zero behaviour when disabled.
+resends the missing record at the first duplicate ack (fast
+retransmit) and every unacknowledged record on a timeout with
+exponential backoff.  Without a link (the default), each record or
+frame travels in one kernel event that hands it to every such endpoint
+in attach order — the fault machinery adds zero behaviour when
+disabled.
 """
 
 from __future__ import annotations
@@ -109,6 +111,11 @@ class ReliableLink:
     one-shot retransmission timer fires after ``timeout`` (doubling per
     consecutive expiry up to :data:`MAX_RETRANSMIT_TIMEOUT`, resetting on
     ack progress) and resends every unacked record in sequence order.
+    Fast retransmit repairs a single loss sooner: an ack that removes
+    nothing while ``acked + 1`` is unacked is a duplicate ack — the
+    receiver holds a later record but not that one — and the first
+    duplicate ack since the last ack progress (or :meth:`resync`)
+    resends ``acked + 1`` at once, unless the site is gone.
 
     Receiver side: a record arriving with the expected sequence number is
     handed to ``site.receive`` (and any directly-following buffered
@@ -149,6 +156,7 @@ class ReliableLink:
         self._unacked: dict[int, tuple[PropagationRecord, float]] = {}
         self._timer_armed = False
         self._consecutive_timeouts = 0
+        self._fast_retransmitted = False   # hole resent in this stall
         # Receiver state.
         self._expected = 0
         self._early: dict[int, PropagationRecord] = {}
@@ -212,8 +220,7 @@ class ReliableLink:
             # retired) site; the recovery path resyncs the link and
             # clears the buffer.
             return
-        for seq in sorted(self._unacked):
-            record, delay = self._unacked[seq]
+        for seq, (record, delay) in self._unacked.items():
             self.data_channel.send((self._epoch, seq, record), delay)
             self.retransmissions += 1
         self._consecutive_timeouts += 1
@@ -249,12 +256,25 @@ class ReliableLink:
             self.stale_epoch_drops += 1
             return
         self.acks_received += 1
-        progressed = False
-        for seq in [s for s in self._unacked if s <= acked]:
-            del self._unacked[seq]
-            progressed = True
-        if progressed:
+        # The unacked records are exactly the sequence numbers from
+        # ``first`` up to the last one sent (acks are cumulative), so
+        # progress pops a prefix without scanning the buffer.
+        unacked = self._unacked
+        first = self._next_seq - len(unacked)
+        if acked >= first:
+            for seq in range(first, acked + 1):
+                del unacked[seq]
             self._consecutive_timeouts = 0
+            self._fast_retransmitted = False
+        elif acked + 1 == first and unacked \
+                and not self._fast_retransmitted and self._site_live():
+            # Duplicate ack: the receiver holds a later record but not
+            # ``first``.  Resend the hole now rather than at the timer,
+            # once per stall.
+            self._fast_retransmitted = True
+            record, delay = unacked[first]
+            self.data_channel.send((self._epoch, first, record), delay)
+            self.retransmissions += 1
 
     # -- receiver ----------------------------------------------------------
     def _on_data(self, payload: tuple) -> None:
@@ -308,6 +328,7 @@ class ReliableLink:
         self._next_seq = 0
         self._unacked.clear()
         self._consecutive_timeouts = 0
+        self._fast_retransmitted = False
         self._expected = 0
         self._early.clear()
 

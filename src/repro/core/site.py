@@ -119,12 +119,13 @@ class PrimarySite:
     def demote(self) -> None:
         """Self-demote: the primary's lease lapsed (autonomous failover).
 
-        Functionally a permanent failure — the cluster is about to elect
-        a successor, and a primary that kept serving after its lease
-        expired could acknowledge commits the new epoch will orphan.
-        The difference from :meth:`kill` is attribution: in-flight
-        update transactions are aborted with a lease reason and their
-        ids recorded in :attr:`demote_aborted`, so the session layer
+        The engine goes down as in :meth:`crash`: a primary that kept
+        serving after its lease expired could acknowledge commits the
+        new epoch will orphan.  Unlike :meth:`kill`, the WAL survives,
+        so when no full-coverage replica is live to take over, the site
+        can still come back through :meth:`restart`.  In-flight update
+        transactions are aborted with a lease reason and their ids
+        recorded in :attr:`demote_aborted`, so the session layer
         surfaces :class:`~repro.errors.LeaseExpiredError` instead of a
         silent no-op.
         """
@@ -136,7 +137,6 @@ class PrimarySite:
             self.demote_aborted.add(txn.txn_id)
             txn.abort("lease expired; primary self-demoted")
         self.engine.crash()
-        self.permanently_failed = True
 
     def restart(self) -> int:
         """Recover the primary by replaying its write-ahead (logical) log.

@@ -113,7 +113,7 @@ class FaultyChannel:
         self.kernel = kernel
         self.deliver = deliver
         self.faults = faults
-        self.rng = rng
+        self._random = rng.random if rng is not None else None
         self.name = name
         #: Deliveries scheduled but not yet arrived (quiesce accounting).
         self.in_flight = 0
@@ -158,31 +158,34 @@ class FaultyChannel:
                 self.blackholed_payloads += 1
                 self._held.append((payload, delay))
                 return
+        # One ``random()`` per decision: ``random() < p`` is what
+        # ``bernoulli`` draws (``ChannelFaults`` validated ``p``), and
+        # ``jitter * random()`` are the floats ``uniform(0, jitter)``
+        # returns.  The delay is never negative, so the deliveries go
+        # straight onto the kernel's queue.
         f = self.faults
-        if f.drop and self.rng.bernoulli(f.drop):
+        if f.drop and self._random() < f.drop:
             if control:
                 self.control_dropped += 1
             else:
                 self.dropped += 1
             return
         copies = 1
-        if f.duplicate and self.rng.bernoulli(f.duplicate):
+        if f.duplicate and self._random() < f.duplicate:
             self.duplicated += 1
             copies = 2
+        arrive = self._arrive_control if control else self._arrive
         for _ in range(copies):
             extra = 0.0
             if f.jitter:
-                extra += self.rng.uniform(0.0, f.jitter)
-            if f.reorder and self.rng.bernoulli(f.reorder):
+                extra += f.jitter * self._random()
+            if f.reorder and self._random() < f.reorder:
                 self.reordered += 1
                 extra += f.reorder_delay
-            if control:
-                self.kernel.call_at(self.kernel.now + delay + extra,
-                                    self._arrive_control, payload)
-            else:
+            if not control:
                 self.in_flight += 1
-                self.kernel.call_at(self.kernel.now + delay + extra,
-                                    self._arrive, payload)
+            self.kernel._schedule(self.kernel.now + delay + extra,
+                                  arrive, payload)
 
     # -- partitions ---------------------------------------------------------
     def blackhole(self) -> None:

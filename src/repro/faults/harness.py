@@ -43,6 +43,7 @@ from repro.core.sharding import ShardingConfig
 from repro.core.system import ReplicatedSystem
 from repro.errors import (
     CircuitOpenError,
+    ConfigurationError,
     FirstCommitterWinsError,
     FreshnessTimeoutError,
     LostUpdatesError,
@@ -151,6 +152,19 @@ class ChaosConfig:
     #: outage) and each further secondary subscribes to an alternating
     #: half of the keyspace.
     shards: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for name in ("ops", "keys"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
+        if self.secondary_outages < 0 or self.partitions < 0:
+            raise ConfigurationError(
+                "secondary_outages and partitions must be >= 0")
+        for name in ("num_sessions", "num_secondaries"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
     def sharding_config(self) -> Optional[ShardingConfig]:
         """The derived :class:`ShardingConfig` (None with sharding off)."""
@@ -485,10 +499,12 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         grace = (failover.lease_duration + failover.suspicion_timeout
                  + 4 * failover.heartbeat_interval)
         system.run(until=system.kernel.now + grace)
-    if system.primary.crashed:             # pragma: no cover - plan ends restarted
+    if system.primary.crashed:
         if system.primary.permanently_failed:
             system.promote_secondary()
         else:
+            # A crash the plan never ended, or a lease demotion with no
+            # full-coverage replica live to elect: replay the WAL.
             system.restart_primary()
     for index, secondary in enumerate(system.secondaries):
         # (A retired site shares its engine with a primary it once was;

@@ -33,6 +33,18 @@ def test_backoff_wait_caps():
     assert backoff_wait(50, 1.0, 8.0) == 8.0
 
 
+def test_backoff_wait_never_overflows():
+    # 2.0 ** 1024 is past the largest float; the wait stays at its cap.
+    for attempt in (1023, 1024, 5000, 10 ** 9):
+        assert backoff_wait(attempt, 1.0, 30.0) == 30.0
+
+
+def test_schedule_stays_capped_past_a_thousand_attempts():
+    schedule = ExponentialBackoff(0.25, 2.0)
+    waits = [schedule.next_wait() for _ in range(1100)]
+    assert waits[-100:] == [2.0] * 100
+
+
 # ---------------------------------------------------------------------------
 # ExponentialBackoff: schedule, peek, reset
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.admission import AdmissionConfig
 from repro.core.system import ReplicatedSystem
+from repro.errors import ConfigurationError
 from repro.faults.channel import ChannelFaults
 from repro.faults.harness import (
     ChaosConfig,
@@ -133,14 +134,17 @@ def _pinned(result):
 #: resuming a refresher process, did the same (1388 / 1499 / 2121).
 #: So did running the failover detector as one periodic callback
 #: instead of 2 + N daemon processes, with at most one lease check
-#: armed (1277 / 1358 / 1977).
+#: armed (1277 / 1358 / 1977).  Fast retransmit (a link resends the
+#: missing record at the first duplicate ack instead of waiting for its
+#: timer) changes every lossy storm's fault realization, so it moved
+#: the digests as well as the counts (952 / 1071 / 1449 events before).
 RECORDED_STORMS = {
-    0: ("16ed189398408cbe592502e7d2635193e68cbd2a74aed6ee109363dad507e073",
-        952, 43),
-    1: ("7a653a9fb33fb78dd96f390e79600734eef25d4b94d585fec37857878a1972df",
-        1071, 52),
-    2: ("2aa988526fc7349782fbee5791d201dcc7becfdbda87af81601b183f0ca4df9a",
-        1449, 50),
+    0: ("5a74ec8905941fc751747542fd38ca1695efaaf8ecadcb82e9f6b7f9ea746d45",
+        989, 44),
+    1: ("ac71286cd737fe26f923de89756c83b6284b21d95eed344b5e6922de022b870a",
+        1170, 56),
+    2: ("f432aca2150f9e3587db984069a71d9f9d3eb30a752209f2270267eade2e97cb",
+        1436, 59),
 }
 
 
@@ -169,25 +173,30 @@ def test_chaos_identical_across_schedulers(seed):
 #: did records handled in their arrival event (composed 909 / 1011 /
 #: 1187, plain 290 / 384 / 651 before) and the one-callback failover
 #: detector (composed 849 / 935 / 1090; plain storms run no detector).
+#: Fast retransmit moved every digest and count (composed 558 / 653 /
+#: 779, plain 238 / 316 / 540 before).  Under it, composed seed 0's
+#: primary lease-demotes with only a half subscriber live to elect; the
+#: demoted primary keeps its WAL and the settle phase restarts it,
+#: which is where its 1966 events come from.
 RECORDED_SHARDED_STORMS = {
     ("composed", 0): (
-        "f862bdc9d114368e2ebbbfca7cc7c5ddf09e19b566c9239fb7688b80e6e68f54",
-        558, 29),
+        "1feedb7b733e1f513e54961008b5bc94ef67323f893b1fade6fdc163b3f4a960",
+        1966, 23),
     ("composed", 1): (
-        "c2830928ea86808d7272739a7bc2bf9ce3feebacc638c1e063ecb153ebc884dc",
-        653, 34),
+        "eaaf97b446413344ddde20edd588d69163bcee2b9c386376f5b036444362c8ae",
+        669, 33),
     ("composed", 2): (
-        "d75cac6f9c1b85a637e41da84ea67f1fdccb8f4be6e2e9c3627efc50a90cfe5f",
-        779, 43),
+        "7ab9c48a98c9dc1aa4f7181238981e165d4ed629f722eb578ded07c10acf1545",
+        821, 54),
     ("plain", 0): (
-        "ab62d907aaf51dd6ee96feed7c8aaf41d79fb1dbed68e7b0985276bb463d6f74",
-        238, 23),
+        "99e3289fe6c9ddad03cce7b557cae4284c3d0c0f82ca03167000f745780ed0c0",
+        261, 27),
     ("plain", 1): (
-        "dbb404f057f0d4fa2a9a2c4ddb5eae82ac17782116cef00e39afbcb981be2ef3",
-        316, 23),
+        "357d54eef7cff83049f5e2327a36765fc3f7c2d38ebc57556f008de4de9f1f32",
+        338, 25),
     ("plain", 2): (
-        "1fc19b0c2e44d6108643851723901a2152eaa20bb2dee731751b06d70f4f2937",
-        540, 65),
+        "67fccf6d384a02d45462340fc1bae90396f4b6356731f6e092e640608b582cca",
+        564, 28),
 }
 
 
@@ -212,35 +221,37 @@ def test_sharded_storm_reproduces_the_recording(shape, seed):
 #: ``autovacuum`` and ``parallel`` kill the primary under autovacuum and
 #: under parallel refresh, so their vacuum totals and out-of-order
 #: counts include sites retired by the promotion (the parallel seeds are
-#: ones whose promoted site applied commits out of order).
+#: ones whose promoted site applied commits out of order).  Fast
+#: retransmit moved all nine digests and counts (overload 1084 / 1510 /
+#: 1396, autovacuum 915 / 928 / 1046, parallel 950 / 850 / 931 before).
 RECORDED_PROMOTED_STORMS = {
     ("overload", 0): (
-        "068bcaca886f4e427f137826a17f896d854d6eb9104255fe436f0b10177993a5",
-        1084, 74),
+        "d62543df4a749f8204b050fe455232094afc8ad70f3cc0f050ee90af6beb13f5",
+        1066, 78),
     ("overload", 1): (
-        "7ae239ac2ddc5e5fad54162b527b5d4cb1e76aabd53f5da7ea2981f1788667c9",
-        1510, 76),
+        "1810836154c2c777dfc21cdee28ac426a6922583cd170749eeebea271d0cd461",
+        1305, 88),
     ("overload", 2): (
-        "6eac168429a0d19a7437d31357eccb7523699d1971861d84e5387da5076157a4",
-        1396, 94),
+        "fb167d18bac8b62435b09953388165f4cb99f4f8b78fd6384d315f7853127887",
+        1463, 101),
     ("autovacuum", 0): (
-        "c931e85cc0bf7274a67b6a95331cfc30f41057ad6d391bbe48ba66b0ac887a47",
-        915, 44),
+        "8593ee79d1cd7b0931bbcdf1b5f0ef28208b94f1851db07c990c27c6cfd1ae45",
+        909, 41),
     ("autovacuum", 1): (
-        "3037e089eee6891474a4333b746367687cc3932f38d6b202699bfa90e6d64000",
-        928, 55),
+        "bfa2b359bddf5e5ed197fa81b27d8a3e9d4cc20814f809caaccfa1175ae74916",
+        1049, 57),
     ("autovacuum", 2): (
-        "311e13d4555113ba9f30795a45777a89fd74524ad388080876c12bd35f0781b4",
-        1046, 64),
+        "df4dede2161fb8e6512f2f8be6c2d6f8ace8cf1c106c2d986fdd1c0f0bda5a99",
+        1203, 54),
     ("parallel", 7): (
-        "8a42d958fc697d199e122a9630dbb928ac667453fb9291f832e8424d24d7c589",
-        950, 55),
+        "d8f9cbaf540e436bcbe4c459c290252bc380d97ae29b4318db6e4aa2fe5e7523",
+        963, 63),
     ("parallel", 8): (
-        "3fa90193e6a6dd73bc95094fc3e0998d7d043e1d96df87671a52149fa58055ba",
-        850, 64),
+        "c6d4159a3a379e0da6416985aad77e6b56ef70c3612503b4faa6f71b71eb10b9",
+        894, 98),
     ("parallel", 10): (
-        "2b5ed8bd1ba8f11d63d07338b94b13fcebf6f94699c7df068dc5441e41ea4c96",
-        931, 60),
+        "7ea37bf20c3933e1a4c021e46e7a6ba1e7815a031e16e0056fb5ddb6616d7b5c",
+        971, 63),
 }
 
 #: The admission settings of ``python -m repro.faults --overload``.
@@ -273,35 +284,39 @@ def test_promoted_storm_reproduces_the_recording(shape, seed):
 #: ``--overload`` storm under its two other shed policies (the
 #: by-session-priority one is the only reader of session priorities),
 #: and shaped arrivals with admission off, which the client serves one
-#: op at a time on the caller's stack.
+#: op at a time on the caller's stack.  Fast retransmit moved the eight
+#: storms in which a duplicate ack reached a sender (reject-oldest 428 /
+#: 831, by-session-priority 353 / 819, diurnal 294 / 330 / 1243 and
+#: flash-crowd 1146 events before); the four short storms it left alone
+#: never saw one.
 RECORDED_ARRIVAL_STORMS = {
     ("reject-oldest", 0): (
         "0f683098888cee53c6060f28aa992f9c77fd13ceda88232caa15c9fa5167c166",
         176, 3),
     ("reject-oldest", 1): (
-        "7576fb6a251417ff9edfce9c0c739e2b2b3723604b4c72e960ee6b6bc9e1f9e7",
-        428, 75),
+        "3821de751e31c929c07a00bb90023e29db63904926d2ad1bce7b44ad6e926efa",
+        413, 77),
     ("reject-oldest", 2): (
-        "59d53fb95e8ad6b7c76ba3daec8a301987699f96503938086ab47464dcf86c04",
-        831, 85),
+        "82b79cdc19868359eb19bc3c0e2f4e6e12d4e40fcc2bbff27836b07fcdeab9a5",
+        841, 91),
     ("by-session-priority", 0): (
         "b89e92382a535e21ce2d2f8a38ad20571cd2ff86396ed5c8313c607fea83bff4",
         164, 3),
     ("by-session-priority", 1): (
-        "6a9f52a1a6fede961e6f690399e6007238c537880b6c6b5697932453dd74e47f",
-        353, 72),
+        "4eb64c84780308363724b28b5f93f36211ee1a4fd90e88d979f78fc11b7bc056",
+        379, 74),
     ("by-session-priority", 2): (
-        "6d74c4502994f7172f3b80daebc9b483d0def77b5367da9492e855dc5fd8bf72",
-        819, 87),
+        "df3fa3ea70e111ea0d1409ab81430630bef8840835f33d0fc8ced501b3e4df96",
+        798, 92),
     ("diurnal", 0): (
-        "a869a63b6c435b60d68bd6388f40db9c6eab1034ede1cf7e1143199581dbfd39",
-        294, 49),
+        "05da6b68fa548d3930de85c1b8821b676a332c6dd18304f33361f61657d99588",
+        256, 35),
     ("diurnal", 1): (
-        "e119a948044dbf7053a1e01f726f51d8caaa1f7118c842e54fe1c6a1352991ae",
-        330, 52),
+        "2456e5424d03fe101b0ba57b2b5d0e1898d35502ce368861e0f5588791429f16",
+        423, 54),
     ("diurnal", 2): (
-        "154ec7fc8b205d8d3d62035110f4006ba34e0dac0665a0167c0f4a92de77a99a",
-        1243, 98),
+        "5a8b916a0ffa6f9b0ac85101dfab4b667d605ca1d6d0fe1bc12d0ebaf8c01787",
+        1228, 84),
     ("flash-crowd", 0): (
         "4dbcf52a5a8cbd778fbc3dd2d56c6533f12d3dccdb0740cd6e6b3e6140f5f9a6",
         10, 1),
@@ -309,8 +324,8 @@ RECORDED_ARRIVAL_STORMS = {
         "0f714f988fa7b33ffeaa2710e6badd498005babefdcb55a3dd332238f92fd5a8",
         51, 16),
     ("flash-crowd", 2): (
-        "6266d159f4d5af0c769f3388a09739567362cf7df931c6c65242fb3b4092eecb",
-        1146, 105),
+        "a2c54648a316792bba3e6b3475db0c37852eff78d85c3e525f9f38d09290d789",
+        1189, 105),
 }
 
 ARRIVAL_SHAPES = {
@@ -555,6 +570,30 @@ def test_auto_failover_storm_is_deterministic_per_seed():
     b = run_chaos(ChaosConfig(seed=7, **AUTO))
     assert a.describe() == b.describe()
     assert a.plan == b.plan
+
+
+def test_lease_demoted_primary_without_successor_restarts():
+    """With two secondaries, a lease demotion can leave no live
+    full-coverage replica to elect: the demoted primary keeps its WAL,
+    so the settle phase restarts it instead of ending with no primary.
+    This seed ended in ``NoLiveSecondariesError`` while a demotion was a
+    permanent failure."""
+    result = run_chaos(ChaosConfig(seed=6, num_secondaries=2, **AUTO))
+    assert result.status.lease_expiries >= 1
+    assert result.ok, result.describe()
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(ops=-3),
+    dict(keys=-1),
+    dict(secondary_outages=-1),
+    dict(partitions=-1),
+    dict(num_sessions=0),
+    dict(num_secondaries=0),
+])
+def test_chaos_config_rejects_bad_counts(kwargs):
+    with pytest.raises(ConfigurationError):
+        ChaosConfig(seed=1, **kwargs)
 
 
 def test_partitions_alone_are_absorbed():

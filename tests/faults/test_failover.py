@@ -269,6 +269,26 @@ def test_lease_expiry_is_exact_not_polled():
     assert old_primary.demoted_at == deadline
 
 
+def test_demoted_primary_keeps_its_wal():
+    """A lease demotion takes the engine down but not the log: with no
+    successor elected yet, the demoted primary restarts from its WAL
+    with every commit it acknowledged."""
+    system = make_system()
+    session = system.session(Guarantee.STRONG_SI)
+    session.write("a", 1)
+    system.run(until=10.0)
+    old_primary = system.primary
+    deadline = system.auto_failover.lease_expiry
+    system.partition()
+    system.run(until=deadline)
+    assert old_primary.lease_demoted and old_primary.crashed
+    assert not old_primary.permanently_failed
+    assert system.primary is old_primary
+    system.restart_primary()
+    assert not old_primary.crashed
+    assert system.primary_state() == {"a": 1}
+
+
 # ---------------------------------------------------------------------------
 # The tick and the lease check
 # ---------------------------------------------------------------------------

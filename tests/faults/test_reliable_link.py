@@ -205,3 +205,125 @@ def test_retransmit_timer_stops_for_retired_site():
     kernel.run(until=20.0)
     assert link.retransmissions == 0
     assert not link._timer_armed
+
+
+def test_dark_channel_keeps_retransmitting_past_a_thousand_timeouts():
+    """The timer's doubling stays at its cap however long the channel
+    stays dark (``2.0 ** attempt`` overflowed after 1 024 expiries)."""
+    faults = ChannelFaults(drop=1.0)
+    kernel, site, link = make_link(faults, timeout=1.0)
+    link.send("x", 0.0)
+    kernel.run(until=40000.0)
+    assert link.retransmissions > 1024
+    assert link._timer_armed
+
+
+# ---------------------------------------------------------------------------
+# Fast retransmit: the first duplicate ack resends the hole
+# ---------------------------------------------------------------------------
+
+def lose_sends(link, *seqs):
+    """Lose the next data transmission of each listed sequence number
+    (a number listed twice loses two transmissions)."""
+    pending = list(seqs)
+    send = link.data_channel.send
+
+    def lossy(payload, delay, **kwargs):
+        if payload[0] != "ctrl" and payload[1] in pending:
+            pending.remove(payload[1])
+            return
+        send(payload, delay, **kwargs)
+
+    link.data_channel.send = lossy
+
+
+def test_lost_record_resent_at_first_duplicate_ack():
+    """Record 0 is lost and record 1 arrives at t=1: its ack (still
+    for -1) tells the sender where the hole is, so record 0 arrives at
+    t=2, long before the timer would fire at t=4."""
+    kernel, site, link = make_link(timeout=4.0)
+    lose_sends(link, 0)
+    link.send("a", 1.0)
+    link.send("b", 1.0)
+    kernel.run(until=2.0)
+    assert site.received == ["a", "b"]
+    assert link.retransmissions == 1
+    assert link.settled
+
+
+def test_one_fast_retransmit_per_stall():
+    """Four duplicate acks of one stall resend the hole once; the timer
+    covers the resend's loss, and the next stall (after ack progress)
+    gets its own fast retransmit."""
+    kernel, site, link = make_link(timeout=4.0)
+    lose_sends(link, 0, 0)           # the original and the fast resend
+    for i in range(5):
+        link.send(i, 1.0)
+    kernel.run(until=3.5)
+    assert link.acks_received == 4 and site.received == []
+    assert link.retransmissions == 1
+    kernel.run(until=5.0)            # timer at 4: all five resent
+    assert link.retransmissions == 6
+    assert site.received == [0, 1, 2, 3, 4]
+    lose_sends(link, 5)
+    link.send(5, 1.0)
+    link.send(6, 1.0)
+    kernel.run(until=7.0)
+    assert link.retransmissions == 7
+    assert site.received == [0, 1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("gone", ["crashed", "retired"])
+def test_no_fast_retransmit_to_a_gone_site(gone):
+    """The duplicate ack arrives after the site crashed or retired:
+    nothing is resent into it."""
+    kernel, site, link = make_link(timeout=4.0, ack_delay=0.5)
+    lose_sends(link, 0)
+    link.send("a", 1.0)
+    link.send("b", 1.0)
+
+    def leave():
+        if gone == "crashed":
+            site.crashed = True
+        else:
+            site.live = False
+
+    kernel.call_at(1.2, leave)
+    kernel.run(until=3.0)
+    assert link.acks_received == 1
+    assert link.retransmissions == 0
+
+
+def test_no_fast_retransmit_from_a_stale_epoch_ack():
+    """A duplicate ack of the previous epoch looks like one for the new
+    epoch's unacked record 0; the epoch check drops it."""
+    kernel, site, link = make_link(timeout=4.0, ack_delay=0.5)
+    lose_sends(link, 0)
+    link.send("old-a", 1.0)
+    link.send("old-b", 1.0)          # arrives at 1, acks -1 at 1.5
+    kernel.run(until=1.2)
+    link.resync()
+    link.send("new-a", 1.0)          # unacked until 2.7
+    kernel.run(until=2.0)
+    assert link.stale_epoch_drops == 1
+    assert link.retransmissions == 0
+    kernel.run(until=3.0)
+    assert site.received == ["new-a"]     # "old-b" was never in order
+
+
+def test_resync_clears_the_fast_retransmit_flag():
+    """A stall whose fast resend was lost is cut short by resync(); the
+    new epoch's first stall gets a fast retransmit of its own."""
+    kernel, site, link = make_link(timeout=4.0)
+    lose_sends(link, 0, 0)
+    link.send("a", 1.0)
+    link.send("b", 1.0)
+    kernel.run(until=1.5)
+    assert link.retransmissions == 1
+    link.resync()
+    lose_sends(link, 0)
+    link.send("c", 1.0)
+    link.send("d", 1.0)              # arrives at 2.5: resend "c"
+    kernel.run(until=3.5)            # the timer is due at 4
+    assert link.retransmissions == 2
+    assert site.received == ["c", "d"]
