@@ -61,7 +61,6 @@ from repro.errors import ConfigurationError
 from repro.core.promotion import promote
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.propagation import ReliableLink
     from repro.core.site import SecondarySite
     from repro.core.system import ReplicatedSystem
 
@@ -166,12 +165,16 @@ class AutoFailover:
         self.suspicions = 0
         self.false_suspicions = 0
         self.lease_expiries = 0
-        self.auto_promotions = 0
         self.heartbeats_sent = 0
         self.grants_received = 0
         self.reports: list[FailoverReport] = []
         self._lease_check_armed = False
         self._started = False
+
+    @property
+    def auto_promotions(self) -> int:
+        """Promotions this coordinator made (one report each)."""
+        return len(self.reports)
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -179,22 +182,18 @@ class AutoFailover:
         if self._started:  # pragma: no cover - defensive
             return
         self._started = True
+        # The handlers survive promotions: a link is its site's for the
+        # whole run, and stale-epoch control datagrams are filtered at the
+        # link before the handler ever runs.
         for site in self.system.secondaries:
-            link = self.system.propagator.link_for(site)
-            if link is not None:
-                self._install(site, link)
+            if site.link is not None:
+                site.link.control_handler = (
+                    lambda message, _site=site:
+                    self._on_heartbeat(_site, message))
+                site.link.control_back_handler = self._on_grant
         self.kernel.call_at(self.kernel.now + self.config.heartbeat_interval,
                             self._tick)
         self._arm_lease_check()
-
-    def _install(self, site: "SecondarySite", link: "ReliableLink") -> None:
-        # The handlers survive promotions: the new propagator reuses the
-        # same (resynced) link objects, and stale-epoch control datagrams
-        # are filtered at the link before the handler ever runs.
-        link.control_handler = (
-            lambda message, _site=site, _link=link:
-            self._on_heartbeat(_site, _link, message))
-        link.control_back_handler = self._on_grant
 
     @property
     def quorum(self) -> int:
@@ -240,7 +239,7 @@ class AutoFailover:
         if not system.primary.crashed:
             propagator = system.propagator
             for endpoint in propagator.endpoints:
-                link = propagator.link_for(endpoint)
+                link = endpoint.link
                 if link is not None:
                     link.send_control(Heartbeat(sent_at=now),
                                       propagator.delay)
@@ -300,7 +299,7 @@ class AutoFailover:
         primary.demote()
 
     # -- secondary side ------------------------------------------------------
-    def _on_heartbeat(self, site: "SecondarySite", link: "ReliableLink",
+    def _on_heartbeat(self, site: "SecondarySite",
                       heartbeat: Heartbeat) -> None:
         if not site.live:
             return
@@ -313,6 +312,7 @@ class AutoFailover:
             self.false_suspicions += 1
         self._last_heartbeat[name] = now
         self._last_grant[name] = now
+        link = site.link
         link.send_control_back(LeaseGrant(granted_at=now, site=name),
                                link.ack_delay)
 
@@ -351,6 +351,5 @@ class AutoFailover:
             lease_bound=lease_bound,
             promoted=max(candidates, key=lambda s: s.seq_db).name)
         promote(system)
-        self.auto_promotions += 1
         self.reports.append(report)
         self._check_epoch()

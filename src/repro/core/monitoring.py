@@ -256,7 +256,7 @@ def system_status(system: "ReplicatedSystem") -> SystemStatus:
             versions_reclaimed=daemon.versions_reclaimed if daemon else 0)
 
     def secondary_status(secondary) -> SiteStatus:
-        link = system.propagator.link_for(secondary)
+        link = secondary.link
         channels = {}
         if link is not None:
             data, acks = link.data_channel, link.ack_channel

@@ -12,17 +12,21 @@ epoch** discipline:
    the acknowledged-but-lost window ``(base, old_ts]`` that lazy
    replication fundamentally cannot avoid (the updates existed only on
    the dead site).
-2. **Fence** the old epoch everywhere: the old propagator detaches and
+2. **Fence** the old epoch everywhere: the old propagator retires and
    stops sniffing, every secondary bumps its delivery epoch (in-flight
    deliveries are discarded on arrival), queued records and pending or
-   open refresh transactions are dropped, and each
-   :class:`~repro.core.propagation.ReliableLink` is ``resync()``-ed so
-   sequence numbering restarts clean for the new regime.
+   open refresh transactions are dropped, and the
+   :class:`~repro.core.propagation.ReliableLink` of every site the old
+   propagator fed is ``resync()``-ed so sequence numbering restarts clean
+   for the new regime.
 3. **Rebuild** the promoted engine as a primary: a fresh logical log is
    seeded with one synthetic base transaction installing the promoted
    state at commit timestamp ``base`` (so a later WAL restart of the
    *new* primary recovers correctly), and a new propagator re-points the
-   topology at the remaining secondaries, reusing the resynced links.
+   topology at every secondary that is not retired, each through its own
+   resynced ``link``.  The promoted site keeps its link too: its
+   counters stay in the run's totals, and traffic a partition holds on
+   it is fenced when it finally arrives.
 4. **Replay** the surviving prefix: replicas behind ``base`` receive the
    old archive's tail capped at the truncation point, so every replica
    converges on the new primary's prefix and dense commit numbering
@@ -163,10 +167,11 @@ def promote(system: "ReplicatedSystem",
             time=system.kernel.now, truncation_ts=base)
 
     # -- fence the old epoch ------------------------------------------------
-    # Grab the links first: retiring the propagator forgets them, but the
-    # new regime reuses the same channels (resynced) for its own feed.
-    links = {site.name: old_propagator.link_for(site)
-             for site in system.secondaries}
+    # The links of the sites the old propagator fed, the candidate's
+    # included; a site retired by an earlier promotion keeps its link as
+    # it is.
+    links = [site.link for site in system.secondaries
+             if not site.retired and site.link is not None]
     old_propagator.retire()
     fenced = candidate.retire()
     ahead: list[int] = []
@@ -183,14 +188,13 @@ def promote(system: "ReplicatedSystem",
             # primary once the epoch below is installed.
             site.crash()
             ahead.append(index)
-    for link in links.values():
-        if link is not None:
-            link.resync()
-            # Anything still arriving with a pre-resync epoch is zombie
-            # traffic from the dead regime (e.g. records a partitioned
-            # old primary sent before this fence, delivered only after
-            # the partition heals): count it and drop it.
-            link.arm_zombie_fence()
+    for link in links:
+        link.resync()
+        # Anything still arriving with a pre-resync epoch is zombie
+        # traffic from the dead regime (e.g. records a partitioned old
+        # primary sent before this fence, delivered only after the
+        # partition heals): count it and drop it.
+        link.arm_zombie_fence()
 
     # -- rebuild the promoted engine as a primary ---------------------------
     log = LogicalLog(name=f"{candidate.name}-log")
@@ -234,9 +238,9 @@ def promote(system: "ReplicatedSystem",
 
     replayed: dict[str, int] = {}
     for site in system.secondaries:
-        if site is candidate:
+        if site.retired:
             continue
-        link = links.get(site.name)
+        link = site.link
         if link is not None and link.blackholed:
             # A partition severs the *old* primary's route to this
             # replica; the new primary's feed takes a fresh one.  Heal
@@ -246,7 +250,7 @@ def promote(system: "ReplicatedSystem",
             # it models the old primary's side of the cut, and its held
             # zombie traffic stays dark until that partition heals.
             link.heal()
-        new_propagator.attach(site, link=link)
+        new_propagator.attach(site)
         if site.live and site.seq_db < base:
             replayed[site.name] = old_propagator.replay_to(
                 site, after_commit_ts=site.seq_db, up_to_commit_ts=base)
@@ -285,22 +289,10 @@ def promote(system: "ReplicatedSystem",
     # -- install the new epoch ----------------------------------------------
     system.primary = new_primary
     system.propagator = new_propagator
-    system.cluster_epoch += 1
-    system.promotions += 1
-    system.fenced_stale_records += fenced
-    if old_ts > base:
-        system.lost_update_windows += 1
-    for index in ahead:
-        system.recover_secondary(index)
-    # Readers park on ``... or self._lost_window is not None``; the fence
-    # above notified them *before* the reconcile set it, so wake them
-    # again now or a read whose required state was truncated never
-    # re-evaluates its predicate.
-    for site in system.secondaries:
-        site.seq_cond.notify_all()
-
+    # The report is the promotion counters' record (cluster epoch,
+    # fenced records, lost windows).
     report = PromotionReport(
-        epoch=system.cluster_epoch,
+        epoch=system.cluster_epoch + 1,
         old_primary=old_primary.name,
         new_primary=candidate.name,
         base_commit_ts=base,
@@ -311,4 +303,12 @@ def promote(system: "ReplicatedSystem",
         resynced=tuple(system.secondaries[index].name for index in ahead),
     )
     system.promotion_reports.append(report)
+    for index in ahead:
+        system.recover_secondary(index)
+    # Readers park on ``... or self._lost_window is not None``; the fence
+    # above notified them *before* the reconcile set it, so wake them
+    # again now or a read whose required state was truncated never
+    # re-evaluates its predicate.
+    for site in system.secondaries:
+        site.seq_cond.notify_all()
     return report

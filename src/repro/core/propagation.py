@@ -22,18 +22,22 @@ FIFO, so the ordering lemmas are unaffected.
 Reliable delivery over lossy links
 ----------------------------------
 The paper *assumes* reliable FIFO delivery from the propagator to every
-secondary (the premise of Theorems 3.1-4.1).  When a secondary is
-attached through a :class:`ReliableLink`, that assumption is *restored*
+secondary (the premise of Theorems 3.1-4.1).  When a secondary's
+``link`` is a :class:`ReliableLink`, that assumption is *restored*
 over an unreliable channel instead: every record is stamped with a
 per-link sequence number, the receiver delivers records to the site's
 refresher strictly in sequence order (buffering early arrivals,
 discarding duplicates), acknowledges cumulatively, and the sender
 resends the missing record at the first duplicate ack (fast
 retransmit) and every unacknowledged record on a timeout with
-exponential backoff.  Without a link (the default), each record or
-frame travels in one kernel event that hands it to every such endpoint
-in attach order — the fault machinery adds zero behaviour when
-disabled.
+exponential backoff.  The link is the secondary's own, set once when
+the system is built and kept for the whole run; a propagator only reads
+it as it sends, so a promotion's new propagator sends through the links
+of the secondaries it attaches (every one not retired), and a promoted
+site keeps its link and counters.  Without a link (``link`` is None, the
+default), each record or frame travels in one kernel event that hands it
+to every such endpoint in attach order — the fault machinery adds zero
+behaviour when disabled.
 """
 
 from __future__ import annotations
@@ -65,17 +69,20 @@ from repro.storage.wal import (
 class PropagationEndpoint(Protocol):
     """What the propagator needs from a secondary site.
 
-    A record or frame sent straight to an endpoint (no link) counts in
-    its ``in_flight`` and is stamped with its ``epoch`` at send time;
-    one kernel event later calls ``arrive`` on every endpoint it was
-    sent to, in attach order.  ``subscription`` is the endpoint's shard
-    set, or None for the whole database.
+    A record or frame sent straight to an endpoint (``link`` is None)
+    counts in its ``in_flight`` and is stamped with its ``epoch`` at send
+    time; one kernel event later calls ``arrive`` on every endpoint it
+    was sent to, in attach order.  One with a ``link`` is sent to through
+    it.  ``subscription`` is the endpoint's shard set, or None for the
+    whole database.
     """
 
     name: str
     epoch: int
     in_flight: int
     subscription: Optional[frozenset]
+    link: Optional[ReliableLink]
+    crashed: bool
 
     def arrive(self, epoch: int, record: PropagationRecord) -> None:
         """``record``, sent in delivery ``epoch``, arrives now."""
@@ -105,6 +112,9 @@ class ReliableLink:
 
     Sender and receiver state live in one object because both ends run in
     the same process; the *channels* between them are where faults happen.
+    It is its secondary's (``site.link``) for the whole run: a promotion
+    resyncs it while the site is a replica, and a promoted site keeps it,
+    counters and partition-held traffic included.
 
     Sender side: records are numbered 0, 1, 2, ... per link epoch, kept in
     an unacked buffer, and (re)transmitted through ``data`` faults.  A
@@ -198,24 +208,11 @@ class ReliableLink:
                             MAX_RETRANSMIT_TIMEOUT)
         self.kernel.call_at(self.kernel.now + wait, self._on_timer)
 
-    def _site_live(self) -> bool:
-        """The receiver can accept traffic: up *and* still a replica.
-
-        Uses the site's unified ``live`` predicate when it has one, so a
-        *retired* site (promoted to primary) stops retransmissions just
-        like a crashed one; bare test doubles without ``live`` fall back
-        to the crash flag.
-        """
-        live = getattr(self.site, "live", None)
-        if live is None:
-            return not getattr(self.site, "crashed", False)
-        return live
-
     def _on_timer(self) -> None:
         self._timer_armed = False
         if not self._unacked:
             return
-        if not self._site_live():
+        if not self.site.live:
             # Failure detection: stop retransmitting into a dead (or
             # retired) site; the recovery path resyncs the link and
             # clears the buffer.
@@ -267,7 +264,7 @@ class ReliableLink:
             self._consecutive_timeouts = 0
             self._fast_retransmitted = False
         elif acked + 1 == first and unacked \
-                and not self._fast_retransmitted and self._site_live():
+                and not self._fast_retransmitted and self.site.live:
             # Duplicate ack: the receiver holds a later record but not
             # ``first``.  Resend the hole now rather than at the timer,
             # once per stall.
@@ -280,9 +277,7 @@ class ReliableLink:
     def _on_data(self, payload: tuple) -> None:
         if payload[0] == "ctrl":
             _tag, epoch, message = payload
-            if epoch != self._epoch:
-                self.stale_control_drops += 1
-            elif not self._site_live():
+            if epoch != self._epoch or not self.site.live:
                 self.stale_control_drops += 1
             elif self.control_handler is not None:
                 self.control_handler(message)
@@ -299,7 +294,7 @@ class ReliableLink:
                     record.count if isinstance(record, PropagatedBatch)
                     else 1)
             return
-        if getattr(self.site, "crashed", False):
+        if self.site.crashed:
             # The receiving site is down: the record is lost with it (no
             # ack), exactly as if the site's NIC were unplugged.
             self.site.records_dropped += 1
@@ -442,7 +437,6 @@ class Propagator:
         self.sharding = sharding
         self.name = name
         self._endpoints: list[PropagationEndpoint] = []
-        self._links: dict[str, ReliableLink] = {}
         self._update_lists: dict[int, list] = {}
         self._update_fps: dict[int, list[int]] = {}
         self._outbox: list[PropagationRecord] = []
@@ -478,27 +472,15 @@ class Propagator:
         log.subscribe(self._on_log_record)
 
     # -- membership -------------------------------------------------------
-    def attach(self, endpoint: PropagationEndpoint,
-               link: Optional[ReliableLink] = None) -> None:
+    def attach(self, endpoint: PropagationEndpoint) -> None:
         """Start broadcasting to ``endpoint`` (a secondary site).
 
-        With a :class:`ReliableLink`, records are routed through the
-        link's sequenced ack/retransmission protocol (surviving channel
-        faults); without one they arrive through the shared arrival
-        event of each record or frame.
+        An endpoint whose ``link`` is a :class:`ReliableLink` gets its
+        records through the link's sequenced ack/retransmission protocol
+        (surviving channel faults); one without gets them through the
+        shared arrival event of each record or frame.
         """
         self._endpoints.append(endpoint)
-        if link is not None:
-            self._links[endpoint.name] = link
-
-    def detach(self, endpoint: PropagationEndpoint) -> None:
-        self._endpoints.remove(endpoint)
-        self._links.pop(endpoint.name, None)
-
-    def link_for(self, endpoint: PropagationEndpoint
-                 ) -> Optional[ReliableLink]:
-        """The :class:`ReliableLink` to ``endpoint``, if one is attached."""
-        return self._links.get(endpoint.name)
 
     @property
     def endpoints(self) -> list[PropagationEndpoint]:
@@ -506,12 +488,14 @@ class Propagator:
 
     @property
     def idle(self) -> bool:
-        """True when no record is buffered here or outstanding on a link
-        to a live secondary (crashed sites' links settle at resync)."""
+        """True when no record is buffered here or outstanding on the
+        link of a live endpoint (crashed sites' links settle at resync)."""
         if self._outbox or self._flush_scheduled:
             return False
-        for link in self._links.values():
-            if not getattr(link.site, "crashed", False) and not link.settled:
+        for endpoint in self._endpoints:
+            link = endpoint.link
+            if link is not None and not endpoint.crashed \
+                    and not link.settled:
                 return False
         return True
 
@@ -616,7 +600,6 @@ class Propagator:
         outbox, self._outbox = self._outbox, []
         if not outbox:
             return
-        links = self._links
         delay = self.delay
         batching = self.batch_interval is not None
         # Batch shipping: the whole flush travels as one frame — one
@@ -634,7 +617,7 @@ class Propagator:
                     else self.slice_for(item, subscription)
                 if shipped is None:
                     continue
-                link = links.get(endpoint.name) if links else None
+                link = endpoint.link
                 if link is not None:
                     link.send(shipped, delay)
                 else:
@@ -728,14 +711,13 @@ class Propagator:
         """Permanently disconnect this propagator (primary promotion).
 
         Unsubscribes from the dead primary's log and forgets every
-        endpoint and link, so nothing is ever emitted again — but the
+        endpoint, so nothing is ever emitted again — but the
         :attr:`archive` stays readable: promotion uses it to replay the
         surviving prefix to replicas behind the truncation point.
         """
         self.log.unsubscribe(self._on_log_record)
         self._paused = True
         self._endpoints.clear()
-        self._links.clear()
         self._outbox.clear()
 
     def replay_to(self, endpoint: PropagationEndpoint,
@@ -748,7 +730,7 @@ class Propagator:
         installs the missing tail serially through the ordinary refresh
         mechanism.  Returns the number of transactions replayed.
 
-        Replay deliberately bypasses any :class:`ReliableLink`: recovery
+        Replay deliberately bypasses the endpoint's link: recovery
         is a state transfer over a fresh connection, not regular
         propagation traffic, so it is not subject to channel faults
         (resync the link first — see

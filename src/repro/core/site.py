@@ -9,7 +9,7 @@ with its wait condition.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.records import PropagationRecord
 from repro.core.refresh import Refresher
@@ -18,6 +18,9 @@ from repro.errors import ConfigurationError
 from repro.kernel import Condition, Kernel
 from repro.storage.engine import SIDatabase, Transaction
 from repro.storage.wal import LogicalLog
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.propagation import ReliableLink
 
 
 class PrimarySite:
@@ -207,6 +210,10 @@ class SecondarySite:
         self.refresher = Refresher(kernel, self, serial=serial_refresh,
                                    parallel=parallel_refresh,
                                    apply_cost=refresh_apply_cost)
+        #: This replica's channel from the primary (None: direct
+        #: delivery), set once at system construction and kept for the
+        #: whole run, through promotions and after its own retirement.
+        self.link: Optional[ReliableLink] = None
         self.records_dropped = 0
         #: Records and frames sent but not yet arrived, counted by the
         #: propagator (used by :meth:`ReplicatedSystem.quiesce` to

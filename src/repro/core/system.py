@@ -164,10 +164,8 @@ class ClientSession:
         self.overload_retries = 0
         #: Updates failed fast by this session's open circuit breaker.
         self.circuit_open_errors = 0
-        #: Reads served from a stale snapshot under graceful degradation,
-        #: each with an explicit :class:`StalenessReport` appended to
-        #: :attr:`staleness_reports`.
-        self.degraded_reads = 0
+        #: One explicit :class:`StalenessReport` per read served from a
+        #: stale snapshot under graceful degradation.
         self.staleness_reports: list[StalenessReport] = []
         self._breaker: Optional[CircuitBreaker] = None
         controller = system.admission_controller
@@ -177,6 +175,11 @@ class ClientSession:
                 system.kernel, label,
                 controller.config.breaker_threshold,
                 controller.config.breaker_cooldown)
+
+    @property
+    def degraded_reads(self) -> int:
+        """Reads served from a stale snapshot under graceful degradation."""
+        return len(self.staleness_reports)
 
     # -- context manager ---------------------------------------------------
     def __enter__(self) -> "ClientSession":
@@ -631,7 +634,6 @@ class ClientSession:
     def _record_degraded_read(self, required: int, served: int,
                               bound: int) -> None:
         """Account one degraded read and its explicit staleness report."""
-        self.degraded_reads += 1
         report = StalenessReport(
             session=self.label, guarantee=self.guarantee.value,
             required_seq=required, served_seq=served, bound=bound,
@@ -801,10 +803,12 @@ class ReplicatedSystem:
     channel_faults:
         Optional :class:`~repro.faults.channel.ChannelFaults` injected on
         every propagator->secondary data channel and every ack channel
-        back.  Setting it routes propagation through per-secondary
-        :class:`~repro.core.propagation.ReliableLink` instances whose
-        sequence-numbered ack/retransmission protocol restores in-order
-        exactly-once delivery over the lossy channel; their base
+        back.  Setting it gives each secondary its own
+        :class:`~repro.core.propagation.ReliableLink`, ``site.link`` for
+        the whole run (a promotion re-attaches the sites not retired
+        through theirs; a promoted site keeps its link and counters),
+        whose sequence-numbered ack/retransmission protocol restores
+        in-order exactly-once delivery over the lossy channel; the base
         retransmission timeout is four propagation delays, floored at
         1.0 virtual seconds.  ``None`` (the default) propagates directly.
     fault_seed:
@@ -923,28 +927,19 @@ class ReplicatedSystem:
         # Autonomous failover needs link channels for its control plane
         # (heartbeats/leases) and for partitions to have something to
         # cut, even when the channels themselves are fault-free.
-        use_links = channel_faults is not None or failover is not None
-        #: Every link ever created, in secondary order — promotions
-        #: orphan the promoted site's link, but its channels can still
-        #: hold partition-captured traffic whose eventual (fenced)
-        #: delivery the zombie accounting must observe.
-        self._all_links: list[ReliableLink] = []
-        if use_links:
+        if channel_faults is not None or failover is not None:
             faults = channel_faults or ChannelFaults()
             streams = RandomStreams(fault_seed)
             timeout = max(1.0, 4.0 * propagation_delay)
             for secondary in self.secondaries:
-                link = ReliableLink(
+                secondary.link = ReliableLink(
                     self.kernel, secondary,
                     faults=faults, ack_faults=faults,
                     rng=streams[f"channel.{secondary.name}.data"],
                     ack_rng=streams[f"channel.{secondary.name}.ack"],
                     ack_delay=propagation_delay, timeout=timeout)
-                self.propagator.attach(secondary, link=link)
-                self._all_links.append(link)
-        else:
-            for secondary in self.secondaries:
-                self.propagator.attach(secondary)
+        for secondary in self.secondaries:
+            self.propagator.attach(secondary)
         self.tracker = SequenceTracker()
         self._session_ids = IdAllocator("session")
         self._txn_ids = IdAllocator("txn")
@@ -954,13 +949,6 @@ class ReplicatedSystem:
             # Autonomous failover presupposes the promotion machinery
             # (and the client-side bounded retry that rides on it).
             self.promotion = PromotionConfig()
-        #: Bumped by each promotion; 0 for the original topology.
-        self.cluster_epoch = 0
-        self.promotions = 0
-        #: Stale pre-promotion records discarded by epoch fences.
-        self.fenced_stale_records = 0
-        #: Promotions that truncated acknowledged commits.
-        self.lost_update_windows = 0
         self.promotion_reports: list[PromotionReport] = []
         #: Every session ever opened (promotion reconciles their seq(c)
         #: state); closed sessions are pruned at each promotion.
@@ -975,6 +963,24 @@ class ReplicatedSystem:
             self.auto_failover.start()
         if admission is not None:
             self.admission_controller = AdmissionController(self, admission)
+
+    @property
+    def promotions(self) -> int:
+        """Promotions so far, which is also the cluster epoch (0 for the
+        original topology)."""
+        return len(self.promotion_reports)
+
+    cluster_epoch = promotions
+
+    @property
+    def fenced_stale_records(self) -> int:
+        """Stale pre-promotion records discarded by epoch fences."""
+        return sum(r.fenced_records for r in self.promotion_reports)
+
+    @property
+    def lost_update_windows(self) -> int:
+        """Promotions that truncated acknowledged commits."""
+        return sum(1 for r in self.promotion_reports if r.lost_commits)
 
     # -- sessions -------------------------------------------------------------
     def session(self, guarantee: Guarantee = Guarantee.STRONG_SESSION_SI,
@@ -1098,18 +1104,17 @@ class ReplicatedSystem:
         Takes a quiesced copy of the primary, reinstalls it, reinitialises
         ``seq(DBsec)`` from the copy's commit timestamp, and replays the
         archived tail of commits through the refresh mechanism.  When the
-        secondary is fed through a :class:`ReliableLink`, the link is
-        resynced first (new epoch, sequence numbers restart) so stale
-        retransmissions cannot corrupt the recovered stream.
+        secondary has a :class:`ReliableLink`, the link is resynced first
+        (new epoch, sequence numbers restart) so stale retransmissions
+        cannot corrupt the recovered stream.
         """
         secondary = self.secondaries[index]
         if secondary.retired:
             raise ConfigurationError(
                 f"{secondary.name!r} was promoted to primary; it cannot "
                 f"rejoin the replica tier")
-        link = self.propagator.link_for(secondary)
-        if link is not None:
-            link.resync()
+        if secondary.link is not None:
+            secondary.link.resync()
         state, commit_ts = self.primary.quiesced_copy()
         # A partial subscriber reinstalls only its own shards' keys, and
         # its frontier floors are per shard: the newest commit *touching*
@@ -1178,25 +1183,26 @@ class ReplicatedSystem:
             link.heal()
 
     def _partition_links(self, index: Optional[int]) -> list[ReliableLink]:
-        if not self._all_links:
+        if self.secondaries[0].link is None:
             raise ConfigurationError(
                 "partitions need link-based propagation; construct the "
                 "system with channel_faults= or failover=")
         if index is None:
-            return self._all_links
-        self._secondary_at(index)
-        return [self._all_links[index]]
+            return [site.link for site in self.secondaries]
+        return [self._secondary_at(index).link]
 
     @property
     def partitions_active(self) -> int:
         """Number of links currently blackholed by a partition."""
-        return sum(1 for link in self._all_links if link.blackholed)
+        return sum(1 for site in self.secondaries
+                   if site.link is not None and site.link.blackholed)
 
     @property
     def zombie_records_fenced(self) -> int:
         """Stale-epoch records from a fenced (pre-promotion) regime that
         arrived after their partition healed and were dropped."""
-        return sum(link.zombie_records_fenced for link in self._all_links)
+        return sum(site.link.zombie_records_fenced
+                   for site in self.secondaries if site.link is not None)
 
     def promote_secondary(self,
                           index: Optional[int] = None) -> PromotionReport:

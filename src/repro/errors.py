@@ -2,7 +2,7 @@
 
 All errors raised by the library derive from :class:`ReproError`, so callers
 can catch one base class.  Transaction-level outcomes that a client is
-expected to handle (first-committer-wins aborts, explicit aborts) derive from
+expected to handle (first-committer-wins aborts) derive from
 :class:`TransactionAborted`.
 """
 
@@ -51,10 +51,6 @@ class FirstCommitterWinsError(TransactionAborted):
             f"transaction {txn_id} aborted by first-committer-wins on key "
             f"{key!r}: transaction {winner_txn_id} committed first"
         )
-
-
-class ExplicitAbort(TransactionAborted):
-    """The client (or a failure-injection hook) asked for the abort."""
 
 
 class TransactionStateError(StorageError):
@@ -258,7 +254,6 @@ __all__ = [
     "StorageError",
     "TransactionAborted",
     "FirstCommitterWinsError",
-    "ExplicitAbort",
     "TransactionStateError",
     "KeyNotFound",
     "UnorderableKeyError",

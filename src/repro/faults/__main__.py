@@ -23,7 +23,7 @@ import argparse
 import sys
 
 from repro.core.admission import SHED_POLICIES, AdmissionConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.faults.channel import ChannelFaults
 from repro.faults.harness import DEFAULT_FAULTS, ChaosConfig, run_chaos
 
@@ -175,7 +175,15 @@ def _run(args: argparse.Namespace) -> int:
                              shards=args.shards,
                              arrival_pattern=arrival,
                              admission=admission)
-        result = run_chaos(config)
+        try:
+            result = run_chaos(config)
+        except ConfigurationError:
+            raise
+        except ReproError as error:
+            # One storm that cannot finish fails its seed, not the sweep.
+            failures += 1
+            print(f"seed {seed}: FAILED ({type(error).__name__}: {error})")
+            continue
         if not result.ok:
             failures += 1
         if not result.ok or not args.quiet:

@@ -308,9 +308,9 @@ class FaultInjector:
     def _partition_targets(self, target: Optional[int]) -> list:
         """The links a partition/heal event would act on ([] if the
         system has no link-based propagation — the event is skipped)."""
-        links = getattr(self.system, "_all_links", [])
-        if not links:
+        secondaries = self.system.secondaries
+        if secondaries[0].link is None:
             return []
         if target is None:
-            return list(links)
-        return [links[target]]
+            return [site.link for site in secondaries]
+        return [secondaries[target].link]

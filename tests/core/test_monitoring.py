@@ -11,6 +11,7 @@ from repro.core.monitoring import (
 from repro.core.promotion import PromotionConfig
 from repro.core.sharding import ShardingConfig, shard_of
 from repro.core.system import ReplicatedSystem
+from repro.faults.channel import ChannelFaults
 
 
 def make_system(**kwargs):
@@ -289,3 +290,26 @@ def test_routing_misses_survive_a_promotion():
     status = system_status(system)
     assert status.promotions == 1
     assert status.shard_routing_misses == 1
+
+
+def test_a_promoted_sites_link_counters_stay_in_the_status():
+    """A promotion retires the candidate but not its link: the retired
+    entry of the status reads that link's own channel counters."""
+    system = make_system(channel_faults=ChannelFaults(drop=0.3),
+                         promotion=PromotionConfig())
+    session = system.session()
+    for i in range(40):
+        session.write(f"k{i % 4}", i)
+    system.quiesce()
+    system.kill_primary()
+    report = system.promote_secondary()
+    status = system_status(system)
+    (retired,) = status.retired
+    assert retired.name == report.new_primary
+    link = next(site.link for site in system.secondaries if site.retired)
+    data, acks = link.data_channel, link.ack_channel
+    assert retired.channel_dropped == data.dropped + acks.dropped > 0
+    assert retired.channel_duplicated == data.duplicated + acks.duplicated
+    assert retired.channel_reordered == data.reordered + acks.reordered
+    assert retired.retransmissions == link.retransmissions > 0
+    assert retired.duplicates_filtered == link.duplicates_filtered

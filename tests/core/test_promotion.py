@@ -22,6 +22,7 @@ from repro.errors import (
     NoPrimaryError,
     SiteUnavailableError,
 )
+from repro.faults.channel import ChannelFaults
 from repro.txn.checkers import (
     check_completeness,
     check_strong_session_si,
@@ -449,6 +450,32 @@ def test_second_promotion_stacks_epochs():
     assert system.secondary_state(live[0]) == system.primary_state() \
         == {"x": 3}
     assert_checkers_pass(system)
+
+
+@pytest.mark.parametrize("faults", [None, ChannelFaults(drop=0.2)],
+                         ids=["direct", "links"])
+def test_a_promotion_attaches_only_sites_still_in_the_replica_tier(faults):
+    """Each promotion feeds the secondaries that are not retired, by
+    link or directly; the site an earlier promotion retired is no
+    endpoint of the new propagator, and it keeps its own link."""
+    system = make_system(channel_faults=faults, fault_seed=3)
+    links = [site.link for site in system.secondaries]
+    session = system.session()
+    for round_ in range(2):
+        session.write("x", round_)
+        system.quiesce()
+        system.kill_primary()
+        system.promote_secondary()
+    retired = [site for site in system.secondaries if site.retired]
+    assert len(retired) == 2
+    endpoints = system.propagator.endpoints
+    assert endpoints == [site for site in system.secondaries
+                         if not site.retired]
+    assert [site.link for site in system.secondaries] == links
+    session.write("x", 2)
+    system.quiesce()
+    assert system.secondary_state(
+        system.secondaries.index(endpoints[0])) == {"x": 2}
 
 
 # ---------------------------------------------------------------------------

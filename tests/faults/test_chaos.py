@@ -138,12 +138,16 @@ def _pinned(result):
 #: missing record at the first duplicate ack instead of waiting for its
 #: timer) changes every lossy storm's fault realization, so it moved
 #: the digests as well as the counts (952 / 1071 / 1449 events before).
+#: Every storm here promotes once; since the summary counts the promoted
+#: site's own link, the ``channel:`` line rose by its counters and only
+#: the digests moved (seed 0's line read ``71 dropped, 62 duplicated, 68
+#: reordered, 130 retransmitted, 112 dup-filtered`` before).
 RECORDED_STORMS = {
-    0: ("5a74ec8905941fc751747542fd38ca1695efaaf8ecadcb82e9f6b7f9ea746d45",
+    0: ("0dcf90e1e0fbc2df5ec212de5c08ee31a96c227cb2d3e8811d0087f25b66b415",
         989, 44),
-    1: ("ac71286cd737fe26f923de89756c83b6284b21d95eed344b5e6922de022b870a",
+    1: ("5bb53bcb275fa113b07e2ab2dddc64fb46b6a0dc0858f3215b70e4c0ac8f12f5",
         1170, 56),
-    2: ("f432aca2150f9e3587db984069a71d9f9d3eb30a752209f2270267eade2e97cb",
+    2: ("c1d5627870f1246751a8cf45e49af1c07465fcaa0343764ff35b4da6a661f4b6",
         1436, 59),
 }
 
@@ -177,16 +181,21 @@ def test_chaos_identical_across_schedulers(seed):
 #: 779, plain 238 / 316 / 540 before).  Under it, composed seed 0's
 #: primary lease-demotes with only a half subscriber live to elect; the
 #: demoted primary keeps its WAL and the settle phase restarts it,
-#: which is where its 1966 events come from.
+#: which is where its 1966 events come from.  Counting the promoted
+#: sites' links raised each composed storm's ``channel:`` line and moved
+#: its digest; composed seed 0 is the one storm promoting twice, and
+#: since the second promotion no longer re-attaches the first promoted
+#: site, the 13 deliveries that site could only drop are gone (1966
+#: events before).
 RECORDED_SHARDED_STORMS = {
     ("composed", 0): (
-        "1feedb7b733e1f513e54961008b5bc94ef67323f893b1fade6fdc163b3f4a960",
-        1966, 23),
+        "5b8e98b0b12a0f6b168cc359afcb5ef3affda17e7c532206d7668527e9eb7b4b",
+        1953, 23),
     ("composed", 1): (
-        "eaaf97b446413344ddde20edd588d69163bcee2b9c386376f5b036444362c8ae",
+        "0dd7718b20896b2b559e26bed710d9ab045baaf871988c7072295ae078d09c43",
         669, 33),
     ("composed", 2): (
-        "7ab9c48a98c9dc1aa4f7181238981e165d4ed629f722eb578ded07c10acf1545",
+        "8d3af6cad38bf5e8afcaf9e1b8669163eb7cfb43007e75c74b8e46bba85e2ad0",
         821, 54),
     ("plain", 0): (
         "99e3289fe6c9ddad03cce7b557cae4284c3d0c0f82ca03167000f745780ed0c0",
@@ -224,33 +233,35 @@ def test_sharded_storm_reproduces_the_recording(shape, seed):
 #: ones whose promoted site applied commits out of order).  Fast
 #: retransmit moved all nine digests and counts (overload 1084 / 1510 /
 #: 1396, autovacuum 915 / 928 / 1046, parallel 950 / 850 / 931 before).
+#: Counting the promoted site's link raised every ``channel:`` line and
+#: moved every digest, no event count.
 RECORDED_PROMOTED_STORMS = {
     ("overload", 0): (
-        "d62543df4a749f8204b050fe455232094afc8ad70f3cc0f050ee90af6beb13f5",
+        "eb21c8466ac4cdf89b5f0dfa1d38679856e5da560500ac4e451a49cbb46eaea0",
         1066, 78),
     ("overload", 1): (
-        "1810836154c2c777dfc21cdee28ac426a6922583cd170749eeebea271d0cd461",
+        "5e098194b07e915f20a7c7f76945ab9374bd14b398e4b681c856a88d97eca783",
         1305, 88),
     ("overload", 2): (
-        "fb167d18bac8b62435b09953388165f4cb99f4f8b78fd6384d315f7853127887",
+        "f2ed0e41721ab2d47fbe778cd84e55ce5f002857cf7d009d9952b012a7b24b23",
         1463, 101),
     ("autovacuum", 0): (
-        "8593ee79d1cd7b0931bbcdf1b5f0ef28208b94f1851db07c990c27c6cfd1ae45",
+        "70e5be7c243c54051b67ade3aabf3c089a5bc15ef5e58e49dc28cf5ffbdebc01",
         909, 41),
     ("autovacuum", 1): (
-        "bfa2b359bddf5e5ed197fa81b27d8a3e9d4cc20814f809caaccfa1175ae74916",
+        "099dcd43457bc9dcc0e6593c027939a789d131390e725c5e82b9c786e2807e2b",
         1049, 57),
     ("autovacuum", 2): (
-        "df4dede2161fb8e6512f2f8be6c2d6f8ace8cf1c106c2d986fdd1c0f0bda5a99",
+        "282061054a1ae7016a0829c04c2f0c20c666adb424e0d4184b6ad1014157704a",
         1203, 54),
     ("parallel", 7): (
-        "d8f9cbaf540e436bcbe4c459c290252bc380d97ae29b4318db6e4aa2fe5e7523",
+        "65607c615ceffe7de94e398199483643ec41288863b4cd5600e6514168cb0f33",
         963, 63),
     ("parallel", 8): (
-        "c6d4159a3a379e0da6416985aad77e6b56ef70c3612503b4faa6f71b71eb10b9",
+        "43f3f298f1ba5b4dd7004d667a2854deb18fa7fa39136e0020d7bbfc799dd5c0",
         894, 98),
     ("parallel", 10): (
-        "7ea37bf20c3933e1a4c021e46e7a6ba1e7815a031e16e0056fb5ddb6616d7b5c",
+        "2bfa9d3e59dc33608a5f0731a4eea8f06787b2aae17382b3f780a27354917671",
         971, 63),
 }
 
@@ -384,13 +395,11 @@ def test_fault_injection_disabled_means_no_links():
     """The bit-identical contract: without channel faults the propagator
     routes records exactly as before (no links, no extra RNG draws)."""
     plain = ReplicatedSystem(num_secondaries=2)
-    assert all(plain.propagator.link_for(s) is None
-               for s in plain.secondaries)
+    assert all(s.link is None for s in plain.secondaries)
     faulty = ReplicatedSystem(num_secondaries=2,
                               channel_faults=ChannelFaults(drop=0.1),
                               fault_seed=1)
-    assert all(faulty.propagator.link_for(s) is not None
-               for s in faulty.secondaries)
+    assert all(s.link is not None for s in faulty.secondaries)
 
 
 def test_faulty_system_converges_without_fault_plan():
@@ -407,9 +416,8 @@ def test_faulty_system_converges_without_fault_plan():
     system.quiesce()
     assert system.secondary_state(0) == system.primary_state()
     assert system.secondary_state(1) == system.primary_state()
-    total_dropped = sum(
-        system.propagator.link_for(s).data_channel.dropped
-        for s in system.secondaries)
+    total_dropped = sum(s.link.data_channel.dropped
+                        for s in system.secondaries)
     assert total_dropped > 0        # faults actually fired
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.faults.__main__ as cli
+from repro.errors import NoLiveSecondariesError
 from repro.faults.__main__ import main
 
 
@@ -47,3 +49,26 @@ def test_bad_storm_input_is_a_usage_error(flags, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert "chaos runs passed" not in captured.out
+
+
+def test_a_storm_that_raises_fails_its_seed_and_the_sweep_goes_on(
+        monkeypatch, capsys):
+    """A library error inside one seed's run counts that seed as failed
+    and names the error; the other seeds still run and the sweep exits
+    1, as for any failing seed."""
+    real_run_chaos = cli.run_chaos
+    ran = []
+
+    def run_chaos(config):
+        if config.seed == 1:
+            raise NoLiveSecondariesError("no live full-coverage secondary")
+        ran.append(config.seed)
+        return real_run_chaos(config)
+
+    monkeypatch.setattr(cli, "run_chaos", run_chaos)
+    assert main(["--seeds", "3", "--quiet"]) == 1
+    out = capsys.readouterr().out
+    assert ran == [0, 2]
+    assert ("seed 1: FAILED (NoLiveSecondariesError: "
+            "no live full-coverage secondary)") in out
+    assert out.endswith("2/3 chaos runs passed\n")

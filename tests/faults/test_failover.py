@@ -38,7 +38,7 @@ def record_heartbeats(system):
     sent = []
     detector = system.auto_failover
     for site in system.secondaries:
-        link = system.propagator.link_for(site)
+        link = site.link
 
         def send_control(message, delay, _send=link.send_control):
             sent.append((system.kernel.now, message.sent_at,

@@ -15,8 +15,13 @@ class FakeSite:
     def __init__(self, name="fake"):
         self.name = name
         self.crashed = False
+        self.retired = False
         self.records_dropped = 0
         self.received = []
+
+    @property
+    def live(self):
+        return not self.crashed and not self.retired
 
     def receive(self, record):
         if self.crashed:
@@ -200,7 +205,7 @@ def test_retransmit_timer_stops_for_retired_site():
     faults = ChannelFaults(drop=1.0)
     kernel, site, link = make_link(faults, timeout=1.0)
     link.send("x", 0.0)
-    site.live = False                  # retired: not crashed, yet gone
+    site.retired = True                # retired: not crashed, yet gone
     assert not site.crashed
     kernel.run(until=20.0)
     assert link.retransmissions == 0
@@ -286,7 +291,7 @@ def test_no_fast_retransmit_to_a_gone_site(gone):
         if gone == "crashed":
             site.crashed = True
         else:
-            site.live = False
+            site.retired = True
 
     kernel.call_at(1.2, leave)
     kernel.run(until=3.0)

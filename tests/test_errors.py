@@ -11,7 +11,6 @@ from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
     DeadlockError,
-    ExplicitAbort,
     FirstCommitterWinsError,
     FreshnessTimeoutError,
     InvalidScanError,
@@ -58,7 +57,6 @@ def test_every_error_derives_from_repro_error():
     (StorageError, ReproError),
     (TransactionAborted, StorageError),
     (FirstCommitterWinsError, TransactionAborted),
-    (ExplicitAbort, TransactionAborted),
     (TransactionStateError, StorageError),
     (KeyNotFound, StorageError),
     (UnorderableKeyError, StorageError),
@@ -154,7 +152,7 @@ def test_circuit_open_error_attributes():
 
 @pytest.mark.parametrize("cls", [
     ReproError, KernelError, DeadlockError, StorageError,
-    TransactionAborted, ExplicitAbort, TransactionStateError,
+    TransactionAborted, TransactionStateError,
     ReplicationError, SiteUnavailableError, NoLiveSecondariesError,
     NoPrimaryError, SessionClosedError, FreshnessTimeoutError,
     CheckerError, SimulationError, ConfigurationError,
