@@ -80,8 +80,9 @@ class SystemStatus:
     #: and out-of-order commits happened in this run.
     retired: tuple[SiteStatus, ...] = ()
     # -- propagator shipping counters ------------------------------------
-    #: Per-endpoint deliveries (replays and retransmissions included);
-    #: grows with the number of attached secondaries.
+    #: Records shipped by live propagation, once per endpoint (a frame
+    #: counts its records); replays and link retransmissions are not
+    #: counted.  Grows with the number of attached secondaries.
     records_sent: int = 0
     batches_sent: int = 0
     #: Log records the propagator sniffed, counted once regardless of

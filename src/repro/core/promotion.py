@@ -12,25 +12,27 @@ epoch** discipline:
    the acknowledged-but-lost window ``(base, old_ts]`` that lazy
    replication fundamentally cannot avoid (the updates existed only on
    the dead site).
-2. **Fence** the old epoch everywhere: the old propagator retires and
-   stops sniffing, every secondary bumps its delivery epoch (in-flight
-   deliveries are discarded on arrival), queued records and pending or
-   open refresh transactions are dropped, and the
-   :class:`~repro.core.propagation.ReliableLink` of every site the old
-   propagator fed is ``resync()``-ed so sequence numbering restarts clean
-   for the new regime.
-3. **Rebuild** the promoted engine as a primary: a fresh logical log is
-   seeded with one synthetic base transaction installing the promoted
-   state at commit timestamp ``base`` (so a later WAL restart of the
-   *new* primary recovers correctly), and a new propagator re-points the
-   topology at every secondary that is not retired, each through its own
-   resynced ``link``.  The promoted site keeps its link too: its
-   counters stay in the run's totals, and traffic a partition holds on
-   it is fenced when it finally arrives.
+2. **Fence** the old epoch everywhere: every secondary bumps its
+   delivery epoch (in-flight deliveries are discarded on arrival),
+   queued records and pending or open refresh transactions are dropped,
+   and the :class:`~repro.core.propagation.ReliableLink` of every site
+   still in the replica tier is ``resync()``-ed so sequence numbering
+   restarts clean for the new regime.
+3. **Hand over**: the promoted engine becomes the primary behind a fresh
+   logical log, seeded with one synthetic base transaction installing
+   the promoted state at commit timestamp ``base`` (so a later WAL
+   restart of the *new* primary recovers correctly).  The one
+   propagator switches from the dead primary's log to it
+   (:meth:`~repro.core.propagation.Propagator.hand_over`): whatever it
+   held for the dead primary goes, its archive is truncated at ``base``,
+   and it keeps feeding every secondary that is not retired, each
+   through its own resynced ``link``.  The promoted site keeps its link
+   too: its counters stay in the run's totals, and traffic a partition
+   holds on it is fenced when it finally arrives.
 4. **Replay** the surviving prefix: replicas behind ``base`` receive the
-   old archive's tail capped at the truncation point, so every replica
-   converges on the new primary's prefix and dense commit numbering
-   continues seamlessly (the checkers verify this across the epoch).
+   archive's tail, so every replica converges on the new primary's
+   prefix and dense commit numbering continues seamlessly (the checkers
+   verify this across the epoch).
 5. **Reconcile sessions**: :meth:`~repro.core.sessions.SequenceTracker.
    truncate` clamps every ``seq(c)`` to ``base``.  A session whose own
    acknowledged commits were truncated gets a permanent
@@ -50,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.propagation import Propagator
 from repro.core.site import PrimarySite
 from repro.errors import (
     ConfigurationError,
@@ -149,7 +150,7 @@ def promote(system: "ReplicatedSystem",
         candidate = max(candidates, key=lambda s: s.seq_db)
 
     old_primary = system.primary
-    old_propagator = system.propagator
+    propagator = system.propagator
     old_ts = old_primary.latest_commit_ts
     base = candidate.seq_db
     if candidate.engine.latest_commit_ts != base:  # pragma: no cover
@@ -167,12 +168,11 @@ def promote(system: "ReplicatedSystem",
             time=system.kernel.now, truncation_ts=base)
 
     # -- fence the old epoch ------------------------------------------------
-    # The links of the sites the old propagator fed, the candidate's
+    # The links of the sites the propagator fed, the candidate's
     # included; a site retired by an earlier promotion keeps its link as
     # it is.
     links = [site.link for site in system.secondaries
              if not site.retired and site.link is not None]
-    old_propagator.retire()
     fenced = candidate.retire()
     ahead: list[int] = []
     for index, site in enumerate(system.secondaries):
@@ -196,67 +196,41 @@ def promote(system: "ReplicatedSystem",
         # partition heals): count it and drop it.
         link.arm_zombie_fence()
 
-    # -- rebuild the promoted engine as a primary ---------------------------
+    # -- hand the propagator over to the promoted engine ---------------------
     log = LogicalLog(name=f"{candidate.name}-log")
     if base > 0:
         # Seed the WAL with one synthetic transaction installing the
         # promoted state at commit timestamp ``base``: a later crash of
         # the *new* primary can then restart_from_wal() back to exactly
         # this state plus whatever it committed since.  Seeded before the
-        # new propagator subscribes, so the base snapshot is never
-        # shipped — the replicas reach S^base by refresh or replay.
+        # propagator subscribes, so the base snapshot is never shipped —
+        # the replicas reach S^base by refresh or replay.
         log.append_start(0, 0)
         for key, value in candidate.engine.state_at().items():
             log.append_update(0, key, value)
         log.append_commit(0, base)
     candidate.engine.log = log
-    new_primary = PrimarySite.adopt(system.kernel, candidate, log)
-
-    new_propagator = Propagator(
-        system.kernel, log, delay=old_propagator.delay,
-        batch_interval=old_propagator.batch_interval,
-        # The new propagator's per-key last-writer map starts empty, so
-        # the first new-epoch writer of any key would otherwise ship
-        # dep_ts=0 and could be applied by a parallel secondary before
-        # the replayed archive tail that leads up to S^base.  Flooring
-        # every dependency at ``base`` keeps new-epoch commits behind
-        # the entire surviving prefix.
-        dep_floor=base,
-        sharding=old_propagator.sharding,
-        # The newest surviving commit per axis: recovery frontier
-        # floors, strong-SI requirements and the session clamps below
-        # all come from this map, and an inflated value would make
-        # sessions wait for a frontier no replica can ever reach.
-        newest_floor=old_propagator.newest_commit_ts_up_to(base))
-    # Shipping counters continue across the epoch (monitoring reads
-    # whichever propagator is current).
-    new_propagator.records_sent = old_propagator.records_sent
-    new_propagator.batches_sent = old_propagator.batches_sent
-    new_propagator.records_logged = old_propagator.records_logged
-    new_propagator.records_shipped_by_shard = dict(
-        old_propagator.records_shipped_by_shard)
+    new_primary = PrimarySite(system.kernel, candidate.engine)
+    propagator.hand_over(log, base)
 
     replayed: dict[str, int] = {}
-    for site in system.secondaries:
-        if site.retired:
-            continue
+    for site in propagator.endpoints:       # the sites not retired
         link = site.link
         if link is not None and link.blackholed:
             # A partition severs the *old* primary's route to this
             # replica; the new primary's feed takes a fresh one.  Heal
-            # the adopted link — old-epoch traffic the partition held
-            # flushes now and is fenced (counted) on arrival.  The
-            # promoted site's own link is deliberately left partitioned:
-            # it models the old primary's side of the cut, and its held
+            # the link — old-epoch traffic the partition held flushes
+            # now and is fenced (counted) on arrival.  The promoted
+            # site's own link is deliberately left partitioned: it
+            # models the old primary's side of the cut, and its held
             # zombie traffic stays dark until that partition heals.
             link.heal()
-        new_propagator.attach(site)
         if site.live and site.seq_db < base:
-            replayed[site.name] = old_propagator.replay_to(
-                site, after_commit_ts=site.seq_db, up_to_commit_ts=base)
+            replayed[site.name] = propagator.replay_to(
+                site, after_commit_ts=site.seq_db)
 
     # -- reconcile sessions across the epoch --------------------------------
-    surviving = new_propagator.newest_commit_ts
+    surviving = propagator.newest_commit_ts
     truncated = system.tracker.truncate(base, surviving)
     lost_sessions: list[str] = []
     system._sessions = [s for s in system._sessions if not s.closed]
@@ -288,7 +262,6 @@ def promote(system: "ReplicatedSystem",
 
     # -- install the new epoch ----------------------------------------------
     system.primary = new_primary
-    system.propagator = new_propagator
     # The report is the promotion counters' record (cluster epoch,
     # fenced records, lost windows).
     report = PromotionReport(

@@ -31,10 +31,10 @@ discarding duplicates), acknowledges cumulatively, and the sender
 resends the missing record at the first duplicate ack (fast
 retransmit) and every unacknowledged record on a timeout with
 exponential backoff.  The link is the secondary's own, set once when
-the system is built and kept for the whole run; a propagator only reads
-it as it sends, so a promotion's new propagator sends through the links
-of the secondaries it attaches (every one not retired), and a promoted
-site keeps its link and counters.  Without a link (``link`` is None, the
+the system is built and kept for the whole run; the propagator only
+reads it as it sends, so after a promotion it sends through the links of
+the secondaries still in the replica tier, and a promoted site keeps its
+link and counters.  Without a link (``link`` is None, the
 default), each record or frame travels in one kernel event that hands it
 to every such endpoint in attach order — the fault machinery adds zero
 behaviour when disabled.
@@ -74,7 +74,8 @@ class PropagationEndpoint(Protocol):
     time; one kernel event later calls ``arrive`` on every endpoint it
     was sent to, in attach order.  One with a ``link`` is sent to through
     it.  ``subscription`` is the endpoint's shard set, or None for the
-    whole database.
+    whole database.  A ``retired`` (promoted) endpoint is dropped at the
+    next :meth:`Propagator.hand_over`.
     """
 
     name: str
@@ -83,6 +84,7 @@ class PropagationEndpoint(Protocol):
     subscription: Optional[frozenset]
     link: Optional[ReliableLink]
     crashed: bool
+    retired: bool
 
     def arrive(self, epoch: int, record: PropagationRecord) -> None:
         """``record``, sent in delivery ``epoch``, arrives now."""
@@ -387,15 +389,6 @@ class Propagator:
     batch_interval:
         If set, records are buffered and flushed together at most every
         ``batch_interval`` (scheduled lazily so an idle system quiesces).
-    dep_floor:
-        Lower bound on every shipped ``dep_ts``: a committed transaction
-        whose keys have no recorded prior writer still depends on (at
-        least) this commit number.  0 normally; a promotion passes the
-        new primary's base state so new-epoch commits can never be
-        applied by a parallel secondary before the replayed archive tail
-        that produced the base state (the per-key last-writer map of a
-        fresh propagator starts empty and knows nothing about the
-        previous epoch's writers).
     sharding:
         Partial-replication configuration.  When set, the propagator
         emits **only commit records** (no starts, no aborts — a
@@ -412,18 +405,16 @@ class Propagator:
         projected stream can do neither, so :meth:`_on_log_record` and
         :meth:`replay_to` choose which records exist — and nothing else
         here asks which mode it is in.
-    newest_floor:
-        Newest commit timestamp per freshness axis at this propagator's
-        epoch start (empty for the first epoch); a promotion passes the
-        map rebuilt by :meth:`newest_commit_ts_up_to`.
+
+    One propagator serves the whole run: a promotion hands it over to
+    the new primary's log (:meth:`hand_over`), so its archive and
+    counters span every era.
     """
 
     def __init__(self, kernel: Kernel, log: LogicalLog, *,
                  delay: float = 0.0,
                  batch_interval: Optional[float] = None,
-                 dep_floor: int = 0,
                  sharding: Optional[ShardingConfig] = None,
-                 newest_floor: Optional[dict] = None,
                  name: str = "propagator"):
         if delay < 0:
             raise ConfigurationError("propagation delay must be >= 0")
@@ -433,7 +424,12 @@ class Propagator:
         self.log = log
         self.delay = delay
         self.batch_interval = batch_interval
-        self.dep_floor = dep_floor
+        #: Lower bound on every shipped ``dep_ts``: a commit whose keys
+        #: have no recorded prior writer still depends on this commit
+        #: number — the truncation point of the last promotion, so no
+        #: parallel secondary applies a new-era commit before the
+        #: surviving prefix (0 in the first era).
+        self.dep_floor = 0
         self.sharding = sharding
         self.name = name
         self._endpoints: list[PropagationEndpoint] = []
@@ -442,8 +438,12 @@ class Propagator:
         self._outbox: list[PropagationRecord] = []
         self._flush_scheduled = False
         self._paused = False
-        #: All commit records ever broadcast, in commit order — the archive
-        #: used to bring a recovered secondary back up to date (Section 3.4).
+        #: Bumped by each :meth:`hand_over`: a batch flush armed in an
+        #: earlier era finds it moved on and does nothing.
+        self._era = 0
+        #: Every surviving commit record, in commit order, of every era —
+        #: the archive used to bring a recovered secondary back up to
+        #: date (Section 3.4).
         self.archive: list[PropagatedCommit] = []
         #: Per-endpoint record deliveries: a record shipped to three
         #: secondaries counts three times.
@@ -460,11 +460,7 @@ class Propagator:
         #: whole database, and every shard a commit has touched — as
         #: the log shows it.  Every value is the timestamp of a commit
         #: that touched the axis, or frontier waits can deadlock.
-        self._newest_commit_ts: dict = dict(newest_floor or {})
-        #: Frozen copy at this propagator's epoch start.  The archive
-        #: only holds this epoch's commits, so a later promotion needs
-        #: this floor to rebuild the map *exactly*.
-        self._newest_floor: dict = dict(self._newest_commit_ts)
+        self._newest_commit_ts: dict = {}
         #: Commit-record shipments per shard, summed over endpoints: a
         #: commit touching two subscribed shards of one endpoint counts
         #: once for each shard.
@@ -589,9 +585,11 @@ class Propagator:
         elif not self._flush_scheduled:
             self._flush_scheduled = True
             self.kernel.call_at(self.kernel.now + self.batch_interval,
-                                self._flush_batch)
+                                self._flush_batch, self._era)
 
-    def _flush_batch(self) -> None:
+    def _flush_batch(self, era: int) -> None:
+        if era != self._era:
+            return
         self._flush_scheduled = False
         if not self._paused:
             self._flush()
@@ -689,40 +687,44 @@ class Propagator:
         a replica holding the axis converges on."""
         return self._newest_commit_ts.get(axis, 0)
 
-    def newest_commit_ts_up_to(self, base: int) -> dict:
-        """The per-axis newest-commit map as of commit ``base``, rebuilt
-        *exactly* for a promotion that truncates there: every value is
-        the timestamp of a surviving commit that actually touched the
-        axis (not merely ``min(newest, base)`` — the truncation point
-        need not touch a given shard).  The archive holds exactly this
-        epoch's commits in commit order, so the epoch-start floor plus
-        the archived commits at or before ``base`` reconstruct it.
-        """
-        exact = dict(self._newest_floor)
-        for commit in self.archive:
-            if commit.commit_ts > base:
-                break
-            exact[None] = commit.commit_ts
-            for shard, _dep in commit.shard_deps:
-                exact[shard] = commit.commit_ts
-        return exact
+    def hand_over(self, log: LogicalLog, base: int) -> None:
+        """Switch to a promoted primary's ``log``: a new era begins.
 
-    def retire(self) -> None:
-        """Permanently disconnect this propagator (primary promotion).
-
-        Unsubscribes from the dead primary's log and forgets every
-        endpoint, so nothing is ever emitted again — but the
-        :attr:`archive` stays readable: promotion uses it to replay the
-        surviving prefix to replicas behind the truncation point.
+        Everything built from the dead primary's log that did not survive
+        goes — buffered records, open update lists, the per-key
+        last-writer map, a batch flush still armed for it, a stall
+        (:meth:`pause`), the retired (promoted) endpoint.  The archive keeps the commits up to the
+        truncation point ``base``, and the newest commit per freshness
+        axis is rebuilt from it *exactly*: every value names a surviving
+        commit that touched the axis (not merely ``min(newest, base)`` —
+        the truncation point need not touch a given shard).  New-era
+        dependencies are floored at ``base``, since the last-writer map
+        starts empty.
         """
         self.log.unsubscribe(self._on_log_record)
-        self._paused = True
-        self._endpoints.clear()
+        self.log = log
+        log.subscribe(self._on_log_record)
+        self._era += 1
+        self._flush_scheduled = False
+        self._paused = False
         self._outbox.clear()
+        self._update_lists.clear()
+        self._update_fps.clear()
+        self._last_writer.clear()
+        self.dep_floor = base
+        self._endpoints = [endpoint for endpoint in self._endpoints
+                           if not endpoint.retired]
+        archive = self.archive
+        while archive and archive[-1].commit_ts > base:
+            archive.pop()
+        newest = self._newest_commit_ts = {}
+        for commit in archive:
+            newest[None] = commit.commit_ts
+            for shard, _dep in commit.shard_deps:
+                newest[shard] = commit.commit_ts
 
     def replay_to(self, endpoint: PropagationEndpoint,
-                  after_commit_ts: int,
-                  up_to_commit_ts: Optional[int] = None) -> int:
+                  after_commit_ts: int) -> int:
         """Replay archived commits newer than ``after_commit_ts``.
 
         Each replayed transaction is delivered as a start record followed
@@ -736,10 +738,10 @@ class Propagator:
         (resync the link first — see
         :meth:`~repro.core.system.ReplicatedSystem.recover_secondary`).
 
-        ``up_to_commit_ts`` caps the replay (inclusive): a promotion
-        replays a fenced replica only up to the new primary's base state —
-        commits beyond the truncation point died with the old primary and
-        must never resurface.
+        A promotion replays a fenced replica after :meth:`hand_over`, so
+        the archive ends at the new primary's base state: commits beyond
+        the truncation point died with the old primary and never
+        resurface.
 
         The archive holds the *full* commits; each is sliced for the
         endpoint's subscription exactly like live traffic (commits
@@ -753,9 +755,6 @@ class Propagator:
         for commit in self.archive:
             if commit.commit_ts <= after_commit_ts:
                 continue
-            if up_to_commit_ts is not None \
-                    and commit.commit_ts > up_to_commit_ts:
-                break
             slice_ = commit if subscription is None \
                 else self.slice_for(commit, subscription)
             if slice_ is None:

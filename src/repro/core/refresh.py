@@ -292,9 +292,6 @@ class Refresher(ApplySchedule):
         #: key fingerprint -> newest admitted commit_ts writing it
         #: (conflict admission only).
         self._fp_last_writer: dict[int, int] = {}
-        #: Incarnation counter: bumped on stop(), so applicators and
-        #: resumes scheduled by a crashed or fenced incarnation do nothing.
-        self._epoch = 0
         self.stale_records_dropped = 0
         #: Peak of :attr:`watermark_lag` observed at apply time
         #: (parallel): how far the backlog stretched.
@@ -302,12 +299,13 @@ class Refresher(ApplySchedule):
 
     def start(self) -> None:
         """Restart the refresher after :meth:`stop` (recovery, fence)."""
-        self._resume(self._epoch)
+        self._resume(self.site.epoch)
 
     def stop(self) -> None:
         """Drop all refresh work and orphan the applicators (site crash):
-        deliveries are held until :meth:`start`."""
-        self._epoch += 1
+        the site's incarnation (``site.epoch``) moves on, and deliveries
+        are held until :meth:`start`."""
+        self.site.epoch += 1
         self._held = True
         self._inbox.clear()
         self._pos = 0
@@ -373,7 +371,7 @@ class Refresher(ApplySchedule):
     def _resume(self, epoch: int) -> None:
         """Handle the inbox in FIFO order until it is empty or the next
         record must wait."""
-        if epoch != self._epoch:
+        if epoch != self.site.epoch:
             # Scheduled by an incarnation that has since been stopped.
             return
         self._held = False
@@ -480,11 +478,11 @@ class Refresher(ApplySchedule):
         update from now."""
         self.kernel.call_at(
             self.kernel.now + self.apply_cost * len(record.updates),
-            self._applied, self._epoch, record)
+            self._applied, self.site.epoch, record)
 
     def _applied(self, epoch: int, record: PropagatedCommit) -> None:
         """One applicator finishing: replay T's update list inside R."""
-        if epoch != self._epoch:
+        if epoch != self.site.epoch:
             # Scheduled by an incarnation that has since been stopped
             # (crash or fence, possibly restarted in the same instant).
             return
@@ -501,7 +499,8 @@ class Refresher(ApplySchedule):
         if not self.pending and self._held:
             # Scheduled, not called: the held start begins behind the
             # readers this publish woke.
-            self.kernel.call_at(self.kernel.now, self._resume, self._epoch)
+            self.kernel.call_at(self.kernel.now, self._resume,
+                                self.site.epoch)
         while (job := self.take()) is not None:
             self._start(job)
 

@@ -17,22 +17,26 @@ from repro.core.sharding import shard_of
 from repro.errors import ConfigurationError
 from repro.kernel import Condition, Kernel
 from repro.storage.engine import SIDatabase, Transaction
-from repro.storage.wal import LogicalLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.propagation import ReliableLink
 
 
 class PrimarySite:
-    """The single primary: executes all update transactions."""
+    """The single primary: executes all update transactions.
 
-    def __init__(self, kernel: Kernel, recorder: Any = None,
-                 name: str = "primary"):
+    Wraps an engine with a logical log: the first primary's own, or a
+    promoted secondary's, which keeps its identity — name, recorder,
+    committed state and version history all carry over, so commit
+    timestamps continue the shared numbering.  The crash/restart
+    accounting belongs to this site alone.
+    """
+
+    def __init__(self, kernel: Kernel, engine: SIDatabase):
         self.kernel = kernel
-        self.name = name
-        self.log = LogicalLog(name=f"{name}-log")
-        self.engine = SIDatabase(name=name, log=self.log, recorder=recorder,
-                                 clock=kernel.clock)
+        self.name = engine.name
+        self.log = engine.log
+        self.engine = engine
         self.crash_count = 0
         self.restart_count = 0
         #: Set by :meth:`kill`: the site is gone for good (disk and WAL
@@ -49,30 +53,6 @@ class PrimarySite:
         #: layer maps these to :class:`~repro.errors.LeaseExpiredError`
         #: so the client sees a typed refusal, never a silent ack.
         self.demote_aborted: set[int] = set()
-
-    @classmethod
-    def adopt(cls, kernel: Kernel, site: "SecondarySite",
-              log: LogicalLog) -> "PrimarySite":
-        """Wrap a promoted secondary's engine as the new primary.
-
-        The engine keeps its identity — name, recorder, committed state
-        and version history all carry over, so commit timestamps continue
-        the shared numbering from the promoted state.  Only the
-        primary-side attachments are new: the freshly seeded logical log
-        and the crash/restart accounting.
-        """
-        primary = cls.__new__(cls)
-        primary.kernel = kernel
-        primary.name = site.name
-        primary.log = log
-        primary.engine = site.engine
-        primary.crash_count = 0
-        primary.restart_count = 0
-        primary.permanently_failed = False
-        primary.lease_demoted = False
-        primary.demoted_at = None
-        primary.demote_aborted = set()
-        return primary
 
     def begin_update(self, metadata: Optional[dict] = None) -> Transaction:
         """Start a forwarded update transaction under local strong SI."""
@@ -204,8 +184,9 @@ class SecondarySite:
         #: seq(DBsec): primary commit ts of the newest applied refresh.
         self.seq_db = 0
         self.seq_cond = Condition(kernel, name=f"{name}-seq")
-        #: Delivery epoch; bumped on crash so in-flight deliveries from
-        #: before the failure are discarded on arrival.
+        #: Incarnation (delivery epoch), bumped by ``refresher.stop()``
+        #: on every crash and fence: in-flight deliveries, applicators
+        #: and resumes from an earlier incarnation do nothing.
         self.epoch = 0
         self.refresher = Refresher(kernel, self, serial=serial_refresh,
                                    parallel=parallel_refresh,
@@ -348,7 +329,6 @@ class SecondarySite:
         """Fail the site: lose held records and all refresh state."""
         if not self.engine.crashed:
             self.crash_count += 1
-        self.epoch += 1
         self.refresher.stop()
         self._catch_up_target = None
         self.engine.crash()
@@ -388,17 +368,6 @@ class SecondarySite:
         self.seq_cond.notify_all()
 
     # -- promotion (cluster epoch fence) --------------------------------------
-    def _discard_stale(self) -> int:
-        """Bump the delivery epoch and drop all pre-fence refresh work.
-
-        Returns the number of stale records discarded *here* — the
-        :attr:`lag`; in-flight deliveries from the old epoch are dropped
-        on arrival by the epoch check and land in ``records_dropped`` as
-        usual.  The refresher's own fence drops the held records.
-        """
-        self.epoch += 1
-        return self.lag
-
     def fence(self) -> int:
         """Fence the old cluster epoch without losing the site.
 
@@ -406,8 +375,12 @@ class SecondarySite:
         replication state from the dead primary's regime is discarded:
         held records, pending refreshes and open refresh transactions
         go, and the refresher restarts clean for the new primary's feed.
+        Returns the number of stale records discarded *here* — the
+        :attr:`lag` plus the refresher's own count; in-flight deliveries
+        from the old epoch are dropped on arrival by the epoch check and
+        land in ``records_dropped`` as usual.
         """
-        discarded = self._discard_stale()
+        discarded = self.lag
         discarded += self.refresher.fence()
         self.seq_cond.notify_all()
         return discarded
@@ -419,7 +392,7 @@ class SecondarySite:
         flips — ``live`` turns False, so bound sessions fail over to the
         remaining replicas while the engine serves on as the primary.
         """
-        discarded = self._discard_stale()
+        discarded = self.lag
         discarded += self.refresher.fence(restart=False)
         self.retired = True
         self._catch_up_target = None

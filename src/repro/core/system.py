@@ -64,7 +64,8 @@ from repro.errors import (
 from repro.faults.channel import ChannelFaults
 from repro.kernel import Kernel, Timeout, TimeoutExpired
 from repro.sim.rng import RandomStreams
-from repro.storage.engine import Transaction, TxnStatus
+from repro.storage.engine import SIDatabase, Transaction, TxnStatus
+from repro.storage.wal import LogicalLog
 from repro.txn.history import HistoryRecorder
 from repro.txn.ids import IdAllocator
 
@@ -895,7 +896,9 @@ class ReplicatedSystem:
             sharding.validate_for(num_secondaries)
             subscriptions = [sharding.subscription_for(i)
                              for i in range(num_secondaries)]
-        self.primary = PrimarySite(self.kernel, recorder=self.recorder)
+        self.primary = PrimarySite(self.kernel, SIDatabase(
+            name="primary", log=LogicalLog(name="primary-log"),
+            recorder=self.recorder, clock=self.kernel.clock))
         self.secondaries: list[SecondarySite] = [
             SecondarySite(self.kernel, name=f"secondary-{i + 1}",
                           recorder=self.recorder,

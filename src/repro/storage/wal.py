@@ -93,10 +93,6 @@ class LogicalLog:
         """All records with LSN >= ``from_lsn`` (for recovery replay)."""
         return self._records[from_lsn:]
 
-    @property
-    def next_lsn(self) -> int:
-        return len(self._records)
-
     def subscribe(self, observer: Callable[[LogRecord], None]) -> None:
         """Register a callback invoked on every subsequent append."""
         self._observers.append(observer)

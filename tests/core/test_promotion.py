@@ -457,7 +457,7 @@ def test_second_promotion_stacks_epochs():
 def test_a_promotion_attaches_only_sites_still_in_the_replica_tier(faults):
     """Each promotion feeds the secondaries that are not retired, by
     link or directly; the site an earlier promotion retired is no
-    endpoint of the new propagator, and it keeps its own link."""
+    endpoint of the propagator, and it keeps its own link."""
     system = make_system(channel_faults=faults, fault_seed=3)
     links = [site.link for site in system.secondaries]
     session = system.session()
@@ -476,6 +476,87 @@ def test_a_promotion_attaches_only_sites_still_in_the_replica_tier(faults):
     system.quiesce()
     assert system.secondary_state(
         system.secondaries.index(endpoints[0])) == {"x": 2}
+
+
+def test_one_propagator_is_handed_over_across_promotions():
+    """A promotion switches the one propagator to the new primary's log:
+    its counters keep counting, and its archive keeps every surviving
+    commit of every era and nothing from a truncated window."""
+    system = make_system()
+    propagator = system.propagator
+    session = system.session()
+    session.write("a", 1)
+    session.write("b", 1)
+    system.quiesce()
+    sent = [propagator.records_sent]
+    for era, lost in enumerate(("lost-1", "lost-2")):
+        propagator.pause()
+        system.session().write(lost, 0)    # acknowledged, then truncated
+        system.run()
+        system.kill_primary()
+        report = system.promote_secondary()
+        assert report.lost_commits == 1
+        assert system.propagator is propagator
+        assert [c.commit_ts for c in propagator.archive] \
+            == list(range(1, report.base_commit_ts + 1))
+        session.write(f"c{era}", era)
+        session.write(f"d{era}", era)
+        system.quiesce()
+        sent.append(propagator.records_sent)
+    assert sent == sorted(sent) and len(set(sent)) == len(sent)
+    written = [update[0] for commit in propagator.archive
+               for update in commit.updates]
+    assert written == ["a", "b", "c0", "d0", "c1", "d1"]
+    assert [c.commit_ts for c in propagator.archive] == [1, 2, 3, 4, 5, 6]
+    assert_checkers_pass(system)
+
+
+def test_a_batch_armed_for_the_dead_primary_flushes_nothing():
+    """A batch flush armed before the promotion fires in the new era and
+    must ship nothing: a new-era write waits for its own batch interval
+    (armed at t = 25.5, flushed at 35.5, arriving at 36.0), not the dead
+    primary's (flushed at 32.5)."""
+    system = make_system(batch_interval=10.0, propagation_delay=0.5)
+    system.session().write("x", 1)
+    system.run(until=22.5)
+    system.session().write("x", 2)         # arms a flush for t = 32.5
+    system.kill_primary()
+    report = system.promote_secondary(0)
+    assert report.base_commit_ts == 1
+    system.run(until=25.5)
+    session = system.session()
+    session.write("y", 3)                  # the new era's commit 2
+    site = system.secondaries[1]
+    while site.seq_db < 2:
+        assert system.kernel.step()
+    assert system.kernel.now == 36.0
+    assert system.secondary_state(1) == {"x": 1, "y": 3}
+
+
+def test_a_promotion_replay_to_a_partial_subscriber_counts_per_shard():
+    """The replay that brings a partial subscriber up to ``base`` is
+    shipping like any other: it counts in ``records_shipped_by_shard``,
+    as a Section 3.4 recovery replay does."""
+    system = make_system(
+        sharding=ShardingConfig(shards=4, placement=(
+            (0, 1, 2, 3), (0, 1, 2, 3), (0, 1))),
+        channel_faults=ChannelFaults())
+    system.partition(2)
+    session = system.session()
+    for i in range(8):
+        session.write(f"k{i}", i)
+    system.run(until=system.kernel.now + 5.0)
+    before = dict(system.propagator.records_shipped_by_shard)
+    system.kill_primary()
+    report = system.promote_secondary(0)
+    assert report.replayed == {"secondary-3": 4}
+    system.heal()
+    system.quiesce()
+    after = dict(system_status(system).records_shipped_by_shard)
+    # Each replayed commit wrote one key of shard 0 or 1.
+    assert after[0] + after[1] == before[0] + before[1] + 4
+    assert (after[2], after[3]) == (before[2], before[3])
+    assert system.secondaries[2].seq_db == 8
 
 
 # ---------------------------------------------------------------------------
