@@ -98,6 +98,31 @@ def test_functional_write_refresh_dispatches_one_arrival_per_record(
     benchmark(cycle)
 
 
+@pytest.mark.parametrize("gap,frames", [(0.25, 4), (2.0, 12)])
+def test_batched_writes_ship_one_frame_per_free_slot(benchmark, gap,
+                                                     frames):
+    """Twelve writes, ``gap`` apart, with a 1 s batch interval.  In the
+    burst (every 0.25 s) the first write finds the link idle and ships
+    at once, and the other eleven wait for the slots at t = 1, 2 and 3:
+    four frames.  Spaced wider than the interval (every 2 s), each write
+    ships at once in a frame of its own: twelve."""
+
+    def writes():
+        system = ReplicatedSystem(num_secondaries=1, propagation_delay=0.1,
+                                  batch_interval=1.0, record_history=False)
+        session = system.session(Guarantee.WEAK_SI)
+        for value in range(12):
+            system.run(until=value * gap)
+            session.write("x", value)
+        system.quiesce()
+        propagator = system.propagator
+        assert propagator.batches_sent == frames
+        assert propagator.records_sent == 24   # a start and a commit each
+        assert system.secondary_state(0) == {"x": 11}
+
+    benchmark(writes)
+
+
 @pytest.mark.parametrize("secondaries,events", [(1, 32), (3, 72), (5, 112)])
 def test_idle_failover_detector_dispatches_one_tick_per_interval(
         benchmark, secondaries, events):

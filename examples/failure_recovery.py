@@ -4,10 +4,10 @@
 A secondary crashes mid-stream, losing its undelivered records and refresh
 state.  Sessions bound to it transparently *fail over* to a live replica
 (still honouring seq(c) <= seq(DBsec), so their guarantees survive the
-rebind).  Recovery reinstalls a quiesced copy of the primary,
-reinitialises seq(DBsec) (the Section 4 dummy-transaction trick), and
-replays the archived tail of commits through the ordinary refresh
-mechanism — after which the system is whole again.
+rebind).  Recovery reinstalls a quiesced copy of the primary, which
+already holds every commit the replica missed, and reinitialises
+seq(DBsec) (the Section 4 dummy-transaction trick); later commits reach
+it through the ordinary refresh mechanism — the system is whole again.
 
 Run:  python examples/failure_recovery.py
 """
@@ -44,7 +44,7 @@ def main() -> None:
           f"{system.primary.latest_commit_ts - system.secondaries[0].seq_db}"
           f" commits")
 
-    print("\n4. recovery: quiesced primary copy + archived tail replay")
+    print("\n4. recovery: quiesced primary copy, seq(DBsec) reinitialised")
     system.recover_secondary(0)
     system.quiesce()
     print(f"   secondary-1 state == primary state: "

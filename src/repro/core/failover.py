@@ -8,9 +8,9 @@ kernel callback, :meth:`AutoFailover._tick`, every ``heartbeat_interval``
 of virtual time:
 
 1. **Heartbeats & leases (primary side).**  The primary piggybacks a
-   :class:`Heartbeat` datagram on every propagation link each
+   :data:`HEARTBEAT` datagram on every propagation link each
    ``heartbeat_interval``.  A secondary that receives one replies with a
-   :class:`LeaseGrant` stamped with its local (virtual) send time; the
+   lease grant, which is nothing but its local (virtual) send time; the
    primary's lease extends to ``granted_at + lease_duration`` of the
    freshest grant it has received.  Control datagrams ride the same
    lossy channels as replication traffic — and are silenced by the same
@@ -54,7 +54,8 @@ bit-identical to a system without the subsystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -79,7 +80,7 @@ class FailoverConfig:
         suspecting the primary.  Must cover several heartbeat intervals,
         or routine channel jitter would trip it constantly.
     lease_duration:
-        Validity of each :class:`LeaseGrant`.  The primary self-demotes
+        Validity of each lease grant.  The primary self-demotes
         when its freshest grant is older than this; the coordinator
         refuses to promote until *every* secondary's last grant has
         aged past it.  Must be at least ``suspicion_timeout`` so the
@@ -104,25 +105,10 @@ class FailoverConfig:
                 "is the safety backstop behind the suspicion quorum)")
 
 
-@dataclass(slots=True)
-class Heartbeat:
-    """The primary's periodic "I am alive" control datagram.
-
-    Treat as read-only once sent, like every control datagram.
-    """
-
-    sent_at: float
-
-
-@dataclass(slots=True)
-class LeaseGrant:
-    """A secondary's reply: "your lease runs from my send time".
-
-    Treat as read-only once sent, like every control datagram.
-    """
-
-    granted_at: float
-    site: str
+#: The primary's periodic "I am alive" control datagram.  Its arrival is
+#: the whole message; a secondary answers with its send time, the lease
+#: grant ("your lease runs from my send time").
+HEARTBEAT = "heartbeat"
 
 
 @dataclass(frozen=True)
@@ -187,9 +173,8 @@ class AutoFailover:
         # link before the handler ever runs.
         for site in self.system.secondaries:
             if site.link is not None:
-                site.link.control_handler = (
-                    lambda message, _site=site:
-                    self._on_heartbeat(_site, message))
+                site.link.control_handler = partial(self._on_heartbeat,
+                                                    site)
                 site.link.control_back_handler = self._on_grant
         self.kernel.call_at(self.kernel.now + self.config.heartbeat_interval,
                             self._tick)
@@ -233,7 +218,7 @@ class AutoFailover:
         """
         self._check_epoch()
         kernel = self.kernel
-        now = kernel.now
+        now = kernel._now
         config = self.config
         system = self.system
         if not system.primary.crashed:
@@ -241,8 +226,7 @@ class AutoFailover:
             for endpoint in propagator.endpoints:
                 link = endpoint.link
                 if link is not None:
-                    link.send_control(Heartbeat(sent_at=now),
-                                      propagator.delay)
+                    link.send_control(HEARTBEAT, propagator.delay)
                     self.heartbeats_sent += 1
         kernel.call_at(now + config.heartbeat_interval, self._tick)
         last_heartbeat = self._last_heartbeat
@@ -262,13 +246,13 @@ class AutoFailover:
         self._coordinate()
 
     # -- primary side --------------------------------------------------------
-    def _on_grant(self, grant: LeaseGrant) -> None:
-        """Primary side: a secondary renewed our lease."""
+    def _on_grant(self, granted_at: float) -> None:
+        """Primary side: a secondary renewed our lease at ``granted_at``."""
         self.grants_received += 1
         system = self.system
         if system.primary.crashed:
             return
-        new_expiry = grant.granted_at + self.config.lease_duration
+        new_expiry = granted_at + self.config.lease_duration
         if new_expiry > self.lease_expiry:
             self.lease_expiry = new_expiry
             self._arm_lease_check()
@@ -299,11 +283,9 @@ class AutoFailover:
         primary.demote()
 
     # -- secondary side ------------------------------------------------------
-    def _on_heartbeat(self, site: "SecondarySite",
-                      heartbeat: Heartbeat) -> None:
-        if not site.live:
-            return
-        now = self.kernel.now
+    def _on_heartbeat(self, site: "SecondarySite", _heartbeat: str) -> None:
+        # The link hands a heartbeat on only to a live site.
+        now = self.kernel._now
         name = site.name
         if self._suspecting.get(name):
             # The "dead" primary spoke: the suspicion was a false
@@ -313,11 +295,14 @@ class AutoFailover:
         self._last_heartbeat[name] = now
         self._last_grant[name] = now
         link = site.link
-        link.send_control_back(LeaseGrant(granted_at=now, site=name),
-                               link.ack_delay)
+        link.send_control_back(now, link.ack_delay)
 
     # -- the coordinator -----------------------------------------------------
     def _coordinate(self) -> None:
+        # The quorum is at least one, so without a suspicion nothing can
+        # be declared (the flags of down sites were cleared this tick).
+        if True not in self._suspecting.values():
+            return
         system = self.system
         live = [s for s in system.secondaries if s.live]
         # Every live replica counts for quorum, but only a full-coverage

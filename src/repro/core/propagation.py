@@ -13,11 +13,16 @@ attached secondary in log (= timestamp) order:
 * on ``abort_p(T)`` an abort notice is shipped (T's start already went out)
   and the update list is discarded.
 
-Optionally the propagator batches outgoing records and flushes the batch
-after ``batch_interval`` of virtual time, emulating the periodic
-propagation cycle of the paper's simulation model (a 10 s propagator
-"think time").  Records within a batch preserve log order, and batches are
-FIFO, so the ordering lemmas are unaffected.
+Optionally the propagator batches outgoing records into frames, at most
+one frame per ``batch_interval`` of virtual time: the rate budget of the
+periodic propagation cycle in the paper's simulation model (a 10 s
+propagator "think time"), without its wait.  A record logged when the
+last flush is an interval or more in the past ships in a flush queued
+at its own instant, so the records logged with it (an update's start
+and commit) share its frame; a record logged sooner waits for
+``last flush + batch_interval`` and ships with everything logged up to
+then.  Records within a frame preserve log order, and frames are FIFO,
+so the ordering lemmas are unaffected.
 
 Reliable delivery over lossy links
 ----------------------------------
@@ -123,6 +128,7 @@ class ReliableLink:
     one-shot retransmission timer fires after ``timeout`` (doubling per
     consecutive expiry up to :data:`MAX_RETRANSMIT_TIMEOUT`, resetting on
     ack progress) and resends every unacked record in sequence order.
+    It stops while the link is partitioned and :meth:`heal` re-arms it.
     Fast retransmit repairs a single loss sooner: an ack that removes
     nothing while ``acked + 1`` is unacked is a duplicate ack — the
     receiver holds a later record but not that one — and the first
@@ -208,7 +214,7 @@ class ReliableLink:
         # attempt) is what resets it.
         wait = backoff_wait(self._consecutive_timeouts, self.timeout,
                             MAX_RETRANSMIT_TIMEOUT)
-        self.kernel.call_at(self.kernel.now + wait, self._on_timer)
+        self.kernel.call_at(self.kernel._now + wait, self._on_timer)
 
     def _on_timer(self) -> None:
         self._timer_armed = False
@@ -218,6 +224,11 @@ class ReliableLink:
             # Failure detection: stop retransmitting into a dead (or
             # retired) site; the recovery path resyncs the link and
             # clears the buffer.
+            return
+        if self.data_channel.blackholed:
+            # Partitioned: a resend would only join the copies the
+            # channel holds until heal; heal re-arms the timer, and what
+            # is still unacked then is resent from there.
             return
         for seq, (record, delay) in self._unacked.items():
             self.data_channel.send((self._epoch, seq, record), delay)
@@ -348,9 +359,12 @@ class ReliableLink:
         self.ack_channel.blackhole()
 
     def heal(self) -> None:
-        """Heal the partition; held data payloads are released."""
+        """Heal the partition; held data payloads are released and the
+        retransmission timer, stopped by the partition, runs again."""
         self.data_channel.heal()
         self.ack_channel.heal()
+        if self._unacked:
+            self._arm_timer()
 
     @property
     def blackholed(self) -> bool:
@@ -387,8 +401,12 @@ class Propagator:
     delay:
         Network/propagation delay applied to each record (virtual time).
     batch_interval:
-        If set, records are buffered and flushed together at most every
-        ``batch_interval`` (scheduled lazily so an idle system quiesces).
+        If set, records ship in frames, and two flushes are at least
+        ``batch_interval`` apart: a record logged an interval or more
+        after the last flush ships in a flush queued at its own instant,
+        one logged sooner waits for the interval to run out.  The flush
+        is armed only when a record is buffered, so an idle system
+        quiesces.
     sharding:
         Partial-replication configuration.  When set, the propagator
         emits **only commit records** (no starts, no aborts — a
@@ -437,6 +455,9 @@ class Propagator:
         self._update_fps: dict[int, list[int]] = {}
         self._outbox: list[PropagationRecord] = []
         self._flush_scheduled = False
+        #: When the last frame shipped; the next flush is armed no sooner
+        #: than ``batch_interval`` after it.
+        self._last_flush = float("-inf")
         self._paused = False
         #: Bumped by each :meth:`hand_over`: a batch flush armed in an
         #: earlier era finds it moved on and does nothing.
@@ -584,8 +605,10 @@ class Propagator:
             self._flush()
         elif not self._flush_scheduled:
             self._flush_scheduled = True
-            self.kernel.call_at(self.kernel.now + self.batch_interval,
-                                self._flush_batch, self._era)
+            kernel = self.kernel
+            kernel.call_at(max(kernel._now,
+                               self._last_flush + self.batch_interval),
+                           self._flush_batch, self._era)
 
     def _flush_batch(self, era: int) -> None:
         if era != self._era:
@@ -598,6 +621,7 @@ class Propagator:
         outbox, self._outbox = self._outbox, []
         if not outbox:
             return
+        self._last_flush = self.kernel._now
         delay = self.delay
         batching = self.batch_interval is not None
         # Batch shipping: the whole flush travels as one frame — one
@@ -732,11 +756,10 @@ class Propagator:
         installs the missing tail serially through the ordinary refresh
         mechanism.  Returns the number of transactions replayed.
 
-        Replay deliberately bypasses the endpoint's link: recovery
-        is a state transfer over a fresh connection, not regular
-        propagation traffic, so it is not subject to channel faults
-        (resync the link first — see
-        :meth:`~repro.core.system.ReplicatedSystem.recover_secondary`).
+        Replay deliberately bypasses the endpoint's link: it is a state
+        transfer over a fresh connection, not regular propagation
+        traffic, so it is not subject to channel faults (the promotion
+        resyncs the link first).
 
         A promotion replays a fenced replica after :meth:`hand_over`, so
         the archive ends at the new primary's base state: commits beyond

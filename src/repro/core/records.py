@@ -105,11 +105,11 @@ PropagationRecord = PropagatedStart | PropagatedCommit | PropagatedAbort
 
 @dataclass(frozen=True)
 class PropagatedBatch:
-    """One propagation cycle's records, shipped as a single link frame.
+    """One flush's records, shipped as a single link frame.
 
     When the propagator batches (``batch_interval`` set), every flush
     wraps the buffered records — still in log order — into one of these,
-    so a whole cycle costs one sequence number and one ack per linked
+    so a whole flush costs one sequence number and one ack per linked
     endpoint, and one arrival event shared by every directly attached
     endpoint, instead of one per record.  The refresher unpacks
     the frame and processes the contained records exactly as if they had

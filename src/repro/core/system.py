@@ -767,8 +767,11 @@ class ReplicatedSystem:
     propagation_delay:
         Virtual-time delay applied to each propagated record.
     batch_interval:
-        Optional propagation batching cycle (the paper's simulation uses
-        10 s); ``None`` propagates each record individually.
+        Optional propagation batching rate (the paper's simulation cycles
+        every 10 s): records ship in frames at least this far apart, a
+        record logged on an idle link at once and one logged sooner at
+        the next free slot; ``None`` propagates each record
+        individually.
     record_history:
         Keep a global :class:`HistoryRecorder` (default on) so checkers
         can audit every execution.
@@ -1104,12 +1107,15 @@ class ReplicatedSystem:
     def recover_secondary(self, index: int) -> None:
         """Recover a secondary per Section 3.4.
 
-        Takes a quiesced copy of the primary, reinstalls it, reinitialises
-        ``seq(DBsec)`` from the copy's commit timestamp, and replays the
-        archived tail of commits through the refresh mechanism.  When the
-        secondary has a :class:`ReliableLink`, the link is resynced first
-        (new epoch, sequence numbers restart) so stale retransmissions
-        cannot corrupt the recovered stream.
+        Takes a quiesced copy of the primary, reinstalls it, and
+        reinitialises ``seq(DBsec)`` from the copy's commit timestamp.
+        The log sniffer archives every commit as it is logged, so the
+        copy already holds the newest one: nothing is left to replay, and
+        a commit still buffered in a batch reaches the secondary again
+        with the next frame, where the refresher drops it as stale.  When
+        the secondary has a :class:`ReliableLink`, the link is resynced
+        first (new epoch, sequence numbers restart) so stale
+        retransmissions cannot corrupt the recovered stream.
         """
         secondary = self.secondaries[index]
         if secondary.retired:
@@ -1128,7 +1134,6 @@ class ReplicatedSystem:
         secondary.recover(
             secondary.projection(state), commit_ts,
             {shard: newest(shard) for shard in secondary.shard_frontier})
-        self.propagator.replay_to(secondary, after_commit_ts=commit_ts)
         # Caught up means level with the newest commit on every axis the
         # replica holds (the primary's newest overall is unreachable for
         # a partial subscriber: commits outside its shards never ship).
@@ -1166,8 +1171,9 @@ class ReplicatedSystem:
         with ``index=None``, *every* link, cutting the primary off from
         the whole replica tier (the classic zombie-primary setup).
 
-        While partitioned, data traffic (records, retransmissions, acks)
-        is held and released on :meth:`heal`; control traffic
+        While partitioned, data traffic (records, acks) is held and
+        released on :meth:`heal`, and a link's retransmission timer
+        stops until then; control traffic
         (heartbeats, lease grants) is dropped outright, which is what
         lets the failure detector see the partition.  Requires
         link-based propagation (``channel_faults`` or ``failover``).

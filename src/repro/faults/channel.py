@@ -31,8 +31,7 @@ Network partitions (blackhole mode)
 :meth:`FaultyChannel.blackhole` models a network partition: while
 blackholed the channel accepts sends but delivers nothing, entirely
 deterministically (no random draws are consumed for blackholed
-payloads).  Data payloads are *held* — a TCP-like sender keeps
-retransmitting into the void, and the segments finally get through once
+payloads).  Data payloads are *held* — the segments get through once
 the route returns — and are re-submitted through the ordinary fault
 pipeline when :meth:`FaultyChannel.heal` ends the partition.  Control
 payloads (heartbeats and lease grants, sent with ``control=True``) are
@@ -113,7 +112,9 @@ class FaultyChannel:
         self.kernel = kernel
         self.deliver = deliver
         self.faults = faults
-        self._random = rng.random if rng is not None else None
+        # Draw-identical fast path: the stream's generator's own
+        # ``random``, minus the wrapper frame per fault decision.
+        self._random = rng._rng.random if rng is not None else None
         self.name = name
         #: Deliveries scheduled but not yet arrived (quiesce accounting).
         self.in_flight = 0
@@ -164,28 +165,34 @@ class FaultyChannel:
         # returns.  The delay is never negative, so the deliveries go
         # straight onto the kernel's queue.
         f = self.faults
-        if f.drop and self._random() < f.drop:
+        random = self._random
+        if f.drop and random() < f.drop:
             if control:
                 self.control_dropped += 1
             else:
                 self.dropped += 1
             return
         copies = 1
-        if f.duplicate and self._random() < f.duplicate:
+        if f.duplicate and random() < f.duplicate:
             self.duplicated += 1
             copies = 2
-        arrive = self._arrive_control if control else self._arrive
+        if control:
+            arrive = self._arrive_control
+        else:
+            arrive = self._arrive
+            self.in_flight += copies
+        kernel = self.kernel
+        at = kernel._now + delay
+        jitter = f.jitter
+        reorder = f.reorder
         for _ in range(copies):
             extra = 0.0
-            if f.jitter:
-                extra += f.jitter * self._random()
-            if f.reorder and self._random() < f.reorder:
+            if jitter:
+                extra += jitter * random()
+            if reorder and random() < reorder:
                 self.reordered += 1
                 extra += f.reorder_delay
-            if not control:
-                self.in_flight += 1
-            self.kernel._schedule(self.kernel.now + delay + extra,
-                                  arrive, payload)
+            kernel._schedule(at + extra, arrive, payload)
 
     # -- partitions ---------------------------------------------------------
     def blackhole(self) -> None:

@@ -74,9 +74,10 @@ def test_recovery_reinstalls_quiesced_primary_copy():
     assert system.secondaries[0].seq_db == system.primary.latest_commit_ts
 
 
-def test_recovery_replays_archived_tail():
-    """Updates committed between the quiesced copy and now are replayed
-    through the ordinary refresh mechanism (Section 3.4)."""
+def test_recovery_covers_commits_made_while_down():
+    """Updates committed while the secondary was down are in the
+    quiesced copy, and later ones reach it through the ordinary refresh
+    mechanism (Section 3.4)."""
     system = make_system(propagation_delay=0.0)
     writer = system.session(secondary=1)
     writer.write("x", 1)
@@ -89,6 +90,28 @@ def test_recovery_replays_archived_tail():
     system.quiesce()
     assert system.secondary_state(0) == {"x": 1, "y": 2, "z": 3}
     assert system.secondaries[0].seq_db == 3
+
+
+def test_recovery_while_a_batch_holds_commits():
+    """The copy a recovery installs already holds the commits a batch
+    frame still buffers: nothing is replayed, and when the frame ships
+    the refresher drops its two commits as stale."""
+    system = make_system(propagation_delay=0.0, batch_interval=10.0)
+    writer = system.session(secondary=1)
+    writer.write("x", 1)                    # ships at t = 0
+    system.run(until=1.0)
+    writer.write("y", 2)                    # buffered until t = 10
+    writer.write("z", 3)
+    system.crash_secondary(0)
+    system.recover_secondary(0)
+    site = system.secondaries[0]
+    assert site.seq_db == 3
+    assert site.refresher.stale_records_dropped == 0
+    system.quiesce()
+    assert system.kernel.now == 10.0
+    assert site.refresher.stale_records_dropped == 2
+    assert system.secondary_state(0) == system.primary_state()
+    assert site.seq_db == 3
 
 
 def test_in_flight_deliveries_from_old_epoch_dropped():

@@ -513,24 +513,31 @@ def test_one_propagator_is_handed_over_across_promotions():
 
 def test_a_batch_armed_for_the_dead_primary_flushes_nothing():
     """A batch flush armed before the promotion fires in the new era and
-    must ship nothing: a new-era write waits for its own batch interval
-    (armed at t = 25.5, flushed at 35.5, arriving at 36.0), not the dead
-    primary's (flushed at 32.5)."""
+    must ship nothing.  The first frame ships at t = 0, so the dead
+    primary's write at t = 5 arms a flush for t = 10.  In the new era a
+    resume ships a frame at t = 7, and the write logged right after it
+    waits for t = 17, arriving at 17.5; the dead-era flush would ship it
+    at 10.  (A flush is armed at the first free slot, no longer a whole
+    interval after the write, so a dead-era flush can only run early
+    when a new-era flush came in between: here the resume's.)"""
     system = make_system(batch_interval=10.0, propagation_delay=0.5)
-    system.session().write("x", 1)
-    system.run(until=22.5)
-    system.session().write("x", 2)         # arms a flush for t = 32.5
+    system.session().write("x", 1)         # shipped at t = 0
+    system.run(until=5.0)
+    system.session().write("x", 2)         # arms a flush for t = 10
     system.kill_primary()
     report = system.promote_secondary(0)
     assert report.base_commit_ts == 1
-    system.run(until=25.5)
-    session = system.session()
-    session.write("y", 3)                  # the new era's commit 2
+    propagator = system.propagator
+    propagator.pause()
+    system.session().write("y", 3)         # the new era's commit 2
+    system.run(until=7.0)
+    propagator.resume()                    # ships it at t = 7
+    system.session().write("z", 4)         # commit 3 waits for t = 17
     site = system.secondaries[1]
-    while site.seq_db < 2:
+    while site.seq_db < 3:
         assert system.kernel.step()
-    assert system.kernel.now == 36.0
-    assert system.secondary_state(1) == {"x": 1, "y": 3}
+    assert system.kernel.now == 17.5
+    assert system.secondary_state(1) == {"x": 1, "y": 3, "z": 4}
 
 
 def test_a_promotion_replay_to_a_partial_subscriber_counts_per_shard():

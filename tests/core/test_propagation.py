@@ -1,5 +1,7 @@
 """Tests for Algorithm 3.1 (primary update propagation)."""
 
+import random
+
 import pytest
 
 from repro.core.propagation import Propagator
@@ -118,21 +120,103 @@ def test_propagation_delay_applied(kernel, log, db):
     assert all(when == 5.0 for when, _ in endpoint.deliveries)
 
 
+def test_an_idle_record_ships_in_its_own_instant(kernel, log, db):
+    """With no flush in the last interval, a commit ships at once, and
+    its start and commit, logged at the same instant, share one frame."""
+    propagator = Propagator(kernel, log, batch_interval=10.0)
+    endpoint = FakeEndpoint(kernel)
+    propagator.attach(endpoint)
+    kernel.run(until=3.0)
+    _commit(db, "x", 1)
+    kernel.run()
+    assert len(endpoint.deliveries) == 1
+    when, frame = endpoint.deliveries[0]
+    assert when == 3.0
+    assert isinstance(frame, PropagatedBatch)
+    assert [type(r).__name__ for r in frame.records] == [
+        "PropagatedStart", "PropagatedCommit"]
+
+
 def test_batching_flushes_after_interval(kernel, log, db):
+    # The first commit finds the link idle and ships at t = 0 (it used
+    # to wait for t = 10); the second, logged within the interval,
+    # waits for the next free slot, ``last flush + batch_interval``.
     propagator = Propagator(kernel, log, batch_interval=10.0)
     endpoint = FakeEndpoint(kernel)
     propagator.attach(endpoint)
     _commit(db, "x", 1)
+    kernel.run(until=1.0)
+    assert [when for when, _ in endpoint.deliveries] == [0.0]
+    _commit(db, "x", 2)
     kernel.run(until=9.0)
-    assert endpoint.deliveries == []         # still buffered
+    assert len(endpoint.deliveries) == 1     # still buffered
     kernel.run()
     # The whole cycle travels as ONE frame holding start + commit in order.
-    assert len(endpoint.deliveries) == 1
-    when, frame = endpoint.deliveries[0]
+    assert len(endpoint.deliveries) == 2
+    when, frame = endpoint.deliveries[1]
     assert when == 10.0
     assert isinstance(frame, PropagatedBatch)
     assert [type(r).__name__ for r in frame.records] == [
         "PropagatedStart", "PropagatedCommit"]
+
+
+def test_records_within_the_interval_share_the_next_slot(kernel, log, db):
+    """Commits at t = 3 and 7 wait for the slot at 10 (one frame); after
+    an idle interval a commit at 25 ships at once, and one at 26 waits
+    for 35."""
+    propagator = Propagator(kernel, log, batch_interval=10.0)
+    endpoint = FakeEndpoint(kernel)
+    propagator.attach(endpoint)
+    for at, value in ((0.0, 0), (3.0, 3), (7.0, 7), (25.0, 25),
+                      (26.0, 26)):
+        kernel.run(until=at)
+        _commit(db, "x", value)
+    kernel.run()
+    frames = [(when, [r.updates[0][1] for r in frame.records
+                      if isinstance(r, PropagatedCommit)])
+              for when, frame in endpoint.deliveries]
+    assert frames == [(0.0, [0]), (10.0, [3, 7]), (25.0, [25]),
+                      (35.0, [26])]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_flushes_are_at_least_an_interval_apart(kernel, log, db, seed):
+    """Over a seeded stream of commits, every frame ships at
+    ``max(first buffered record's instant, last flush + interval)``, so
+    frames are at least an interval apart, and every record arrives once,
+    in log order."""
+    interval = 1.0
+    propagator = Propagator(kernel, log, batch_interval=interval)
+    endpoint = FakeEndpoint(kernel)
+    propagator.attach(endpoint)
+    rng = random.Random(seed)
+    instants = []
+    commits = 0
+    at = 0.0
+    for value in range(60):
+        at += rng.expovariate(1.5)
+        instants.append(at)
+        kernel.run(until=at)
+        for _ in range(rng.choice((1, 1, 2))):
+            _commit(db, "x", value)
+            commits += 1
+    kernel.run()
+    times = [when for when, _ in endpoint.deliveries]
+    assert all(b >= a + interval for a, b in zip(times, times[1:]))
+    shipped = [r.commit_ts for _, frame in endpoint.deliveries
+               for r in frame.records if isinstance(r, PropagatedCommit)]
+    assert shipped == list(range(1, commits + 1))
+    # The reference schedule: a flush armed at an earlier instant has
+    # run by the time the next instant's commits are logged.
+    expected, last, pending = [], float("-inf"), None
+    for when in instants:
+        if pending is not None and pending <= when:
+            expected.append(pending)
+            last, pending = pending, None
+        if pending is None:
+            pending = max(when, last + interval)
+    expected.append(pending)
+    assert times == expected
 
 
 def test_batching_heap_drains_when_idle(kernel, log, db):
@@ -248,18 +332,22 @@ def test_batches_sent_counter(kernel, log, db):
 
 def test_pause_during_batch_interval(kernel, log, db):
     """Records buffered for a batch must survive a pause/resume cycle."""
+    # The first commit ships at t = 0 on an idle link, so it is the
+    # second one, armed for t = 10, that the pause catches buffered.
     propagator = Propagator(kernel, log, batch_interval=10.0)
     endpoint = FakeEndpoint(kernel)
     propagator.attach(endpoint)
     _commit(db, "x", 1)
+    kernel.run(until=1.0)
+    _commit(db, "x", 2)
     kernel.run(until=5.0)
     propagator.pause()              # before the batch flushes
     kernel.run()                    # flush timer fires while paused
-    assert endpoint.deliveries == []
-    propagator.resume()
-    kernel.run()
     assert len(endpoint.deliveries) == 1
-    assert endpoint.deliveries[0][1].count == 2
+    propagator.resume()             # ships at once, as before
+    kernel.run()
+    assert [when for when, _ in endpoint.deliveries] == [0.0, 10.0]
+    assert endpoint.deliveries[1][1].count == 2
 
 
 def test_new_records_while_paused_keep_order(kernel, log, db):

@@ -252,10 +252,16 @@ def test_max_staleness_before_propagation():
 
 
 def test_batched_propagation_end_to_end():
+    # The first write ships at once on an idle link; the second, logged
+    # within the interval, waits for the slot at t = 10, so it is the
+    # one the read waits for (it used to be the first, for 10 s too).
     system = make_system(batch_interval=10.0, propagation_delay=0.0)
     s = system.session(Guarantee.STRONG_SESSION_SI)
     s.write("x", 1)
-    assert s.read("x") == 1        # read drives time through the batch
+    assert s.read("x") == 1
+    assert s.total_read_wait == 0.0
+    s.write("x", 2)
+    assert s.read("x") == 2        # read drives time through the batch
     assert s.total_read_wait == pytest.approx(10.0)
 
 

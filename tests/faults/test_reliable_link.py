@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.propagation import ReliableLink
+from repro.core.system import ReplicatedSystem
 from repro.errors import ReplicationError
 from repro.faults.channel import ChannelFaults
 from repro.kernel import Kernel
@@ -170,6 +171,33 @@ def test_blackhole_holds_data_and_heal_delivers():
     assert link.settled
 
 
+def test_a_partition_holds_one_copy_per_record_until_heal():
+    """While a link is partitioned its retransmission timer stops: the
+    channel holds the one copy of each record sent into the partition,
+    no event stays queued (so ``run()`` returns), and the heal delivers
+    each record once.  Before, the timer resent every unacked record
+    into the partition at each expiry: 80 copies held at t = 100, 3 380
+    at t = 10 000, and 3 370 duplicates filtered after the heal."""
+    system = ReplicatedSystem(num_secondaries=2,
+                              channel_faults=ChannelFaults())
+    system.partition(1)
+    writer = system.session(secondary=0)
+    for i in range(5):
+        writer.write(f"k{i}", i)
+    link = system.secondaries[1].link
+    for until in (100.0, 1000.0, 10000.0):
+        system.run(until=until)
+        assert link.data_channel.held == 10    # start + commit per write
+        assert link.retransmissions == 0
+        assert system.kernel.pending_events == 0
+    system.run()
+    system.heal(1)
+    system.quiesce()
+    assert link.duplicates_filtered == 0
+    assert link.settled
+    assert system.secondary_state(1) == system.primary_state()
+
+
 def test_resync_races_in_flight_retransmissions_across_heal():
     """Satellite regression: a resync() (epoch bump, as promotion does)
     while retransmissions are in flight and a partition holds traffic.
@@ -181,9 +209,11 @@ def test_resync_races_in_flight_retransmissions_across_heal():
     for i in range(10):
         link.send(("old", i), 1.0)
     kernel.run(until=5.0)              # some delivered, some retransmitting
-    link.blackhole()                   # partition: retransmissions held
+    link.blackhole()                   # partition: the timer stops
+    for i in range(10, 13):
+        link.send(("old", i), 1.0)     # sends into the partition are held
     kernel.run(until=12.0)
-    assert link.data_channel.held > 0  # the timer kept re-sending into it
+    assert link.data_channel.held > 0
     link.resync()                      # epoch fence while frames in flight
     link.arm_zombie_fence()
     delivered_before = list(site.received)

@@ -107,32 +107,37 @@ def seeded_run(history_detail: str) -> HistoryRecorder:
 #: same virtual instant and the global ``seq`` interleaves the two sites
 #: differently.  Nothing any one site does moved (``RECORDED_PER_SITE``,
 #: taken before that change), and "commits" records no writes, so its
-#: global digest is the original.
+#: global digest is the original.  Both details, and every site's
+#: digest below, were re-recorded again when a batch flush moved from
+#: ``batch_interval`` after the first buffered record to the first free
+#: slot: frames reach the secondaries sooner, so strong-session reads
+#: wait less and every later event moves in time, and secondary-1
+#: records one more transaction (687 -> 691 and 197 -> 199 events).
 RECORDED = {
-    "ops": (687, "6389aa0f3bce69890e1da93c6b68e88b"
-                 "b5214731776787573dd85586922de558"),
-    "commits": (197, "ea79ce410e592ca259423d2bcb82e14c"
-                     "44e801c67e339917c948e8bf732bd1d7"),
+    "ops": (691, "ccd9484216eea5f19064d1889d619957"
+                 "c2ca997690c9c2f97ebaeadb185379d7"),
+    "commits": (199, "0a0affb262aea10250df60dbe62e1617"
+                     "d9a11346792ff55efbb556ffcb6bee95"),
 }
 
 #: detail -> site -> digest of that site's events, in order, over every
 #: field but the global ``seq``.
 RECORDED_PER_SITE = {
     "ops": {
-        "primary": "52aa590cf8c80db88a24129b8e6bcd9f"
-                   "de6b491da8c4d274d4f5f723d67c74ed",
-        "secondary-1": "4c4e7070d67dcdd824a94bebf5e8cad4"
-                       "941f2591fd84bc68ef8722d102c06f38",
-        "secondary-2": "603869f43b6b5252558c7cb291a769b8"
-                       "eb8a04bac1c7ce2b5203bd29b5f5c9aa",
+        "primary": "6a70aed5e9893040988a24c56e7bbf5a"
+                   "b0d0accf6409bcf0a8ff1edad16d0705",
+        "secondary-1": "77c80de9a01d873a4f997e25bd85b2d0"
+                       "faf081c4ed1d2f12fca1d6f8635b2ad9",
+        "secondary-2": "62b6b9ebe620915f193035b1ea1b9c9c"
+                       "f91a28b2af34b892f8bb82b71cf485f7",
     },
     "commits": {
-        "primary": "010247d596cb442ed16ccf2997daef9d"
-                   "220c94f7c88545a86c6e39cb3918a274",
-        "secondary-1": "758343a99f15a8bbf806205aab01e071"
-                       "ba17a7dd260132f04f506df29d17c6f9",
-        "secondary-2": "4086708bbd72ebdb955b94721192ed13"
-                       "f586ebc9087ed2b9c4fd06b00eeb0409",
+        "primary": "c1a5da5d72c9c2fdb04f64d7727c9ca7"
+                   "d2baae2a37f2e4fde3fc15892689d730",
+        "secondary-1": "b7ee5d15193f5b785d5790ccf45f81e7"
+                       "7ef029972ce77b56a4e6007e6b4aeaff",
+        "secondary-2": "c96104009f89da4e1ddb0aafad95640c"
+                       "80e450e65887b43e49670d475ccd3c51",
     },
 }
 
