@@ -33,7 +33,7 @@ from repro.core.promotion import PromotionConfig, PromotionReport
 from repro.core.propagation import Propagator, ReliableLink
 from repro.core.refresh import Refresher
 from repro.core.sessions import SequenceTracker
-from repro.core.sharding import ShardingConfig, shard_of, shard_of_fp
+from repro.core.sharding import ShardingConfig, shard_of
 from repro.core.site import PrimarySite, SecondarySite
 from repro.core.system import ClientSession, ReplicatedSystem
 
@@ -58,7 +58,6 @@ __all__ = [
     "SequenceTracker",
     "ShardingConfig",
     "shard_of",
-    "shard_of_fp",
     "PrimarySite",
     "SecondarySite",
     "ClientSession",

@@ -33,7 +33,7 @@ none of this — no drainer, no RNG draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.backoff import ExponentialBackoff
@@ -320,7 +320,6 @@ class AdmissionController:
         self.total_queue_wait = 0.0
         self.peak_queue_depth = 0
         self.brownouts = 0          # refills observed under brownout
-        self.min_brownout_factor = 1.0
         self.degraded_reads = 0     # bumped by sessions serving stale
 
     # -- client retry streams ---------------------------------------------
@@ -349,15 +348,9 @@ class AdmissionController:
         if backlog <= bound:
             return 1.0
         self.brownouts += 1
-        factor = max(BROWNOUT_FLOOR, bound / backlog)
-        if factor < self.min_brownout_factor:
-            self.min_brownout_factor = factor
-        return factor
+        return max(BROWNOUT_FLOOR, bound / backlog)
 
     # -- admission ---------------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
 
     @property
     def idle(self) -> bool:

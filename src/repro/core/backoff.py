@@ -74,7 +74,3 @@ class ExponentialBackoff:
     def reset(self) -> None:
         """Back to attempt 0 (call on success/progress)."""
         self.attempt = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ExponentialBackoff(base={self.base}, cap={self.cap}, "
-                f"attempt={self.attempt}, jitter={self.rng is not None})")

@@ -39,11 +39,6 @@ class Guarantee(enum.Enum):
     Implemented as a comparison baseline."""
 
     @property
-    def blocks_reads(self) -> bool:
-        """Whether read-only transactions may need to wait on freshness."""
-        return self is not Guarantee.WEAK_SI
-
-    @property
     def orders_reads_within_session(self) -> bool:
         """Whether two read-only txns in one session are mutually ordered
         (the property separating strong session SI from PCSI)."""

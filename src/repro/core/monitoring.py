@@ -3,7 +3,7 @@
 Production replication stacks expose replica lag, queue depths and
 session-blocking statistics; this module provides the same view over a
 :class:`~repro.core.system.ReplicatedSystem`, both as structured data
-(:class:`SystemStatus`) and as a formatted report.  A
+(:class:`SystemStatus`) and as a site table.  A
 :class:`StalenessProbe` samples lag over virtual time for experiments.
 """
 
@@ -32,7 +32,6 @@ class SiteStatus:
     queued_records: Optional[int]
     pending_refreshes: Optional[int]
     refreshes_applied: Optional[int]
-    peak_applicators: Optional[int]
     stored_versions: int
     # -- fault & recovery counters (zero on a healthy, fault-free run) ----
     crash_count: int = 0
@@ -42,72 +41,40 @@ class SiteStatus:
     channel_reordered: int = 0
     retransmissions: int = 0
     duplicates_filtered: int = 0
-    stale_refreshes_dropped: int = 0
-    mean_catch_up_time: Optional[float] = None   # recovery -> caught up
-    # -- storage-maintenance counters (zero with autovacuum off) ----------
-    max_chain_length: int = 0       # longest per-key version chain
-    vacuum_runs: int = 0
-    versions_reclaimed: int = 0
-    # -- parallel-refresh counters (None/zero with parallel refresh off) --
-    parallel_workers: Optional[int] = None
-    out_of_order_commits: int = 0   # commits applied ahead of the watermark
-    peak_runnable_depth: int = 0    # deepest runnable queue observed
-    watermark_lag: int = 0          # newest enqueued commit - watermark
-    peak_pending: int = 0           # deepest refresh backlog ever observed
-    # -- partial-replication counters (None with sharding off) ------------
-    shards_subscribed: Optional[int] = None
-
-    @property
-    def fault_activity(self) -> bool:
-        """True if any fault machinery fired at this site."""
-        return bool(self.crash_count or self.recover_count
-                    or self.channel_dropped or self.channel_duplicated
-                    or self.retransmissions or self.duplicates_filtered
-                    or self.stale_refreshes_dropped)
+    # -- parallel refresh: commits applied ahead of the watermark ---------
+    out_of_order_commits: int = 0
 
 
 @dataclass(frozen=True)
 class SystemStatus:
-    """Point-in-time view of the whole replicated system."""
+    """Point-in-time view of the whole replicated system.
+
+    The chaos harness's :meth:`~repro.faults.harness.ChaosResult.describe`
+    renders the feature counters; :meth:`report` is the site table.
+    """
 
     now: float
     primary_commit_ts: int
     primary: SiteStatus
     secondaries: tuple[SiteStatus, ...]
-    max_lag: int
     #: Secondaries a promotion retired: each is (or was) a primary, so
     #: :attr:`secondaries` leaves them out, but their crashes, recoveries
     #: and out-of-order commits happened in this run.
     retired: tuple[SiteStatus, ...] = ()
-    # -- propagator shipping counters ------------------------------------
-    #: Records shipped by live propagation, once per endpoint (a frame
-    #: counts its records); replays and link retransmissions are not
-    #: counted.  Grows with the number of attached secondaries.
-    records_sent: int = 0
-    batches_sent: int = 0
-    #: Log records the propagator sniffed, counted once regardless of
-    #: endpoint count.
-    records_logged: int = 0
     # -- promotion counters (zero while the original primary survives) ----
-    cluster_epoch: int = 0
     promotions: int = 0
     fenced_stale_records: int = 0
     lost_update_windows: int = 0
-    # -- failover / partition counters (zero with failover=None and no
-    # partitions injected) -------------------------------------------------
+    # -- failover counters (zero with failover=None) -----------------------
     suspicions: int = 0
     false_suspicions: int = 0
     lease_expiries: int = 0
     auto_promotions: int = 0
-    partitions_active: int = 0
     zombie_records_fenced: int = 0
     # -- autovacuum totals over every daemon, a killed primary's included -
     vacuum_runs: int = 0
     versions_reclaimed: int = 0
-    # -- partial-replication counters (zero/empty with sharding off) ------
-    num_shards: int = 0
-    records_shipped_by_shard: tuple[tuple[int, int], ...] = ()
-    shard_routing_misses: int = 0
+    num_shards: int = 0             # 0 with sharding off
     # -- admission-control counters (all zero with admission=None) ---------
     admission_attempts: int = 0
     admission_admitted: int = 0
@@ -115,7 +82,6 @@ class SystemStatus:
     admission_throttled: int = 0
     admission_peak_queue: int = 0
     admission_brownouts: int = 0
-    admission_min_brownout_factor: float = 1.0
     admission_degraded_reads: int = 0
     # -- kernel event-queue counters (properties of the dispatched event
     # stream, so they repeat exactly for the same seed) --------------------
@@ -125,7 +91,7 @@ class SystemStatus:
     kernel_same_instant_ratio: float = 0.0
 
     def report(self) -> str:
-        """A human-readable multi-line status report."""
+        """The site table and the kernel line, one site per row."""
         lines = [
             f"replicated system @ t={self.now:.2f}  "
             f"(primary at commit ts {self.primary_commit_ts})",
@@ -145,116 +111,22 @@ class SystemStatus:
                 f"  {site.name:<14}{state:<8}{site.commits:>8}"
                 f"{site.aborts:>7}{seq:>11}{lag:>5}{queued:>7}"
                 f"{pending:>8}{site.stored_versions:>9}")
-        # Fault machinery lines, only for sites where something fired, so
-        # a fault-free report stays byte-identical to the classic format.
-        for site in (self.primary,) + self.secondaries:
-            if not site.fault_activity:
-                continue
-            parts = [f"crashes={site.crash_count}",
-                     f"recoveries={site.recover_count}"]
-            if site.channel_dropped or site.retransmissions:
-                parts.append(f"link dropped={site.channel_dropped} "
-                             f"dup={site.channel_duplicated} "
-                             f"retx={site.retransmissions} "
-                             f"dup-filtered={site.duplicates_filtered}")
-            if site.stale_refreshes_dropped:
-                parts.append(f"stale-refreshes={site.stale_refreshes_dropped}")
-            if site.mean_catch_up_time is not None:
-                parts.append(f"catch-up={site.mean_catch_up_time:.2f}s")
-            lines.append(f"  {site.name + ' faults:':<22}"
-                         + "  ".join(parts))
-        # Maintenance / batching lines, again only when the corresponding
-        # knob fired, so classic-configuration reports stay byte-identical.
-        if self.batches_sent:
-            lines.append(f"  propagator: records={self.records_sent}  "
-                         f"batches={self.batches_sent}  "
-                         f"logged={self.records_logged}")
-        # Parallel-refresh lines, only for sites running the dependency
-        # scheduler, so FIFO-configuration reports stay byte-identical.
-        for site in self.secondaries:
-            if site.parallel_workers is None:
-                continue
-            lines.append(
-                f"  {site.name + ' parallel:':<22}"
-                f"workers={site.parallel_workers}  "
-                f"out-of-order={site.out_of_order_commits}  "
-                f"peak-runnable={site.peak_runnable_depth}  "
-                f"watermark-lag={site.watermark_lag}")
-        # Promotion line, only once a promotion happened, so pre-failover
-        # (and promotion-disabled) reports stay byte-identical.
-        if self.promotions:
-            lines.append(
-                f"  promotions: {self.promotions} (epoch "
-                f"{self.cluster_epoch})  "
-                f"fenced-records={self.fenced_stale_records}  "
-                f"lost-windows={self.lost_update_windows}")
-        # Failover line, only once the detector (or a partition) fired,
-        # so failover-disabled reports stay byte-identical.
-        if (self.suspicions or self.lease_expiries or self.auto_promotions
-                or self.partitions_active or self.zombie_records_fenced):
-            lines.append(
-                f"  failover: suspicions={self.suspicions} "
-                f"(false={self.false_suspicions})  "
-                f"lease-expiries={self.lease_expiries}  "
-                f"auto-promotions={self.auto_promotions}  "
-                f"partitions-active={self.partitions_active}  "
-                f"zombies-fenced={self.zombie_records_fenced}")
-        for site in (self.primary,) + self.secondaries:
-            if not site.vacuum_runs:
-                continue
-            lines.append(
-                f"  {site.name + ' vacuum:':<22}runs={site.vacuum_runs}  "
-                f"reclaimed={site.versions_reclaimed}  "
-                f"longest-chain={site.max_chain_length}")
-        # Sharding line, only when partial replication is configured, so
-        # unsharded reports stay byte-identical.
-        if self.num_shards:
-            shipped = " ".join(f"{shard}:{count}" for shard, count
-                               in self.records_shipped_by_shard)
-            subscribed = " ".join(
-                f"{site.name}:{site.shards_subscribed}"
-                for site in self.secondaries
-                if site.shards_subscribed is not None)
-            lines.append(
-                f"  sharding: shards={self.num_shards}  "
-                f"routing-misses={self.shard_routing_misses}  "
-                f"shipped=[{shipped}]  subscribed=[{subscribed}]")
-        # Admission line, only once the controller saw traffic, so
-        # admission-disabled reports stay byte-identical.
-        if self.admission_attempts:
-            line = (f"  admission: attempts={self.admission_attempts}  "
-                    f"admitted={self.admission_admitted}  "
-                    f"shed={self.admission_shed}  "
-                    f"throttled={self.admission_throttled}  "
-                    f"peak-queue={self.admission_peak_queue}  "
-                    f"degraded-reads={self.admission_degraded_reads}")
-            if self.admission_brownouts:
-                line += (f"  brownouts={self.admission_brownouts} "
-                         f"(min-rate="
-                         f"{self.admission_min_brownout_factor:.0%})")
-            lines.append(line)
-        if self.kernel_events_dispatched:
-            lines.append(
-                f"  kernel: dispatched={self.kernel_events_dispatched}  "
-                f"peak-depth={self.kernel_peak_queue_depth}  "
-                f"timer-cancels={self.kernel_timer_cancellations}  "
-                f"same-instant={self.kernel_same_instant_ratio:.1%}")
+        lines.append(
+            f"  kernel: dispatched={self.kernel_events_dispatched}  "
+            f"peak-depth={self.kernel_peak_queue_depth}  "
+            f"timer-cancels={self.kernel_timer_cancellations}  "
+            f"same-instant={self.kernel_same_instant_ratio:.1%}")
         return "\n".join(lines)
 
 
 def system_status(system: "ReplicatedSystem") -> SystemStatus:
     """Collect a :class:`SystemStatus` snapshot."""
-    vacuums = {id(daemon.engine): daemon for daemon in system.autovacuums}
 
     def engine_status(site) -> dict:
         engine = site.engine
-        daemon = vacuums.get(id(engine))
         return dict(
             name=site.name, crashed=engine.crashed, commits=engine.commits,
-            aborts=engine.aborts, stored_versions=engine.version_count,
-            max_chain_length=engine.max_chain_length,
-            vacuum_runs=daemon.runs if daemon else 0,
-            versions_reclaimed=daemon.versions_reclaimed if daemon else 0)
+            aborts=engine.aborts, stored_versions=engine.version_count)
 
     def secondary_status(secondary) -> SiteStatus:
         link = secondary.link
@@ -268,7 +140,6 @@ def system_status(system: "ReplicatedSystem") -> SystemStatus:
                 retransmissions=link.retransmissions,
                 duplicates_filtered=link.duplicates_filtered)
         refresher = secondary.refresher
-        times = secondary.catch_up_times
         return SiteStatus(
             **engine_status(secondary), **channels,
             seq_db=secondary.seq_db,
@@ -276,33 +147,22 @@ def system_status(system: "ReplicatedSystem") -> SystemStatus:
             queued_records=refresher.queued,
             pending_refreshes=refresher.pending_count,
             refreshes_applied=refresher.refreshes_applied,
-            peak_applicators=refresher.max_concurrent_applicators,
             crash_count=secondary.crash_count,
             recover_count=secondary.recover_count,
-            stale_refreshes_dropped=refresher.stale_records_dropped,
-            mean_catch_up_time=sum(times) / len(times) if times else None,
-            parallel_workers=refresher.parallel,
-            out_of_order_commits=refresher.out_of_order_commits,
-            peak_runnable_depth=refresher.max_runnable_depth,
-            watermark_lag=refresher.watermark_lag,
-            peak_pending=refresher.peak_pending,
-            shards_subscribed=(len(secondary.subscription)
-                               if secondary.sharded else None))
+            out_of_order_commits=refresher.out_of_order_commits)
 
     primary = SiteStatus(
         **engine_status(system.primary), seq_db=None, lag=None,
         queued_records=None, pending_refreshes=None, refreshes_applied=None,
-        peak_applicators=None, crash_count=system.primary.crash_count,
+        crash_count=system.primary.crash_count,
         recover_count=system.primary.restart_count)
     secondaries, retired = [], []
     for secondary in system.secondaries:
         # A retired site *is* the current primary (reported above), or
         # was one; listing it as a secondary would double-count its
         # engine, but its counters still belong to the run.
-        if secondary.retired:
-            retired.append(secondary_status(secondary))
-            continue
-        secondaries.append(secondary_status(secondary))
+        (retired if secondary.retired else secondaries).append(
+            secondary_status(secondary))
     detector = {}
     if system.auto_failover is not None:
         failover = system.auto_failover
@@ -320,35 +180,23 @@ def system_status(system: "ReplicatedSystem") -> SystemStatus:
             admission_throttled=controller.throttled,
             admission_peak_queue=controller.peak_queue_depth,
             admission_brownouts=controller.brownouts,
-            admission_min_brownout_factor=controller.min_brownout_factor,
             admission_degraded_reads=controller.degraded_reads)
     kernel = system.kernel.counters()
-    propagator = system.propagator
     return SystemStatus(
         now=system.kernel.now,
         primary_commit_ts=system.primary.latest_commit_ts,
         primary=primary,
         secondaries=tuple(secondaries),
-        max_lag=max((site.lag for site in secondaries
-                     if site.lag is not None), default=0),
         retired=tuple(retired),
-        records_sent=propagator.records_sent,
-        batches_sent=propagator.batches_sent,
-        records_logged=propagator.records_logged,
-        cluster_epoch=system.cluster_epoch,
         promotions=system.promotions,
         fenced_stale_records=system.fenced_stale_records,
         lost_update_windows=system.lost_update_windows,
         **detector,
-        partitions_active=system.partitions_active,
         zombie_records_fenced=system.zombie_records_fenced,
         vacuum_runs=sum(daemon.runs for daemon in system.autovacuums),
         versions_reclaimed=sum(daemon.versions_reclaimed
                                for daemon in system.autovacuums),
         num_shards=system.sharding.shards if system.sharding else 0,
-        records_shipped_by_shard=tuple(sorted(
-            propagator.records_shipped_by_shard.items())),
-        shard_routing_misses=system.shard_routing_misses,
         **admission,
         kernel_events_dispatched=kernel["events_dispatched"],
         kernel_peak_queue_depth=kernel["peak_queue_depth"],

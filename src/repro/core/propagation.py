@@ -384,10 +384,6 @@ class ReliableLink:
                 and self.data_channel.held == 0
                 and self.ack_channel.held == 0)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ReliableLink to {self.site.name!r} epoch={self._epoch} "
-                f"unacked={len(self._unacked)} retx={self.retransmissions}>")
-
 
 class Propagator:
     """Broadcasts the primary's committed updates to all secondaries.
@@ -482,10 +478,6 @@ class Propagator:
         #: the log shows it.  Every value is the timestamp of a commit
         #: that touched the axis, or frontier waits can deadlock.
         self._newest_commit_ts: dict = {}
-        #: Commit-record shipments per shard, summed over endpoints: a
-        #: commit touching two subscribed shards of one endpoint counts
-        #: once for each shard.
-        self.records_shipped_by_shard: dict[int, int] = {}
         log.subscribe(self._on_log_record)
 
     # -- membership -------------------------------------------------------
@@ -657,8 +649,7 @@ class Propagator:
         self.kernel.call_at(self.kernel.now + delay, _arrive_all, arrivals)
 
     def slice_for(self, item: Any, subscription: frozenset) -> Any:
-        """What of one outgoing item travels to a subscriber, counted
-        per shard as shipped.
+        """What of one outgoing item travels to a subscriber.
 
         Only a subscriber asks: an endpoint without a subscription
         shares the one record or frame as it is.  A partial-replication
@@ -682,9 +673,6 @@ class Propagator:
                      if pair[0] in subscription)
         if not kept:
             return None
-        shipped = self.records_shipped_by_shard
-        for shard, _dep in kept:
-            shipped[shard] = shipped.get(shard, 0) + 1
         if len(kept) == len(commit.shard_deps):
             return commit
         shards = self.sharding.shards

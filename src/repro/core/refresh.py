@@ -403,11 +403,6 @@ class Refresher(ApplySchedule):
         False, with nothing changed, when it must wait for the pending
         queue to empty."""
         if isinstance(record, PropagatedStart):
-            if record.txn_id in self._refresh_txns:
-                # Redelivered start (recovery replay overlapping the
-                # propagator's own resumed stream); already begun.
-                self.stale_records_dropped += 1
-                return True
             if self.ordered and self.pending:
                 return False
             self._begin_refresh(record.txn_id)

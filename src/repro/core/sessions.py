@@ -46,12 +46,6 @@ class SequenceTracker:
         #: lost]`` recorded by :meth:`truncate` across primary promotions.
         self.lost_windows: dict[str, tuple[int, int]] = {}
 
-    @property
-    def global_seq(self) -> int:
-        """Latest primary commit timestamp observed (the ALG-STRONG-SI
-        single-session sequence number)."""
-        return self._newest.get(None, 0)
-
     def newest(self, axis=None) -> int:
         """Newest commit timestamp on ``axis`` (0 if none)."""
         return self._newest.get(axis, 0)
@@ -141,10 +135,6 @@ class SequenceTracker:
         like a label never seen.
         """
         self._seq.pop(label, None)
-
-    def reset(self) -> None:
-        self._seq.clear()
-        self._newest.clear()
 
     def labels(self) -> list[str]:
         return [label for label in self._seq if label != GLOBAL_SESSION_LABEL]

@@ -11,8 +11,7 @@ The key→shard map is deterministic and reuses the crc32
 :func:`~repro.core.records.key_fingerprint` already shipped with every
 commit for conflict dependency tracking — no second hash on the hot
 path: ``shard_of(key, shards) == key_fingerprint(key) % shards``, and
-anywhere a fingerprint is already at hand the shard is one modulo away
-(:func:`shard_of_fp`).
+anywhere a fingerprint is already at hand the shard is one modulo away.
 
 ``ReplicatedSystem(sharding=None)`` — the default — keeps all of this
 dormant and the system bit-identical to its pre-sharding behaviour.
@@ -25,11 +24,6 @@ from typing import Optional, Sequence
 
 from repro.core.records import key_fingerprint
 from repro.errors import ConfigurationError
-
-
-def shard_of_fp(fingerprint: int, shards: int) -> int:
-    """Shard id for a precomputed key fingerprint."""
-    return fingerprint % shards
 
 
 def shard_of(key: object, shards: int) -> int:
@@ -104,10 +98,3 @@ class ShardingConfig:
     def shards_touched(self, keys: Sequence[object]) -> frozenset[int]:
         """The shard set a group of keys maps onto."""
         return frozenset(shard_of(key, self.shards) for key in keys)
-
-    def describe(self) -> str:
-        """A one-line human-readable summary for harness output."""
-        if self.placement is None:
-            return f"{self.shards} shards, full subscription"
-        fractions = "/".join(str(len(entry)) for entry in self.placement)
-        return f"{self.shards} shards, placement sizes {fractions}"

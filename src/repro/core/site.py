@@ -202,11 +202,6 @@ class SecondarySite:
         self.in_flight = 0
         self.crash_count = 0
         self.recover_count = 0
-        #: Durations from each recovery until seq(DBsec) reached the
-        #: primary commit timestamp current at recovery time.
-        self.catch_up_times: list[float] = []
-        self._recovered_at: Optional[float] = None
-        self._catch_up_target: Optional[int] = None
         #: Set when this site was promoted to primary: it permanently
         #: leaves the replica tier (bound sessions fail over and the
         #: refresher stays down), while the same engine keeps running as
@@ -298,11 +293,6 @@ class SecondarySite:
         """Advance seq(DBsec) and wake blocked read-only transactions."""
         if commit_ts > self.seq_db:
             self.seq_db = commit_ts
-            if self._catch_up_target is not None \
-                    and commit_ts >= self._catch_up_target:
-                self.catch_up_times.append(
-                    self.kernel.now - self._recovered_at)
-                self._catch_up_target = None
             self.seq_cond.notify_all()
 
     def note_shards_applied(self, shard_deps: tuple,
@@ -330,7 +320,6 @@ class SecondarySite:
         if not self.engine.crashed:
             self.crash_count += 1
         self.refresher.stop()
-        self._catch_up_target = None
         self.engine.crash()
         # Blocked freshness waits re-evaluate their predicates (which also
         # test ``crashed``) so client sessions can fail over immediately
@@ -363,7 +352,6 @@ class SecondarySite:
         self.seq_db = source_commit_ts
         self.shard_frontier.update(shard_frontiers)
         self.recover_count += 1
-        self._recovered_at = self.kernel.now
         self.refresher.start()
         self.seq_cond.notify_all()
 
@@ -395,18 +383,8 @@ class SecondarySite:
         discarded = self.lag
         discarded += self.refresher.fence(restart=False)
         self.retired = True
-        self._catch_up_target = None
         self.seq_cond.notify_all()
         return discarded
-
-    def track_catch_up(self, target_seq: int) -> None:
-        """Arm catch-up timing: record how long after recovery it takes
-        ``seq(DBsec)`` to reach ``target_seq`` (monitoring satellite)."""
-        if self.seq_db >= target_seq:
-            self.catch_up_times.append(self.kernel.now - self._recovered_at)
-            self._catch_up_target = None
-        else:
-            self._catch_up_target = target_seq
 
     @property
     def lag(self) -> int:

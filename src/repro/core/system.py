@@ -553,7 +553,6 @@ class ClientSession:
                     # Wrong placement, not a failure: the bound replica
                     # simply does not subscribe to these shards.
                     self.shard_routing_misses += 1
-                    self.system.shard_routing_misses += 1
                 secondary = yield from self._failover(required)
             if not secondary.reached(required):
                 kernel = self.system.kernel
@@ -959,9 +958,6 @@ class ReplicatedSystem:
         #: Every session ever opened (promotion reconciles their seq(c)
         #: state); closed sessions are pruned at each promotion.
         self._sessions: list[ClientSession] = []
-        #: Sessions' routing misses, counted here too: a promotion's
-        #: pruning of closed sessions must not take theirs away.
-        self.shard_routing_misses = 0
         self.failover = failover
         self.auto_failover: Optional[AutoFailover] = None
         if failover is not None:
@@ -1134,12 +1130,6 @@ class ReplicatedSystem:
         secondary.recover(
             secondary.projection(state), commit_ts,
             {shard: newest(shard) for shard in secondary.shard_frontier})
-        # Caught up means level with the newest commit on every axis the
-        # replica holds (the primary's newest overall is unreachable for
-        # a partial subscriber: commits outside its shards never ship).
-        secondary.track_catch_up(min(
-            max((newest(axis) for axis in secondary.axes), default=0),
-            self.primary.latest_commit_ts))
 
     def crash_primary(self) -> None:
         """Fail the primary: in-flight update transactions abort (the

@@ -225,7 +225,3 @@ class FaultyChannel:
     def _arrive_control(self, payload: Any) -> None:
         self.control_delivered += 1
         self.deliver(payload)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<FaultyChannel {self.name!r} sent={self.sent} "
-                f"dropped={self.dropped} dup={self.duplicated}>")

@@ -122,11 +122,6 @@ class Timer:
         self._fired = False
         self._chain: Optional[Timer] = None
 
-    @property
-    def active(self) -> bool:
-        """True while the timer is armed (not yet fired or cancelled)."""
-        return not (self._cancelled or self._fired)
-
     def cancel(self) -> bool:
         """Disarm the timer; True if it was still armed."""
         if self._cancelled or self._fired:

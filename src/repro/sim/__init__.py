@@ -26,7 +26,6 @@ from repro.sim.stats import (
     ConfidenceInterval,
     MetricsCollector,
     SummaryStats,
-    mean_ci,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "SummaryStats",
     "MetricsCollector",
     "ConfidenceInterval",
-    "mean_ci",
 ]

@@ -50,9 +50,6 @@ class RandomStream:
     def sample(self, items: Sequence[T], k: int) -> list[T]:
         return self._rng.sample(items, k)
 
-    def shuffle(self, items: list) -> None:
-        self._rng.shuffle(items)
-
     def random(self) -> float:
         return self._rng.random()
 

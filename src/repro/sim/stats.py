@@ -9,7 +9,7 @@ first five as warm-up, averages five independent replications, and reports
 * **mean response time** per transaction class (read-only / update).
 
 :class:`MetricsCollector` gathers per-transaction completions inside one
-run; :func:`mean_ci` aggregates across replications.
+run; :meth:`SummaryStats.ci` aggregates across replications.
 """
 
 from __future__ import annotations
@@ -27,14 +27,6 @@ class ConfidenceInterval:
     half_width: float
     n: int
     confidence: float = 0.95
-
-    @property
-    def low(self) -> float:
-        return self.mean - self.half_width
-
-    @property
-    def high(self) -> float:
-        return self.mean + self.half_width
 
     def __str__(self) -> str:
         return f"{self.mean:.3f} ± {self.half_width:.3f}"
@@ -92,14 +84,6 @@ class SummaryStats:
         t = scipy_stats.t.ppf(0.5 + confidence / 2.0, self.n - 1)
         half = t * self.stdev / math.sqrt(self.n)
         return ConfidenceInterval(self.mean, half, self.n, confidence)
-
-
-def mean_ci(values: Iterable[float],
-            confidence: float = 0.95) -> ConfidenceInterval:
-    """Convenience: confidence interval of a sequence of replications."""
-    summary = SummaryStats()
-    summary.extend(values)
-    return summary.ci(confidence)
 
 
 def percentile(values: list[float], q: float) -> float:

@@ -85,13 +85,10 @@ class AggregatedResult:
     params: SimulationParameters
     runs: list[RunResult] = field(default_factory=list)
 
-    def _summary(self, attribute: str) -> SummaryStats:
+    def _ci(self, attribute: str) -> ConfidenceInterval:
         summary = SummaryStats()
         summary.extend(getattr(run, attribute) for run in self.runs)
-        return summary
-
-    def _ci(self, attribute: str) -> ConfidenceInterval:
-        return self._summary(attribute).ci(self.params.confidence)
+        return summary.ci(self.params.confidence)
 
     @property
     def throughput(self) -> ConfidenceInterval:
@@ -104,22 +101,6 @@ class AggregatedResult:
     @property
     def update_response_time(self) -> ConfidenceInterval:
         return self._ci("update_response_time")
-
-    @property
-    def raw_throughput(self) -> ConfidenceInterval:
-        return self._ci("raw_throughput")
-
-    @property
-    def primary_utilization(self) -> float:
-        return self._summary("primary_utilization").mean
-
-    @property
-    def secondary_utilization(self) -> float:
-        return self._summary("secondary_utilization").mean
-
-    @property
-    def blocked_reads(self) -> float:
-        return self._summary("blocked_reads").mean
 
 
 def run_replications(params: SimulationParameters,

@@ -116,19 +116,9 @@ class Transaction:
         return set(self._reads)
 
     @property
-    def _read_keys(self) -> list[Any]:
-        """Point-read keys in first-read order, without duplicates."""
-        return list(self._reads)
-
-    @property
     def write_set(self) -> set[Any]:
         """Keys this transaction has written (including deletes)."""
         return set(self._writes)
-
-    @property
-    def writes(self) -> list[tuple[Any, Any, bool]]:
-        """Buffered writes as ``(key, value, deleted)`` in write order."""
-        return [(k, v, d) for k, (v, d) in self._writes.items()]
 
     def _check_active(self) -> None:
         if self.status is not _ACTIVE:
@@ -645,13 +635,6 @@ class SIDatabase:
     def version_count(self) -> int:
         """Total versions stored across all chains (for GC diagnostics)."""
         return sum(len(chain) for chain in self._chains.values())
-
-    @property
-    def max_chain_length(self) -> int:
-        """Longest per-key version chain (worst-case read cost / memory)."""
-        if not self._chains:
-            return 0
-        return max(len(chain) for chain in self._chains.values())
 
     # -- failure injection & recovery (Section 3.4) -------------------------
     def crash(self) -> None:

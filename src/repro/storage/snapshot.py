@@ -83,10 +83,3 @@ class SnapshotView(Mapping):
         if isinstance(other, dict):
             return self.materialize() == other
         return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return NotImplemented if result is NotImplemented else not result
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SnapshotView of {self._db.name!r} @ {self.commit_ts}>"

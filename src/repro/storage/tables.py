@@ -100,12 +100,6 @@ class TableSchema:
     def column_names(self) -> list[str]:
         return [column.name for column in self.columns]
 
-    def column(self, name: str) -> Column:
-        for column in self.columns:
-            if column.name == name:
-                return column
-        raise SchemaError(f"no column {name!r} in table {self.name!r}")
-
     def validate_row(self, row: dict) -> None:
         unknown = set(row) - set(self.column_names)
         if unknown:

@@ -127,14 +127,3 @@ class LogicalLog:
         self._records.append(record)
         for observer in self._observers:
             observer(record)
-
-    def commit_records(self) -> list[CommitRecord]:
-        """All commit records, in commit-timestamp (= log) order."""
-        return [r for r in self._records if isinstance(r, CommitRecord)]
-
-    def last_commit_ts(self) -> int:
-        """Newest commit timestamp in the log (0 if none committed)."""
-        for record in reversed(self._records):
-            if isinstance(record, CommitRecord):
-                return record.commit_ts
-        return 0

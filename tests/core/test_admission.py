@@ -138,7 +138,6 @@ def test_admission_none_builds_nothing():
     assert session.degraded_reads == 0
     status = system_status(system)
     assert status.admission_attempts == 0
-    assert "admission:" not in status.report()
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +435,7 @@ def test_refresh_backlog_brownouts_admission_rate():
     assert controller.brownouts == 0
     session.write("late", 1)
     assert controller.brownouts >= 1
-    assert controller.min_brownout_factor < 1.0
-    assert controller.min_brownout_factor >= BROWNOUT_FLOOR
+    assert BROWNOUT_FLOOR <= controller.rate_scale() < 1.0
     system.quiesce()
 
 
@@ -647,7 +645,6 @@ def test_system_status_reports_admission_counters():
     assert status.admission_admitted == 1
     assert status.admission_shed == 1
     assert status.admission_degraded_reads == 1
-    assert "admission:" in status.report()
     system.quiesce()
 
 

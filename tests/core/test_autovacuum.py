@@ -90,16 +90,6 @@ def test_daemon_stop_halts_vacuuming():
     daemon.stop()                      # idempotent
 
 
-def test_max_chain_length_tracks_longest_chain():
-    db = SIDatabase()
-    _grow(db, 6, keys=2)               # 3 versions per key
-    _put(db, "k0", "extra")
-    assert db.max_chain_length == 4
-    db.vacuum()
-    assert db.max_chain_length == 1
-    assert SIDatabase().max_chain_length == 0
-
-
 # ---------------------------------------------------------------------------
 # System wiring
 # ---------------------------------------------------------------------------

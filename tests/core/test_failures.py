@@ -354,6 +354,36 @@ def test_secondary_crash_between_start_and_commit_delivery():
     assert system.secondaries[0].seq_db == system.primary.latest_commit_ts
 
 
+def test_a_commit_whose_start_died_with_the_crash_waits_its_turn():
+    """An update open across a secondary's crash and recovery: its start
+    record died with the old incarnation, so its commit arrives with no
+    refresh transaction begun.  While another commit is still applying
+    the ordered refresher holds it (a late join is serialised), then
+    begins and applies it once the pending queue drains."""
+    system = make_system(propagation_delay=0.1, refresh_apply_cost=1.0)
+    late, other = system.session(), system.session()
+    late.write("x", 0)
+    system.quiesce()
+    site = system.secondaries[0]
+    with late.update_transaction() as txn:
+        txn.write("t", 1)
+        system.run(until=system.kernel.now + 1.0)    # start delivered
+        system.crash_secondary(0)
+        system.recover_secondary(0)
+        other.write("u", 2)                          # applies for 1 s
+        system.run(until=system.kernel.now + 0.5)
+        assert site.refresher.pending_count == 1
+    system.run(until=system.kernel.now + 0.2)        # its commit arrived
+    assert (site.refresher.queued, site.refresher.pending_count) == (1, 1)
+    system.quiesce()
+    assert system.secondary_state(0) == system.primary_state() == \
+        {"x": 0, "t": 1, "u": 2}
+    for check in (check_completeness(system.recorder),
+                  check_weak_si(system.recorder),
+                  check_strong_session_si(system.recorder)):
+        assert check.ok, check.violations
+
+
 def test_recovery_history_passes_checkers():
     """Crash/recovery (secondary and primary) leaves a history that still
     satisfies completeness, weak SI and strong session SI."""

@@ -36,11 +36,10 @@ def test_status_shows_lag_before_propagation():
     s = system.session()
     s.write("x", 1)
     status = system_status(system)
-    assert status.max_lag == 1
     assert all(sec.lag == 1 for sec in status.secondaries)
     system.quiesce()
     status = system_status(system)
-    assert status.max_lag == 0
+    assert all(sec.lag == 0 for sec in status.secondaries)
 
 
 def test_status_marks_crashed_site():
@@ -127,8 +126,8 @@ def test_staleness_probe_starts_once_and_stops_cleanly():
 
 
 def test_lag_of_a_partial_subscriber_counts_only_its_shards():
-    """Status, probe and max_staleness share one per-replica lag: a
-    replica holding shards {0, 1} is not behind commits on shards 2-3."""
+    """Status and probe share one per-replica lag: a replica holding
+    shards {0, 1} is not behind commits on shards 2-3."""
     full = (0, 1, 2, 3)
     system = ReplicatedSystem(
         num_secondaries=3, propagation_delay=1.0,
@@ -145,7 +144,6 @@ def test_lag_of_a_partial_subscriber_counts_only_its_shards():
     probe.stop()
     status = system_status(system)
     assert [site.lag for site in status.secondaries] == [0, 0, 0]
-    assert status.max_lag == 0 == system.max_staleness()
     assert probe.samples[-1][1] == 0
     assert system.secondaries[2].seq_db == 0      # holds none of the five
 
@@ -163,18 +161,25 @@ def test_fault_free_status_has_zero_fault_counters():
     system.quiesce()
     status = system_status(system)
     for site in (status.primary,) + status.secondaries:
-        assert not site.fault_activity
-        assert site.mean_catch_up_time is None
-    assert "faults" not in status.report()
+        assert (site.crash_count, site.recover_count, site.channel_dropped,
+                site.channel_duplicated, site.channel_reordered,
+                site.retransmissions, site.duplicates_filtered) == \
+            (0,) * 7
 
 
 def test_status_counts_crashes_recoveries_and_catch_up():
+    """A recovery installs a copy at the newest archived commit, so the
+    recovered replica is caught up as ``recover_secondary`` returns,
+    with writes still in flight to the others."""
     system = make_system(propagation_delay=1.0)
     s = system.session(secondary=1)
     s.write("x", 1)
     system.crash_secondary(0)
     s.write("y", 2)
     system.recover_secondary(0)
+    newest = system.propagator.newest_commit_ts(None)
+    assert (system.secondaries[0].seq_db, newest) == (2, 2)
+    assert system.secondaries[1].seq_db == 0      # both still in flight
     system.quiesce()
     system.crash_primary()
     system.restart_primary()
@@ -183,10 +188,6 @@ def test_status_counts_crashes_recoveries_and_catch_up():
     assert status.primary.recover_count == 1
     sec0 = status.secondaries[0]
     assert sec0.crash_count == 1 and sec0.recover_count == 1
-    assert sec0.mean_catch_up_time is not None
-    report = status.report()
-    assert "secondary-1 faults:" in report
-    assert "crashes=1" in report
 
 
 def test_status_exposes_link_counters():
@@ -204,32 +205,6 @@ def test_status_exposes_link_counters():
     total_retx = sum(sec.retransmissions for sec in status.secondaries)
     assert total_dropped > 0
     assert total_retx > 0
-    assert "link dropped=" in status.report()
-
-
-def test_status_exposes_propagator_counters():
-    system = make_system(num_secondaries=3)
-    s = system.session()
-    s.write("x", 1)
-    s.write("y", 2)
-    system.quiesce()
-    status = system_status(system)
-    # 4 records (2 starts + 2 commits) delivered to each of 3 endpoints.
-    assert status.records_sent == 12
-    assert status.batches_sent == 0
-    assert "propagator:" not in status.report()   # classic report unchanged
-
-
-def test_status_counts_batches_and_reports_them():
-    system = make_system(batch_interval=5.0, propagation_delay=0.0)
-    s = system.session()
-    s.write("x", 1)
-    system.quiesce()
-    status = system_status(system)
-    assert status.batches_sent == 2               # one frame per endpoint
-    assert status.records_sent == 4               # start+commit, 2 endpoints
-    report = status.report()
-    assert "propagator: records=4  batches=2" in report
 
 
 def test_status_exposes_vacuum_counters():
@@ -240,12 +215,9 @@ def test_status_exposes_vacuum_counters():
     system.quiesce()
     system.run(until=system.kernel.now + 10.0)
     status = system_status(system)
-    for site in (status.primary,) + status.secondaries:
-        assert site.vacuum_runs > 0
-        assert site.versions_reclaimed > 0
-        assert site.max_chain_length >= 1
-    report = status.report()
-    assert "vacuum:" in report and "reclaimed=" in report
+    # One daemon per site, each of which ran and reclaimed.
+    assert status.vacuum_runs >= 3
+    assert status.versions_reclaimed >= 3
 
 
 def test_fault_free_status_has_no_vacuum_lines():
@@ -254,8 +226,8 @@ def test_fault_free_status_has_no_vacuum_lines():
     s.write("x", 1)
     system.quiesce()
     status = system_status(system)
-    assert status.primary.vacuum_runs == 0
-    assert "vacuum:" not in status.report()
+    # The chaos summary prints its vacuum line only for a nonzero count.
+    assert (status.vacuum_runs, status.versions_reclaimed) == (0, 0)
 
 
 def test_aggregate_sessions_counts_failovers():
@@ -266,30 +238,6 @@ def test_aggregate_sessions_counts_failovers():
     assert s.read("x") == 1
     stats = aggregate_sessions([s])
     assert stats.failovers == 1
-
-
-def test_routing_misses_survive_a_promotion():
-    """A promotion prunes closed sessions from the system's list; the
-    routing misses they counted stay in the status, which only grows."""
-    full = (0, 1, 2, 3)
-    system = ReplicatedSystem(
-        num_secondaries=3, propagation_delay=1.0,
-        promotion=PromotionConfig(),
-        sharding=ShardingConfig(shards=4, placement=(full, full, (0, 1))))
-    key = next(key for key in (f"k{i}" for i in range(100))
-               if shard_of(key, 4) == 2)
-    session = system.session(Guarantee.STRONG_SESSION_SI, secondary=2)
-    session.write(key, 1)
-    assert session.read(key) == 1        # re-routed off the half replica
-    assert session.shard_routing_misses == 1
-    session.close()
-    system.quiesce()
-    assert system_status(system).shard_routing_misses == 1
-    system.kill_primary()
-    system.promote_secondary()
-    status = system_status(system)
-    assert status.promotions == 1
-    assert status.shard_routing_misses == 1
 
 
 def test_a_promoted_sites_link_counters_stay_in_the_status():

@@ -263,14 +263,15 @@ def test_monitoring_surfaces_parallel_counters():
     session.write("b", 2)
     system.quiesce()
     status = system_status(system)
-    assert status.secondaries[0].parallel_workers == 2
-    assert "parallel:" in status.report()
-    assert "workers=2" in status.report()
+    refresher = system.secondaries[0].refresher
+    assert refresher.parallel == 2
+    assert status.secondaries[0].out_of_order_commits == \
+        refresher.out_of_order_commits
 
 
 def test_parallel_off_is_dormant():
     """The default keeps every new surface inert: FIFO pending queue,
-    no parallel report lines, zero scheduler state."""
+    zero scheduler state."""
     system = ReplicatedSystem(num_secondaries=1)
     session = system.session()
     session.write("a", 1)
@@ -280,9 +281,7 @@ def test_parallel_off_is_dormant():
     assert refresher.out_of_order_commits == 0
     assert refresher.watermark_lag == 0
     assert refresher.max_runnable_depth == 0
-    status = system_status(system)
-    assert status.secondaries[0].parallel_workers is None
-    assert "parallel:" not in status.report()
+    assert system_status(system).secondaries[0].out_of_order_commits == 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,21 @@ def tracker():
 
 def test_initial_sequences_are_zero(tracker):
     assert tracker.seq("any") == 0
-    assert tracker.global_seq == 0
+    assert tracker.newest() == 0
 
 
 def test_commit_advances_session_and_global(tracker):
     tracker.on_primary_commit("c1", 5)
     assert tracker.seq("c1") == 5
     assert tracker.seq("c2") == 0
-    assert tracker.global_seq == 5
+    assert tracker.newest() == 5
 
 
 def test_global_tracks_max_over_all_sessions(tracker):
     tracker.on_primary_commit("c1", 3)
     tracker.on_primary_commit("c2", 7)
     tracker.on_primary_commit("c1", 5)
-    assert tracker.global_seq == 7
+    assert tracker.newest() == 7
     assert tracker.seq("c1") == 5
     assert tracker.seq("c2") == 7
 
@@ -40,7 +40,7 @@ def test_sequences_are_monotonic(tracker):
 
 def test_commit_with_none_label_only_moves_global(tracker):
     tracker.on_primary_commit(None, 8)
-    assert tracker.global_seq == 8
+    assert tracker.newest() == 8
     assert tracker.labels() == []
 
 
@@ -71,26 +71,13 @@ def test_guarantee_degenerate_labelings_equivalence(tracker):
             == tracker.seq(GLOBAL_SESSION_LABEL))
 
 
-def test_reset(tracker):
-    tracker.on_primary_commit("c1", 5)
-    tracker.reset()
-    assert tracker.global_seq == 0
-    assert tracker.seq("c1") == 0
-
-
-def test_blocks_reads_property():
-    assert not Guarantee.WEAK_SI.blocks_reads
-    assert Guarantee.STRONG_SESSION_SI.blocks_reads
-    assert Guarantee.STRONG_SI.blocks_reads
-
-
 def test_forget_drops_retired_label(tracker):
     tracker.on_primary_commit("c1", 3)
     tracker.on_primary_commit("c2", 5)
     assert tracker.labels() == ["c1", "c2"]
     tracker.forget("c1")
     assert tracker.labels() == ["c2"]
-    assert tracker.global_seq == 5            # global sequence untouched
+    assert tracker.newest() == 5            # global sequence untouched
     # A forgotten (or never-seen) label restarts at zero.
     assert tracker.seq("c1") == 0
     tracker.forget("never-seen")              # no-op, no error
@@ -103,7 +90,7 @@ def test_sequences_are_kept_per_axis(tracker):
     axis of each shard it wrote; an axis never written reads 0."""
     tracker.on_primary_commit("c1", 4, shards=(0, 2))
     tracker.on_primary_commit("c2", 6, shards=(2,))
-    assert tracker.seq("c1") == 4 and tracker.global_seq == 6
+    assert tracker.seq("c1") == 4 and tracker.newest() == 6
     assert [tracker.seq("c1", axis) for axis in (0, 1, 2)] == [4, 0, 4]
     assert [tracker.newest(axis) for axis in (None, 0, 1, 2)] == [6, 4, 0, 6]
     session, strong = Guarantee.STRONG_SESSION_SI, Guarantee.STRONG_SI

@@ -13,7 +13,7 @@ import pytest
 from repro.core.guarantees import Guarantee
 from repro.core.promotion import PromotionConfig
 from repro.core.records import key_fingerprint
-from repro.core.sharding import ShardingConfig, shard_of, shard_of_fp
+from repro.core.sharding import ShardingConfig, shard_of
 from repro.core.system import ReplicatedSystem
 from repro.errors import ConfigurationError, ShardUnavailableError
 from repro.faults.channel import ChannelFaults
@@ -59,8 +59,6 @@ def projected(state, subscription, shards=SHARDS):
 def test_shard_of_is_fingerprint_modulo():
     for key in ("a", "book:42:stock", 17, ("t", 3)):
         assert shard_of(key, SHARDS) == key_fingerprint(key) % SHARDS
-        assert shard_of(key, SHARDS) == \
-            shard_of_fp(key_fingerprint(key), SHARDS)
 
 
 def test_shard_of_covers_all_shards():
@@ -132,12 +130,36 @@ def test_partial_replication_projects_state():
         subscription = HALVES.subscription_for(index)
         assert system.secondary_state(index) == \
             projected(primary, subscription)
-    # The propagator counted per-shard deliveries, and every commit went
-    # to exactly one endpoint (single-shard write sets, halves placement)
-    # — half the link volume of full replication.
-    shipped = system.propagator.records_shipped_by_shard
-    assert set(shipped) == set(range(SHARDS))
+    # Every commit went to exactly one endpoint (single-shard write sets,
+    # halves placement) — half the link volume of full replication.
     assert system.propagator.records_sent == SHARDS * 3
+
+
+def test_a_slice_depends_only_on_its_subscribed_shards_writers():
+    """A commit's ``dep_ts`` bounds the newest prior writer of every key
+    it wrote; the slice shipped to a subscriber is recomputed over the
+    subscribed shards, so it never waits on a commit the subscriber will
+    not receive."""
+    system = ReplicatedSystem(
+        num_secondaries=3, propagation_delay=0.1,
+        sharding=ShardingConfig(shards=2, placement=((0, 1), (0,), (1,))))
+    (k0,), (k1,) = keys_for(0, 1, shards=2), keys_for(1, 1, shards=2)
+    session = system.session()
+    session.write(k0, "a")               # ts 1: shard 0's prior writer
+    session.write(k1, "b")               # ts 2: shard 1's, the newer
+    session.write_many({k0: "c", k1: "d"})
+    propagator = system.propagator
+    commit = propagator.archive[-1]
+    assert (commit.commit_ts, commit.dep_ts) == (3, 2)
+    assert commit.shard_deps == ((0, 1), (1, 2))
+    assert propagator.slice_for(commit, frozenset({0, 1})) is commit
+    only0 = propagator.slice_for(commit, frozenset({0}))
+    only1 = propagator.slice_for(commit, frozenset({1}))
+    assert (only0.dep_ts, only0.updates) == (1, ((k0, "c", False),))
+    assert (only1.dep_ts, only1.updates) == (2, ((k1, "d", False),))
+    system.quiesce()
+    assert system.secondary_state(1) == {k0: "c"}
+    assert system.secondary_state(2) == {k1: "d"}
 
 
 def test_unsharded_system_has_no_shard_bookkeeping():
@@ -157,7 +179,6 @@ def test_unsharded_system_has_no_shard_bookkeeping():
                                sharding=ShardingConfig(shards=SHARDS))
     assert plain.sharding is None
     assert drive(plain) == drive(sharded)
-    assert plain.propagator.records_shipped_by_shard == {}
     assert plain.secondaries[0].subscription is None
     # No subscribe events pollute an unsharded history.
     assert not [e for e in plain.recorder.events
@@ -423,6 +444,11 @@ def test_partial_secondary_recovers_with_exact_frontiers():
         key = keys_for(shard, count=2)[1]
         session.write(key, f"during:{shard}")
     system.recover_secondary(1)
+    # Caught up as it returns: each held shard's frontier is the newest
+    # commit touching that shard, not the copy's scalar timestamp.
+    site, newest = system.secondaries[1], system.propagator.newest_commit_ts
+    assert {axis: site.frontier(axis) for axis in site.axes} == \
+        {axis: newest(axis) for axis in site.axes} == {4: 6, 5: 7, 6: 8, 7: 9}
     system.quiesce()
     assert system.secondary_state(1) == \
         projected(system.primary_state(), HALVES.subscription_for(1))

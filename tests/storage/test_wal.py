@@ -24,7 +24,6 @@ def db(log):
 
 def test_log_starts_empty(log):
     assert len(log) == 0
-    assert log.last_commit_ts() == 0
 
 
 def test_update_transaction_logs_start_updates_commit(db, log):
@@ -52,7 +51,7 @@ def test_commit_record_carries_commit_ts(db, log):
     txn = db.begin(update=True)
     txn.write("x", 1)
     ts = txn.commit()
-    commits = log.commit_records()
+    commits = [r for r in log if isinstance(r, CommitRecord)]
     assert len(commits) == 1 and commits[0].commit_ts == ts
 
 
@@ -96,7 +95,8 @@ def test_log_order_consistent_with_timestamp_order(db, log):
         txn = db.begin(update=True)
         txn.write("k", i)
         txn.commit()
-    commit_ts_in_log_order = [r.commit_ts for r in log.commit_records()]
+    commit_ts_in_log_order = [r.commit_ts for r in log
+                              if isinstance(r, CommitRecord)]
     assert commit_ts_in_log_order == sorted(commit_ts_in_log_order)
 
 
@@ -124,14 +124,6 @@ def test_records_from_lsn(log):
     log.append_start(2, 1)
     tail = log.records(from_lsn=2)
     assert len(tail) == 1 and isinstance(tail[0], StartRecord)
-
-
-def test_last_commit_ts(log):
-    log.append_start(1, 0)
-    assert log.last_commit_ts() == 0
-    log.append_commit(1, 7)
-    log.append_start(2, 7)
-    assert log.last_commit_ts() == 7
 
 
 def test_interleaved_transactions_log_shape(db, log):

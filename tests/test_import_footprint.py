@@ -26,7 +26,7 @@ import repro.evaluation.runner
 import repro.faults.harness
 import repro.simmodel
 from repro.faults.harness import ChaosConfig, run_chaos
-from repro.sim.stats import mean_ci
+from repro.sim.stats import SummaryStats
 from repro.simmodel import LazyReplicationModel, SimulationParameters
 
 
@@ -40,16 +40,17 @@ assert LazyReplicationModel(params).run().completions() > 0
 assert run_chaos(ChaosConfig(seed=0, ops=40, horizon=40.0)).ok
 assert heavy() == [], f"loaded before any interval: {heavy()}"
 
-values = [10.0, 12.0, 9.0, 11.0, 13.0]
+stats = SummaryStats()
+stats.extend([10.0, 12.0, 9.0, 11.0, 13.0])
 try:
-    mean_ci(values, confidence=1.5)
+    stats.ci(confidence=1.5)
 except ValueError:
     pass
 else:
     raise AssertionError("confidence 1.5 accepted")
 assert heavy() == [], f"a rejected confidence loaded {heavy()}"
 
-ci = mean_ci(values)
+ci = stats.ci()
 assert "scipy" in sys.modules
 import scipy.stats
 expected = scipy.stats.t.ppf(0.975, 4) * math.sqrt(2.5) / math.sqrt(5)
