@@ -146,7 +146,7 @@ class AutoFailover:
         #: The primary's lease deadline (grace period at construction /
         #: after each promotion, before any grant has arrived).
         self.lease_expiry = kernel.now + config.lease_duration
-        self._epoch_seen = system.cluster_epoch
+        self._epoch_seen = system.promotions
         # -- counters --------------------------------------------------------
         self.suspicions = 0
         self.false_suspicions = 0
@@ -195,9 +195,9 @@ class AutoFailover:
     def _check_epoch(self) -> None:
         """Reset detector state after a promotion (ours or manual)."""
         system = self.system
-        if system.cluster_epoch == self._epoch_seen:
+        if system.promotions == self._epoch_seen:
             return
-        self._epoch_seen = system.cluster_epoch
+        self._epoch_seen = system.promotions
         now = self.kernel.now
         for name in self._last_heartbeat:
             self._last_heartbeat[name] = now
@@ -274,7 +274,7 @@ class AutoFailover:
         if self.kernel.now < self.lease_expiry:
             self._arm_lease_check()     # renewed since this was armed
             return
-        if system.cluster_epoch != self._epoch_seen:
+        if system.promotions != self._epoch_seen:
             return                      # _check_epoch will re-arm
         primary = system.primary
         if primary.crashed:

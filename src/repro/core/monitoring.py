@@ -65,6 +65,7 @@ class SystemStatus:
     promotions: int = 0
     fenced_stale_records: int = 0
     lost_update_windows: int = 0
+    resynced_replicas: int = 0      # copies a promotion installed
     # -- failover counters (zero with failover=None) -----------------------
     suspicions: int = 0
     false_suspicions: int = 0
@@ -191,6 +192,8 @@ def system_status(system: "ReplicatedSystem") -> SystemStatus:
         promotions=system.promotions,
         fenced_stale_records=system.fenced_stale_records,
         lost_update_windows=system.lost_update_windows,
+        resynced_replicas=sum(len(report.resynced)
+                              for report in system.promotion_reports),
         **detector,
         zombie_records_fenced=system.zombie_records_fenced,
         vacuum_runs=sum(daemon.runs for daemon in system.autovacuums),

@@ -24,15 +24,19 @@ epoch** discipline:
    restart of the *new* primary recovers correctly).  The one
    propagator switches from the dead primary's log to it
    (:meth:`~repro.core.propagation.Propagator.hand_over`): whatever it
-   held for the dead primary goes, its archive is truncated at ``base``,
-   and it keeps feeding every secondary that is not retired, each
-   through its own resynced ``link``.  The promoted site keeps its link
-   too: its counters stay in the run's totals, and traffic a partition
-   holds on it is fenced when it finally arrives.
-4. **Replay** the surviving prefix: replicas behind ``base`` receive the
-   archive's tail, so every replica converges on the new primary's
-   prefix and dense commit numbering continues seamlessly (the checkers
-   verify this across the epoch).
+   held for the dead primary goes, its newest commit per freshness axis
+   becomes the promoted site's, and it keeps feeding every secondary
+   that is not retired, each through its own resynced ``link``.  The
+   promoted site keeps its link too: its counters stay in the run's
+   totals, and traffic a partition holds on it is fenced when it
+   finally arrives.
+4. **Copy** the surviving prefix: a live replica whose frontier on some
+   axis it holds differs from the new primary's — behind ``base``, or
+   ahead of it with commits the truncation removed — reinstalls a
+   quiesced copy of the new primary in place, the one catch-up path of
+   Section 3.4.  Every replica then sits on the new primary's prefix
+   and dense commit numbering continues seamlessly (the checkers verify
+   this across the epoch).
 5. **Reconcile sessions**: :meth:`~repro.core.sessions.SequenceTracker.
    truncate` clamps every ``seq(c)`` to ``base``.  A session whose own
    acknowledged commits were truncated gets a permanent
@@ -98,12 +102,10 @@ class PromotionReport:
     old_commit_ts: int
     #: Queued/pending refresh records discarded by the epoch fence.
     fenced_records: int
-    #: Per-secondary archive-tail replays performed to reach ``base``.
-    replayed: dict[str, int]
     #: Labels of sessions poisoned with ``LostUpdatesError``.
     lost_sessions: tuple[str, ...]
-    #: Replicas that had applied commits above ``base`` and were resynced
-    #: from a copy of the new primary (crash + Section 3.4 recovery).
+    #: Replicas behind or ahead of the surviving prefix, resynced in
+    #: place from a copy of the new primary (Section 3.4).
     resynced: tuple[str, ...] = ()
 
     @property
@@ -174,20 +176,9 @@ def promote(system: "ReplicatedSystem",
     links = [site.link for site in system.secondaries
              if not site.retired and site.link is not None]
     fenced = candidate.retire()
-    ahead: list[int] = []
-    for index, site in enumerate(system.secondaries):
-        if site is candidate or not site.live:
-            continue
-        fenced += site.fence()
-        if site.engine.latest_commit_ts > base:
-            # Gap-tolerant refresh let this (partial) subscriber apply
-            # commits the candidate never received.  The fence only drops
-            # queued work; the truncated tail is installed and readable.
-            # Nothing short of a state transfer removes it, so the site
-            # takes the Section 3.4 path: down now, and a copy of the new
-            # primary once the epoch below is installed.
-            site.crash()
-            ahead.append(index)
+    for site in system.secondaries:
+        if site is not candidate and site.live:
+            fenced += site.fence()
     for link in links:
         link.resync()
         # Anything still arriving with a pre-resync epoch is zombie
@@ -204,16 +195,17 @@ def promote(system: "ReplicatedSystem",
         # the *new* primary can then restart_from_wal() back to exactly
         # this state plus whatever it committed since.  Seeded before the
         # propagator subscribes, so the base snapshot is never shipped —
-        # the replicas reach S^base by refresh or replay.
+        # the replicas reach S^base by refresh or by a copy.
         log.append_start(0, 0)
         for key, value in candidate.engine.state_at().items():
             log.append_update(0, key, value)
         log.append_commit(0, base)
     candidate.engine.log = log
     new_primary = PrimarySite(system.kernel, candidate.engine)
-    propagator.hand_over(log, base)
+    propagator.hand_over(log, base, candidate.shard_frontier)
+    surviving = propagator.newest_commit_ts
 
-    replayed: dict[str, int] = {}
+    resync: list = []
     for site in propagator.endpoints:       # the sites not retired
         link = site.link
         if link is not None and link.blackholed:
@@ -225,12 +217,15 @@ def promote(system: "ReplicatedSystem",
             # models the old primary's side of the cut, and its held
             # zombie traffic stays dark until that partition heals.
             link.heal()
-        if site.live and site.seq_db < base:
-            replayed[site.name] = propagator.replay_to(
-                site, after_commit_ts=site.seq_db)
+        if site.live and any(site.frontier(axis) != surviving(axis)
+                             for axis in site.axes):
+            # Behind the surviving prefix, or ahead of it (gap-tolerant
+            # refresh lets a partial subscriber apply commits the
+            # candidate never received): the fence dropped only queued
+            # work, so the site takes a copy of the new primary below.
+            resync.append(site)
 
     # -- reconcile sessions across the epoch --------------------------------
-    surviving = propagator.newest_commit_ts
     truncated = system.tracker.truncate(base, surviving)
     lost_sessions: list[str] = []
     system._sessions = [s for s in system._sessions if not s.closed]
@@ -265,19 +260,21 @@ def promote(system: "ReplicatedSystem",
     # The report is the promotion counters' record (cluster epoch,
     # fenced records, lost windows).
     report = PromotionReport(
-        epoch=system.cluster_epoch + 1,
+        epoch=system.promotions + 1,
         old_primary=old_primary.name,
         new_primary=candidate.name,
         base_commit_ts=base,
         old_commit_ts=old_ts,
         fenced_records=fenced,
-        replayed=replayed,
         lost_sessions=tuple(lost_sessions),
-        resynced=tuple(system.secondaries[index].name for index in ahead),
+        resynced=tuple(site.name for site in resync),
     )
     system.promotion_reports.append(report)
-    for index in ahead:
-        system.recover_secondary(index)
+    for site in resync:
+        # In place, not a crash: the fence aborted the site's refresh
+        # transactions and a read begins and commits without yielding,
+        # so no transaction is open on it now.
+        system._install_copy(site)
     # Readers park on ``... or self._lost_window is not None``; the fence
     # above notified them *before* the reconcile set it, so wake them
     # again now or a read whose required state was truncated never

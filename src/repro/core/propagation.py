@@ -95,13 +95,6 @@ class PropagationEndpoint(Protocol):
         """``record``, sent in delivery ``epoch``, arrives now."""
 
 
-def _expect(endpoint: PropagationEndpoint, item: Any) -> tuple:
-    """One direct delivery as the sender fixes it: the endpoint counts it
-    in flight, and it travels in the endpoint's current epoch."""
-    endpoint.in_flight += 1
-    return (endpoint, endpoint.epoch, item)
-
-
 def _arrive_all(arrivals: list) -> None:
     """The one arrival event of a record or frame: every endpoint it was
     sent to receives it, in attach order."""
@@ -416,13 +409,15 @@ class Propagator:
         the two modes are different protocols rather than one protocol
         at two widths: a full-replication stream is contiguous and
         drives Algorithm 3.2's empty-queue wait off its start records, a
-        projected stream can do neither, so :meth:`_on_log_record` and
-        :meth:`replay_to` choose which records exist — and nothing else
-        here asks which mode it is in.
+        projected stream can do neither, so :meth:`_on_log_record`
+        chooses which records exist — and nothing else here asks which
+        mode it is in.
 
     One propagator serves the whole run: a promotion hands it over to
-    the new primary's log (:meth:`hand_over`), so its archive and
-    counters span every era.
+    the new primary's log (:meth:`hand_over`), so its counters span
+    every era.  It keeps nothing per commit once the commit has
+    shipped: a replica that missed commits catches up from a copy of
+    the primary (Section 3.4), never from a log of past commits.
     """
 
     def __init__(self, kernel: Kernel, log: LogicalLog, *,
@@ -458,10 +453,6 @@ class Propagator:
         #: Bumped by each :meth:`hand_over`: a batch flush armed in an
         #: earlier era finds it moved on and does nothing.
         self._era = 0
-        #: Every surviving commit record, in commit order, of every era —
-        #: the archive used to bring a recovered secondary back up to
-        #: date (Section 3.4).
-        self.archive: list[PropagatedCommit] = []
         #: Per-endpoint record deliveries: a record shipped to three
         #: secondaries counts three times.
         self.records_sent = 0
@@ -579,7 +570,6 @@ class Propagator:
                 # undeduplicated fingerprints.
                 update_fps=fps if shard_prev else (),
                 shard_deps=tuple(sorted(shard_prev.items())))
-            self.archive.append(commit)
             self._emit(commit)
         elif isinstance(record, AbortRecord):
             self._update_lists.pop(record.txn_id, None)
@@ -613,7 +603,8 @@ class Propagator:
         outbox, self._outbox = self._outbox, []
         if not outbox:
             return
-        self._last_flush = self.kernel._now
+        kernel = self.kernel
+        self._last_flush = kernel._now
         delay = self.delay
         batching = self.batch_interval is not None
         # Batch shipping: the whole flush travels as one frame — one
@@ -635,18 +626,16 @@ class Propagator:
                 if link is not None:
                     link.send(shipped, delay)
                 else:
-                    arrivals.append(_expect(endpoint, shipped))
+                    # Counted in flight now, to arrive in this epoch.
+                    endpoint.in_flight += 1
+                    arrivals.append((endpoint, endpoint.epoch, shipped))
                 if batching:
                     self.batches_sent += 1
                     self.records_sent += shipped.count
                 else:
                     self.records_sent += 1
             if arrivals:
-                self._ship(arrivals, delay)
-
-    def _ship(self, arrivals: list, delay: float) -> None:
-        """Schedule the one arrival event of ``arrivals``."""
-        self.kernel.call_at(self.kernel.now + delay, _arrive_all, arrivals)
+                kernel.call_at(kernel._now + delay, _arrive_all, arrivals)
 
     def slice_for(self, item: Any, subscription: frozenset) -> Any:
         """What of one outgoing item travels to a subscriber.
@@ -699,19 +688,21 @@ class Propagator:
         a replica holding the axis converges on."""
         return self._newest_commit_ts.get(axis, 0)
 
-    def hand_over(self, log: LogicalLog, base: int) -> None:
+    def hand_over(self, log: LogicalLog, base: int,
+                  shard_frontier: dict) -> None:
         """Switch to a promoted primary's ``log``: a new era begins.
 
         Everything built from the dead primary's log that did not survive
         goes — buffered records, open update lists, the per-key
         last-writer map, a batch flush still armed for it, a stall
-        (:meth:`pause`), the retired (promoted) endpoint.  The archive keeps the commits up to the
-        truncation point ``base``, and the newest commit per freshness
-        axis is rebuilt from it *exactly*: every value names a surviving
-        commit that touched the axis (not merely ``min(newest, base)`` —
-        the truncation point need not touch a given shard).  New-era
-        dependencies are floored at ``base``, since the last-writer map
-        starts empty.
+        (:meth:`pause`), the retired (promoted) endpoint.  The newest
+        commit per freshness axis becomes the promoted site's: ``base``
+        on the whole database, and on each shard its ``shard_frontier``
+        entry — it covers every shard and publishes in commit order, so
+        that is the newest commit up to ``base`` touching the shard (not
+        ``min(newest, base)``: the truncation point need not touch it).
+        New-era dependencies are floored at ``base``, since the
+        last-writer map starts empty.
         """
         self.log.unsubscribe(self._on_log_record)
         self.log = log
@@ -726,54 +717,6 @@ class Propagator:
         self.dep_floor = base
         self._endpoints = [endpoint for endpoint in self._endpoints
                            if not endpoint.retired]
-        archive = self.archive
-        while archive and archive[-1].commit_ts > base:
-            archive.pop()
-        newest = self._newest_commit_ts = {}
-        for commit in archive:
-            newest[None] = commit.commit_ts
-            for shard, _dep in commit.shard_deps:
-                newest[shard] = commit.commit_ts
-
-    def replay_to(self, endpoint: PropagationEndpoint,
-                  after_commit_ts: int) -> int:
-        """Replay archived commits newer than ``after_commit_ts``.
-
-        Each replayed transaction is delivered as a start record followed
-        immediately by its commit record, so the recovering secondary
-        installs the missing tail serially through the ordinary refresh
-        mechanism.  Returns the number of transactions replayed.
-
-        Replay deliberately bypasses the endpoint's link: it is a state
-        transfer over a fresh connection, not regular propagation
-        traffic, so it is not subject to channel faults (the promotion
-        resyncs the link first).
-
-        A promotion replays a fenced replica after :meth:`hand_over`, so
-        the archive ends at the new primary's base state: commits beyond
-        the truncation point died with the old primary and never
-        resurface.
-
-        The archive holds the *full* commits; each is sliced for the
-        endpoint's subscription exactly like live traffic (commits
-        touching no subscribed shard are skipped and do not count).  A
-        full-replication stream gets each commit's start record
-        synthesized ahead of it; partial-replication streams are
-        commit-only.
-        """
-        replayed = 0
-        subscription = endpoint.subscription
-        for commit in self.archive:
-            if commit.commit_ts <= after_commit_ts:
-                continue
-            slice_ = commit if subscription is None \
-                else self.slice_for(commit, subscription)
-            if slice_ is None:
-                continue
-            if self.sharding is None:
-                self._ship([_expect(endpoint, PropagatedStart(
-                    txn_id=commit.txn_id, start_ts=commit.commit_ts - 1))],
-                    0.0)
-            self._ship([_expect(endpoint, slice_)], 0.0)
-            replayed += 1
-        return replayed
+        newest = self._newest_commit_ts = dict(shard_frontier)
+        if base > 0:
+            newest[None] = base

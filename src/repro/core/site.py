@@ -343,7 +343,8 @@ class SecondarySite:
         it).  They are *set*, not merged: the site now holds exactly the
         copy, and after a promotion that can be older than what it held
         before (a replica that ran ahead of the promoted candidate is
-        resynced down to the surviving prefix).
+        resynced down to the surviving prefix).  A promotion's copy is
+        not counted in :attr:`recover_count`.
         """
         self.engine.recover_from(source_state, source_commit_ts)
         if self.recorder is not None:
@@ -351,7 +352,6 @@ class SecondarySite:
                                           source_state, source_commit_ts)
         self.seq_db = source_commit_ts
         self.shard_frontier.update(shard_frontiers)
-        self.recover_count += 1
         self.refresher.start()
         self.seq_cond.notify_all()
 

@@ -972,8 +972,6 @@ class ReplicatedSystem:
         original topology)."""
         return len(self.promotion_reports)
 
-    cluster_epoch = promotions
-
     @property
     def fenced_stale_records(self) -> int:
         """Stale pre-promotion records discarded by epoch fences."""
@@ -1105,13 +1103,12 @@ class ReplicatedSystem:
 
         Takes a quiesced copy of the primary, reinstalls it, and
         reinitialises ``seq(DBsec)`` from the copy's commit timestamp.
-        The log sniffer archives every commit as it is logged, so the
-        copy already holds the newest one: nothing is left to replay, and
-        a commit still buffered in a batch reaches the secondary again
-        with the next frame, where the refresher drops it as stale.  When
-        the secondary has a :class:`ReliableLink`, the link is resynced
-        first (new epoch, sequence numbers restart) so stale
-        retransmissions cannot corrupt the recovered stream.
+        The copy holds every commit logged so far, so nothing is left to
+        replay, and a commit still buffered in a batch reaches the
+        secondary again with the next frame, where the refresher drops
+        it as stale.  When the secondary has a :class:`ReliableLink`, the
+        link is resynced first (new epoch, sequence numbers restart) so
+        stale retransmissions cannot corrupt the recovered stream.
         """
         secondary = self.secondaries[index]
         if secondary.retired:
@@ -1120,12 +1117,16 @@ class ReplicatedSystem:
                 f"rejoin the replica tier")
         if secondary.link is not None:
             secondary.link.resync()
+        self._install_copy(secondary)
+        secondary.recover_count += 1
+
+    def _install_copy(self, secondary: SecondarySite) -> None:
+        """Section 3.4's one catch-up path: reinstall a quiesced copy of
+        the primary at ``secondary``, by recovery or by a promotion."""
         state, commit_ts = self.primary.quiesced_copy()
-        # A partial subscriber reinstalls only its own shards' keys, and
-        # its frontier floors are per shard: the newest commit *touching*
-        # each (<= commit_ts since the log sniffer is synchronous), never
-        # the scalar copy timestamp — see SecondarySite.recover for why
-        # inflating them deadlocks.
+        # A partial subscriber reinstalls only its own shards' keys, with
+        # per-shard frontiers: the newest commit *touching* each, never
+        # the copy timestamp (SecondarySite.recover says why).
         newest = self.propagator.newest_commit_ts
         secondary.recover(
             secondary.projection(state), commit_ts,

@@ -273,10 +273,12 @@ class ChaosResult:
             f"{status.primary.crash_count} primary "
             f"(+{status.primary.recover_count} restarts)")
         if self.primary_kills or status.promotions:
+            resynced = status.resynced_replicas
             lines.append(
                 f"  promotion: {self.primary_kills} kills, "
                 f"{status.promotions} promotions, "
-                f"{status.fenced_stale_records} fenced records, "
+                + (f"{resynced} replicas resynced, " if resynced else "")
+                + f"{status.fenced_stale_records} fenced records, "
                 f"{status.lost_update_windows} lost windows, "
                 f"{clients.lost_sessions} lost sessions, "
                 f"{clients.no_primary_errors} no-primary errors")

@@ -52,10 +52,9 @@ def test_pcsi_allows_backwards_reads_across_replicas():
     system.propagator.pause()
     writer.write("x", 3)
     system.run()
-    # Now: primary at x=3; both secondaries at x=2.  Manually apply the
-    # missing commit at secondary 0 only, via targeted replay.
-    system.propagator.replay_to(system.secondaries[0], after_commit_ts=2)
-    system.run()
+    # Now: primary at x=3; both secondaries at x=2.  Bring secondary 0
+    # alone up to date with a Section 3.4 copy of the primary.
+    system.recover_secondary(0)
     assert system.secondaries[0].seq_db == 3
     assert system.secondaries[1].seq_db == 2
 
@@ -80,8 +79,7 @@ def test_strong_session_si_monotonic_across_migration():
     system.propagator.pause()
     writer.write("x", 2)
     system.run()
-    system.propagator.replay_to(system.secondaries[0], after_commit_ts=1)
-    system.run()
+    system.recover_secondary(0)           # a copy of the primary at x=2
     session = system.session(Guarantee.STRONG_SESSION_SI, secondary=0)
     assert session.read("x") == 2
     session.move_to(1)                    # stale replica (still at x=1)
@@ -123,10 +121,9 @@ def test_move_to_time_travel_matrix(guarantee, time_travels):
     system.propagator.pause()
     writer.write("x", 2)
     system.run()
-    # Replica 0 gets the second commit by targeted replay; replica 1
-    # stays one state behind.
-    system.propagator.replay_to(system.secondaries[0], after_commit_ts=1)
-    system.run()
+    # Replica 0 gets the second commit from a copy of the primary;
+    # replica 1 stays one state behind.
+    system.recover_secondary(0)
     assert system.secondaries[0].seq_db == 2
     assert system.secondaries[1].seq_db == 1
 

@@ -168,7 +168,7 @@ def test_fault_free_status_has_zero_fault_counters():
 
 
 def test_status_counts_crashes_recoveries_and_catch_up():
-    """A recovery installs a copy at the newest archived commit, so the
+    """A recovery installs a copy at the newest logged commit, so the
     recovered replica is caught up as ``recover_secondary`` returns,
     with writes still in flight to the others."""
     system = make_system(propagation_delay=1.0)

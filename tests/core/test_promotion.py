@@ -1,19 +1,22 @@
 """Primary promotion: epoch-fenced failover with session reconciliation.
 
 Covers the promotion subsystem end to end — candidate selection, epoch
-fencing, topology re-pointing, tail replay, the client-side bounded
+fencing, topology re-pointing, the copy that brings every replica to the
+surviving prefix, the client-side bounded
 retry (``promotion_wait`` / ``NoPrimaryError``), and the honest
 surfacing of the acknowledged-but-lost window (``LostUpdatesError`` +
 ``lost_update_windows``) — plus the unified site-liveness predicate and
 the promotion counters in monitoring.
 """
 
+import random
+
 import pytest
 
 from repro.core.guarantees import Guarantee
 from repro.core.monitoring import aggregate_sessions, system_status
 from repro.core.promotion import PromotionConfig
-from repro.core.sharding import ShardingConfig
+from repro.core.sharding import ShardingConfig, shard_of
 from repro.core.system import ReplicatedSystem
 from repro.errors import (
     ConfigurationError,
@@ -42,6 +45,16 @@ def assert_checkers_pass(system):
                   check_strong_session_si):
         result = check(system.recorder)
         assert result.ok, [v.message for v in result.violations]
+
+
+def assert_at_surviving_prefix(system):
+    """Every live replica sits at the propagator's newest commit on
+    every axis it holds."""
+    newest = system.propagator.newest_commit_ts
+    for site in system.secondaries:
+        if site.live:
+            assert {axis: site.frontier(axis) for axis in site.axes} == \
+                {axis: newest(axis) for axis in site.axes}, site.name
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +118,7 @@ def test_promote_picks_freshest_live_secondary():
     system.propagator.pause()
     writer.write("z", 3)
     system.run()
-    system.propagator.replay_to(system.secondaries[1], after_commit_ts=2)
-    system.run()
+    system.recover_secondary(1)          # a copy of the primary at 3
     assert system.secondaries[1].seq_db == 3
 
     system.kill_primary()
@@ -115,7 +127,7 @@ def test_promote_picks_freshest_live_secondary():
     assert report.old_primary == "primary"
     assert report.base_commit_ts == 3
     assert report.lost_commits == 0
-    assert report.epoch == system.cluster_epoch == 1
+    assert report.epoch == system.promotions == 1
     assert system.primary.name == "secondary-2"
     assert system.secondaries[1].retired
     assert not system.secondaries[1].live
@@ -151,7 +163,7 @@ def test_promotion_without_loss_converges_and_passes_checkers():
     assert_checkers_pass(system)
 
 
-def test_promotion_replays_tail_to_lagging_replicas():
+def test_promotion_copies_the_prefix_to_lagging_replicas():
     system = make_system()
     writer = system.session()
     writer.write("a", 1)
@@ -161,16 +173,20 @@ def test_promotion_replays_tail_to_lagging_replicas():
     writer.write("c", 3)
     system.run()
     # Only replica 0 gets the tail; it becomes the promotion candidate.
-    system.propagator.replay_to(system.secondaries[0], after_commit_ts=1)
-    system.run()
+    system.recover_secondary(0)
     assert system.secondaries[0].seq_db == 3
     assert system.secondaries[1].seq_db == 1
 
     system.kill_primary()
     report = system.promote_secondary()
     assert report.new_primary == "secondary-1"
-    # The laggards were replayed up to the truncation point...
-    assert report.replayed == {"secondary-2": 2, "secondary-3": 2}
+    # The laggards took a copy of the new primary in place: no crash,
+    # no recovery counted, and at the truncation point on return.
+    assert report.resynced == ("secondary-2", "secondary-3")
+    assert_at_surviving_prefix(system)
+    for site in system.secondaries[1:]:
+        assert (site.seq_db, site.crash_count, site.recover_count) == \
+            (3, 0, 0)
     system.quiesce()
     state = system.primary_state()
     for i in (1, 2):
@@ -465,7 +481,7 @@ def test_second_promotion_stacks_epochs():
     second = system.promote_secondary()
     assert (first.epoch, second.epoch) == (1, 2)
     assert second.old_primary == first.new_primary
-    assert system.cluster_epoch == 2 and system.promotions == 2
+    assert system.promotions == 2
     session.write("x", 3)
     system.quiesce()
     live = [i for i, s in enumerate(system.secondaries) if not s.retired]
@@ -503,8 +519,8 @@ def test_a_promotion_attaches_only_sites_still_in_the_replica_tier(faults):
 
 def test_one_propagator_is_handed_over_across_promotions():
     """A promotion switches the one propagator to the new primary's log:
-    its counters keep counting, and its archive keeps every surviving
-    commit of every era and nothing from a truncated window."""
+    its counters keep counting, and its newest commit is the surviving
+    prefix's, never one from a truncated window."""
     system = make_system()
     propagator = system.propagator
     session = system.session()
@@ -520,17 +536,16 @@ def test_one_propagator_is_handed_over_across_promotions():
         report = system.promote_secondary()
         assert report.lost_commits == 1
         assert system.propagator is propagator
-        assert [c.commit_ts for c in propagator.archive] \
-            == list(range(1, report.base_commit_ts + 1))
+        assert propagator.newest_commit_ts(None) == report.base_commit_ts
+        assert_at_surviving_prefix(system)
         session.write(f"c{era}", era)
         session.write(f"d{era}", era)
         system.quiesce()
         sent.append(propagator.records_sent)
     assert sent == sorted(sent) and len(set(sent)) == len(sent)
-    written = [update[0] for commit in propagator.archive
-               for update in commit.updates]
-    assert written == ["a", "b", "c0", "d0", "c1", "d1"]
-    assert [c.commit_ts for c in propagator.archive] == [1, 2, 3, 4, 5, 6]
+    assert sorted(system.primary_state()) == \
+        ["a", "b", "c0", "c1", "d0", "d1"]
+    assert propagator.newest_commit_ts(None) == 6
     assert_checkers_pass(system)
 
 
@@ -563,10 +578,10 @@ def test_a_batch_armed_for_the_dead_primary_flushes_nothing():
     assert system.secondary_state(1) == {"x": 1, "y": 3, "z": 4}
 
 
-def test_a_promotion_replays_only_subscribed_shards_to_a_partial_subscriber():
-    """The replay that brings a partial subscriber up to ``base`` slices
-    each archived commit like live traffic: of eight single-key commits,
-    the four touching its shards travel."""
+def test_a_promotion_copies_only_subscribed_shards_to_a_partial_subscriber():
+    """The copy that brings a partial subscriber up to ``base`` holds
+    only its shards' keys, and its frontier on each is the newest
+    surviving commit touching that shard."""
     system = make_system(
         sharding=ShardingConfig(shards=4, placement=(
             (0, 1, 2, 3), (0, 1, 2, 3), (0, 1))),
@@ -578,41 +593,111 @@ def test_a_promotion_replays_only_subscribed_shards_to_a_partial_subscriber():
     system.run(until=system.kernel.now + 5.0)
     system.kill_primary()
     report = system.promote_secondary(0)
-    assert report.replayed == {"secondary-3": 4}
-    system.heal()
-    system.quiesce()
+    assert report.resynced == ("secondary-3",)
+    assert_at_surviving_prefix(system)
     site = system.secondaries[2]
     assert site.seq_db == 8
     assert system.secondary_state(2) == site.projection(system.primary_state())
+    system.heal()
+    system.quiesce()
+    assert system.secondary_state(2) == site.projection(system.primary_state())
 
 
-def test_a_new_primary_txn_id_equal_to_a_replayed_one_waits_its_turn():
+@pytest.mark.parametrize("parallel_refresh", [2, None],
+                         ids=["parallel", "ordered"])
+def test_a_new_primary_txn_id_never_meets_an_old_one(parallel_refresh):
     """Refresh transactions are keyed by the primary's transaction id,
-    and a promoted engine numbers its own: secondary-2 missed txn 2
-    while down, so as primary its first update is txn 3 — the id of the
-    one commit replayed to the partitioned secondary-3, whose start
-    arrives while that replay still applies.  The ordered refresher
-    holds the start until the replay is published, then begins it."""
-    system = make_system(propagation_delay=0.1, refresh_apply_cost=0.5,
-                         channel_faults=ChannelFaults())
-    session = system.session()
-    session.write("a", 0)
+    and a promoted engine numbers its own: secondary-2 missed commits
+    while down, so as primary it reuses ids the partitioned secondary-3
+    last saw.  The promotion copies secondary-3 to the surviving prefix
+    instead of delivering it the commits it missed, so no old commit
+    is still applying there when a new one with the same id arrives
+    (with parallel refresh that collision raised ``KeyError``)."""
+    for down in range(6):
+        for behind in range(1, 8):
+            for after in range(1, 9):
+                system = make_system(
+                    propagation_delay=0.1, refresh_apply_cost=0.5,
+                    parallel_refresh=parallel_refresh,
+                    channel_faults=ChannelFaults())
+                session = system.session()
+                session.write("a", 0)
+                system.crash_secondary(1)
+                for i in range(down):
+                    session.write(f"d{i}", i)
+                system.recover_secondary(1)
+                system.partition(2)
+                for i in range(behind):
+                    session.write(f"b{i}", i)
+                system.kill_primary()
+                system.promote_secondary(1)
+                fresh = system.session()
+                for i in range(after):
+                    fresh.write(f"n{i}", i)
+                system.quiesce()
+                state = system.primary_state()
+                assert system.secondary_state(0) == state
+                assert system.secondary_state(2) == state
+
+
+def surviving_frontiers(recorder, shards):
+    """The newest commit touching each axis on the surviving timeline,
+    worked out from the recorded history alone: a promotion event drops
+    the old primary's commits past its truncation point, and the new
+    primary's commits follow."""
+    primary, timeline, writes = "primary", {}, {}
+    for event in recorder.events:
+        if event.kind == "promote":
+            primary = event.site
+            timeline = {ts: keys for ts, keys in timeline.items()
+                        if ts <= event.commit_ts}
+        elif event.site == primary and event.refresh_of is None:
+            if event.kind == "write":
+                writes.setdefault(event.txn_id, set()).add(event.key)
+            elif event.kind == "commit" and event.txn_id in writes:
+                timeline[event.commit_ts] = writes.pop(event.txn_id)
+    newest = {}
+    for ts in sorted(timeline):
+        newest[None] = ts
+        for key in timeline[ts] if shards else ():
+            newest[shard_of(key, shards)] = ts
+    return newest
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shards", [None, 4], ids=["full", "sharded"])
+def test_hand_over_rebuilds_the_newest_commit_of_every_axis(shards, seed):
+    """After each of three promotions of a lossy, partitioned storm, the
+    propagator's newest commit on every axis is the newest surviving
+    primary commit touching it, as the recorded history shows — with
+    lost windows, and under sharding with shards the truncation point
+    does not touch."""
+    rng = random.Random(seed)
+    sharding = None if shards is None else ShardingConfig(
+        shards=shards, placement=((0, 1, 2, 3),) * 4 + ((0, 1),))
+    system = make_system(num_secondaries=5, sharding=sharding,
+                         channel_faults=ChannelFaults(drop=0.2),
+                         fault_seed=seed)
+    axes = [None, *range(shards or 0)]
+    for _round in range(3):
+        for index in rng.sample(range(5), 2):
+            if system.secondaries[index].live:
+                system.partition(index)
+        for _ in range(rng.randrange(4, 12)):
+            system.session().write(f"k{rng.randrange(16)}", rng.random())
+            system.run(until=system.kernel.now + rng.random())
+        system.kill_primary()
+        report = system.promote_secondary()
+        expected = surviving_frontiers(system.recorder, shards)
+        assert expected[None] == report.base_commit_ts
+        assert {axis: system.propagator.newest_commit_ts(axis)
+                for axis in axes} == \
+            {axis: expected.get(axis, 0) for axis in axes}
+        assert_at_surviving_prefix(system)
+        system.heal()
+    system.session().write("last", 0)
     system.quiesce()
-    system.crash_secondary(1)
-    session.write("d", 1)
-    system.quiesce()
-    system.recover_secondary(1)
-    system.partition(2)
-    session.write("b", 2)                # txn 3: secondary-3 misses it
-    system.run(until=system.kernel.now + 5.0)
-    system.kill_primary()
-    report = system.promote_secondary(1)
-    assert report.replayed == {"secondary-3": 1}
-    assert system.primary.engine._next_txn_id == \
-        system.propagator.archive[-1].txn_id == 3
-    system.session().write("n", 3)
-    system.quiesce()
-    assert system.secondary_state(2) == system.primary_state()
+    assert_checkers_pass(system)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +760,7 @@ def test_monitoring_counts_promotions_and_losses():
     system.promote_secondary()
 
     status = system_status(system)
-    assert status.promotions == 1 == system.cluster_epoch
+    assert status.promotions == 1 == system.promotions
     assert status.lost_update_windows == 1
     assert status.fenced_stale_records == system.fenced_stale_records
     # The retired replica is the primary now; it is not double-reported.
@@ -716,7 +801,7 @@ def test_promotion_disabled_is_dormant():
     with pytest.raises(SiteUnavailableError):
         session.write("x", 2)
     assert system.promotions == 0
-    assert system.cluster_epoch == 0
+    assert system.promotions == 0
     assert system.promotion_reports == []
     assert system_status(system).promotions == 0
     assert not any(s.retired for s in system.secondaries)

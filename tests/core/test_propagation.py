@@ -249,30 +249,6 @@ def test_pause_and_resume(kernel, log, db):
     assert len(endpoint.deliveries) == 2
 
 
-def test_archive_keeps_all_commits(kernel, log, db):
-    propagator = Propagator(kernel, log)
-    _commit(db, "x", 1)
-    _commit(db, "y", 2)
-    assert [c.commit_ts for c in propagator.archive] == [1, 2]
-
-
-def test_replay_to_delivers_tail_serially(kernel, log, db):
-    propagator = Propagator(kernel, log)
-    _commit(db, "x", 1)
-    _commit(db, "y", 2)
-    _commit(db, "z", 3)
-    endpoint = FakeEndpoint(kernel)
-    replayed = propagator.replay_to(endpoint, after_commit_ts=1)
-    kernel.run()
-    assert replayed == 2
-    kinds = [type(r).__name__ for _, r in endpoint.deliveries]
-    assert kinds == ["PropagatedStart", "PropagatedCommit",
-                     "PropagatedStart", "PropagatedCommit"]
-    commits = [r.commit_ts for _, r in endpoint.deliveries
-               if isinstance(r, PropagatedCommit)]
-    assert commits == [2, 3]
-
-
 def test_empty_update_transaction_ships_empty_commit(kernel, log, db):
     propagator = Propagator(kernel, log)
     endpoint = FakeEndpoint(kernel)

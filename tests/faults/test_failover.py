@@ -163,7 +163,6 @@ def test_killed_primary_is_detected_and_replaced():
     assert detector.suspicions >= detector.quorum
     assert detector.auto_promotions == 1
     assert system.promotions == 1
-    assert system.cluster_epoch == 1
     assert not system.primary.crashed
     # The declaration waited for both conditions: the report landed
     # after the suspicion timeout AND after the last lease aged out.

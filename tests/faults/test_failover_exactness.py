@@ -121,14 +121,14 @@ def run_shape(shape, seed=17, ops=240):
         lambda txn: [txn.write(f"k{key}", 0) for key in range(12)])
     system.quiesce()
     errors = []
-    epoch = system.cluster_epoch
+    epoch = system.promotions
     for op in range(ops):
         if op in script:
             act(system, script[op])
-        if system.cluster_epoch != epoch:
+        if system.promotions != epoch:
             # Sessions that lost commits are told so once; carry on
             # with fresh ones.
-            epoch = system.cluster_epoch
+            epoch = system.promotions
             sessions = fresh_sessions()
         session = rng.choice(sessions)
         keys = [f"k{rng.randrange(12)}" for _ in range(rng.randint(1, 4))]
